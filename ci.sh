@@ -9,6 +9,9 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release --offline
 cargo test -q --workspace --offline
+# The serving layer again in release: its timing (metrics publish
+# throttling, batch windows) only shows under optimized evaluation.
+cargo test --release -q -p evolve-serve --offline
 cargo clippy --all-targets --offline -- -D warnings
 
 # Batched-lane conformance: the lockstep engine must stay bitwise

@@ -73,18 +73,18 @@ use std::collections::VecDeque;
 
 use evolve_des::Time;
 use evolve_maxplus::MaxPlus;
-use evolve_model::{ExecRecord, LoadContext};
+use evolve_model::ExecRecord;
 
 use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, SweepSegment};
 use crate::derive::{DerivedTdg, SizeRule};
-use crate::engine::{AllocationFootprint, EngineStats};
+use crate::engine::{exec_record, instant, AllocationFootprint, EngineStats};
 use crate::error::EngineError;
 use crate::kernel;
 use crate::periodic::{
     self, CallEmissions, CallObservation, ExecEmission, FastForward, FastForwardStats, Observed,
     OutputEmission, PeriodicConfig, PeriodicState, ReplayPlan, TailObservation,
 };
-use crate::tdg::{NodeKind, Tdg, Weight};
+use crate::tdg::{NodeKind, Tdg};
 
 /// Upper bound on recycled [`LaneBlock`]s retained by the free list.
 const FREE_LIST_CAP: usize = 16;
@@ -192,47 +192,6 @@ struct BatchMarks {
     acks: Vec<Option<(u64, Time)>>,
 }
 
-/// Lane-strided counterpart of the scalar engine's weight evaluation: total
-/// lag in ticks plus the raw operation count, with token sizes read at
-/// `sizes[rel * B + lane]`.
-#[inline]
-fn eval_weight_lane(
-    weight: &Weight,
-    k: u64,
-    ring: &VecDeque<LaneBlock>,
-    base_k: u64,
-    b: usize,
-    lane: usize,
-    tail_sizes: &[u64],
-) -> (u64, u64) {
-    let mut lag = weight.constant;
-    let mut ops_total = 0u64;
-    for term in &weight.execs {
-        let size = match term.size_from {
-            None => 0,
-            Some((rel, delay)) => {
-                if u64::from(delay) > k {
-                    0
-                } else if delay == 0 {
-                    tail_sizes[rel.index() * b + lane]
-                } else {
-                    block_at(ring, base_k, k - u64::from(delay))
-                        .map_or(0, |blk| blk.sizes[rel.index() * b + lane])
-                }
-            }
-        };
-        let ops = term.load.ops(LoadContext {
-            function: term.function.index(),
-            stmt: term.stmt,
-            k,
-            size,
-        });
-        ops_total += ops;
-        lag += evolve_model::duration_for(ops, term.speed).ticks();
-    }
-    (lag, ops_total)
-}
-
 /// Per-lane observation targets, borrowed disjointly out of the engine for
 /// the duration of a sweep (the lane blocks move through `tail`/`ring`
 /// separately).
@@ -273,10 +232,9 @@ impl ObsSink<'_> {
                 relation,
                 ack_input,
                 output,
-                has_fifo_read,
             } => {
                 let relation = relation as usize;
-                let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
+                let time = instant(value);
                 if let SizeRule::Derived { from, model } = self.size_rules[relation] {
                     let input_size = match from {
                         None => 0,
@@ -301,9 +259,6 @@ impl ObsSink<'_> {
                         "exchange instants must compute in iteration order"
                     );
                     log.push(time);
-                    if !has_fifo_read {
-                        self.read_log[lane * self.relations + relation].push(time);
-                    }
                 }
                 if ack_input != u32::MAX {
                     self.acks[lane] = Some((k, time));
@@ -316,29 +271,14 @@ impl ObsSink<'_> {
             }
             Obs::FifoRead { relation } => {
                 if self.record {
-                    let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                    self.read_log[lane * self.relations + relation as usize].push(time);
+                    self.read_log[lane * self.relations + relation as usize].push(instant(value));
                 }
             }
-            Obs::ExecEnd {
-                function,
-                stmt,
-                resource,
-                dense,
-            } => {
+            Obs::ExecEnd { dense, .. } => {
                 if self.record {
-                    let (start, ops) = tail_stash[dense as usize * b + lane];
-                    if start.is_finite() || ops > 0 {
-                        let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                        self.exec_records[lane].push(ExecRecord {
-                            resource,
-                            function,
-                            stmt: stmt as usize,
-                            k,
-                            start: Time::from_ticks(start.finite().unwrap_or(0).max(0) as u64),
-                            end: time,
-                            ops,
-                        });
+                    let stash = tail_stash[dense as usize * b + lane];
+                    if let Some(record) = exec_record(obs, k, stash, value) {
+                        self.exec_records[lane].push(record);
                     }
                 }
             }
@@ -424,7 +364,7 @@ fn eval_general_slot(
     for i in e0..ehi {
         let delay = u64::from(ct.exec_delays[i]);
         let src = ct.exec_src_pos[i] as usize;
-        let exec = &ct.exec_arcs[i];
+        let dense = ct.exec_stash_dense[i];
         for (l, &cur) in current.iter().enumerate() {
             if !cur {
                 continue;
@@ -439,9 +379,15 @@ fn eval_general_slot(
             if src_val.is_epsilon() {
                 continue;
             }
-            let (lag, ops) = eval_weight_lane(&exec.weight, k, ring, base_k, b, l, tail_sizes);
-            if record && exec.stash_dense != u32::MAX {
-                tail_stash[exec.stash_dense as usize * b + l] = (src_val, ops);
+            let (lag, ops) = ct.durations.eval(i, k, |rel, d| {
+                if d == 0 {
+                    tail_sizes[rel * b + l]
+                } else {
+                    block_at(ring, base_k, k - d).map_or(0, |blk| blk.sizes[rel * b + l])
+                }
+            });
+            if record && dense != u32::MAX {
+                tail_stash[dense as usize * b + l] = (src_val, ops);
             }
             dst[l] = dst[l].oplus(src_val.otimes(MaxPlus::new(lag as i64)));
         }
@@ -588,8 +534,11 @@ pub struct BatchedEngine {
     outputs_ready: Vec<VecDeque<(u64, Time, u64)>>,
     /// Exchange-instant log, `lane * relations + relation`.
     instant_log: Vec<Vec<Time>>,
-    /// Read-instant log, `lane * relations + relation`.
+    /// Read-instant log, `lane * relations + relation`; kept only for
+    /// relations with a FIFO read node (a rendezvous read is its write).
     read_log: Vec<Vec<Time>>,
+    /// Per relation: whether it has a FIFO read node (owns a `read_log`).
+    fifo_read: Vec<bool>,
     /// Execution records per lane.
     exec_records: Vec<Vec<ExecRecord>>,
     stats: EngineStats,
@@ -697,7 +646,7 @@ impl BatchedEngine {
 
         let (tdg, size_rules, topo) = derived.into_parts();
         let meta = lower_node_meta(&tdg, relation_count);
-        let compiled = CompiledTdg::lower(&tdg, &topo, &meta);
+        let compiled = CompiledTdg::lower(&tdg, &topo, &meta, &size_rules);
         let n_execs = meta.n_execs;
         let input_node = tdg.inputs()[0].index();
         let NodeKind::Input { relation } = tdg.nodes()[input_node].kind else {
@@ -833,6 +782,7 @@ impl BatchedEngine {
             outputs_ready: vec![VecDeque::new(); lanes * n_outputs],
             instant_log: vec![Vec::new(); lanes * relation_count],
             read_log: vec![Vec::new(); lanes * relation_count],
+            fifo_read: meta.fifo_read,
             exec_records: vec![Vec::new(); lanes],
             stats: EngineStats::default(),
             fast_forward: FastForward::Off,
@@ -1012,7 +962,12 @@ impl BatchedEngine {
 
     /// Read-instant log of a relation on one lane.
     pub fn read_instants(&self, lane: usize, relation: usize) -> &[Time] {
-        &self.read_log[lane * self.relation_count + relation]
+        let log = if self.fifo_read[relation] {
+            &self.read_log
+        } else {
+            &self.instant_log
+        };
+        &log[lane * self.relation_count + relation]
     }
 
     /// Execution records of one lane, replayed from computed instants.

@@ -36,9 +36,10 @@
 //! suite (`tests/backend_conformance.rs`) pins the two bitwise-equal.
 
 use evolve_maxplus::MaxPlus;
-use evolve_model::{FunctionId, ResourceId};
+use evolve_model::{FunctionId, LoadContext, LoadModel, ResourceId};
 
-use crate::tdg::{NodeId, NodeKind, Tdg, Weight};
+use crate::derive::SizeRule;
+use crate::tdg::{ExecTerm, NodeId, NodeKind, Tdg, Weight};
 
 /// Which evaluation strategy an [`Engine`](crate::Engine) uses for
 /// `ComputeInstant()`.
@@ -96,8 +97,6 @@ pub(crate) enum Obs {
         ack_input: u32,
         /// Output index produced by this node, or `u32::MAX`.
         output: u32,
-        /// Whether the relation has a separate FIFO read node.
-        has_fifo_read: bool,
     },
     FifoRead {
         relation: u32,
@@ -119,6 +118,9 @@ pub(crate) struct NodeMeta {
     pub(crate) stash_arc: Vec<bool>,
     /// Number of `ExecEnd` nodes (width of the dense exec stash).
     pub(crate) n_execs: usize,
+    /// Per relation: whether it has a separate FIFO read node. Only those
+    /// relations keep a read log; a rendezvous read is its write.
+    pub(crate) fifo_read: Vec<bool>,
 }
 
 /// Lowers the per-node observation actions and stash-arc table of a graph.
@@ -136,10 +138,10 @@ pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
             tdg.exchange_node(relation).unwrap_or(u)
         })
         .collect();
-    let mut has_fifo_read = vec![false; relation_count];
+    let mut fifo_read = vec![false; relation_count];
     for node in tdg.nodes() {
         if let NodeKind::FifoRead { relation } = node.kind {
-            has_fifo_read[relation.index()] = true;
+            fifo_read[relation.index()] = true;
         }
     }
 
@@ -171,7 +173,6 @@ pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
                     relation: relation.index() as u32,
                     ack_input,
                     output,
-                    has_fifo_read: has_fifo_read[relation.index()],
                 }
             }
             NodeKind::FifoRead { relation } => Obs::FifoRead {
@@ -206,18 +207,271 @@ pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
         obs,
         stash_arc,
         n_execs,
+        fifo_read,
     }
 }
 
-/// One data-dependent arc of the compiled program: the weight to evaluate
-/// per iteration plus the dense exec-stash slot its resolution fills.
-#[derive(Clone, Debug)]
-pub(crate) struct ExecArc {
-    /// The arc's weight (constant lag plus execution-duration terms).
-    pub(crate) weight: Weight,
-    /// Dense `ExecEnd` index whose stash captures `(start, ops)` for
-    /// observation replay, or `u32::MAX` when the arc is not a duration arc.
-    pub(crate) stash_dense: u32,
+/// The token-size read of a duration term: relation `rel`'s size at
+/// iteration `k − delay`, or none.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SizeRead {
+    /// Relation index, or [`SizeRead::NONE`].
+    rel: u32,
+    /// Iteration delay of the read.
+    delay: u32,
+}
+
+impl SizeRead {
+    /// `rel` of a term that reads no token size.
+    const NONE: u32 = u32::MAX;
+
+    fn of(term: &ExecTerm) -> SizeRead {
+        term.size_from.map_or(
+            SizeRead {
+                rel: SizeRead::NONE,
+                delay: 0,
+            },
+            |(rel, delay)| SizeRead {
+                rel: rel.index() as u32,
+                delay,
+            },
+        )
+    }
+
+    /// The size read at iteration `k` (0 without a source or before it).
+    #[inline(always)]
+    fn at(self, k: u64, size_at: &impl Fn(usize, u64) -> u64) -> u64 {
+        let delay = u64::from(self.delay);
+        if self.rel == SizeRead::NONE || delay > k {
+            0
+        } else {
+            size_at(self.rel as usize, delay)
+        }
+    }
+}
+
+/// A [`LoadModel::Constant`] (`per_unit == 0`, the size is never read) or
+/// [`LoadModel::PerUnit`] term as inline arithmetic: `base + per_unit ×
+/// size` operations (saturating) on a resource of `speed` ops per tick.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct AffineTerm {
+    base: u64,
+    per_unit: u64,
+    speed: u64,
+    size: SizeRead,
+}
+
+/// One execution-duration term of a lowered multi-term weight.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum LoweredTerm {
+    Affine(AffineTerm),
+    /// Any other load model, evaluated at the term's coordinates.
+    Model {
+        load: LoadModel,
+        function: usize,
+        stmt: usize,
+        speed: u64,
+        size: SizeRead,
+    },
+}
+
+/// Duration in ticks of `ops` operations at `speed` ops per tick.
+#[inline(always)]
+fn ticks(ops: u64, speed: u64) -> u64 {
+    if speed == 1 {
+        ops
+    } else {
+        evolve_model::duration_for(ops, speed).ticks()
+    }
+}
+
+impl AffineTerm {
+    /// `(ticks, ops)` at iteration `k`.
+    #[inline(always)]
+    fn eval(self, k: u64, size_at: &impl Fn(usize, u64) -> u64) -> (u64, u64) {
+        let ops = if self.per_unit == 0 {
+            self.base
+        } else {
+            self.base
+                .saturating_add(self.per_unit.saturating_mul(self.size.at(k, size_at)))
+        };
+        (ticks(ops, self.speed), ops)
+    }
+}
+
+impl AffineTerm {
+    /// The affine form of a constant or per-unit term, if it is one.
+    fn of(term: &ExecTerm) -> Option<AffineTerm> {
+        let (base, per_unit) = match term.load {
+            LoadModel::Constant(n) => (n, 0),
+            LoadModel::PerUnit { base, per_unit } => (base, per_unit),
+            _ => return None,
+        };
+        Some(AffineTerm {
+            base,
+            per_unit,
+            speed: term.speed,
+            size: SizeRead::of(term),
+        })
+    }
+}
+
+impl LoweredTerm {
+    fn lower(term: &ExecTerm) -> LoweredTerm {
+        AffineTerm::of(term).map_or_else(
+            || LoweredTerm::Model {
+                load: term.load.clone(),
+                function: term.function.index(),
+                stmt: term.stmt,
+                speed: term.speed,
+                size: SizeRead::of(term),
+            },
+            LoweredTerm::Affine,
+        )
+    }
+
+    /// `(ticks, ops)` at iteration `k`.
+    #[inline(always)]
+    fn eval(&self, k: u64, size_at: &impl Fn(usize, u64) -> u64) -> (u64, u64) {
+        match self {
+            LoweredTerm::Affine(term) => term.eval(k, size_at),
+            LoweredTerm::Model {
+                load,
+                function,
+                stmt,
+                speed,
+                size,
+            } => {
+                let ops = load.ops(LoadContext {
+                    function: *function,
+                    stmt: *stmt,
+                    k,
+                    size: size.at(k, size_at),
+                });
+                (ticks(ops, *speed), ops)
+            }
+        }
+    }
+
+    fn size(&self) -> SizeRead {
+        match self {
+            LoweredTerm::Affine(term) => term.size,
+            LoweredTerm::Model { size, .. } => *size,
+        }
+    }
+}
+
+/// One exec arc's lowered weight.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ArcDuration {
+    /// The common case inline: a constant lag plus one constant or
+    /// per-unit term.
+    Affine { constant: u64, term: AffineTerm },
+    /// Any other weight: a constant lag plus the terms `lo..hi` of the
+    /// shared table.
+    Terms { constant: u64, lo: u32, hi: u32 },
+}
+
+/// The flat duration evaluator of a program's exec arcs (aligned with the
+/// exec stream): each arc's [`Weight`] lowered once, so evaluation walks no
+/// per-weight `Vec<ExecTerm>` — a single constant or per-unit term is
+/// inline affine arithmetic, anything else a range of one shared term
+/// table. Every compiled sweep — serial, delta, partitioned, and batched —
+/// evaluates exec arcs through [`Durations::eval`]; the worklist keeps the
+/// raw-weight evaluation as the reference, and a property test pins the
+/// two bitwise-equal.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Durations {
+    arcs: Vec<ArcDuration>,
+    terms: Vec<LoweredTerm>,
+}
+
+impl Durations {
+    /// Appends the lowered form of one exec arc's weight.
+    pub(crate) fn push(&mut self, weight: &Weight) {
+        let constant = weight.constant;
+        let single = match weight.execs.as_slice() {
+            [term] => AffineTerm::of(term),
+            _ => None,
+        };
+        let arc = match single {
+            Some(term) => ArcDuration::Affine { constant, term },
+            None => {
+                let lo = self.terms.len() as u32;
+                self.terms.extend(weight.execs.iter().map(LoweredTerm::lower));
+                ArcDuration::Terms {
+                    constant,
+                    lo,
+                    hi: self.terms.len() as u32,
+                }
+            }
+        };
+        self.arcs.push(arc);
+    }
+
+    /// Evaluates exec arc `i` at iteration `k`: the total lag in ticks plus
+    /// the raw operation count (for observation) — bitwise what the
+    /// worklist's evaluation of the raw weight returns. `size_at(rel, d)`
+    /// reads relation `rel`'s token size at iteration `k − d`; it is only
+    /// called with `d <= k`.
+    #[inline(always)]
+    pub(crate) fn eval(&self, i: usize, k: u64, size_at: impl Fn(usize, u64) -> u64) -> (u64, u64) {
+        match self.arcs[i] {
+            ArcDuration::Affine { constant, term } => {
+                let (ticks, ops) = term.eval(k, &size_at);
+                (constant + ticks, ops)
+            }
+            ArcDuration::Terms { constant, lo, hi } => {
+                let mut lag = constant;
+                let mut ops_total = 0u64;
+                for term in &self.terms[lo as usize..hi as usize] {
+                    let (ticks, ops) = term.eval(k, &size_at);
+                    ops_total += ops;
+                    lag += ticks;
+                }
+                (lag, ops_total)
+            }
+        }
+    }
+
+    /// Whether exec arc `i` evaluates identically here and in `other`,
+    /// for every iteration and token size (the delta attach gate's value
+    /// comparison).
+    pub(crate) fn same_arc(&self, other: &Durations, i: usize) -> bool {
+        match (self.arcs[i], other.arcs[i]) {
+            (
+                ArcDuration::Terms { constant, lo, hi },
+                ArcDuration::Terms {
+                    constant: other_constant,
+                    lo: other_lo,
+                    hi: other_hi,
+                },
+            ) => {
+                constant == other_constant
+                    && self.terms[lo as usize..hi as usize]
+                        == other.terms[other_lo as usize..other_hi as usize]
+            }
+            (a, b) => a == b,
+        }
+    }
+
+    /// The `(relation, delay)` token-size reads of exec arc `i`.
+    pub(crate) fn size_reads(&self, i: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (single, terms) = match self.arcs[i] {
+            ArcDuration::Affine { term, .. } => (Some(term.size), &self.terms[..0]),
+            ArcDuration::Terms { lo, hi, .. } => (None, &self.terms[lo as usize..hi as usize]),
+        };
+        single
+            .into_iter()
+            .chain(terms.iter().map(LoweredTerm::size))
+            .filter(|s| s.rel != SizeRead::NONE)
+            .map(|s| (s.rel as usize, u64::from(s.delay)))
+    }
+
+    /// Total element capacity of the lowered tables.
+    fn buffer_elements(&self) -> usize {
+        self.arcs.capacity() + self.terms.capacity()
+    }
 }
 
 /// A derived TDG lowered into a levelized, CSR-flattened evaluation program
@@ -263,9 +517,13 @@ pub struct CompiledTdg {
     pub(crate) exec_srcs: Vec<u32>,
     /// Iteration delay per exec arc.
     pub(crate) exec_delays: Vec<u32>,
-    /// Weight table aligned with the exec stream (`exec_arcs[i]` belongs to
-    /// the arc at stream position `i`).
-    pub(crate) exec_arcs: Vec<ExecArc>,
+    /// Dense `ExecEnd` index per exec arc whose stash captures `(start,
+    /// ops)` for observation replay, or `u32::MAX` when the arc is not a
+    /// duration arc (aligned with the exec stream).
+    pub(crate) exec_stash_dense: Vec<u32>,
+    /// The exec weights lowered into the flat duration evaluator (aligned
+    /// with the exec stream).
+    pub(crate) durations: Durations,
     /// Schedule slot of each node (`pos_of_node[schedule[s]] == s`): the
     /// inverse permutation of the schedule. Lane state indexed by *slot*
     /// instead of node id makes consecutive schedule writes land in
@@ -290,6 +548,17 @@ pub struct CompiledTdg {
     /// no observation action, so a run of such slots folds as one
     /// destination-contiguous block with no per-slot dispatch.
     pub(crate) simple_slots: Vec<bool>,
+    /// Exchange slots whose relation's token size is derived, in schedule
+    /// order: the size pre-pass ahead of a sweep walks these (sizes depend
+    /// only on other sizes, never on instants).
+    pub(crate) derived_exchanges: Vec<u32>,
+    /// Slots with an observation action, in schedule order: the
+    /// observation replay after a partitioned sweep walks these.
+    pub(crate) observed_slots: Vec<u32>,
+    /// The exchange slots that acknowledge an input or produce an output,
+    /// in schedule order: all a serial sweep publishes after its folds
+    /// (its logs are written by the sweep itself).
+    pub(crate) boundary_slots: Vec<u32>,
 }
 
 /// One block of the level-blocked traversal produced by
@@ -310,7 +579,12 @@ pub(crate) struct SweepSegment {
 
 impl CompiledTdg {
     /// Lowers a graph given its cached topological order and node metadata.
-    pub(crate) fn lower(tdg: &Tdg, topo: &[NodeId], meta: &NodeMeta) -> CompiledTdg {
+    pub(crate) fn lower(
+        tdg: &Tdg,
+        topo: &[NodeId],
+        meta: &NodeMeta,
+        size_rules: &[SizeRule],
+    ) -> CompiledTdg {
         let n = tdg.node_count();
         let levels = tdg.zero_delay_levels(topo);
 
@@ -346,7 +620,8 @@ impl CompiledTdg {
         let mut exec_offsets = Vec::with_capacity(n + 1);
         let mut exec_srcs = Vec::new();
         let mut exec_delays = Vec::new();
-        let mut exec_arcs = Vec::new();
+        let mut exec_stash_dense = Vec::new();
+        let mut durations = Durations::default();
         const_offsets.push(0u32);
         slow_offsets.push(0u32);
         exec_offsets.push(0u32);
@@ -366,10 +641,8 @@ impl CompiledTdg {
                     } else {
                         u32::MAX
                     };
-                    exec_arcs.push(ExecArc {
-                        weight: arc.weight.clone(),
-                        stash_dense,
-                    });
+                    durations.push(&arc.weight);
+                    exec_stash_dense.push(stash_dense);
                 } else if arc.delay == 0 {
                     const_srcs.push(arc.src.index() as u32);
                     const_lags.push(MaxPlus::new(arc.weight.constant as i64));
@@ -402,6 +675,21 @@ impl CompiledTdg {
                     && exec_offsets[slot + 1] == exec_offsets[slot]
             })
             .collect();
+        let slots_where = |keep: &dyn Fn(Obs) -> bool| -> Vec<u32> {
+            (0..obs.len())
+                .filter(|&slot| keep(obs[slot]))
+                .map(|slot| slot as u32)
+                .collect()
+        };
+        let derived_exchanges = slots_where(&|o| {
+            matches!(o, Obs::Exchange { relation, .. }
+                if matches!(size_rules[relation as usize], SizeRule::Derived { .. }))
+        });
+        let observed_slots = slots_where(&|o| !matches!(o, Obs::None));
+        let boundary_slots = slots_where(&|o| {
+            matches!(o, Obs::Exchange { ack_input, output, .. }
+                if ack_input != u32::MAX || output != u32::MAX)
+        });
 
         CompiledTdg {
             schedule,
@@ -417,12 +705,16 @@ impl CompiledTdg {
             exec_offsets,
             exec_srcs,
             exec_delays,
-            exec_arcs,
+            exec_stash_dense,
+            durations,
             pos_of_node,
             const_src_pos,
             slow_src_pos,
             exec_src_pos,
             simple_slots,
+            derived_exchanges,
+            observed_slots,
+            boundary_slots,
         }
     }
 
@@ -511,12 +803,16 @@ impl CompiledTdg {
             + self.exec_offsets.capacity()
             + self.exec_srcs.capacity()
             + self.exec_delays.capacity()
-            + self.exec_arcs.capacity()
+            + self.exec_stash_dense.capacity()
+            + self.durations.buffer_elements()
             + self.pos_of_node.capacity()
             + self.const_src_pos.capacity()
             + self.slow_src_pos.capacity()
             + self.exec_src_pos.capacity()
             + self.simple_slots.capacity()
+            + self.derived_exchanges.capacity()
+            + self.observed_slots.capacity()
+            + self.boundary_slots.capacity()
     }
 }
 
@@ -563,7 +859,8 @@ mod tests {
             derived.map_tdg(|t| synthetic::pad(t, padding));
         }
         let meta = lower_node_meta(derived.tdg(), p.arch.app().relations().len());
-        let compiled = CompiledTdg::lower(derived.tdg(), derived.topo_order(), &meta);
+        let compiled =
+            CompiledTdg::lower(derived.tdg(), derived.topo_order(), &meta, derived.size_rules());
         (derived, compiled)
     }
 
@@ -622,17 +919,35 @@ mod tests {
                 .filter(|a| a.delay >= 1 && a.weight.execs.is_empty())
                 .count()
         );
-        // The exec stream carries exactly the data-dependent arcs, with the
-        // weight table aligned position-for-position.
+        // The exec stream carries exactly the data-dependent arcs: slot by
+        // slot, the node's incoming arcs with an exec weight, in order,
+        // each lowered duration evaluating bitwise like its raw weight.
         assert_eq!(
             c.exec_arc_count(),
             tdg.arcs().iter().filter(|a| !a.weight.execs.is_empty()).count()
         );
-        assert_eq!(c.exec_arcs.len(), c.exec_arc_count());
-        assert!(c
-            .exec_arcs
-            .iter()
-            .all(|ea| !ea.weight.execs.is_empty()));
+        assert_eq!(c.exec_stash_dense.len(), c.exec_arc_count());
+        let size_at = |rel: usize, d: u64| 1 + 7 * rel as u64 + d;
+        for (slot, &node) in c.schedule.iter().enumerate() {
+            let execs: Vec<_> = tdg.incoming[node as usize]
+                .iter()
+                .map(|&ai| &tdg.arcs[ai])
+                .filter(|a| !a.weight.execs.is_empty())
+                .collect();
+            let range = c.exec_offsets[slot] as usize..c.exec_offsets[slot + 1] as usize;
+            assert_eq!(range.len(), execs.len(), "slot {slot}");
+            for (i, arc) in range.zip(execs) {
+                assert_eq!(c.exec_srcs[i] as usize, arc.src.index());
+                assert_eq!(c.exec_delays[i], arc.delay);
+                for k in [0, 1, 2, 9] {
+                    assert_eq!(
+                        c.durations.eval(i, k, size_at),
+                        crate::engine::eval_weight(&arc.weight, k, size_at),
+                        "exec arc {i} at k = {k}"
+                    );
+                }
+            }
+        }
         assert!(c.buffer_elements() > 0);
     }
 
@@ -713,6 +1028,108 @@ mod tests {
         assert!(segs_wide
             .iter()
             .any(|seg| seg.fused && seg.end - seg.start >= 32));
+    }
+
+    mod lowered_durations {
+        use super::super::Durations;
+        use crate::engine::eval_weight;
+        use crate::tdg::{ExecTerm, Weight};
+        use evolve_model::{FunctionId, LoadModel, RelationId};
+        use proptest::prelude::*;
+
+        /// Operation counts, sizes and constants at the saturating extremes.
+        fn extreme() -> impl Strategy<Value = u64> {
+            prop_oneof![Just(0u64), 1u64..1_000, Just(u64::MAX / 2), Just(u64::MAX)]
+        }
+
+        fn affine() -> impl Strategy<Value = LoadModel> {
+            prop_oneof![
+                extreme().prop_map(LoadModel::Constant),
+                (extreme(), extreme())
+                    .prop_map(|(base, per_unit)| LoadModel::PerUnit { base, per_unit }),
+            ]
+        }
+
+        /// Every `LoadModel` variant.
+        fn load() -> impl Strategy<Value = LoadModel> {
+            prop_oneof![
+                affine(),
+                (0u64..100, 0u64..100, any::<u64>()).prop_map(|(a, b, seed)| {
+                    LoadModel::Uniform {
+                        min: a.min(b),
+                        max: a.max(b),
+                        seed,
+                    }
+                }),
+                proptest::collection::vec((0u64..64, extreme()), 1..4).prop_map(|mut entries| {
+                    entries.sort_by_key(|e| e.0);
+                    LoadModel::Table(entries)
+                }),
+                proptest::collection::vec(extreme(), 1..5).prop_map(LoadModel::from_trace),
+                (0u64..4, 1u64..4, any::<u64>(), affine())
+                    .prop_map(|(num, den, seed, inner)| LoadModel::gated(num, den, seed, inner)),
+            ]
+        }
+
+        fn term() -> impl Strategy<Value = ExecTerm> {
+            let speed = prop_oneof![Just(1u64), Just(3u64), Just(u64::MAX)];
+            // Size delays up to 3 reach past `k` for the early iterations.
+            let size_from = proptest::option::of((0usize..3, 0u32..4));
+            (0usize..4, 0usize..6, load(), speed, size_from).prop_map(
+                |(function, stmt, load, speed, size_from)| ExecTerm {
+                    function: FunctionId::from_index(function),
+                    stmt,
+                    load,
+                    speed,
+                    size_from: size_from.map(|(rel, d)| (RelationId::from_index(rel), d)),
+                },
+            )
+        }
+
+        /// A constant lag composed with one to three duration terms — the
+        /// multi-term weights chain contraction builds with
+        /// [`Weight::compose`].
+        fn weight() -> impl Strategy<Value = Weight> {
+            let constant = prop_oneof![Just(0u64), 1u64..1_000, Just(u64::MAX / 2)];
+            (constant, proptest::collection::vec(term(), 1..4)).prop_map(|(constant, terms)| {
+                terms.into_iter().fold(Weight::constant(constant), |w, t| {
+                    w.compose(&Weight::exec(t))
+                })
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            #[test]
+            fn lowered_durations_match_the_raw_weights(
+                weights in proptest::collection::vec(weight(), 1..4),
+                sizes in proptest::collection::vec(proptest::collection::vec(extreme(), 3), 4),
+                k in prop_oneof![0u64..3, 3u64..1_000],
+            ) {
+                let mut durations = Durations::default();
+                for w in &weights {
+                    durations.push(w);
+                }
+                let size_at = |rel: usize, d: u64| {
+                    assert!(d <= k, "size read before the model start");
+                    sizes[d as usize][rel]
+                };
+                for (i, w) in weights.iter().enumerate() {
+                    // Lag sums past `u64::MAX` overflow the same way in
+                    // both (a panic in debug builds, wrapping in release).
+                    let reference = std::panic::catch_unwind(|| eval_weight(w, k, size_at)).ok();
+                    let lowered = std::panic::catch_unwind(|| durations.eval(i, k, size_at)).ok();
+                    prop_assert_eq!(lowered, reference);
+                    let reads: Vec<(usize, u64)> = durations.size_reads(i).collect();
+                    let expected: Vec<(usize, u64)> = w
+                        .execs
+                        .iter()
+                        .filter_map(|t| t.size_from.map(|(r, d)| (r.index(), u64::from(d))))
+                        .collect();
+                    prop_assert_eq!(reads, expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,8 @@
 //! [`EngineStats`](crate::EngineStats) — which
 //! `tests/delta_conformance.rs` pins down against both backends.
 
+use std::sync::Arc;
+
 use evolve_maxplus::MaxPlus;
 
 use crate::compile::{CompiledTdg, Obs};
@@ -172,8 +174,8 @@ pub struct DeltaCache {
     pub(crate) rows: Vec<DeltaRow>,
     /// The base trace's `(offer ticks, size)` per iteration.
     pub(crate) offers: Vec<(u64, u64)>,
-    /// The base engine's compiled program.
-    pub(crate) compiled: CompiledTdg,
+    /// The base engine's compiled program (shared with the base engine).
+    pub(crate) compiled: Arc<CompiledTdg>,
     /// Whether the base replayed observation (exec records / instant logs).
     pub(crate) record_observations: bool,
     /// Relation count of the base model.
@@ -284,7 +286,8 @@ pub(crate) struct DeltaCaptureState {
 /// CSR offsets, arc sources, delays, observation actions, and stash slots —
 /// otherwise there is no node-for-node correspondence and the sibling is
 /// rejected with [`DeltaUnsupported::StructureMismatch`]. The *values*
-/// (constant lags, exec weights) may differ: slots where they do are seeded.
+/// (constant lags, lowered exec durations) may differ: slots where they do
+/// are seeded.
 pub(crate) fn compute_seeds(
     base: &CompiledTdg,
     sib: &CompiledTdg,
@@ -300,11 +303,7 @@ pub(crate) fn compute_seeds(
         && base.exec_offsets == sib.exec_offsets
         && base.exec_srcs == sib.exec_srcs
         && base.exec_delays == sib.exec_delays
-        && base
-            .exec_arcs
-            .iter()
-            .zip(&sib.exec_arcs)
-            .all(|(a, b)| a.stash_dense == b.stash_dense);
+        && base.exec_stash_dense == sib.exec_stash_dense;
     if !structure_equal {
         return Err(DeltaUnsupported::StructureMismatch);
     }
@@ -327,7 +326,7 @@ pub(crate) fn compute_seeds(
         );
         let seeded = base.const_lags[c0..chi] != sib.const_lags[c0..chi]
             || base.slow_lags[s0..shi] != sib.slow_lags[s0..shi]
-            || (e0..ehi).any(|i| base.exec_arcs[i].weight != sib.exec_arcs[i].weight);
+            || (e0..ehi).any(|i| !base.durations.same_arc(&sib.durations, i));
         if seeded {
             *seed = true;
             seed_count += 1;

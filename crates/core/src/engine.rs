@@ -27,15 +27,16 @@
 //! buffer and are recycled, per-node observation actions are precompiled,
 //! and arc evaluation reads weights in place. On top of that, the default
 //! [`EvalBackend::Compiled`] lowers the graph into a [`CompiledTdg`] —
-//! a levelized schedule with CSR-flattened arcs — and evaluates steady-state
-//! iterations as one branch-light linear sweep instead of worklist
+//! a levelized schedule with CSR-flattened arcs and pre-lowered durations —
+//! and evaluates steady-state iterations as one branch-light linear sweep
+//! that writes its observation logs in place, instead of worklist
 //! propagation; [`EvalBackend::Worklist`] keeps the propagation path as the
 //! bitwise reference (see `tests/backend_conformance.rs`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use evolve_des::{EventId, Time};
+use evolve_des::{ChannelLog, EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
 use evolve_obs::{BackendKind, EngineEvent, Observer, PartitionTracer, Phase as FlightPhase};
@@ -136,6 +137,7 @@ impl From<EngineStats> for evolve_obs::EngineCounters {
 }
 
 /// Per-iteration evaluation state (recycled through a free list).
+#[derive(Default)]
 struct IterState {
     /// Running `⊕` accumulator per node; the final value once computed.
     acc: Vec<MaxPlus>,
@@ -188,15 +190,14 @@ fn iter_at_mut(ring: &mut VecDeque<IterState>, base: u64, k: u64) -> Option<&mut
     ring.get_mut((k - base) as usize)
 }
 
-/// Evaluates a weight at iteration `k`: total lag in ticks plus the raw
-/// operation count (for observation).
+/// Evaluates a raw weight at iteration `k`: total lag in ticks plus the raw
+/// operation count (for observation). The worklist's reference evaluation;
+/// the compiled sweeps use the lowered [`crate::compile::Durations`].
 #[inline]
-fn eval_weight(
+pub(crate) fn eval_weight(
     weight: &Weight,
     k: u64,
-    ring: &VecDeque<IterState>,
-    base: u64,
-    tail: Option<&IterState>,
+    size_at: impl Fn(usize, u64) -> u64,
 ) -> (u64, u64) {
     let mut lag = weight.constant;
     let mut ops_total = 0u64;
@@ -206,16 +207,8 @@ fn eval_weight(
             Some((rel, delay)) => {
                 if u64::from(delay) > k {
                     0
-                } else if delay == 0 {
-                    // Iteration `k` itself: held outside the ring by the
-                    // compiled sweep, inside it on the worklist path.
-                    match tail {
-                        Some(it) => it.sizes[rel.index()],
-                        None => iter_at(ring, base, k).map_or(0, |it| it.sizes[rel.index()]),
-                    }
                 } else {
-                    iter_at(ring, base, k - u64::from(delay))
-                        .map_or(0, |it| it.sizes[rel.index()])
+                    size_at(rel.index(), u64::from(delay))
                 }
             }
         };
@@ -229,6 +222,61 @@ fn eval_weight(
         lag += evolve_model::duration_for(ops, term.speed).ticks();
     }
     (lag, ops_total)
+}
+
+/// Token size of relation `rel` at iteration `k − delay` (`delay <= k`) for
+/// the compiled sweeps' duration evaluation: iteration `k` itself is held
+/// outside the ring (`tail`), older ones are read through it.
+#[inline(always)]
+fn size_at(
+    ring: &VecDeque<IterState>,
+    base: u64,
+    tail: &IterState,
+    k: u64,
+    rel: usize,
+    delay: u64,
+) -> u64 {
+    if delay == 0 {
+        tail.sizes[rel]
+    } else {
+        iter_at(ring, base, k - delay).map_or(0, |it| it.sizes[rel])
+    }
+}
+
+/// The execution record an `ExecEnd` node emits for iteration `k` from its
+/// stashed `(start, ops)` and computed end instant, or `None` when the
+/// execute never ran.
+#[inline(always)]
+pub(crate) fn exec_record(
+    obs: Obs,
+    k: u64,
+    (start, ops): (MaxPlus, u64),
+    end: MaxPlus,
+) -> Option<ExecRecord> {
+    let Obs::ExecEnd {
+        function,
+        stmt,
+        resource,
+        ..
+    } = obs
+    else {
+        return None;
+    };
+    (start.is_finite() || ops > 0).then(|| ExecRecord {
+        resource,
+        function,
+        stmt: stmt as usize,
+        k,
+        start: instant(start),
+        end: instant(end),
+        ops,
+    })
+}
+
+/// A computed instant as a kernel time (`ε` and negatives clamp to 0).
+#[inline(always)]
+pub(crate) fn instant(value: MaxPlus) -> Time {
+    Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64)
 }
 
 /// Shared read-only context of one partitioned sweep (Phase 2 of
@@ -351,9 +399,9 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
                 if src_val.is_epsilon() {
                     continue;
                 }
-                let exec = &ct.exec_arcs[i];
-                let (lag, _ops) =
-                    eval_weight(&exec.weight, cx.k, cx.ring, cx.base_k, Some(cx.tail));
+                let (lag, _ops) = ct.durations.eval(i, cx.k, |rel, d| {
+                    size_at(cx.ring, cx.base_k, cx.tail, cx.k, rel, d)
+                });
                 acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
             }
             for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
@@ -376,6 +424,124 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
         }
     }
     out
+}
+
+/// The folds of one serial compiled sweep: every slot not computed before
+/// the sweep (look-ahead prefix, the input) folds its slow, exec, and
+/// constant arcs into `tail.acc`, in schedule order. When observations are
+/// recorded, duration arcs stash their `(start, ops)` and each slot writes
+/// its log in place — an `ExecEnd` its execution record straight from the
+/// stash, an exchange or FIFO read its instant. Returns the nodes computed
+/// and arcs evaluated. Sizes were derived before and boundary exchanges
+/// are published after; `tail.computed` is left as it was (publishing
+/// reads it).
+#[inline(never)]
+fn sweep_serial(
+    ct: &CompiledTdg,
+    ring: &VecDeque<IterState>,
+    base_k: u64,
+    k: u64,
+    tail: &mut IterState,
+    mut logs: Option<Logs<'_>>,
+) -> (u64, u64) {
+    // History rows: delay 1 (the common resource and back-pressure arcs)
+    // is looked up once per sweep. Pre-history and pruned iterations read
+    // as the process-start baseline E.
+    let history = |delay: u64| (delay <= k).then(|| iter_at(ring, base_k, k - delay)).flatten();
+    let prev = history(1);
+    let past = |delay: u32, src: u32| {
+        let row = if delay == 1 { prev } else { history(u64::from(delay)) };
+        row.map_or(MaxPlus::E, |it| it.acc[src as usize])
+    };
+    let record = logs.is_some();
+    let (mut nodes, mut arcs) = (0u64, 0u64);
+    // Rolling CSR cursors: one offset load per slot per stream; offsets and
+    // observation actions ride the zipped iterators.
+    let (mut clo, mut slo, mut elo) = (0usize, 0usize, 0usize);
+    let slots = ct
+        .schedule
+        .iter()
+        .zip(&ct.const_offsets[1..])
+        .zip(&ct.slow_offsets[1..])
+        .zip(&ct.exec_offsets[1..])
+        .zip(&ct.obs);
+    for ((((&node, &chi), &shi), &ehi), &obs) in slots {
+        let (c0, s0, e0) = (clo, slo, elo);
+        (clo, slo, elo) = (chi as usize, shi as usize, ehi as usize);
+        let node = node as usize;
+        if tail.computed[node] {
+            continue;
+        }
+        nodes += 1;
+        arcs += (clo - c0 + slo - s0 + elo - e0) as u64;
+        let mut acc = MaxPlus::E; // process-start baseline
+        // ε ⊗ lag = ε, and ⊕ ε is a no-op — constant arcs need no skip.
+        for i in s0..slo {
+            acc = acc.oplus(past(ct.slow_delays[i], ct.slow_srcs[i]).otimes(ct.slow_lags[i]));
+        }
+        // Exec arcs: each duration evaluated against this iteration's
+        // token sizes.
+        for i in e0..elo {
+            let (delay, src) = (ct.exec_delays[i], ct.exec_srcs[i]);
+            let src_val = if delay == 0 {
+                tail.acc[src as usize]
+            } else {
+                past(delay, src)
+            };
+            if src_val.is_epsilon() {
+                continue;
+            }
+            let (lag, ops) = ct
+                .durations
+                .eval(i, k, |rel, d| size_at(ring, base_k, tail, k, rel, d));
+            let dense = ct.exec_stash_dense[i];
+            if record && dense != u32::MAX {
+                tail.exec_stash[dense as usize] = (src_val, ops);
+            }
+            acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
+        }
+        for (&src, &lag) in ct.const_srcs[c0..clo].iter().zip(&ct.const_lags[c0..clo]) {
+            acc = acc.oplus(tail.acc[src as usize].otimes(lag));
+        }
+        tail.acc[node] = acc;
+        if let Some(logs) = logs.as_mut() {
+            // An `ExecEnd` records straight from the `(start, ops)` its
+            // duration arc just stashed (the fused record replay).
+            logs.log(k, obs, acc, &tail.exec_stash);
+        }
+    }
+    (nodes, arcs)
+}
+
+/// The observation logs of an engine, borrowed for one write.
+struct Logs<'a> {
+    records: &'a mut Vec<ExecRecord>,
+    instants: &'a mut [Vec<Time>],
+    reads: &'a mut [Vec<Time>],
+}
+
+impl Logs<'_> {
+    /// Logs the observation of a node with action `obs` that computed
+    /// `value` for iteration `k`: an exchange's write instant, a FIFO
+    /// read's read instant, or an `ExecEnd`'s execution record from its
+    /// iteration's `stash`.
+    #[inline(always)]
+    fn log(&mut self, k: u64, obs: Obs, value: MaxPlus, stash: &[(MaxPlus, u64)]) {
+        match obs {
+            Obs::None => {}
+            Obs::Exchange { relation, .. } => {
+                let log = &mut self.instants[relation as usize];
+                debug_assert_eq!(log.len() as u64, k, "exchange instants compute in order");
+                log.push(instant(value));
+            }
+            Obs::FifoRead { relation } => self.reads[relation as usize].push(instant(value)),
+            Obs::ExecEnd { dense, .. } => {
+                if let Some(record) = exec_record(obs, k, stash[dense as usize], value) {
+                    self.records.push(record);
+                }
+            }
+        }
+    }
 }
 
 /// Recomputes slot `pos`'s fold from *final* values (rollback pass):
@@ -417,8 +583,7 @@ fn recompute_slot_final(
         if src_val.is_epsilon() {
             continue;
         }
-        let exec = &ct.exec_arcs[i];
-        let (lag, _ops) = eval_weight(&exec.weight, k, ring, base_k, Some(tail));
+        let (lag, _ops) = ct.durations.eval(i, k, |rel, d| size_at(ring, base_k, tail, k, rel, d));
         acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
     }
     for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
@@ -481,8 +646,10 @@ pub struct Engine {
     /// Which evaluation strategy this engine was built with.
     backend: EvalBackend,
     /// The lowered evaluation program for the steady-state linear sweep;
-    /// `None` for [`EvalBackend::Worklist`].
-    compiled: Option<CompiledTdg>,
+    /// `None` for [`EvalBackend::Worklist`]. Immutable and shared: the
+    /// sweeps move the handle out of `self` for every iteration, and
+    /// captured delta bases keep it without a copy.
+    compiled: Option<Arc<CompiledTdg>>,
     /// Iterations `base_k ..` currently materialized.
     ring: VecDeque<IterState>,
     base_k: u64,
@@ -497,8 +664,12 @@ pub struct Engine {
     outputs_ready: Vec<VecDeque<(u64, Time, u64)>>,
     /// Exchange-instant log per relation (write instants).
     instant_log: Vec<Vec<Time>>,
-    /// Read-instant log per relation (differs from writes only for FIFOs).
+    /// Read-instant log per relation, kept only for relations with a FIFO
+    /// read node: a rendezvous read is its write, so
+    /// [`Engine::read_instants`] serves those from `instant_log`.
     read_log: Vec<Vec<Time>>,
+    /// Per relation: whether it has a FIFO read node (owns a `read_log`).
+    fifo_read: Vec<bool>,
     exec_records: Vec<ExecRecord>,
     record_observations: bool,
     input_events: Vec<Option<EventId>>,
@@ -538,6 +709,37 @@ pub struct Engine {
     /// per-worker tracks under the current correlation id. `None` (the
     /// default) keeps evaluation recorder-free.
     flight: Option<Box<PartitionTracer>>,
+}
+
+/// Observation logs moved out of a consumed [`Engine`]
+/// ([`Engine::into_logs`]).
+pub(crate) struct EngineLogs {
+    instants: Vec<Vec<Time>>,
+    reads: Vec<Vec<Time>>,
+    fifo_read: Vec<bool>,
+    /// Execution records, in emission order.
+    pub(crate) exec_records: Vec<ExecRecord>,
+}
+
+impl EngineLogs {
+    /// Moves out a relation's read instants (a rendezvous relation's reads
+    /// are a copy of its writes, which stay for [`EngineLogs::take_channel`]).
+    pub(crate) fn take_reads(&mut self, relation: usize) -> Vec<Time> {
+        if self.fifo_read[relation] {
+            std::mem::take(&mut self.reads[relation])
+        } else {
+            self.instants[relation].clone()
+        }
+    }
+
+    /// Moves out a relation's write and read instants as a channel log.
+    pub(crate) fn take_channel(&mut self, relation: usize) -> ChannelLog {
+        let read_instants = self.take_reads(relation);
+        ChannelLog {
+            write_instants: std::mem::take(&mut self.instants[relation]),
+            read_instants,
+        }
+    }
 }
 
 /// Snapshot of observable-state lengths, diffed after a captured call to
@@ -596,13 +798,14 @@ impl Engine {
         let meta = lower_node_meta(&tdg, relation_count);
         let compiled = match backend {
             EvalBackend::Compiled | EvalBackend::CompiledParallel => {
-                Some(CompiledTdg::lower(&tdg, &topo, &meta))
+                Some(Arc::new(CompiledTdg::lower(&tdg, &topo, &meta, &size_rules)))
             }
             EvalBackend::Worklist => None,
         };
         let node_obs = meta.obs;
         let stash_arc = meta.stash_arc;
         let n_execs = meta.n_execs;
+        let fifo_read = meta.fifo_read;
 
         let mut remaining_template = vec![0u32; n];
         for arc in tdg.arcs() {
@@ -702,6 +905,7 @@ impl Engine {
             outputs_ready: vec![VecDeque::new(); n_outputs],
             instant_log: vec![Vec::new(); relation_count],
             read_log: vec![Vec::new(); relation_count],
+            fifo_read,
             exec_records: Vec::new(),
             record_observations,
             input_events: vec![None; n_inputs],
@@ -741,7 +945,7 @@ impl Engine {
     pub fn set_partition(&mut self, config: Option<ParallelConfig>) {
         self.parallel = match (config, &self.compiled) {
             (Some(cfg), Some(ct)) if cfg.threads >= 2 => {
-                Some(Box::new(ParallelRuntime::new(ct, &self.size_rules, cfg)))
+                Some(Box::new(ParallelRuntime::new(ct, cfg)))
             }
             _ => None,
         };
@@ -751,12 +955,6 @@ impl Engine {
     /// when [`Engine::set_partition`] never enabled it).
     pub fn partition_stats(&self) -> PartitionStats {
         self.parallel.as_ref().map_or_else(PartitionStats::default, |rt| rt.stats)
-    }
-
-    /// The size rules, for plan construction (parallel module's tests).
-    #[cfg(test)]
-    pub(crate) fn size_rules(&self) -> &[SizeRule] {
-        &self.size_rules
     }
 
     /// Attaches (or with `None` detaches) a flight-recorder handle. While
@@ -824,7 +1022,7 @@ impl Engine {
     /// The lowered evaluation program, when the engine runs the compiled
     /// backend.
     pub fn compiled_tdg(&self) -> Option<&CompiledTdg> {
-        self.compiled.as_ref()
+        self.compiled.as_deref()
     }
 
     /// Enables or disables periodic steady-state fast-forward with default
@@ -968,7 +1166,7 @@ impl Engine {
     /// Panics when called after offers have started.
     pub fn attach_delta_base(&mut self, cache: Arc<DeltaCache>) -> Result<(), DeltaUnsupported> {
         self.delta_eligible()?;
-        let compiled = self.compiled.as_ref().expect("just checked");
+        let compiled = self.compiled.as_deref().expect("just checked");
         if cache.record_observations != self.record_observations
             || cache.relation_count != self.relation_count
             || cache.size_rules != self.size_rules
@@ -1076,7 +1274,7 @@ impl Engine {
             notification_capacity: self.pending_notifications.capacity(),
             compiled_elements: self
                 .compiled
-                .as_ref()
+                .as_deref()
                 .map_or(0, CompiledTdg::buffer_elements),
             lane_state_elements: 0,
             lane_padding_elements: 0,
@@ -1105,10 +1303,47 @@ impl Engine {
         self.output_events[output] = Some(event);
     }
 
-    /// Takes the notifications that must be delivered as a result of recent
-    /// computation (the caller forwards them to the kernel).
-    pub fn take_notifications(&mut self) -> Vec<Notification> {
-        std::mem::take(&mut self.pending_notifications)
+    /// Drains the notifications that must be delivered as a result of
+    /// recent computation (the caller forwards them to the kernel). The
+    /// pending buffer keeps its capacity, so steady-state offers allocate
+    /// nothing; dropping the iterator discards whatever it did not yield.
+    pub fn drain_notifications(&mut self) -> std::vec::Drain<'_, Notification> {
+        self.pending_notifications.drain(..)
+    }
+
+    /// Reserves log capacity for a run of `offers` offers per input, so
+    /// recording observations never regrows a log mid-run: one exchange
+    /// instant per logged relation, one FIFO read per FIFO relation, and
+    /// one execution record per `ExecEnd` node, for every iteration the
+    /// run computes (the offers, plus the look-ahead iteration when the
+    /// graph has an input-independent prefix).
+    pub(crate) fn reserve_observations(&mut self, offers: usize) {
+        if !self.record_observations {
+            return;
+        }
+        let iterations = offers + usize::from(self.has_prefix);
+        for obs in &self.node_obs {
+            match *obs {
+                Obs::Exchange { relation, .. } => {
+                    self.instant_log[relation as usize].reserve_exact(iterations);
+                }
+                Obs::FifoRead { relation } => {
+                    self.read_log[relation as usize].reserve_exact(iterations);
+                }
+                Obs::None | Obs::ExecEnd { .. } => {}
+            }
+        }
+        self.exec_records.reserve_exact(iterations * self.n_execs);
+    }
+
+    /// Consumes the engine, moving its observation logs out.
+    pub(crate) fn into_logs(self) -> EngineLogs {
+        EngineLogs {
+            instants: self.instant_log,
+            reads: self.read_log,
+            fifo_read: self.fifo_read,
+            exec_records: self.exec_records,
+        }
     }
 
     /// Records the `k`-th offer on input `input` at instant `at` with the
@@ -1338,7 +1573,9 @@ impl Engine {
     /// the compiled schedule; all dependencies are guaranteed available
     /// (same-iteration sources precede their targets in the levelized
     /// order, history is complete). `k` is either fresh (one past the ring)
-    /// or the partially computed look-ahead at the tail.
+    /// or the partially computed look-ahead at the tail. Three passes: the
+    /// size pre-pass, the folds and logs ([`sweep_serial`]), and the
+    /// boundary exchanges' acknowledgments and outputs, in schedule order.
     fn compute_iteration_compiled(
         &mut self,
         k: u64,
@@ -1347,122 +1584,38 @@ impl Engine {
         at: Time,
         size: u64,
     ) {
-        if k == self.base_k + self.ring.len() as u64 {
-            let mut state = match self.free.pop() {
-                Some(mut s) => {
-                    s.reset(&self.remaining_template);
-                    s
-                }
-                None => {
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs)
-                }
-            };
-            state.computed.fill(false);
-            self.ring.push_back(state);
-        }
-        // Pop iteration `k`'s state out of the ring for the sweep: owned
+        // Iteration `k`'s state is held out of the ring for the sweep: owned
         // access sidesteps the ring's bounds-checked `back()`/`back_mut()`
         // on every node. Older iterations keep their ring indices, so
         // delayed reads via `iter_at` stay valid.
-        let mut tail = self.ring.pop_back().expect("tail exists");
+        let mut tail = self.take_tail(k);
         tail.sizes[input_relation] = size;
         tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
         tail.nodes_pending = 0;
+        // The input node's value is set — pre-mark it computed so the
+        // sweep's look-ahead skip handles it without a per-node comparison.
+        tail.computed[input_node.index()] = true;
         self.stats.iterations_completed += 1;
 
         // Moved out of `self` for the duration of the sweep so arc ranges
         // can be read while the ring and logs are mutated.
         let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
-        // The input node's value was set above — pre-mark it computed so the
-        // sweep's look-ahead skip handles it without a per-node comparison.
-        tail.computed[input_node.index()] = true;
-        let mut nodes_local = 1u64;
-        let mut arcs_local = 0u64;
-        // Rolling CSR cursors: one offset load per slot per stream; offsets
-        // and observation actions ride the zipped iterators, so the hot loop
-        // indexes only per-node state.
-        let mut clo = ct.const_offsets[0] as usize;
-        let mut slo = ct.slow_offsets[0] as usize;
-        let mut elo = ct.exec_offsets[0] as usize;
-        let slots = ct
-            .schedule
-            .iter()
-            .zip(&ct.const_offsets[1..])
-            .zip(&ct.slow_offsets[1..])
-            .zip(&ct.exec_offsets[1..])
-            .zip(&ct.obs);
-        for ((((&slot_node, &chi), &shi), &ehi), &obs) in slots {
-            let node = slot_node as usize;
-            let (chi, shi, ehi) = (chi as usize, shi as usize, ehi as usize);
-            let (c0, s0, e0) = (clo, slo, elo);
-            (clo, slo, elo) = (chi, shi, ehi);
-            if tail.computed[node] {
-                // Computed during look-ahead (input-independent prefix), or
-                // the pre-marked input node.
-                continue;
-            }
-            nodes_local += 1;
-            arcs_local += (chi - c0 + shi - s0 + ehi - e0) as u64;
-            let mut acc = MaxPlus::E; // process-start baseline
-            // Slow stream first: delayed constant arcs, read through the
-            // full history ring (delay ≥ 1 by construction).
-            for i in s0..shi {
-                let delay = u64::from(ct.slow_delays[i]);
-                let src = ct.slow_srcs[i] as usize;
-                let src_val = if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                // ε ⊗ lag = ε, and ⊕ ε is a no-op — no explicit skip needed.
-                acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-            }
-            // Exec stream: data-dependent arcs (any delay), each weight
-            // evaluated against this iteration's token sizes.
-            let mut stash: Option<(u32, (MaxPlus, u64))> = None;
-            for i in e0..ehi {
-                let delay = u64::from(ct.exec_delays[i]);
-                let src = ct.exec_srcs[i] as usize;
-                let src_val = if delay == 0 {
-                    tail.acc[src]
-                } else if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                if src_val.is_epsilon() {
-                    continue;
-                }
-                let exec = &ct.exec_arcs[i];
-                let (lag, ops) =
-                    eval_weight(&exec.weight, k, &self.ring, self.base_k, Some(&tail));
-                if self.record_observations && exec.stash_dense != u32::MAX {
-                    stash = Some((exec.stash_dense, (src_val, ops)));
-                }
-                acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-            }
-            // Constant stream: the branch-light common case, a contiguous
-            // max-fold over same-iteration sources of the tail state. The
-            // zipped subslices elide per-arc bounds checks.
-            for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-                let src_val = tail.acc[src as usize];
-                if !src_val.is_epsilon() {
-                    acc = acc.oplus(src_val.otimes(lag));
-                }
-            }
-            tail.acc[node] = acc;
-            tail.computed[node] = true;
-            if let Some((dense, captured)) = stash {
-                tail.exec_stash[dense as usize] = captured;
-            }
-            if !matches!(obs, Obs::None) {
-                self.observe_at(k, NodeId(node), acc, Some(&mut tail));
+        self.derive_sizes(&ct, k, &mut tail);
+        let logs = self.record_observations.then(|| Logs {
+            records: &mut self.exec_records,
+            instants: &mut self.instant_log,
+            reads: &mut self.read_log,
+        });
+        let (nodes, arcs) = sweep_serial(&ct, &self.ring, self.base_k, k, &mut tail, logs);
+        for &pos in &ct.boundary_slots {
+            let node = ct.schedule[pos as usize] as usize;
+            if !tail.computed[node] {
+                self.publish(k, ct.obs[pos as usize], tail.acc[node], &tail);
             }
         }
-        self.stats.nodes_computed += nodes_local;
-        self.stats.arcs_evaluated += arcs_local;
+        tail.computed.fill(true);
+        self.stats.nodes_computed += 1 + nodes; // plus the pre-marked input
+        self.stats.arcs_evaluated += arcs;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
     }
@@ -1507,20 +1660,7 @@ impl Engine {
         at: Time,
         size: u64,
     ) {
-        if k == self.base_k + self.ring.len() as u64 {
-            let mut state = match self.free.pop() {
-                Some(mut s) => {
-                    s.reset(&self.remaining_template);
-                    s
-                }
-                None => {
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs)
-                }
-            };
-            state.computed.fill(false);
-            self.ring.push_back(state);
-        }
-        let mut tail = self.ring.pop_back().expect("tail exists");
+        let mut tail = self.take_tail(k);
         tail.sizes[input_relation] = size;
         tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
         tail.nodes_pending = 0;
@@ -1549,32 +1689,7 @@ impl Engine {
                 rt.acc[node].store(tail.acc[node].raw(), Ordering::Relaxed);
             }
         }
-        for &pos in &rt.plan.derived_exchanges {
-            let node = ct.schedule[pos as usize] as usize;
-            if tail.computed[node] {
-                continue; // sized when the look-ahead observed it
-            }
-            let Obs::Exchange { relation, .. } = ct.obs[pos as usize] else {
-                unreachable!("derived_exchanges holds Exchange slots only")
-            };
-            let relation = relation as usize;
-            if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-                let input_size = match from {
-                    None => 0,
-                    Some((rel, delay)) => {
-                        if u64::from(delay) > k {
-                            0
-                        } else if delay == 0 {
-                            tail.sizes[rel.index()]
-                        } else {
-                            iter_at(&self.ring, self.base_k, k - u64::from(delay))
-                                .map_or(0, |it| it.sizes[rel.index()])
-                        }
-                    }
-                };
-                tail.sizes[relation] = model.apply(input_size);
-            }
-        }
+        self.derive_sizes(&ct, k, &mut tail);
         for &src in &rt.plan.boundary_srcs {
             rt.frontier[src as usize] = rt.acc[src as usize].load(Ordering::Relaxed);
         }
@@ -1700,11 +1815,12 @@ impl Engine {
                     if src_val.is_epsilon() {
                         continue;
                     }
-                    let exec = &ct.exec_arcs[i];
-                    if exec.stash_dense != u32::MAX {
-                        let (_lag, ops) =
-                            eval_weight(&exec.weight, k, &self.ring, self.base_k, Some(&tail));
-                        stash = Some((exec.stash_dense, (src_val, ops)));
+                    let dense = ct.exec_stash_dense[i];
+                    if dense != u32::MAX {
+                        let (_lag, ops) = ct.durations.eval(i, k, |rel, d| {
+                            size_at(&self.ring, self.base_k, &tail, k, rel, d)
+                        });
+                        stash = Some((dense, (src_val, ops)));
                     }
                 }
                 if let Some((dense, captured)) = stash {
@@ -1714,13 +1830,11 @@ impl Engine {
         }
 
         // ---- Phase 4: deferred observation replay, in schedule order. --
-        for &pos in &rt.plan.observed_slots {
+        for &pos in &ct.observed_slots {
             let node = ct.schedule[pos as usize] as usize;
-            if tail.computed[node] {
-                continue; // observed during look-ahead
+            if !tail.computed[node] {
+                self.emit(k, ct.obs[pos as usize], tail.acc[node], &tail);
             }
-            let value = tail.acc[node];
-            self.observe_at(k, NodeId(node), value, Some(&mut tail));
         }
         tail.computed.fill(true);
 
@@ -1799,20 +1913,7 @@ impl Engine {
         size: u64,
     ) {
         let fresh = k == self.base_k + self.ring.len() as u64;
-        if fresh {
-            let mut state = match self.free.pop() {
-                Some(mut s) => {
-                    s.reset(&self.remaining_template);
-                    s
-                }
-                None => {
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs)
-                }
-            };
-            state.computed.fill(false);
-            self.ring.push_back(state);
-        }
-        let mut tail = self.ring.pop_back().expect("tail exists");
+        let mut tail = self.take_tail(k);
         tail.sizes[input_relation] = size;
         tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
         tail.nodes_pending = 0;
@@ -1842,7 +1943,8 @@ impl Engine {
             }
             for &obs_node in &link.collapse.observed {
                 let node = obs_node as usize;
-                self.observe_at(k, NodeId(node), row.acc[node], Some(&mut tail));
+                let obs = self.node_obs[node];
+                self.observe_obs(k, obs, row.acc[node], &mut tail);
             }
             self.stats.nodes_computed += link.collapse.nodes;
             self.stats.arcs_evaluated += link.collapse.arcs;
@@ -1925,19 +2027,15 @@ impl Engine {
                             live != rows[(k - delay) as usize].acc[src]
                         };
                         src_differs
-                            || ct.exec_arcs[i].weight.execs.iter().any(|term| {
-                                let Some((rel, sd)) = term.size_from else {
-                                    return false;
-                                };
-                                let sd = u64::from(sd);
+                            || ct.durations.size_reads(i).any(|(rel, sd)| {
                                 if sd > k {
                                     false // both sides read size 0
                                 } else if sd == 0 {
-                                    tail.sizes[rel.index()] != row.sizes[rel.index()]
+                                    tail.sizes[rel] != row.sizes[rel]
                                 } else {
                                     let live = iter_at(&self.ring, self.base_k, k - sd)
-                                        .map_or(0, |it| it.sizes[rel.index()]);
-                                    live != rows[(k - sd) as usize].sizes[rel.index()]
+                                        .map_or(0, |it| it.sizes[rel]);
+                                    live != rows[(k - sd) as usize].sizes[rel]
                                 }
                             })
                     });
@@ -1954,14 +2052,14 @@ impl Engine {
                     // of this node's exec ends are written only by arcs in
                     // this slot's range, so copying them is exact.
                     for i in e0..ehi {
-                        let dense = ct.exec_arcs[i].stash_dense;
+                        let dense = ct.exec_stash_dense[i];
                         if dense != u32::MAX {
                             tail.exec_stash[dense as usize] = row.stash[dense as usize];
                         }
                     }
                 }
                 if !matches!(obs, Obs::None) {
-                    self.observe_at(k, NodeId(node), acc, Some(&mut tail));
+                    self.observe_obs(k, obs, acc, &mut tail);
                 }
                 continue;
             }
@@ -1995,11 +2093,12 @@ impl Engine {
                 if src_val.is_epsilon() {
                     continue;
                 }
-                let exec = &ct.exec_arcs[i];
-                let (lag, ops) =
-                    eval_weight(&exec.weight, k, &self.ring, self.base_k, Some(&tail));
-                if self.record_observations && exec.stash_dense != u32::MAX {
-                    stash = Some((exec.stash_dense, (src_val, ops)));
+                let (lag, ops) = ct.durations.eval(i, k, |rel, d| {
+                    size_at(&self.ring, self.base_k, &tail, k, rel, d)
+                });
+                let dense = ct.exec_stash_dense[i];
+                if self.record_observations && dense != u32::MAX {
+                    stash = Some((dense, (src_val, ops)));
                 }
                 acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
             }
@@ -2020,7 +2119,7 @@ impl Engine {
                 tail.exec_stash[dense as usize] = captured;
             }
             if !matches!(obs, Obs::None) {
-                self.observe_at(k, NodeId(node), acc, Some(&mut tail));
+                self.observe_obs(k, obs, acc, &mut tail);
             }
         }
         self.stats.nodes_computed += nodes_local;
@@ -2104,18 +2203,17 @@ impl Engine {
 
     /// Read-instant log of a relation (differs from writes for FIFOs).
     pub fn read_instants(&self, relation: usize) -> &[Time] {
-        &self.read_log[relation]
+        if self.fifo_read[relation] {
+            &self.read_log[relation]
+        } else {
+            &self.instant_log[relation]
+        }
     }
 
     /// Execution records replayed from computed instants (the observation
     /// over local time of paper Fig. 2(b)).
     pub fn exec_records(&self) -> &[ExecRecord] {
         &self.exec_records
-    }
-
-    /// Consumes the engine, returning its execution records.
-    pub fn into_exec_records(self) -> Vec<ExecRecord> {
-        self.exec_records
     }
 
     // -- internals ---------------------------------------------------------
@@ -2187,7 +2285,9 @@ impl Engine {
             // Fast path: constant lag.
             src_val.otimes(MaxPlus::new(arc.weight.constant as i64))
         } else {
-            let (lag, ops) = eval_weight(&arc.weight, k, &self.ring, self.base_k, None);
+            let (lag, ops) = eval_weight(&arc.weight, k, |rel, d| {
+                iter_at(&self.ring, self.base_k, k - d).map_or(0, |it| it.sizes[rel])
+            });
             if self.record_observations && self.stash_arc[arc_idx] {
                 if let Obs::ExecEnd { dense, .. } = self.node_obs[dst.index()] {
                     if let Some(it) = iter_at_mut(&mut self.ring, self.base_k, k) {
@@ -2249,134 +2349,121 @@ impl Engine {
         }
     }
 
-    /// Observation side effects of a freshly computed node.
+    /// Observation side effects of a freshly computed node (worklist).
+    /// Iteration `k`'s state is lifted out of the ring for the call, so
+    /// observation reads it like a sweep's tail.
     #[inline]
     fn observe(&mut self, k: u64, node: NodeId, value: MaxPlus) {
-        self.observe_at(k, node, value, None);
+        let obs = self.node_obs[node.index()];
+        if matches!(obs, Obs::None) {
+            return;
+        }
+        let idx = (k - self.base_k) as usize;
+        let mut it = std::mem::take(&mut self.ring[idx]);
+        self.observe_obs(k, obs, value, &mut it);
+        self.ring[idx] = it;
     }
 
-    /// [`Engine::observe`] with iteration `k`'s state optionally held
-    /// *outside* the ring (`tail`) — the compiled sweep pops the tail state
-    /// out for the duration of an iteration; size derivation and stash
-    /// reads at `k` must then go through `tail` instead of the ring.
+    /// Observation side effects of a node with action `obs` that computed
+    /// `value` for iteration `k`, whose state `it` is held out of the ring:
+    /// the exchange's token size is derived first, then everything is
+    /// emitted.
     #[inline]
-    fn observe_at(
-        &mut self,
-        k: u64,
-        node: NodeId,
-        value: MaxPlus,
-        mut tail: Option<&mut IterState>,
-    ) {
-        let obs = self.node_obs[node.index()];
-        match obs {
-            Obs::None => {}
-            Obs::Exchange {
-                relation,
-                ack_input,
-                output,
-                has_fifo_read,
-            } => {
-                let relation = relation as usize;
-                let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                // Token size of this relation for iteration k.
-                if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-                    let input_size = match from {
-                        None => 0,
-                        Some((rel, delay)) => {
-                            if u64::from(delay) > k {
-                                0
-                            } else if delay == 0 {
-                                match tail.as_deref() {
-                                    Some(it) => it.sizes[rel.index()],
-                                    None => iter_at(&self.ring, self.base_k, k)
-                                        .map_or(0, |it| it.sizes[rel.index()]),
-                                }
-                            } else {
-                                iter_at(&self.ring, self.base_k, k - u64::from(delay))
-                                    .map_or(0, |it| it.sizes[rel.index()])
-                            }
-                        }
-                    };
-                    match tail.as_deref_mut() {
-                        Some(it) => it.sizes[relation] = model.apply(input_size),
-                        None => {
-                            if let Some(it) = iter_at_mut(&mut self.ring, self.base_k, k) {
-                                it.sizes[relation] = model.apply(input_size);
-                            }
-                        }
+    fn observe_obs(&mut self, k: u64, obs: Obs, value: MaxPlus, it: &mut IterState) {
+        if let Obs::Exchange { relation, .. } = obs {
+            self.derive_size(relation as usize, k, it);
+        }
+        self.emit(k, obs, value, it);
+    }
+
+    /// Sets the token size relation `relation` carries at iteration `k`
+    /// when its size rule derives it from another relation's size.
+    #[inline]
+    fn derive_size(&self, relation: usize, k: u64, it: &mut IterState) {
+        if let SizeRule::Derived { from, model } = self.size_rules[relation] {
+            let input_size = match from {
+                None => 0,
+                Some((rel, delay)) => {
+                    let delay = u64::from(delay);
+                    if delay > k {
+                        0
+                    } else {
+                        size_at(&self.ring, self.base_k, it, k, rel.index(), delay)
                     }
                 }
-                if self.record_observations {
-                    debug_assert_eq!(
-                        self.instant_log[relation].len() as u64,
-                        k,
-                        "exchange instants must compute in iteration order"
-                    );
-                    self.instant_log[relation].push(time);
-                    if !has_fifo_read {
-                        // Rendezvous: read instant equals the write instant.
-                        self.read_log[relation].push(time);
-                    }
-                }
-                if ack_input != u32::MAX {
-                    self.acks[ack_input as usize] = Some((k, time));
-                    if let Some(ev) = self.input_events[ack_input as usize] {
-                        self.pending_notifications.push(Notification {
-                            event: ev,
-                            at: None,
-                        });
-                    }
-                }
-                if output != u32::MAX {
-                    let size = match tail.as_deref() {
-                        Some(it) => it.sizes[relation],
-                        None => iter_at(&self.ring, self.base_k, k)
-                            .map_or(0, |it| it.sizes[relation]),
-                    };
-                    self.outputs_ready[output as usize].push_back((k, time, size));
-                    if let Some(ev) = self.output_events[output as usize] {
-                        // Wake the emission directly at the output instant.
-                        self.pending_notifications.push(Notification {
-                            event: ev,
-                            at: Some(time),
-                        });
-                    }
-                }
+            };
+            it.sizes[relation] = model.apply(input_size);
+        }
+    }
+
+    /// Emits the observations of a node with action `obs` that computed
+    /// `value` for iteration `k`, whose token sizes in `it` are final: the
+    /// exchange-instant and FIFO read logs and execution records (from
+    /// the stashed `(start, ops)`) when recording, then acknowledgments
+    /// and outputs.
+    #[inline(always)]
+    fn emit(&mut self, k: u64, obs: Obs, value: MaxPlus, it: &IterState) {
+        if self.record_observations {
+            let mut logs = Logs {
+                records: &mut self.exec_records,
+                instants: &mut self.instant_log,
+                reads: &mut self.read_log,
+            };
+            logs.log(k, obs, value, &it.exec_stash);
+        }
+        self.publish(k, obs, value, it);
+    }
+
+    /// Publishes an exchange at the boundary: the acknowledgment instant of
+    /// the input it acks and the token of the output it produces, with the
+    /// kernel notifications they wake.
+    #[inline(always)]
+    fn publish(&mut self, k: u64, obs: Obs, value: MaxPlus, it: &IterState) {
+        let Obs::Exchange {
+            relation,
+            ack_input,
+            output,
+        } = obs
+        else {
+            return;
+        };
+        let time = instant(value);
+        if ack_input != u32::MAX {
+            self.acks[ack_input as usize] = Some((k, time));
+            if let Some(ev) = self.input_events[ack_input as usize] {
+                self.pending_notifications.push(Notification {
+                    event: ev,
+                    at: None,
+                });
             }
-            Obs::FifoRead { relation } => {
-                if self.record_observations {
-                    let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                    self.read_log[relation as usize].push(time);
-                }
+        }
+        if output != u32::MAX {
+            let size = it.sizes[relation as usize];
+            self.outputs_ready[output as usize].push_back((k, time, size));
+            if let Some(ev) = self.output_events[output as usize] {
+                // Wake the emission directly at the output instant.
+                self.pending_notifications.push(Notification {
+                    event: ev,
+                    at: Some(time),
+                });
             }
-            Obs::ExecEnd {
-                function,
-                stmt,
-                resource,
-                dense,
-            } => {
-                if self.record_observations {
-                    let stash = match tail.as_deref() {
-                        Some(it) => it.exec_stash[dense as usize],
-                        None => iter_at(&self.ring, self.base_k, k)
-                            .map(|it| it.exec_stash[dense as usize])
-                            .unwrap_or((MaxPlus::EPSILON, 0)),
-                    };
-                    let (start, ops) = stash;
-                    if start.is_finite() || ops > 0 {
-                        let time = Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64);
-                        self.exec_records.push(ExecRecord {
-                            resource,
-                            function,
-                            stmt: stmt as usize,
-                            k,
-                            start: Time::from_ticks(start.finite().unwrap_or(0).max(0) as u64),
-                            end: time,
-                            ops,
-                        });
-                    }
-                }
+        }
+    }
+
+    /// Size pre-pass of a compiled sweep: derives iteration `k`'s token
+    /// sizes in schedule order ahead of the folds, whose durations read
+    /// them (sizes depend only on other sizes, never on instants).
+    /// Exchanges the look-ahead already observed keep their sizes.
+    fn derive_sizes(&self, ct: &CompiledTdg, k: u64, tail: &mut IterState) {
+        for &pos in &ct.derived_exchanges {
+            let pos = pos as usize;
+            if tail.computed[ct.schedule[pos] as usize] {
+                continue;
             }
+            let Obs::Exchange { relation, .. } = ct.obs[pos] else {
+                unreachable!("derived_exchanges holds Exchange slots only")
+            };
+            self.derive_size(relation as usize, k, tail);
         }
     }
 
@@ -2439,6 +2526,17 @@ impl Engine {
                 s.remaining.copy_from_slice(&self.remaining_template);
                 s
             }
+        }
+    }
+
+    /// Iteration `k`'s state for a fast-path sweep, held out of the ring
+    /// until the sweep pushes it back: a recycled (or fresh) state when `k`
+    /// is one past the ring, else the look-ahead tail.
+    fn take_tail(&mut self, k: u64) -> IterState {
+        if k == self.base_k + self.ring.len() as u64 {
+            self.take_state()
+        } else {
+            self.ring.pop_back().expect("look-ahead tail exists")
         }
     }
 

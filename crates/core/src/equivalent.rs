@@ -25,7 +25,7 @@ use evolve_model::{
 
 use crate::compile::EvalBackend;
 use crate::derive::derive_tdg;
-use crate::engine::{Engine, EngineStats};
+use crate::engine::{Engine, EngineStats, Notification};
 use crate::error::EquivalentError;
 use crate::simplify;
 
@@ -33,7 +33,7 @@ type SharedEngine = Rc<RefCell<Engine>>;
 
 /// Forwards engine notifications to the kernel: immediate ones in this
 /// delta cycle, output notifications at their computed instants.
-fn deliver(api: &mut Api<'_, Token>, notifications: Vec<crate::engine::Notification>) {
+fn deliver(api: &mut Api<'_, Token>, notifications: impl Iterator<Item = Notification>) {
     for n in notifications {
         match n.at {
             Some(at) if at > api.now() => api.notify_after(n.event, at.since(api.now())),
@@ -69,9 +69,8 @@ impl evolve_des::Process<Token> for Reception {
             let mut engine = self.engine.borrow_mut();
             engine.set_input(self.input_index, self.k, at, token.size);
             let ack = engine.ack_instant(self.input_index, self.k);
-            let notify = engine.take_notifications();
+            deliver(api, engine.drain_notifications());
             drop(engine);
-            deliver(api, notify);
             self.pending = Some(PendingOffer { ack });
         }
         loop {
@@ -86,9 +85,8 @@ impl evolve_des::Process<Token> for Reception {
                             let mut engine = self.engine.borrow_mut();
                             engine.set_input(self.input_index, self.k, at, token.size);
                             let ack = engine.ack_instant(self.input_index, self.k);
-                            let notify = engine.take_notifications();
+                            deliver(api, engine.drain_notifications());
                             drop(engine);
-                            deliver(api, notify);
                             self.pending = Some(PendingOffer { ack });
                         }
                         ListenOutcome::Blocked => return Activation::Blocked,
@@ -145,9 +143,7 @@ impl Emission {
         let mut engine = self.engine.borrow_mut();
         if engine.needs_output_ack(self.output_index) {
             engine.set_output_ack(self.output_index, k, api.now());
-            let notify = engine.take_notifications();
-            drop(engine);
-            deliver(api, notify);
+            deliver(api, engine.drain_notifications());
         }
     }
 }
@@ -357,6 +353,14 @@ impl<'a> EquivalentModelBuilder<'a> {
         // model's, so boundary behaviour is directly comparable.
         let total_inputs: u64 = env.stimuli.values().map(|s| s.len() as u64).sum();
         attach_environment(&mut kernel, self.arch, env, &channels, Some(total_inputs))?;
+        // Iterations the run can complete: no input offers more tokens than
+        // its stimulus holds.
+        let offers = inputs
+            .iter()
+            .filter_map(|r| env.stimuli.get(r))
+            .map(|s| s.len())
+            .max()
+            .unwrap_or(0);
 
         let fifo_inputs: Vec<RelationId> = inputs
             .iter()
@@ -375,6 +379,7 @@ impl<'a> EquivalentModelBuilder<'a> {
             boundary: inputs.iter().chain(outputs.iter()).copied().collect(),
             fifo_inputs,
             node_count,
+            offers,
         })
     }
 }
@@ -389,6 +394,9 @@ pub struct EquivalentSimulation {
     /// emulation rendezvous, so read instants come from the engine.
     fifo_inputs: Vec<RelationId>,
     node_count: usize,
+    /// Longest stimulus over the external inputs: the most offers any
+    /// input receives, which bounds the iterations the run computes.
+    offers: usize,
 }
 
 impl std::fmt::Debug for EquivalentSimulation {
@@ -435,6 +443,9 @@ impl EquivalentSimulation {
 
     /// Runs to completion.
     pub fn run(mut self) -> EquivalentReport {
+        // The stimulus length bounds every observation log: reserving here
+        // (not in `build`) keeps the run free of log regrowth.
+        self.engine.borrow_mut().reserve_observations(self.offers);
         let wall_start = std::time::Instant::now();
         let end_time = self.kernel.run();
         let wall = wall_start.elapsed();
@@ -446,13 +457,14 @@ impl EquivalentSimulation {
             .map(|ch| self.kernel.channel_log(*ch).clone())
             .collect();
         // Release the processes (they hold engine handles) so the engine
-        // can be unwrapped without copying its logs.
+        // can be unwrapped and its logs moved out.
         drop(self.kernel);
         let engine = Rc::try_unwrap(self.engine)
             .map(RefCell::into_inner)
             .unwrap_or_else(|_| panic!("engine uniquely owned after run"));
         let engine_stats = engine.stats();
         let node_count = self.node_count;
+        let mut logs = engine.into_logs();
 
         // Merge logs: boundary relations from the kernel (real events),
         // internal relations from the engine (computed observation).
@@ -465,14 +477,11 @@ impl EquivalentSimulation {
                     if self.fifo_inputs.contains(&rid) {
                         // Acks (writes) are real events; the internal pop
                         // instants are computed by the engine.
-                        kernel_log.read_instants = engine.read_instants(ridx).to_vec();
+                        kernel_log.read_instants = logs.take_reads(ridx);
                     }
                     kernel_log
                 } else {
-                    evolve_des::ChannelLog {
-                        write_instants: engine.instants(ridx).to_vec(),
-                        read_instants: engine.read_instants(ridx).to_vec(),
-                    }
+                    logs.take_channel(ridx)
                 }
             })
             .collect();
@@ -482,7 +491,7 @@ impl EquivalentSimulation {
                 end_time,
                 stats,
                 relation_logs,
-                exec_records: engine.into_exec_records(),
+                exec_records: logs.exec_records,
                 wall,
             },
             engine_stats,
@@ -504,4 +513,112 @@ pub fn equivalent_simulation(
     env: &Environment,
 ) -> Result<EquivalentSimulation, EquivalentError> {
     EquivalentModelBuilder::new(arch).build(env)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::zero_delay_dependent;
+    use crate::periodic::FastForward;
+    use crate::tdg::NodeKind;
+    use evolve_model::{
+        Application, Behavior, Concurrency, LoadModel, Mapping, Platform, Stimulus,
+    };
+
+    const TOKENS: u64 = 300;
+
+    /// `in → F1 → m (rendezvous) → F2 → q (FIFO 2) → F3 → out`, with F3
+    /// slow enough that `q`'s reads trail its writes. Constant sizes keep
+    /// the steady state periodic (fast-forward can promote).
+    fn fifo_pipeline() -> (Architecture, Environment, RelationId, RelationId) {
+        let mut app = Application::new();
+        let input = app.add_input("in", RelationKind::Rendezvous);
+        let m = app.add_relation("m", RelationKind::Rendezvous);
+        let q = app.add_relation("q", RelationKind::Fifo(2));
+        let out = app.add_output("out", RelationKind::Rendezvous);
+        let per_unit = |base| LoadModel::PerUnit { base, per_unit: 2 };
+        let f1 = app.add_function(
+            "F1",
+            Behavior::new().read(input).execute(per_unit(10)).write(m),
+        );
+        let f2 = app.add_function("F2", Behavior::new().read(m).execute(per_unit(20)).write(q));
+        let f3 = app.add_function(
+            "F3",
+            Behavior::new().read(q).execute(per_unit(90)).write(out),
+        );
+        let mut platform = Platform::new();
+        let p1 = platform.add_resource("P1", Concurrency::Sequential, 1);
+        let p2 = platform.add_resource("P2", Concurrency::Sequential, 1);
+        let mut mapping = Mapping::new();
+        mapping.assign(f1, p1).assign(f2, p1).assign(f3, p2);
+        let arch = Architecture::new(app, platform, mapping).unwrap();
+        let env = Environment::new().stimulus(input, Stimulus::saturating(TOKENS, |_| 8));
+        (arch, env, m, q)
+    }
+
+    /// Runs the model and checks that no observation log grew past what
+    /// `run()` reserved, and that rendezvous relations report one log.
+    fn check_logs(backend: EvalBackend, fast_forward: bool) {
+        let (arch, env, m, q) = fifo_pipeline();
+        let sim = EquivalentModelBuilder::new(&arch)
+            .backend(backend)
+            .build(&env)
+            .unwrap();
+        if fast_forward {
+            sim.engine.borrow_mut().set_fast_forward(FastForward::On);
+        }
+        let report = sim.run();
+
+        // What `reserve_observations` sets aside: every offer plus the
+        // look-ahead iteration (when the graph has an input-independent
+        // prefix) for each ExecEnd node and each exchanged relation.
+        let derived = derive_tdg(&arch).unwrap();
+        let tdg = derived.tdg();
+        let execs = tdg
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::ExecEnd { .. }))
+            .count();
+        let iterations =
+            TOKENS as usize + usize::from(zero_delay_dependent(tdg).iter().any(|d| !d));
+        let records = &report.run.exec_records;
+        assert!(!records.is_empty());
+        assert_eq!(records.capacity(), iterations * execs, "exec records regrew");
+        for rel in [m, q] {
+            let log = &report.run.relation_logs[rel.index()];
+            assert_eq!(log.write_instants.len(), TOKENS as usize);
+            assert_eq!(log.write_instants.capacity(), iterations, "instant log regrew");
+        }
+        let (mlog, qlog) = (
+            &report.run.relation_logs[m.index()],
+            &report.run.relation_logs[q.index()],
+        );
+        assert!(mlog.read_instants == mlog.write_instants, "rendezvous: reads are writes");
+        assert_eq!(qlog.read_instants.len(), TOKENS as usize);
+        assert!(qlog.read_instants != qlog.write_instants, "FIFO reads trail writes");
+    }
+
+    #[test]
+    fn compiled_run_logs_fit_the_reservation() {
+        check_logs(EvalBackend::Compiled, false);
+    }
+
+    #[test]
+    fn worklist_run_logs_fit_the_reservation() {
+        check_logs(EvalBackend::Worklist, false);
+    }
+
+    #[test]
+    fn fast_forwarded_run_logs_fit_the_reservation() {
+        check_logs(EvalBackend::Compiled, true);
+        // The same run does promote: template replay wrote those logs.
+        let (arch, env, ..) = fifo_pipeline();
+        let mut sim = EquivalentModelBuilder::new(&arch).build(&env).unwrap();
+        let engine = Rc::clone(&sim.engine);
+        engine.borrow_mut().set_fast_forward(FastForward::On);
+        sim.kernel.run();
+        let stats = engine.borrow().fast_forward_stats();
+        assert!(stats.promotions >= 1, "{stats:?}");
+        assert!(stats.fast_forwarded_iterations > TOKENS / 2, "{stats:?}");
+    }
 }

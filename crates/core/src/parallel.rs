@@ -41,8 +41,7 @@ use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use evolve_maxplus::MaxPlus;
 use evolve_obs::{FlightRecorder, Phase, TrackId};
 
-use crate::compile::{CompiledTdg, Obs};
-use crate::derive::SizeRule;
+use crate::compile::CompiledTdg;
 
 /// How partition workers synchronize at the cross-partition frontier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -218,23 +217,13 @@ pub(crate) struct PartitionPlan {
     /// CSR of *all* zero-delay successors per node (rollback propagation).
     pub(crate) succ0_offsets: Vec<u32>,
     pub(crate) succ0_targets: Vec<u32>,
-    /// Schedule positions of Exchange slots with a derived size rule, in
-    /// schedule order (the coordinator's serial size pre-pass).
-    pub(crate) derived_exchanges: Vec<u32>,
-    /// Schedule positions with any observation action, in schedule order
-    /// (the coordinator's deferred observation pass).
-    pub(crate) observed_slots: Vec<u32>,
     /// Schedule positions whose exec stream can stash execution info.
     pub(crate) stash_slots: Vec<u32>,
 }
 
 /// Builds the partition plan for `threads` workers over a compiled
 /// schedule. Purely structural — no engine state involved.
-pub(crate) fn plan_partitions(
-    ct: &CompiledTdg,
-    size_rules: &[SizeRule],
-    threads: usize,
-) -> PartitionPlan {
+pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan {
     let threads = threads.clamp(1, ParallelConfig::MAX_THREADS);
     let n = ct.schedule.len();
     let levels = ct.level_count();
@@ -350,26 +339,15 @@ pub(crate) fn plan_partitions(
         }
     }
 
-    // Coordinator pass indices, all in schedule order.
-    let mut derived_exchanges = Vec::new();
-    let mut observed_slots = Vec::new();
-    let mut stash_slots = Vec::new();
-    for pos in 0..n {
-        match ct.obs[pos] {
-            Obs::None => {}
-            Obs::Exchange { relation, .. } => {
-                observed_slots.push(pos as u32);
-                if matches!(size_rules[relation as usize], SizeRule::Derived { .. }) {
-                    derived_exchanges.push(pos as u32);
-                }
-            }
-            _ => observed_slots.push(pos as u32),
-        }
-        let e = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
-        if e.clone().any(|i| ct.exec_arcs[i].stash_dense != u32::MAX) {
-            stash_slots.push(pos as u32);
-        }
-    }
+    // Coordinator stash-pass indices, in schedule order (the size
+    // pre-pass and the observation replay walk the program's own lists).
+    let stash_slots: Vec<u32> = (0..n)
+        .filter(|&pos| {
+            let e = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
+            e.into_iter().any(|i| ct.exec_stash_dense[i] != u32::MAX)
+        })
+        .map(|pos| pos as u32)
+        .collect();
 
     PartitionPlan {
         threads,
@@ -382,8 +360,6 @@ pub(crate) fn plan_partitions(
         cross_arcs,
         succ0_offsets,
         succ0_targets,
-        derived_exchanges,
-        observed_slots,
         stash_slots,
     }
 }
@@ -422,8 +398,8 @@ pub(crate) struct ParallelRuntime {
 }
 
 impl ParallelRuntime {
-    pub(crate) fn new(ct: &CompiledTdg, size_rules: &[SizeRule], config: ParallelConfig) -> Self {
-        let plan = plan_partitions(ct, size_rules, config.threads);
+    pub(crate) fn new(ct: &CompiledTdg, config: ParallelConfig) -> Self {
+        let plan = plan_partitions(ct, config.threads);
         let n = ct.schedule.len();
         let stats = PartitionStats {
             partitions: plan.threads as u64,
@@ -584,7 +560,7 @@ mod tests {
     fn plan_covers_every_slot_exactly_once() {
         let e = compiled_of(8, 5_000);
         let ct = e.compiled_tdg().unwrap();
-        let plan = plan_partitions(ct, e.size_rules(), 4);
+        let plan = plan_partitions(ct, 4);
         let t1 = plan.threads + 1;
         let mut seen = vec![false; ct.schedule.len()];
         for l in 0..plan.levels {
@@ -606,7 +582,7 @@ mod tests {
     fn aligned_chains_need_few_barriers() {
         let e = compiled_of(16, 20_000);
         let ct = e.compiled_tdg().unwrap();
-        let plan = plan_partitions(ct, e.size_rules(), 4);
+        let plan = plan_partitions(ct, 4);
         // The padding chains never cross partitions mid-chain; only the
         // handful of pipeline levels at the head can force barriers.
         assert!(
@@ -620,7 +596,7 @@ mod tests {
     fn single_chain_degenerates_to_one_busy_partition() {
         let e = compiled_of(1, 2_000);
         let ct = e.compiled_tdg().unwrap();
-        let plan = plan_partitions(ct, e.size_rules(), 4);
+        let plan = plan_partitions(ct, 4);
         // A chain is one slot per level: cost balancing keeps each chain
         // level whole, so only the handful of multi-slot pipeline-head
         // levels can contribute frontier arcs — the 2 000 chain levels
@@ -637,7 +613,7 @@ mod tests {
     fn succ0_mirrors_zero_delay_arcs() {
         let e = compiled_of(4, 1_000);
         let ct = e.compiled_tdg().unwrap();
-        let plan = plan_partitions(ct, e.size_rules(), 2);
+        let plan = plan_partitions(ct, 2);
         let mut arcs = 0usize;
         for pos in 0..ct.schedule.len() {
             arcs += (ct.const_offsets[pos + 1] - ct.const_offsets[pos]) as usize;

@@ -470,22 +470,19 @@ impl HybridSimulation {
             .map(|r| r.index())
             .collect();
 
+        let mut logs = engine.into_logs();
         let relation_logs = kernel_logs
             .into_iter()
             .enumerate()
             .map(|(ridx, mut log)| match orig_to_sub[ridx] {
-                Some(sub_idx) if !boundary.contains(&ridx) => {
-                    // Group-internal: computed instants.
-                    evolve_des::ChannelLog {
-                        write_instants: engine.instants(sub_idx).to_vec(),
-                        read_instants: engine.read_instants(sub_idx).to_vec(),
-                    }
-                }
+                // Group-internal: computed instants.
+                Some(sub_idx) if !boundary.contains(&ridx) => logs.take_channel(sub_idx),
                 Some(sub_idx) if fifo_inputs.contains(&ridx) => {
                     // Boundary-in over an emulation rendezvous: reads are
                     // computed when the original relation was a FIFO.
-                    if !engine.read_instants(sub_idx).is_empty() {
-                        log.read_instants = engine.read_instants(sub_idx).to_vec();
+                    let reads = logs.take_reads(sub_idx);
+                    if !reads.is_empty() {
+                        log.read_instants = reads;
                     }
                     log
                 }
@@ -497,7 +494,7 @@ impl HybridSimulation {
         let mut exec_records: Vec<ExecRecord> = Rc::try_unwrap(self.trace)
             .map(RefCell::into_inner)
             .unwrap_or_else(|rc| rc.borrow().clone());
-        exec_records.extend(engine.exec_records().iter().map(|r| ExecRecord {
+        exec_records.extend(logs.exec_records.iter().map(|r| ExecRecord {
             resource: self.partition.sub_resource_to_orig[r.resource.index()],
             function: self.partition.sub_function_to_orig[r.function.index()],
             ..*r

@@ -37,7 +37,7 @@ fn drive_trace(engine: &mut Engine) -> TraceArtifacts {
         let ack = engine.ack_instant(0, k).expect("didactic acks resolve");
         acks.push(ack.ticks());
         prev_ack = Some(ack);
-        engine.take_notifications().clear();
+        engine.drain_notifications();
     }
     let stats = engine.stats();
     (

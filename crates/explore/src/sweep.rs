@@ -997,7 +997,7 @@ pub fn drive_engine(engine: &mut Engine, arrivals: &[Arrival]) -> ScenarioOutcom
         outcome.input_acks.push(ack.ticks());
         prev_ack = Some(ack);
         // No kernel events are registered; drop computed notifications.
-        engine.take_notifications().clear();
+        engine.drain_notifications();
     }
     // One boundary exchange per input offer and per output write — the
     // transfers a kernel would count for the equivalent model.

@@ -54,6 +54,7 @@ impl SizeModel {
     /// # Panics
     ///
     /// Panics if a [`SizeModel::Scaled`] has a zero denominator.
+    #[inline]
     pub fn apply(self, input: u64) -> u64 {
         match self {
             SizeModel::Same => input,

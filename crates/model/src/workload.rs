@@ -96,6 +96,7 @@ impl LoadModel {
     ///
     /// Panics if a [`LoadModel::Table`] is empty or if a
     /// [`LoadModel::Uniform`] has `min > max`.
+    #[inline]
     pub fn ops(&self, ctx: LoadContext) -> u64 {
         match self {
             LoadModel::Constant(n) => *n,
@@ -194,6 +195,7 @@ impl LoadModel {
 /// # Panics
 ///
 /// Panics if `speed_ops_per_tick` is zero.
+#[inline]
 pub fn duration_for(ops: u64, speed_ops_per_tick: u64) -> Duration {
     assert!(speed_ops_per_tick > 0, "resource speed must be nonzero");
     Duration::from_ticks(ops.div_ceil(speed_ops_per_tick))

@@ -30,7 +30,7 @@
 //! track), loadable in Perfetto next to the observation-time and
 //! host-time tracks of [`TraceCollector`](crate::TraceCollector).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -266,7 +266,11 @@ impl FlightRecorder {
         let base = (ticket as usize & (self.capacity - 1)) * SLOT_WORDS;
         // Odd sequence: slot in flight. Readers racing with this write
         // see the odd value (or a mismatched even one) and skip the slot.
-        ring.slots[base].store(ticket.wrapping_mul(2) + 1, Ordering::Release);
+        // The release fence orders the odd store before the payload
+        // stores: a reader that sees any new payload word then sees the
+        // odd (or a later) sequence on its re-check (Boehm, MSPC 2012).
+        ring.slots[base].store(ticket.wrapping_mul(2) + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         ring.slots[base + 1].store(corr, Ordering::Relaxed);
         ring.slots[base + 2].store(start_ns, Ordering::Relaxed);
         ring.slots[base + 3].store(dur_ns, Ordering::Relaxed);
@@ -291,12 +295,15 @@ impl FlightRecorder {
                 if ring.slots[base].load(Ordering::Acquire) != expected {
                     continue;
                 }
-                let corr = ring.slots[base + 1].load(Ordering::Acquire);
-                let start_ns = ring.slots[base + 2].load(Ordering::Acquire);
-                let dur_ns = ring.slots[base + 3].load(Ordering::Acquire);
-                let meta = ring.slots[base + 4].load(Ordering::Acquire);
-                let arg = ring.slots[base + 5].load(Ordering::Acquire);
-                if ring.slots[base].load(Ordering::Acquire) != expected {
+                let corr = ring.slots[base + 1].load(Ordering::Relaxed);
+                let start_ns = ring.slots[base + 2].load(Ordering::Relaxed);
+                let dur_ns = ring.slots[base + 3].load(Ordering::Relaxed);
+                let meta = ring.slots[base + 4].load(Ordering::Relaxed);
+                let arg = ring.slots[base + 5].load(Ordering::Relaxed);
+                // Pairs with the writer's release fence: the payload loads
+                // above happen before the sequence re-check below.
+                fence(Ordering::Acquire);
+                if ring.slots[base].load(Ordering::Relaxed) != expected {
                     continue;
                 }
                 let Some(phase) = Phase::from_u8((meta & 0xff) as u8) else {
@@ -485,29 +492,37 @@ mod tests {
 
     #[test]
     fn concurrent_dump_never_tears_spans() {
-        // One writer hammering a tiny ring, one reader dumping in a loop:
-        // every span the reader accepts must be self-consistent (the
-        // writer always stores corr == arg == start_ns / 10).
+        // One writer hammering a tiny ring, one reader dumping until the
+        // writer is done: every span the reader accepts must be
+        // self-consistent (the writer always stores corr == arg ==
+        // start_ns / 10).
+        const SPANS: u64 = 50_000;
         let rec = Arc::new(FlightRecorder::new(1, 8));
         let track = rec.register_track("w");
         let writer = {
             let rec = Arc::clone(&rec);
             std::thread::spawn(move || {
-                for i in 0..50_000u64 {
+                for i in 0..SPANS {
                     rec.record(track, Phase::Sweep, i, i * 10, i * 10 + 1, 0, i);
                 }
             })
         };
-        let mut seen = 0usize;
-        for _ in 0..200 {
-            for span in rec.spans() {
-                assert_eq!(span.corr, span.arg, "torn span: corr/arg mismatch");
-                assert_eq!(span.start_ns, span.corr * 10, "torn span: start mismatch");
-                seen += 1;
-            }
+        let check = |span: &FlightSpan| {
+            assert_eq!(span.corr, span.arg, "torn span: corr/arg mismatch");
+            assert_eq!(span.start_ns, span.corr * 10, "torn span: start mismatch");
+        };
+        while !writer.is_finished() {
+            rec.spans().iter().for_each(check);
         }
         writer.join().expect("writer");
-        assert!(seen > 0, "reader never observed a stable span");
+        // Quiescent: the final dump holds exactly the newest `capacity`
+        // spans, consecutive and oldest first.
+        let last = rec.spans();
+        last.iter().for_each(check);
+        assert_eq!(
+            last.iter().map(|s| s.corr).collect::<Vec<_>>(),
+            (SPANS - 8..SPANS).collect::<Vec<_>>()
+        );
     }
 
     #[test]

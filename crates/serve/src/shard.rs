@@ -130,6 +130,9 @@ struct Worker {
     depth: Arc<AtomicUsize>,
     published: Arc<Mutex<MetricsSnapshot>>,
     last_publish: Option<Instant>,
+    /// A publish was throttled: the run loop wakes by the end of the
+    /// interval and publishes then.
+    publish_pending: bool,
     flight: Option<ShardFlight>,
 }
 
@@ -152,6 +155,7 @@ impl Worker {
             depth,
             published,
             last_publish: None,
+            publish_pending: false,
             flight,
         }
     }
@@ -189,10 +193,9 @@ impl Worker {
         loop {
             let timeout = groups
                 .iter()
-                .map(|(_, g)| {
-                    (g.first_at + self.cfg.max_batch_delay)
-                        .saturating_duration_since(Instant::now())
-                })
+                .map(|(_, g)| g.first_at + self.cfg.max_batch_delay)
+                .chain(self.publish_deadline())
+                .map(|deadline| deadline.saturating_duration_since(Instant::now()))
                 .min()
                 .unwrap_or(IDLE_TICK);
             match receiver.recv_timeout(timeout) {
@@ -228,8 +231,9 @@ impl Worker {
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    // Idle tick: counters accrued since the last
-                    // (throttled) dispatch publish become visible.
+                    // Idle tick or the end of a throttled interval:
+                    // counters accrued since the last publish become
+                    // visible.
                     self.publish(false);
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -241,6 +245,11 @@ impl Worker {
                     self.publish(true);
                     return;
                 }
+            }
+            if self.publish_pending {
+                // Busy shards may never time out: land the throttled
+                // update as soon as its interval has passed.
+                self.publish(false);
             }
             let now = Instant::now();
             let mut i = 0;
@@ -468,14 +477,23 @@ impl Worker {
         }
     }
 
+    /// When a throttled publish is due, if one is pending.
+    fn publish_deadline(&self) -> Option<Instant> {
+        self.last_publish
+            .filter(|_| self.publish_pending)
+            .map(|last| last + PUBLISH_INTERVAL)
+    }
+
+    /// Publishes the metrics snapshot — at most once per
+    /// [`PUBLISH_INTERVAL`] unless `force`d. A throttled publish stays
+    /// pending, and the run loop caps its receive timeout so the update
+    /// lands by the end of the interval (not at the next idle tick).
     fn publish(&mut self, force: bool) {
-        if !force {
-            if let Some(last) = self.last_publish {
-                if last.elapsed() < PUBLISH_INTERVAL {
-                    return;
-                }
-            }
+        if !force && self.last_publish.is_some_and(|last| last.elapsed() < PUBLISH_INTERVAL) {
+            self.publish_pending = true;
+            return;
         }
+        self.publish_pending = false;
         self.last_publish = Some(Instant::now());
         let mut snap = match self.sink.as_deref_mut() {
             Some(sink) => sink.snapshot(),

@@ -268,12 +268,23 @@ fn partitioned_wide_models_match_scalar_reference() {
     assert_eq!(ok.outputs, outputs);
     assert_eq!(ok.input_acks, acks);
 
-    let metrics = http_get(&server.metrics_addr().unwrap().to_string(), "/metrics");
-    let parallel_iterations = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("evolve_partition_parallel_iterations_total "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .expect("partition family exported");
+    // A shard publishes its metrics at most once per 25 ms interval, and
+    // a throttled update must land by the interval's end: scrape until the
+    // counter moves or two intervals have passed.
+    let metrics_addr = server.metrics_addr().unwrap().to_string();
+    let deadline = std::time::Instant::now() + 2 * Duration::from_millis(25);
+    let parallel_iterations = loop {
+        let metrics = http_get(&metrics_addr, "/metrics");
+        let parallel_iterations = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("evolve_partition_parallel_iterations_total "))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .expect("partition family exported");
+        if parallel_iterations > 0 || std::time::Instant::now() >= deadline {
+            break parallel_iterations;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
     assert!(
         parallel_iterations > 0,
         "served evaluation never took the partitioned sweep"
