@@ -12,6 +12,15 @@ cargo test -q --workspace --offline
 # The serving layer again in release: its timing (metrics publish
 # throttling, batch windows) only shows under optimized evaluation.
 cargo test --release -q -p evolve-serve --offline
+
+# Benchmark correctness: both perfbench workloads, short and untraced. It
+# is the only check of bitwise answers under open-loop load, with batched,
+# scalar and delta lanes interleaved; every answer is compared with its
+# reference, and the final line must report all correct and none failed.
+bench_result="$(python3 perfbench/run.py --workload all --seed 4242 --seconds 2 --trace 0 | tail -n 1)"
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$bench_result" \
+    || { echo "ci: perfbench check failed: $bench_result" >&2; exit 1; }
+
 cargo clippy --all-targets --offline -- -D warnings
 
 # Batched-lane conformance: the lockstep engine must stay bitwise

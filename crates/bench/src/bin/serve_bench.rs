@@ -39,8 +39,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use evolve_core::EvalBackend;
-use evolve_explore::json::Json;
 use evolve_explore::{ModelKind, ModelSpec, TraceSpec};
+use evolve_obs::json::Json;
 use evolve_serve::{
     Bind, EvalRequest, ModelRef, Request, Response, ServeClient, ServeConfig, Server, TracePayload,
 };

@@ -27,8 +27,9 @@ use evolve_core::{
     EvalBackend, FastForward, ParallelConfig, PartitionMode,
 };
 use evolve_des::Time;
-use evolve_explore::{Json, SweepReport};
+use evolve_explore::SweepReport;
 use evolve_model::{elaborate, Architecture, Environment};
+use evolve_obs::json::Json;
 
 /// How much of the model the equivalent variant still observes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -29,7 +29,8 @@
 use std::path::PathBuf;
 
 use evolve_core::PartitionMode;
-use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, Json, SweepConfig};
+use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, SweepConfig};
+use evolve_obs::json::Json;
 
 struct Options {
     threads: usize,

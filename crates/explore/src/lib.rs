@@ -48,12 +48,10 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod cache;
-pub mod json;
 pub mod sweep;
 
 pub use evolve_core::{EvalBackend, FastForward, FastForwardStats};
 pub use evolve_obs::{MetricsSnapshot, TelemetrySink, TraceCollector};
-pub use json::Json;
 pub use sweep::{
     default_grid, drive_batch, drive_engine, parallel_map, parallel_map_with, run_sweep,
     trace_scenario, BatchingStats, DeltaSweepStats, ModelKind, ModelSpec, ReferenceComparison,

@@ -62,6 +62,7 @@ use evolve_des::{SplitMix64, Time};
 use evolve_model::{
     didactic, elaborate, Architecture, Arrival, Environment, ExecRecord, RelationId, Stimulus,
 };
+use evolve_obs::json::Json;
 use evolve_obs::{downcast, EjectReason, EngineEvent, MetricsSnapshot, Observer as _, TelemetrySink, TraceCollector};
 
 use crate::cache::{
@@ -69,7 +70,6 @@ use crate::cache::{
     prepare_batch, DeltaFamilyKey, DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions,
     PreparedBatch, PreparedModel,
 };
-use crate::json::Json;
 
 /// Which architecture a scenario evaluates.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]

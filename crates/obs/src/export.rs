@@ -320,6 +320,7 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
     );
     for (trigger, value) in [
         ("full", snapshot.serve.batches_full),
+        ("idle", snapshot.serve.batches_idle),
         ("deadline", snapshot.serve.batches_deadline),
     ] {
         let _ = writeln!(out, "evolve_serve_batches_total{{trigger=\"{trigger}\"}} {value}");
@@ -577,6 +578,7 @@ mod tests {
             requests: 5,
             rejected: 2,
             batches_full: 1,
+            batches_idle: 3,
             lanes_batched: 4,
             ..crate::ServeCounters::default()
         });
@@ -585,6 +587,8 @@ mod tests {
         assert!(text.contains("evolve_serve_requests_total 5"));
         assert!(text.contains("evolve_serve_rejected_total 2"));
         assert!(text.contains("evolve_serve_batches_total{trigger=\"full\"} 1"));
+        assert!(text.contains("evolve_serve_batches_total{trigger=\"idle\"} 3"));
+        assert!(text.contains("evolve_serve_batches_total{trigger=\"deadline\"} 0"));
         assert!(text.contains("evolve_serve_lanes_total{path=\"batched\"} 4"));
         assert!(text.contains("evolve_resource_busy_ticks_total{resource=\"2\"} 10"));
         assert!(text.contains("evolve_events_total{kind=\"offer\"} 1"));

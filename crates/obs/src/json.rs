@@ -3,10 +3,9 @@
 //! The workspace builds offline (no serde); reports need exactly one
 //! direction — Rust values → a JSON document on disk — so this module
 //! implements just that: a [`Json`] tree with lossless `u64` tick values
-//! and standards-compliant string escaping. It lives in `evolve-obs` (the
-//! lowest crate that emits documents: metrics snapshots and Chrome traces)
-//! and is re-exported unchanged as `evolve_explore::json` for sweep
-//! reports.
+//! and standards-compliant string escaping. It lives in `evolve-obs`, the
+//! lowest crate that emits documents (metrics snapshots and Chrome
+//! traces); sweep reports and the bench binaries render through it too.
 
 use std::fmt::Write as _;
 

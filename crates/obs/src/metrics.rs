@@ -539,6 +539,9 @@ pub struct ServeCounters {
     pub errors: u64,
     /// Affinity batches dispatched because lanes filled the batch width.
     pub batches_full: u64,
+    /// Affinity batches dispatched at once because their spec's recent
+    /// arrivals predicted no lane-mate within `max_batch_delay`.
+    pub batches_idle: u64,
     /// Affinity batches dispatched at the `max_batch_delay` deadline.
     pub batches_deadline: u64,
     /// Request lanes evaluated inside a lockstep batch.
@@ -558,6 +561,7 @@ impl ServeCounters {
         self.responses += other.responses;
         self.errors += other.errors;
         self.batches_full += other.batches_full;
+        self.batches_idle += other.batches_idle;
         self.batches_deadline += other.batches_deadline;
         self.lanes_batched += other.lanes_batched;
         self.lanes_scalar += other.lanes_scalar;
@@ -1061,6 +1065,7 @@ impl MetricsSnapshot {
                     ("responses", Json::U64(self.serve.responses)),
                     ("errors", Json::U64(self.serve.errors)),
                     ("batches_full", Json::U64(self.serve.batches_full)),
+                    ("batches_idle", Json::U64(self.serve.batches_idle)),
                     ("batches_deadline", Json::U64(self.serve.batches_deadline)),
                     ("lanes_batched", Json::U64(self.serve.lanes_batched)),
                     ("lanes_scalar", Json::U64(self.serve.lanes_scalar)),
@@ -1517,6 +1522,7 @@ mod tests {
         b.on_records(0, &[rec(1, 5, 9, 2)]);
         b.record_serve(ServeCounters {
             requests: 4,
+            batches_idle: 2,
             lanes_batched: 4,
             ..ServeCounters::default()
         });
@@ -1532,6 +1538,7 @@ mod tests {
         assert_eq!(frozen.serve.requests, 7);
         assert_eq!(frozen.serve.rejected, 1);
         assert_eq!(frozen.serve.lanes_batched, 4);
+        assert_eq!(frozen.serve.batches_idle, 2);
         assert_eq!(frozen.resources.len(), 2);
         assert_eq!(frozen.resources[0].busy_ticks, 30);
     }
@@ -1556,6 +1563,7 @@ mod tests {
         sink.on_records(0, &[rec(0, 0, 10, 100)]);
         let doc = sink.snapshot().to_json().render();
         assert!(doc.contains("\"busy_ticks\":10"));
+        assert!(doc.contains("\"batches_idle\":0"));
         assert!(doc.contains("\"event_ratio\":null"));
     }
 

@@ -15,8 +15,10 @@
 //!   requests by exact model spec and dispatches a group the moment it
 //!   fills the SIMD chunk width — or at the
 //!   [`max_batch_delay`](ServeConfig::max_batch_delay) deadline when
-//!   underfull — through the same `drive_prepared_batch` path the sweep
-//!   uses, so daemon and sweep share one batching implementation;
+//!   underfull, or at once when the spec's recent arrival rate predicts
+//!   no lane-mate within that deadline — through the same
+//!   `drive_prepared_batch` path the sweep uses, so daemon and sweep
+//!   share one batching implementation;
 //! - **cross-request delta chaining**: scalar-path requests of the same
 //!   structural family attach the first request's captured
 //!   [`DeltaCache`](evolve_core::DeltaCache) and propagate only their

@@ -355,56 +355,86 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Serialises a response into a frame payload (without the length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::new();
+    put_response(&mut buf, resp);
+    buf
+}
+
+/// Appends `resp` to `buf` as one whole frame: the length prefix, then the
+/// payload. An oversize payload is taken back out, leaving `buf` as it was.
+///
+/// # Errors
+///
+/// Returns [`FrameError::Oversize`] when the payload exceeds `max`.
+pub(crate) fn put_response_frame(
+    buf: &mut Vec<u8>,
+    resp: &Response,
+    max: usize,
+) -> Result<(), FrameError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    put_response(buf, resp);
+    let len = buf.len() - start - 4;
+    if len > max {
+        buf.truncate(start);
+        return Err(FrameError::Oversize {
+            len: len as u64,
+            max,
+        });
+    }
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+fn put_response(buf: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::EvalOk(ok) => {
-            put_u8(&mut buf, 0x81);
-            put_u64(&mut buf, ok.id);
-            put_u32(&mut buf, ok.outputs.len() as u32);
+            put_u8(buf, 0x81);
+            put_u64(buf, ok.id);
+            put_u32(buf, ok.outputs.len() as u32);
             for &(a, s, c) in &ok.outputs {
-                put_u64(&mut buf, a);
-                put_u64(&mut buf, s);
-                put_u64(&mut buf, c);
+                put_u64(buf, a);
+                put_u64(buf, s);
+                put_u64(buf, c);
             }
-            put_u32(&mut buf, ok.input_acks.len() as u32);
+            put_u32(buf, ok.input_acks.len() as u32);
             for &ack in &ok.input_acks {
-                put_u64(&mut buf, ack);
+                put_u64(buf, ack);
             }
             for v in ok.engine {
-                put_u64(&mut buf, v);
+                put_u64(buf, v);
             }
             for v in ok.ff {
-                put_u64(&mut buf, v);
+                put_u64(buf, v);
             }
-            put_u8(&mut buf, u8::from(ok.delta_attached));
+            put_u8(buf, u8::from(ok.delta_attached));
             for v in ok.delta {
-                put_u64(&mut buf, v);
+                put_u64(buf, v);
             }
-            put_u8(&mut buf, u8::from(ok.batched));
-            put_u32(&mut buf, ok.lanes_in_batch);
+            put_u8(buf, u8::from(ok.batched));
+            put_u32(buf, ok.lanes_in_batch);
         }
         Response::Busy { id } => {
-            put_u8(&mut buf, 0x82);
-            put_u64(&mut buf, *id);
+            put_u8(buf, 0x82);
+            put_u64(buf, *id);
         }
         Response::Error { id, message } => {
-            put_u8(&mut buf, 0x83);
-            put_u64(&mut buf, *id);
-            put_str(&mut buf, message);
+            put_u8(buf, 0x83);
+            put_u64(buf, *id);
+            put_str(buf, message);
         }
         Response::Pong { nonce } => {
-            put_u8(&mut buf, 0x84);
-            put_u64(&mut buf, *nonce);
+            put_u8(buf, 0x84);
+            put_u64(buf, *nonce);
         }
         Response::Loaded { name } => {
-            put_u8(&mut buf, 0x85);
-            put_str(&mut buf, name);
+            put_u8(buf, 0x85);
+            put_str(buf, name);
         }
         Response::Trace { json } => {
-            put_u8(&mut buf, 0x86);
-            put_str(&mut buf, json);
+            put_u8(buf, 0x86);
+            put_str(buf, json);
         }
     }
-    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -624,7 +654,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 // Frame IO
 // ---------------------------------------------------------------------------
 
-/// Writes one frame (length prefix + payload) to `w`.
+/// Writes one frame (length prefix + payload) to `w` with a single
+/// `write_all`, so a `TCP_NODELAY` socket sends it as one segment rather
+/// than a 4-byte prefix segment followed by the payload.
 ///
 /// # Errors
 ///
@@ -637,8 +669,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> Result<(),
             max,
         });
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -744,5 +778,37 @@ impl FrameReader {
         let payload = self.buf[4..4 + len].to_vec();
         self.buf.drain(..4 + len);
         Ok(Some(payload))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn response_frames_append_whole_and_oversize_ones_leave_no_trace() {
+        let pong = Response::Pong { nonce: 7 };
+        let error = Response::Error {
+            id: 3,
+            message: "x".repeat(64),
+        };
+        let mut buf = Vec::new();
+        put_response_frame(&mut buf, &pong, 64).unwrap();
+        let before = buf.clone();
+        assert!(matches!(
+            put_response_frame(&mut buf, &error, 64),
+            Err(FrameError::Oversize { max: 64, .. })
+        ));
+        assert_eq!(buf, before);
+        put_response_frame(&mut buf, &error, 1024).unwrap();
+
+        let mut frames = FrameReader::new(1024);
+        frames.extend(&buf);
+        for expected in [pong, error] {
+            let payload = frames.next_frame().unwrap().expect("a whole frame");
+            assert_eq!(payload, encode_response(&expected));
+            assert_eq!(decode_response(&payload).unwrap(), expected);
+        }
+        assert!(!frames.mid_frame());
     }
 }

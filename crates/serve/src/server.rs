@@ -40,7 +40,9 @@ pub struct ServeConfig {
     /// to the SIMD chunk width so full batches hit the chunked kernels.
     pub batch_width: usize,
     /// Longest a pending request waits for lane-mates: an underfull
-    /// group launches at this deadline (continuous batching).
+    /// group launches at this deadline (continuous batching). A request
+    /// waits at all only when its spec's recent arrivals at the shard
+    /// predict a lane-mate within this window.
     pub max_batch_delay: Duration,
     /// Pending-request cap per shard; beyond it requests are shed with
     /// BUSY.

@@ -6,8 +6,13 @@
 //! dispatches the moment it fills the configured batch width, or at the
 //! `max_batch_delay` deadline if it is still underfull — so lanes fill
 //! toward the SIMD chunk width under load while a lone request never
-//! waits longer than the deadline.
+//! waits longer than the deadline. A new group waits only when its
+//! spec's recent arrival rate at the shard predicts a lane-mate within
+//! that deadline ([`lane_mate_unlikely`]); otherwise it dispatches at
+//! once.
 
+use std::collections::{HashMap, VecDeque};
+use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -27,7 +32,7 @@ use evolve_obs::{
 };
 
 use crate::net::Conn;
-use crate::protocol::{encode_response, write_frame, EvalResponse, Response};
+use crate::protocol::{put_response_frame, EvalResponse, Response};
 use crate::server::ServeConfig;
 
 /// How often a shard republishes its metrics snapshot at most.
@@ -104,6 +109,37 @@ struct Group {
     formed_ns: u64,
 }
 
+/// Why an affinity group dispatched; each counts in its own
+/// `evolve_serve_batches_total` series.
+#[derive(Clone, Copy, Debug)]
+enum Trigger {
+    /// The group holds `batch_width` lanes.
+    Full,
+    /// The spec's recent arrivals predict no lane-mate before the
+    /// deadline.
+    Idle,
+    /// The oldest lane waited out `max_batch_delay`, or the shard is
+    /// draining for shutdown.
+    Deadline,
+}
+
+/// Whether waiting is unlikely to collect a lane-mate. `recent` holds a
+/// spec's latest arrival instants at this shard, oldest first. When
+/// `width` of them span more than `width × window`, their mean gap
+/// exceeds the window, so fewer than one lane-mate is expected before the
+/// deadline. With fewer than `width` on record there is no rate to go by
+/// and the group waits.
+fn lane_mate_unlikely(recent: &VecDeque<Instant>, width: usize, window: Duration) -> bool {
+    let (Some(first), Some(last)) = (recent.front(), recent.back()) else {
+        return false;
+    };
+    let horizon = u32::try_from(width)
+        .ok()
+        .and_then(|w| window.checked_mul(w))
+        .unwrap_or(Duration::MAX);
+    recent.len() >= width && last.saturating_duration_since(*first) > horizon
+}
+
 /// A shard's view of the flight recorder: its own track (the single
 /// writer is the shard thread) and the pre-registered partition-worker
 /// tracks it lends to engines via [`PartitionTracer`].
@@ -134,6 +170,9 @@ struct Worker {
     /// interval and publishes then.
     publish_pending: bool,
     flight: Option<ShardFlight>,
+    /// Response frames bound for one connection, reused across
+    /// dispatches.
+    out: Vec<u8>,
 }
 
 impl Worker {
@@ -157,6 +196,7 @@ impl Worker {
             last_publish: None,
             publish_pending: false,
             flight,
+            out: Vec::new(),
         }
     }
 
@@ -187,48 +227,76 @@ impl Worker {
 
     fn run(mut self, receiver: Receiver<Job>) {
         let width = self.cfg.batch_width.max(1);
+        let window = self.cfg.max_batch_delay;
         let immediate = self.cfg.naive || width == 1;
         let mut groups: Vec<(ModelSpec, Group)> = Vec::new();
+        // Groups that reached `width` lanes during a drain.
+        let mut full: Vec<(ModelSpec, Group)> = Vec::new();
+        // Each spec's last `width` arrival instants at this shard. Like
+        // the engine caches it keeps every spec it has served: a
+        // forgotten spec would park its next request for the full
+        // deadline.
+        let mut arrivals: HashMap<ModelSpec, VecDeque<Instant>> = HashMap::new();
         self.publish(true);
         loop {
             let timeout = groups
                 .iter()
-                .map(|(_, g)| g.first_at + self.cfg.max_batch_delay)
+                .map(|(_, g)| g.first_at + window)
                 .chain(self.publish_deadline())
                 .map(|deadline| deadline.saturating_duration_since(Instant::now()))
                 .min()
                 .unwrap_or(IDLE_TICK);
             match receiver.recv_timeout(timeout) {
-                Ok(job) => {
+                Ok(job) if immediate => {
                     self.counters.requests += 1;
-                    if immediate {
-                        let spec = job.spec.clone();
-                        let formed_ns = self.flight_now();
-                        self.dispatch(&spec, vec![job], true, formed_ns);
-                        continue;
-                    }
-                    let pos = groups.iter().position(|(spec, _)| *spec == job.spec);
-                    match pos {
-                        Some(i) => groups[i].1.jobs.push(job),
-                        None => {
-                            let formed_ns = self.flight_now();
-                            groups.push((
-                                job.spec.clone(),
-                                Group {
-                                    first_at: Instant::now(),
-                                    jobs: vec![job],
-                                    formed_ns,
-                                },
-                            ));
+                    let spec = job.spec.clone();
+                    let formed_ns = self.flight_now();
+                    self.dispatch(&spec, vec![job], Trigger::Full, formed_ns);
+                    continue;
+                }
+                Ok(job) => {
+                    // Park every queued job before evaluating anything,
+                    // so a burst that is already queued groups together.
+                    // Groups created from here on were formed in this
+                    // drain (their `first_at` is not earlier).
+                    let drained_at = Instant::now();
+                    let mut next = Some(job);
+                    while let Some(job) = next {
+                        self.counters.requests += 1;
+                        let now = Instant::now();
+                        let recent = arrivals
+                            .entry(job.spec.clone())
+                            .or_insert_with(|| VecDeque::with_capacity(width));
+                        if recent.len() == width {
+                            recent.pop_front();
                         }
+                        recent.push_back(now);
+                        let i = match groups.iter().position(|(spec, _)| *spec == job.spec) {
+                            Some(i) => i,
+                            None => {
+                                let formed_ns = self.flight_now();
+                                let group = Group {
+                                    jobs: Vec::with_capacity(width),
+                                    first_at: now,
+                                    formed_ns,
+                                };
+                                groups.push((job.spec.clone(), group));
+                                groups.len() - 1
+                            }
+                        };
+                        groups[i].1.jobs.push(job);
+                        if groups[i].1.jobs.len() == width {
+                            full.push(groups.swap_remove(i));
+                        }
+                        next = receiver.try_recv().ok();
                     }
-                    let full = groups
-                        .iter()
-                        .position(|(_, g)| g.jobs.len() >= width)
-                        .map(|i| groups.swap_remove(i));
-                    if let Some((spec, group)) = full {
-                        self.dispatch(&spec, group.jobs, true, group.formed_ns);
+                    for (spec, group) in full.drain(..) {
+                        self.dispatch(&spec, group.jobs, Trigger::Full, group.formed_ns);
                     }
+                    self.dispatch_where(&mut groups, Trigger::Idle, |spec, group| {
+                        group.first_at >= drained_at
+                            && lane_mate_unlikely(&arrivals[spec], width, window)
+                    });
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // Idle tick or the end of a throttled interval:
@@ -240,7 +308,7 @@ impl Worker {
                     // Graceful drain: every already-admitted request is
                     // evaluated and answered before the shard exits.
                     for (spec, group) in groups.drain(..) {
-                        self.dispatch(&spec, group.jobs, false, group.formed_ns);
+                        self.dispatch(&spec, group.jobs, Trigger::Deadline, group.formed_ns);
                     }
                     self.publish(true);
                     return;
@@ -252,24 +320,36 @@ impl Worker {
                 self.publish(false);
             }
             let now = Instant::now();
-            let mut i = 0;
-            while i < groups.len() {
-                if now.saturating_duration_since(groups[i].1.first_at) >= self.cfg.max_batch_delay
-                {
-                    let (spec, group) = groups.swap_remove(i);
-                    self.dispatch(&spec, group.jobs, false, group.formed_ns);
-                } else {
-                    i += 1;
-                }
+            self.dispatch_where(&mut groups, Trigger::Deadline, |_, group| {
+                now.saturating_duration_since(group.first_at) >= window
+            });
+        }
+    }
+
+    /// Takes every parked group `due` picks out of `groups` and
+    /// dispatches it with `trigger`.
+    fn dispatch_where(
+        &mut self,
+        groups: &mut Vec<(ModelSpec, Group)>,
+        trigger: Trigger,
+        due: impl Fn(&ModelSpec, &Group) -> bool,
+    ) {
+        let mut i = 0;
+        while i < groups.len() {
+            if due(&groups[i].0, &groups[i].1) {
+                let (spec, group) = groups.swap_remove(i);
+                self.dispatch(&spec, group.jobs, trigger, group.formed_ns);
+            } else {
+                i += 1;
             }
         }
     }
 
-    fn dispatch(&mut self, spec: &ModelSpec, jobs: Vec<Job>, full: bool, formed_ns: u64) {
-        if full {
-            self.counters.batches_full += 1;
-        } else {
-            self.counters.batches_deadline += 1;
+    fn dispatch(&mut self, spec: &ModelSpec, jobs: Vec<Job>, trigger: Trigger, formed_ns: u64) {
+        match trigger {
+            Trigger::Full => self.counters.batches_full += 1,
+            Trigger::Idle => self.counters.batches_idle += 1,
+            Trigger::Deadline => self.counters.batches_deadline += 1,
         }
         let n = jobs.len();
         if let Some(f) = &self.flight {
@@ -366,6 +446,7 @@ impl Worker {
                 ..BatchCounters::default()
             });
         }
+        let mut lanes = Vec::with_capacity(n);
         for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
             let ff = prepared.engine.lane_fast_forward_stats(lane);
             if let Some(sink) = self.sink.as_deref_mut() {
@@ -374,10 +455,16 @@ impl Worker {
             }
             self.counters.lanes_batched += 1;
             let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
-            self.respond(&job.writer, &Response::EvalOk(resp), job.corr);
+            lanes.push((job, Response::EvalOk(resp)));
         }
         if let Some(Ok(pool)) = self.caches.batch.get_mut(spec) {
             pool.push(prepared);
+        }
+        // One write per connection: the stable sort brings each
+        // connection's lanes together in their batch order.
+        lanes.sort_by_key(|(job, _)| Arc::as_ptr(&job.writer));
+        for same_conn in lanes.chunk_by(|a, b| Arc::ptr_eq(&a.0.writer, &b.0.writer)) {
+            self.respond(same_conn);
         }
     }
 
@@ -446,34 +533,60 @@ impl Worker {
         }
         self.counters.lanes_scalar += 1;
         let resp = eval_ok(job.id, &outcome, fast_forward, attached, false, lanes_in_batch);
-        self.respond(&job.writer, &Response::EvalOk(resp), job.corr);
+        self.respond(&[(job, Response::EvalOk(resp))]);
     }
 
-    fn respond(&mut self, writer: &Arc<Mutex<Conn>>, resp: &Response, corr: u64) {
-        let encode_start = self.flight_now();
-        let payload = encode_response(resp);
+    /// Answers lanes that share one connection (`lanes[0]`'s): every
+    /// frame goes into the shard's reused buffer, then out with one
+    /// `write_all` under one lock. The shard only answers evaluations, so
+    /// each lane written counts as a response.
+    fn respond(&mut self, lanes: &[(Job, Response)]) {
+        let Some((first, _)) = lanes.first() else { return };
+        let max = self.cfg.max_frame_len;
+        self.out.clear();
+        let mut encoded = 0;
+        for (job, resp) in lanes {
+            let encode_start = self.flight_now();
+            if put_response_frame(&mut self.out, resp, max).is_err() {
+                break;
+            }
+            if let Some(f) = &self.flight {
+                f.record(Phase::Encode, job.corr, encode_start, f.recorder.now_ns(), 0, 0);
+            }
+            encoded += 1;
+        }
         let write_start = self.flight_now();
-        let mut conn = writer.lock().unwrap_or_else(|e| e.into_inner());
-        match write_frame(&mut *conn, &payload, self.cfg.max_frame_len) {
-            Ok(()) => {
-                if matches!(resp, Response::EvalOk(_)) {
-                    self.counters.responses += 1;
-                }
-            }
-            Err(_) => {
-                // Peer gone or write timed out mid-response: the frame
-                // stream is unsynchronisable, so close both halves
-                // (unblocking the connection's reader) and count it.
-                conn.shutdown();
-                self.counters.errors += 1;
-            }
+        let mut conn = first.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let written = conn.write_all(&self.out).and_then(|()| conn.flush()).is_ok();
+        let answered = if written { encoded } else { 0 };
+        if answered < lanes.len() {
+            // Peer gone, write timed out mid-response, or a frame over
+            // the cap: the frame stream is unsynchronisable, so close
+            // both halves (unblocking the connection's reader) and count
+            // every unanswered lane.
+            conn.shutdown();
         }
         drop(conn);
+        self.counters.responses += answered as u64;
+        self.counters.errors += (lanes.len() - answered) as u64;
         if let Some(f) = &self.flight {
-            f.record(Phase::Encode, corr, encode_start, write_start, 0, 0);
             // The write span includes lock acquisition: contention on the
-            // connection writer is response-path latency too.
-            f.record(Phase::Write, corr, write_start, f.recorder.now_ns(), 0, payload.len() as u64);
+            // connection writer is response-path latency too. Each lane's
+            // span covers the shared write and carries its own payload
+            // length, read back from its frame's prefix.
+            let write_end = f.recorder.now_ns();
+            let mut frames = self.out.as_slice();
+            for (job, _) in lanes {
+                let payload = match frames.split_first_chunk::<4>() {
+                    Some((prefix, rest)) => {
+                        let len = u32::from_le_bytes(*prefix) as usize;
+                        frames = &rest[len..];
+                        len
+                    }
+                    None => 0,
+                };
+                f.record(Phase::Write, job.corr, write_start, write_end, 0, payload as u64);
+            }
         }
     }
 
@@ -541,5 +654,43 @@ fn eval_ok(
             .unwrap_or_default(),
         batched,
         lanes_in_batch,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `n` arrival instants, `gap` apart.
+    fn arrivals(n: u32, gap: Duration) -> VecDeque<Instant> {
+        let t0 = Instant::now();
+        (0..n).map(|i| t0 + gap * i).collect()
+    }
+
+    #[test]
+    fn fewer_arrivals_than_the_width_wait() {
+        let window = Duration::from_millis(2);
+        assert!(!lane_mate_unlikely(&VecDeque::new(), 4, window));
+        assert!(!lane_mate_unlikely(&arrivals(3, Duration::from_secs(60)), 4, window));
+    }
+
+    #[test]
+    fn a_span_of_exactly_width_windows_waits_and_a_longer_one_dispatches() {
+        let window = Duration::from_millis(2);
+        let t0 = Instant::now();
+        let span = 4 * window;
+        let recent: VecDeque<Instant> = [t0, t0, t0, t0 + span].into();
+        assert!(!lane_mate_unlikely(&recent, 4, window));
+        let recent: VecDeque<Instant> = [t0, t0, t0, t0 + span + Duration::from_nanos(1)].into();
+        assert!(lane_mate_unlikely(&recent, 4, window));
+        assert!(lane_mate_unlikely(&arrivals(8, 2 * window), 8, window));
+        assert!(!lane_mate_unlikely(&arrivals(8, window / 2), 8, window));
+    }
+
+    #[test]
+    fn a_horizon_past_duration_max_saturates() {
+        let recent = arrivals(8, Duration::from_secs(3600));
+        assert!(!lane_mate_unlikely(&recent, 8, Duration::MAX));
+        assert!(!lane_mate_unlikely(&recent, 8, Duration::MAX / 4));
     }
 }

@@ -292,6 +292,175 @@ fn partitioned_wide_models_match_scalar_reference() {
     server.shutdown_and_join();
 }
 
+/// Once a spec's last `batch_width` arrivals at the shard span more than
+/// `batch_width` deadlines, fewer than one lane-mate is expected in the
+/// window: a lone request dispatches at once (trigger `idle`) instead of
+/// waiting out `max_batch_delay`, and stays bitwise identical to the
+/// scalar reference.
+#[test]
+fn idle_spec_dispatches_without_waiting_for_its_deadline() {
+    let window = Duration::from_millis(50);
+    let config = ServeConfig {
+        shards: 1,
+        batch_width: 4,
+        max_batch_delay: window,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        config,
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        Some("127.0.0.1:0"),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+
+    // One full batch puts four arrivals on record...
+    let spec = pipeline(4, 100, 3, 0);
+    for i in 0..4 {
+        client.send(&eval(i, &spec, &generated(12, 0xfeed + i))).unwrap();
+    }
+    for _ in 0..4 {
+        assert!(expect_ok(client.recv().unwrap()).batched);
+    }
+    // ...and a pause of more than four deadlines stretches the span of
+    // the last four past 4 x 50 ms when the next request arrives.
+    std::thread::sleep(5 * window);
+    let trace = generated(12, 0xcafe);
+    let ok = expect_ok(client.call(&eval(4, &spec, &trace)).unwrap());
+    assert!(!ok.batched, "a lone lane runs on the scalar path");
+    assert_eq!(ok.lanes_in_batch, 1);
+    let (outputs, acks) = reference(&spec, &trace);
+    assert_eq!(ok.outputs, outputs);
+    assert_eq!(ok.input_acks, acks);
+
+    let metrics = scrape_until(&server, |m| series(m, IDLE) > Some(0));
+    assert_eq!(series(&metrics, IDLE), Some(1), "the lone request dispatched idle");
+    assert_eq!(series(&metrics, DEADLINE), Some(0), "nothing waited out its deadline");
+    assert_eq!(series(&metrics, FULL), Some(1));
+    server.shutdown_and_join();
+}
+
+/// `2 x batch_width + 1` pipelined requests for a fresh spec come back as
+/// exactly two full batches, in arrival order, and one deadline lane,
+/// however the shard's drains happened to group them: a group splits at
+/// `batch_width` lanes, and the remainder waits, since arrivals this
+/// close together predict lane-mates.
+#[test]
+fn pipelined_burst_splits_into_full_batches_and_one_deadline_lane() {
+    let width = 4;
+    let config = ServeConfig {
+        shards: 1,
+        batch_width: width,
+        max_batch_delay: Duration::from_millis(100),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        config,
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        Some("127.0.0.1:0"),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+
+    let spec = pipeline(5, 90, 2, 0);
+    let traces: Vec<TracePayload> = (0..2 * width as u64 + 1)
+        .map(|i| generated(10, 0x5eed + i))
+        .collect();
+    for (i, trace) in traces.iter().enumerate() {
+        client.send(&eval(i as u64, &spec, trace)).unwrap();
+    }
+    for _ in 0..traces.len() {
+        let ok = expect_ok(client.recv().unwrap());
+        let (outputs, acks) = reference(&spec, &traces[ok.id as usize]);
+        assert_eq!(ok.outputs, outputs, "request {} outputs diverged", ok.id);
+        assert_eq!(ok.input_acks, acks, "request {} acks diverged", ok.id);
+        if ok.id < 2 * width as u64 {
+            assert!(ok.batched, "request {} should ride a full batch", ok.id);
+            assert_eq!(ok.lanes_in_batch, width as u32);
+        } else {
+            assert!(!ok.batched, "the last request is the remainder lane");
+            assert_eq!(ok.lanes_in_batch, 1);
+        }
+    }
+
+    let metrics = scrape_until(&server, |m| series(m, DEADLINE) > Some(0));
+    assert_eq!(series(&metrics, FULL), Some(2));
+    assert_eq!(series(&metrics, DEADLINE), Some(1));
+    assert_eq!(series(&metrics, IDLE), Some(0));
+    server.shutdown_and_join();
+}
+
+/// A lane whose answer exceeds the frame cap is never sent: the frames of
+/// its batch that fit go out, then that connection closes and the lane
+/// counts as an error, while other connections keep being served.
+#[test]
+fn oversize_answer_closes_its_connection_after_the_frames_that_fit() {
+    let config = ServeConfig {
+        shards: 1,
+        batch_width: 2,
+        max_batch_delay: Duration::from_secs(5),
+        max_frame_len: 4096,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        config,
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        Some("127.0.0.1:0"),
+    )
+    .unwrap();
+    let addr = server.tcp_addr().unwrap().to_string();
+    let mut client = ServeClient::connect_tcp(&addr).unwrap();
+
+    // One 2-lane batch: 4 outputs fit in 4096 bytes, 400 do not.
+    let spec = pipeline(2, 50, 1, 0);
+    let small = generated(4, 0x51);
+    client.send(&eval(0, &spec, &small)).unwrap();
+    client.send(&eval(1, &spec, &generated(400, 0x52))).unwrap();
+    let ok = expect_ok(client.recv().unwrap());
+    assert_eq!(ok.id, 0);
+    assert!(ok.batched);
+    let (outputs, acks) = reference(&spec, &small);
+    assert_eq!(ok.outputs, outputs);
+    assert_eq!(ok.input_acks, acks);
+    assert!(client.recv().is_err(), "the oversize answer must not be sent");
+
+    let mut other = ServeClient::connect_tcp(&addr).unwrap();
+    let pong = other.call(&Request::Ping { nonce: 3 }).unwrap();
+    assert_eq!(pong, Response::Pong { nonce: 3 });
+    let metrics = scrape_until(&server, |m| series(m, ERRORS) > Some(0));
+    assert_eq!(series(&metrics, ERRORS), Some(1));
+    assert_eq!(series(&metrics, RESPONSES), Some(1));
+    server.shutdown_and_join();
+}
+
+const ERRORS: &str = "evolve_serve_errors_total";
+const RESPONSES: &str = "evolve_serve_responses_total";
+const FULL: &str = "evolve_serve_batches_total{trigger=\"full\"}";
+const IDLE: &str = "evolve_serve_batches_total{trigger=\"idle\"}";
+const DEADLINE: &str = "evolve_serve_batches_total{trigger=\"deadline\"}";
+
+/// One series' value in a `/metrics` exposition, if exported.
+fn series(metrics: &str, name: &str) -> Option<u64> {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+}
+
+/// Scrapes `/metrics` until `done` holds or two 25 ms publish intervals
+/// have passed (a throttled shard publish lands by its interval's end),
+/// and returns the last exposition.
+fn scrape_until(server: &Server, done: impl Fn(&str) -> bool) -> String {
+    let addr = server.metrics_addr().unwrap().to_string();
+    let deadline = std::time::Instant::now() + 2 * Duration::from_millis(25);
+    loop {
+        let metrics = http_get(&addr, "/metrics");
+        if done(&metrics) || std::time::Instant::now() >= deadline {
+            return metrics;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 fn http_get(addr: &str, path: &str) -> String {
     use std::io::{Read as _, Write as _};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
