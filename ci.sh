@@ -12,6 +12,10 @@ cargo test -q --workspace --offline
 # The serving layer again in release: its timing (metrics publish
 # throttling, batch windows) only shows under optimized evaluation.
 cargo test --release -q -p evolve-serve --offline
+# The core suites again in release: overflowing lag sums panic in debug
+# builds and wrap in release, and the benchmark runs the compiled sweep's
+# shape-specialized slot arms only as optimized code.
+cargo test --release -q -p evolve-core --offline
 
 # Benchmark correctness: both perfbench workloads, short and untraced. It
 # is the only check of bitwise answers under open-loop load, with batched,

@@ -16,12 +16,18 @@
 //! rounds (as `perfbench` reports `lat_ms`): on a shared host the slower
 //! rounds mostly measure the neighbours. The split is a difference of
 //! those per-part figures.
+//!
+//! Two more rows time a one-lane `BatchedEngine` of the same graph under
+//! the same drive (`drive_batch`, whose boundary semantics are
+//! `drive_engine`'s) against the scalar compiled drives above, with
+//! observations off and on: whether one lockstep lane could stand in for
+//! the scalar engine.
 //! Usage: `cost_split [rounds] [seed]` (defaults: 300, 4242).
 
 use std::time::Instant;
 
-use evolve_core::{derive_tdg, Engine, EquivalentModelBuilder, EvalBackend};
-use evolve_explore::drive_engine;
+use evolve_core::{derive_tdg, BatchedEngine, Engine, EquivalentModelBuilder, EvalBackend};
+use evolve_explore::{drive_batch, drive_engine};
 use evolve_model::{didactic, elaborate, varying_sizes, Environment, Stimulus};
 
 /// Tokens per stimulus.
@@ -62,10 +68,16 @@ fn main() {
     let nodes = derived.tdg().node_count();
     let mut observing =
         Engine::with_backend(derived.clone(), relations, true, EvalBackend::Compiled);
-    let mut plain = Engine::with_backend(derived, relations, false, EvalBackend::Compiled);
+    let mut plain = Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
+    let one_lane = |record| {
+        BatchedEngine::try_new(derived.clone(), relations, record, 1)
+            .expect("Table I example 4 runs under the lockstep sweep")
+    };
+    let (mut lane_plain, mut lane_observing) = (one_lane(false), one_lane(true));
 
     let (mut conv, mut equiv, mut sweep, mut observed, mut copy) =
         (vec![], vec![], vec![], vec![], vec![]);
+    let (mut observing_drive, mut batch_plain, mut batch_observing) = (vec![], vec![], vec![]);
     let mut records = 0;
     for round in 0..WARMUP + rounds {
         let sim = elaborate(&d.arch, &env).expect("conventional model builds");
@@ -92,6 +104,22 @@ fn main() {
         assert_eq!(outcome.exec_records.len(), report.run.exec_records.len());
         let (log, copy_ms) = timed(|| observing.exec_records().to_vec());
         records = log.len();
+
+        // The same drive on one lockstep lane, both observation settings;
+        // `drive_batch` copies the record log too, as `drive_engine` does.
+        let mut one_lane_ms = [0.0; 2];
+        for (lane, ms) in [&mut lane_plain, &mut lane_observing]
+            .into_iter()
+            .zip(&mut one_lane_ms)
+        {
+            lane.reset(1);
+            let (lanes, lane_ms) = timed(|| drive_batch(lane, &[stimulus.arrivals()]));
+            assert_eq!(
+                lanes[0].outputs, outcome.outputs,
+                "one lane answers as the engine"
+            );
+            *ms = lane_ms;
+        }
         drop((report, outcome, log));
 
         if round >= WARMUP {
@@ -100,10 +128,18 @@ fn main() {
             sweep.push(plain_ms);
             observed.push(observing_ms - copy_ms);
             copy.push(copy_ms);
+            observing_drive.push(observing_ms);
+            batch_plain.push(one_lane_ms[0]);
+            batch_observing.push(one_lane_ms[1]);
         }
     }
 
     let (conv, equiv, sweep, observed) = (fast(conv), fast(equiv), fast(sweep), fast(observed));
+    let (observing, batch_plain, batch_observing) = (
+        fast(observing_drive),
+        fast(batch_plain),
+        fast(batch_observing),
+    );
     println!(
         "Table I example 4 ({nodes} nodes), {TOKENS} tokens, seed {seed}: \
          fastest decile of {rounds} rounds, ms per run"
@@ -125,5 +161,14 @@ fn main() {
     println!(
         "  record-log copy in drive_engine   {:8.3}   ({records} records)",
         fast(copy)
+    );
+    println!("one-lane BatchedEngine, same drive (drive_batch vs drive_engine, copies included)");
+    println!(
+        "  observations off                  {batch_plain:8.3}   ({:.2}x the scalar {sweep:.3})",
+        batch_plain / sweep
+    );
+    println!(
+        "  observations on                   {batch_observing:8.3}   ({:.2}x the scalar {observing:.3})",
+        batch_observing / observing
     );
 }

@@ -331,9 +331,7 @@ fn eval_general_slot(
     record: bool,
     sink: &mut ObsSink<'_>,
 ) {
-    let (c0, chi) = (ct.const_offsets[slot] as usize, ct.const_offsets[slot + 1] as usize);
-    let (s0, shi) = (ct.slow_offsets[slot] as usize, ct.slow_offsets[slot + 1] as usize);
-    let (e0, ehi) = (ct.exec_offsets[slot] as usize, ct.exec_offsets[slot + 1] as usize);
+    let [cs, ss, es] = ct.arc_ranges(slot);
     let obs = ct.obs[slot];
     let (lo, rest) = acc.split_at_mut(slot * stride);
     let dst = &mut rest[..stride];
@@ -341,7 +339,7 @@ fn eval_general_slot(
     // Slow stream: delayed constant arcs (delay ≥ 1 by construction), read
     // through the history ring, folded full-width — `ε ⊗ lag = ε` keeps the
     // fold branch-free per lane.
-    for i in s0..shi {
+    for i in ss {
         let delay = u64::from(ct.slow_delays[i]);
         let lag = ct.slow_lags[i];
         let row = if delay > k {
@@ -361,7 +359,7 @@ fn eval_general_slot(
     // Exec stream: data-dependent arcs, evaluated per offered lane against
     // that lane's token sizes. Stash writes are last-wins in arc order,
     // matching the scalar sweep.
-    for i in e0..ehi {
+    for i in es {
         let delay = u64::from(ct.exec_delays[i]);
         let src = ct.exec_src_pos[i] as usize;
         let dense = ct.exec_stash_dense[i];
@@ -394,7 +392,7 @@ fn eval_general_slot(
     }
     // Const stream: same-iteration constant arcs over earlier tail rows —
     // the vectorizable common case.
-    for i in c0..chi {
+    for i in cs {
         let src = ct.const_src_pos[i] as usize;
         kernel::fold_max_otimes(dst, &lo[src * stride..(src + 1) * stride], ct.const_lags[i]);
     }

@@ -27,7 +27,9 @@
 //!   arc and fold many scenario lanes under it;
 //! * per-node metadata (observation action, acknowledgment/notification
 //!   target, dense exec-stash slot) packed into a flat SoA instruction
-//!   stream aligned with the schedule.
+//!   stream aligned with the schedule;
+//! * a [`SlotShape`] tag per slot with the slot's first arc in each stream:
+//!   which straight-line arm of the sweeps' slot evaluator folds it.
 //!
 //! [`Engine`](crate::Engine) evaluates one iteration of the compiled
 //! program as a single linear sweep (`max`-fold over arc ranges instead of
@@ -474,6 +476,37 @@ impl Durations {
     }
 }
 
+/// The arc shape of a schedule slot, tagged at lowering: which arm of the
+/// sweeps' slot evaluator folds it. The first six read the slot's CSR
+/// ranges in straight-line code; [`SlotShape::General`] walks them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SlotShape {
+    /// One same-iteration constant arc.
+    Const1,
+    /// Two same-iteration constant arcs.
+    Const2,
+    /// Three same-iteration constant arcs.
+    Const3,
+    /// One same-iteration exec arc.
+    Exec1,
+    /// One delay-1 slow arc plus one constant arc.
+    Slow1Const1,
+    /// Two delay-1 slow arcs plus one constant arc.
+    Slow2Const1,
+    /// Any other mix of arcs (including none).
+    General,
+}
+
+/// A slot's [`SlotShape`] and first constant (`c`), slow (`s`) and exec
+/// (`e`) arc: what the slot evaluator needs to find its arcs, in one load.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SlotOp {
+    pub(crate) shape: SlotShape,
+    pub(crate) c: u32,
+    pub(crate) s: u32,
+    pub(crate) e: u32,
+}
+
 /// A derived TDG lowered into a levelized, CSR-flattened evaluation program
 /// (see the [module docs](self)).
 ///
@@ -524,6 +557,8 @@ pub struct CompiledTdg {
     /// The exec weights lowered into the flat duration evaluator (aligned
     /// with the exec stream).
     pub(crate) durations: Durations,
+    /// Arc shape and first arcs per schedule slot.
+    pub(crate) slots: Vec<SlotOp>,
     /// Schedule slot of each node (`pos_of_node[schedule[s]] == s`): the
     /// inverse permutation of the schedule. Lane state indexed by *slot*
     /// instead of node id makes consecutive schedule writes land in
@@ -622,12 +657,15 @@ impl CompiledTdg {
         let mut exec_delays = Vec::new();
         let mut exec_stash_dense = Vec::new();
         let mut durations = Durations::default();
+        let mut slots = Vec::with_capacity(n);
+        let mut simple_slots = Vec::with_capacity(n);
         const_offsets.push(0u32);
         slow_offsets.push(0u32);
         exec_offsets.push(0u32);
         for &slot_node in &schedule {
             let node = slot_node as usize;
             obs.push(meta.obs[node]);
+            let (c, s, e) = (const_srcs.len(), slow_srcs.len(), exec_srcs.len());
             for &ai in &tdg.incoming[node] {
                 let arc = &tdg.arcs[ai];
                 if !arc.weight.execs.is_empty() {
@@ -655,6 +693,24 @@ impl CompiledTdg {
             const_offsets.push(const_srcs.len() as u32);
             slow_offsets.push(slow_srcs.len() as u32);
             exec_offsets.push(exec_srcs.len() as u32);
+            let consts = const_srcs.len() - c;
+            let shape = match (consts, &slow_delays[s..], &exec_delays[e..]) {
+                (1, [], []) => SlotShape::Const1,
+                (2, [], []) => SlotShape::Const2,
+                (3, [], []) => SlotShape::Const3,
+                (0, [], [0]) => SlotShape::Exec1,
+                (1, [1], []) => SlotShape::Slow1Const1,
+                (1, [1, 1], []) => SlotShape::Slow2Const1,
+                _ => SlotShape::General,
+            };
+            let (c, s, e) = (c as u32, s as u32, e as u32);
+            slots.push(SlotOp { shape, c, s, e });
+            simple_slots.push(
+                matches!(meta.obs[node], Obs::None)
+                    && consts > 0
+                    && slow_srcs.len() == s as usize
+                    && exec_srcs.len() == e as usize,
+            );
         }
 
         // Retiling: the inverse schedule permutation plus src streams
@@ -667,14 +723,6 @@ impl CompiledTdg {
         let const_src_pos: Vec<u32> = const_srcs.iter().map(|&s| pos_of_node[s as usize]).collect();
         let slow_src_pos: Vec<u32> = slow_srcs.iter().map(|&s| pos_of_node[s as usize]).collect();
         let exec_src_pos: Vec<u32> = exec_srcs.iter().map(|&s| pos_of_node[s as usize]).collect();
-        let simple_slots: Vec<bool> = (0..schedule.len())
-            .map(|slot| {
-                matches!(obs[slot], Obs::None)
-                    && const_offsets[slot + 1] > const_offsets[slot]
-                    && slow_offsets[slot + 1] == slow_offsets[slot]
-                    && exec_offsets[slot + 1] == exec_offsets[slot]
-            })
-            .collect();
         let slots_where = |keep: &dyn Fn(Obs) -> bool| -> Vec<u32> {
             (0..obs.len())
                 .filter(|&slot| keep(obs[slot]))
@@ -707,6 +755,7 @@ impl CompiledTdg {
             exec_delays,
             exec_stash_dense,
             durations,
+            slots,
             pos_of_node,
             const_src_pos,
             slow_src_pos,
@@ -785,6 +834,23 @@ impl CompiledTdg {
         self.exec_srcs.len()
     }
 
+    /// Slot `slot`'s constant, slow and exec arcs: index ranges into the
+    /// three CSR streams.
+    #[inline(always)]
+    pub(crate) fn arc_ranges(&self, slot: usize) -> [std::ops::Range<usize>; 3] {
+        [&self.const_offsets, &self.slow_offsets, &self.exec_offsets]
+            .map(|offsets| offsets[slot] as usize..offsets[slot + 1] as usize)
+    }
+
+    /// Every scheduled node with the arc shape of its slot, in schedule
+    /// order.
+    pub fn slot_shapes(&self) -> impl Iterator<Item = (NodeId, SlotShape)> + '_ {
+        self.schedule
+            .iter()
+            .zip(&self.slots)
+            .map(|(&node, op)| (NodeId(node as usize), op.shape))
+    }
+
     /// Total element capacity across the compiled buffers — the term the
     /// lowering adds to [`AllocationFootprint`](crate::AllocationFootprint).
     /// Constant after lowering: evaluation and engine reset never touch the
@@ -805,6 +871,7 @@ impl CompiledTdg {
             + self.exec_delays.capacity()
             + self.exec_stash_dense.capacity()
             + self.durations.buffer_elements()
+            + self.slots.capacity()
             + self.pos_of_node.capacity()
             + self.const_src_pos.capacity()
             + self.slow_src_pos.capacity()
@@ -862,6 +929,44 @@ mod tests {
         let compiled =
             CompiledTdg::lower(derived.tdg(), derived.topo_order(), &meta, derived.size_rules());
         (derived, compiled)
+    }
+
+    /// Every slot of the paper's models that a sweep folds has one of the
+    /// six specialized shapes: Table I examples 1–8, the LTE receiver of
+    /// Fig. 6, and pipelines padded by 64 nodes as in Fig. 5 and
+    /// `serve-open`. The input slot has no arcs (the offer sets it) and is
+    /// never folded.
+    #[test]
+    fn paper_models_need_no_general_arm() {
+        let check = |name: String, arch: &evolve_model::Architecture, padding: usize| {
+            let mut derived = derive_tdg(arch).unwrap();
+            if padding > 0 {
+                derived.map_tdg(|t| synthetic::pad(t, padding));
+            }
+            let tdg = derived.tdg();
+            let meta = lower_node_meta(tdg, arch.app().relations().len());
+            let c = CompiledTdg::lower(tdg, derived.topo_order(), &meta, derived.size_rules());
+            for (node, shape) in c.slot_shapes() {
+                let kind = &tdg.nodes()[node.index()].kind;
+                if matches!(kind, NodeKind::Input { .. }) {
+                    assert_eq!(shape, SlotShape::General, "{name}: the input has no arcs");
+                } else {
+                    assert_ne!(
+                        shape,
+                        SlotShape::General,
+                        "{name}: {kind:?} takes the general arm"
+                    );
+                }
+            }
+        };
+        for stages in 1..=8 {
+            let d = evolve_model::didactic::chained(stages, Default::default()).unwrap();
+            check(format!("Table I example {stages}"), &d.arch, 0);
+            let p = synthetic::pipeline(stages, 60, 1).unwrap();
+            check(format!("{stages}-stage pipeline + 64"), &p.arch, 64);
+        }
+        let rx = evolve_lte::receiver(evolve_lte::Scenario::default()).unwrap();
+        check("LTE receiver".to_string(), &rx.arch, 0);
     }
 
     #[test]

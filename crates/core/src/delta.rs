@@ -31,7 +31,9 @@
 //!    comparisons see no difference and stay clean). When the sibling's
 //!    offers match the base trace and the seed frontier is empty, the whole
 //!    sweep collapses to an O(nodes) copy — the steady-state regime the
-//!    `delta_points` benchmark grid measures.
+//!    `delta_points` benchmark grid measures. A sibling whose trace has
+//!    diverged (two offers in a row off the base trace, the first sweep
+//!    reusing no node) takes the full sweep for its remaining offers.
 //!
 //! Emissions (outputs, acknowledgments, logs, exec records) are produced by
 //! the ordinary observation path in both branches, so a delta-evaluated
@@ -108,7 +110,8 @@ pub struct DeltaStats {
     /// frontier recomputation).
     pub calls_delta: u64,
     /// Input offers evaluated fully while a base was attached (beyond the
-    /// cached rows, or after a worklist fallback).
+    /// cached rows, after a worklist fallback, or once the sibling's trace
+    /// diverged from the base).
     pub calls_full: u64,
     /// Node instants copied from the base cache without recomputation.
     pub nodes_reused: u64,
@@ -209,6 +212,12 @@ pub(crate) struct DeltaLink {
     /// Whether every offer so far matched the base trace; with an empty
     /// seed frontier this enables the O(nodes) collapse fast path.
     pub(crate) offers_matched: bool,
+    /// Whether the last delta sweep's offer missed the base trace and the
+    /// sweep reused no node.
+    pub(crate) cold: bool,
+    /// Set when an offer misses the base trace right after a cold sweep:
+    /// this and every later offer take the full compiled sweep.
+    pub(crate) diverged: bool,
     /// Precomputed constants of the bulk collapse over a fresh tail.
     pub(crate) collapse: CollapsePlan,
     /// Work counters of this link.
@@ -245,12 +254,8 @@ impl CollapsePlan {
             .iter()
             .position(|&nd| nd as usize == input_node)
             .expect("schedule is a permutation of all nodes");
-        let span = |offsets: &[u32], slot: usize| (offsets[slot + 1] - offsets[slot]) as u64;
-        let total = |offsets: &[u32]| (offsets[slots] - offsets[0]) as u64;
-        let arcs = total(&ct.const_offsets) + total(&ct.slow_offsets) + total(&ct.exec_offsets)
-            - span(&ct.const_offsets, input_slot)
-            - span(&ct.slow_offsets, input_slot)
-            - span(&ct.exec_offsets, input_slot);
+        let input_arcs: usize = ct.arc_ranges(input_slot).iter().map(|r| r.len()).sum();
+        let arcs = ct.const_arc_count() + ct.slow_arc_count() + ct.exec_arc_count() - input_arcs;
         let observed = ct
             .schedule
             .iter()
@@ -260,7 +265,7 @@ impl CollapsePlan {
             .collect();
         CollapsePlan {
             nodes: slots as u64,
-            arcs,
+            arcs: arcs as u64,
             reused: (slots - 1) as u64,
             observed,
         }
@@ -312,21 +317,12 @@ pub(crate) fn compute_seeds(
     let mut seeds = vec![false; slots];
     let mut seed_count = 0usize;
     for (slot, seed) in seeds.iter_mut().enumerate() {
-        let (c0, chi) = (
-            base.const_offsets[slot] as usize,
-            base.const_offsets[slot + 1] as usize,
-        );
-        let (s0, shi) = (
-            base.slow_offsets[slot] as usize,
-            base.slow_offsets[slot + 1] as usize,
-        );
-        let (e0, ehi) = (
-            base.exec_offsets[slot] as usize,
-            base.exec_offsets[slot + 1] as usize,
-        );
-        let seeded = base.const_lags[c0..chi] != sib.const_lags[c0..chi]
-            || base.slow_lags[s0..shi] != sib.slow_lags[s0..shi]
-            || (e0..ehi).any(|i| !base.durations.same_arc(&sib.durations, i));
+        let [cs, ss, es] = base.arc_ranges(slot);
+        let seeded = base.const_lags[cs.clone()] != sib.const_lags[cs]
+            || base.slow_lags[ss.clone()] != sib.slow_lags[ss]
+            || es
+                .into_iter()
+                .any(|i| !base.durations.same_arc(&sib.durations, i));
         if seeded {
             *seed = true;
             seed_count += 1;

@@ -28,10 +28,12 @@
 //! and arc evaluation reads weights in place. On top of that, the default
 //! [`EvalBackend::Compiled`] lowers the graph into a [`CompiledTdg`] —
 //! a levelized schedule with CSR-flattened arcs and pre-lowered durations —
-//! and evaluates steady-state iterations as one branch-light linear sweep
-//! that writes its observation logs in place, instead of worklist
-//! propagation; [`EvalBackend::Worklist`] keeps the propagation path as the
-//! bitwise reference (see `tests/backend_conformance.rs`).
+//! and evaluates steady-state iterations as one linear sweep that writes
+//! its observation logs in place, instead of worklist propagation. Every
+//! compiled sweep folds a slot through one evaluator, `eval_slot`, whose
+//! straight-line arms follow the slot's [`SlotShape`] tag;
+//! [`EvalBackend::Worklist`] keeps the propagation path as the bitwise
+//! reference (see `tests/backend_conformance.rs`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -41,7 +43,7 @@ use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
 use evolve_obs::{BackendKind, EngineEvent, Observer, PartitionTracer, Phase as FlightPhase};
 
-use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs};
+use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs, SlotShape};
 use crate::parallel::{
     pin_current_thread, ParallelConfig, ParallelRuntime, PartitionMode, PartitionPlan,
     PartitionStats, SpinBarrier, WorkerFlight,
@@ -153,10 +155,12 @@ struct IterState {
 }
 
 impl IterState {
-    fn fresh(nodes: usize, relations: usize, execs: usize) -> Self {
+    /// A state with the in-degree template applied.
+    fn fresh(template: &[u32], relations: usize, execs: usize) -> Self {
+        let nodes = template.len();
         IterState {
             acc: vec![MaxPlus::EPSILON; nodes],
-            remaining: vec![0; nodes],
+            remaining: template.to_vec(),
             computed: vec![false; nodes],
             sizes: vec![0; relations],
             exec_stash: vec![(MaxPlus::EPSILON, 0); execs],
@@ -224,23 +228,172 @@ pub(crate) fn eval_weight(
     (lag, ops_total)
 }
 
-/// Token size of relation `rel` at iteration `k − delay` (`delay <= k`) for
-/// the compiled sweeps' duration evaluation: iteration `k` itself is held
-/// outside the ring (`tail`), older ones are read through it.
-#[inline(always)]
-fn size_at(
-    ring: &VecDeque<IterState>,
-    base: u64,
-    tail: &IterState,
+/// The history rows a compiled sweep of iteration `k` reads: older
+/// iterations through the ring, with row `k − 1` (the common resource and
+/// back-pressure arcs) looked up once per sweep. Pre-history and pruned
+/// iterations read as the process-start baseline E and token size 0.
+struct History<'a> {
+    ring: &'a VecDeque<IterState>,
+    base_k: u64,
     k: u64,
-    rel: usize,
-    delay: u64,
-) -> u64 {
-    if delay == 0 {
-        tail.sizes[rel]
-    } else {
-        iter_at(ring, base, k - delay).map_or(0, |it| it.sizes[rel])
+    prev: Option<&'a IterState>,
+}
+
+impl<'a> History<'a> {
+    fn new(ring: &'a VecDeque<IterState>, base_k: u64, k: u64) -> Self {
+        let prev = (k >= 1).then(|| iter_at(ring, base_k, k - 1)).flatten();
+        History {
+            ring,
+            base_k,
+            k,
+            prev,
+        }
     }
+
+    /// Iteration `k − delay` (`delay >= 1`), if still materialized.
+    #[inline(always)]
+    fn row(&self, delay: u64) -> Option<&'a IterState> {
+        if delay == 1 {
+            self.prev
+        } else {
+            (delay <= self.k)
+                .then(|| iter_at(self.ring, self.base_k, self.k - delay))
+                .flatten()
+        }
+    }
+
+    /// Node `src`'s instant at iteration `k − delay` (`delay >= 1`).
+    #[inline(always)]
+    fn acc(&self, delay: u32, src: u32) -> MaxPlus {
+        self.row(u64::from(delay))
+            .map_or(MaxPlus::E, |it| it.acc[src as usize])
+    }
+
+    /// Relation `rel`'s token size at iteration `k − delay`: iteration `k`
+    /// itself from `now`, which the sweep holds outside the ring.
+    #[inline(always)]
+    fn size(&self, now: &[u64], rel: usize, delay: u64) -> u64 {
+        if delay == 0 {
+            now[rel]
+        } else {
+            self.row(delay).map_or(0, |it| it.sizes[rel])
+        }
+    }
+}
+
+/// `x ⊗ lag` for a finite `lag`, as every lowered lag is: [`MaxPlus::otimes`]
+/// without its check of the lag.
+#[inline(always)]
+fn plus_lag(x: MaxPlus, lag: MaxPlus) -> MaxPlus {
+    debug_assert!(lag.is_finite());
+    if x.is_epsilon() {
+        x
+    } else {
+        MaxPlus::from_raw(
+            x.raw()
+                .saturating_add(lag.raw())
+                .clamp(i64::MIN + 1, i64::MAX - 1),
+        )
+    }
+}
+
+/// Exec arc `i`'s term for source instant `src_val`, its duration evaluated
+/// against iteration `hist.k`'s token sizes `sizes`; a duration arc writes
+/// its `(start, ops)` into `stash` when one is given. An `ε` source
+/// contributes nothing and evaluates no duration.
+#[inline(always)]
+fn exec_term(
+    ct: &CompiledTdg,
+    hist: &History<'_>,
+    sizes: &[u64],
+    stash: &mut Option<&mut [(MaxPlus, u64)]>,
+    i: usize,
+    src_val: MaxPlus,
+) -> MaxPlus {
+    if src_val.is_epsilon() {
+        return MaxPlus::EPSILON;
+    }
+    let (lag, ops) = ct
+        .durations
+        .eval(i, hist.k, |rel, d| hist.size(sizes, rel, d));
+    let dense = ct.exec_stash_dense[i];
+    if let (Some(stash), true) = (stash.as_deref_mut(), dense != u32::MAX) {
+        stash[dense as usize] = (src_val, ops);
+    }
+    plus_lag(src_val, MaxPlus::new(lag as i64))
+}
+
+/// The one slot body of every scalar compiled sweep: slot `slot`'s arcs
+/// `⊕`-folded over the process-start baseline E for iteration `hist.k`,
+/// and the number of arcs, by straight-line code per [`SlotShape`].
+/// `now(src)` reads a same-iteration instant, `sizes` are iteration `k`'s.
+#[inline(always)]
+fn eval_slot(
+    ct: &CompiledTdg,
+    slot: usize,
+    hist: &History<'_>,
+    sizes: &[u64],
+    mut stash: Option<&mut [(MaxPlus, u64)]>,
+    mut now: impl FnMut(u32) -> MaxPlus,
+) -> (MaxPlus, u64) {
+    let mut konst = |i: usize| plus_lag(now(ct.const_srcs[i]), ct.const_lags[i]);
+    let prev = |i: usize| {
+        let src = ct.slow_srcs[i] as usize;
+        plus_lag(
+            hist.prev.map_or(MaxPlus::E, |it| it.acc[src]),
+            ct.slow_lags[i],
+        )
+    };
+    let fold = |acc: MaxPlus, arcs: u64| (MaxPlus::E.oplus(acc), arcs);
+    let op = ct.slots[slot];
+    let (c, s, e) = (op.c as usize, op.s as usize, op.e as usize);
+    match op.shape {
+        SlotShape::Const1 => fold(konst(c), 1),
+        SlotShape::Const2 => fold(konst(c).oplus(konst(c + 1)), 2),
+        SlotShape::Const3 => fold(konst(c).oplus(konst(c + 1)).oplus(konst(c + 2)), 3),
+        SlotShape::Slow1Const1 => fold(prev(s).oplus(konst(c)), 2),
+        SlotShape::Slow2Const1 => fold(prev(s).oplus(prev(s + 1)).oplus(konst(c)), 3),
+        SlotShape::Exec1 => fold(
+            exec_term(ct, hist, sizes, &mut stash, e, now(ct.exec_srcs[e])),
+            1,
+        ),
+        SlotShape::General => eval_general(ct, slot, hist, sizes, &mut stash, &mut now),
+    }
+}
+
+/// The general arm of [`eval_slot`]: the walk over the slot's three CSR
+/// ranges. Out of line, so the sweeps' hot loops inline only the shapes.
+#[inline(never)]
+fn eval_general(
+    ct: &CompiledTdg,
+    slot: usize,
+    hist: &History<'_>,
+    sizes: &[u64],
+    stash: &mut Option<&mut [(MaxPlus, u64)]>,
+    now: &mut impl FnMut(u32) -> MaxPlus,
+) -> (MaxPlus, u64) {
+    let [cs, ss, es] = ct.arc_ranges(slot);
+    let arcs = (cs.len() + ss.len() + es.len()) as u64;
+    let mut acc = MaxPlus::E;
+    for i in ss {
+        acc = acc.oplus(plus_lag(
+            hist.acc(ct.slow_delays[i], ct.slow_srcs[i]),
+            ct.slow_lags[i],
+        ));
+    }
+    for i in es {
+        let (delay, src) = (ct.exec_delays[i], ct.exec_srcs[i]);
+        let src_val = if delay == 0 {
+            now(src)
+        } else {
+            hist.acc(delay, src)
+        };
+        acc = acc.oplus(exec_term(ct, hist, sizes, stash, i, src_val));
+    }
+    for i in cs {
+        acc = acc.oplus(plus_lag(now(ct.const_srcs[i]), ct.const_lags[i]));
+    }
+    (acc, arcs)
 }
 
 /// The execution record an `ExecEnd` node emits for iteration `k` from its
@@ -311,10 +464,9 @@ struct PartitionSweepOut {
     speculated: Vec<(u32, u32)>,
 }
 
-/// Sweeps partition `p`'s per-level slot ranges. The per-slot fold is the
-/// serial sweep's slot body verbatim — only the zero-delay source reads
-/// differ, going through the shared scratch under the mode's frontier
-/// discipline.
+/// Sweeps partition `p`'s per-level slot ranges with the serial sweep's
+/// slot body ([`eval_slot`]); only the zero-delay source reads differ,
+/// going through the shared scratch under the mode's frontier discipline.
 fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
     if cx.pin {
         pin_current_thread(p);
@@ -351,6 +503,7 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
             }
         }
     };
+    let hist = History::new(cx.ring, cx.base_k, cx.k);
     for l in 0..plan.levels {
         if cx.mode == PartitionMode::Barrier && plan.barrier_before[l] {
             cx.barrier.wait();
@@ -370,46 +523,11 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
             if cx.tail.computed[node] {
                 continue; // look-ahead prefix or the input slot
             }
-            let (c0, chi) = (ct.const_offsets[pos] as usize, ct.const_offsets[pos + 1] as usize);
-            let (s0, shi) = (ct.slow_offsets[pos] as usize, ct.slow_offsets[pos + 1] as usize);
-            let (e0, ehi) = (ct.exec_offsets[pos] as usize, ct.exec_offsets[pos + 1] as usize);
+            let (acc, arcs) = eval_slot(ct, pos, &hist, &cx.tail.sizes, None, |src| {
+                read0(src as usize, node, &mut out)
+            });
             out.nodes += 1;
-            out.arcs += (chi - c0 + shi - s0 + ehi - e0) as u64;
-            let mut acc = MaxPlus::E;
-            for i in s0..shi {
-                let delay = u64::from(ct.slow_delays[i]);
-                let src = ct.slow_srcs[i] as usize;
-                let src_val = if delay > cx.k {
-                    MaxPlus::E
-                } else {
-                    iter_at(cx.ring, cx.base_k, cx.k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-            }
-            for i in e0..ehi {
-                let delay = u64::from(ct.exec_delays[i]);
-                let src = ct.exec_srcs[i] as usize;
-                let src_val = if delay == 0 {
-                    read0(src, node, &mut out)
-                } else if delay > cx.k {
-                    MaxPlus::E
-                } else {
-                    iter_at(cx.ring, cx.base_k, cx.k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                if src_val.is_epsilon() {
-                    continue;
-                }
-                let (lag, _ops) = ct.durations.eval(i, cx.k, |rel, d| {
-                    size_at(cx.ring, cx.base_k, cx.tail, cx.k, rel, d)
-                });
-                acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-            }
-            for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-                let src_val = read0(src as usize, node, &mut out);
-                if !src_val.is_epsilon() {
-                    acc = acc.oplus(src_val.otimes(lag));
-                }
-            }
+            out.arcs += arcs;
             cx.acc[node].store(acc.raw(), Ordering::Relaxed);
         }
         if let Some(f) = cx.flight {
@@ -427,87 +545,50 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
 }
 
 /// The folds of one serial compiled sweep: every slot not computed before
-/// the sweep (look-ahead prefix, the input) folds its slow, exec, and
-/// constant arcs into `tail.acc`, in schedule order. When observations are
-/// recorded, duration arcs stash their `(start, ops)` and each slot writes
-/// its log in place — an `ExecEnd` its execution record straight from the
-/// stash, an exchange or FIFO read its instant. Returns the nodes computed
-/// and arcs evaluated. Sizes were derived before and boundary exchanges
-/// are published after; `tail.computed` is left as it was (publishing
-/// reads it).
+/// the sweep (look-ahead prefix, the input) folds its arcs ([`eval_slot`])
+/// into `tail.acc`, in schedule order, and with `logs` duration arcs stash
+/// their `(start, ops)` and each slot writes its log in place. Returns the
+/// nodes computed and arcs evaluated; `tail.computed` is left as it was
+/// (publishing the boundary exchanges afterwards reads it).
 #[inline(never)]
 fn sweep_serial(
     ct: &CompiledTdg,
-    ring: &VecDeque<IterState>,
-    base_k: u64,
-    k: u64,
+    hist: &History<'_>,
+    tail: &mut IterState,
+    logs: Option<Logs<'_>>,
+) -> (u64, u64) {
+    // One copy of the loop per logging mode: the logging loop keeps more
+    // state live per slot, which would slow the plain one down.
+    match logs {
+        Some(logs) => sweep_slots(ct, hist, tail, Some(logs)),
+        None => sweep_slots(ct, hist, tail, None),
+    }
+}
+
+#[inline(always)]
+fn sweep_slots(
+    ct: &CompiledTdg,
+    hist: &History<'_>,
     tail: &mut IterState,
     mut logs: Option<Logs<'_>>,
 ) -> (u64, u64) {
-    // History rows: delay 1 (the common resource and back-pressure arcs)
-    // is looked up once per sweep. Pre-history and pruned iterations read
-    // as the process-start baseline E.
-    let history = |delay: u64| (delay <= k).then(|| iter_at(ring, base_k, k - delay)).flatten();
-    let prev = history(1);
-    let past = |delay: u32, src: u32| {
-        let row = if delay == 1 { prev } else { history(u64::from(delay)) };
-        row.map_or(MaxPlus::E, |it| it.acc[src as usize])
-    };
-    let record = logs.is_some();
     let (mut nodes, mut arcs) = (0u64, 0u64);
-    // Rolling CSR cursors: one offset load per slot per stream; offsets and
-    // observation actions ride the zipped iterators.
-    let (mut clo, mut slo, mut elo) = (0usize, 0usize, 0usize);
-    let slots = ct
-        .schedule
-        .iter()
-        .zip(&ct.const_offsets[1..])
-        .zip(&ct.slow_offsets[1..])
-        .zip(&ct.exec_offsets[1..])
-        .zip(&ct.obs);
-    for ((((&node, &chi), &shi), &ehi), &obs) in slots {
-        let (c0, s0, e0) = (clo, slo, elo);
-        (clo, slo, elo) = (chi as usize, shi as usize, ehi as usize);
+    for (slot, &node) in ct.schedule.iter().enumerate() {
         let node = node as usize;
         if tail.computed[node] {
             continue;
         }
+        let now = &tail.acc;
+        let stash = logs.is_some().then_some(&mut tail.exec_stash[..]);
+        let (acc, slot_arcs) =
+            eval_slot(ct, slot, hist, &tail.sizes, stash, |src| now[src as usize]);
         nodes += 1;
-        arcs += (clo - c0 + slo - s0 + elo - e0) as u64;
-        let mut acc = MaxPlus::E; // process-start baseline
-        // ε ⊗ lag = ε, and ⊕ ε is a no-op — constant arcs need no skip.
-        for i in s0..slo {
-            acc = acc.oplus(past(ct.slow_delays[i], ct.slow_srcs[i]).otimes(ct.slow_lags[i]));
-        }
-        // Exec arcs: each duration evaluated against this iteration's
-        // token sizes.
-        for i in e0..elo {
-            let (delay, src) = (ct.exec_delays[i], ct.exec_srcs[i]);
-            let src_val = if delay == 0 {
-                tail.acc[src as usize]
-            } else {
-                past(delay, src)
-            };
-            if src_val.is_epsilon() {
-                continue;
-            }
-            let (lag, ops) = ct
-                .durations
-                .eval(i, k, |rel, d| size_at(ring, base_k, tail, k, rel, d));
-            let dense = ct.exec_stash_dense[i];
-            if record && dense != u32::MAX {
-                tail.exec_stash[dense as usize] = (src_val, ops);
-            }
-            acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-        }
-        for (&src, &lag) in ct.const_srcs[c0..clo].iter().zip(&ct.const_lags[c0..clo]) {
-            acc = acc.oplus(tail.acc[src as usize].otimes(lag));
-        }
+        arcs += slot_arcs;
         tail.acc[node] = acc;
         if let Some(logs) = logs.as_mut() {
             // An `ExecEnd` records straight from the `(start, ops)` its
             // duration arc just stashed (the fused record replay).
-            logs.log(k, obs, acc, &tail.exec_stash);
+            logs.log(hist.k, ct.obs[slot], acc, &tail.exec_stash);
         }
     }
     (nodes, arcs)
@@ -542,57 +623,6 @@ impl Logs<'_> {
             }
         }
     }
-}
-
-/// Recomputes slot `pos`'s fold from *final* values (rollback pass):
-/// identical arithmetic to the sweep, with every zero-delay source read
-/// straight from the (now coordinator-owned) scratch.
-fn recompute_slot_final(
-    ct: &CompiledTdg,
-    ring: &VecDeque<IterState>,
-    tail: &IterState,
-    accs: &[AtomicI64],
-    base_k: u64,
-    k: u64,
-    pos: usize,
-) -> MaxPlus {
-    let (c0, chi) = (ct.const_offsets[pos] as usize, ct.const_offsets[pos + 1] as usize);
-    let (s0, shi) = (ct.slow_offsets[pos] as usize, ct.slow_offsets[pos + 1] as usize);
-    let (e0, ehi) = (ct.exec_offsets[pos] as usize, ct.exec_offsets[pos + 1] as usize);
-    let mut acc = MaxPlus::E;
-    for i in s0..shi {
-        let delay = u64::from(ct.slow_delays[i]);
-        let src = ct.slow_srcs[i] as usize;
-        let src_val = if delay > k {
-            MaxPlus::E
-        } else {
-            iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-        };
-        acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-    }
-    for i in e0..ehi {
-        let delay = u64::from(ct.exec_delays[i]);
-        let src = ct.exec_srcs[i] as usize;
-        let src_val = if delay == 0 {
-            MaxPlus::from_raw(accs[src].load(Ordering::Relaxed))
-        } else if delay > k {
-            MaxPlus::E
-        } else {
-            iter_at(ring, base_k, k - delay).map_or(MaxPlus::E, |it| it.acc[src])
-        };
-        if src_val.is_epsilon() {
-            continue;
-        }
-        let (lag, _ops) = ct.durations.eval(i, k, |rel, d| size_at(ring, base_k, tail, k, rel, d));
-        acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-    }
-    for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-        let src_val = MaxPlus::from_raw(accs[src as usize].load(Ordering::Relaxed));
-        if !src_val.is_epsilon() {
-            acc = acc.oplus(src_val.otimes(lag));
-        }
-    }
-    acc
 }
 
 /// Incremental evaluator of a derived temporal dependency graph.
@@ -1185,6 +1215,8 @@ impl Engine {
             seeds,
             seed_count,
             offers_matched: true,
+            cold: false,
+            diverged: false,
             collapse,
             stats: DeltaStats::default(),
         }));
@@ -1435,12 +1467,12 @@ impl Engine {
         };
         // Delta collapse precondition: offers 0..=k matched the base trace.
         // Tracked before anything answers the offer — the flag must reflect
-        // fast-forwarded offers too.
+        // fast-forwarded offers too. A miss right after a cold delta sweep
+        // means the traces have diverged.
         if let Some(link) = &mut self.delta {
-            if link.offers_matched {
-                link.offers_matched = (k as usize) < link.cache.offers.len()
-                    && link.cache.offers[k as usize] == (at.ticks(), size);
-            }
+            let hit = link.cache.offers.get(k as usize) == Some(&(at.ticks(), size));
+            link.offers_matched &= hit;
+            link.diverged |= link.cold && !hit;
         }
         // Promoted fast-forward: answer the offer by shifting the cached
         // periodic template; an offer off the detected pattern demotes (the
@@ -1491,13 +1523,14 @@ impl Engine {
                 self.ff_mark();
             }
             // Delta mode: within the cached range, diff against the base
-            // row instead of recomputing every node. Beyond it (or with no
-            // base attached) the ordinary full sweep runs — both leave
-            // bitwise-identical ring state, so the modes interleave freely.
+            // row instead of recomputing every node. Beyond it, once the
+            // sibling has diverged, or with no base attached the ordinary
+            // full sweep runs — both leave bitwise-identical ring state, so
+            // the modes interleave freely.
             let use_delta = self
                 .delta
                 .as_ref()
-                .is_some_and(|l| (k as usize) < l.cache.rows.len());
+                .is_some_and(|l| !l.diverged && (k as usize) < l.cache.rows.len());
             if use_delta {
                 self.compute_iteration_delta(k, node, relation.index(), at, size);
                 if let Some(rt) = &mut self.parallel {
@@ -1606,7 +1639,8 @@ impl Engine {
             instants: &mut self.instant_log,
             reads: &mut self.read_log,
         });
-        let (nodes, arcs) = sweep_serial(&ct, &self.ring, self.base_k, k, &mut tail, logs);
+        let hist = History::new(&self.ring, self.base_k, k);
+        let (nodes, arcs) = sweep_serial(&ct, &hist, &mut tail, logs);
         for &pos in &ct.boundary_slots {
             let node = ct.schedule[pos as usize] as usize;
             if !tail.computed[node] {
@@ -1763,6 +1797,7 @@ impl Engine {
             let plan = &rt.plan;
             let accs = &rt.acc;
             let dirty = &mut rt.dirty;
+            let hist = History::new(&self.ring, self.base_k, k);
             for pos in 0..ct.schedule.len() {
                 let node = ct.schedule[pos] as usize;
                 if !dirty[node] {
@@ -1772,7 +1807,11 @@ impl Engine {
                 if tail.computed[node] {
                     continue; // pre-published slots are never speculative
                 }
-                let fresh = recompute_slot_final(&ct, &self.ring, &tail, accs, self.base_k, k, pos);
+                // The sweep's fold again, every zero-delay source read
+                // straight from the (now coordinator-owned) scratch.
+                let (fresh, _) = eval_slot(&ct, pos, &hist, &tail.sizes, None, |src| {
+                    MaxPlus::from_raw(accs[src as usize].load(Ordering::Relaxed))
+                });
                 recomputed += 1;
                 if fresh.raw() != accs[node].load(Ordering::Relaxed) {
                     accs[node].store(fresh.raw(), Ordering::Relaxed);
@@ -1789,43 +1828,19 @@ impl Engine {
             tail.acc[node] = MaxPlus::from_raw(a.load(Ordering::Relaxed));
         }
 
-        // Execution-info stash: recomputed serially for the few exec slots
-        // (padding-dominated graphs observe almost nothing), mirroring the
-        // serial sweep's per-slot capture exactly.
+        // Execution-info stash: the few exec slots (padding-dominated
+        // graphs observe almost nothing) fold again serially from the final
+        // instants, capturing exactly the serial sweep's stash.
         if self.record_observations {
+            let hist = History::new(&self.ring, self.base_k, k);
             for &pos in &rt.plan.stash_slots {
                 let pos = pos as usize;
-                let node = ct.schedule[pos] as usize;
-                if tail.computed[node] {
+                if tail.computed[ct.schedule[pos] as usize] {
                     continue;
                 }
-                let (e0, ehi) = (ct.exec_offsets[pos] as usize, ct.exec_offsets[pos + 1] as usize);
-                let mut stash: Option<(u32, (MaxPlus, u64))> = None;
-                for i in e0..ehi {
-                    let delay = u64::from(ct.exec_delays[i]);
-                    let src = ct.exec_srcs[i] as usize;
-                    let src_val = if delay == 0 {
-                        tail.acc[src]
-                    } else if delay > k {
-                        MaxPlus::EPSILON
-                    } else {
-                        iter_at(&self.ring, self.base_k, k - delay)
-                            .map_or(MaxPlus::EPSILON, |it| it.acc[src])
-                    };
-                    if src_val.is_epsilon() {
-                        continue;
-                    }
-                    let dense = ct.exec_stash_dense[i];
-                    if dense != u32::MAX {
-                        let (_lag, ops) = ct.durations.eval(i, k, |rel, d| {
-                            size_at(&self.ring, self.base_k, &tail, k, rel, d)
-                        });
-                        stash = Some((dense, (src_val, ops)));
-                    }
-                }
-                if let Some((dense, captured)) = stash {
-                    tail.exec_stash[dense as usize] = captured;
-                }
+                let now = &tail.acc;
+                let stash = Some(&mut tail.exec_stash[..]);
+                eval_slot(&ct, pos, &hist, &tail.sizes, stash, |src| now[src as usize]);
             }
         }
 
@@ -1889,8 +1904,8 @@ impl Engine {
     /// delayed source instants, plus any token sizes its exec weights read)
     /// are compared against the cached base row. Equal inputs ⇒ equal fold
     /// (the (max,+) fold is a pure function of its inputs), so the node
-    /// copies its cached instant; a difference recomputes the exact
-    /// [`Engine::compute_iteration_compiled`] slot body, and a recomputed
+    /// copies its cached instant; a difference recomputes the slot with
+    /// the full sweep's slot evaluator (`eval_slot`), and a recomputed
     /// instant that still matches the cache stops the change frontier
     /// right there — downstream comparisons see no difference.
     ///
@@ -1963,84 +1978,50 @@ impl Engine {
         let mut reused = 0u64;
         let mut recomputed = 0u64;
         let mut settled = 0u64;
-        let mut clo = ct.const_offsets[0] as usize;
-        let mut slo = ct.slow_offsets[0] as usize;
-        let mut elo = ct.exec_offsets[0] as usize;
-        let slots = ct
-            .schedule
-            .iter()
-            .zip(&ct.const_offsets[1..])
-            .zip(&ct.slow_offsets[1..])
-            .zip(&ct.exec_offsets[1..])
-            .zip(&ct.obs)
-            .enumerate();
-        for (slot, ((((&slot_node, &chi), &shi), &ehi), &obs)) in slots {
+        for (slot, (&slot_node, &obs)) in ct.schedule.iter().zip(&ct.obs).enumerate() {
             let node = slot_node as usize;
-            let (chi, shi, ehi) = (chi as usize, shi as usize, ehi as usize);
-            let (c0, s0, e0) = (clo, slo, elo);
-            (clo, slo, elo) = (chi, shi, ehi);
             if tail.computed[node] {
                 continue;
             }
+            let [cs, ss, es] = ct.arc_ranges(slot);
             // Stats accrue exactly as in the full sweep, clean or dirty:
             // the conformance bar includes `EngineStats`.
             nodes_local += 1;
-            arcs_local += (chi - c0 + shi - s0 + ehi - e0) as u64;
+            arcs_local += (cs.len() + ss.len() + es.len()) as u64;
 
-            let dirty = if force_clean {
-                false
-            } else if seeds[slot] {
-                true
-            } else {
-                // Same-iteration constant sources: live tail vs cached row.
-                let mut d = ct.const_srcs[c0..chi]
-                    .iter()
-                    .any(|&src| tail.acc[src as usize] != row.acc[src as usize]);
-                // Delayed constant sources through the history ring. A
-                // pruned live iteration reads as ε exactly like the full
-                // sweep's defensive read; comparing it against the cached
-                // value is conservative (at worst a spurious recompute).
-                d = d
-                    || (s0..shi).any(|i| {
-                        let delay = u64::from(ct.slow_delays[i]);
-                        if delay > k {
-                            return false; // both sides are ε
-                        }
-                        let src = ct.slow_srcs[i] as usize;
-                        let live = iter_at(&self.ring, self.base_k, k - delay)
-                            .map_or(MaxPlus::E, |it| it.acc[src]);
-                        live != rows[(k - delay) as usize].acc[src]
-                    });
-                // Exec arcs: the source instant and every token size the
-                // weight reads feed the fold.
-                d = d
-                    || (e0..ehi).any(|i| {
-                        let delay = u64::from(ct.exec_delays[i]);
-                        let src = ct.exec_srcs[i] as usize;
-                        let src_differs = if delay == 0 {
-                            tail.acc[src] != row.acc[src]
-                        } else if delay > k {
-                            false
-                        } else {
-                            let live = iter_at(&self.ring, self.base_k, k - delay)
-                                .map_or(MaxPlus::E, |it| it.acc[src]);
-                            live != rows[(k - delay) as usize].acc[src]
-                        };
-                        src_differs
-                            || ct.durations.size_reads(i).any(|(rel, sd)| {
-                                if sd > k {
-                                    false // both sides read size 0
-                                } else if sd == 0 {
-                                    tail.sizes[rel] != row.sizes[rel]
-                                } else {
-                                    let live = iter_at(&self.ring, self.base_k, k - sd)
-                                        .map_or(0, |it| it.sizes[rel]);
-                                    live != rows[(k - sd) as usize].sizes[rel]
-                                }
-                            })
-                    });
-                d
-            };
+            // A fold input differs when a source instant or a token size
+            // the weights read differs between the live run and the cached
+            // row. Pre-history reads agree on both sides; a pruned live
+            // iteration reads as the full sweep's defensive read does, so
+            // comparing it with the cache is conservative (at worst a
+            // spurious recompute).
+            let dirty = !force_clean
+                && (seeds[slot] || {
+                    let hist = History::new(&self.ring, self.base_k, k);
+                    let live = |d: u64| if d == 0 { Some(&tail) } else { hist.row(d) };
+                    let acc_differs = |d: u64, src: u32| {
+                        let src = src as usize;
+                        d <= k
+                            && live(d).map_or(MaxPlus::E, |it| it.acc[src])
+                                != rows[(k - d) as usize].acc[src]
+                    };
+                    let size_differs = |d: u64, rel: usize| {
+                        d <= k
+                            && live(d).map_or(0, |it| it.sizes[rel])
+                                != rows[(k - d) as usize].sizes[rel]
+                    };
+                    ct.const_srcs[cs].iter().any(|&src| acc_differs(0, src))
+                        || ss
+                            .into_iter()
+                            .any(|i| acc_differs(ct.slow_delays[i].into(), ct.slow_srcs[i]))
+                        || es.clone().any(|i| {
+                            acc_differs(ct.exec_delays[i].into(), ct.exec_srcs[i])
+                                || ct
+                                    .durations
+                                    .size_reads(i)
+                                    .any(|(rel, d)| size_differs(d, rel))
+                        })
+                });
 
             if !dirty {
                 reused += 1;
@@ -2051,7 +2032,7 @@ impl Engine {
                     // Equal fold inputs give equal stashes; the dense slots
                     // of this node's exec ends are written only by arcs in
                     // this slot's range, so copying them is exact.
-                    for i in e0..ehi {
+                    for i in es {
                         let dense = ct.exec_stash_dense[i];
                         if dense != u32::MAX {
                             tail.exec_stash[dense as usize] = row.stash[dense as usize];
@@ -2064,50 +2045,14 @@ impl Engine {
                 continue;
             }
 
-            // Dirty: the exact slot body of the full compiled sweep.
+            // Dirty: the slot body of the full compiled sweep.
             recomputed += 1;
-            let mut acc = MaxPlus::E;
-            for i in s0..shi {
-                let delay = u64::from(ct.slow_delays[i]);
-                let src = ct.slow_srcs[i] as usize;
-                let src_val = if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                acc = acc.oplus(src_val.otimes(ct.slow_lags[i]));
-            }
-            let mut stash: Option<(u32, (MaxPlus, u64))> = None;
-            for i in e0..ehi {
-                let delay = u64::from(ct.exec_delays[i]);
-                let src = ct.exec_srcs[i] as usize;
-                let src_val = if delay == 0 {
-                    tail.acc[src]
-                } else if delay > k {
-                    MaxPlus::E
-                } else {
-                    iter_at(&self.ring, self.base_k, k - delay)
-                        .map_or(MaxPlus::E, |it| it.acc[src])
-                };
-                if src_val.is_epsilon() {
-                    continue;
-                }
-                let (lag, ops) = ct.durations.eval(i, k, |rel, d| {
-                    size_at(&self.ring, self.base_k, &tail, k, rel, d)
-                });
-                let dense = ct.exec_stash_dense[i];
-                if self.record_observations && dense != u32::MAX {
-                    stash = Some((dense, (src_val, ops)));
-                }
-                acc = acc.oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-            }
-            for (&src, &lag) in ct.const_srcs[c0..chi].iter().zip(&ct.const_lags[c0..chi]) {
-                let src_val = tail.acc[src as usize];
-                if !src_val.is_epsilon() {
-                    acc = acc.oplus(src_val.otimes(lag));
-                }
-            }
+            let hist = History::new(&self.ring, self.base_k, k);
+            let now = &tail.acc;
+            let stash = self.record_observations.then_some(&mut tail.exec_stash[..]);
+            let (acc, _) = eval_slot(&ct, slot, &hist, &tail.sizes, stash, |src| {
+                now[src as usize]
+            });
             if acc == row.acc[node] {
                 // Monotone early-out: downstream comparisons of this node
                 // see no difference — the frontier stops here.
@@ -2115,9 +2060,6 @@ impl Engine {
             }
             tail.acc[node] = acc;
             tail.computed[node] = true;
-            if let Some((dense, captured)) = stash {
-                tail.exec_stash[dense as usize] = captured;
-            }
             if !matches!(obs, Obs::None) {
                 self.observe_obs(k, obs, acc, &mut tail);
             }
@@ -2133,6 +2075,7 @@ impl Engine {
         if recomputed == 0 {
             link.stats.frontier_collapses += 1;
         }
+        link.cold = reused == 0 && link.cache.offers.get(k as usize) != Some(&(at.ticks(), size));
         self.delta = Some(link);
     }
 
@@ -2228,18 +2171,7 @@ impl Engine {
     /// Opens the next iteration after the current back of the ring.
     fn open_next(&mut self) {
         let k = self.base_k + self.ring.len() as u64;
-        let mut state = match self.free.pop() {
-            Some(mut s) => {
-                s.reset(&self.remaining_template);
-                s
-            }
-            None => {
-                let mut s =
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs);
-                s.remaining.copy_from_slice(&self.remaining_template);
-                s
-            }
-        };
+        let mut state = self.take_state();
         // Nodes with no incoming arcs (other than inputs) take the
         // process-start baseline immediately.
         for idx in 0..self.baseline_nodes.len() {
@@ -2383,14 +2315,12 @@ impl Engine {
         if let SizeRule::Derived { from, model } = self.size_rules[relation] {
             let input_size = match from {
                 None => 0,
-                Some((rel, delay)) => {
-                    let delay = u64::from(delay);
-                    if delay > k {
-                        0
-                    } else {
-                        size_at(&self.ring, self.base_k, it, k, rel.index(), delay)
-                    }
-                }
+                Some((rel, delay)) => match u64::from(delay) {
+                    0 => it.sizes[rel.index()],
+                    d if d > k => 0,
+                    d => iter_at(&self.ring, self.base_k, k - d)
+                        .map_or(0, |row| row.sizes[rel.index()]),
+                },
             };
             it.sizes[relation] = model.apply(input_size);
         }
@@ -2520,12 +2450,7 @@ impl Engine {
                 s.reset(&self.remaining_template);
                 s
             }
-            None => {
-                let mut s =
-                    IterState::fresh(self.tdg.node_count(), self.relation_count, self.n_execs);
-                s.remaining.copy_from_slice(&self.remaining_template);
-                s
-            }
+            None => IterState::fresh(&self.remaining_template, self.relation_count, self.n_execs),
         }
     }
 
@@ -2534,7 +2459,19 @@ impl Engine {
     /// is one past the ring, else the look-ahead tail.
     fn take_tail(&mut self, k: u64) -> IterState {
         if k == self.base_k + self.ring.len() as u64 {
-            self.take_state()
+            // Every sweep writes all instants and reads no in-degrees, so
+            // a recycled state resets only its marks, sizes and stashes.
+            let Some(mut s) = self.free.pop() else {
+                return IterState::fresh(
+                    &self.remaining_template,
+                    self.relation_count,
+                    self.n_execs,
+                );
+            };
+            s.computed.fill(false);
+            s.sizes.fill(0);
+            s.exec_stash.fill((MaxPlus::EPSILON, 0));
+            s
         } else {
             self.ring.pop_back().expect("look-ahead tail exists")
         }

@@ -84,7 +84,7 @@ pub mod validate;
 pub use evolve_obs as obs;
 
 pub use batch::{BatchUnsupported, BatchedEngine, KernelDispatchStats};
-pub use compile::{CompiledTdg, EvalBackend};
+pub use compile::{CompiledTdg, EvalBackend, SlotShape};
 pub use delta::{DeltaCache, DeltaStats, DeltaUnsupported};
 pub use derive::{derive_tdg, derive_tdg_with, DeriveOptions, DerivedTdg, SizeRule, SizeRules};
 pub use engine::{AllocationFootprint, Engine, EngineStats, Notification};

@@ -232,10 +232,8 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
     // Per-level contiguous cost-balanced cuts, aligned to sweep tiles.
     let mut bounds = vec![0u32; levels * t1];
     let cost = |pos: usize| -> u64 {
-        let arcs = (ct.const_offsets[pos + 1] - ct.const_offsets[pos])
-            + (ct.slow_offsets[pos + 1] - ct.slow_offsets[pos])
-            + (ct.exec_offsets[pos + 1] - ct.exec_offsets[pos]);
-        1 + u64::from(arcs)
+        let arcs: usize = ct.arc_ranges(pos).iter().map(|r| r.len()).sum();
+        1 + arcs as u64
     };
     for l in 0..levels {
         let lo = ct.level_offsets[l] as usize;
@@ -290,8 +288,7 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
         let mut need = false;
         for pos in lo..hi {
             let dst_owner = owner_of[ct.schedule[pos] as usize];
-            let c = ct.const_offsets[pos] as usize..ct.const_offsets[pos + 1] as usize;
-            let e = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
+            let [c, _, e] = ct.arc_ranges(pos);
             let zero_srcs = ct.const_srcs[c]
                 .iter()
                 .copied()
@@ -314,8 +311,7 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
     // Zero-delay successor CSR (rollback change-propagation).
     let mut succ0_offsets = vec![0u32; n + 1];
     let zero_arcs = |pos: usize| {
-        let c = ct.const_offsets[pos] as usize..ct.const_offsets[pos + 1] as usize;
-        let e = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
+        let [c, _, e] = ct.arc_ranges(pos);
         ct.const_srcs[c]
             .iter()
             .copied()
@@ -343,7 +339,7 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
     // pre-pass and the observation replay walk the program's own lists).
     let stash_slots: Vec<u32> = (0..n)
         .filter(|&pos| {
-            let e = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
+            let [_, _, e] = ct.arc_ranges(pos);
             e.into_iter().any(|i| ct.exec_stash_dense[i] != u32::MAX)
         })
         .map(|pos| pos as u32)

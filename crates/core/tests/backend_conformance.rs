@@ -15,9 +15,14 @@
 //! Execution records are compared in a canonical order: the worklist emits
 //! them in pop order, the compiled sweep in schedule order, and only the
 //! multiset is part of the engine's contract.
+//!
+//! `generators_reach_every_slot_shape` reads the slot shapes of graphs the
+//! two generators produce: every arm of the compiled slot evaluator,
+//! the general one included, appears, so the proptests cover each arm.
 
 use evolve_core::{
-    derive_tdg, synthetic, DerivedTdg, Engine, EvalBackend, NodeKind, Tdg, TdgBuilder, Weight,
+    derive_tdg, synthetic, DerivedTdg, Engine, EvalBackend, NodeKind, SlotShape, Tdg, TdgBuilder,
+    Weight,
 };
 use evolve_des::Time;
 use evolve_explore::drive_engine;
@@ -215,5 +220,80 @@ fn backends_agree_on_didactic_chain() {
         );
         assert_eq!(c.engine_stats.nodes_computed, w.engine_stats.nodes_computed);
         assert_eq!(c.engine_stats.iterations_completed, w.engine_stats.iterations_completed);
+    }
+}
+
+/// The slot shapes a compiled engine folds: every slot but the inputs',
+/// which the offers set.
+fn folded_shapes(engine: &Engine) -> impl Iterator<Item = SlotShape> + '_ {
+    let compiled = engine.compiled_tdg().expect("compiled backend");
+    compiled
+        .slot_shapes()
+        .filter(|&(node, _)| {
+            !matches!(
+                engine.tdg().nodes()[node.index()].kind,
+                NodeKind::Input { .. }
+            )
+        })
+        .map(|(_, shape)| shape)
+}
+
+/// Every arm of the slot evaluator, the general one included, appears in
+/// the graphs the two proptests above draw. Generation is deterministic
+/// (the runner seeds each test by its name), so running a proptest's
+/// strategy under its name redraws exactly its cases: the random DAGs
+/// give the multi-arc constant shapes and the general arm, the padded
+/// pipelines the exec and slow-arc shapes.
+#[test]
+fn proptests_reach_every_slot_shape() {
+    use proptest::test_runner::TestRunner;
+    let mut seen = std::collections::HashSet::new();
+    let config = || ProptestConfig::with_cases(128);
+    TestRunner::new_with_name(config(), "backends_agree_on_random_tdgs").run(
+        &(graph_spec(),),
+        |(spec,)| {
+            seen.extend(folded_shapes(&engine_for(
+                &build(&spec),
+                EvalBackend::Compiled,
+            )));
+            Ok(())
+        },
+    );
+    // `backends_agree_on_padded_pipelines`' strategies, in its order.
+    let pipelines = (
+        1usize..6,
+        10u64..200,
+        0u64..5,
+        0usize..48,
+        proptest::collection::vec((0u64..900, 1u64..64), 2..16),
+    );
+    TestRunner::new_with_name(config(), "backends_agree_on_padded_pipelines").run(
+        &pipelines,
+        |(stages, base, per_unit, padding, _offers)| {
+            let p = synthetic::pipeline(stages, base, per_unit).expect("pipeline builds");
+            let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
+            if padding > 0 {
+                derived.map_tdg(|tdg| synthetic::pad(tdg, padding));
+            }
+            let relations = p.arch.app().relations().len();
+            let engine = Engine::with_backend(derived, relations, true, EvalBackend::Compiled);
+            seen.extend(folded_shapes(&engine));
+            Ok(())
+        },
+    );
+    use SlotShape::*;
+    for shape in [
+        Const1,
+        Const2,
+        Const3,
+        Exec1,
+        Slow1Const1,
+        Slow2Const1,
+        General,
+    ] {
+        assert!(
+            seen.contains(&shape),
+            "no proptest graph has a {shape:?} slot"
+        );
     }
 }

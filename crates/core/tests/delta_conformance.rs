@@ -345,6 +345,75 @@ fn noop_perturbation_collapses_the_frontier() {
     assert!(stats.nodes_reused > 0, "instants were served from the cache");
 }
 
+/// A sibling whose trace differs from the base from the first offer on
+/// stops diffing: after two offers off the base trace, the first of whose
+/// delta sweeps reused no node, every later offer takes the full compiled
+/// sweep (counted in `calls_full`), bitwise identical to a plain drive. An
+/// identical-trace sibling of the same base still collapses every call.
+#[test]
+fn diverged_sibling_takes_the_full_sweep() {
+    let engine_of = || {
+        let p = synthetic::pipeline(8, 60, 1).expect("pipeline builds");
+        let relations = p.arch.app().relations().len();
+        let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
+        derived.map_tdg(|tdg| synthetic::pad(tdg, 64));
+        Engine::with_backend(derived, relations, true, EvalBackend::Compiled)
+    };
+    let trace = |period: u64, salt: u64| -> Vec<Arrival> {
+        (0..24u64)
+            .map(|k| Arrival {
+                at: Time::from_ticks(k * period),
+                size: 1 + (k + 1) * salt % 64,
+            })
+            .collect()
+    };
+    let base_trace = trace(300, 7);
+    let mut capture = engine_of();
+    capture
+        .begin_delta_capture()
+        .expect("pipelines are delta-eligible");
+    let base = drive_engine(&mut capture, &base_trace);
+    let cache = capture.finish_delta_capture();
+
+    let other = trace(280, 11);
+    assert_ne!(other[0], base_trace[0], "the traces diverge at k = 0");
+    let mut sibling = engine_of();
+    sibling
+        .attach_delta_base(cache.clone())
+        .expect("identical structure");
+    let d = drive_engine(&mut sibling, &other);
+    let stats = sibling.detach_delta();
+    let c = drive_engine(&mut engine_of(), &other);
+    assert_eq!(
+        d, c,
+        "diverged sibling is bitwise identical to the full sweep"
+    );
+    assert_eq!(stats.calls_delta + stats.calls_full, other.len() as u64);
+    // Offer 0 differs only in size, so its sweep still reuses the nodes
+    // that do not read it; offer 1 is off the trace's instants too and its
+    // sweep reuses nothing, so offer 2 starts the full sweeps.
+    assert_eq!(stats.calls_delta, 2, "{stats:?}");
+
+    let mut twin = engine_of();
+    twin.attach_delta_base(cache).expect("identical structure");
+    assert_eq!(
+        drive_engine(&mut twin, &base_trace),
+        base,
+        "twin replays the base"
+    );
+    let stats = twin.detach_delta();
+    assert_eq!(
+        stats.calls_delta,
+        base_trace.len() as u64,
+        "every call stayed delta"
+    );
+    assert_eq!(
+        stats.frontier_collapses, stats.calls_delta,
+        "every call collapsed"
+    );
+    assert_eq!(stats.nodes_recomputed, 0);
+}
+
 /// Offers beyond the captured range leave the cache and are evaluated
 /// fully — counted in `calls_full` — while staying bitwise conformant.
 #[test]
