@@ -54,12 +54,11 @@ cargo test -q -p evolve-core --test delta_conformance --offline
 # explicit so a telemetry regression is named in the CI log).
 cargo test -q -p evolve-core --test observer_conformance --offline
 
-# Partition conformance: the intra-graph partitioned sweep — both barrier
-# and optimistic exchange modes, including forced-speculation rollbacks,
-# fast-forward and delta composition, and the threads=1 degenerate — must
-# stay bitwise identical to the serial compiled sweep (also part of the
-# workspace run above; kept explicit so a partition regression is named
-# in the CI log).
+# Partition conformance: the intra-graph partitioned sweep at 2, 3 and 4
+# workers, including fast-forward and delta composition and the threads=1
+# degenerate, must stay bitwise identical to the serial compiled sweep
+# (also part of the workspace run above; kept explicit so a partition
+# regression is named in the CI log).
 cargo test -q -p evolve-core --test partition_conformance --offline
 
 # Bench smoke: the compiled backend must beat the worklist reference, the
@@ -77,9 +76,9 @@ cargo test -q -p evolve-core --test partition_conformance --offline
 # the committed grid's gain (ratios measured within one run, so uniform
 # host wall-clock drift cancels), and a width-8 batch must dispatch to
 # the lane-chunked fold kernels. The quick run also smokes the partition
-# grid: a 2-worker partitioned sweep must match the serial checksum and
-# roll back under forced speculation (the speed gate applies only on
-# multi-core hosts — partition workers on one core merely take turns).
+# grid: a 2-worker partitioned sweep must match the serial checksum (the
+# speed gate applies only on multi-core hosts — partition workers on one
+# core merely take turns).
 cargo run --release -q -p evolve-bench --bin fig5 --offline -- --quick
 
 # Daemon smoke: boot the real `evolved` binary on a loopback unix socket

@@ -16,9 +16,9 @@
 //! 10/100/1000/5000 nodes — a third measures the periodic
 //! steady-state fast-forward (O(1) template replay vs the full sweep), and
 //! a fourth measures delta evaluation against a captured sibling cache,
-//! and a fifth measures the intra-graph partitioned sweep (barrier and
-//! optimistic exchange modes) against the serial compiled sweep on wide
-//! padded graphs up to 200 000 nodes; all are written to
+//! and a fifth measures the intra-graph partitioned sweep against the
+//! serial compiled sweep on wide padded graphs up to 200 000 nodes; all
+//! are written to
 //! `results/bench_engine.json`. Partition rows publish within-run ratios
 //! (serial and partitioned cost measured seconds apart in one process)
 //! because absolute nanoseconds drift with host load.
@@ -33,8 +33,8 @@
 //! default 256-scenario grid is bitwise identical to the full compiled
 //! path, that a width-8 batch actually dispatches to the lane-chunked
 //! fold kernels, that a 2-worker partitioned sweep matches the serial
-//! checksum and rolls back under forced speculation (and beats serial
-//! where the host has >= 2 cores), that the detached-observer
+//! checksum (and beats serial where the host has >= 2 cores), that the
+//! detached-observer
 //! compiled/worklist cost ratio
 //! stays within `EVOLVE_OVERHEAD_TOLERANCE` — default 10% — of the
 //! committed `results/bench_engine.json` baseline's ratio, and that the
@@ -125,10 +125,10 @@ fn ff_section(targets: &[usize], budget: u64, reps: usize) -> Vec<FfPoint> {
 }
 
 /// Partitioned level-parallel sweep against the serial compiled sweep on
-/// wide padded graphs; both exchange-mode columns are within-run ratios
-/// against the serial baseline measured in the same process, and every
-/// partitioned run (including a forced-speculation rollback probe) is
-/// bitwise-checked against the serial checksum inside the grid itself.
+/// wide padded graphs; the gain column is a within-run ratio against the
+/// serial baseline measured in the same process, and every partitioned
+/// run is bitwise-checked against the serial checksum inside the grid
+/// itself.
 fn partition_section(
     targets: &[usize],
     thread_counts: &[usize],
@@ -137,23 +137,19 @@ fn partition_section(
 ) -> Vec<PartitionPoint> {
     println!("== partitioned sweep: intra-graph workers vs serial compiled ==");
     println!(
-        "{:>7} {:>4} {:>12} {:>13} {:>13} {:>13} {:>8} {:>8} {:>9}",
-        "nodes", "P", "iterations", "serial ns/it", "barrier ns/it", "optim ns/it", "b gain",
-        "o gain", "rollbacks"
+        "{:>7} {:>4} {:>12} {:>13} {:>13} {:>8}",
+        "nodes", "P", "iterations", "serial ns/it", "barrier ns/it", "b gain"
     );
     let points = partition_grid(targets, thread_counts, budget, reps);
     for p in &points {
         println!(
-            "{:>7} {:>4} {:>12} {:>13.1} {:>13.1} {:>13.1} {:>8.2} {:>8.2} {:>9}",
+            "{:>7} {:>4} {:>12} {:>13.1} {:>13.1} {:>8.2}",
             p.nodes,
             p.threads,
             p.iterations,
             p.serial_ns,
             p.barrier_ns,
-            p.optimistic_ns,
             p.barrier_speedup(),
-            p.optimistic_speedup(),
-            p.forced_rollbacks,
         );
     }
     points
@@ -531,19 +527,14 @@ fn main() {
             d.compiled_ns
         );
         delta_sweep_gate(256, tokens.min(200), threads);
-        // Partition smoke: conformance and the forced-rollback probe are
-        // asserted inside the grid; the speed gate only applies where the
-        // host can actually run two workers at once.
+        // Partition smoke: conformance is asserted inside the grid; the
+        // speed gate only applies where the host can actually run two
+        // workers at once.
         let partition_points = partition_section(&[5_000], &[1, 2], 500_000, 2);
         let pp = partition_points
             .iter()
             .find(|p| p.threads == 2)
             .expect("2-worker partition point");
-        assert!(
-            pp.forced_rollbacks > 0,
-            "forced speculation observed no rollbacks at {} nodes",
-            pp.nodes
-        );
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         if cores >= 2 {
             assert!(

@@ -23,13 +23,14 @@
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, simplify, synthetic, BatchedEngine, Engine, EngineStats, EquivalentModelBuilder,
-    EvalBackend, FastForward, ParallelConfig, PartitionMode,
+    derive_tdg, simplify, synthetic, BatchedEngine, Engine, EquivalentModelBuilder, EvalBackend,
+    FastForward, ParallelConfig,
 };
 use evolve_des::Time;
 use evolve_explore::SweepReport;
 use evolve_model::{elaborate, Architecture, Environment};
 use evolve_obs::json::Json;
+use evolve_obs::EngineCounters;
 
 /// How much of the model the equivalent variant still observes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +68,7 @@ pub struct Measurement {
     pub accurate: bool,
     /// Engine computation counters of the equivalent run — the work that
     /// replaced the saved kernel events.
-    pub engine_stats: EngineStats,
+    pub engine_stats: EngineCounters,
 }
 
 impl Measurement {
@@ -224,14 +225,10 @@ pub fn sweep_measurements(report: &SweepReport) -> Vec<Measurement> {
 }
 
 /// Engine counters summed over measurements (sweep-level aggregation).
-pub fn total_engine_stats(measurements: &[Measurement]) -> EngineStats {
-    let mut total = EngineStats::default();
+pub fn total_engine_stats(measurements: &[Measurement]) -> EngineCounters {
+    let mut total = EngineCounters::default();
     for m in measurements {
-        total.nodes_computed += m.engine_stats.nodes_computed;
-        total.arcs_evaluated += m.engine_stats.arcs_evaluated;
-        total.iterations_completed += m.engine_stats.iterations_completed;
-        total.lanes_evaluated += m.engine_stats.lanes_evaluated;
-        total.batched_iterations += m.engine_stats.batched_iterations;
+        total.merge(&m.engine_stats);
     }
     total
 }
@@ -582,11 +579,11 @@ pub fn delta_grid(targets: &[usize], budget: u64, reps: usize) -> Vec<DeltaPoint
 }
 
 /// One point of the intra-graph partition grid: per-iteration cost of the
-/// compiled sweep at a given graph size and partition worker count, in
-/// both exchange modes, against the serial sweep measured in the same
-/// process seconds earlier (`threads == 1` repeats the serial cost so
-/// every row carries its own within-run baseline — absolute nanoseconds
-/// drift with host load, ratios do not).
+/// compiled sweep at a given graph size and partition worker count,
+/// against the serial sweep measured in the same process seconds earlier
+/// (`threads == 1` repeats the serial cost so every row carries its own
+/// within-run baseline — absolute nanoseconds drift with host load,
+/// ratios do not).
 #[derive(Clone, Debug)]
 pub struct PartitionPoint {
     /// Node count of the evaluated graph (wide pipeline + chained padding).
@@ -598,19 +595,14 @@ pub struct PartitionPoint {
     /// Best-of-reps per-iteration cost of the serial compiled sweep (ns),
     /// measured in this run.
     pub serial_ns: f64,
-    /// Best-of-reps per-iteration cost in barrier exchange mode (ns).
+    /// Best-of-reps per-iteration cost of the partitioned sweep (ns).
     pub barrier_ns: f64,
-    /// Best-of-reps per-iteration cost in optimistic exchange mode (ns).
-    pub optimistic_ns: f64,
-    /// Partitions in the compiled plan (from the final barrier run).
+    /// Partitions in the compiled plan.
     pub partitions: u64,
     /// Level boundaries the plan protects with a barrier.
     pub planned_barriers: u64,
     /// Cross-partition zero-delay arcs exchanged at level boundaries.
     pub frontier_arcs: u64,
-    /// Rollbacks observed by the forced-speculation conformance pass (the
-    /// pass itself is untimed; its checksum must match the serial run).
-    pub forced_rollbacks: u64,
 }
 
 impl PartitionPoint {
@@ -619,11 +611,6 @@ impl PartitionPoint {
     pub fn barrier_speedup(&self) -> f64 {
         self.serial_ns / self.barrier_ns.max(1e-12)
     }
-
-    /// Serial-over-optimistic per-iteration cost ratio, within-run.
-    pub fn optimistic_speedup(&self) -> f64 {
-        self.serial_ns / self.optimistic_ns.max(1e-12)
-    }
 }
 
 /// Measures the intra-graph partitioned sweep at each target node count
@@ -631,13 +618,9 @@ impl PartitionPoint {
 /// with one chain per padding lane, so every level offers slots to every
 /// partition — the shape the partitioner exists for).
 ///
-/// Three configurations run per point: the serial compiled sweep (the
-/// within-run baseline), the barrier exchange mode, and the optimistic
-/// exchange mode; all three output-instant checksums must agree. A fourth
-/// forced-speculation pass (optimistic mode speculating on every boundary
-/// read) runs untimed as a rollback conformance probe: its checksum must
-/// also match, and on multi-partition plans with frontier arcs it must
-/// actually roll back.
+/// Two configurations run per point: the serial compiled sweep (the
+/// within-run baseline) and the partitioned sweep; their output-instant
+/// checksums must agree.
 ///
 /// # Panics
 ///
@@ -665,13 +648,6 @@ pub fn partition_grid(
         let relations = p.arch.app().relations().len();
         let iterations = (budget / nodes.max(1) as u64).clamp(100, 50_000);
 
-        let cfg = |threads: usize, mode: PartitionMode, forced: bool| ParallelConfig {
-            threads,
-            mode,
-            min_nodes: 0,
-            force_speculation: forced,
-            pin: false,
-        };
         let mut engine =
             Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
         let mut serial_ns = f64::INFINITY;
@@ -694,60 +670,31 @@ pub fn partition_grid(
                     iterations,
                     serial_ns,
                     barrier_ns: serial_ns,
-                    optimistic_ns: serial_ns,
                     partitions: 1,
                     planned_barriers: 0,
                     frontier_arcs: 0,
-                    forced_rollbacks: 0,
                 });
                 continue;
             }
-            let mut best = [f64::INFINITY; 2];
-            let mut shape = (0u64, 0u64, 0u64);
-            for (slot, mode) in [PartitionMode::Barrier, PartitionMode::Optimistic]
-                .into_iter()
-                .enumerate()
-            {
-                engine.reset();
-                engine.set_partition(Some(cfg(threads, mode, false)));
-                for rep in 0..reps {
-                    if rep > 0 {
-                        engine.reset();
-                    }
-                    let (wall, checksum) = drive_iterations(&mut engine, iterations);
-                    assert_eq!(
-                        checksum, serial_checksum,
-                        "{mode:?} diverged from serial at {nodes} nodes, {threads} workers"
-                    );
-                    best[slot] = best[slot].min(wall.as_secs_f64() * 1e9 / iterations as f64);
-                }
-                if slot == 0 {
-                    let stats = engine.partition_stats();
-                    shape = (
-                        stats.partitions,
-                        stats.planned_barriers,
-                        stats.frontier_arcs,
-                    );
-                }
-            }
-
-            // Rollback conformance probe: speculate on every boundary
-            // read, validate, roll back — and still match bitwise.
             engine.reset();
-            engine.set_partition(Some(cfg(threads, PartitionMode::Optimistic, true)));
-            let (_, checksum) = drive_iterations(&mut engine, iterations);
-            assert_eq!(
-                checksum, serial_checksum,
-                "forced speculation diverged from serial at {nodes} nodes, {threads} workers"
-            );
-            let forced = engine.partition_stats();
-            if forced.frontier_arcs > 0 {
-                assert!(
-                    forced.rollbacks > 0,
-                    "forced speculation never rolled back at {nodes} nodes, \
-                     {threads} workers: {forced:?}"
+            engine.set_partition(Some(ParallelConfig {
+                threads,
+                min_nodes: 0,
+                pin: false,
+            }));
+            let mut barrier_ns = f64::INFINITY;
+            for rep in 0..reps {
+                if rep > 0 {
+                    engine.reset();
+                }
+                let (wall, checksum) = drive_iterations(&mut engine, iterations);
+                assert_eq!(
+                    checksum, serial_checksum,
+                    "partitioned sweep diverged from serial at {nodes} nodes, {threads} workers"
                 );
+                barrier_ns = barrier_ns.min(wall.as_secs_f64() * 1e9 / iterations as f64);
             }
+            let shape = engine.partition_stats();
             engine.set_partition(None);
 
             out.push(PartitionPoint {
@@ -755,12 +702,10 @@ pub fn partition_grid(
                 threads,
                 iterations,
                 serial_ns,
-                barrier_ns: best[0],
-                optimistic_ns: best[1],
-                partitions: shape.0,
-                planned_barriers: shape.1,
-                frontier_arcs: shape.2,
-                forced_rollbacks: forced.rollbacks,
+                barrier_ns,
+                partitions: shape.partitions,
+                planned_barriers: shape.planned_barriers,
+                frontier_arcs: shape.frontier_arcs,
             });
         }
     }
@@ -976,13 +921,10 @@ pub fn backend_report_json(
                             ("iterations", Json::U64(p.iterations)),
                             ("serial_ns_per_iter", Json::F64(p.serial_ns)),
                             ("barrier_ns_per_iter", Json::F64(p.barrier_ns)),
-                            ("optimistic_ns_per_iter", Json::F64(p.optimistic_ns)),
                             ("barrier_speedup", Json::F64(p.barrier_speedup())),
-                            ("optimistic_speedup", Json::F64(p.optimistic_speedup())),
                             ("partitions", Json::U64(p.partitions)),
                             ("planned_barriers", Json::U64(p.planned_barriers)),
                             ("frontier_arcs", Json::U64(p.frontier_arcs)),
-                            ("forced_rollbacks", Json::U64(p.forced_rollbacks)),
                         ])
                     })
                     .collect(),
@@ -1133,28 +1075,21 @@ mod tests {
 
     #[test]
     fn partition_grid_smoke() {
-        // The grid's internal assertions cover checksum conformance and
-        // the forced-rollback requirement; here we pin the degenerate
-        // row, the plan shape, and the report shape.
+        // The grid's internal assertions cover checksum conformance; here
+        // we pin the degenerate row, the plan shape, and the report shape.
         let points = partition_grid(&[600], &[1, 2], 60_000, 2);
         assert_eq!(points.len(), 2);
         let serial = &points[0];
         assert_eq!(serial.threads, 1);
         assert_eq!(serial.serial_ns, serial.barrier_ns);
-        assert_eq!(serial.forced_rollbacks, 0);
         let parallel = &points[1];
         assert_eq!(parallel.threads, 2);
         assert!(parallel.nodes >= 600);
         assert_eq!(parallel.partitions, 2, "{parallel:?}");
-        assert!(parallel.barrier_ns > 0.0 && parallel.optimistic_ns > 0.0);
-        assert!(
-            parallel.frontier_arcs == 0 || parallel.forced_rollbacks > 0,
-            "{parallel:?}"
-        );
+        assert!(parallel.barrier_ns > 0.0);
         let rendered = backend_report_json(&[], &[], &[], &[], &points).render();
         assert!(rendered.contains("\"partition_points\""));
         assert!(rendered.contains("\"barrier_ns_per_iter\""));
-        assert!(rendered.contains("\"forced_rollbacks\""));
         assert!(rendered.contains("\"barrier_speedup\""));
     }
 

@@ -55,7 +55,7 @@
 //! scalar path instead of poisoning the batch.
 //!
 //! Per-lane observable state (outputs, acks, instant logs, execution
-//! records, [`EngineStats`]) is bitwise identical to running each lane
+//! records, [`EngineCounters`]) is bitwise identical to running each lane
 //! through a scalar compiled [`Engine`](crate::Engine) — pinned by the
 //! randomized conformance suite (`tests/batch_conformance.rs`); execution
 //! records match as multisets (the look-ahead emits them in schedule order
@@ -74,10 +74,11 @@ use std::collections::VecDeque;
 use evolve_des::Time;
 use evolve_maxplus::MaxPlus;
 use evolve_model::ExecRecord;
+use evolve_obs::EngineCounters;
 
 use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, SweepSegment};
 use crate::derive::{DerivedTdg, SizeRule};
-use crate::engine::{exec_record, instant, AllocationFootprint, EngineStats};
+use crate::engine::{exec_record, instant, AllocationFootprint};
 use crate::error::EngineError;
 use crate::kernel;
 use crate::periodic::{
@@ -441,7 +442,7 @@ fn plan_sweep_segments(
 /// once per engine by the padded lane stride (`kernel::is_chunked`):
 /// batches of 8+ lanes run chunked, narrower ones run the reference
 /// kernels. Purely diagnostic — both paths are bitwise identical — and
-/// deliberately *not* part of [`EngineStats`], whose per-lane values must
+/// deliberately *not* part of [`EngineCounters`], whose per-lane values must
 /// stay comparable with the scalar engine's.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDispatchStats {
@@ -511,9 +512,9 @@ pub struct BatchedEngine {
     /// History depth (maximum arc delay).
     horizon: u64,
     /// Analytic per-lane stats delta of the first lockstep call (`k == 0`).
-    delta_first: EngineStats,
+    delta_first: EngineCounters,
     /// Analytic per-lane stats delta of every later call.
-    delta_steady: EngineStats,
+    delta_steady: EngineCounters,
     ring: VecDeque<LaneBlock>,
     base_k: u64,
     free: Vec<LaneBlock>,
@@ -525,7 +526,7 @@ pub struct BatchedEngine {
     current: Vec<bool>,
     /// Lanes still offering (monotone: once `false`, never `true` again).
     active: Vec<bool>,
-    lane_stats: Vec<EngineStats>,
+    lane_stats: Vec<EngineCounters>,
     /// Most recent acknowledgment instant per lane: `(k, instant)`.
     acks: Vec<Option<(u64, Time)>>,
     /// Computed outputs, `lane * n_outputs + output`.
@@ -539,7 +540,7 @@ pub struct BatchedEngine {
     fifo_read: Vec<bool>,
     /// Execution records per lane.
     exec_records: Vec<Vec<ExecRecord>>,
-    stats: EngineStats,
+    stats: EngineCounters,
     // -- periodic fast-forward (see crate::periodic) -----------------------
     fast_forward: FastForward,
     ff_cfg: PeriodicConfig,
@@ -724,25 +725,25 @@ impl BatchedEngine {
         }
         let (delta_first, delta_steady) = if has_prefix {
             (
-                EngineStats {
+                EngineCounters {
                     nodes_computed: n + p,
                     arcs_evaluated: a - iin + d + z,
                     iterations_completed: 1,
-                    ..EngineStats::default()
+                    ..EngineCounters::default()
                 },
-                EngineStats {
+                EngineCounters {
                     nodes_computed: n,
                     arcs_evaluated: a - iin - in_p + d + z,
                     iterations_completed: 1,
-                    ..EngineStats::default()
+                    ..EngineCounters::default()
                 },
             )
         } else {
-            let delta = EngineStats {
+            let delta = EngineCounters {
                 nodes_computed: n,
                 arcs_evaluated: a - iin,
                 iterations_completed: 1,
-                ..EngineStats::default()
+                ..EngineCounters::default()
             };
             (delta, delta)
         };
@@ -775,14 +776,14 @@ impl BatchedEngine {
             lookahead_ran: false,
             current: vec![false; lanes],
             active: vec![false; lanes],
-            lane_stats: vec![EngineStats::default(); lanes],
+            lane_stats: vec![EngineCounters::default(); lanes],
             acks: vec![None; lanes],
             outputs_ready: vec![VecDeque::new(); lanes * n_outputs],
             instant_log: vec![Vec::new(); lanes * relation_count],
             read_log: vec![Vec::new(); lanes * relation_count],
             fifo_read: meta.fifo_read,
             exec_records: vec![Vec::new(); lanes],
-            stats: EngineStats::default(),
+            stats: EngineCounters::default(),
             fast_forward: FastForward::Off,
             ff_cfg: PeriodicConfig::default(),
             ff_eligible,
@@ -846,15 +847,15 @@ impl BatchedEngine {
 
     /// Aggregate statistics: per-lane computation summed over all lanes,
     /// plus the batch-level counters
-    /// ([`lanes_evaluated`](EngineStats::lanes_evaluated),
-    /// [`batched_iterations`](EngineStats::batched_iterations)).
-    pub fn stats(&self) -> EngineStats {
+    /// ([`lanes_evaluated`](EngineCounters::lanes_evaluated),
+    /// [`batched_iterations`](EngineCounters::batched_iterations)).
+    pub fn stats(&self) -> EngineCounters {
         self.stats
     }
 
     /// Statistics of one lane — bitwise what a scalar compiled
     /// [`Engine`](crate::Engine) would report for the same trace.
-    pub fn lane_stats(&self, lane: usize) -> EngineStats {
+    pub fn lane_stats(&self, lane: usize) -> EngineCounters {
         self.lane_stats[lane]
     }
 
@@ -1001,7 +1002,7 @@ impl BatchedEngine {
             self.segments_prefix = prefix;
             self.current = vec![false; lanes];
             self.active = vec![false; lanes];
-            self.lane_stats = vec![EngineStats::default(); lanes];
+            self.lane_stats = vec![EngineCounters::default(); lanes];
             self.acks = vec![None; lanes];
             self.outputs_ready = vec![VecDeque::new(); lanes * self.n_outputs];
             self.instant_log = vec![Vec::new(); lanes * self.relation_count];
@@ -1013,7 +1014,7 @@ impl BatchedEngine {
         self.lookahead_ran = false;
         self.current.fill(false);
         self.active.fill(false);
-        self.lane_stats.fill(EngineStats::default());
+        self.lane_stats.fill(EngineCounters::default());
         self.acks.fill(None);
         for queue in &mut self.outputs_ready {
             queue.clear();
@@ -1027,7 +1028,7 @@ impl BatchedEngine {
         for records in &mut self.exec_records {
             records.clear();
         }
-        self.stats = EngineStats::default();
+        self.stats = EngineCounters::default();
         self.kernel_dispatch = KernelDispatchStats::default();
         // Fast-forward: keep the knob and eligibility, restart detection.
         self.ff_engaged = false;
@@ -1724,7 +1725,7 @@ impl BatchedEngine {
     /// emission set of the lockstep call at iteration `k` for that lane.
     /// The stats increments are the analytic per-lane deltas — exactly what
     /// the sweep charges each offered lane.
-    fn ff_collect_lane(&self, l: usize, k: u64, delta: &EngineStats) -> CallEmissions {
+    fn ff_collect_lane(&self, l: usize, k: u64, delta: &EngineCounters) -> CallEmissions {
         let m = &self.ff_marks;
         let mut e = CallEmissions::default();
         let rbase = l * self.relation_count;
@@ -1826,7 +1827,7 @@ impl BatchedEngine {
         k: u64,
         offers: &[Option<(Time, u64)>],
         captured: bool,
-        delta: &EngineStats,
+        delta: &EngineCounters,
     ) {
         for (l, o) in offers.iter().enumerate() {
             let Some((at, size)) = *o else { continue };

@@ -38,12 +38,13 @@
 //! Emissions (outputs, acknowledgments, logs, exec records) are produced by
 //! the ordinary observation path in both branches, so a delta-evaluated
 //! sibling is bitwise identical to a full compiled evaluation — including
-//! [`EngineStats`](crate::EngineStats) — which
+//! [`EngineCounters`](evolve_obs::EngineCounters) — which
 //! `tests/delta_conformance.rs` pins down against both backends.
 
 use std::sync::Arc;
 
 use evolve_maxplus::MaxPlus;
+use evolve_obs::DeltaCounters;
 
 use crate::compile::{CompiledTdg, Obs};
 use crate::derive::SizeRule;
@@ -101,55 +102,6 @@ impl std::fmt::Display for DeltaUnsupported {
 }
 
 impl std::error::Error for DeltaUnsupported {}
-
-/// Counters of one engine's delta-evaluation work, returned by
-/// [`Engine::detach_delta`](crate::Engine::detach_delta).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Input offers answered by the delta sweep (clean copies plus
-    /// frontier recomputation).
-    pub calls_delta: u64,
-    /// Input offers evaluated fully while a base was attached (beyond the
-    /// cached rows, after a worklist fallback, or once the sibling's trace
-    /// diverged from the base).
-    pub calls_full: u64,
-    /// Node instants copied from the base cache without recomputation.
-    pub nodes_reused: u64,
-    /// Node instants recomputed because a fold input changed.
-    pub nodes_recomputed: u64,
-    /// Recomputed instants that matched the cache — the max-plus early-out
-    /// that stops the frontier from spreading downstream.
-    pub nodes_settled: u64,
-    /// Delta calls that recomputed zero nodes (the change frontier
-    /// collapsed entirely).
-    pub frontier_collapses: u64,
-}
-
-impl DeltaStats {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &DeltaStats) {
-        self.calls_delta += other.calls_delta;
-        self.calls_full += other.calls_full;
-        self.nodes_reused += other.nodes_reused;
-        self.nodes_recomputed += other.nodes_recomputed;
-        self.nodes_settled += other.nodes_settled;
-        self.frontier_collapses += other.frontier_collapses;
-    }
-}
-
-impl From<DeltaStats> for evolve_obs::DeltaCounters {
-    fn from(d: DeltaStats) -> Self {
-        evolve_obs::DeltaCounters {
-            calls_delta: d.calls_delta,
-            calls_full: d.calls_full,
-            nodes_reused: d.nodes_reused,
-            nodes_recomputed: d.nodes_recomputed,
-            nodes_settled: d.nodes_settled,
-            frontier_collapses: d.frontier_collapses,
-            ..evolve_obs::DeltaCounters::default()
-        }
-    }
-}
 
 /// One captured iteration of the base run: the finished ring state after
 /// the sweep and its look-ahead completed. Without output acknowledgments
@@ -221,7 +173,7 @@ pub(crate) struct DeltaLink {
     /// Precomputed constants of the bulk collapse over a fresh tail.
     pub(crate) collapse: CollapsePlan,
     /// Work counters of this link.
-    pub(crate) stats: DeltaStats,
+    pub(crate) stats: DeltaCounters,
 }
 
 /// Constants of the bulk-collapse fast path, precomputed at attach time.
@@ -342,24 +294,5 @@ mod tests {
         assert_eq!(DeltaUnsupported::WorklistBackend.reason(), "worklist");
         assert_eq!(DeltaUnsupported::StructureMismatch.reason(), "structure_mismatch");
         assert!(DeltaUnsupported::OutputAcks.to_string().contains("acknowledged"));
-    }
-
-    #[test]
-    fn stats_merge_adds_counters() {
-        let mut a = DeltaStats {
-            calls_delta: 1,
-            calls_full: 2,
-            nodes_reused: 3,
-            nodes_recomputed: 4,
-            nodes_settled: 5,
-            frontier_collapses: 6,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.calls_delta, 2);
-        assert_eq!(a.frontier_collapses, 12);
-        let counters: evolve_obs::DeltaCounters = a.into();
-        assert_eq!(counters.calls_delta, 2);
-        assert_eq!(counters.nodes_settled, 10);
-        assert_eq!(counters.lanes_delta, 0, "chain bookkeeping stays zero");
     }
 }

@@ -41,16 +41,18 @@ use std::sync::Arc;
 use evolve_des::{ChannelLog, EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
-use evolve_obs::{BackendKind, EngineEvent, Observer, PartitionTracer, Phase as FlightPhase};
+use evolve_obs::{
+    BackendKind, DeltaCounters, EngineCounters, EngineEvent, Observer, PartitionCounters,
+    PartitionTracer, Phase as FlightPhase,
+};
 
 use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs, SlotShape};
 use crate::parallel::{
-    pin_current_thread, ParallelConfig, ParallelRuntime, PartitionMode, PartitionPlan,
-    PartitionStats, SpinBarrier, WorkerFlight,
+    pin_current_thread, ParallelConfig, ParallelRuntime, PartitionPlan, SpinBarrier, WorkerFlight,
 };
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use crate::delta::{
-    self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaStats, DeltaUnsupported,
+    self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaUnsupported,
 };
 use crate::derive::{DerivedTdg, SizeRule};
 use crate::error::EngineError;
@@ -104,38 +106,6 @@ pub struct AllocationFootprint {
     /// harmless never-read values. `0` for the scalar [`Engine`] and for
     /// batches narrower than one chunk.
     pub lane_padding_elements: usize,
-}
-
-/// Computation statistics of an engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Nodes computed across all iterations.
-    pub nodes_computed: u64,
-    /// Arc-weight evaluations performed.
-    pub arcs_evaluated: u64,
-    /// Iterations fully computed.
-    pub iterations_completed: u64,
-    /// Scenario lanes this engine has evaluated. Always `0` for the scalar
-    /// [`Engine`] and for per-lane views; the batched engine's aggregate
-    /// counters ([`BatchedEngine::stats`](crate::BatchedEngine::stats))
-    /// report the number of lanes started here.
-    pub lanes_evaluated: u64,
-    /// Lockstep batched sweeps performed (one per
-    /// [`set_input_batch`](crate::BatchedEngine::set_input_batch) call,
-    /// covering every active lane). `0` for the scalar engine.
-    pub batched_iterations: u64,
-}
-
-impl From<EngineStats> for evolve_obs::EngineCounters {
-    fn from(s: EngineStats) -> Self {
-        evolve_obs::EngineCounters {
-            nodes_computed: s.nodes_computed,
-            arcs_evaluated: s.arcs_evaluated,
-            iterations_completed: s.iterations_completed,
-            lanes_evaluated: s.lanes_evaluated,
-            batched_iterations: s.batched_iterations,
-        }
-    }
 }
 
 /// Per-iteration evaluation state (recycled through a free list).
@@ -442,31 +412,26 @@ struct ParSweepCtx<'a> {
     ring: &'a VecDeque<IterState>,
     tail: &'a IterState,
     acc: &'a [AtomicI64],
-    frontier: &'a [i64],
-    progress: &'a [AtomicU32],
     barrier: &'a SpinBarrier,
     base_k: u64,
     k: u64,
-    mode: PartitionMode,
-    force_speculation: bool,
     pin: bool,
     /// Attached flight recorder (serving layer), or `None` when detached.
     flight: Option<WorkerFlight<'a>>,
 }
 
-/// One worker's deterministic counters plus its speculation log
-/// (`(src, dst)` node pairs, validated by the coordinator).
+/// One worker's deterministic counters.
+#[derive(Default)]
 struct PartitionSweepOut {
     nodes: u64,
     arcs: u64,
     barrier_crossings: u64,
-    speculative_reads: u64,
-    speculated: Vec<(u32, u32)>,
 }
 
 /// Sweeps partition `p`'s per-level slot ranges with the serial sweep's
 /// slot body ([`eval_slot`]); only the zero-delay source reads differ,
-/// going through the shared scratch under the mode's frontier discipline.
+/// going through the shared scratch. The plan's barriers make every
+/// cross-partition source final before it is read.
 fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
     if cx.pin {
         pin_current_thread(p);
@@ -474,38 +439,10 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
     let ct = cx.ct;
     let plan = cx.plan;
     let t1 = plan.threads + 1;
-    let mut out = PartitionSweepOut {
-        nodes: 0,
-        arcs: 0,
-        barrier_crossings: 0,
-        speculative_reads: 0,
-        speculated: Vec::new(),
-    };
-    // Zero-delay source read under the frontier discipline. Own writes
-    // and pre-published (look-ahead) slots are always current; foreign
-    // unpublished slots are speculated from the frontier cache.
-    let read0 = |src: usize, dst: usize, out: &mut PartitionSweepOut| -> MaxPlus {
-        match cx.mode {
-            PartitionMode::Barrier => MaxPlus::from_raw(cx.acc[src].load(Ordering::Relaxed)),
-            PartitionMode::Optimistic => {
-                let owner = plan.owner_of[src] as usize;
-                let published = owner == p
-                    || cx.tail.computed[src]
-                    || (!cx.force_speculation
-                        && cx.progress[owner].load(Ordering::Acquire) > plan.level_of[src]);
-                if published {
-                    MaxPlus::from_raw(cx.acc[src].load(Ordering::Relaxed))
-                } else {
-                    out.speculative_reads += 1;
-                    out.speculated.push((src as u32, dst as u32));
-                    MaxPlus::from_raw(cx.frontier[src])
-                }
-            }
-        }
-    };
+    let mut out = PartitionSweepOut::default();
     let hist = History::new(cx.ring, cx.base_k, cx.k);
     for l in 0..plan.levels {
-        if cx.mode == PartitionMode::Barrier && plan.barrier_before[l] {
+        if plan.barrier_before[l] {
             cx.barrier.wait();
             out.barrier_crossings += 1;
         }
@@ -524,7 +461,7 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
                 continue; // look-ahead prefix or the input slot
             }
             let (acc, arcs) = eval_slot(ct, pos, &hist, &cx.tail.sizes, None, |src| {
-                read0(src as usize, node, &mut out)
+                MaxPlus::from_raw(cx.acc[src as usize].load(Ordering::Relaxed))
             });
             out.nodes += 1;
             out.arcs += arcs;
@@ -534,11 +471,6 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
             if lo < hi {
                 f.record(p, FlightPhase::Sweep, span_start, f.now_ns(), l as u64);
             }
-        }
-        if cx.mode == PartitionMode::Optimistic {
-            // Publish: level `l` of this partition is final (Release pairs
-            // with readers' Acquire on the progress counter).
-            cx.progress[p].store(l as u32 + 1, Ordering::Release);
         }
     }
     out
@@ -705,7 +637,7 @@ pub struct Engine {
     input_events: Vec<Option<EventId>>,
     output_events: Vec<Option<EventId>>,
     pending_notifications: Vec<Notification>,
-    stats: EngineStats,
+    stats: EngineCounters,
     prune_counter: u32,
     /// Periodic fast-forward knob (Off by default for bare engines).
     fast_forward: FastForward,
@@ -734,10 +666,10 @@ pub struct Engine {
     /// Partitioned parallel evaluation runtime (plan + shared scratch);
     /// `None` unless [`Engine::set_partition`] enabled the path.
     parallel: Option<Box<ParallelRuntime>>,
-    /// Attached flight recorder handle (serving layer): sweep / validate /
-    /// rollback spans of the parallel path are recorded against its
-    /// per-worker tracks under the current correlation id. `None` (the
-    /// default) keeps evaluation recorder-free.
+    /// Attached flight recorder handle (serving layer): sweep spans of the
+    /// parallel path are recorded against its per-worker tracks under the
+    /// current correlation id. `None` (the default) keeps evaluation
+    /// recorder-free.
     flight: Option<Box<PartitionTracer>>,
 }
 
@@ -781,7 +713,7 @@ struct FfMarks {
     outputs: Vec<usize>,
     execs: usize,
     ack: Option<(u64, Time)>,
-    stats: EngineStats,
+    stats: EngineCounters,
 }
 
 impl std::fmt::Debug for Engine {
@@ -941,7 +873,7 @@ impl Engine {
             input_events: vec![None; n_inputs],
             output_events: vec![None; n_outputs],
             pending_notifications: Vec::new(),
-            stats: EngineStats::default(),
+            stats: EngineCounters::default(),
             prune_counter: 0,
             fast_forward: FastForward::Off,
             ff_eligible,
@@ -970,8 +902,7 @@ impl Engine {
     /// steady-state full sweep of graphs with at least
     /// [`ParallelConfig::min_nodes`] nodes — delta hits, fast-forward
     /// replay, and the worklist fallback are untouched. Results, logs,
-    /// and [`EngineStats`] stay bitwise identical to the serial sweep in
-    /// both [`PartitionMode`]s.
+    /// and [`EngineCounters`] stay bitwise identical to the serial sweep.
     pub fn set_partition(&mut self, config: Option<ParallelConfig>) {
         self.parallel = match (config, &self.compiled) {
             (Some(cfg), Some(ct)) if cfg.threads >= 2 => {
@@ -983,15 +914,14 @@ impl Engine {
 
     /// Cumulative counters of the partitioned parallel path (all zero
     /// when [`Engine::set_partition`] never enabled it).
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.parallel.as_ref().map_or_else(PartitionStats::default, |rt| rt.stats)
+    pub fn partition_stats(&self) -> PartitionCounters {
+        self.parallel.as_ref().map_or_else(PartitionCounters::default, |rt| rt.stats)
     }
 
     /// Attaches (or with `None` detaches) a flight-recorder handle. While
     /// attached, the parallel path records per-worker per-level `sweep`
-    /// spans plus coordinator `validate`/`rollback` spans under the
-    /// correlation id set by [`Engine::set_flight_corr`] — host-time
-    /// telemetry only, bitwise invisible to evaluation results.
+    /// spans under the correlation id set by [`Engine::set_flight_corr`] —
+    /// host-time telemetry only, bitwise invisible to evaluation results.
     pub fn set_flight_recorder(&mut self, tracer: Option<PartitionTracer>) {
         self.flight = tracer.map(Box::new);
     }
@@ -1218,19 +1148,19 @@ impl Engine {
             cold: false,
             diverged: false,
             collapse,
-            stats: DeltaStats::default(),
+            stats: DeltaCounters::default(),
         }));
         Ok(())
     }
 
     /// Detaches the base cache and returns the delta work counters
     /// (defaults when no base was attached).
-    pub fn detach_delta(&mut self) -> DeltaStats {
+    pub fn detach_delta(&mut self) -> DeltaCounters {
         self.delta.take().map(|l| l.stats).unwrap_or_default()
     }
 
     /// Delta work counters so far (all zero while no base is attached).
-    pub fn delta_stats(&self) -> DeltaStats {
+    pub fn delta_stats(&self) -> DeltaCounters {
         self.delta.as_ref().map(|l| l.stats).unwrap_or_default()
     }
 
@@ -1243,7 +1173,7 @@ impl Engine {
     /// derived graph across many input traces without re-deriving the graph
     /// or reallocating per-iteration state, so per-scenario cost collapses
     /// to the `ComputeInstant()` propagation itself. After `reset` the
-    /// engine behaves exactly like a freshly built one ([`EngineStats`]
+    /// engine behaves exactly like a freshly built one ([`EngineCounters`]
     /// counters restart at zero); kernel event registrations
     /// ([`Engine::set_input_event`] / [`Engine::set_output_event`]) are
     /// cleared and must be re-registered if the engine is re-attached to a
@@ -1272,7 +1202,7 @@ impl Engine {
         self.input_events.fill(None);
         self.output_events.fill(None);
         self.pending_notifications.clear();
-        self.stats = EngineStats::default();
+        self.stats = EngineCounters::default();
         self.prune_counter = 0;
         // Fast-forward: keep the knob and eligibility, restart detection.
         if let Some(pd) = &mut self.periodic {
@@ -1281,8 +1211,8 @@ impl Engine {
         // Delta state is per-scenario: re-attach (or re-capture) after reset.
         self.delta = None;
         self.delta_capture = None;
-        // Partition runtime: keep the plan, restore the deterministic
-        // scratch (frontier caches must not leak across traces).
+        // Partition runtime: keep the plan and scratch, restart the
+        // counters.
         if let Some(rt) = &mut self.parallel {
             rt.reset();
         }
@@ -1314,7 +1244,7 @@ impl Engine {
     }
 
     /// Computation statistics so far.
-    pub fn stats(&self) -> EngineStats {
+    pub fn stats(&self) -> EngineCounters {
         self.stats
     }
 
@@ -1657,7 +1587,7 @@ impl Engine {
     /// Whether the next full fast-path sweep runs on the partitioned
     /// parallel path: a runtime is attached (which implies the compiled
     /// backend and ≥ 2 planned partitions) and the graph is big enough
-    /// that the fork/join and frontier costs amortize.
+    /// that the fork/join and barrier costs amortize.
     fn partition_engaged(&self) -> bool {
         self.compiled.is_some()
             && self
@@ -1680,9 +1610,8 @@ impl Engine {
     /// 2. **Partitioned sweep** (parallel): workers fold accumulators into
     ///    a shared atomic scratch. Delayed arcs read the immutable ring;
     ///    zero-delay arcs within a partition read the worker's own writes;
-    ///    zero-delay arcs across partitions synchronize per
-    ///    [`PartitionMode`] (barrier waits, or speculation on the frontier
-    ///    cache with post-join rollback).
+    ///    zero-delay arcs across partitions read sources made final by the
+    ///    plan's barriers.
     /// 3. **Observation replay** (serial): the coordinator re-walks the
     ///    observed slots in schedule order, emitting logs, acks, outputs,
     ///    and exec records exactly as the serial sweep interleaves them.
@@ -1715,21 +1644,13 @@ impl Engine {
 
         // ---- Phase 1: seed scratch + serial size pre-pass. -------------
         // Slots computed before the sweep (look-ahead prefix, the input)
-        // publish their accumulators to the scratch up front; everything
-        // else keeps its previous-iteration value, which is exactly the
-        // optimistic frontier cache.
+        // publish their accumulators to the scratch up front.
         for (node, &done) in tail.computed.iter().enumerate() {
             if done {
                 rt.acc[node].store(tail.acc[node].raw(), Ordering::Relaxed);
             }
         }
         self.derive_sizes(&ct, k, &mut tail);
-        for &src in &rt.plan.boundary_srcs {
-            rt.frontier[src as usize] = rt.acc[src as usize].load(Ordering::Relaxed);
-        }
-        for p in &rt.progress {
-            p.store(0, Ordering::Relaxed);
-        }
 
         // ---- Phase 2: the partitioned sweep. ---------------------------
         let barrier = SpinBarrier::new(rt.plan.threads as u32);
@@ -1739,13 +1660,9 @@ impl Engine {
             ring: &self.ring,
             tail: &tail,
             acc: &rt.acc,
-            frontier: &rt.frontier,
-            progress: &rt.progress,
             barrier: &barrier,
             base_k: self.base_k,
             k,
-            mode: rt.config.mode,
-            force_speculation: rt.config.force_speculation,
             pin: rt.config.pin,
             flight: wf,
         };
@@ -1762,68 +1679,7 @@ impl Engine {
             outs
         });
 
-        // ---- Phase 3: validate speculation, roll back, commit. ---------
-        // Validate/rollback run on the coordinator, so their spans land on
-        // worker 0's track. Only the optimistic mode validates anything;
-        // barrier mode skips the (empty) span rather than flood the ring.
-        let validate_start = match wf {
-            Some(f) if rt.config.mode == PartitionMode::Optimistic => f.now_ns(),
-            _ => 0,
-        };
-        let mut misses = 0u64;
-        let mut recomputed = 0u64;
-        let mut any_dirty = false;
-        for out in &outs {
-            for &(src, dst) in &out.speculated {
-                if rt.acc[src as usize].load(Ordering::Relaxed) != rt.frontier[src as usize] {
-                    misses += 1;
-                    if !rt.dirty[dst as usize] {
-                        rt.dirty[dst as usize] = true;
-                        any_dirty = true;
-                    }
-                }
-            }
-        }
-        if let Some(f) = wf {
-            if rt.config.mode == PartitionMode::Optimistic {
-                f.record(0, FlightPhase::Validate, validate_start, f.now_ns(), misses);
-            }
-        }
-        if any_dirty {
-            let rollback_start = wf.map(|f| f.now_ns());
-            rt.stats.rollbacks += 1;
-            // Ascending schedule order is topological for zero-delay arcs,
-            // so one pass reaches the change-propagation fixed point.
-            let plan = &rt.plan;
-            let accs = &rt.acc;
-            let dirty = &mut rt.dirty;
-            let hist = History::new(&self.ring, self.base_k, k);
-            for pos in 0..ct.schedule.len() {
-                let node = ct.schedule[pos] as usize;
-                if !dirty[node] {
-                    continue;
-                }
-                dirty[node] = false;
-                if tail.computed[node] {
-                    continue; // pre-published slots are never speculative
-                }
-                // The sweep's fold again, every zero-delay source read
-                // straight from the (now coordinator-owned) scratch.
-                let (fresh, _) = eval_slot(&ct, pos, &hist, &tail.sizes, None, |src| {
-                    MaxPlus::from_raw(accs[src as usize].load(Ordering::Relaxed))
-                });
-                recomputed += 1;
-                if fresh.raw() != accs[node].load(Ordering::Relaxed) {
-                    accs[node].store(fresh.raw(), Ordering::Relaxed);
-                    for &succ in plan.succ0(node) {
-                        dirty[succ as usize] = true;
-                    }
-                }
-            }
-            if let (Some(f), Some(start)) = (wf, rollback_start) {
-                f.record(0, FlightPhase::Rollback, start, f.now_ns(), recomputed);
-            }
-        }
+        // ---- Phase 3: commit, then deferred observation replay. --------
         for (node, a) in rt.acc.iter().enumerate() {
             tail.acc[node] = MaxPlus::from_raw(a.load(Ordering::Relaxed));
         }
@@ -1844,7 +1700,7 @@ impl Engine {
             }
         }
 
-        // ---- Phase 4: deferred observation replay, in schedule order. --
+        // Observation replay, in schedule order.
         for &pos in &ct.observed_slots {
             let node = ct.schedule[pos as usize] as usize;
             if !tail.computed[node] {
@@ -1859,13 +1715,10 @@ impl Engine {
             nodes_local += out.nodes;
             arcs_local += out.arcs;
             rt.stats.barrier_crossings += out.barrier_crossings;
-            rt.stats.speculative_reads += out.speculative_reads;
         }
         self.stats.nodes_computed += nodes_local;
         self.stats.arcs_evaluated += arcs_local;
         rt.stats.parallel_iterations += 1;
-        rt.stats.speculation_misses += misses;
-        rt.stats.slots_recomputed += recomputed;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
         self.parallel = Some(rt);
@@ -1910,7 +1763,7 @@ impl Engine {
     /// right there — downstream comparisons see no difference.
     ///
     /// Observation (sizes, logs, acks, outputs, exec records) runs live in
-    /// both branches, in schedule order, so emissions and [`EngineStats`]
+    /// both branches, in schedule order, so emissions and [`EngineCounters`]
     /// are bitwise identical to a full evaluation.
     ///
     /// When the sibling has no seeded slots and every offer so far matched
@@ -1985,7 +1838,7 @@ impl Engine {
             }
             let [cs, ss, es] = ct.arc_ranges(slot);
             // Stats accrue exactly as in the full sweep, clean or dirty:
-            // the conformance bar includes `EngineStats`.
+            // the conformance bar includes `EngineCounters`.
             nodes_local += 1;
             arcs_local += (cs.len() + ss.len() + es.len()) as u64;
 

@@ -22,10 +22,11 @@ use evolve_des::{
 use evolve_model::{
     attach_environment, Architecture, Environment, RelationId, RelationKind, RunReport, Token,
 };
+use evolve_obs::EngineCounters;
 
 use crate::compile::EvalBackend;
 use crate::derive::derive_tdg;
-use crate::engine::{Engine, EngineStats, Notification};
+use crate::engine::{Engine, Notification};
 use crate::error::EquivalentError;
 use crate::simplify;
 
@@ -416,7 +417,7 @@ pub struct EquivalentReport {
     /// execution records replayed from the engine.
     pub run: RunReport,
     /// Engine computation statistics.
-    pub engine_stats: EngineStats,
+    pub engine_stats: EngineCounters,
     /// Node count of the executed graph.
     pub node_count: usize,
     /// Simulation events that crossed the kernel (boundary only).

@@ -85,12 +85,12 @@ pub use evolve_obs as obs;
 
 pub use batch::{BatchUnsupported, BatchedEngine, KernelDispatchStats};
 pub use compile::{CompiledTdg, EvalBackend, SlotShape};
-pub use delta::{DeltaCache, DeltaStats, DeltaUnsupported};
+pub use delta::{DeltaCache, DeltaUnsupported};
 pub use derive::{derive_tdg, derive_tdg_with, DeriveOptions, DerivedTdg, SizeRule, SizeRules};
-pub use engine::{AllocationFootprint, Engine, EngineStats, Notification};
+pub use engine::{AllocationFootprint, Engine, Notification};
 pub use equivalent::{equivalent_simulation, EquivalentModelBuilder, EquivalentSimulation};
 pub use error::{DeriveError, EngineError, EquivalentError};
-pub use parallel::{ParallelConfig, PartitionMode, PartitionStats};
+pub use parallel::ParallelConfig;
 pub use partial::{hybrid_simulation, partition, HybridReport, HybridSimulation, Partition, PartitionError};
 pub use periodic::{
     predict_periodic_regime, DetectedPeriod, FastForward, FastForwardStats, OraclePrediction,

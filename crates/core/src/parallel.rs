@@ -11,66 +11,25 @@
 //! frontier — need synchronization; delayed arcs read the immutable
 //! history ring and are always safe.
 //!
-//! Two synchronization modes share the plan:
+//! Workers synchronize only through spin barriers at planned level
+//! boundaries. A greedy pass over the levels places a barrier before level
+//! `l` only when some cross-partition zero-delay arc into `l` starts at or
+//! above the last barriered level, so partition-aligned graphs (e.g.
+//! [`synthetic::pad_wide`](crate::synthetic::pad_wide) chains) cross few
+//! or no barriers at all.
 //!
-//! * **Barrier** — the conservative bitwise reference. A greedy pass over
-//!   the levels places a spin barrier before level `l` only when some
-//!   cross-partition zero-delay arc into `l` starts at or above the last
-//!   barriered level, so partition-aligned graphs (e.g.
-//!   [`synthetic::pad_wide`](crate::synthetic::pad_wide) chains) cross few
-//!   or no barriers at all.
-//! * **Optimistic** — workers never wait. A cross-partition read checks the
-//!   owner partition's published level counter; if the source is not yet
-//!   published the worker *speculates* on the frontier cache (the
-//!   source's value from the previous iteration) and logs the read. After
-//!   the join, the coordinator validates every speculation and rolls back
-//!   — recomputes, in ascending schedule order, exactly the slots whose
-//!   zero-delay inputs changed. (max,+) monotonicity keeps the cascade
-//!   bounded: a late frontier value only ever *raises* an instant, so the
-//!   dirty set propagates along zero-delay arcs and never reaches slots
-//!   the frontier cannot influence.
-//!
-//! Both modes leave ring state, observation logs, and
-//! [`EngineStats`](crate::EngineStats) bitwise identical to the serial
-//! compiled sweep — the sweep itself runs in `crate::engine`
+//! The partitioned sweep leaves ring state, observation logs, and
+//! [`EngineCounters`](evolve_obs::EngineCounters) bitwise identical to the
+//! serial compiled sweep — the sweep itself runs in `crate::engine`
 //! (`compute_iteration_parallel`); this module owns the plan, the runtime
 //! scratch, the knobs, and the counters.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
 use evolve_maxplus::MaxPlus;
-use evolve_obs::{FlightRecorder, Phase, TrackId};
+use evolve_obs::{FlightRecorder, PartitionCounters, Phase, TrackId};
 
 use crate::compile::CompiledTdg;
-
-/// How partition workers synchronize at the cross-partition frontier.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PartitionMode {
-    /// Spin barriers at the planned level boundaries — the conservative
-    /// bitwise reference mode.
-    #[default]
-    Barrier,
-    /// Run ahead on cached frontier instants, validate after the join, and
-    /// roll back the affected level window (bitwise identical results; the
-    /// rollback is observable only in [`PartitionStats`]).
-    Optimistic,
-}
-
-impl PartitionMode {
-    /// Stable lower-case name, used as the report/JSON tag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PartitionMode::Barrier => "barrier",
-            PartitionMode::Optimistic => "optimistic",
-        }
-    }
-}
-
-impl std::fmt::Display for PartitionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Configuration of the partitioned parallel evaluation path
 /// ([`Engine::set_partition`](crate::Engine::set_partition)).
@@ -80,16 +39,10 @@ pub struct ParallelConfig {
     /// disable the path; values above [`ParallelConfig::MAX_THREADS`] are
     /// clamped.
     pub threads: usize,
-    /// Frontier synchronization mode.
-    pub mode: PartitionMode,
     /// Smallest graph (node count) the parallel path engages on; smaller
     /// graphs stay on the serial sweep, whose single linear pass is
     /// already cache-resident.
     pub min_nodes: usize,
-    /// Testing knob: treat *every* cross-partition read as unpublished, so
-    /// optimistic sweeps always speculate and the rollback path runs
-    /// deterministically (no dependence on worker timing).
-    pub force_speculation: bool,
     /// Best-effort `sched_setaffinity` pinning of worker `p` to CPU `p`
     /// (Linux only; failures are ignored).
     pub pin: bool,
@@ -107,79 +60,8 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            mode: PartitionMode::default(),
             min_nodes: Self::DEFAULT_MIN_NODES,
-            force_speculation: false,
             pin: true,
-        }
-    }
-}
-
-/// Cumulative counters of the partitioned evaluation path. Collected per
-/// engine via [`Engine::partition_stats`](crate::Engine::partition_stats).
-///
-/// Unlike [`EngineStats`](crate::EngineStats), the speculation counters
-/// depend on worker *timing* (how far the owner had published when the
-/// reader arrived) and are therefore not deterministic run to run — except
-/// under [`ParallelConfig::force_speculation`], which removes the timing
-/// dependence for the conformance suite.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// Iterations evaluated by the partitioned parallel sweep.
-    pub parallel_iterations: u64,
-    /// Fast-path iterations that ran serially while the runtime was
-    /// attached (delta hits, graphs under `min_nodes`, worklist fallback).
-    pub serial_iterations: u64,
-    /// Planned partitions (`P`), fixed at plan time.
-    pub partitions: u64,
-    /// Levels with a planned barrier, fixed at plan time (barrier mode
-    /// crossing cost per iteration).
-    pub planned_barriers: u64,
-    /// Cross-partition zero-delay arcs in the plan (the frontier size).
-    pub frontier_arcs: u64,
-    /// Barrier crossings executed (summed over workers; barrier mode only).
-    pub barrier_crossings: u64,
-    /// Cross-partition reads served from the frontier cache (optimistic).
-    pub speculative_reads: u64,
-    /// Speculative reads whose cached value differed from the final one.
-    pub speculation_misses: u64,
-    /// Iterations that entered the rollback pass (≥ 1 miss).
-    pub rollbacks: u64,
-    /// Slots recomputed by rollback change-propagation.
-    pub slots_recomputed: u64,
-}
-
-impl PartitionStats {
-    /// Folds another stats block into this one (counters add; the
-    /// plan-shape gauges `partitions`/`planned_barriers`/`frontier_arcs`
-    /// take the maximum, so merging engines of one plan is idempotent).
-    pub fn merge(&mut self, other: &PartitionStats) {
-        self.parallel_iterations += other.parallel_iterations;
-        self.serial_iterations += other.serial_iterations;
-        self.partitions = self.partitions.max(other.partitions);
-        self.planned_barriers = self.planned_barriers.max(other.planned_barriers);
-        self.frontier_arcs = self.frontier_arcs.max(other.frontier_arcs);
-        self.barrier_crossings += other.barrier_crossings;
-        self.speculative_reads += other.speculative_reads;
-        self.speculation_misses += other.speculation_misses;
-        self.rollbacks += other.rollbacks;
-        self.slots_recomputed += other.slots_recomputed;
-    }
-}
-
-impl From<PartitionStats> for evolve_obs::PartitionCounters {
-    fn from(p: PartitionStats) -> Self {
-        evolve_obs::PartitionCounters {
-            parallel_iterations: p.parallel_iterations,
-            serial_iterations: p.serial_iterations,
-            partitions: p.partitions,
-            planned_barriers: p.planned_barriers,
-            frontier_arcs: p.frontier_arcs,
-            barrier_crossings: p.barrier_crossings,
-            speculative_reads: p.speculative_reads,
-            speculation_misses: p.speculation_misses,
-            rollbacks: p.rollbacks,
-            slots_recomputed: p.slots_recomputed,
         }
     }
 }
@@ -191,8 +73,8 @@ impl From<PartitionStats> for evolve_obs::PartitionCounters {
 /// whole number of cache-resident sweep tiles.
 const TILE_SLOTS: usize = 32 * 1024 / std::mem::size_of::<i64>() / 4;
 
-/// The compile-time partition plan: per-level contiguous slot ranges, the
-/// barrier schedule, and the frontier/rollback adjacency.
+/// The compile-time partition plan: per-level contiguous slot ranges and
+/// the barrier schedule.
 #[derive(Debug)]
 pub(crate) struct PartitionPlan {
     /// Worker count `P` (≥ 2 when a runtime is built).
@@ -203,20 +85,10 @@ pub(crate) struct PartitionPlan {
     /// partition `p` of level `l` sweeps
     /// `bounds[l*(P+1)+p] .. bounds[l*(P+1)+p+1]`.
     pub(crate) bounds: Vec<u32>,
-    /// Barrier-mode: wait before entering this level.
+    /// Wait at a barrier before entering this level.
     pub(crate) barrier_before: Vec<bool>,
-    /// Owning partition per node.
-    pub(crate) owner_of: Vec<u32>,
-    /// Zero-delay level per node.
-    pub(crate) level_of: Vec<u32>,
-    /// Nodes read across a partition boundary at delay 0 (the frontier
-    /// cache refresh set).
-    pub(crate) boundary_srcs: Vec<u32>,
     /// Cross-partition zero-delay arc count.
     pub(crate) cross_arcs: u64,
-    /// CSR of *all* zero-delay successors per node (rollback propagation).
-    pub(crate) succ0_offsets: Vec<u32>,
-    pub(crate) succ0_targets: Vec<u32>,
     /// Schedule positions whose exec stream can stash execution info.
     pub(crate) stash_slots: Vec<u32>,
 }
@@ -280,7 +152,6 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
     // forces a barrier before its destination level, which then raises
     // the floor — arcs from deeper history ride the earlier barrier free.
     let mut barrier_before = vec![false; levels];
-    let mut boundary = vec![false; n];
     let mut cross_arcs = 0u64;
     let mut published = 0u32;
     for (l, barrier) in barrier_before.iter_mut().enumerate() {
@@ -296,7 +167,6 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
             for src in zero_srcs {
                 if owner_of[src as usize] != dst_owner {
                     cross_arcs += 1;
-                    boundary[src as usize] = true;
                     need |= level_of[src as usize] >= published;
                 }
             }
@@ -304,34 +174,6 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
         if need {
             *barrier = true;
             published = l as u32;
-        }
-    }
-    let boundary_srcs: Vec<u32> = (0..n as u32).filter(|&i| boundary[i as usize]).collect();
-
-    // Zero-delay successor CSR (rollback change-propagation).
-    let mut succ0_offsets = vec![0u32; n + 1];
-    let zero_arcs = |pos: usize| {
-        let [c, _, e] = ct.arc_ranges(pos);
-        ct.const_srcs[c]
-            .iter()
-            .copied()
-            .chain(e.filter(|&i| ct.exec_delays[i] == 0).map(|i| ct.exec_srcs[i]))
-    };
-    for pos in 0..n {
-        for src in zero_arcs(pos) {
-            succ0_offsets[src as usize + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        succ0_offsets[i + 1] += succ0_offsets[i];
-    }
-    let mut succ0_targets = vec![0u32; succ0_offsets[n] as usize];
-    let mut cursor = succ0_offsets.clone();
-    for pos in 0..n {
-        let dst = ct.schedule[pos];
-        for src in zero_arcs(pos) {
-            succ0_targets[cursor[src as usize] as usize] = dst;
-            cursor[src as usize] += 1;
         }
     }
 
@@ -350,12 +192,7 @@ pub(crate) fn plan_partitions(ct: &CompiledTdg, threads: usize) -> PartitionPlan
         levels,
         bounds,
         barrier_before,
-        owner_of,
-        level_of,
-        boundary_srcs,
         cross_arcs,
-        succ0_offsets,
-        succ0_targets,
         stash_slots,
     }
 }
@@ -366,72 +203,46 @@ impl PartitionPlan {
         self.barrier_before.iter().filter(|&&b| b).count() as u64
     }
 
-    /// Zero-delay successors of `node`.
-    pub(crate) fn succ0(&self, node: usize) -> &[u32] {
-        &self.succ0_targets
-            [self.succ0_offsets[node] as usize..self.succ0_offsets[node + 1] as usize]
+    /// Counters of a runtime that has evaluated nothing yet: the plan-shape
+    /// gauges set, every cumulative counter zero.
+    fn fresh_counters(&self) -> PartitionCounters {
+        PartitionCounters {
+            partitions: self.threads as u64,
+            planned_barriers: self.planned_barriers(),
+            frontier_arcs: self.cross_arcs,
+            ..PartitionCounters::default()
+        }
     }
 }
 
 /// The per-engine runtime of the parallel path: the plan plus the shared
-/// scratch the workers sweep into. The accumulator scratch doubles as the
-/// previous iteration's value store — unswept entries keep last
-/// iteration's instants, which is exactly the optimistic frontier cache.
+/// accumulator scratch the workers sweep into.
 #[derive(Debug)]
 pub(crate) struct ParallelRuntime {
     pub(crate) config: ParallelConfig,
     pub(crate) plan: PartitionPlan,
     /// Raw (max,+) accumulator per node, shared across workers.
     pub(crate) acc: Vec<AtomicI64>,
-    /// Frontier cache: per-node snapshot of the boundary sources taken
-    /// before each sweep (only `plan.boundary_srcs` entries are refreshed).
-    pub(crate) frontier: Vec<i64>,
-    /// Published-level counter per partition (optimistic mode).
-    pub(crate) progress: Vec<AtomicU32>,
-    /// Rollback dirty flags, node-indexed (cleared after each rollback).
-    pub(crate) dirty: Vec<bool>,
-    pub(crate) stats: PartitionStats,
+    pub(crate) stats: PartitionCounters,
 }
 
 impl ParallelRuntime {
     pub(crate) fn new(ct: &CompiledTdg, config: ParallelConfig) -> Self {
         let plan = plan_partitions(ct, config.threads);
-        let n = ct.schedule.len();
-        let stats = PartitionStats {
-            partitions: plan.threads as u64,
-            planned_barriers: plan.planned_barriers(),
-            frontier_arcs: plan.cross_arcs,
-            ..PartitionStats::default()
-        };
         ParallelRuntime {
             config,
-            acc: (0..n).map(|_| AtomicI64::new(MaxPlus::EPSILON.raw())).collect(),
-            frontier: vec![MaxPlus::EPSILON.raw(); n],
-            progress: (0..plan.threads).map(|_| AtomicU32::new(0)).collect(),
-            dirty: vec![false; n],
+            acc: (0..ct.schedule.len())
+                .map(|_| AtomicI64::new(MaxPlus::EPSILON.raw()))
+                .collect(),
+            stats: plan.fresh_counters(),
             plan,
-            stats,
         }
     }
 
-    /// Restores the deterministic post-construction state (engine reuse:
-    /// a reset engine must speculate exactly like a fresh one).
+    /// Restarts the counters (engine reuse). The scratch needs no
+    /// clearing: every sweep writes each entry before any worker reads it.
     pub(crate) fn reset(&mut self) {
-        let eps = MaxPlus::EPSILON.raw();
-        for a in &self.acc {
-            a.store(eps, Ordering::Relaxed);
-        }
-        self.frontier.fill(eps);
-        for p in &self.progress {
-            p.store(0, Ordering::Relaxed);
-        }
-        self.dirty.fill(false);
-        self.stats = PartitionStats {
-            partitions: self.plan.threads as u64,
-            planned_barriers: self.plan.planned_barriers(),
-            frontier_arcs: self.plan.cross_arcs,
-            ..PartitionStats::default()
-        };
+        self.stats = self.plan.fresh_counters();
     }
 }
 
@@ -605,22 +416,57 @@ mod tests {
         assert!(plan.planned_barriers() < 20);
     }
 
+    /// The whole correctness condition of the partitioned sweep: every
+    /// cross-partition zero-delay arc (const arcs, and exec arcs with delay
+    /// 0) has a planned barrier at some level `b` with
+    /// `level(src) < b <= level(dst)`, so its source is final before its
+    /// destination reads it. The arcs are enumerated here from the CSR
+    /// streams, independently of the planner's own walk.
     #[test]
-    fn succ0_mirrors_zero_delay_arcs() {
-        let e = compiled_of(4, 1_000);
-        let ct = e.compiled_tdg().unwrap();
-        let plan = plan_partitions(ct, 2);
-        let mut arcs = 0usize;
-        for pos in 0..ct.schedule.len() {
-            arcs += (ct.const_offsets[pos + 1] - ct.const_offsets[pos]) as usize;
-            let e0 = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
-            arcs += e0.filter(|&i| ct.exec_delays[i] == 0).count();
-        }
-        assert_eq!(plan.succ0_targets.len(), arcs);
-        // Every listed successor is strictly deeper than its source.
-        for node in 0..ct.schedule.len() {
-            for &succ in plan.succ0(node) {
-                assert!(plan.level_of[succ as usize] > plan.level_of[node]);
+    fn every_cross_partition_zero_delay_arc_crosses_a_barrier() {
+        for (chains, padding) in [(1, 300), (4, 1_000), (8, 5_000), (64, 20_000)] {
+            let e = compiled_of(chains, padding);
+            let ct = e.compiled_tdg().unwrap();
+            let n = ct.schedule.len();
+            for threads in 2..=4 {
+                let plan = plan_partitions(ct, threads);
+                let t1 = plan.threads + 1;
+                let (mut owner, mut level) = (vec![0usize; n], vec![0usize; n]);
+                for l in 0..plan.levels {
+                    for p in 0..plan.threads {
+                        for pos in plan.bounds[l * t1 + p]..plan.bounds[l * t1 + p + 1] {
+                            owner[ct.schedule[pos as usize] as usize] = p;
+                            level[ct.schedule[pos as usize] as usize] = l;
+                        }
+                    }
+                }
+                let mut cross = 0u64;
+                for pos in 0..n {
+                    let dst = ct.schedule[pos] as usize;
+                    let consts = ct.const_offsets[pos] as usize..ct.const_offsets[pos + 1] as usize;
+                    let execs = ct.exec_offsets[pos] as usize..ct.exec_offsets[pos + 1] as usize;
+                    let zero_srcs = consts.map(|i| ct.const_srcs[i]).chain(
+                        execs
+                            .filter(|&i| ct.exec_delays[i] == 0)
+                            .map(|i| ct.exec_srcs[i]),
+                    );
+                    for src in zero_srcs.map(|s| s as usize) {
+                        if owner[src] == owner[dst] {
+                            continue;
+                        }
+                        cross += 1;
+                        assert!(
+                            (level[src] + 1..=level[dst]).any(|b| plan.barrier_before[b]),
+                            "{chains}x{padding} P={threads}: arc {src}->{dst} (levels {} -> {}) \
+                             crosses partitions {} -> {} with no barrier between",
+                            level[src],
+                            level[dst],
+                            owner[src],
+                            owner[dst],
+                        );
+                    }
+                }
+                assert_eq!(cross, plan.cross_arcs, "{chains}x{padding} P={threads}");
             }
         }
     }

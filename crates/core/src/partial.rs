@@ -35,9 +35,10 @@ use evolve_model::{
     ExecRecord, FunctionId, Mapping, Platform, RelationId, RelationKind, ResourceId, RunReport,
     SharedTrace, Stmt, Token,
 };
+use evolve_obs::EngineCounters;
 
 use crate::derive::{derive_tdg_with, DeriveOptions};
-use crate::engine::{Engine, EngineStats};
+use crate::engine::Engine;
 use crate::equivalent::{Emission, Reception};
 use crate::error::EquivalentError;
 
@@ -295,7 +296,7 @@ pub struct HybridReport {
     /// function/resource ids).
     pub run: RunReport,
     /// Engine statistics of the computed group.
-    pub engine_stats: EngineStats,
+    pub engine_stats: EngineCounters,
     /// Node count of the executed graph.
     pub node_count: usize,
 }

@@ -9,7 +9,8 @@
 //! sweeping the compiled schedule, `set_input` answers by shifting a cached
 //! per-position template of the whole observable call effect — exchange
 //! instants, read instants, execution records, output emissions, the input
-//! acknowledgment, and the [`EngineStats`](crate::EngineStats) increments.
+//! acknowledgment, and the
+//! [`EngineCounters`](evolve_obs::EngineCounters) increments.
 //!
 //! # Why shifting is exact
 //!
@@ -325,7 +326,7 @@ pub(crate) struct CallEmissions {
     pub outputs: Vec<OutputEmission>,
     /// New input acknowledgment: `(iteration offset, ticks)`.
     pub ack: Option<(u64, u64)>,
-    /// `EngineStats` increments of the call.
+    /// `EngineCounters` increments of the call.
     pub nodes: u64,
     pub arcs: u64,
     pub iters: u64,

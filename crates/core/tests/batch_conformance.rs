@@ -8,7 +8,7 @@
 //!    chunk (1, 3, 7, 9, 15, 16, 33) with mixed-length,
 //!    per-lane-shifted offer sequences; every lane's observable instants,
 //!    outputs, and counters must be bitwise identical to a scalar engine
-//!    driven with that lane's trace alone (full [`EngineStats`] equality
+//!    driven with that lane's trace alone (full [`EngineCounters`] equality
 //!    against the compiled backend, node/iteration counters against the
 //!    worklist reference).
 //! 2. **Derived padded pipelines** — `synthetic::pipeline` architectures
@@ -27,9 +27,10 @@
 //! sweep replays them in schedule order, the scalar worklist in pop order,
 //! and only the multiset is part of the engine's contract.
 
+use evolve_core::obs::EngineCounters;
 use evolve_core::{
-    derive_tdg, synthetic, BatchUnsupported, BatchedEngine, DerivedTdg, Engine, EngineStats,
-    EvalBackend, NodeKind, Tdg, TdgBuilder, Weight,
+    derive_tdg, synthetic, BatchUnsupported, BatchedEngine, DerivedTdg, Engine, EvalBackend,
+    NodeKind, Tdg, TdgBuilder, Weight,
 };
 use evolve_des::Time;
 use evolve_explore::{drive_batch, drive_engine, ScenarioOutcome};
@@ -145,7 +146,7 @@ fn canonical(mut records: Vec<ExecRecord>) -> Vec<ExecRecord> {
 
 /// Stats with the batching-only counters cleared, for comparing a batched
 /// lane view against a scalar engine.
-fn scalar_view(mut stats: EngineStats) -> EngineStats {
+fn scalar_view(mut stats: EngineCounters) -> EngineCounters {
     stats.lanes_evaluated = 0;
     stats.batched_iterations = 0;
     stats

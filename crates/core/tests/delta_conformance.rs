@@ -7,7 +7,7 @@
 //! compiled, full compiled, and worklist — and requires the delta run to be
 //! bitwise identical to the full compiled run (outputs, acknowledgments,
 //! instant logs, execution records *in emission order*, and every
-//! [`EngineStats`] counter) and multiset-identical to the worklist.
+//! [`EngineCounters`] counter) and multiset-identical to the worklist.
 //!
 //! Two generators mirror `backend_conformance.rs`:
 //!
@@ -24,9 +24,10 @@
 //! [`DeltaUnsupported`] variant with its stable `reason()` tag, plus full
 //! evaluation still conforming after the ejection.
 
+use evolve_core::obs::{DeltaCounters, EngineCounters};
 use evolve_core::{
-    derive_tdg, synthetic, DeltaStats, DeltaUnsupported, DerivedTdg, Engine, EvalBackend,
-    NodeKind, Tdg, TdgBuilder, Weight,
+    derive_tdg, synthetic, DeltaUnsupported, DerivedTdg, Engine, EvalBackend, NodeKind, Tdg,
+    TdgBuilder, Weight,
 };
 use evolve_des::Time;
 use evolve_explore::drive_engine;
@@ -128,7 +129,7 @@ fn canonical(mut records: Vec<ExecRecord>) -> Vec<ExecRecord> {
 struct RawRun {
     outputs: Vec<Option<(u64, Time, u64)>>,
     instants: Vec<Vec<Time>>,
-    stats: evolve_core::EngineStats,
+    stats: EngineCounters,
 }
 
 fn drive_raw(engine: &mut Engine, offers: &[u64]) -> RawRun {
@@ -511,7 +512,7 @@ fn multi_input_graphs_eject_to_full_evaluation() {
         worklist.set_input(1, k, Time::from_ticks(k * 90 + 30), 0);
         assert_eq!(engine.next_output(0), worklist.next_output(0), "output at k={k}");
     }
-    assert_eq!(engine.delta_stats(), DeltaStats::default(), "no base ever attached");
+    assert_eq!(engine.delta_stats(), DeltaCounters::default(), "no base ever attached");
 }
 
 /// Acknowledged outputs and the worklist backend eject with their typed

@@ -4,7 +4,8 @@
 //! evaluation path: events and execution records are diffed around the real
 //! boundary calls, never threaded through them. The contract under test is
 //! **bitwise identical observables** — outputs, input acknowledgments,
-//! execution records (in order) and every [`EngineStats`] counter must be
+//! execution records (in order) and every
+//! [`EngineCounters`](evolve_core::obs::EngineCounters) counter must be
 //! the same whether a sink is attached, a null observer is attached, or no
 //! observer at all, across the worklist, compiled, compiled + fast-forward
 //! and batched evaluation paths.

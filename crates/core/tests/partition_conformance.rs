@@ -2,13 +2,13 @@
 //! serial compiled sweep on randomized graphs and scenarios.
 //!
 //! The partitioned path's contract is stricter than the backend contract:
-//! both synchronization modes must be **bitwise identical** to the serial
-//! compiled sweep — outputs, input acknowledgments, instant logs,
-//! execution records *in emission order* (both walk the same schedule
-//! order), and every [`EngineStats`] counter. Speculation activity is
-//! observable only through [`PartitionStats`].
+//! it must be **bitwise identical** to the serial compiled sweep —
+//! outputs, input acknowledgments, instant logs, execution records *in
+//! emission order* (both walk the same schedule order), and every
+//! [`EngineCounters`](evolve_core::obs::EngineCounters) counter, at every
+//! worker count.
 //!
-//! Three generators:
+//! Two generators:
 //!
 //! 1. **Raw synthetic TDGs** — random DAGs-with-delays (the
 //!    `backend_conformance.rs` shape) with `min_nodes: 0`, so even
@@ -18,11 +18,6 @@
 //! 2. **Wide padded pipelines** — `synthetic::pipeline` padded through
 //!    [`synthetic::pad_wide`], the shape the partitioner is actually
 //!    designed for, driven through `drive_engine` boundary semantics.
-//! 3. **Forced-rollback traces** — optimistic mode with
-//!    [`ParallelConfig::force_speculation`], which makes every
-//!    cross-partition read speculate on the previous iteration's frontier
-//!    cache: rollbacks fire deterministically and the result must still
-//!    be bitwise identical.
 //!
 //! Deterministic tests pin the degenerate configurations (one thread, an
 //! engagement threshold larger than the graph), the
@@ -32,7 +27,7 @@
 
 use evolve_core::{
     derive_tdg, synthetic, DerivedTdg, Engine, EvalBackend, FastForward, NodeKind, ParallelConfig,
-    PartitionMode, Tdg, TdgBuilder, Weight,
+    Tdg, TdgBuilder, Weight,
 };
 use evolve_des::Time;
 use evolve_explore::drive_engine;
@@ -125,18 +120,13 @@ fn engine_for(tdg: &Tdg) -> Engine {
 
 /// A test configuration: engage on any graph size, never pin (the suite
 /// runs under the test harness's own thread pool).
-fn cfg(threads: usize, mode: PartitionMode, force_speculation: bool) -> ParallelConfig {
-    ParallelConfig { threads, mode, min_nodes: 0, force_speculation, pin: false }
+fn cfg(threads: usize) -> ParallelConfig {
+    ParallelConfig { threads, min_nodes: 0, pin: false }
 }
 
 /// The partitioned configurations every generator is checked against.
-fn matrix() -> [ParallelConfig; 4] {
-    [
-        cfg(2, PartitionMode::Barrier, false),
-        cfg(4, PartitionMode::Barrier, false),
-        cfg(3, PartitionMode::Optimistic, false),
-        cfg(4, PartitionMode::Optimistic, true),
-    ]
+fn matrix() -> [ParallelConfig; 3] {
+    [cfg(2), cfg(3), cfg(4)]
 }
 
 proptest! {
@@ -224,86 +214,6 @@ proptest! {
             );
         }
     }
-
-    /// Forced-rollback trace family: every cross-partition read
-    /// speculates, so optimistic sweeps must detect the stale frontier
-    /// and roll back — and still land bitwise on the serial result.
-    #[test]
-    fn forced_speculation_rolls_back_to_the_serial_result(
-        padding in 32usize..160,
-        chains in 2usize..6,
-        threads in 2usize..5,
-        offers in proptest::collection::vec((1u64..500, 1u64..64), 3..10),
-    ) {
-        let p = synthetic::pipeline(2, 60, 3).expect("pipeline builds");
-        let relations = p.arch.app().relations().len();
-        let mut arrivals = Vec::with_capacity(offers.len());
-        let mut at = 0u64;
-        for &(gap, size) in &offers {
-            at += gap;
-            arrivals.push(Arrival { at: Time::from_ticks(at), size });
-        }
-        let engine_of = || {
-            let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
-            derived.map_tdg(|tdg| synthetic::pad_wide(tdg, padding, chains));
-            Engine::with_backend(derived, relations, true, EvalBackend::Compiled)
-        };
-
-        let mut serial = engine_of();
-        let want = drive_engine(&mut serial, &arrivals);
-
-        let mut e = engine_of();
-        e.set_partition(Some(cfg(threads, PartitionMode::Optimistic, true)));
-        let got = drive_engine(&mut e, &arrivals);
-        prop_assert_eq!(&got, &want, "forced speculation stays bitwise");
-
-        let ps = e.partition_stats();
-        prop_assert_eq!(ps.parallel_iterations, arrivals.len() as u64);
-        if ps.frontier_arcs > 0 {
-            prop_assert!(ps.speculative_reads > 0, "forced mode must speculate");
-        }
-    }
-}
-
-/// Forced speculation on a growing trace rolls back on every iteration
-/// after the first — the frontier cache always holds the previous
-/// iteration's (smaller) instants — and the whole trajectory, including
-/// the speculation counters, is deterministic across identical runs.
-#[test]
-fn forced_rollbacks_fire_and_are_deterministic() {
-    let run = || {
-        let p = synthetic::pipeline(3, 80, 2).expect("pipeline builds");
-        let relations = p.arch.app().relations().len();
-        let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
-        derived.map_tdg(|tdg| synthetic::pad_wide(tdg, 240, 4));
-        let mut e = Engine::with_backend(derived, relations, true, EvalBackend::Compiled);
-        e.set_partition(Some(cfg(4, PartitionMode::Optimistic, true)));
-        let arrivals: Vec<Arrival> = (0..24u64)
-            .map(|k| Arrival { at: Time::from_ticks(k * 211), size: 1 + (k * 13) % 48 })
-            .collect();
-        let outcome = drive_engine(&mut e, &arrivals);
-        (outcome, e.partition_stats())
-    };
-    let (outcome_a, stats_a) = run();
-    let (outcome_b, stats_b) = run();
-    assert_eq!(outcome_a, outcome_b, "forced runs are bitwise reproducible");
-    assert_eq!(stats_a, stats_b, "forced speculation counters are deterministic");
-    assert!(stats_a.speculative_reads > 0, "every frontier read speculated");
-    assert!(stats_a.speculation_misses > 0, "growing instants invalidate the cache");
-    assert!(stats_a.rollbacks > 0, "misses trigger the rollback pass");
-    assert!(stats_a.slots_recomputed >= stats_a.speculation_misses);
-
-    // The reference: the same trace on the serial sweep.
-    let p = synthetic::pipeline(3, 80, 2).expect("pipeline builds");
-    let relations = p.arch.app().relations().len();
-    let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
-    derived.map_tdg(|tdg| synthetic::pad_wide(tdg, 240, 4));
-    let mut serial = Engine::with_backend(derived, relations, true, EvalBackend::Compiled);
-    let arrivals: Vec<Arrival> = (0..24u64)
-        .map(|k| Arrival { at: Time::from_ticks(k * 211), size: 1 + (k * 13) % 48 })
-        .collect();
-    let want = drive_engine(&mut serial, &arrivals);
-    assert_eq!(outcome_a, want, "rolled-back result matches the serial sweep");
 }
 
 /// `threads: 1` and a too-high engagement threshold both degrade to the
@@ -327,7 +237,7 @@ fn degenerate_configurations_stay_serial() {
 
     // One worker: set_partition declines to build a runtime at all.
     let mut one = engine_of();
-    one.set_partition(Some(ParallelConfig { threads: 1, ..cfg(1, PartitionMode::Barrier, false) }));
+    one.set_partition(Some(cfg(1)));
     let got = drive_engine(&mut one, &arrivals);
     assert_eq!(got, want);
     assert_eq!(one.partition_stats(), Default::default(), "no runtime, no counters");
@@ -335,10 +245,7 @@ fn degenerate_configurations_stay_serial() {
     // Engagement threshold above the graph size: the runtime exists but
     // every iteration takes the serial sweep and is counted as such.
     let mut high = engine_of();
-    high.set_partition(Some(ParallelConfig {
-        min_nodes: usize::MAX,
-        ..cfg(4, PartitionMode::Barrier, false)
-    }));
+    high.set_partition(Some(ParallelConfig { min_nodes: usize::MAX, ..cfg(4) }));
     let got = drive_engine(&mut high, &arrivals);
     assert_eq!(got, want);
     let ps = high.partition_stats();
@@ -347,7 +254,7 @@ fn degenerate_configurations_stay_serial() {
 
     // Detaching restores the plain compiled path.
     let mut detached = engine_of();
-    detached.set_partition(Some(cfg(4, PartitionMode::Barrier, false)));
+    detached.set_partition(Some(cfg(4)));
     detached.set_partition(None);
     let got = drive_engine(&mut detached, &arrivals);
     assert_eq!(got, want);
@@ -373,16 +280,13 @@ fn compiled_parallel_backend_conforms() {
     let mut serial = Engine::with_backend(derived_of(), relations, true, EvalBackend::Compiled);
     let want = drive_engine(&mut serial, &arrivals);
 
-    for mode in [PartitionMode::Barrier, PartitionMode::Optimistic] {
-        let mut e =
-            Engine::with_backend(derived_of(), relations, true, EvalBackend::CompiledParallel);
-        assert_eq!(e.backend(), EvalBackend::CompiledParallel);
-        assert_eq!(e.backend().as_str(), "compiled-parallel");
-        e.set_partition(Some(cfg(4, mode, false)));
-        let got = drive_engine(&mut e, &arrivals);
-        assert_eq!(got, want, "mode {mode}");
-        assert_eq!(e.partition_stats().parallel_iterations, arrivals.len() as u64);
-    }
+    let mut e = Engine::with_backend(derived_of(), relations, true, EvalBackend::CompiledParallel);
+    assert_eq!(e.backend(), EvalBackend::CompiledParallel);
+    assert_eq!(e.backend().as_str(), "compiled-parallel");
+    e.set_partition(Some(cfg(4)));
+    let got = drive_engine(&mut e, &arrivals);
+    assert_eq!(got, want);
+    assert_eq!(e.partition_stats().parallel_iterations, arrivals.len() as u64);
 }
 
 /// Engine reuse: a partitioned engine driven, reset, and driven again on
@@ -396,7 +300,7 @@ fn reset_reuse_matches_a_fresh_engine() {
         let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
         derived.map_tdg(|tdg| synthetic::pad_wide(tdg, 128, 4));
         let mut e = Engine::with_backend(derived, relations, true, EvalBackend::Compiled);
-        e.set_partition(Some(cfg(4, PartitionMode::Optimistic, true)));
+        e.set_partition(Some(cfg(4)));
         e
     };
     let trace_a: Vec<Arrival> =
@@ -444,29 +348,27 @@ fn fast_forward_composes_with_partitioned_sweeps() {
     let want = drive_engine(&mut serial, &arrivals);
     let want_ff = serial.fast_forward_stats();
 
-    for mode in [PartitionMode::Barrier, PartitionMode::Optimistic] {
-        let mut e = engine_of(Some(cfg(4, mode, false)));
-        let got = drive_engine(&mut e, &arrivals);
-        assert_eq!(got, want, "mode {mode}");
-        assert_eq!(e.fast_forward_stats(), want_ff, "mode {mode} promotion trajectory");
-        let ps = e.partition_stats();
-        // Replayed offers never sweep; every remaining iteration does, in
-        // parallel.
-        assert_eq!(
-            ps.parallel_iterations + want_ff.fast_forwarded_iterations,
-            want.engine_stats.iterations_completed,
-            "every full sweep (and only those) went parallel in mode {mode}"
-        );
-        assert!(ps.parallel_iterations > 0, "post-demotion sweeps engage in mode {mode}");
-    }
+    let mut e = engine_of(Some(cfg(4)));
+    let got = drive_engine(&mut e, &arrivals);
+    assert_eq!(got, want);
+    assert_eq!(e.fast_forward_stats(), want_ff, "promotion trajectory");
+    let ps = e.partition_stats();
+    // Replayed offers never sweep; every remaining iteration does, in
+    // parallel.
+    assert_eq!(
+        ps.parallel_iterations + want_ff.fast_forwarded_iterations,
+        want.engine_stats.iterations_completed,
+        "every full sweep (and only those) went parallel"
+    );
+    assert!(ps.parallel_iterations > 0, "post-demotion sweeps engage");
     assert!(want_ff.promotions > 0, "the periodic prefix must promote");
     assert!(want_ff.demotions > 0, "the pattern break must demote");
 }
 
 /// Flight-recorder attachment is bitwise invisible: a partitioned engine
 /// with a recorder attached matches the detached engine exactly, while
-/// the recorder fills with per-worker `sweep` spans (and, in optimistic
-/// mode, coordinator `validate` spans) under the set correlation id.
+/// the recorder fills with per-worker `sweep` spans under the set
+/// correlation id.
 #[test]
 fn flight_recorder_attachment_is_bitwise_invisible() {
     use evolve_core::obs::{FlightRecorder, PartitionTracer, Phase};
@@ -483,47 +385,37 @@ fn flight_recorder_attachment_is_bitwise_invisible() {
         .map(|k| Arrival { at: Time::from_ticks(k * 167), size: 1 + (k * 5) % 21 })
         .collect();
 
-    for (mode, force) in
-        [(PartitionMode::Barrier, false), (PartitionMode::Optimistic, true)]
-    {
-        let mut detached = engine_of();
-        detached.set_partition(Some(cfg(3, mode, force)));
-        let want = drive_engine(&mut detached, &arrivals);
+    let mut detached = engine_of();
+    detached.set_partition(Some(cfg(3)));
+    let want = drive_engine(&mut detached, &arrivals);
 
-        let recorder = Arc::new(FlightRecorder::new(4, 256));
-        let tracks: Vec<_> =
-            (0..3).map(|p| recorder.register_track(&format!("worker-{p}"))).collect();
-        let mut traced = engine_of();
-        traced.set_partition(Some(cfg(3, mode, force)));
-        assert!(!traced.flight_attached());
-        traced.set_flight_recorder(Some(PartitionTracer {
-            recorder: Arc::clone(&recorder),
-            tracks,
-            corr: 0,
-        }));
-        assert!(traced.flight_attached());
-        traced.set_flight_corr(77);
-        let got = drive_engine(&mut traced, &arrivals);
-        assert_eq!(got, want, "mode {mode}: recorder must be bitwise invisible");
+    let recorder = Arc::new(FlightRecorder::new(4, 256));
+    let tracks: Vec<_> =
+        (0..3).map(|p| recorder.register_track(&format!("worker-{p}"))).collect();
+    let mut traced = engine_of();
+    traced.set_partition(Some(cfg(3)));
+    assert!(!traced.flight_attached());
+    traced.set_flight_recorder(Some(PartitionTracer {
+        recorder: Arc::clone(&recorder),
+        tracks,
+        corr: 0,
+    }));
+    assert!(traced.flight_attached());
+    traced.set_flight_corr(77);
+    let got = drive_engine(&mut traced, &arrivals);
+    assert_eq!(got, want, "recorder must be bitwise invisible");
 
-        let spans = recorder.spans();
-        let sweeps: Vec<_> = spans.iter().filter(|s| s.phase == Phase::Sweep).collect();
-        assert!(!sweeps.is_empty(), "mode {mode}: sweeps must be recorded");
-        assert!(sweeps.iter().all(|s| s.corr == 77), "mode {mode}: corr id stamped");
-        let worker_tracks: std::collections::BTreeSet<u16> =
-            sweeps.iter().map(|s| s.track).collect();
-        assert!(worker_tracks.len() >= 2, "mode {mode}: several workers traced");
-        if mode == PartitionMode::Optimistic {
-            assert!(
-                spans.iter().any(|s| s.phase == Phase::Validate),
-                "optimistic mode records coordinator validate spans"
-            );
-        }
+    let spans = recorder.spans();
+    let sweeps: Vec<_> = spans.iter().filter(|s| s.phase == Phase::Sweep).collect();
+    assert!(!sweeps.is_empty(), "sweeps must be recorded");
+    assert!(sweeps.iter().all(|s| s.corr == 77), "corr id stamped");
+    let worker_tracks: std::collections::BTreeSet<u16> =
+        sweeps.iter().map(|s| s.track).collect();
+    assert!(worker_tracks.len() >= 2, "several workers traced");
 
-        // Detaching returns the engine to the recorder-free path.
-        traced.set_flight_recorder(None);
-        assert!(!traced.flight_attached());
-    }
+    // Detaching returns the engine to the recorder-free path.
+    traced.set_flight_recorder(None);
+    assert!(!traced.flight_attached());
 }
 
 /// Delta chaining composes with the partitioned path: a delta-attached
@@ -558,25 +450,15 @@ fn delta_chaining_composes_with_partitioned_sweeps() {
     let full_outcome = drive_engine(&mut full, &arrivals);
     assert_eq!(want, full_outcome, "delta reference is sound");
 
-    for mode in [PartitionMode::Barrier, PartitionMode::Optimistic] {
-        let mut e = engine_of(115);
-        e.attach_delta_base(cache.clone()).expect("load edits keep the structure");
-        e.set_partition(Some(cfg(4, mode, false)));
-        let got = drive_engine(&mut e, &arrivals);
-        let got_delta = e.detach_delta();
-        assert_eq!(got, want, "mode {mode}");
-        assert_eq!(got_delta.calls_delta, want_delta.calls_delta, "mode {mode} delta hits");
-        assert_eq!(got_delta.calls_full, want_delta.calls_full, "mode {mode} full calls");
-        let ps = e.partition_stats();
-        assert_eq!(
-            ps.serial_iterations,
-            got_delta.calls_delta,
-            "delta hits run serially in mode {mode}"
-        );
-        assert_eq!(
-            ps.parallel_iterations,
-            got_delta.calls_full,
-            "full fallbacks sweep in parallel in mode {mode}"
-        );
-    }
+    let mut e = engine_of(115);
+    e.attach_delta_base(cache).expect("load edits keep the structure");
+    e.set_partition(Some(cfg(4)));
+    let got = drive_engine(&mut e, &arrivals);
+    let got_delta = e.detach_delta();
+    assert_eq!(got, want);
+    assert_eq!(got_delta.calls_delta, want_delta.calls_delta, "delta hits");
+    assert_eq!(got_delta.calls_full, want_delta.calls_full, "full calls");
+    let ps = e.partition_stats();
+    assert_eq!(ps.serial_iterations, got_delta.calls_delta, "delta hits run serially");
+    assert_eq!(ps.parallel_iterations, got_delta.calls_full, "full fallbacks sweep in parallel");
 }

@@ -10,7 +10,7 @@
 //!
 //! The contract under test is the tentpole guarantee of the fast-forward
 //! path: **bitwise identical observables**. Outputs, input acknowledgments,
-//! and the full [`EngineStats`](evolve_core::EngineStats) must match the
+//! and the full [`EngineCounters`](evolve_core::obs::EngineCounters) must match the
 //! plain compiled sweep exactly — including `nodes_computed` and
 //! `arcs_evaluated`, which fast-forward accounts analytically while
 //! skipping the actual sweeps. Execution records are compared in exact

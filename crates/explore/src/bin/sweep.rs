@@ -16,9 +16,7 @@
 //! steady-state fast-forward, for A/B timing runs), `--no-delta` (disable
 //! delta chaining of sibling scenarios, for A/B timing runs),
 //! `--partition-threads N` (intra-graph partition workers per engine
-//! sweep, default 1 = serial; bitwise invisible either way),
-//! `--partition-mode barrier|optimistic` (boundary exchange discipline of
-//! the partitioned sweep, default barrier), `--compare`
+//! sweep, default 1 = serial; bitwise invisible either way), `--compare`
 //! (also run the conventional DES model per scenario), `--out PATH` (report path,
 //! default `results/sweep.json`), `--metrics PATH` (enable streaming
 //! telemetry and write a metrics snapshot — Prometheus text exposition, or
@@ -28,7 +26,6 @@
 
 use std::path::PathBuf;
 
-use evolve_core::PartitionMode;
 use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, SweepConfig};
 use evolve_obs::json::Json;
 
@@ -40,14 +37,13 @@ struct Options {
     fast_forward: FastForward,
     delta: bool,
     partition_threads: usize,
-    partition_mode: PartitionMode,
     compare: bool,
     out: PathBuf,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--partition-threads N] [--partition-mode barrier|optimistic] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
+const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--partition-threads N] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -63,7 +59,6 @@ fn parse_args() -> Options {
         fast_forward: FastForward::On,
         delta: true,
         partition_threads: 1,
-        partition_mode: PartitionMode::Barrier,
         compare: false,
         out: PathBuf::from("results/sweep.json"),
         metrics: None,
@@ -95,13 +90,6 @@ fn parse_args() -> Options {
                 options.partition_threads =
                     parsed("--partition-threads", value("--partition-threads")) as usize;
             }
-            "--partition-mode" => match value("--partition-mode").as_str() {
-                "barrier" => options.partition_mode = PartitionMode::Barrier,
-                "optimistic" => options.partition_mode = PartitionMode::Optimistic,
-                other => usage_error(&format!(
-                    "--partition-mode expects barrier or optimistic, got `{other}`"
-                )),
-            },
             "--compare" => options.compare = true,
             "--out" => options.out = PathBuf::from(value("--out")),
             "--metrics" => options.metrics = Some(PathBuf::from(value("--metrics"))),
@@ -137,7 +125,6 @@ fn main() {
             telemetry: options.metrics.is_some(),
             delta: options.delta,
             partition_threads: options.partition_threads,
-            partition_mode: options.partition_mode,
             ..SweepConfig::default()
         },
     );
@@ -150,7 +137,6 @@ fn main() {
             fast_forward: options.fast_forward,
             delta: options.delta,
             partition_threads: options.partition_threads,
-            partition_mode: options.partition_mode,
             ..SweepConfig::default()
         },
     );

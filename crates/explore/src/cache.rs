@@ -26,11 +26,11 @@ use std::sync::Arc;
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, DeltaStats, Engine, FastForward,
-    FastForwardStats, ParallelConfig, PeriodicConfig,
+    derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, Engine, FastForward, FastForwardStats,
+    ParallelConfig, PeriodicConfig,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
-use evolve_obs::{downcast, TelemetrySink};
+use evolve_obs::{downcast, DeltaCounters, TelemetrySink};
 
 use crate::sweep::{ModelKind, ModelSpec, ScenarioOutcome};
 
@@ -232,7 +232,7 @@ pub enum DeltaLaneOutcome {
     /// [`DeltaUnsupported`](evolve_core::DeltaUnsupported)).
     CaptureFailed(&'static str),
     /// Sibling ran attached; counters for the whole drive.
-    Attached(DeltaStats),
+    Attached(DeltaCounters),
     /// Sibling was refused attachment and evaluated fully.
     Ejected(&'static str),
 }
@@ -315,7 +315,7 @@ pub fn drive_prepared(
     if let Some(sink) = tel.as_deref_mut() {
         // Per-drive counters: `reset` (engine reuse) restarts them, and a
         // detached runtime reports all-zero, which merges as a no-op.
-        sink.record_partition(prepared.engine.partition_stats().into());
+        sink.record_partition(prepared.engine.partition_stats());
     }
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);

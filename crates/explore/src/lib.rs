@@ -51,11 +51,13 @@ pub mod cache;
 pub mod sweep;
 
 pub use evolve_core::{EvalBackend, FastForward, FastForwardStats};
-pub use evolve_obs::{MetricsSnapshot, TelemetrySink, TraceCollector};
+pub use evolve_obs::{
+    BatchCounters, DeltaCounters, EngineCounters, MetricsSnapshot, TelemetrySink, TraceCollector,
+};
 pub use sweep::{
     default_grid, drive_batch, drive_engine, parallel_map, parallel_map_with, run_sweep,
-    trace_scenario, BatchingStats, DeltaSweepStats, ModelKind, ModelSpec, ReferenceComparison,
-    ScenarioOutcome, ScenarioResult, ScenarioSpec, SweepConfig, SweepReport, TraceSpec,
+    trace_scenario, ModelKind, ModelSpec, ReferenceComparison, ScenarioOutcome, ScenarioResult,
+    ScenarioSpec, SweepConfig, SweepReport, TraceSpec,
 };
 
 use evolve_core::{analysis, derive_tdg, equivalent_simulation, EquivalentError};

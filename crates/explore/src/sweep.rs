@@ -54,16 +54,18 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    synthetic, BatchedEngine, DeltaCache, DeltaStats, DetectedPeriod, Engine, EngineStats,
-    EvalBackend, FastForward, FastForwardStats, KernelDispatchStats, ParallelConfig,
-    PartitionMode, PeriodicConfig,
+    synthetic, BatchedEngine, DeltaCache, DetectedPeriod, Engine, EvalBackend, FastForward,
+    FastForwardStats, KernelDispatchStats, ParallelConfig, PeriodicConfig,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
     didactic, elaborate, Architecture, Arrival, Environment, ExecRecord, RelationId, Stimulus,
 };
 use evolve_obs::json::Json;
-use evolve_obs::{downcast, EjectReason, EngineEvent, MetricsSnapshot, Observer as _, TelemetrySink, TraceCollector};
+use evolve_obs::{
+    downcast, BatchCounters, DeltaCounters, EjectReason, EngineCounters, EngineEvent,
+    MetricsSnapshot, Observer as _, TelemetrySink, TraceCollector,
+};
 
 use crate::cache::{
     busy_per_resource, delta_family_key, drive_prepared, drive_prepared_batch, prepare,
@@ -233,7 +235,7 @@ pub struct ScenarioOutcome {
     /// Execution records replayed from computed instants.
     pub exec_records: Vec<ExecRecord>,
     /// Engine computation counters for this trace alone.
-    pub engine_stats: EngineStats,
+    pub engine_stats: EngineCounters,
     /// Busy ticks per resource index, summed over execution records.
     pub busy_ticks: Vec<u64>,
     /// Boundary exchanges a kernel would have simulated (one per input
@@ -368,8 +370,6 @@ pub struct SweepConfig {
     /// small models keep the cache-resident serial sweep; outcomes are
     /// bitwise identical for any setting. See `docs/SWEEP.md`.
     pub partition_threads: usize,
-    /// Frontier synchronization mode of the partitioned path.
-    pub partition_mode: PartitionMode,
 }
 
 impl Default for SweepConfig {
@@ -386,185 +386,6 @@ impl Default for SweepConfig {
             telemetry: false,
             delta: true,
             partition_threads: 1,
-            partition_mode: PartitionMode::Barrier,
-        }
-    }
-}
-
-/// Aggregate counters of the batched scheduling layer, reported in
-/// `results/sweep.json` so batching efficacy is observable without a
-/// profiler.
-///
-/// Every scenario of a sweep is either a batched lane
-/// ([`lanes_batched`](Self::lanes_batched)) or a scalar evaluation
-/// ([`lanes_scalar`](Self::lanes_scalar)); the `eject_*` counters break the
-/// scalar side down by the reason the batching layer turned the scenario
-/// away.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchingStats {
-    /// The configured [`SweepConfig::batch_width`].
-    pub batch_width: usize,
-    /// Lockstep batches driven to completion.
-    pub batches_formed: u64,
-    /// Scenarios evaluated as lanes of a batch.
-    pub lanes_batched: u64,
-    /// Scenarios evaluated on the scalar per-scenario path (including all
-    /// scenarios of a sweep with batching disabled).
-    pub lanes_scalar: u64,
-    /// Lockstep `set_input_batch` sweeps executed across all batches.
-    pub lockstep_iterations: u64,
-    /// Lockstep sweeps dispatched to the lane-chunked fold kernels (lane
-    /// stride a multiple of the SIMD chunk — see `evolve_core::kernel`).
-    pub kernel_chunked_sweeps: u64,
-    /// Lockstep sweeps dispatched to the per-element reference kernels
-    /// (narrow batches below one chunk).
-    pub kernel_scalar_sweeps: u64,
-    /// Scenarios ejected because their model uses the worklist backend.
-    pub eject_worklist: u64,
-    /// Scenarios ejected because their trace offers no tokens.
-    pub eject_empty_trace: u64,
-    /// Scenarios ejected because their model group had a leftover single
-    /// lane (a one-lane batch would only add overhead).
-    pub eject_single_lane: u64,
-    /// Scenarios ejected because [`BatchedEngine`] rejected the graph shape
-    /// (multi-input, output acks, long size-derivation delays).
-    pub eject_unsupported: u64,
-    /// Scenarios ejected because their model runs the scalar partitioned
-    /// backend ([`EvalBackend::CompiledParallel`]): intra-graph partition
-    /// workers replace cross-lane lockstep for those models.
-    pub eject_partitioned: u64,
-}
-
-impl From<BatchingStats> for evolve_obs::BatchCounters {
-    fn from(b: BatchingStats) -> Self {
-        evolve_obs::BatchCounters {
-            batch_width: b.batch_width as u64,
-            batches_formed: b.batches_formed,
-            lanes_batched: b.lanes_batched,
-            lanes_scalar: b.lanes_scalar,
-            lockstep_iterations: b.lockstep_iterations,
-            kernel_chunked_sweeps: b.kernel_chunked_sweeps,
-            kernel_scalar_sweeps: b.kernel_scalar_sweeps,
-            eject_worklist: b.eject_worklist,
-            eject_empty_trace: b.eject_empty_trace,
-            eject_single_lane: b.eject_single_lane,
-            eject_unsupported: b.eject_unsupported,
-            eject_partitioned: b.eject_partitioned,
-        }
-    }
-}
-
-impl BatchingStats {
-    fn absorb(&mut self, other: BatchingStats) {
-        self.batches_formed += other.batches_formed;
-        self.lanes_batched += other.lanes_batched;
-        self.lanes_scalar += other.lanes_scalar;
-        self.lockstep_iterations += other.lockstep_iterations;
-        self.kernel_chunked_sweeps += other.kernel_chunked_sweeps;
-        self.kernel_scalar_sweeps += other.kernel_scalar_sweeps;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_empty_trace += other.eject_empty_trace;
-        self.eject_single_lane += other.eject_single_lane;
-        self.eject_unsupported += other.eject_unsupported;
-        self.eject_partitioned += other.eject_partitioned;
-    }
-}
-
-/// Aggregate counters of the delta-chaining layer, reported in
-/// `results/sweep.json` next to [`BatchingStats`].
-///
-/// A *chain* is a family of structurally identical scalar scenarios whose
-/// first member ([`lanes_base`](Self::lanes_base)) is evaluated fully with
-/// its per-iteration state captured, and whose remaining members
-/// ([`lanes_delta`](Self::lanes_delta)) diff against that cache. The
-/// `eject_*` counters record siblings that fell back to full evaluation,
-/// keyed by [`DeltaUnsupported::reason`](evolve_core::DeltaUnsupported::reason).
-/// The node-level counters fold every attached sibling's
-/// [`DeltaStats`](evolve_core::DeltaStats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaSweepStats {
-    /// Sibling chains formed by the planner (families of ≥ 2 scenarios).
-    pub chains_formed: u64,
-    /// Chain bases evaluated fully under capture.
-    pub lanes_base: u64,
-    /// Siblings evaluated against a base cache.
-    pub lanes_delta: u64,
-    /// Siblings ejected: graph has more than one input node.
-    pub eject_multi_input: u64,
-    /// Siblings ejected: graph requires output acknowledgements.
-    pub eject_output_acks: u64,
-    /// Siblings ejected: engine uses the worklist backend.
-    pub eject_worklist: u64,
-    /// Siblings ejected: compiled structure differs from the base cache.
-    pub eject_structure_mismatch: u64,
-    /// Offers answered via delta propagation across all attached siblings.
-    pub calls_delta: u64,
-    /// Offers answered by full evaluation inside attached siblings (beyond
-    /// the cache horizon).
-    pub calls_full: u64,
-    /// Node instants copied from the base cache without recomputation.
-    pub nodes_reused: u64,
-    /// Node instants recomputed on the change frontier.
-    pub nodes_recomputed: u64,
-    /// Recomputed nodes whose instant matched the cache (frontier
-    /// absorption via max-plus monotonicity).
-    pub nodes_settled: u64,
-    /// Delta iterations whose frontier was empty (pure cache replay).
-    pub frontier_collapses: u64,
-}
-
-impl From<DeltaSweepStats> for evolve_obs::DeltaCounters {
-    fn from(d: DeltaSweepStats) -> Self {
-        evolve_obs::DeltaCounters {
-            chains_formed: d.chains_formed,
-            lanes_base: d.lanes_base,
-            lanes_delta: d.lanes_delta,
-            calls_delta: d.calls_delta,
-            calls_full: d.calls_full,
-            nodes_reused: d.nodes_reused,
-            nodes_recomputed: d.nodes_recomputed,
-            nodes_settled: d.nodes_settled,
-            frontier_collapses: d.frontier_collapses,
-            eject_multi_input: d.eject_multi_input,
-            eject_output_acks: d.eject_output_acks,
-            eject_worklist: d.eject_worklist,
-            eject_structure_mismatch: d.eject_structure_mismatch,
-        }
-    }
-}
-
-impl DeltaSweepStats {
-    fn absorb(&mut self, other: DeltaSweepStats) {
-        self.chains_formed += other.chains_formed;
-        self.lanes_base += other.lanes_base;
-        self.lanes_delta += other.lanes_delta;
-        self.eject_multi_input += other.eject_multi_input;
-        self.eject_output_acks += other.eject_output_acks;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_structure_mismatch += other.eject_structure_mismatch;
-        self.calls_delta += other.calls_delta;
-        self.calls_full += other.calls_full;
-        self.nodes_reused += other.nodes_reused;
-        self.nodes_recomputed += other.nodes_recomputed;
-        self.nodes_settled += other.nodes_settled;
-        self.frontier_collapses += other.frontier_collapses;
-    }
-
-    fn absorb_engine(&mut self, stats: &DeltaStats) {
-        self.calls_delta += stats.calls_delta;
-        self.calls_full += stats.calls_full;
-        self.nodes_reused += stats.nodes_reused;
-        self.nodes_recomputed += stats.nodes_recomputed;
-        self.nodes_settled += stats.nodes_settled;
-        self.frontier_collapses += stats.frontier_collapses;
-    }
-
-    fn count_eject(&mut self, reason: &str) {
-        match reason {
-            "multi_input" => self.eject_multi_input += 1,
-            "output_acks" => self.eject_output_acks += 1,
-            "worklist" => self.eject_worklist += 1,
-            _ => self.eject_structure_mismatch += 1,
         }
     }
 }
@@ -577,10 +398,19 @@ pub struct SweepReport {
     pub threads: usize,
     /// Per-scenario results, ordered by [`ScenarioResult::index`].
     pub scenarios: Vec<ScenarioResult>,
-    /// Counters of the batched scheduling layer.
-    pub batching: BatchingStats,
-    /// Counters of the delta-chaining layer.
-    pub delta: DeltaSweepStats,
+    /// Counters of the batched scheduling layer. Every scenario is either
+    /// a batched lane (`lanes_batched`) or a scalar evaluation
+    /// (`lanes_scalar`); the `eject_*` counters break the scalar side down
+    /// by the reason the batching layer turned the scenario away.
+    pub batching: BatchCounters,
+    /// Counters of the delta-chaining layer. A *chain* is a family of
+    /// structurally identical scalar scenarios whose first member
+    /// (`lanes_base`) is evaluated fully with its per-iteration state
+    /// captured, and whose remaining members (`lanes_delta`) diff against
+    /// that cache; the node-level counters fold every attached sibling's
+    /// [`Engine::delta_stats`], and the `eject_*` counters record siblings
+    /// that fell back to full evaluation.
+    pub delta: DeltaCounters,
     /// Host wall-clock time of the whole sweep.
     pub wall: HostDuration,
     /// Merged streaming-telemetry shards (resource metrics, event counts),
@@ -593,14 +423,10 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Engine counters summed over all scenarios.
-    pub fn total_engine_stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
+    pub fn total_engine_stats(&self) -> EngineCounters {
+        let mut total = EngineCounters::default();
         for s in &self.scenarios {
-            total.nodes_computed += s.outcome.engine_stats.nodes_computed;
-            total.arcs_evaluated += s.outcome.engine_stats.arcs_evaluated;
-            total.iterations_completed += s.outcome.engine_stats.iterations_completed;
-            total.lanes_evaluated += s.outcome.engine_stats.lanes_evaluated;
-            total.batched_iterations += s.outcome.engine_stats.batched_iterations;
+            total.merge(&s.outcome.engine_stats);
         }
         total
     }
@@ -645,7 +471,7 @@ impl SweepReport {
     /// One [`MetricsSnapshot`] carrying every counter family of the sweep
     /// — engine work, fast-forward, batching, lifecycle events, and (when
     /// [`SweepConfig::telemetry`] was on) streamed per-resource metrics —
-    /// so `FastForwardStats` and `BatchingStats` flow through the same
+    /// so the fast-forward and batching counters flow through the same
     /// Prometheus/JSON exporters as everything else.
     ///
     /// Counter families come from the report's own deterministic totals.
@@ -655,10 +481,10 @@ impl SweepReport {
     /// event-ratio gauge is live either way.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.telemetry.clone().unwrap_or_default();
-        snap.engine = self.total_engine_stats().into();
+        snap.engine = self.total_engine_stats();
         snap.ff = self.total_fast_forward_stats().into();
-        snap.batch = self.batching.into();
-        snap.delta = self.delta.into();
+        snap.batch = self.batching;
+        snap.delta = self.delta;
         if snap.events.boundary_events() == 0 {
             let inputs: u64 = self
                 .scenarios
@@ -735,7 +561,7 @@ impl SweepReport {
     }
 }
 
-fn engine_stats_json(stats: &EngineStats) -> Json {
+fn engine_stats_json(stats: &EngineCounters) -> Json {
     Json::object([
         ("nodes_computed", Json::U64(stats.nodes_computed)),
         ("arcs_evaluated", Json::U64(stats.arcs_evaluated)),
@@ -783,9 +609,9 @@ fn fast_forward_report_json(report: &SweepReport) -> Json {
     ])
 }
 
-fn batching_json(b: &BatchingStats) -> Json {
+fn batching_json(b: &BatchCounters) -> Json {
     Json::object([
-        ("batch_width", Json::U64(b.batch_width as u64)),
+        ("batch_width", Json::U64(b.batch_width)),
         ("batches_formed", Json::U64(b.batches_formed)),
         ("lanes_batched", Json::U64(b.lanes_batched)),
         ("lanes_scalar", Json::U64(b.lanes_scalar)),
@@ -804,7 +630,7 @@ fn batching_json(b: &BatchingStats) -> Json {
     ])
 }
 
-fn delta_json(d: &DeltaSweepStats) -> Json {
+fn delta_json(d: &DeltaCounters) -> Json {
     Json::object([
         ("chains_formed", Json::U64(d.chains_formed)),
         ("lanes_base", Json::U64(d.lanes_base)),
@@ -948,7 +774,6 @@ fn engine_options(config: &SweepConfig) -> EngineOptions {
         // the partition scopes of sibling units) shares the host cores.
         partition: (config.partition_threads >= 2).then(|| ParallelConfig {
             threads: config.partition_threads,
-            mode: config.partition_mode,
             pin: false,
             ..ParallelConfig::default()
         }),
@@ -1339,7 +1164,7 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
     units
 }
 
-/// The per-group ledger [`evaluate_batch`] merges into [`BatchingStats`]
+/// The per-group ledger [`evaluate_batch`] merges into [`BatchCounters`]
 /// in group order, so the counters are identical for any intra-unit
 /// fan-out.
 struct GroupLedger {
@@ -1417,7 +1242,7 @@ fn evaluate_batch(
     state: &mut EngineCaches,
     groups: Vec<BatchGroup>,
     config: &SweepConfig,
-    stats: &mut BatchingStats,
+    stats: &mut BatchCounters,
     tel: &mut Option<Box<TelemetrySink>>,
 ) -> Vec<ScenarioResult> {
     let options = engine_options(config);
@@ -1514,7 +1339,7 @@ fn evaluate_batch(
 /// shared by the plain scalar arm and every delta-chain member, so the
 /// batching ledger is identical with chaining on or off.
 fn count_scalar(
-    stats: &mut BatchingStats,
+    stats: &mut BatchCounters,
     tel: &mut Option<Box<TelemetrySink>>,
     index: usize,
     reason: &ScalarReason,
@@ -1556,8 +1381,8 @@ fn evaluate_delta_chain(
     state: &mut EngineCaches,
     chain: ChainMembers,
     config: &SweepConfig,
-    stats: &mut BatchingStats,
-    delta_stats: &mut DeltaSweepStats,
+    stats: &mut BatchCounters,
+    delta_stats: &mut DeltaCounters,
     tel: &mut Option<Box<TelemetrySink>>,
 ) -> Vec<ScenarioResult> {
     delta_stats.chains_formed += 1;
@@ -1594,18 +1419,29 @@ fn evaluate_delta_chain(
             match outcome {
                 DeltaLaneOutcome::Attached(engine_stats) => {
                     delta_stats.lanes_delta += 1;
-                    delta_stats.absorb_engine(&engine_stats);
+                    delta_stats.merge(&engine_stats);
                 }
-                DeltaLaneOutcome::Ejected(reason) => delta_stats.count_eject(reason),
+                DeltaLaneOutcome::Ejected(reason) => count_delta_eject(delta_stats, reason),
                 _ => {}
             }
             out.push(result);
         } else {
-            delta_stats.count_eject(capture_fail.unwrap_or("structure_mismatch"));
+            count_delta_eject(delta_stats, capture_fail.unwrap_or("structure_mismatch"));
             out.push(evaluate(&mut state.scalar, index, &spec, config, tel));
         }
     }
     out
+}
+
+/// Books a delta sibling that fell back to full evaluation under its
+/// [`DeltaUnsupported::reason`](evolve_core::DeltaUnsupported::reason).
+fn count_delta_eject(delta: &mut DeltaCounters, reason: &str) {
+    match reason {
+        "multi_input" => delta.eject_multi_input += 1,
+        "output_acks" => delta.eject_output_acks += 1,
+        "worklist" => delta.eject_worklist += 1,
+        _ => delta.eject_structure_mismatch += 1,
+    }
 }
 
 fn process_unit(
@@ -1614,12 +1450,12 @@ fn process_unit(
     config: &SweepConfig,
 ) -> (
     Vec<ScenarioResult>,
-    BatchingStats,
-    DeltaSweepStats,
+    BatchCounters,
+    DeltaCounters,
     Option<Box<TelemetrySink>>,
 ) {
-    let mut stats = BatchingStats::default();
-    let mut delta_stats = DeltaSweepStats::default();
+    let mut stats = BatchCounters::default();
+    let mut delta_stats = DeltaCounters::default();
     // One telemetry shard per unit; `run_sweep` merges shards in unit
     // order at its single ordering point.
     let mut tel: Option<Box<TelemetrySink>> =
@@ -1669,17 +1505,17 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         EngineCaches::default,
         |state, _, unit| process_unit(state, unit, config),
     );
-    let mut batching = BatchingStats {
-        batch_width: config.batch_width.max(1),
-        ..BatchingStats::default()
+    let mut batching = BatchCounters {
+        batch_width: config.batch_width.max(1) as u64,
+        ..BatchCounters::default()
     };
-    let mut delta = DeltaSweepStats::default();
+    let mut delta = DeltaCounters::default();
     let mut results = Vec::with_capacity(scenarios.len());
     let mut telemetry: Option<TelemetrySink> = config.telemetry.then(TelemetrySink::new);
     for (unit_results, unit_stats, unit_delta, unit_tel) in processed {
         results.extend(unit_results);
-        batching.absorb(unit_stats);
-        delta.absorb(unit_delta);
+        batching.merge(&unit_stats);
+        delta.merge(&unit_delta);
         // Telemetry shards merge here too: `processed` is in unit order
         // for any thread count, so the aggregate is deterministic.
         if let (Some(total), Some(shard)) = (telemetry.as_mut(), unit_tel) {
@@ -2163,7 +1999,7 @@ mod tests {
             "every planned sibling attaches: the planner only chains compiled \
              single-input ack-free families"
         );
-        assert_eq!(off.delta, DeltaSweepStats::default());
+        assert_eq!(off.delta, DeltaCounters::default());
         assert_eq!(on.batching, off.batching, "chaining must not change the batching ledger");
         for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
             assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);

@@ -257,30 +257,6 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         "Spin-barrier crossings executed, summed over workers",
         snapshot.partition.barrier_crossings,
     );
-    counter(
-        &mut out,
-        "evolve_partition_speculative_reads_total",
-        "Optimistic cross-partition reads served from the frontier cache",
-        snapshot.partition.speculative_reads,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_speculation_misses_total",
-        "Speculative reads whose cached value turned out stale",
-        snapshot.partition.speculation_misses,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_rollbacks_total",
-        "Iterations that ran the rollback pass",
-        snapshot.partition.rollbacks,
-    );
-    counter(
-        &mut out,
-        "evolve_partition_slots_recomputed_total",
-        "Slots recomputed by rollback change propagation",
-        snapshot.partition.slots_recomputed,
-    );
 
     counter(
         &mut out,

@@ -53,9 +53,8 @@ pub const MAX_LABELS: usize = 1024;
 /// A request-lifecycle (or partition-sweep) phase.
 ///
 /// The first six phases are the serving pipeline a request traverses in
-/// order; the last three are emitted by the partitioned intra-graph
-/// sweep (`crates/core/src/parallel.rs` workers) so speculation waste is
-/// visible per worker and per level.
+/// order; the last is emitted by the partitioned intra-graph sweep's
+/// workers, so barrier stalls show up as gaps per worker and per level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Phase {
@@ -73,14 +72,10 @@ pub enum Phase {
     Write = 5,
     /// One per-worker, per-level partition sweep.
     Sweep = 6,
-    /// Speculation validation after a partitioned iteration.
-    Validate = 7,
-    /// Rollback recomputation of misspeculated slots.
-    Rollback = 8,
 }
 
 /// Number of phases (and per-phase histograms).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 7;
 
 impl Phase {
     /// All phases, in pipeline order.
@@ -92,8 +87,6 @@ impl Phase {
         Phase::Encode,
         Phase::Write,
         Phase::Sweep,
-        Phase::Validate,
-        Phase::Rollback,
     ];
 
     /// Stable lowercase name, used as the Prometheus `phase` label and
@@ -107,8 +100,6 @@ impl Phase {
             Phase::Encode => "encode",
             Phase::Write => "write",
             Phase::Sweep => "sweep",
-            Phase::Validate => "validate",
-            Phase::Rollback => "rollback",
         }
     }
 
@@ -439,10 +430,9 @@ impl PhaseHistogram {
 }
 
 /// The recorder handle an [`Engine`](../../evolve_core/struct.Engine.html)
-/// carries so partition workers can emit per-level `sweep` /
-/// `validate` / `rollback` spans: the shared recorder, one pre-registered
-/// track per partition worker, and the correlation id of the request
-/// currently being evaluated.
+/// carries so partition workers can emit per-level `sweep` spans: the
+/// shared recorder, one pre-registered track per partition worker, and the
+/// correlation id of the request currently being evaluated.
 #[derive(Clone, Debug)]
 pub struct PartitionTracer {
     /// The shared recorder.

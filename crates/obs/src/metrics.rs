@@ -270,8 +270,8 @@ impl ResourceMetrics {
     }
 }
 
-/// Engine work counters — the obs-side mirror of `EngineStats`
-/// (`evolve-core` provides `From<EngineStats>`).
+/// Engine work counters: `evolve-core`'s `Engine::stats` and
+/// `BatchedEngine::stats` return them directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Nodes computed across all iterations.
@@ -280,9 +280,10 @@ pub struct EngineCounters {
     pub arcs_evaluated: u64,
     /// Iterations fully computed.
     pub iterations_completed: u64,
-    /// Scenario lanes evaluated by batched engines.
+    /// Scenario lanes evaluated by batched engines (0 for a scalar engine
+    /// and for a batched engine's per-lane view).
     pub lanes_evaluated: u64,
-    /// Lockstep batched sweeps performed.
+    /// Lockstep batched sweeps performed (0 for a scalar engine).
     pub batched_iterations: u64,
 }
 
@@ -297,9 +298,10 @@ impl EngineCounters {
     }
 }
 
-/// Fast-forward counters — the obs-side mirror of `FastForwardStats`
-/// minus the regime payload (regimes are listed separately in the
-/// snapshot; `evolve-core` provides `From<FastForwardStats>`).
+/// Fast-forward counters: `evolve-core`'s `FastForwardStats` minus its
+/// detected regime, which has no counter field (regimes are listed
+/// separately in the snapshot; `evolve-core` provides
+/// `From<FastForwardStats>`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FfCounters {
     /// Times a detector promoted to fast-forward replay.
@@ -319,8 +321,8 @@ impl FfCounters {
     }
 }
 
-/// Batching counters — the obs-side mirror of the sweep layer's
-/// `BatchingStats` (`evolve-explore` provides `From<BatchingStats>`).
+/// Batching counters of the sweep layer's lockstep scheduling
+/// (`evolve-explore`'s `SweepReport::batching`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchCounters {
     /// Configured lockstep batch width.
@@ -369,9 +371,10 @@ impl BatchCounters {
     }
 }
 
-/// Delta-evaluation counters — the obs-side mirror of the engine's
-/// `DeltaStats` plus the sweep layer's chain bookkeeping (`evolve-core`
-/// provides `From<DeltaStats>`, `evolve-explore` `From<DeltaSweepStats>`).
+/// Delta-evaluation counters: one engine's delta work (`evolve-core`'s
+/// `Engine::delta_stats`, whose chain-bookkeeping and `eject_*` fields
+/// stay zero) or a whole sweep's (`evolve-explore`'s
+/// `SweepReport::delta`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaCounters {
     /// Base+sibling chains formed by the sweep planner.
@@ -383,7 +386,8 @@ pub struct DeltaCounters {
     /// Calls answered by the delta sweep (clean copy or frontier recompute).
     pub calls_delta: u64,
     /// Calls a delta-linked engine evaluated fully (beyond the cached
-    /// rows, or after a worklist fallback).
+    /// rows, after a worklist fallback, or once the sibling's trace
+    /// diverged from the base).
     pub calls_full: u64,
     /// Node instants copied from the base cache without recomputation.
     pub nodes_reused: u64,
@@ -425,11 +429,10 @@ impl DeltaCounters {
     }
 }
 
-/// Partitioned-parallel-evaluation counters — the obs-side mirror of the
-/// engine's `PartitionStats` (`evolve-core` provides
-/// `From<PartitionStats>`). The plan-shape fields (`partitions`,
-/// `planned_barriers`, `frontier_arcs`) are gauges and merge by max; the
-/// rest are cumulative and add.
+/// Partitioned-parallel-evaluation counters, as `evolve-core`'s
+/// `Engine::partition_stats` returns them. The plan-shape fields
+/// (`partitions`, `planned_barriers`, `frontier_arcs`) are gauges and
+/// merge by max; the rest are cumulative and add.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PartitionCounters {
     /// Iterations evaluated by the partitioned parallel sweep.
@@ -445,14 +448,6 @@ pub struct PartitionCounters {
     pub frontier_arcs: u64,
     /// Spin-barrier crossings executed, summed over workers.
     pub barrier_crossings: u64,
-    /// Optimistic cross-partition reads served from the frontier cache.
-    pub speculative_reads: u64,
-    /// Speculative reads whose cached value turned out stale.
-    pub speculation_misses: u64,
-    /// Iterations that ran the rollback pass.
-    pub rollbacks: u64,
-    /// Slots recomputed by rollback change propagation.
-    pub slots_recomputed: u64,
 }
 
 impl PartitionCounters {
@@ -464,10 +459,6 @@ impl PartitionCounters {
         self.planned_barriers = self.planned_barriers.max(other.planned_barriers);
         self.frontier_arcs = self.frontier_arcs.max(other.frontier_arcs);
         self.barrier_crossings += other.barrier_crossings;
-        self.speculative_reads += other.speculative_reads;
-        self.speculation_misses += other.speculation_misses;
-        self.rollbacks += other.rollbacks;
-        self.slots_recomputed += other.slots_recomputed;
     }
 }
 
@@ -604,7 +595,7 @@ impl TelemetrySink {
     }
 
     /// Folds an engine's work counters into the sink (drivers call this
-    /// after each drive with `EngineStats::into()`).
+    /// after each drive with the engine's `stats()`).
     pub fn record_engine(&mut self, counters: EngineCounters) {
         self.engine.merge(&counters);
     }
@@ -1041,19 +1032,6 @@ impl MetricsSnapshot {
                         "barrier_crossings",
                         Json::U64(self.partition.barrier_crossings),
                     ),
-                    (
-                        "speculative_reads",
-                        Json::U64(self.partition.speculative_reads),
-                    ),
-                    (
-                        "speculation_misses",
-                        Json::U64(self.partition.speculation_misses),
-                    ),
-                    ("rollbacks", Json::U64(self.partition.rollbacks)),
-                    (
-                        "slots_recomputed",
-                        Json::U64(self.partition.slots_recomputed),
-                    ),
                 ]),
             ),
             (
@@ -1487,6 +1465,24 @@ mod tests {
         assert_eq!(snap.resources[0].ops, 12);
         assert_eq!(snap.events.offers, 2);
         assert_eq!(snap.events.replayed_offers, 1);
+    }
+
+    #[test]
+    fn delta_merge_adds_counters() {
+        let mut a = DeltaCounters {
+            calls_delta: 1,
+            calls_full: 2,
+            nodes_reused: 3,
+            nodes_recomputed: 4,
+            nodes_settled: 5,
+            frontier_collapses: 6,
+            ..DeltaCounters::default()
+        };
+        a.merge(&a.clone());
+        assert_eq!(a.calls_delta, 2);
+        assert_eq!(a.frontier_collapses, 12);
+        assert_eq!(a.nodes_settled, 10);
+        assert_eq!(a.lanes_delta, 0, "chain bookkeeping stays zero");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{DeltaStats, Engine, EvalBackend, FastForwardStats};
+use evolve_core::{Engine, EvalBackend, FastForwardStats};
 use evolve_explore::cache::{
     delta_family_key, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaBases,
     DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions, PreparedDrive,
@@ -206,7 +206,7 @@ impl Worker {
     }
 
     /// Lends the shard's partition-worker tracks to a scalar engine so
-    /// the parallel path emits sweep/validate/rollback spans under this
+    /// the parallel path emits per-level sweep spans under this
     /// request's correlation id. The shard evaluates one engine at a
     /// time, so the per-track single-writer contract holds even though
     /// cached engines share the tracks.
@@ -450,7 +450,7 @@ impl Worker {
         for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
             let ff = prepared.engine.lane_fast_forward_stats(lane);
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_engine(outcome.engine_stats.into());
+                sink.record_engine(outcome.engine_stats);
                 sink.record_ff(ff.into());
             }
             self.counters.lanes_batched += 1;
@@ -502,10 +502,10 @@ impl Worker {
             ..
         } = drive;
         if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record_engine(outcome.engine_stats.into());
+            sink.record_engine(outcome.engine_stats);
             sink.record_ff(fast_forward.into());
         }
-        let mut attached: Option<DeltaStats> = None;
+        let mut attached: Option<DeltaCounters> = None;
         match delta {
             DeltaLaneOutcome::Captured(cache) => {
                 if let Some(k) = key {
@@ -522,9 +522,10 @@ impl Worker {
                 attached = Some(stats);
                 self.counters.lanes_delta += 1;
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    let mut dc: DeltaCounters = stats.into();
-                    dc.lanes_delta = 1;
-                    sink.record_delta(dc);
+                    sink.record_delta(DeltaCounters {
+                        lanes_delta: 1,
+                        ..stats
+                    });
                 }
             }
             DeltaLaneOutcome::NotRequested
@@ -622,7 +623,7 @@ fn eval_ok(
     id: u64,
     outcome: &ScenarioOutcome,
     ff: FastForwardStats,
-    delta: Option<DeltaStats>,
+    delta: Option<DeltaCounters>,
     batched: bool,
     lanes_in_batch: u32,
 ) -> EvalResponse {
