@@ -27,6 +27,12 @@ python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["corr
 
 cargo clippy --all-targets --offline -- -D warnings
 
+# API docs of the evolve crates: broken or private intra-doc links fail the
+# build, so deleting an item cannot leave a dangling link behind. The
+# vendored proptest and criterion shims are not ours to document.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace \
+    --exclude proptest --exclude criterion
+
 # Batched-lane conformance: the lockstep engine must stay bitwise
 # identical to the scalar backends across widths, lane mixes, and the
 # ejection path (also part of the workspace run above; kept explicit so a

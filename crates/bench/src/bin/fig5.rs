@@ -360,7 +360,7 @@ fn overhead_gate(p: &BackendPoint) {
 
 /// Pulls `ns_per_lane_iter` for one `(nodes, width)` cell out of the
 /// committed artifact's `batch_points` section (same flat-scan approach as
-/// [`baseline_compiled_ns`]).
+/// [`baseline_backend_ns`]).
 fn baseline_batch_ns(report: &str, nodes: u64, width: u64) -> Option<f64> {
     let start = report.find("\"batch_points\"")?;
     let section = &report[start..];
@@ -659,7 +659,7 @@ fn main() {
     println!();
 
     // The batch-width grid: amortizing one schedule walk over B lanes.
-    // The 50 000-node point exercises the level-blocked traversal at a
+    // The 50 000-node point exercises the slot-ordered traversal at a
     // scale where accumulator rows no longer fit any cache level.
     let batch_points = batch_section(
         &[100, 1_000, 5_000, 50_000],

@@ -3,8 +3,9 @@
 //! Design-space exploration evaluates *many* input traces of the *same*
 //! architecture model (paper Section V sweeps graph size and event ratio;
 //! the sweep subsystem groups scenarios by model). The scalar compiled
-//! sweep ([`Engine`](crate::Engine) with [`EvalBackend::Compiled`]
-//! (crate::EvalBackend::Compiled)) is memory-bound on the CSR streams:
+//! sweep ([`Engine`](crate::Engine) with
+//! [`EvalBackend::Compiled`](crate::EvalBackend::Compiled)) is memory-bound
+//! on the CSR streams:
 //! every scenario re-fetches the same schedule slots, arc offsets, sources,
 //! and lags. [`BatchedEngine`] amortizes that traffic the way batched
 //! inference amortizes weight fetches — it carries `B` independent scenario
@@ -25,20 +26,25 @@
 //! durations) evaluates weights per lane, against each lane's own token
 //! sizes.
 //!
-//! # Level-blocked traversal
+//! # One slot walk over the scalar engine's shapes
 //!
-//! Because lane state is slot-indexed and every zero-delay source sits at a
-//! strictly earlier slot (the retiled `*_src_pos` streams of
-//! [`CompiledTdg`]), each destination row can be split off the accumulator
-//! (`split_at_mut(slot * stride)`) and written *directly* — the old
-//! fill/fold/copy scratch triple pass collapses to a single pass. The
-//! schedule is pre-partitioned into sweep segments: runs of constant-only,
-//! unobserved slots (*fused* blocks — e.g. the Fig. 5 padding chains) are
-//! walked as destination-contiguous cache blocks by the chunked kernels
-//! alone, while everything else takes the general per-slot path. Three
-//! segment plans exist per engine — first call, steady state (look-ahead
-//! prefix skipped), and the look-ahead prefix itself.
-//! [`KernelDispatchStats`] counts which kernel family served each sweep.
+//! A lockstep pass walks the schedule slot by slot and folds each slot by
+//! its [`SlotShape`], the tag the scalar engine's slot evaluator dispatches
+//! on. The straight-line constant and slow shapes (`Const1/2/3`,
+//! `Slow1Const1`, `Slow2Const1`) run as full-width chunked kernel folds
+//! over every lane; `Exec1` and the exec arcs of `General` fold once per
+//! offered lane, through the exec-term helper of the scalar sweep. Every
+//! zero-delay source sits at a strictly earlier slot (the retiled
+//! `*_src_pos` streams of [`CompiledTdg`]), so each destination row is
+//! split off the accumulator (`split_at_mut(slot * stride)`) and written in
+//! place, in one pass. The main pass and the look-ahead prefix pass are the
+//! same walk over different slots. [`KernelDispatchStats`] counts which
+//! kernel family served each sweep.
+//!
+//! Each lane's observable output — exchange and read instants, execution
+//! records, outputs and acknowledgments — goes to its own emission log,
+//! the type the scalar engine writes; fast-forward marks, collects and
+//! replays it the same way for one lane as for many.
 //!
 //! # Lockstep semantics and lane ejection
 //!
@@ -76,14 +82,14 @@ use evolve_maxplus::MaxPlus;
 use evolve_model::ExecRecord;
 use evolve_obs::EngineCounters;
 
-use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, SweepSegment};
+use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, SlotShape};
 use crate::derive::{DerivedTdg, SizeRule};
-use crate::engine::{exec_record, instant, AllocationFootprint};
+use crate::engine::{derived_size, exec_term, AllocationFootprint, EmissionLog, History};
 use crate::error::EngineError;
 use crate::kernel;
 use crate::periodic::{
-    self, CallEmissions, CallObservation, ExecEmission, FastForward, FastForwardStats, Observed,
-    OutputEmission, PeriodicConfig, PeriodicState, ReplayPlan, TailObservation,
+    self, CallObservation, FastForward, FastForwardStats, Observed, PeriodicConfig, PeriodicState,
+    ReplayPlan, TailObservation,
 };
 use crate::tdg::{NodeKind, Tdg};
 
@@ -139,18 +145,18 @@ impl std::fmt::Display for BatchUnsupported {
 
 impl std::error::Error for BatchUnsupported {}
 
-/// Per-iteration state of all lanes, laid out structure-of-arrays with the
-/// lane index innermost. Accumulator rows are indexed by *schedule slot*
-/// and padded to the kernel stride (`acc[slot * stride + lane]`) so the
-/// chunked folds run whole rows branch-free; sizes and exec stashes are
-/// read per lane only and keep the natural lane width
-/// (`sizes[relation * B + lane]`).
+/// Per-iteration state of all lanes. Accumulator rows are indexed by
+/// *schedule slot*, lane innermost, and padded to the kernel stride
+/// (`acc[slot * stride + lane]`) so the full-width folds run whole rows
+/// branch-free. Token sizes and exec stashes are only read lane by lane,
+/// so each lane keeps the scalar engine's row of them
+/// (`sizes[lane * relations + relation]`, `exec_stash[lane * execs + dense]`).
 struct LaneBlock {
     /// Computed instant per schedule slot per lane (stride-padded rows).
     acc: Vec<MaxPlus>,
-    /// Token size per relation per lane.
+    /// Token size per lane per relation.
     sizes: Vec<u64>,
-    /// `(start, ops)` per dense exec-end index per lane.
+    /// `(start, ops)` per lane per dense exec-end index.
     exec_stash: Vec<(MaxPlus, u64)>,
 }
 
@@ -168,273 +174,97 @@ impl LaneBlock {
     }
 }
 
-#[inline]
-fn block_at(ring: &VecDeque<LaneBlock>, base_k: u64, k: u64) -> Option<&LaneBlock> {
-    if k < base_k {
-        return None;
-    }
-    ring.get((k - base_k) as usize)
-}
-
-/// Snapshot of observable-state lengths across all lanes, taken before a
-/// lockstep call while some lane's detector is confirming, so the call's
-/// per-lane emissions can be diffed out afterwards.
-#[derive(Default)]
-struct BatchMarks {
-    /// `lane * relations + relation` exchange-log lengths.
-    instants: Vec<usize>,
-    /// `lane * relations + relation` read-log lengths.
-    reads: Vec<usize>,
-    /// `lane * n_outputs + output` ready-queue lengths.
-    outputs: Vec<usize>,
-    /// Execution-record counts per lane.
-    execs: Vec<usize>,
-    /// Acknowledgment state per lane.
-    acks: Vec<Option<(u64, Time)>>,
-}
-
-/// Per-lane observation targets, borrowed disjointly out of the engine for
-/// the duration of a sweep (the lane blocks move through `tail`/`ring`
-/// separately).
-struct ObsSink<'a> {
-    size_rules: &'a [SizeRule],
-    record: bool,
-    b: usize,
+/// What one lockstep pass reads besides the block it writes: the program,
+/// the history blocks, the lane geometry, and the lanes offered this call.
+struct Lanes<'a> {
+    ct: &'a CompiledTdg,
+    hist: History<'a, LaneBlock>,
+    stride: usize,
     relations: usize,
-    n_outputs: usize,
-    instant_log: &'a mut [Vec<Time>],
-    read_log: &'a mut [Vec<Time>],
-    acks: &'a mut [Option<(u64, Time)>],
-    outputs_ready: &'a mut [VecDeque<(u64, Time, u64)>],
-    exec_records: &'a mut [Vec<ExecRecord>],
+    execs: usize,
+    current: &'a [bool],
 }
 
-impl ObsSink<'_> {
-    /// Mirror of the scalar engine's `observe_at` for one lane of the
-    /// (out-of-ring) tail block. The tail is passed as its disjoint size
-    /// and exec-stash slices (never the accumulator), so the caller can
-    /// keep split borrows of the accumulator rows alive across the call.
-    #[allow(clippy::too_many_arguments)]
-    fn observe_lane(
-        &mut self,
-        k: u64,
-        obs: Obs,
-        value: MaxPlus,
-        lane: usize,
-        tail_sizes: &mut [u64],
-        tail_stash: &[(MaxPlus, u64)],
-        ring: &VecDeque<LaneBlock>,
-        base_k: u64,
-    ) {
-        let b = self.b;
-        match obs {
-            Obs::None => {}
-            Obs::Exchange {
-                relation,
-                ack_input,
-                output,
-            } => {
-                let relation = relation as usize;
-                let time = instant(value);
-                if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-                    let input_size = match from {
-                        None => 0,
-                        Some((rel, delay)) => {
-                            if u64::from(delay) > k {
-                                0
-                            } else if delay == 0 {
-                                tail_sizes[rel.index() * b + lane]
-                            } else {
-                                block_at(ring, base_k, k - u64::from(delay))
-                                    .map_or(0, |blk| blk.sizes[rel.index() * b + lane])
-                            }
-                        }
-                    };
-                    tail_sizes[relation * b + lane] = model.apply(input_size);
-                }
-                if self.record {
-                    let log = &mut self.instant_log[lane * self.relations + relation];
-                    debug_assert_eq!(
-                        log.len() as u64,
-                        k,
-                        "exchange instants must compute in iteration order"
-                    );
-                    log.push(time);
-                }
-                if ack_input != u32::MAX {
-                    self.acks[lane] = Some((k, time));
-                }
-                if output != u32::MAX {
-                    let size = tail_sizes[relation * b + lane];
-                    self.outputs_ready[lane * self.n_outputs + output as usize]
-                        .push_back((k, time, size));
-                }
-            }
-            Obs::FifoRead { relation } => {
-                if self.record {
-                    self.read_log[lane * self.relations + relation as usize].push(instant(value));
-                }
-            }
-            Obs::ExecEnd { dense, .. } => {
-                if self.record {
-                    let stash = tail_stash[dense as usize * b + lane];
-                    if let Some(record) = exec_record(obs, k, stash, value) {
-                        self.exec_records[lane].push(record);
-                    }
-                }
-            }
-        }
+impl Lanes<'_> {
+    /// Schedule slot `slot`'s row of every lane in `acc`.
+    #[inline(always)]
+    fn row<'b>(&self, acc: &'b [MaxPlus], slot: u32) -> &'b [MaxPlus] {
+        &acc[slot as usize * self.stride..][..self.stride]
     }
-}
 
-/// Evaluates one fused segment: a destination-contiguous run of *simple*
-/// slots (no observation, no slow or exec arcs, at least one const arc).
-/// Each slot's accumulator row is written directly in a single fused pass
-/// over its const arcs — `dst = E ⊕ (src ⊗ lag)` for the first arc,
-/// `dst ⊕= src ⊗ lag` for the rest — through the chunked kernels. The
-/// rolling `split_at_mut` is sound because every const source sits at a
-/// strictly earlier schedule slot (`CompiledTdg::const_src_pos`).
-fn eval_fused_segment(ct: &CompiledTdg, seg: &SweepSegment, acc: &mut [MaxPlus], stride: usize) {
-    let mut ci = ct.const_offsets[seg.start as usize] as usize;
-    for slot in seg.start as usize..seg.end as usize {
-        let chi = ct.const_offsets[slot + 1] as usize;
-        debug_assert!(chi > ci, "simple slots carry at least one const arc");
-        let (lo, rest) = acc.split_at_mut(slot * stride);
-        let dst = &mut rest[..stride];
-        let src = ct.const_src_pos[ci] as usize;
-        kernel::store_base_otimes(dst, &lo[src * stride..(src + 1) * stride], ct.const_lags[ci]);
-        for i in ci + 1..chi {
-            let src = ct.const_src_pos[i] as usize;
-            kernel::fold_max_otimes(dst, &lo[src * stride..(src + 1) * stride], ct.const_lags[i]);
-        }
-        ci = chi;
+    /// Const arc `i` stored over the process-start baseline in every lane
+    /// of `dst`; `lo` holds the rows of the slots before `dst`'s.
+    #[inline(always)]
+    fn store_const(&self, lo: &[MaxPlus], dst: &mut [MaxPlus], i: usize) {
+        let src = self.row(lo, self.ct.const_src_pos[i]);
+        kernel::store_base_otimes(dst, src, self.ct.const_lags[i]);
     }
-}
 
-/// Evaluates one general schedule slot across all lanes: full-width slow
-/// and const folds (structure shared by every lane) through the chunked
-/// kernels, per-lane exec-weight evaluation, observation for the lanes
-/// offered this call. The tail block arrives destructured so the rolling
-/// accumulator split can coexist with size/stash writes.
-#[allow(clippy::too_many_arguments)]
-fn eval_general_slot(
-    ct: &CompiledTdg,
-    ring: &VecDeque<LaneBlock>,
-    base_k: u64,
-    k: u64,
-    b: usize,
-    stride: usize,
-    slot: usize,
-    acc: &mut [MaxPlus],
-    tail_sizes: &mut [u64],
-    tail_stash: &mut [(MaxPlus, u64)],
-    current: &[bool],
-    record: bool,
-    sink: &mut ObsSink<'_>,
-) {
-    let [cs, ss, es] = ct.arc_ranges(slot);
-    let obs = ct.obs[slot];
-    let (lo, rest) = acc.split_at_mut(slot * stride);
-    let dst = &mut rest[..stride];
-    dst.fill(MaxPlus::E); // process-start baseline
-    // Slow stream: delayed constant arcs (delay ≥ 1 by construction), read
-    // through the history ring, folded full-width — `ε ⊗ lag = ε` keeps the
-    // fold branch-free per lane.
-    for i in ss {
-        let delay = u64::from(ct.slow_delays[i]);
-        let lag = ct.slow_lags[i];
-        let row = if delay > k {
-            None // pre-history resolves to the process-start baseline E
-        } else {
-            block_at(ring, base_k, k - delay).map(|blk| {
-                let src = ct.slow_src_pos[i] as usize;
-                &blk.acc[src * stride..(src + 1) * stride]
-            })
-        };
-        match row {
-            Some(row) => kernel::fold_max_otimes(dst, row, lag),
+    /// Const arc `i` folded into every lane of `dst`.
+    #[inline(always)]
+    fn fold_const(&self, lo: &[MaxPlus], dst: &mut [MaxPlus], i: usize) {
+        let src = self.row(lo, self.ct.const_src_pos[i]);
+        kernel::fold_max_otimes(dst, src, self.ct.const_lags[i]);
+    }
+
+    /// Slow arc `i` folded into every lane of `dst`: its source row of
+    /// iteration `k − delay`, or the process-start baseline before history.
+    #[inline(always)]
+    fn fold_slow(&self, dst: &mut [MaxPlus], i: usize) {
+        let ct = self.ct;
+        match self.hist.row(u64::from(ct.slow_delays[i])) {
+            Some(blk) => {
+                let src = self.row(&blk.acc, ct.slow_src_pos[i]);
+                kernel::fold_max_otimes(dst, src, ct.slow_lags[i]);
+            }
             // E ⊗ lag = lag, uniformly across lanes.
-            None => kernel::fold_max_value(dst, lag),
+            None => kernel::fold_max_value(dst, ct.slow_lags[i]),
         }
     }
-    // Exec stream: data-dependent arcs, evaluated per offered lane against
-    // that lane's token sizes. Stash writes are last-wins in arc order,
-    // matching the scalar sweep.
-    for i in es {
-        let delay = u64::from(ct.exec_delays[i]);
-        let src = ct.exec_src_pos[i] as usize;
-        let dense = ct.exec_stash_dense[i];
-        for (l, &cur) in current.iter().enumerate() {
-            if !cur {
-                continue;
-            }
-            let src_val = if delay == 0 {
-                lo[src * stride + l]
-            } else if delay > k {
-                MaxPlus::E
-            } else {
-                block_at(ring, base_k, k - delay).map_or(MaxPlus::E, |blk| blk.acc[src * stride + l])
-            };
-            if src_val.is_epsilon() {
-                continue;
-            }
-            let (lag, ops) = ct.durations.eval(i, k, |rel, d| {
-                if d == 0 {
-                    tail_sizes[rel * b + l]
-                } else {
-                    block_at(ring, base_k, k - d).map_or(0, |blk| blk.sizes[rel * b + l])
-                }
-            });
-            if record && dense != u32::MAX {
-                tail_stash[dense as usize * b + l] = (src_val, ops);
-            }
-            dst[l] = dst[l].oplus(src_val.otimes(MaxPlus::new(lag as i64)));
-        }
-    }
-    // Const stream: same-iteration constant arcs over earlier tail rows —
-    // the vectorizable common case.
-    for i in cs {
-        let src = ct.const_src_pos[i] as usize;
-        kernel::fold_max_otimes(dst, &lo[src * stride..(src + 1) * stride], ct.const_lags[i]);
-    }
-    if !matches!(obs, Obs::None) {
-        for (l, &cur) in current.iter().enumerate() {
-            if cur {
-                sink.observe_lane(k, obs, dst[l], l, tail_sizes, tail_stash, ring, base_k);
-            }
-        }
-    }
-}
 
-/// Plans the three sweep-segment schedules (first call, steady state,
-/// look-ahead prefix) for a given stride. Fused runs are capped so a
-/// block's accumulator rows stay within ~32 KiB of L1 (`max_fused` rows
-/// of `stride` lanes each).
-fn plan_sweep_segments(
-    ct: &CompiledTdg,
-    slot_dependent: &[bool],
-    input_slot: usize,
-    stride: usize,
-) -> (Vec<SweepSegment>, Vec<SweepSegment>, Vec<SweepSegment>) {
-    let row_bytes = stride * std::mem::size_of::<MaxPlus>();
-    let max_fused = (32 * 1024 / row_bytes.max(1)).clamp(8, 1024);
-    let n = ct.schedule.len();
-    let mut skip_first = vec![false; n];
-    skip_first[input_slot] = true;
-    let mut skip_steady = skip_first.clone();
-    let mut skip_prefix = vec![false; n];
-    for (slot, &dep) in slot_dependent.iter().enumerate() {
-        if dep {
-            skip_prefix[slot] = true;
-        } else {
-            skip_steady[slot] = true;
+    /// Exec arc `i` folded into each offered lane of `dst` by the scalar
+    /// sweep's exec term, against that lane's token sizes and into its exec
+    /// stash row; `lo` holds the rows of the slots before `dst`'s.
+    #[inline(always)]
+    fn fold_exec(
+        &self,
+        lo: &[MaxPlus],
+        dst: &mut [MaxPlus],
+        sizes: &[u64],
+        mut stash: Option<&mut [(MaxPlus, u64)]>,
+        i: usize,
+    ) {
+        let (delay, src) = (self.ct.exec_delays[i], self.ct.exec_src_pos[i] as usize);
+        for l in (0..self.current.len()).filter(|&l| self.current[l]) {
+            let src_val = if delay == 0 {
+                lo[src * self.stride + l]
+            } else {
+                self.hist
+                    .row(u64::from(delay))
+                    .map_or(MaxPlus::E, |blk| blk.acc[src * self.stride + l])
+            };
+            let now = &sizes[l * self.relations..][..self.relations];
+            let mut lane_stash = stash
+                .as_deref_mut()
+                .map(|s| &mut s[l * self.execs..][..self.execs]);
+            let size_at = |rel, d| self.size(now, l, rel, d);
+            let term = exec_term(self.ct, self.hist.k, i, src_val, size_at, &mut lane_stash);
+            dst[l] = dst[l].oplus(term);
         }
     }
-    (
-        ct.plan_segments(&skip_first, max_fused),
-        ct.plan_segments(&skip_steady, max_fused),
-        ct.plan_segments(&skip_prefix, max_fused),
-    )
+
+    /// Lane `l`'s token size of relation `rel` at iteration `k − d`: the
+    /// swept iteration itself from the lane's row `now`.
+    #[inline(always)]
+    fn size(&self, now: &[u64], l: usize, rel: usize, d: u64) -> u64 {
+        if d == 0 {
+            now[rel]
+        } else {
+            self.hist
+                .row(d)
+                .map_or(0, |blk| blk.sizes[l * self.relations + rel])
+        }
+    }
 }
 
 /// How many lockstep sweeps dispatched to the chunked (SIMD-friendly)
@@ -454,7 +284,9 @@ pub struct KernelDispatchStats {
 }
 
 /// Lockstep evaluator of `B` independent scenario lanes over one compiled
-/// graph (see the [module docs](self)).
+/// graph: each lockstep call folds every lane in one sweep of the schedule,
+/// and every lane's observables stay bitwise those of a scalar compiled
+/// [`Engine`](crate::Engine) driven with that lane's trace.
 ///
 /// # Examples
 ///
@@ -495,17 +327,9 @@ pub struct BatchedEngine {
     /// Schedule slot of the injected input node.
     input_slot: usize,
     /// Whether `schedule[slot]`'s node has a zero-delay path from an
-    /// external node (skipped after a look-ahead already computed the
-    /// complement). Kept to replan segments when `reset` changes the
-    /// stride.
+    /// external node: the main pass's slots once a look-ahead computed the
+    /// others.
     slot_dependent: Vec<bool>,
-    /// Segment plan of the first lockstep call (skips the input slot).
-    segments_first: Vec<SweepSegment>,
-    /// Segment plan once a look-ahead has opened the next iteration
-    /// (skips the input slot and the input-independent prefix).
-    segments_steady: Vec<SweepSegment>,
-    /// Segment plan of the look-ahead pass (only the prefix slots).
-    segments_prefix: Vec<SweepSegment>,
     has_prefix: bool,
     /// Chunked-vs-reference kernel dispatch counters.
     kernel_dispatch: KernelDispatchStats,
@@ -527,19 +351,10 @@ pub struct BatchedEngine {
     /// Lanes still offering (monotone: once `false`, never `true` again).
     active: Vec<bool>,
     lane_stats: Vec<EngineCounters>,
-    /// Most recent acknowledgment instant per lane: `(k, instant)`.
-    acks: Vec<Option<(u64, Time)>>,
-    /// Computed outputs, `lane * n_outputs + output`.
-    outputs_ready: Vec<VecDeque<(u64, Time, u64)>>,
-    /// Exchange-instant log, `lane * relations + relation`.
-    instant_log: Vec<Vec<Time>>,
-    /// Read-instant log, `lane * relations + relation`; kept only for
-    /// relations with a FIFO read node (a rendezvous read is its write).
-    read_log: Vec<Vec<Time>>,
-    /// Per relation: whether it has a FIFO read node (owns a `read_log`).
+    /// Per relation: whether it has a FIFO read node (the lane logs' layout).
     fifo_read: Vec<bool>,
-    /// Execution records per lane.
-    exec_records: Vec<Vec<ExecRecord>>,
+    /// Each lane's logs, outputs and acknowledgment.
+    logs: Vec<EmissionLog>,
     stats: EngineCounters,
     // -- periodic fast-forward (see crate::periodic) -----------------------
     fast_forward: FastForward,
@@ -557,16 +372,12 @@ pub struct BatchedEngine {
     ff_engaged: bool,
     /// Structural mask: nodes computed by the look-ahead prefix.
     prefix_nodes: Vec<bool>,
-    /// Structural mask: relations whose derived size the prefix writes.
-    prefix_sizes: Vec<bool>,
-    ff_marks: BatchMarks,
     /// Per-lane replay plans of the current lockstep call.
     ff_plans: Vec<Option<ReplayPlan>>,
-    /// Per-lane gather buffers: de-strided views handed to the detector.
+    /// Per-lane gather buffers: de-strided, node-indexed accumulators of
+    /// the completed iteration and the look-ahead tail for the detector.
     ff_obs_acc: Vec<MaxPlus>,
-    ff_obs_sizes: Vec<u64>,
     ff_tail_acc: Vec<MaxPlus>,
-    ff_tail_sizes: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (replayed instants).
     ff_scratch: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
@@ -661,26 +472,8 @@ impl BatchedEngine {
             .iter()
             .map(|&s| dependent[s as usize])
             .collect();
-        let prefix_slots: Vec<u32> = slot_dependent
-            .iter()
-            .enumerate()
-            .filter(|(_, &dep)| !dep)
-            .map(|(slot, _)| slot as u32)
-            .collect();
         let prefix_nodes: Vec<bool> = dependent.iter().map(|d| !d).collect();
-        let mut prefix_sizes = vec![false; relation_count];
-        for &slot in &prefix_slots {
-            if let Obs::Exchange { relation, .. } = compiled.obs[slot as usize] {
-                if matches!(size_rules[relation as usize], SizeRule::Derived { .. }) {
-                    prefix_sizes[relation as usize] = true;
-                }
-            }
-        }
-
-        let stride = kernel::lane_stride(lanes);
         let input_slot = compiled.pos_of_node[input_node] as usize;
-        let (segments_first, segments_steady, segments_prefix) =
-            plan_sweep_segments(&compiled, &slot_dependent, input_slot, stride);
 
         // Fast-forward eligibility: the try_new gates above already enforce
         // a single driven input, no acknowledgment feedback, and size reads
@@ -749,6 +542,9 @@ impl BatchedEngine {
         };
 
         let horizon = u64::from(tdg.max_delay());
+        let logs = (0..lanes)
+            .map(|_| EmissionLog::new(meta.fifo_read.clone(), 1, n_outputs))
+            .collect();
         Ok(BatchedEngine {
             size_rules,
             relation_count,
@@ -758,12 +554,9 @@ impl BatchedEngine {
             n_outputs,
             record_observations,
             lanes,
-            stride,
+            stride: kernel::lane_stride(lanes),
             input_slot,
             slot_dependent,
-            segments_first,
-            segments_steady,
-            segments_prefix,
             has_prefix,
             kernel_dispatch: KernelDispatchStats::default(),
             horizon,
@@ -777,12 +570,8 @@ impl BatchedEngine {
             current: vec![false; lanes],
             active: vec![false; lanes],
             lane_stats: vec![EngineCounters::default(); lanes],
-            acks: vec![None; lanes],
-            outputs_ready: vec![VecDeque::new(); lanes * n_outputs],
-            instant_log: vec![Vec::new(); lanes * relation_count],
-            read_log: vec![Vec::new(); lanes * relation_count],
             fifo_read: meta.fifo_read,
-            exec_records: vec![Vec::new(); lanes],
+            logs,
             stats: EngineCounters::default(),
             fast_forward: FastForward::Off,
             ff_cfg: PeriodicConfig::default(),
@@ -791,13 +580,9 @@ impl BatchedEngine {
             ff_lanes: Vec::new(),
             ff_engaged: false,
             prefix_nodes,
-            prefix_sizes,
-            ff_marks: BatchMarks::default(),
             ff_plans: Vec::new(),
             ff_obs_acc: Vec::new(),
-            ff_obs_sizes: Vec::new(),
             ff_tail_acc: Vec::new(),
-            ff_tail_sizes: Vec::new(),
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
             observer: None,
@@ -942,36 +727,28 @@ impl BatchedEngine {
     /// The computed acknowledgment instant of lane `lane`'s `k`-th offer,
     /// if known.
     pub fn ack_instant(&self, lane: usize, k: u64) -> Option<Time> {
-        match self.acks[lane] {
-            Some((stored_k, t)) if stored_k == k => Some(t),
-            _ => None,
-        }
+        self.logs[lane].ack_instant(0, k)
     }
 
     /// Pops the next computed output of `output` on lane `lane`, if any:
     /// `(iteration, emission instant, token size)`.
     pub fn next_output(&mut self, lane: usize, output: usize) -> Option<(u64, Time, u64)> {
-        self.outputs_ready[lane * self.n_outputs + output].pop_front()
+        self.logs[lane].next_output(output)
     }
 
     /// Exchange-instant log of a relation on one lane.
     pub fn instants(&self, lane: usize, relation: usize) -> &[Time] {
-        &self.instant_log[lane * self.relation_count + relation]
+        self.logs[lane].instants(relation)
     }
 
     /// Read-instant log of a relation on one lane.
     pub fn read_instants(&self, lane: usize, relation: usize) -> &[Time] {
-        let log = if self.fifo_read[relation] {
-            &self.read_log
-        } else {
-            &self.instant_log
-        };
-        &log[lane * self.relation_count + relation]
+        self.logs[lane].read_instants(relation)
     }
 
     /// Execution records of one lane, replayed from computed instants.
     pub fn exec_records(&self, lane: usize) -> &[ExecRecord] {
-        &self.exec_records[lane]
+        &self.logs[lane].exec_records
     }
 
     /// Rewinds the engine for a fresh batch of `lanes` scenarios, keeping
@@ -991,23 +768,12 @@ impl BatchedEngine {
             self.free.clear();
             self.lanes = lanes;
             self.stride = kernel::lane_stride(lanes);
-            let (first, steady, prefix) = plan_sweep_segments(
-                &self.compiled,
-                &self.slot_dependent,
-                self.input_slot,
-                self.stride,
-            );
-            self.segments_first = first;
-            self.segments_steady = steady;
-            self.segments_prefix = prefix;
             self.current = vec![false; lanes];
             self.active = vec![false; lanes];
             self.lane_stats = vec![EngineCounters::default(); lanes];
-            self.acks = vec![None; lanes];
-            self.outputs_ready = vec![VecDeque::new(); lanes * self.n_outputs];
-            self.instant_log = vec![Vec::new(); lanes * self.relation_count];
-            self.read_log = vec![Vec::new(); lanes * self.relation_count];
-            self.exec_records = vec![Vec::new(); lanes];
+            let (fifo_read, outputs) = (&self.fifo_read, self.n_outputs);
+            self.logs
+                .resize_with(lanes, || EmissionLog::new(fifo_read.clone(), 1, outputs));
         }
         self.base_k = 0;
         self.next_k = 0;
@@ -1015,19 +781,7 @@ impl BatchedEngine {
         self.current.fill(false);
         self.active.fill(false);
         self.lane_stats.fill(EngineCounters::default());
-        self.acks.fill(None);
-        for queue in &mut self.outputs_ready {
-            queue.clear();
-        }
-        for log in &mut self.instant_log {
-            log.clear();
-        }
-        for log in &mut self.read_log {
-            log.clear();
-        }
-        for records in &mut self.exec_records {
-            records.clear();
-        }
+        self.logs.iter_mut().for_each(EmissionLog::clear);
         self.stats = EngineCounters::default();
         self.kernel_dispatch = KernelDispatchStats::default();
         // Fast-forward: keep the knob and eligibility, restart detection.
@@ -1108,7 +862,8 @@ impl BatchedEngine {
             return self.try_set_input_batch_impl(k, offers);
         };
         self.obs_rec_marks.clear();
-        self.obs_rec_marks.extend(self.exec_records.iter().map(Vec::len));
+        self.obs_rec_marks
+            .extend(self.logs.iter().map(|log| log.exec_records.len()));
         let ff_before: Vec<FastForwardStats> = (0..self.ff_lanes.len())
             .map(|l| self.lane_fast_forward_stats(l))
             .collect();
@@ -1139,7 +894,7 @@ impl BatchedEngine {
                     }
                 }
                 for (l, mark) in self.obs_rec_marks.iter().enumerate() {
-                    let records = &self.exec_records[l];
+                    let records = &self.logs[l].exec_records;
                     if records.len() > *mark {
                         ob.on_records(l as u32, &records[*mark..]);
                     }
@@ -1156,8 +911,7 @@ impl BatchedEngine {
         k: u64,
         offers: &[Option<(Time, u64)>],
     ) -> Result<(), EngineError> {
-        let b = self.lanes;
-        assert_eq!(offers.len(), b, "one offer slot per lane");
+        assert_eq!(offers.len(), self.lanes, "one offer slot per lane");
         assert_eq!(k, self.next_k, "lockstep offers must arrive in iteration order");
         if k > 0 {
             for (l, offer) in offers.iter().enumerate() {
@@ -1195,17 +949,12 @@ impl BatchedEngine {
             self.active[l] = offering;
             self.current[l] = offering;
             offered += u64::from(offering);
-        }
-
-        // Detector capture: snapshot observable-state lengths before the
-        // sweep while some offering lane is confirming.
-        let capture = !self.ff_lanes.is_empty()
-            && offers
-                .iter()
-                .enumerate()
-                .any(|(l, o)| o.is_some() && self.ff_lanes[l].wants_capture());
-        if capture {
-            self.ff_mark();
+            // Detector capture: mark the log of every offering lane whose
+            // detector is confirming, so the call's emissions diff out.
+            let confirming = self.ff_lanes.get(l).is_some_and(|pd| pd.wants_capture());
+            if offering && confirming {
+                self.logs[l].mark(self.lane_stats[l]);
+            }
         }
 
         // Acquire iteration `k`'s block: the look-ahead block at the ring
@@ -1217,63 +966,13 @@ impl BatchedEngine {
             debug_assert_eq!(k, tail_k, "lockstep keeps the ring contiguous");
             self.take_block()
         };
-        let stride = self.stride;
         for (l, offer) in offers.iter().enumerate() {
             if let Some((at, size)) = *offer {
-                tail.sizes[self.input_relation * b + l] = size;
-                tail.acc[self.input_slot * stride + l] = MaxPlus::new(at.ticks() as i64);
+                tail.sizes[l * self.relation_count + self.input_relation] = size;
+                tail.acc[self.input_slot * self.stride + l] = MaxPlus::new(at.ticks() as i64);
             }
         }
-
-        // Main sweep over the planned segments: the first-call plan skips
-        // only the injected input slot; once a look-ahead has run, the
-        // steady plan also skips the prefix slots it already computed (a
-        // structural property, identical for all lanes).
-        {
-            let ct = &self.compiled;
-            let ring = &self.ring;
-            let mut sink = ObsSink {
-                size_rules: &self.size_rules,
-                record: self.record_observations,
-                b,
-                relations: self.relation_count,
-                n_outputs: self.n_outputs,
-                instant_log: &mut self.instant_log,
-                read_log: &mut self.read_log,
-                acks: &mut self.acks,
-                outputs_ready: &mut self.outputs_ready,
-                exec_records: &mut self.exec_records,
-            };
-            let segments = if self.lookahead_ran {
-                &self.segments_steady
-            } else {
-                &self.segments_first
-            };
-            let LaneBlock { acc, sizes, exec_stash } = &mut tail;
-            for seg in segments {
-                if seg.fused {
-                    eval_fused_segment(ct, seg, acc, stride);
-                } else {
-                    for slot in seg.start as usize..seg.end as usize {
-                        eval_general_slot(
-                            ct,
-                            ring,
-                            self.base_k,
-                            k,
-                            b,
-                            stride,
-                            slot,
-                            acc,
-                            sizes,
-                            exec_stash,
-                            &self.current,
-                            self.record_observations,
-                            &mut sink,
-                        );
-                    }
-                }
-            }
-        }
+        self.sweep(k, &mut tail, false);
         self.ring.push_back(tail);
 
         // Look-ahead: open iteration `k + 1` and compute its
@@ -1281,48 +980,8 @@ impl BatchedEngine {
         // conventional model's) eager run-ahead; the prefix's execution
         // records must appear even when a lane's trace ends here.
         if self.has_prefix {
-            let kla = k + 1;
             let mut la = self.take_block();
-            {
-                let ct = &self.compiled;
-                let ring = &self.ring;
-                let mut sink = ObsSink {
-                    size_rules: &self.size_rules,
-                    record: self.record_observations,
-                    b,
-                    relations: self.relation_count,
-                    n_outputs: self.n_outputs,
-                    instant_log: &mut self.instant_log,
-                    read_log: &mut self.read_log,
-                    acks: &mut self.acks,
-                    outputs_ready: &mut self.outputs_ready,
-                    exec_records: &mut self.exec_records,
-                };
-                let LaneBlock { acc, sizes, exec_stash } = &mut la;
-                for seg in &self.segments_prefix {
-                    if seg.fused {
-                        eval_fused_segment(ct, seg, acc, stride);
-                    } else {
-                        for slot in seg.start as usize..seg.end as usize {
-                            eval_general_slot(
-                                ct,
-                                ring,
-                                self.base_k,
-                                kla,
-                                b,
-                                stride,
-                                slot,
-                                acc,
-                                sizes,
-                                exec_stash,
-                                &self.current,
-                                self.record_observations,
-                                &mut sink,
-                            );
-                        }
-                    }
-                }
-            }
+            self.sweep(k + 1, &mut la, true);
             self.ring.push_back(la);
             self.lookahead_ran = true;
         }
@@ -1342,7 +1001,7 @@ impl BatchedEngine {
         self.stats.arcs_evaluated += delta.arcs_evaluated * offered;
         self.stats.iterations_completed += delta.iterations_completed * offered;
         self.stats.batched_iterations += 1;
-        if kernel::is_chunked(stride) {
+        if kernel::is_chunked(self.stride) {
             self.kernel_dispatch.chunked_sweeps += 1;
         } else {
             self.kernel_dispatch.scalar_sweeps += 1;
@@ -1352,7 +1011,7 @@ impl BatchedEngine {
         // iteration `k`'s block and the look-ahead tail.
         if !self.ff_lanes.is_empty() {
             let mut lanes_pd = std::mem::take(&mut self.ff_lanes);
-            self.ff_observe_lanes(&mut lanes_pd, k, offers, capture, &delta);
+            self.ff_observe_lanes(&mut lanes_pd, k, offers);
             self.ff_lanes = lanes_pd;
         }
 
@@ -1369,12 +1028,126 @@ impl BatchedEngine {
         Ok(())
     }
 
-    /// A recycled or fresh lane block; only the exec stash needs clearing
-    /// (every accumulator and size read is preceded by a write in the same
-    /// sweep for lanes whose observations are consumed).
+    /// One lockstep pass of iteration `k` into `blk`: the look-ahead
+    /// prefix's slots when `prefix`, else every slot not computed yet (all
+    /// but the input's, and the prefix's once a look-ahead has run). Each
+    /// slot folds by its [`SlotShape`] — the straight-line shapes as
+    /// full-width kernel folds over every lane, exec arcs once per offered
+    /// lane — and the offered lanes then observe it.
+    fn sweep(&mut self, k: u64, blk: &mut LaneBlock, prefix: bool) {
+        let lanes = Lanes {
+            ct: &self.compiled,
+            hist: History::new(&self.ring, self.base_k, k),
+            stride: self.stride,
+            relations: self.relation_count,
+            execs: self.n_execs,
+            current: &self.current,
+        };
+        let (ct, stride) = (lanes.ct, lanes.stride);
+        let (rels, execs) = (lanes.relations, lanes.execs);
+        let LaneBlock {
+            acc,
+            sizes,
+            exec_stash,
+        } = blk;
+        for slot in 0..ct.schedule.len() {
+            let dependent = self.slot_dependent[slot];
+            let computed = if prefix {
+                dependent
+            } else {
+                slot == self.input_slot || (self.lookahead_ran && !dependent)
+            };
+            if computed {
+                continue;
+            }
+            // Same-iteration sources sit at strictly earlier slots: the
+            // destination row splits off above them.
+            let (lo, rest) = acc.split_at_mut(slot * stride);
+            let dst = &mut rest[..stride];
+            let mut stash = self.record_observations.then_some(&mut exec_stash[..]);
+            let op = ct.slots[slot];
+            let (c, s, e) = (op.c as usize, op.s as usize, op.e as usize);
+            match op.shape {
+                SlotShape::Const1 => lanes.store_const(lo, dst, c),
+                SlotShape::Const2 => {
+                    lanes.store_const(lo, dst, c);
+                    lanes.fold_const(lo, dst, c + 1);
+                }
+                SlotShape::Const3 => {
+                    lanes.store_const(lo, dst, c);
+                    lanes.fold_const(lo, dst, c + 1);
+                    lanes.fold_const(lo, dst, c + 2);
+                }
+                SlotShape::Slow1Const1 => {
+                    lanes.store_const(lo, dst, c);
+                    lanes.fold_slow(dst, s);
+                }
+                SlotShape::Slow2Const1 => {
+                    lanes.store_const(lo, dst, c);
+                    lanes.fold_slow(dst, s);
+                    lanes.fold_slow(dst, s + 1);
+                }
+                SlotShape::Exec1 => {
+                    dst.fill(MaxPlus::E);
+                    lanes.fold_exec(lo, dst, sizes, stash, e);
+                }
+                SlotShape::General => {
+                    let [cs, ss, es] = ct.arc_ranges(slot);
+                    dst.fill(MaxPlus::E); // process-start baseline
+                    for i in ss {
+                        lanes.fold_slow(dst, i);
+                    }
+                    // Stash writes are last-wins in arc order, as in the
+                    // scalar sweep.
+                    for i in es {
+                        lanes.fold_exec(lo, dst, sizes, stash.as_deref_mut(), i);
+                    }
+                    for i in cs {
+                        lanes.fold_const(lo, dst, i);
+                    }
+                }
+            }
+            let obs = ct.obs[slot];
+            if matches!(obs, Obs::None) {
+                continue;
+            }
+            // The offered lanes observe the slot: an exchange derives its
+            // token size, is logged (it reads no exec stash) and published;
+            // a read or an execution end is only logged.
+            let record = self.record_observations;
+            if let Obs::Exchange { relation, .. } = obs {
+                let rule = self.size_rules[relation as usize];
+                for (l, log) in self.logs.iter_mut().enumerate() {
+                    if !self.current[l] {
+                        continue;
+                    }
+                    let now = &mut sizes[l * rels..][..rels];
+                    if let Some(size) = derived_size(rule, k, |rel, d| lanes.size(now, l, rel, d)) {
+                        now[relation as usize] = size;
+                    }
+                    if record {
+                        log.log(k, obs, dst[l], &[]);
+                    }
+                    log.publish(k, obs, dst[l], now);
+                }
+            } else if record {
+                for (l, log) in self.logs.iter_mut().enumerate() {
+                    if self.current[l] {
+                        log.log(k, obs, dst[l], &exec_stash[l * execs..][..execs]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A recycled or fresh lane block. Sizes and exec stashes start clear,
+    /// as a scalar iteration's do (a size reads 0 until its relation's
+    /// exchange derives it); every accumulator an offered lane reads is
+    /// written earlier in the same sweep.
     fn take_block(&mut self) -> LaneBlock {
         match self.free.pop() {
             Some(mut blk) => {
+                blk.sizes.fill(0);
                 blk.exec_stash.fill((MaxPlus::EPSILON, 0));
                 blk
             }
@@ -1509,7 +1282,7 @@ impl BatchedEngine {
             }
         }
         // Pass 2: apply per lane in capture order — infallible.
-        let mut i = 0;
+        let mut shifted = scratch.iter().copied();
         for (l, o) in offers.iter().enumerate() {
             let offering = o.is_some();
             self.active[l] = offering;
@@ -1518,53 +1291,17 @@ impl BatchedEngine {
                 continue;
             }
             let plan = plans[l].expect("all offers matched");
-            {
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let r = &t.refs[plan.pos];
-                for e in &r.emissions.instants {
-                    self.instant_log[l * self.relation_count + e.0 as usize]
-                        .push(Time::from_ticks(scratch[i]));
-                    i += 1;
-                }
-                for e in &r.emissions.reads {
-                    self.read_log[l * self.relation_count + e.0 as usize]
-                        .push(Time::from_ticks(scratch[i]));
-                    i += 1;
-                }
-                for e in &r.emissions.execs {
-                    let (start, end) = (scratch[i], scratch[i + 1]);
-                    i += 2;
-                    self.exec_records[l].push(ExecRecord {
-                        resource: e.resource,
-                        function: e.function,
-                        stmt: e.stmt,
-                        k: k + e.k_off,
-                        start: Time::from_ticks(start),
-                        end: Time::from_ticks(end),
-                        ops: e.ops,
-                    });
-                }
-                for e in &r.emissions.outputs {
-                    let at = Time::from_ticks(scratch[i]);
-                    i += 1;
-                    self.outputs_ready[l * self.n_outputs + e.output as usize]
-                        .push_back((k + e.k_off, at, e.size));
-                }
-                if let Some((k_off, _)) = r.emissions.ack {
-                    self.acks[l] = Some((k + k_off, Time::from_ticks(scratch[i])));
-                    i += 1;
-                }
-                let s = &mut self.lane_stats[l];
-                s.nodes_computed += r.emissions.nodes;
-                s.arcs_evaluated += r.emissions.arcs;
-                s.iterations_completed += r.emissions.iters;
-                self.stats.nodes_computed += r.emissions.nodes;
-                self.stats.arcs_evaluated += r.emissions.arcs;
-                self.stats.iterations_completed += r.emissions.iters;
+            let t = lanes_pd[l].template().expect("offering lanes are promoted");
+            let e = &t.refs[plan.pos].emissions;
+            self.logs[l].replay(k, e, &mut shifted);
+            for s in [&mut self.lane_stats[l], &mut self.stats] {
+                s.nodes_computed += e.nodes;
+                s.arcs_evaluated += e.arcs;
+                s.iterations_completed += e.iters;
             }
             lanes_pd[l].note_fast_forwarded();
         }
-        debug_assert_eq!(i, scratch.len());
+        debug_assert!(shifted.next().is_none());
         self.stats.batched_iterations += 1;
         self.next_k = k + 1;
         self.ff_scratch = scratch;
@@ -1583,236 +1320,80 @@ impl BatchedEngine {
         k_b: u64,
         offers: &[Option<(Time, u64)>],
     ) -> Result<(), EngineError> {
-        let b = self.lanes;
-        let n = self.tdg.node_count();
         let start = k_b.saturating_sub(self.horizon);
-        // Pass 1: every shifted accumulator, checked, into flat scratch.
+        let offering = || (0..offers.len()).filter(|&l| offers[l].is_some());
+        let template = |l: usize| lanes_pd[l].template().expect("offering lanes are promoted");
+        // Pass 1: every offering lane's shifted rows, lane after lane.
         let mut scratch = std::mem::take(&mut self.ff_acc_scratch);
         scratch.clear();
-        let mut fail = None;
-        'outer: for j in start..k_b {
-            for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                debug_assert!(
-                    start >= t.k0 + t.p,
-                    "the confirmation window spans the history horizon"
-                );
-                let (pos, m) = t.locate(j);
-                let r = &t.refs[pos];
-                for node in 0..n {
-                    match periodic::shift_acc(r.acc[node], t.d[node], m) {
-                        Ok(v) => scratch.push(v),
-                        Err(e) => {
-                            fail = Some(e);
-                            break 'outer;
-                        }
-                    }
-                }
+        for l in offering() {
+            let t = template(l);
+            if let Err(e) = periodic::shift_history(t, start, k_b, self.has_prefix, &mut scratch) {
+                self.ff_acc_scratch = scratch;
+                return Err(e);
             }
         }
-        if fail.is_none() && self.has_prefix {
-            'tail: for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let (pos, m) = t.locate(k_b - 1);
-                let tt = t.refs[pos].tail.as_ref().expect("prefix batches capture tails");
-                for node in 0..n {
-                    if tt.computed[node] {
-                        match periodic::shift_acc(tt.acc[node], t.d[node], m) {
-                            Ok(v) => scratch.push(v),
-                            Err(e) => {
-                                fail = Some(e);
-                                break 'tail;
-                            }
-                        }
-                    } else {
-                        scratch.push(0);
-                    }
-                }
-            }
-        }
-        if let Some(e) = fail {
-            self.ff_acc_scratch = scratch;
-            return Err(e);
-        }
-        // Pass 2: rebuild. Templates store node-indexed accumulators; the
-        // lane blocks are slot-indexed, so writes go through the inverse
-        // schedule permutation.
+        // Pass 2: rebuild. The rows are node-indexed; the lane blocks are
+        // slot-indexed, so writes go through the inverse schedule
+        // permutation.
         while let Some(blk) = self.ring.pop_front() {
             if self.free.len() < FREE_LIST_CAP {
                 self.free.push(blk);
             }
         }
         self.base_k = start;
-        let stride = self.stride;
-        let mut idx = 0;
-        for j in start..k_b {
+        let n = self.tdg.node_count();
+        let per_lane = n * ((k_b - start) as usize + usize::from(self.has_prefix));
+        for (b, j) in (start..k_b + u64::from(self.has_prefix)).enumerate() {
             let mut blk = self.take_block();
             blk.acc.fill(MaxPlus::EPSILON);
-            blk.sizes.fill(0);
-            for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let (pos, _) = t.locate(j);
-                let r = &t.refs[pos];
-                for node in 0..n {
-                    let slot = self.compiled.pos_of_node[node] as usize;
-                    blk.acc[slot * stride + l] = MaxPlus::new(scratch[idx]);
-                    idx += 1;
-                }
-                for (rel, &size) in r.sizes.iter().enumerate() {
-                    blk.sizes[rel * b + l] = size;
-                }
-            }
-            self.ring.push_back(blk);
-        }
-        if self.has_prefix {
-            let mut blk = self.take_block();
-            blk.acc.fill(MaxPlus::EPSILON);
-            blk.sizes.fill(0);
-            for (l, o) in offers.iter().enumerate() {
-                if o.is_none() {
-                    continue;
-                }
-                let t = lanes_pd[l].template().expect("offering lanes are promoted");
-                let (pos, _) = t.locate(k_b - 1);
-                let tt = t.refs[pos].tail.as_ref().expect("prefix batches capture tails");
-                for node in 0..n {
-                    let v = scratch[idx];
-                    idx += 1;
-                    if tt.computed[node] {
+            for (l, rows) in offering().zip(scratch.chunks_exact(per_lane)) {
+                let t = template(l);
+                let (computed, sizes) = if j < k_b {
+                    (None, &t.refs[t.locate(j).0].sizes)
+                } else {
+                    let tt = t.lookahead(k_b);
+                    (Some(&tt.computed), &tt.sizes)
+                };
+                for (node, &v) in rows[b * n..][..n].iter().enumerate() {
+                    if computed.is_none_or(|c| c[node]) {
                         let slot = self.compiled.pos_of_node[node] as usize;
-                        blk.acc[slot * stride + l] = MaxPlus::new(v);
+                        blk.acc[slot * self.stride + l] = MaxPlus::new(v);
                     }
                 }
-                for (rel, &size) in tt.sizes.iter().enumerate() {
-                    blk.sizes[rel * b + l] = size;
-                }
+                blk.sizes[l * self.relation_count..][..self.relation_count].copy_from_slice(sizes);
             }
             self.ring.push_back(blk);
         }
-        debug_assert_eq!(idx, scratch.len());
         self.lookahead_ran = self.has_prefix;
         self.ff_acc_scratch = scratch;
         Ok(())
     }
 
-    /// Snapshots observable-state lengths of all lanes so
-    /// [`BatchedEngine::ff_collect_lane`] can diff out exactly what the
-    /// upcoming lockstep call emits per lane.
-    fn ff_mark(&mut self) {
-        let m = &mut self.ff_marks;
-        m.instants.clear();
-        m.instants.extend(self.instant_log.iter().map(Vec::len));
-        m.reads.clear();
-        m.reads.extend(self.read_log.iter().map(Vec::len));
-        m.outputs.clear();
-        m.outputs.extend(self.outputs_ready.iter().map(VecDeque::len));
-        m.execs.clear();
-        m.execs.extend(self.exec_records.iter().map(Vec::len));
-        m.acks.clear();
-        m.acks.extend_from_slice(&self.acks);
-    }
-
-    /// Diffs lane `l`'s observable state against the marks: the complete
-    /// emission set of the lockstep call at iteration `k` for that lane.
-    /// The stats increments are the analytic per-lane deltas — exactly what
-    /// the sweep charges each offered lane.
-    fn ff_collect_lane(&self, l: usize, k: u64, delta: &EngineCounters) -> CallEmissions {
-        let m = &self.ff_marks;
-        let mut e = CallEmissions::default();
-        let rbase = l * self.relation_count;
-        for rel in 0..self.relation_count {
-            let log = &self.instant_log[rbase + rel];
-            for t in &log[m.instants[rbase + rel]..] {
-                e.instants.push((rel as u32, t.ticks()));
-            }
-        }
-        for rel in 0..self.relation_count {
-            let log = &self.read_log[rbase + rel];
-            for t in &log[m.reads[rbase + rel]..] {
-                e.reads.push((rel as u32, t.ticks()));
-            }
-        }
-        for r in &self.exec_records[l][m.execs[l]..] {
-            debug_assert!(r.k >= k, "lockstep records belong to k or the look-ahead");
-            e.execs.push(ExecEmission {
-                k_off: r.k - k,
-                resource: r.resource,
-                function: r.function,
-                stmt: r.stmt,
-                start: r.start.ticks(),
-                end: r.end.ticks(),
-                ops: r.ops,
-            });
-        }
-        let obase = l * self.n_outputs;
-        for out in 0..self.n_outputs {
-            for &(ok, t, s) in self.outputs_ready[obase + out].iter().skip(m.outputs[obase + out]) {
-                debug_assert!(ok >= k);
-                e.outputs.push(OutputEmission {
-                    output: out as u32,
-                    k_off: ok - k,
-                    at: t.ticks(),
-                    size: s,
-                });
-            }
-        }
-        if self.acks[l] != m.acks[l] {
-            if let Some((ak, t)) = self.acks[l] {
-                debug_assert!(ak >= k);
-                e.ack = Some((ak - k, t.ticks()));
-            }
-        }
-        e.nodes = delta.nodes_computed;
-        e.arcs = delta.arcs_evaluated;
-        e.iters = delta.iterations_completed;
-        e
-    }
-
-    /// De-strides lane `l`'s view of iteration `k`'s block (and the
-    /// look-ahead tail) into the gather buffers. Tail entries the prefix
-    /// does not write are masked to fixed placeholders: the sweep always
-    /// overwrites them before reading, so masking keeps the detector's
-    /// periodicity checks on meaningful state only.
+    /// De-strides lane `l`'s accumulators of iteration `k` (and of the
+    /// look-ahead tail) into the node-indexed gather buffers. Tail entries
+    /// the prefix does not write are masked to fixed placeholders: the
+    /// sweep always overwrites them before reading, so masking keeps the
+    /// detector's periodicity checks on meaningful state only.
     fn ff_gather_lane(&mut self, l: usize, k: u64) {
-        let b = self.lanes;
         let stride = self.stride;
-        let n = self.tdg.node_count();
         let pos_of = &self.compiled.pos_of_node;
         let blk = &self.ring[(k - self.base_k) as usize];
         self.ff_obs_acc.clear();
         self.ff_obs_acc
-            .extend((0..n).map(|node| blk.acc[pos_of[node] as usize * stride + l]));
-        self.ff_obs_sizes.clear();
-        self.ff_obs_sizes
-            .extend((0..self.relation_count).map(|rel| blk.sizes[rel * b + l]));
+            .extend(pos_of.iter().map(|&slot| blk.acc[slot as usize * stride + l]));
         if self.has_prefix {
             debug_assert_eq!(self.base_k + self.ring.len() as u64, k + 2);
             let la = self.ring.back().expect("look-ahead open");
             self.ff_tail_acc.clear();
-            self.ff_tail_acc.extend((0..n).map(|node| {
-                if self.prefix_nodes[node] {
-                    la.acc[pos_of[node] as usize * stride + l]
-                } else {
-                    MaxPlus::EPSILON
-                }
-            }));
-            self.ff_tail_sizes.clear();
-            self.ff_tail_sizes.extend((0..self.relation_count).map(|rel| {
-                if self.prefix_sizes[rel] {
-                    la.sizes[rel * b + l]
-                } else {
-                    0
-                }
-            }));
+            self.ff_tail_acc
+                .extend(pos_of.iter().zip(&self.prefix_nodes).map(|(&slot, &prefix)| {
+                    if prefix {
+                        la.acc[slot as usize * stride + l]
+                    } else {
+                        MaxPlus::EPSILON
+                    }
+                }));
         }
     }
 
@@ -1826,8 +1407,6 @@ impl BatchedEngine {
         lanes_pd: &mut [PeriodicState],
         k: u64,
         offers: &[Option<(Time, u64)>],
-        captured: bool,
-        delta: &EngineCounters,
     ) {
         for (l, o) in offers.iter().enumerate() {
             let Some((at, size)) = *o else { continue };
@@ -1835,24 +1414,25 @@ impl BatchedEngine {
             if pd.is_promoted() {
                 continue; // verified against its template in ff_handle_offers
             }
+            // A confirming detector had the lane's log marked before the
+            // sweep; while idle it only reads the offer line.
             let wants = pd.wants_capture();
-            let emissions = (captured && wants).then(|| self.ff_collect_lane(l, k, delta));
+            let emissions = wants.then(|| self.logs[l].collect(k, self.lane_stats[l]));
             if wants {
                 self.ff_gather_lane(l, k);
             }
-            // While idle the detector only reads the offer line; the gather
-            // buffers are then untouched but also unread.
+            let lane = l * self.relation_count..(l + 1) * self.relation_count;
             let tail = (self.has_prefix && wants).then(|| TailObservation {
                 computed: &self.prefix_nodes,
                 acc: &self.ff_tail_acc,
-                sizes: &self.ff_tail_sizes,
+                sizes: &self.ring.back().expect("look-ahead open").sizes[lane.clone()],
             });
             let obs = CallObservation {
                 k,
                 at: at.ticks(),
                 size,
                 acc: &self.ff_obs_acc,
-                sizes: &self.ff_obs_sizes,
+                sizes: &self.ring[(k - self.base_k) as usize].sizes[lane],
                 tail,
                 emissions,
             };

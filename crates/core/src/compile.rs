@@ -507,12 +507,14 @@ pub(crate) struct SlotOp {
     pub(crate) e: u32,
 }
 
-/// A derived TDG lowered into a levelized, CSR-flattened evaluation program
-/// (see the [module docs](self)).
+/// A derived TDG lowered into a levelized, CSR-flattened evaluation program:
+/// a level-ordered schedule, incoming arcs in three CSR streams (constant,
+/// delayed-constant and data-dependent), per-slot observation actions and
+/// [`SlotShape`] tags.
 ///
-/// All buffers are immutable after lowering — [`Engine::reset`]
-/// (crate::Engine::reset) and steady-state evaluation never touch them, so
-/// their capacity contributes a constant term to
+/// All buffers are immutable after lowering —
+/// [`Engine::reset`](crate::Engine::reset) and steady-state evaluation
+/// never touch them, so their capacity contributes a constant term to
 /// [`AllocationFootprint`](crate::AllocationFootprint).
 #[derive(Clone, Debug)]
 pub struct CompiledTdg {
@@ -578,11 +580,6 @@ pub struct CompiledTdg {
     /// `exec_srcs`); zero-delay exec sources are also strictly below their
     /// destination slot.
     pub(crate) exec_src_pos: Vec<u32>,
-    /// Per-slot fusability for the blocked traversal: `true` when the slot
-    /// is constant-arcs-only (at least one, no slow/exec arcs) and carries
-    /// no observation action, so a run of such slots folds as one
-    /// destination-contiguous block with no per-slot dispatch.
-    pub(crate) simple_slots: Vec<bool>,
     /// Exchange slots whose relation's token size is derived, in schedule
     /// order: the size pre-pass ahead of a sweep walks these (sizes depend
     /// only on other sizes, never on instants).
@@ -594,22 +591,6 @@ pub struct CompiledTdg {
     /// in schedule order: all a serial sweep publishes after its folds
     /// (its logs are written by the sweep itself).
     pub(crate) boundary_slots: Vec<u32>,
-}
-
-/// One block of the level-blocked traversal produced by
-/// [`CompiledTdg::plan_segments`]: a contiguous, non-skipped slot range
-/// `start..end` of the schedule. `fused` blocks contain only
-/// [`simple`](CompiledTdg::simple_slots) slots and are walked by the
-/// chunked const-fold kernels alone; general blocks take the full per-slot
-/// path (slow/exec arcs, observations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct SweepSegment {
-    /// First schedule slot of the block (inclusive).
-    pub(crate) start: u32,
-    /// One past the last schedule slot of the block.
-    pub(crate) end: u32,
-    /// Whether every slot in the block is constant-only and unobserved.
-    pub(crate) fused: bool,
 }
 
 impl CompiledTdg {
@@ -658,7 +639,6 @@ impl CompiledTdg {
         let mut exec_stash_dense = Vec::new();
         let mut durations = Durations::default();
         let mut slots = Vec::with_capacity(n);
-        let mut simple_slots = Vec::with_capacity(n);
         const_offsets.push(0u32);
         slow_offsets.push(0u32);
         exec_offsets.push(0u32);
@@ -705,12 +685,6 @@ impl CompiledTdg {
             };
             let (c, s, e) = (c as u32, s as u32, e as u32);
             slots.push(SlotOp { shape, c, s, e });
-            simple_slots.push(
-                matches!(meta.obs[node], Obs::None)
-                    && consts > 0
-                    && slow_srcs.len() == s as usize
-                    && exec_srcs.len() == e as usize,
-            );
         }
 
         // Retiling: the inverse schedule permutation plus src streams
@@ -760,53 +734,10 @@ impl CompiledTdg {
             const_src_pos,
             slow_src_pos,
             exec_src_pos,
-            simple_slots,
             derived_exchanges,
             observed_slots,
             boundary_slots,
         }
-    }
-
-    /// Plans the level-blocked traversal for one sweep variant: partitions
-    /// the non-skipped schedule slots into maximal contiguous
-    /// [`SweepSegment`]s of uniform kind, capping `fused` blocks at
-    /// `max_fused` slots so each block's destination rows stay
-    /// cache-resident. Because every zero-delay arc crosses a level
-    /// boundary forward and blocks are walked in schedule (level) order,
-    /// fusing across level boundaries preserves the level-by-level
-    /// dataflow exactly.
-    ///
-    /// `skip[slot]` removes a slot from the plan (the externally driven
-    /// input slot; the already-evaluated look-ahead prefix in steady
-    /// state).
-    pub(crate) fn plan_segments(&self, skip: &[bool], max_fused: usize) -> Vec<SweepSegment> {
-        debug_assert_eq!(skip.len(), self.schedule.len());
-        let max_fused = max_fused.max(1);
-        let n = self.schedule.len();
-        let mut segments = Vec::new();
-        let mut slot = 0usize;
-        while slot < n {
-            if skip[slot] {
-                slot += 1;
-                continue;
-            }
-            let fused = self.simple_slots[slot];
-            let mut end = slot + 1;
-            while end < n
-                && !skip[end]
-                && self.simple_slots[end] == fused
-                && (!fused || end - slot < max_fused)
-            {
-                end += 1;
-            }
-            segments.push(SweepSegment {
-                start: slot as u32,
-                end: end as u32,
-                fused,
-            });
-            slot = end;
-        }
-        segments
     }
 
     /// Number of scheduled nodes.
@@ -876,7 +807,6 @@ impl CompiledTdg {
             + self.const_src_pos.capacity()
             + self.slow_src_pos.capacity()
             + self.exec_src_pos.capacity()
-            + self.simple_slots.capacity()
             + self.derived_exchanges.capacity()
             + self.observed_slots.capacity()
             + self.boundary_slots.capacity()
@@ -1092,47 +1022,13 @@ mod tests {
                 }
             }
         }
-        // Simple slots are exactly the unobserved const-only ones; the
-        // padding chain makes them the majority here.
-        let simple = c.simple_slots.iter().filter(|&&s| s).count();
-        assert!(simple >= 64, "padding chain should be fusable");
+        // The padding chain is a run of unobserved one-constant-arc slots,
+        // the batched sweep's single-kernel-call shape.
+        let chain = (0..c.node_count())
+            .filter(|&slot| c.slots[slot].shape == SlotShape::Const1 && c.obs[slot] == Obs::None)
+            .count();
+        assert!(chain >= 64, "the padding chain takes the Const1 arm");
         let _ = tdg;
-    }
-
-    #[test]
-    fn segments_cover_unskipped_slots_in_order() {
-        let (_, c) = lowered(3, 50);
-        let n = c.node_count();
-        let mut skip = vec![false; n];
-        skip[0] = true; // pretend slot 0 is the driven input
-        skip[n / 2] = true;
-        let segs = c.plan_segments(&skip, 16);
-        // Coverage: every unskipped slot appears exactly once, in order.
-        let mut covered = vec![false; n];
-        let mut last_end = 0u32;
-        for seg in &segs {
-            assert!(seg.start >= last_end);
-            assert!(seg.start < seg.end);
-            last_end = seg.end;
-            for s in seg.start..seg.end {
-                assert!(!skip[s as usize]);
-                assert!(!covered[s as usize]);
-                covered[s as usize] = true;
-                assert_eq!(c.simple_slots[s as usize], seg.fused);
-            }
-            if seg.fused {
-                assert!((seg.end - seg.start) as usize <= 16);
-            }
-        }
-        for s in 0..n {
-            assert_eq!(covered[s], !skip[s], "slot {s}");
-        }
-        // The padding chain fuses: with a generous cap there is a block of
-        // at least 32 consecutive simple slots.
-        let segs_wide = c.plan_segments(&vec![false; n], usize::MAX);
-        assert!(segs_wide
-            .iter()
-            .any(|seg| seg.fused && seg.end - seg.start >= 32));
     }
 
     mod lowered_durations {

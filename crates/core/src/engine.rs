@@ -110,7 +110,7 @@ pub struct AllocationFootprint {
 
 /// Per-iteration evaluation state (recycled through a free list).
 #[derive(Default)]
-struct IterState {
+pub(crate) struct IterState {
     /// Running `⊕` accumulator per node; the final value once computed.
     acc: Vec<MaxPlus>,
     /// Unresolved incoming arcs per node.
@@ -148,8 +148,9 @@ impl IterState {
     }
 }
 
+/// Iteration `k`'s state in a ring holding iterations `base ..`.
 #[inline]
-fn iter_at(ring: &VecDeque<IterState>, base: u64, k: u64) -> Option<&IterState> {
+fn iter_at<R>(ring: &VecDeque<R>, base: u64, k: u64) -> Option<&R> {
     if k < base {
         return None;
     }
@@ -201,16 +202,17 @@ pub(crate) fn eval_weight(
 /// The history rows a compiled sweep of iteration `k` reads: older
 /// iterations through the ring, with row `k − 1` (the common resource and
 /// back-pressure arcs) looked up once per sweep. Pre-history and pruned
-/// iterations read as the process-start baseline E and token size 0.
-struct History<'a> {
-    ring: &'a VecDeque<IterState>,
+/// iterations read as the process-start baseline E and token size 0. The
+/// batched sweep reads its lane blocks through the same type.
+pub(crate) struct History<'a, R = IterState> {
+    ring: &'a VecDeque<R>,
     base_k: u64,
-    k: u64,
-    prev: Option<&'a IterState>,
+    pub(crate) k: u64,
+    prev: Option<&'a R>,
 }
 
-impl<'a> History<'a> {
-    fn new(ring: &'a VecDeque<IterState>, base_k: u64, k: u64) -> Self {
+impl<'a, R> History<'a, R> {
+    pub(crate) fn new(ring: &'a VecDeque<R>, base_k: u64, k: u64) -> Self {
         let prev = (k >= 1).then(|| iter_at(ring, base_k, k - 1)).flatten();
         History {
             ring,
@@ -222,7 +224,7 @@ impl<'a> History<'a> {
 
     /// Iteration `k − delay` (`delay >= 1`), if still materialized.
     #[inline(always)]
-    fn row(&self, delay: u64) -> Option<&'a IterState> {
+    pub(crate) fn row(&self, delay: u64) -> Option<&'a R> {
         if delay == 1 {
             self.prev
         } else {
@@ -231,7 +233,9 @@ impl<'a> History<'a> {
                 .flatten()
         }
     }
+}
 
+impl History<'_> {
     /// Node `src`'s instant at iteration `k − delay` (`delay >= 1`).
     #[inline(always)]
     fn acc(&self, delay: u32, src: u32) -> MaxPlus {
@@ -267,25 +271,25 @@ fn plus_lag(x: MaxPlus, lag: MaxPlus) -> MaxPlus {
     }
 }
 
-/// Exec arc `i`'s term for source instant `src_val`, its duration evaluated
-/// against iteration `hist.k`'s token sizes `sizes`; a duration arc writes
-/// its `(start, ops)` into `stash` when one is given. An `ε` source
-/// contributes nothing and evaluates no duration.
+/// Exec arc `i`'s term at iteration `k` for source instant `src_val`, its
+/// duration evaluated against the token sizes `size_at(rel, d)` reads
+/// (relation `rel` at iteration `k − d`); a duration arc writes its
+/// `(start, ops)` into `stash` when one is given. An `ε` source
+/// contributes nothing and evaluates no duration. Every compiled sweep's
+/// exec arcs fold through here, the batched sweep's once per lane.
 #[inline(always)]
-fn exec_term(
+pub(crate) fn exec_term(
     ct: &CompiledTdg,
-    hist: &History<'_>,
-    sizes: &[u64],
-    stash: &mut Option<&mut [(MaxPlus, u64)]>,
+    k: u64,
     i: usize,
     src_val: MaxPlus,
+    size_at: impl Fn(usize, u64) -> u64,
+    stash: &mut Option<&mut [(MaxPlus, u64)]>,
 ) -> MaxPlus {
     if src_val.is_epsilon() {
         return MaxPlus::EPSILON;
     }
-    let (lag, ops) = ct
-        .durations
-        .eval(i, hist.k, |rel, d| hist.size(sizes, rel, d));
+    let (lag, ops) = ct.durations.eval(i, k, size_at);
     let dense = ct.exec_stash_dense[i];
     if let (Some(stash), true) = (stash.as_deref_mut(), dense != u32::MAX) {
         stash[dense as usize] = (src_val, ops);
@@ -323,10 +327,11 @@ fn eval_slot(
         SlotShape::Const3 => fold(konst(c).oplus(konst(c + 1)).oplus(konst(c + 2)), 3),
         SlotShape::Slow1Const1 => fold(prev(s).oplus(konst(c)), 2),
         SlotShape::Slow2Const1 => fold(prev(s).oplus(prev(s + 1)).oplus(konst(c)), 3),
-        SlotShape::Exec1 => fold(
-            exec_term(ct, hist, sizes, &mut stash, e, now(ct.exec_srcs[e])),
-            1,
-        ),
+        SlotShape::Exec1 => {
+            let src_val = now(ct.exec_srcs[e]);
+            let size_at = |rel, d| hist.size(sizes, rel, d);
+            fold(exec_term(ct, hist.k, e, src_val, size_at, &mut stash), 1)
+        }
         SlotShape::General => eval_general(ct, slot, hist, sizes, &mut stash, &mut now),
     }
 }
@@ -358,7 +363,8 @@ fn eval_general(
         } else {
             hist.acc(delay, src)
         };
-        acc = acc.oplus(exec_term(ct, hist, sizes, stash, i, src_val));
+        let size_at = |rel, d| hist.size(sizes, rel, d);
+        acc = acc.oplus(exec_term(ct, hist.k, i, src_val, size_at, stash));
     }
     for i in cs {
         acc = acc.oplus(plus_lag(now(ct.const_srcs[i]), ct.const_lags[i]));
@@ -370,12 +376,7 @@ fn eval_general(
 /// stashed `(start, ops)` and computed end instant, or `None` when the
 /// execute never ran.
 #[inline(always)]
-pub(crate) fn exec_record(
-    obs: Obs,
-    k: u64,
-    (start, ops): (MaxPlus, u64),
-    end: MaxPlus,
-) -> Option<ExecRecord> {
+fn exec_record(obs: Obs, k: u64, (start, ops): (MaxPlus, u64), end: MaxPlus) -> Option<ExecRecord> {
     let Obs::ExecEnd {
         function,
         stmt,
@@ -398,7 +399,7 @@ pub(crate) fn exec_record(
 
 /// A computed instant as a kernel time (`ε` and negatives clamp to 0).
 #[inline(always)]
-pub(crate) fn instant(value: MaxPlus) -> Time {
+fn instant(value: MaxPlus) -> Time {
     Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64)
 }
 
@@ -478,7 +479,7 @@ fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
 
 /// The folds of one serial compiled sweep: every slot not computed before
 /// the sweep (look-ahead prefix, the input) folds its arcs ([`eval_slot`])
-/// into `tail.acc`, in schedule order, and with `logs` duration arcs stash
+/// into `tail.acc`, in schedule order, and with `log` duration arcs stash
 /// their `(start, ops)` and each slot writes its log in place. Returns the
 /// nodes computed and arcs evaluated; `tail.computed` is left as it was
 /// (publishing the boundary exchanges afterwards reads it).
@@ -487,12 +488,12 @@ fn sweep_serial(
     ct: &CompiledTdg,
     hist: &History<'_>,
     tail: &mut IterState,
-    logs: Option<Logs<'_>>,
+    log: Option<&mut EmissionLog>,
 ) -> (u64, u64) {
     // One copy of the loop per logging mode: the logging loop keeps more
     // state live per slot, which would slow the plain one down.
-    match logs {
-        Some(logs) => sweep_slots(ct, hist, tail, Some(logs)),
+    match log {
+        Some(log) => sweep_slots(ct, hist, tail, Some(log)),
         None => sweep_slots(ct, hist, tail, None),
     }
 }
@@ -502,7 +503,7 @@ fn sweep_slots(
     ct: &CompiledTdg,
     hist: &History<'_>,
     tail: &mut IterState,
-    mut logs: Option<Logs<'_>>,
+    mut log: Option<&mut EmissionLog>,
 ) -> (u64, u64) {
     let (mut nodes, mut arcs) = (0u64, 0u64);
     for (slot, &node) in ct.schedule.iter().enumerate() {
@@ -511,35 +512,186 @@ fn sweep_slots(
             continue;
         }
         let now = &tail.acc;
-        let stash = logs.is_some().then_some(&mut tail.exec_stash[..]);
+        let stash = log.is_some().then_some(&mut tail.exec_stash[..]);
         let (acc, slot_arcs) =
             eval_slot(ct, slot, hist, &tail.sizes, stash, |src| now[src as usize]);
         nodes += 1;
         arcs += slot_arcs;
         tail.acc[node] = acc;
-        if let Some(logs) = logs.as_mut() {
+        if let Some(log) = log.as_mut() {
             // An `ExecEnd` records straight from the `(start, ops)` its
             // duration arc just stashed (the fused record replay).
-            logs.log(hist.k, ct.obs[slot], acc, &tail.exec_stash);
+            log.log(hist.k, ct.obs[slot], acc, &tail.exec_stash);
         }
     }
     (nodes, arcs)
 }
 
-/// The observation logs of an engine, borrowed for one write.
-struct Logs<'a> {
-    records: &'a mut Vec<ExecRecord>,
-    instants: &'a mut [Vec<Time>],
-    reads: &'a mut [Vec<Time>],
+/// The token size `rule` gives its relation at iteration `k`, when the rule
+/// derives it from another relation's size: `size_at(rel, d)` reads
+/// relation `rel` at iteration `k − d` (only called with `d <= k`).
+#[inline]
+pub(crate) fn derived_size(
+    rule: SizeRule,
+    k: u64,
+    size_at: impl Fn(usize, u64) -> u64,
+) -> Option<u64> {
+    let SizeRule::Derived { from, model } = rule else {
+        return None;
+    };
+    let input_size = match from {
+        Some((rel, delay)) if u64::from(delay) <= k => size_at(rel.index(), u64::from(delay)),
+        _ => 0,
+    };
+    Some(model.apply(input_size))
 }
 
-impl Logs<'_> {
+/// Everything one evaluation lane emits: the exchange-instant and FIFO
+/// read logs and execution records (the observation over local time,
+/// written while recording), the computed outputs and input
+/// acknowledgments, and the kernel notifications they wake. [`Engine`]
+/// owns one and [`BatchedEngine`](crate::BatchedEngine) one per lane. Both
+/// write it during a sweep ([`EmissionLog::log`], [`EmissionLog::publish`]),
+/// diff it around a call fast-forward captures ([`EmissionLog::mark`],
+/// [`EmissionLog::collect`]) and append replayed calls to it
+/// ([`EmissionLog::replay`]).
+pub(crate) struct EmissionLog {
+    /// Exchange-instant log per relation (write instants).
+    instants: Vec<Vec<Time>>,
+    /// Read-instant log per relation, kept only for relations with a FIFO
+    /// read node: a rendezvous read is its write, so
+    /// [`EmissionLog::read_instants`] serves those from `instants`.
+    reads: Vec<Vec<Time>>,
+    /// Per relation: whether it has a FIFO read node (owns a `reads` log).
+    fifo_read: Vec<bool>,
+    /// Execution records, in emission order.
+    pub(crate) exec_records: Vec<ExecRecord>,
+    /// Computed outputs per output index: `(iteration, instant, token size)`.
+    outputs: Vec<VecDeque<(u64, Time, u64)>>,
+    /// Most recent acknowledgment instant per input: `(k, instant)`.
+    acks: Vec<Option<(u64, Time)>>,
+    /// Kernel event to wake per input acknowledgment and per output, when
+    /// one is registered (only a kernel-attached [`Engine`] registers).
+    input_events: Vec<Option<EventId>>,
+    output_events: Vec<Option<EventId>>,
+    /// Wake-ups owed to the kernel ([`Engine::drain_notifications`]).
+    notifications: Vec<Notification>,
+    /// What [`EmissionLog::mark`] recorded before a captured call.
+    marks: Marks,
+}
+
+/// Log lengths, acknowledgment and work counters before a captured call.
+#[derive(Default)]
+struct Marks {
+    instants: Vec<usize>,
+    reads: Vec<usize>,
+    outputs: Vec<usize>,
+    records: usize,
+    ack: Option<(u64, Time)>,
+    stats: EngineCounters,
+}
+
+impl EmissionLog {
+    /// Empty logs for a graph with `fifo_read.len()` relations and the
+    /// given numbers of inputs and outputs.
+    pub(crate) fn new(fifo_read: Vec<bool>, inputs: usize, outputs: usize) -> Self {
+        EmissionLog {
+            instants: vec![Vec::new(); fifo_read.len()],
+            reads: vec![Vec::new(); fifo_read.len()],
+            fifo_read,
+            exec_records: Vec::new(),
+            outputs: vec![VecDeque::new(); outputs],
+            acks: vec![None; inputs],
+            input_events: vec![None; inputs],
+            output_events: vec![None; outputs],
+            notifications: Vec::new(),
+            marks: Marks::default(),
+        }
+    }
+
+    /// Empties every log and queue in place (keeping their capacity) and
+    /// drops the event registrations.
+    pub(crate) fn clear(&mut self) {
+        self.instants.iter_mut().for_each(Vec::clear);
+        self.reads.iter_mut().for_each(Vec::clear);
+        self.exec_records.clear();
+        self.outputs.iter_mut().for_each(VecDeque::clear);
+        self.acks.fill(None);
+        self.input_events.fill(None);
+        self.output_events.fill(None);
+        self.notifications.clear();
+    }
+
+    /// Exchange-instant log of a relation.
+    pub(crate) fn instants(&self, relation: usize) -> &[Time] {
+        &self.instants[relation]
+    }
+
+    /// Read-instant log of a relation.
+    pub(crate) fn read_instants(&self, relation: usize) -> &[Time] {
+        if self.fifo_read[relation] {
+            &self.reads[relation]
+        } else {
+            &self.instants[relation]
+        }
+    }
+
+    /// The acknowledgment instant of `input`'s `k`-th offer, if computed.
+    pub(crate) fn ack_instant(&self, input: usize, k: u64) -> Option<Time> {
+        match self.acks[input] {
+            Some((stored_k, t)) if stored_k == k => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Pops the next computed output of `output`.
+    pub(crate) fn next_output(&mut self, output: usize) -> Option<(u64, Time, u64)> {
+        self.outputs[output].pop_front()
+    }
+
+    /// Reserves room for `iterations` iterations of observation logs: one
+    /// instant per exchange and FIFO read in `node_obs`, and `execs`
+    /// execution records per iteration.
+    fn reserve(&mut self, node_obs: &[Obs], iterations: usize, execs: usize) {
+        for obs in node_obs {
+            match *obs {
+                Obs::Exchange { relation, .. } => {
+                    self.instants[relation as usize].reserve_exact(iterations);
+                }
+                Obs::FifoRead { relation } => {
+                    self.reads[relation as usize].reserve_exact(iterations);
+                }
+                Obs::None | Obs::ExecEnd { .. } => {}
+            }
+        }
+        self.exec_records.reserve_exact(iterations * execs);
+    }
+
+    /// Moves out a relation's read instants (a rendezvous relation's reads
+    /// are a copy of its writes, which stay for [`EmissionLog::take_channel`]).
+    pub(crate) fn take_reads(&mut self, relation: usize) -> Vec<Time> {
+        if self.fifo_read[relation] {
+            std::mem::take(&mut self.reads[relation])
+        } else {
+            self.instants[relation].clone()
+        }
+    }
+
+    /// Moves out a relation's write and read instants as a channel log.
+    pub(crate) fn take_channel(&mut self, relation: usize) -> ChannelLog {
+        let read_instants = self.take_reads(relation);
+        ChannelLog {
+            write_instants: std::mem::take(&mut self.instants[relation]),
+            read_instants,
+        }
+    }
+
     /// Logs the observation of a node with action `obs` that computed
     /// `value` for iteration `k`: an exchange's write instant, a FIFO
     /// read's read instant, or an `ExecEnd`'s execution record from its
     /// iteration's `stash`.
     #[inline(always)]
-    fn log(&mut self, k: u64, obs: Obs, value: MaxPlus, stash: &[(MaxPlus, u64)]) {
+    pub(crate) fn log(&mut self, k: u64, obs: Obs, value: MaxPlus, stash: &[(MaxPlus, u64)]) {
         match obs {
             Obs::None => {}
             Obs::Exchange { relation, .. } => {
@@ -550,9 +702,150 @@ impl Logs<'_> {
             Obs::FifoRead { relation } => self.reads[relation as usize].push(instant(value)),
             Obs::ExecEnd { dense, .. } => {
                 if let Some(record) = exec_record(obs, k, stash[dense as usize], value) {
-                    self.records.push(record);
+                    self.exec_records.push(record);
                 }
             }
+        }
+    }
+
+    /// Publishes an exchange at the boundary: the acknowledgment instant of
+    /// the input it acks and the token of the output it produces (its size
+    /// from the iteration's `sizes`), with the kernel notifications they
+    /// wake.
+    #[inline(always)]
+    pub(crate) fn publish(&mut self, k: u64, obs: Obs, value: MaxPlus, sizes: &[u64]) {
+        let Obs::Exchange {
+            relation,
+            ack_input,
+            output,
+        } = obs
+        else {
+            return;
+        };
+        let time = instant(value);
+        if ack_input != u32::MAX {
+            self.acks[ack_input as usize] = Some((k, time));
+            self.wake(self.input_events[ack_input as usize], None);
+        }
+        if output != u32::MAX {
+            let size = sizes[relation as usize];
+            self.outputs[output as usize].push_back((k, time, size));
+            // Wake the emission directly at the output instant.
+            self.wake(self.output_events[output as usize], Some(time));
+        }
+    }
+
+    #[inline(always)]
+    fn wake(&mut self, event: Option<EventId>, at: Option<Time>) {
+        if let Some(event) = event {
+            self.notifications.push(Notification { event, at });
+        }
+    }
+
+    /// Marks the log lengths, the acknowledgment and the work counters
+    /// `stats` so [`EmissionLog::collect`] can diff out exactly what the
+    /// upcoming call emits.
+    pub(crate) fn mark(&mut self, stats: EngineCounters) {
+        let m = &mut self.marks;
+        m.instants.clear();
+        m.instants.extend(self.instants.iter().map(Vec::len));
+        m.reads.clear();
+        m.reads.extend(self.reads.iter().map(Vec::len));
+        m.outputs.clear();
+        m.outputs.extend(self.outputs.iter().map(VecDeque::len));
+        m.records = self.exec_records.len();
+        m.ack = self.acks[0];
+        m.stats = stats;
+    }
+
+    /// Diffs the log against the marks: the complete emission set of the
+    /// call at iteration `k`, whose work counters now read `stats` (a
+    /// consumer cannot pop outputs mid-call, so queue-length diffs are
+    /// exact).
+    pub(crate) fn collect(&self, k: u64, stats: EngineCounters) -> CallEmissions {
+        let m = &self.marks;
+        let mut e = CallEmissions::default();
+        for (rel, (log, &from)) in self.instants.iter().zip(&m.instants).enumerate() {
+            let ticks = log[from..].iter().map(|t| (rel as u32, t.ticks()));
+            e.instants.extend(ticks);
+        }
+        for (rel, (log, &from)) in self.reads.iter().zip(&m.reads).enumerate() {
+            let ticks = log[from..].iter().map(|t| (rel as u32, t.ticks()));
+            e.reads.extend(ticks);
+        }
+        for r in &self.exec_records[m.records..] {
+            debug_assert!(r.k >= k, "a call's records belong to k or the look-ahead");
+            e.execs.push(ExecEmission {
+                k_off: r.k - k,
+                resource: r.resource,
+                function: r.function,
+                stmt: r.stmt,
+                start: r.start.ticks(),
+                end: r.end.ticks(),
+                ops: r.ops,
+            });
+        }
+        for (out, (queue, &from)) in self.outputs.iter().zip(&m.outputs).enumerate() {
+            for &(ok, t, s) in queue.iter().skip(from) {
+                debug_assert!(ok >= k);
+                e.outputs.push(OutputEmission {
+                    output: out as u32,
+                    k_off: ok - k,
+                    at: t.ticks(),
+                    size: s,
+                });
+            }
+        }
+        if self.acks[0] != m.ack {
+            if let Some((ak, t)) = self.acks[0] {
+                debug_assert!(ak >= k);
+                e.ack = Some((ak - k, t.ticks()));
+            }
+        }
+        e.nodes = stats.nodes_computed - m.stats.nodes_computed;
+        e.arcs = stats.arcs_evaluated - m.stats.arcs_evaluated;
+        e.iters = stats.iterations_completed - m.stats.iterations_completed;
+        e
+    }
+
+    /// Appends a replayed call at iteration `k`: the captured emissions
+    /// `e`, their instants taken in emission order from `shifted` (as
+    /// [`periodic::extrapolate_emissions`] produced them), in the order the
+    /// captured call appended them — log order is part of the observable
+    /// contract.
+    pub(crate) fn replay(
+        &mut self,
+        k: u64,
+        e: &CallEmissions,
+        shifted: &mut impl Iterator<Item = u64>,
+    ) {
+        let mut next = || Time::from_ticks(shifted.next().expect("one shifted instant each"));
+        for &(rel, _) in &e.instants {
+            self.instants[rel as usize].push(next());
+        }
+        for &(rel, _) in &e.reads {
+            self.reads[rel as usize].push(next());
+        }
+        for r in &e.execs {
+            let (start, end) = (next(), next());
+            self.exec_records.push(ExecRecord {
+                resource: r.resource,
+                function: r.function,
+                stmt: r.stmt,
+                k: k + r.k_off,
+                start,
+                end,
+                ops: r.ops,
+            });
+        }
+        for o in &e.outputs {
+            let at = next();
+            self.outputs[o.output as usize].push_back((k + o.k_off, at, o.size));
+            self.wake(self.output_events[o.output as usize], Some(at));
+        }
+        if let Some((k_off, _)) = e.ack {
+            self.acks[0] = Some((k + k_off, next()));
+            self.wake(self.input_events[0], None);
         }
     }
 }
@@ -620,23 +913,9 @@ pub struct Engine {
     work: VecDeque<(u64, NodeId)>,
     /// Next expected iteration per input.
     next_input_k: Vec<u64>,
-    /// Most recent acknowledgment instant per input: `(k, instant)`.
-    acks: Vec<Option<(u64, Time)>>,
-    /// Computed outputs per output index (iteration, instant, token size).
-    outputs_ready: Vec<VecDeque<(u64, Time, u64)>>,
-    /// Exchange-instant log per relation (write instants).
-    instant_log: Vec<Vec<Time>>,
-    /// Read-instant log per relation, kept only for relations with a FIFO
-    /// read node: a rendezvous read is its write, so
-    /// [`Engine::read_instants`] serves those from `instant_log`.
-    read_log: Vec<Vec<Time>>,
-    /// Per relation: whether it has a FIFO read node (owns a `read_log`).
-    fifo_read: Vec<bool>,
-    exec_records: Vec<ExecRecord>,
+    /// Logs, outputs, acknowledgments and kernel notifications.
+    log: EmissionLog,
     record_observations: bool,
-    input_events: Vec<Option<EventId>>,
-    output_events: Vec<Option<EventId>>,
-    pending_notifications: Vec<Notification>,
     stats: EngineCounters,
     prune_counter: u32,
     /// Periodic fast-forward knob (Off by default for bare engines).
@@ -649,8 +928,6 @@ pub struct Engine {
     /// Online periodic-regime detector and template; `Some` iff fast-forward
     /// is enabled and the engine is eligible.
     periodic: Option<Box<PeriodicState>>,
-    /// Log-length marks taken around a fast-path call during confirmation.
-    ff_marks: FfMarks,
     /// Reusable two-pass extrapolation scratch (replayed instants).
     ff_scratch: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
@@ -671,49 +948,6 @@ pub struct Engine {
     /// current correlation id. `None` (the default) keeps evaluation
     /// recorder-free.
     flight: Option<Box<PartitionTracer>>,
-}
-
-/// Observation logs moved out of a consumed [`Engine`]
-/// ([`Engine::into_logs`]).
-pub(crate) struct EngineLogs {
-    instants: Vec<Vec<Time>>,
-    reads: Vec<Vec<Time>>,
-    fifo_read: Vec<bool>,
-    /// Execution records, in emission order.
-    pub(crate) exec_records: Vec<ExecRecord>,
-}
-
-impl EngineLogs {
-    /// Moves out a relation's read instants (a rendezvous relation's reads
-    /// are a copy of its writes, which stay for [`EngineLogs::take_channel`]).
-    pub(crate) fn take_reads(&mut self, relation: usize) -> Vec<Time> {
-        if self.fifo_read[relation] {
-            std::mem::take(&mut self.reads[relation])
-        } else {
-            self.instants[relation].clone()
-        }
-    }
-
-    /// Moves out a relation's write and read instants as a channel log.
-    pub(crate) fn take_channel(&mut self, relation: usize) -> ChannelLog {
-        let read_instants = self.take_reads(relation);
-        ChannelLog {
-            write_instants: std::mem::take(&mut self.instants[relation]),
-            read_instants,
-        }
-    }
-}
-
-/// Snapshot of observable-state lengths, diffed after a captured call to
-/// recover exactly what the call emitted.
-#[derive(Default)]
-struct FfMarks {
-    instants: Vec<usize>,
-    reads: Vec<usize>,
-    outputs: Vec<usize>,
-    execs: usize,
-    ack: Option<(u64, Time)>,
-    stats: EngineCounters,
 }
 
 impl std::fmt::Debug for Engine {
@@ -767,7 +1001,6 @@ impl Engine {
         let node_obs = meta.obs;
         let stash_arc = meta.stash_arc;
         let n_execs = meta.n_execs;
-        let fifo_read = meta.fifo_read;
 
         let mut remaining_template = vec![0u32; n];
         for arc in tdg.arcs() {
@@ -863,23 +1096,14 @@ impl Engine {
             free: Vec::new(),
             work: VecDeque::new(),
             next_input_k: vec![0; n_inputs],
-            acks: vec![None; n_inputs],
-            outputs_ready: vec![VecDeque::new(); n_outputs],
-            instant_log: vec![Vec::new(); relation_count],
-            read_log: vec![Vec::new(); relation_count],
-            fifo_read,
-            exec_records: Vec::new(),
+            log: EmissionLog::new(meta.fifo_read, n_inputs, n_outputs),
             record_observations,
-            input_events: vec![None; n_inputs],
-            output_events: vec![None; n_outputs],
-            pending_notifications: Vec::new(),
             stats: EngineCounters::default(),
             prune_counter: 0,
             fast_forward: FastForward::Off,
             ff_eligible,
             ff_load_periods,
             periodic: None,
-            ff_marks: FfMarks::default(),
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
             observer: None,
@@ -1188,20 +1412,7 @@ impl Engine {
         self.work.clear();
         self.next_input_k.fill(0);
         self.next_output_ack_k.fill(0);
-        self.acks.fill(None);
-        for queue in &mut self.outputs_ready {
-            queue.clear();
-        }
-        for log in &mut self.instant_log {
-            log.clear();
-        }
-        for log in &mut self.read_log {
-            log.clear();
-        }
-        self.exec_records.clear();
-        self.input_events.fill(None);
-        self.output_events.fill(None);
-        self.pending_notifications.clear();
+        self.log.clear();
         self.stats = EngineCounters::default();
         self.prune_counter = 0;
         // Fast-forward: keep the knob and eligibility, restart detection.
@@ -1233,7 +1444,7 @@ impl Engine {
             ring_capacity: self.ring.capacity(),
             free_capacity: self.free.capacity(),
             work_capacity: self.work.capacity(),
-            notification_capacity: self.pending_notifications.capacity(),
+            notification_capacity: self.log.notifications.capacity(),
             compiled_elements: self
                 .compiled
                 .as_deref()
@@ -1256,13 +1467,13 @@ impl Engine {
     /// Registers the kernel event to notify when an ack instant for input
     /// `input` becomes computable.
     pub fn set_input_event(&mut self, input: usize, event: EventId) {
-        self.input_events[input] = Some(event);
+        self.log.input_events[input] = Some(event);
     }
 
     /// Registers the kernel event to notify when a new output instant for
     /// output `output` becomes known.
     pub fn set_output_event(&mut self, output: usize, event: EventId) {
-        self.output_events[output] = Some(event);
+        self.log.output_events[output] = Some(event);
     }
 
     /// Drains the notifications that must be delivered as a result of
@@ -1270,7 +1481,7 @@ impl Engine {
     /// pending buffer keeps its capacity, so steady-state offers allocate
     /// nothing; dropping the iterator discards whatever it did not yield.
     pub fn drain_notifications(&mut self) -> std::vec::Drain<'_, Notification> {
-        self.pending_notifications.drain(..)
+        self.log.notifications.drain(..)
     }
 
     /// Reserves log capacity for a run of `offers` offers per input, so
@@ -1284,28 +1495,12 @@ impl Engine {
             return;
         }
         let iterations = offers + usize::from(self.has_prefix);
-        for obs in &self.node_obs {
-            match *obs {
-                Obs::Exchange { relation, .. } => {
-                    self.instant_log[relation as usize].reserve_exact(iterations);
-                }
-                Obs::FifoRead { relation } => {
-                    self.read_log[relation as usize].reserve_exact(iterations);
-                }
-                Obs::None | Obs::ExecEnd { .. } => {}
-            }
-        }
-        self.exec_records.reserve_exact(iterations * self.n_execs);
+        self.log.reserve(&self.node_obs, iterations, self.n_execs);
     }
 
     /// Consumes the engine, moving its observation logs out.
-    pub(crate) fn into_logs(self) -> EngineLogs {
-        EngineLogs {
-            instants: self.instant_log,
-            reads: self.read_log,
-            fifo_read: self.fifo_read,
-            exec_records: self.exec_records,
-        }
+    pub(crate) fn into_logs(self) -> EmissionLog {
+        self.log
     }
 
     /// Records the `k`-th offer on input `input` at instant `at` with the
@@ -1346,7 +1541,7 @@ impl Engine {
         let Some(mut ob) = self.observer.take() else {
             return self.try_set_input_impl(input, k, at, size);
         };
-        let rec_mark = self.exec_records.len();
+        let rec_mark = self.log.exec_records.len();
         let ff_before = self.fast_forward_stats();
         let result = self.try_set_input_impl(input, k, at, size);
         let ff_after = self.fast_forward_stats();
@@ -1370,8 +1565,8 @@ impl Engine {
                 if ff_after.demotions > ff_before.demotions {
                     ob.on_event(EngineEvent::FfDemoted { k, lane: 0 });
                 }
-                if self.exec_records.len() > rec_mark {
-                    ob.on_records(0, &self.exec_records[rec_mark..]);
+                if self.log.exec_records.len() > rec_mark {
+                    ob.on_records(0, &self.log.exec_records[rec_mark..]);
                 }
             }
             Err(_) => ob.on_event(EngineEvent::Overflow { k }),
@@ -1450,7 +1645,7 @@ impl Engine {
             // observable-state marks before the sweep while confirming.
             let capture = self.periodic.as_ref().is_some_and(|p| p.wants_capture());
             if capture {
-                self.ff_mark();
+                self.log.mark(self.stats);
             }
             // Delta mode: within the cached range, diff against the base
             // row instead of recomputing every node. Beyond it, once the
@@ -1564,17 +1759,13 @@ impl Engine {
         // can be read while the ring and logs are mutated.
         let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
         self.derive_sizes(&ct, k, &mut tail);
-        let logs = self.record_observations.then(|| Logs {
-            records: &mut self.exec_records,
-            instants: &mut self.instant_log,
-            reads: &mut self.read_log,
-        });
+        let log = self.record_observations.then_some(&mut self.log);
         let hist = History::new(&self.ring, self.base_k, k);
-        let (nodes, arcs) = sweep_serial(&ct, &hist, &mut tail, logs);
+        let (nodes, arcs) = sweep_serial(&ct, &hist, &mut tail, log);
         for &pos in &ct.boundary_slots {
             let node = ct.schedule[pos as usize] as usize;
             if !tail.computed[node] {
-                self.publish(k, ct.obs[pos as usize], tail.acc[node], &tail);
+                self.log.publish(k, ct.obs[pos as usize], tail.acc[node], &tail.sizes);
             }
         }
         tail.computed.fill(true);
@@ -1935,16 +2126,13 @@ impl Engine {
     /// The computed acknowledgment instant (boundary exchange) of the
     /// `k`-th offer on `input`, if known yet.
     pub fn ack_instant(&self, input: usize, k: u64) -> Option<Time> {
-        match self.acks[input] {
-            Some((stored_k, t)) if stored_k == k => Some(t),
-            _ => None,
-        }
+        self.log.ack_instant(input, k)
     }
 
     /// Pops the next computed output of output `output`, if any:
     /// `(iteration, emission instant, token size)`.
     pub fn next_output(&mut self, output: usize) -> Option<(u64, Time, u64)> {
-        self.outputs_ready[output].pop_front()
+        self.log.next_output(output)
     }
 
     /// Returns `true` when `output` requires acknowledgment feedback
@@ -1961,12 +2149,12 @@ impl Engine {
     /// Panics if the output has no acknowledgment node or acknowledgments
     /// arrive out of iteration order.
     pub fn set_output_ack(&mut self, output: usize, k: u64, at: Time) {
-        let rec_mark = self.exec_records.len();
+        let rec_mark = self.log.exec_records.len();
         self.set_output_ack_impl(output, k, at);
         if let Some(mut ob) = self.observer.take() {
             ob.on_event(EngineEvent::OutputAck { k });
-            if self.exec_records.len() > rec_mark {
-                ob.on_records(0, &self.exec_records[rec_mark..]);
+            if self.log.exec_records.len() > rec_mark {
+                ob.on_records(0, &self.log.exec_records[rec_mark..]);
             }
             self.observer = Some(ob);
         }
@@ -1994,22 +2182,18 @@ impl Engine {
     /// Exchange-instant log of a relation (write instants, in iteration
     /// order) — the computed counterpart of the simulator's channel log.
     pub fn instants(&self, relation: usize) -> &[Time] {
-        &self.instant_log[relation]
+        self.log.instants(relation)
     }
 
     /// Read-instant log of a relation (differs from writes for FIFOs).
     pub fn read_instants(&self, relation: usize) -> &[Time] {
-        if self.fifo_read[relation] {
-            &self.read_log[relation]
-        } else {
-            &self.instant_log[relation]
-        }
+        self.log.read_instants(relation)
     }
 
     /// Execution records replayed from computed instants (the observation
     /// over local time of paper Fig. 2(b)).
     pub fn exec_records(&self) -> &[ExecRecord] {
-        &self.exec_records
+        &self.log.exec_records
     }
 
     // -- internals ---------------------------------------------------------
@@ -2165,17 +2349,12 @@ impl Engine {
     /// when its size rule derives it from another relation's size.
     #[inline]
     fn derive_size(&self, relation: usize, k: u64, it: &mut IterState) {
-        if let SizeRule::Derived { from, model } = self.size_rules[relation] {
-            let input_size = match from {
-                None => 0,
-                Some((rel, delay)) => match u64::from(delay) {
-                    0 => it.sizes[rel.index()],
-                    d if d > k => 0,
-                    d => iter_at(&self.ring, self.base_k, k - d)
-                        .map_or(0, |row| row.sizes[rel.index()]),
-                },
-            };
-            it.sizes[relation] = model.apply(input_size);
+        let size = derived_size(self.size_rules[relation], k, |rel, d| match d {
+            0 => it.sizes[rel],
+            d => iter_at(&self.ring, self.base_k, k - d).map_or(0, |row| row.sizes[rel]),
+        });
+        if let Some(size) = size {
+            it.sizes[relation] = size;
         }
     }
 
@@ -2187,50 +2366,9 @@ impl Engine {
     #[inline(always)]
     fn emit(&mut self, k: u64, obs: Obs, value: MaxPlus, it: &IterState) {
         if self.record_observations {
-            let mut logs = Logs {
-                records: &mut self.exec_records,
-                instants: &mut self.instant_log,
-                reads: &mut self.read_log,
-            };
-            logs.log(k, obs, value, &it.exec_stash);
+            self.log.log(k, obs, value, &it.exec_stash);
         }
-        self.publish(k, obs, value, it);
-    }
-
-    /// Publishes an exchange at the boundary: the acknowledgment instant of
-    /// the input it acks and the token of the output it produces, with the
-    /// kernel notifications they wake.
-    #[inline(always)]
-    fn publish(&mut self, k: u64, obs: Obs, value: MaxPlus, it: &IterState) {
-        let Obs::Exchange {
-            relation,
-            ack_input,
-            output,
-        } = obs
-        else {
-            return;
-        };
-        let time = instant(value);
-        if ack_input != u32::MAX {
-            self.acks[ack_input as usize] = Some((k, time));
-            if let Some(ev) = self.input_events[ack_input as usize] {
-                self.pending_notifications.push(Notification {
-                    event: ev,
-                    at: None,
-                });
-            }
-        }
-        if output != u32::MAX {
-            let size = it.sizes[relation as usize];
-            self.outputs_ready[output as usize].push_back((k, time, size));
-            if let Some(ev) = self.output_events[output as usize] {
-                // Wake the emission directly at the output instant.
-                self.pending_notifications.push(Notification {
-                    event: ev,
-                    at: Some(time),
-                });
-            }
-        }
+        self.log.publish(k, obs, value, &it.sizes);
     }
 
     /// Size pre-pass of a compiled sweep: derives iteration `k`'s token
@@ -2330,77 +2468,11 @@ impl Engine {
         }
     }
 
-    /// Snapshots observable-state lengths so [`Engine::ff_collect`] can diff
-    /// out exactly what the upcoming call emits.
-    fn ff_mark(&mut self) {
-        let m = &mut self.ff_marks;
-        m.instants.clear();
-        m.instants.extend(self.instant_log.iter().map(Vec::len));
-        m.reads.clear();
-        m.reads.extend(self.read_log.iter().map(Vec::len));
-        m.outputs.clear();
-        m.outputs.extend(self.outputs_ready.iter().map(VecDeque::len));
-        m.execs = self.exec_records.len();
-        m.ack = self.acks[0];
-        m.stats = self.stats;
-    }
-
-    /// Diffs the observable state against the marks: the complete emission
-    /// set of the call at iteration `k` (a consumer cannot pop outputs
-    /// mid-call, so queue-length diffs are exact).
-    fn ff_collect(&self, k: u64) -> CallEmissions {
-        let m = &self.ff_marks;
-        let mut e = CallEmissions::default();
-        for (rel, (log, &from)) in self.instant_log.iter().zip(&m.instants).enumerate() {
-            for t in &log[from..] {
-                e.instants.push((rel as u32, t.ticks()));
-            }
-        }
-        for (rel, (log, &from)) in self.read_log.iter().zip(&m.reads).enumerate() {
-            for t in &log[from..] {
-                e.reads.push((rel as u32, t.ticks()));
-            }
-        }
-        for r in &self.exec_records[m.execs..] {
-            debug_assert!(r.k >= k, "fast-path records belong to k or the look-ahead");
-            e.execs.push(ExecEmission {
-                k_off: r.k - k,
-                resource: r.resource,
-                function: r.function,
-                stmt: r.stmt,
-                start: r.start.ticks(),
-                end: r.end.ticks(),
-                ops: r.ops,
-            });
-        }
-        for (out, (queue, &from)) in self.outputs_ready.iter().zip(&m.outputs).enumerate() {
-            for &(ok, t, s) in queue.iter().skip(from) {
-                debug_assert!(ok >= k);
-                e.outputs.push(OutputEmission {
-                    output: out as u32,
-                    k_off: ok - k,
-                    at: t.ticks(),
-                    size: s,
-                });
-            }
-        }
-        if self.acks[0] != m.ack {
-            if let Some((ak, t)) = self.acks[0] {
-                debug_assert!(ak >= k);
-                e.ack = Some((ak - k, t.ticks()));
-            }
-        }
-        e.nodes = self.stats.nodes_computed - m.stats.nodes_computed;
-        e.arcs = self.stats.arcs_evaluated - m.stats.arcs_evaluated;
-        e.iters = self.stats.iterations_completed - m.stats.iterations_completed;
-        e
-    }
-
     /// Feeds a completed fast-path call to the detector; on a confirmed
     /// window, attempts promotion (arc soundness condition) and drops the
     /// ring — the template now carries everything replay needs.
     fn ff_observe(&mut self, pd: &mut PeriodicState, k: u64, at: Time, size: u64, captured: bool) {
-        let emissions = captured.then(|| self.ff_collect(k));
+        let emissions = captured.then(|| self.log.collect(k, self.stats));
         let it = iter_at(&self.ring, self.base_k, k).expect("iteration just computed");
         let tail = if self.has_prefix {
             debug_assert_eq!(self.base_k + self.ring.len() as u64, k + 2);
@@ -2484,51 +2556,10 @@ impl Engine {
             self.ff_scratch = scratch;
             return Err(e);
         }
-        // Pass 2: apply — infallible, in the same order the captured call
-        // appended (log order is part of the observable contract).
-        let mut i = 0;
-        for e in &r.emissions.instants {
-            self.instant_log[e.0 as usize].push(Time::from_ticks(scratch[i]));
-            i += 1;
-        }
-        for e in &r.emissions.reads {
-            self.read_log[e.0 as usize].push(Time::from_ticks(scratch[i]));
-            i += 1;
-        }
-        for e in &r.emissions.execs {
-            let (start, end) = (scratch[i], scratch[i + 1]);
-            i += 2;
-            self.exec_records.push(ExecRecord {
-                resource: e.resource,
-                function: e.function,
-                stmt: e.stmt,
-                k: k + e.k_off,
-                start: Time::from_ticks(start),
-                end: Time::from_ticks(end),
-                ops: e.ops,
-            });
-        }
-        for e in &r.emissions.outputs {
-            let at = Time::from_ticks(scratch[i]);
-            i += 1;
-            self.outputs_ready[e.output as usize].push_back((k + e.k_off, at, e.size));
-            if let Some(ev) = self.output_events[e.output as usize] {
-                self.pending_notifications.push(Notification {
-                    event: ev,
-                    at: Some(at),
-                });
-            }
-        }
-        if let Some((k_off, _)) = r.emissions.ack {
-            let at = Time::from_ticks(scratch[i]);
-            i += 1;
-            self.acks[0] = Some((k + k_off, at));
-            if let Some(ev) = self.input_events[0] {
-                self.pending_notifications
-                    .push(Notification { event: ev, at: None });
-            }
-        }
-        debug_assert_eq!(i, scratch.len());
+        // Pass 2: apply — infallible.
+        let mut shifted = scratch.iter().copied();
+        self.log.replay(k, &r.emissions, &mut shifted);
+        debug_assert!(shifted.next().is_none());
         self.stats.nodes_computed += r.emissions.nodes;
         self.stats.arcs_evaluated += r.emissions.arcs;
         self.stats.iterations_completed += r.emissions.iters;
@@ -2542,95 +2573,47 @@ impl Engine {
     /// never-promoted engine would stand. Two-pass like replay: all shifted
     /// accumulators are computed before any state changes.
     fn ff_reconstruct(&mut self, t: &Template, k_b: u64) -> Result<(), EngineError> {
-        let h = u64::from(self.tdg.max_delay);
-        let start = k_b.saturating_sub(h);
-        debug_assert!(
-            start >= t.k0 + t.p,
-            "the confirmation window spans the history horizon"
-        );
-        let n = self.tdg.node_count();
+        let start = k_b.saturating_sub(u64::from(self.tdg.max_delay));
         let mut scratch = std::mem::take(&mut self.ff_acc_scratch);
         scratch.clear();
-        let mut fail = None;
-        'outer: for j in start..k_b {
-            let (pos, m) = t.locate(j);
-            let r = &t.refs[pos];
-            for node in 0..n {
-                match periodic::shift_acc(r.acc[node], t.d[node], m) {
-                    Ok(v) => scratch.push(v),
-                    Err(e) => {
-                        fail = Some(e);
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        if fail.is_none() && self.has_prefix {
-            // The look-ahead tail for `k_b` is the lookahead the call at
-            // `k_b − 1` left behind, captured with that call's position.
-            let (pos, m) = t.locate(k_b - 1);
-            let tt = t.refs[pos].tail.as_ref().expect("prefix engines capture tails");
-            for node in 0..n {
-                if tt.computed[node] {
-                    match periodic::shift_acc(tt.acc[node], t.d[node], m) {
-                        Ok(v) => scratch.push(v),
-                        Err(e) => {
-                            fail = Some(e);
-                            break;
-                        }
-                    }
-                } else {
-                    scratch.push(0);
-                }
-            }
-        }
-        if let Some(e) = fail {
+        if let Err(e) = periodic::shift_history(t, start, k_b, self.has_prefix, &mut scratch) {
             self.ff_acc_scratch = scratch;
             return Err(e);
         }
-        // Pass 2: rebuild.
+        // Pass 2: rebuild, one node-indexed row per iteration.
         while let Some(state) = self.ring.pop_front() {
             if self.free.len() < FREE_LIST_CAP {
                 self.free.push(state);
             }
         }
         self.base_k = start;
-        let mut idx = 0;
-        for j in start..k_b {
-            let (pos, _) = t.locate(j);
-            let r = &t.refs[pos];
+        let mut rows = scratch.chunks_exact(self.tdg.node_count());
+        for (j, row) in (start..k_b).zip(&mut rows) {
             let mut state = self.take_state();
-            for node in 0..n {
-                state.acc[node] = MaxPlus::new(scratch[idx]);
-                idx += 1;
-                state.computed[node] = true;
+            for (acc, &v) in state.acc.iter_mut().zip(row) {
+                *acc = MaxPlus::new(v);
             }
+            state.computed.fill(true);
             state.remaining.fill(0);
-            state.sizes.copy_from_slice(&r.sizes);
+            state.sizes.copy_from_slice(&t.refs[t.locate(j).0].sizes);
             // Stashes are re-captured by the sweep; history never reads them.
             state.exec_stash.fill((MaxPlus::EPSILON, 0));
             state.nodes_pending = 0;
             self.ring.push_back(state);
         }
-        if self.has_prefix {
-            let (pos, _) = t.locate(k_b - 1);
-            let tt = t.refs[pos].tail.as_ref().expect("prefix engines capture tails");
+        if let Some(row) = rows.next() {
+            let tt = t.lookahead(k_b);
             let mut state = self.take_state();
-            let mut pending = n;
-            for node in 0..n {
-                let v = scratch[idx];
-                idx += 1;
+            for (node, &v) in row.iter().enumerate() {
                 if tt.computed[node] {
                     state.acc[node] = MaxPlus::new(v);
                     state.computed[node] = true;
-                    pending -= 1;
+                    state.nodes_pending -= 1;
                 }
             }
             state.sizes.copy_from_slice(&tt.sizes);
-            state.nodes_pending = pending;
             self.ring.push_back(state);
         }
-        debug_assert_eq!(idx, scratch.len());
         self.work.clear();
         self.prune_counter = 0;
         self.ff_acc_scratch = scratch;

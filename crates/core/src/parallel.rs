@@ -4,9 +4,8 @@
 //! scenarios; one huge model still walks its whole levelized CSR schedule
 //! on a single thread. This module splits that walk: at plan time the
 //! schedule's slots are partitioned, per zero-delay level, into `P`
-//! contiguous load-balanced ranges (cut on the same ~32 KiB tile size the
-//! fused [`SweepSegment`](crate::compile::SweepSegment) planner uses), and
-//! each iteration is then swept by `P` workers walking their ranges
+//! contiguous load-balanced ranges (cut on ~32 KiB tiles of accumulator
+//! rows), and each iteration is then swept by `P` workers walking their ranges
 //! level-by-level. Only *cross-partition zero-delay arcs* — the partition
 //! frontier — need synchronization; delayed arcs read the immutable
 //! history ring and are always safe.
@@ -66,11 +65,9 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Partition cut granularity in slots. Matches the compiled sweep's fused
-/// segment cap (`32 KiB / 8-byte accumulator row`, see
-/// `crate::batch::plan` and [`CompiledTdg::plan_segments`]): cuts land on
-/// the same ~32 KiB tile boundaries, so a partition's per-level range is a
-/// whole number of cache-resident sweep tiles.
+/// Partition cut granularity in slots: a quarter of 32 KiB of 8-byte
+/// accumulators, so a partition's per-level range is a whole number of
+/// cache-resident sweep tiles.
 const TILE_SLOTS: usize = 32 * 1024 / std::mem::size_of::<i64>() / 4;
 
 /// The compile-time partition plan: per-level contiguous slot ranges and

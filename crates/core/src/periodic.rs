@@ -258,6 +258,40 @@ pub(crate) fn extrapolate_emissions(
     Ok(())
 }
 
+/// Pass 1 of a demotion: the accumulators template `t` predicts for the
+/// history iterations `start..k_b`, one node-indexed row per iteration,
+/// and with `lookahead` the look-ahead prefix the call at `k_b − 1` left
+/// behind (0 for the nodes it does not compute), shifted with checked
+/// arithmetic and appended to `out`. Touches no other state, so a failed
+/// call leaves nothing to undo; each engine then writes the rows into its
+/// own ring layout.
+pub(crate) fn shift_history(
+    t: &Template,
+    start: u64,
+    k_b: u64,
+    lookahead: bool,
+    out: &mut Vec<i64>,
+) -> Result<(), EngineError> {
+    debug_assert!(
+        start >= t.k0 + t.p,
+        "the confirmation window spans the history horizon"
+    );
+    for j in start..k_b {
+        let (pos, m) = t.locate(j);
+        for (&acc, &d) in t.refs[pos].acc.iter().zip(&t.d) {
+            out.push(shift_acc(acc, d, m)?);
+        }
+    }
+    if lookahead {
+        let (_, m) = t.locate(k_b - 1);
+        let tt = t.lookahead(k_b);
+        for ((&done, &acc), &d) in tt.computed.iter().zip(&tt.acc).zip(&t.d) {
+            out.push(if done { shift_acc(acc, d, m)? } else { 0 });
+        }
+    }
+    Ok(())
+}
+
 /// Debug-only cross-check of a fresh promotion against the static (max,+)
 /// oracle: with constant, size-independent loads the observed steady-state
 /// growth of the fastest node can never undercut the spectral lower bound λ
@@ -388,6 +422,16 @@ impl Template {
         let (pos, m) = ((off % self.p) as usize, off / self.p);
         debug_assert_eq!(self.refs[pos].k_ref + m * self.p, j);
         (pos, m)
+    }
+
+    /// The look-ahead tail iteration `k_b` starts from: the prefix the
+    /// captured call at `k_b − 1` left behind.
+    pub(crate) fn lookahead(&self, k_b: u64) -> &TailTemplate {
+        let (pos, _) = self.locate(k_b - 1);
+        self.refs[pos]
+            .tail
+            .as_ref()
+            .expect("engines with a look-ahead prefix capture tails")
     }
 }
 

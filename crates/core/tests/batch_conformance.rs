@@ -26,11 +26,16 @@
 //! Execution records are compared as canonical multisets: the batched
 //! sweep replays them in schedule order, the scalar worklist in pop order,
 //! and only the multiset is part of the engine's contract.
+//!
+//! `inputs_reach_every_slot_shape_at_both_kernel_widths` reads the slot
+//! shapes of the graphs these suites draw: every arm of the batched slot
+//! walk, the general one included, appears, and the widths straddle the
+//! fold kernel's chunk, so each arm runs on both kernel paths.
 
 use evolve_core::obs::EngineCounters;
 use evolve_core::{
-    derive_tdg, synthetic, BatchUnsupported, BatchedEngine, DerivedTdg, Engine, EvalBackend,
-    NodeKind, Tdg, TdgBuilder, Weight,
+    derive_tdg, kernel, synthetic, BatchUnsupported, BatchedEngine, DerivedTdg, Engine,
+    EvalBackend, NodeKind, SlotShape, Tdg, TdgBuilder, Weight,
 };
 use evolve_des::Time;
 use evolve_explore::{drive_batch, drive_engine, ScenarioOutcome};
@@ -577,4 +582,80 @@ fn batched_lanes_agree_on_didactic_chains() {
             }
         }
     }
+}
+
+/// The slot shapes a batched engine folds: every slot but the input's,
+/// which the offers set.
+fn folded_shapes(batch: &BatchedEngine) -> Vec<SlotShape> {
+    batch
+        .compiled_tdg()
+        .slot_shapes()
+        .filter(|&(node, _)| {
+            !matches!(batch.tdg().nodes()[node.index()].kind, NodeKind::Input { .. })
+        })
+        .map(|(_, shape)| shape)
+        .collect()
+}
+
+/// Every arm of the batched sweep's slot walk, the general one included,
+/// appears in the graphs the suites above draw, and their widths fall on
+/// both sides of the fold kernel's chunk: each arm is pinned on the
+/// per-element and on the chunked kernels. Generation is deterministic
+/// (the runner seeds each test by its name), so running a proptest's
+/// strategy under its name redraws exactly its cases: the random DAGs give
+/// the multi-arc constant shapes and the general arm, the padded pipelines
+/// and didactic chains the exec and slow-arc shapes.
+#[test]
+fn inputs_reach_every_slot_shape_at_both_kernel_widths() {
+    use proptest::test_runner::TestRunner;
+    let mut seen = std::collections::HashSet::new();
+    let config = || ProptestConfig::with_cases(96);
+    TestRunner::new_with_name(config(), "batched_lanes_agree_on_random_tdgs").run(
+        &(graph_spec(),),
+        |(spec,)| {
+            let batch = BatchedEngine::try_new(derived_for(&build(&spec)), 2, true, 1)
+                .expect("single-input constant-weight DAGs are batchable");
+            seen.extend(folded_shapes(&batch));
+            Ok(())
+        },
+    );
+    // `batched_lanes_agree_on_padded_pipelines`' strategies, in its order.
+    let pipelines = (
+        1usize..5,
+        10u64..200,
+        0u64..5,
+        0usize..32,
+        proptest::collection::vec((0u64..900, 1u64..64), 2..12),
+    );
+    TestRunner::new_with_name(config(), "batched_lanes_agree_on_padded_pipelines").run(
+        &pipelines,
+        |(stages, base, per_unit, padding, _offers)| {
+            let p = synthetic::pipeline(stages, base, per_unit).expect("pipeline builds");
+            let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
+            if padding > 0 {
+                derived.map_tdg(|tdg| synthetic::pad(tdg, padding));
+            }
+            let relations = p.arch.app().relations().len();
+            let batch = BatchedEngine::try_new(derived, relations, true, 1)
+                .expect("pipelines are batchable");
+            seen.extend(folded_shapes(&batch));
+            Ok(())
+        },
+    );
+    // `batched_lanes_agree_on_didactic_chains`' models.
+    for stages in 1..=2usize {
+        let d = evolve_model::didactic::chained(stages, evolve_model::didactic::Params::default())
+            .unwrap();
+        let relations = d.arch.app().relations().len();
+        let batch = BatchedEngine::try_new(derive_tdg(&d.arch).unwrap(), relations, true, 1)
+            .expect("didactic chains are batchable");
+        seen.extend(folded_shapes(&batch));
+    }
+    use SlotShape::*;
+    for shape in [Const1, Const2, Const3, Exec1, Slow1Const1, Slow2Const1, General] {
+        assert!(seen.contains(&shape), "no batched input has a {shape:?} slot");
+    }
+    let chunked = |w: usize| kernel::is_chunked(kernel::lane_stride(w));
+    assert!(WIDTHS.iter().any(|&w| !chunked(w)), "a width below the chunk: {WIDTHS:?}");
+    assert!(WIDTHS.iter().any(|&w| chunked(w)), "a chunked width: {WIDTHS:?}");
 }

@@ -533,12 +533,9 @@ impl SweepReport {
             ("wall_ns", Json::U64(self.wall.as_nanos() as u64)),
             ("scenario_count", Json::U64(self.scenarios.len() as u64)),
             ("engines_reused", Json::U64(self.reused_count() as u64)),
-            (
-                "total_engine_stats",
-                engine_stats_json(&totals),
-            ),
-            ("batching", batching_json(&self.batching)),
-            ("delta", delta_json(&self.delta)),
+            ("total_engine_stats", totals.to_json()),
+            ("batching", self.batching.to_json()),
+            ("delta", self.delta.to_json()),
             ("fast_forward", fast_forward_report_json(self)),
             ("telemetry", self.metrics_snapshot().to_json()),
             (
@@ -559,16 +556,6 @@ impl SweepReport {
         }
         std::fs::write(path, self.to_json().render())
     }
-}
-
-fn engine_stats_json(stats: &EngineCounters) -> Json {
-    Json::object([
-        ("nodes_computed", Json::U64(stats.nodes_computed)),
-        ("arcs_evaluated", Json::U64(stats.arcs_evaluated)),
-        ("iterations_completed", Json::U64(stats.iterations_completed)),
-        ("lanes_evaluated", Json::U64(stats.lanes_evaluated)),
-        ("batched_iterations", Json::U64(stats.batched_iterations)),
-    ])
 }
 
 fn fast_forward_json(f: &FastForwardStats) -> Json {
@@ -609,50 +596,6 @@ fn fast_forward_report_json(report: &SweepReport) -> Json {
     ])
 }
 
-fn batching_json(b: &BatchCounters) -> Json {
-    Json::object([
-        ("batch_width", Json::U64(b.batch_width)),
-        ("batches_formed", Json::U64(b.batches_formed)),
-        ("lanes_batched", Json::U64(b.lanes_batched)),
-        ("lanes_scalar", Json::U64(b.lanes_scalar)),
-        ("lockstep_iterations", Json::U64(b.lockstep_iterations)),
-        ("kernel_chunked_sweeps", Json::U64(b.kernel_chunked_sweeps)),
-        ("kernel_scalar_sweeps", Json::U64(b.kernel_scalar_sweeps)),
-        (
-            "ejections",
-            Json::object([
-                ("worklist", Json::U64(b.eject_worklist)),
-                ("empty_trace", Json::U64(b.eject_empty_trace)),
-                ("single_lane", Json::U64(b.eject_single_lane)),
-                ("unsupported", Json::U64(b.eject_unsupported)),
-            ]),
-        ),
-    ])
-}
-
-fn delta_json(d: &DeltaCounters) -> Json {
-    Json::object([
-        ("chains_formed", Json::U64(d.chains_formed)),
-        ("lanes_base", Json::U64(d.lanes_base)),
-        ("lanes_delta", Json::U64(d.lanes_delta)),
-        ("calls_delta", Json::U64(d.calls_delta)),
-        ("calls_full", Json::U64(d.calls_full)),
-        ("nodes_reused", Json::U64(d.nodes_reused)),
-        ("nodes_recomputed", Json::U64(d.nodes_recomputed)),
-        ("nodes_settled", Json::U64(d.nodes_settled)),
-        ("frontier_collapses", Json::U64(d.frontier_collapses)),
-        (
-            "ejections",
-            Json::object([
-                ("multi_input", Json::U64(d.eject_multi_input)),
-                ("output_acks", Json::U64(d.eject_output_acks)),
-                ("worklist", Json::U64(d.eject_worklist)),
-                ("structure_mismatch", Json::U64(d.eject_structure_mismatch)),
-            ]),
-        ),
-    ])
-}
-
 fn scenario_json(s: &ScenarioResult) -> Json {
     let makespan = s.outcome.outputs.last().map_or(0, |&(_, y, _)| y);
     let mut fields = vec![
@@ -666,7 +609,7 @@ fn scenario_json(s: &ScenarioResult) -> Json {
         ("outputs", Json::U64(s.outcome.outputs.len() as u64)),
         ("makespan_ticks", Json::U64(makespan)),
         ("boundary_events", Json::U64(s.outcome.boundary_events)),
-        ("engine_stats", engine_stats_json(&s.outcome.engine_stats)),
+        ("engine_stats", s.outcome.engine_stats.to_json()),
         ("fast_forward", fast_forward_json(&s.fast_forward)),
         (
             "busy_ticks",
@@ -1910,6 +1853,49 @@ mod tests {
             // after the batch filled — input order makes it c4.
             assert_eq!(s.batched, expect_batched, "scenario {}", s.label);
         }
+    }
+
+    /// The report renders the batching counters in full: a width-8 sweep
+    /// over scenarios on the partitioned backend books every one of them
+    /// under `eject_partitioned`, so `lanes_scalar` is the sum of the
+    /// ejection reasons in the JSON as in the counters.
+    #[test]
+    fn report_json_counts_partitioned_ejections() {
+        let scenarios: Vec<ScenarioSpec> = (0..10)
+            .map(|i| ScenarioSpec {
+                label: format!("p{i}"),
+                model: ModelSpec {
+                    kind: ModelKind::Pipeline {
+                        stages: 3,
+                        base: 50,
+                        per_unit: 2,
+                    },
+                    padding: 0,
+                    backend: EvalBackend::CompiledParallel,
+                },
+                trace: TraceSpec {
+                    tokens: 8,
+                    min_size: 1,
+                    max_size: 16,
+                    mean_period: 0,
+                    seed: i,
+                },
+            })
+            .collect();
+        let report = run_sweep(
+            &scenarios,
+            &SweepConfig { threads: 1, batch_width: 8, ..SweepConfig::default() },
+        );
+        let rendered = report.to_json().render();
+        // The report's own batching object comes first; the telemetry
+        // snapshot repeats it further down.
+        let batching = rendered
+            .split("\"batching\":")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .expect("the report has a batching object");
+        assert!(batching.contains("\"lanes_scalar\":10"), "{batching}");
+        assert!(batching.contains("\"eject_partitioned\":10"), "{batching}");
     }
 
     #[test]

@@ -296,6 +296,17 @@ impl EngineCounters {
         self.lanes_evaluated += other.lanes_evaluated;
         self.batched_iterations += other.batched_iterations;
     }
+
+    /// The counters as one JSON object, keyed by field name.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("nodes_computed", Json::U64(self.nodes_computed)),
+            ("arcs_evaluated", Json::U64(self.arcs_evaluated)),
+            ("iterations_completed", Json::U64(self.iterations_completed)),
+            ("lanes_evaluated", Json::U64(self.lanes_evaluated)),
+            ("batched_iterations", Json::U64(self.batched_iterations)),
+        ])
+    }
 }
 
 /// Fast-forward counters: `evolve-core`'s `FastForwardStats` minus its
@@ -369,6 +380,24 @@ impl BatchCounters {
         self.eject_unsupported += other.eject_unsupported;
         self.eject_partitioned += other.eject_partitioned;
     }
+
+    /// The counters as one JSON object, keyed by field name.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("batch_width", Json::U64(self.batch_width)),
+            ("batches_formed", Json::U64(self.batches_formed)),
+            ("lanes_batched", Json::U64(self.lanes_batched)),
+            ("lanes_scalar", Json::U64(self.lanes_scalar)),
+            ("lockstep_iterations", Json::U64(self.lockstep_iterations)),
+            ("kernel_chunked_sweeps", Json::U64(self.kernel_chunked_sweeps)),
+            ("kernel_scalar_sweeps", Json::U64(self.kernel_scalar_sweeps)),
+            ("eject_worklist", Json::U64(self.eject_worklist)),
+            ("eject_empty_trace", Json::U64(self.eject_empty_trace)),
+            ("eject_single_lane", Json::U64(self.eject_single_lane)),
+            ("eject_unsupported", Json::U64(self.eject_unsupported)),
+            ("eject_partitioned", Json::U64(self.eject_partitioned)),
+        ])
+    }
 }
 
 /// Delta-evaluation counters: one engine's delta work (`evolve-core`'s
@@ -426,6 +455,25 @@ impl DeltaCounters {
         self.eject_output_acks += other.eject_output_acks;
         self.eject_worklist += other.eject_worklist;
         self.eject_structure_mismatch += other.eject_structure_mismatch;
+    }
+
+    /// The counters as one JSON object, keyed by field name.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("chains_formed", Json::U64(self.chains_formed)),
+            ("lanes_base", Json::U64(self.lanes_base)),
+            ("lanes_delta", Json::U64(self.lanes_delta)),
+            ("calls_delta", Json::U64(self.calls_delta)),
+            ("calls_full", Json::U64(self.calls_full)),
+            ("nodes_reused", Json::U64(self.nodes_reused)),
+            ("nodes_recomputed", Json::U64(self.nodes_recomputed)),
+            ("nodes_settled", Json::U64(self.nodes_settled)),
+            ("frontier_collapses", Json::U64(self.frontier_collapses)),
+            ("eject_multi_input", Json::U64(self.eject_multi_input)),
+            ("eject_output_acks", Json::U64(self.eject_output_acks)),
+            ("eject_worklist", Json::U64(self.eject_worklist)),
+            ("eject_structure_mismatch", Json::U64(self.eject_structure_mismatch)),
+        ])
     }
 }
 
@@ -920,22 +968,7 @@ impl MetricsSnapshot {
             ])
         };
         Json::object([
-            (
-                "engine",
-                Json::object([
-                    ("nodes_computed", Json::U64(self.engine.nodes_computed)),
-                    ("arcs_evaluated", Json::U64(self.engine.arcs_evaluated)),
-                    (
-                        "iterations_completed",
-                        Json::U64(self.engine.iterations_completed),
-                    ),
-                    ("lanes_evaluated", Json::U64(self.engine.lanes_evaluated)),
-                    (
-                        "batched_iterations",
-                        Json::U64(self.engine.batched_iterations),
-                    ),
-                ]),
-            ),
+            ("engine", self.engine.to_json()),
             (
                 "fast_forward",
                 Json::object([
@@ -961,56 +994,8 @@ impl MetricsSnapshot {
                     ),
                 ]),
             ),
-            (
-                "batching",
-                Json::object([
-                    ("batch_width", Json::U64(self.batch.batch_width)),
-                    ("batches_formed", Json::U64(self.batch.batches_formed)),
-                    ("lanes_batched", Json::U64(self.batch.lanes_batched)),
-                    ("lanes_scalar", Json::U64(self.batch.lanes_scalar)),
-                    (
-                        "lockstep_iterations",
-                        Json::U64(self.batch.lockstep_iterations),
-                    ),
-                    (
-                        "kernel_chunked_sweeps",
-                        Json::U64(self.batch.kernel_chunked_sweeps),
-                    ),
-                    (
-                        "kernel_scalar_sweeps",
-                        Json::U64(self.batch.kernel_scalar_sweeps),
-                    ),
-                    ("eject_worklist", Json::U64(self.batch.eject_worklist)),
-                    ("eject_empty_trace", Json::U64(self.batch.eject_empty_trace)),
-                    ("eject_single_lane", Json::U64(self.batch.eject_single_lane)),
-                    ("eject_unsupported", Json::U64(self.batch.eject_unsupported)),
-                    ("eject_partitioned", Json::U64(self.batch.eject_partitioned)),
-                ]),
-            ),
-            (
-                "delta",
-                Json::object([
-                    ("chains_formed", Json::U64(self.delta.chains_formed)),
-                    ("lanes_base", Json::U64(self.delta.lanes_base)),
-                    ("lanes_delta", Json::U64(self.delta.lanes_delta)),
-                    ("calls_delta", Json::U64(self.delta.calls_delta)),
-                    ("calls_full", Json::U64(self.delta.calls_full)),
-                    ("nodes_reused", Json::U64(self.delta.nodes_reused)),
-                    ("nodes_recomputed", Json::U64(self.delta.nodes_recomputed)),
-                    ("nodes_settled", Json::U64(self.delta.nodes_settled)),
-                    (
-                        "frontier_collapses",
-                        Json::U64(self.delta.frontier_collapses),
-                    ),
-                    ("eject_multi_input", Json::U64(self.delta.eject_multi_input)),
-                    ("eject_output_acks", Json::U64(self.delta.eject_output_acks)),
-                    ("eject_worklist", Json::U64(self.delta.eject_worklist)),
-                    (
-                        "eject_structure_mismatch",
-                        Json::U64(self.delta.eject_structure_mismatch),
-                    ),
-                ]),
-            ),
+            ("batching", self.batch.to_json()),
+            ("delta", self.delta.to_json()),
             (
                 "partition",
                 Json::object([

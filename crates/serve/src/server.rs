@@ -2,7 +2,7 @@
 //! the live `/metrics` listener.
 //!
 //! Connections are assigned round-robin to shard workers
-//! ([`crate::shard`]); each connection's requests all land on its shard,
+//! (the `shard` module); each connection's requests all land on its shard,
 //! so a client hammering one model keeps feeding the same affinity
 //! group. Admission is a per-shard depth gauge: beyond
 //! [`ServeConfig::max_queue_depth`] pending requests the daemon sheds

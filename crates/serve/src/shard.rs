@@ -413,8 +413,6 @@ impl Worker {
             Some(p) => p,
             None => prepare_batch(spec, &options, n).expect("spec known batch-supported"),
         };
-        let before_iters = prepared.engine.stats().batched_iterations;
-        let before_kernel = prepared.engine.kernel_dispatch();
         let traces: Vec<&[Arrival]> = jobs.iter().map(|j| j.arrivals.as_slice()).collect();
         let eval_start = self.flight_now();
         let (outcomes, _reused, _wall) = drive_prepared_batch(&mut prepared, &traces, &mut self.sink);
@@ -427,22 +425,16 @@ impl Worker {
             }
         }
         if let Some(sink) = self.sink.as_deref_mut() {
-            let after_kernel = prepared.engine.kernel_dispatch();
+            // The drive resets a reused engine, so its counters after the
+            // drive are this batch's alone.
+            let kernel = prepared.engine.kernel_dispatch();
             sink.record_batch(BatchCounters {
                 batch_width: self.cfg.batch_width as u64,
                 batches_formed: 1,
                 lanes_batched: n as u64,
-                lockstep_iterations: prepared
-                    .engine
-                    .stats()
-                    .batched_iterations
-                    .saturating_sub(before_iters),
-                kernel_chunked_sweeps: after_kernel
-                    .chunked_sweeps
-                    .saturating_sub(before_kernel.chunked_sweeps),
-                kernel_scalar_sweeps: after_kernel
-                    .scalar_sweeps
-                    .saturating_sub(before_kernel.scalar_sweeps),
+                lockstep_iterations: prepared.engine.stats().batched_iterations,
+                kernel_chunked_sweeps: kernel.chunked_sweeps,
+                kernel_scalar_sweeps: kernel.scalar_sweeps,
                 ..BatchCounters::default()
             });
         }

@@ -433,11 +433,62 @@ fn oversize_answer_closes_its_connection_after_the_frames_that_fit() {
     server.shutdown_and_join();
 }
 
+/// Every batch books its own lockstep iterations and kernel sweeps, also
+/// when it reuses a pooled engine, which the drive resets: two full
+/// batches of one spec, every trace `T` tokens long with random sizes that
+/// never settle into a pattern fast-forward could promote, export `2 T`
+/// lockstep iterations, each one a kernel sweep.
+#[test]
+fn reused_batch_engines_book_every_lockstep_iteration() {
+    const TOKENS: u64 = 12;
+    const BATCHES: u64 = 2;
+    let width = 4;
+    let config = ServeConfig {
+        shards: 1,
+        batch_width: width,
+        max_batch_delay: Duration::from_secs(5),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        config,
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        Some("127.0.0.1:0"),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+
+    let spec = pipeline(4, 100, 3, 0);
+    for batch in 0..BATCHES {
+        for lane in 0..width as u64 {
+            let id = batch * width as u64 + lane;
+            client.send(&eval(id, &spec, &generated(TOKENS, 0xb00 + id))).unwrap();
+        }
+        for _ in 0..width {
+            let ok = expect_ok(client.recv().unwrap());
+            assert!(ok.batched, "request {} rides a batch", ok.id);
+            assert_eq!(ok.lanes_in_batch, width as u32);
+        }
+    }
+
+    let metrics = scrape_until(&server, |m| series(m, LOCKSTEP) >= Some(BATCHES * TOKENS));
+    assert_eq!(series(&metrics, BATCHES_FORMED), Some(BATCHES));
+    let lockstep = series(&metrics, LOCKSTEP).unwrap();
+    assert_eq!(lockstep, TOKENS * BATCHES, "T lockstep iterations per batch");
+    let sweeps =
+        series(&metrics, CHUNKED_SWEEPS).unwrap() + series(&metrics, SCALAR_SWEEPS).unwrap();
+    assert_eq!(sweeps, lockstep, "one kernel sweep per lockstep iteration");
+    server.shutdown_and_join();
+}
+
 const ERRORS: &str = "evolve_serve_errors_total";
 const RESPONSES: &str = "evolve_serve_responses_total";
 const FULL: &str = "evolve_serve_batches_total{trigger=\"full\"}";
 const IDLE: &str = "evolve_serve_batches_total{trigger=\"idle\"}";
 const DEADLINE: &str = "evolve_serve_batches_total{trigger=\"deadline\"}";
+const BATCHES_FORMED: &str = "evolve_batch_batches_formed_total";
+const LOCKSTEP: &str = "evolve_batch_lockstep_iterations_total";
+const CHUNKED_SWEEPS: &str = "evolve_batch_kernel_sweeps_total{path=\"chunked\"}";
+const SCALAR_SWEEPS: &str = "evolve_batch_kernel_sweeps_total{path=\"scalar\"}";
 
 /// One series' value in a `/metrics` exposition, if exported.
 fn series(metrics: &str, name: &str) -> Option<u64> {
