@@ -120,4 +120,8 @@ kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "ci: evolved did not exit 0 on SIGTERM" >&2; exit 1; }
 serve_pid=""
 
+# Informational, no gate: non-comment source lines per crate
+# (tools/loc.py skips blank lines, `//` comments and `#[cfg(test)]` items).
+python3 tools/loc.py | grep -E '\(total\)$| all$'
+
 echo "ci: build, tests, clippy, conformance suites, bench smoke, and daemon smoke all green"

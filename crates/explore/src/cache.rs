@@ -194,10 +194,10 @@ pub fn prepare_batch(
 pub struct EngineCaches {
     /// Scalar engines, one per distinct spec.
     pub scalar: HashMap<ModelSpec, PreparedModel>,
-    /// Batched engine pools (or the model's typed rejection, discovered
-    /// once), one per distinct spec. A pool holds several engines so
-    /// intra-unit fan-out can drive same-model groups concurrently.
-    pub batch: HashMap<ModelSpec, Result<Vec<PreparedBatch>, BatchUnsupported>>,
+    /// Batched engines (or the model's typed rejection, discovered once),
+    /// one per distinct spec; an engine re-lanes on reset, so one serves
+    /// every batch width.
+    pub batch: HashMap<ModelSpec, Result<PreparedBatch, BatchUnsupported>>,
 }
 
 impl EngineCaches {
@@ -315,7 +315,7 @@ pub fn drive_prepared(
     if let Some(sink) = tel.as_deref_mut() {
         // Per-drive counters: `reset` (engine reuse) restarts them, and a
         // detached runtime reports all-zero, which merges as a no-op.
-        sink.record_partition(prepared.engine.partition_stats());
+        sink.partition.merge(&prepared.engine.partition_stats());
     }
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);

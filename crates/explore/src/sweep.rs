@@ -55,7 +55,7 @@ use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
     synthetic, BatchedEngine, DeltaCache, DetectedPeriod, Engine, EvalBackend, FastForward,
-    FastForwardStats, KernelDispatchStats, ParallelConfig, PeriodicConfig,
+    FastForwardStats, ParallelConfig,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
@@ -70,7 +70,7 @@ use evolve_obs::{
 use crate::cache::{
     busy_per_resource, delta_family_key, drive_prepared, drive_prepared_batch, prepare,
     prepare_batch, DeltaFamilyKey, DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions,
-    PreparedBatch, PreparedModel,
+    PreparedModel,
 };
 
 /// Which architecture a scenario evaluates.
@@ -331,25 +331,12 @@ pub struct SweepConfig {
     /// disables batching entirely and every scenario takes the scalar
     /// path; see `docs/SWEEP.md` for tuning guidance.
     pub batch_width: usize,
-    /// Same-model lockstep batches advanced concurrently inside one work
-    /// unit (≥ 1). `1` (the default) drives each batch as its own unit;
-    /// higher values let the planner pack up to this many batches of one
-    /// [`ModelSpec`] into a single unit, which the claiming worker then
-    /// fans out over scoped threads — useful when a sweep has few distinct
-    /// models and the unit count would otherwise underfill the worker
-    /// pool. Outcomes and the batching ledger are bitwise identical for
-    /// any setting; see `docs/SWEEP.md`.
-    pub intra_unit_batches: usize,
     /// Periodic steady-state fast-forward for compiled engines, scalar and
     /// batched alike. [`FastForward::On`] by default: outcomes are
     /// guaranteed bitwise identical either way (aperiodic traces simply
     /// never promote), so the knob exists for A/B timing runs
     /// (`--no-fast-forward` on the sweep binary) rather than correctness.
     pub fast_forward: FastForward,
-    /// Confirmation window, in detected periods, the fast-forward detector
-    /// verifies before promoting (clamped to ≥ 2 by the engine); see
-    /// `docs/SWEEP.md` for tuning guidance.
-    pub ff_confirm_periods: u64,
     /// Attach a streaming [`TelemetrySink`] to every engine drive and
     /// aggregate the per-worker shards into
     /// [`SweepReport::telemetry`]. Off by default: outcomes are bitwise
@@ -380,9 +367,7 @@ impl Default for SweepConfig {
             compare_conventional: false,
             reference_dispatch_cost_ns: 0,
             batch_width: 1,
-            intra_unit_batches: 1,
             fast_forward: FastForward::On,
-            ff_confirm_periods: PeriodicConfig::default().confirm_periods,
             telemetry: false,
             delta: true,
             partition_threads: 1,
@@ -705,14 +690,14 @@ where
     parallel_map_with(items, threads, || (), |(), i, item| f(i, item))
 }
 
-/// The engine-construction options a sweep's knobs translate to; the
+/// The engine-construction options a sweep's knobs translate to (the
+/// fast-forward detector keeps its default confirmation window); the
 /// engine-preparation and drive machinery itself lives in
 /// [`crate::cache`], shared with the `evolve-serve` daemon.
 fn engine_options(config: &SweepConfig) -> EngineOptions {
     EngineOptions {
         record_observations: config.record_observations,
         fast_forward: config.fast_forward,
-        ff_confirm_periods: config.ff_confirm_periods,
         // Workers stay unpinned under the sweep: its own thread pool (and
         // the partition scopes of sibling units) shares the host cores.
         partition: (config.partition_threads >= 2).then(|| ParallelConfig {
@@ -720,6 +705,7 @@ fn engine_options(config: &SweepConfig) -> EngineOptions {
             pin: false,
             ..ParallelConfig::default()
         }),
+        ..EngineOptions::default()
     }
 }
 
@@ -935,11 +921,9 @@ enum ScalarReason {
     Partitioned,
 }
 
-/// A unit of worker-schedulable work: one scalar scenario, one *or more*
-/// lockstep batches of scenarios sharing a [`ModelSpec`]
-/// ([`SweepConfig::intra_unit_batches`] bounds the fan-out per unit), or
-/// one delta chain of structurally identical scalar scenarios (base
-/// first).
+/// A unit of worker-schedulable work: one scalar scenario, one lockstep
+/// batch of scenarios sharing a [`ModelSpec`], or one delta chain of
+/// structurally identical scalar scenarios (base first).
 ///
 /// Chain members keep their [`ScalarReason`] so the batching counters are
 /// identical with delta chaining on or off — chaining regroups the scalar
@@ -950,7 +934,7 @@ enum WorkUnit {
         spec: ScenarioSpec,
         reason: ScalarReason,
     },
-    Batch(Vec<BatchGroup>),
+    Batch(BatchGroup),
     Delta(ChainMembers),
 }
 
@@ -1022,7 +1006,6 @@ fn plan_delta_chains(units: Vec<WorkUnit>) -> Vec<WorkUnit> {
 /// everything else — and leftover single lanes — becomes a scalar unit.
 fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit> {
     let width = config.batch_width.max(1);
-    let intra = config.intra_unit_batches.max(1);
     let mut units = Vec::new();
     if width == 1 {
         for (index, spec) in scenarios.iter().cloned().enumerate() {
@@ -1038,11 +1021,8 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
         return units;
     }
     // First-seen order keeps unit formation deterministic; the model count
-    // per sweep is small, so a linear scan beats a map here. Groups are
-    // carved at `width` lanes regardless of the intra-unit fan-out — the
-    // knob only changes how many ready groups ride in one unit, so the
-    // batching ledger is identical for any setting.
-    let mut pending: Vec<(ModelSpec, Vec<BatchGroup>, BatchGroup)> = Vec::new();
+    // per sweep is small, so a linear scan beats a map here.
+    let mut pending: Vec<(ModelSpec, BatchGroup)> = Vec::new();
     for (index, spec) in scenarios.iter().cloned().enumerate() {
         if spec.model.backend == EvalBackend::Worklist {
             units.push(WorkUnit::Scalar {
@@ -1063,24 +1043,21 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                 reason: ScalarReason::EmptyTrace,
             });
         } else {
-            let pos = match pending.iter().position(|(m, _, _)| *m == spec.model) {
+            let pos = match pending.iter().position(|(m, _)| *m == spec.model) {
                 Some(pos) => pos,
                 None => {
-                    pending.push((spec.model.clone(), Vec::new(), Vec::new()));
+                    pending.push((spec.model.clone(), Vec::new()));
                     pending.len() - 1
                 }
             };
-            let (_, ready, open) = &mut pending[pos];
+            let open = &mut pending[pos].1;
             open.push((index, spec));
             if open.len() == width {
-                ready.push(std::mem::take(open));
-                if ready.len() == intra {
-                    units.push(WorkUnit::Batch(std::mem::take(ready)));
-                }
+                units.push(WorkUnit::Batch(std::mem::take(open)));
             }
         }
     }
-    for (_, mut ready, open) in pending {
+    for (_, open) in pending {
         match open.len() {
             0 => {}
             1 => {
@@ -1091,14 +1068,9 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                     reason: ScalarReason::SingleLane,
                 });
             }
-            // The leftover partial group is one more batch; it may ride in
-            // a unit with full-width groups (engines re-lane per group).
-            _ => ready.push(open),
-        }
-        while !ready.is_empty() {
-            let rest = ready.split_off(ready.len().min(intra));
-            units.push(WorkUnit::Batch(ready));
-            ready = rest;
+            // The leftover partial group is one more, narrower batch (the
+            // model's engine re-lanes on reset).
+            _ => units.push(WorkUnit::Batch(open)),
         }
     }
     if config.delta {
@@ -1107,40 +1079,53 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
     units
 }
 
-/// The per-group ledger [`evaluate_batch`] merges into [`BatchCounters`]
-/// in group order, so the counters are identical for any intra-unit
-/// fan-out.
-struct GroupLedger {
-    lanes: u64,
-    lockstep_iterations: u64,
-    kernel: KernelDispatchStats,
-}
-
-/// Drives one lane group on one prepared batched engine and builds its
-/// per-lane results. Safe to run on a scoped thread: everything it touches
-/// is owned or exclusively borrowed.
-fn drive_group(
-    prepared: &mut PreparedBatch,
+/// Evaluates one lockstep batch of same-model lanes on the model's cached
+/// batched engine. If the model turns out to be unsupported by
+/// [`BatchedEngine`] (discovered once per model, then cached), every lane
+/// is ejected to the scalar path.
+fn evaluate_batch(
+    state: &mut EngineCaches,
     group: BatchGroup,
     config: &SweepConfig,
-    sink: Option<Box<TelemetrySink>>,
-) -> (Vec<ScenarioResult>, GroupLedger, Option<Box<TelemetrySink>>) {
+    stats: &mut BatchCounters,
+    tel: &mut Option<Box<TelemetrySink>>,
+) -> Vec<ScenarioResult> {
+    let options = engine_options(config);
     let width = group.len();
-    let mut sink = sink;
-    let stimuli: Vec<Stimulus> = group.iter().map(|(_, s)| s.trace.stimulus()).collect();
-    let traces: Vec<&[Arrival]> = stimuli.iter().map(|s| s.arrivals()).collect();
-    let (outcomes, reused_engine, batch_wall) =
-        drive_prepared_batch(prepared, &traces, &mut sink);
-    // Per-lane amortized cost, comparable to the scalar wall.
-    let wall = batch_wall / width as u32;
-
-    let ledger = GroupLedger {
-        lanes: width as u64,
-        lockstep_iterations: prepared.engine.stats().batched_iterations,
-        kernel: prepared.engine.kernel_dispatch(),
+    let model = &group[0].1.model;
+    let entry = state
+        .batch
+        .entry(model.clone())
+        .or_insert_with(|| prepare_batch(model, &options, width));
+    let Ok(prepared) = entry else {
+        let mut out = Vec::with_capacity(width);
+        for (index, spec) in &group {
+            stats.eject_unsupported += 1;
+            stats.lanes_scalar += 1;
+            if let Some(sink) = tel.as_deref_mut() {
+                sink.on_event(EngineEvent::LaneEjected {
+                    lane: *index as u32,
+                    reason: EjectReason::Unsupported,
+                });
+            }
+            out.push(evaluate(&mut state.scalar, *index, spec, config, tel));
+        }
+        return out;
     };
 
-    let results = group
+    let stimuli: Vec<Stimulus> = group.iter().map(|(_, s)| s.trace.stimulus()).collect();
+    let traces: Vec<&[Arrival]> = stimuli.iter().map(|s| s.arrivals()).collect();
+    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(prepared, &traces, tel);
+    // Per-lane amortized cost, comparable to the scalar wall.
+    let wall = batch_wall / width as u32;
+    let kernel = prepared.engine.kernel_dispatch();
+    stats.batches_formed += 1;
+    stats.lanes_batched += width as u64;
+    stats.lockstep_iterations += prepared.engine.stats().batched_iterations;
+    stats.kernel_chunked_sweeps += kernel.chunked_sweeps;
+    stats.kernel_scalar_sweeps += kernel.scalar_sweeps;
+
+    group
         .into_iter()
         .zip(outcomes)
         .zip(stimuli)
@@ -1171,111 +1156,7 @@ fn drive_group(
                 reference,
             }
         })
-        .collect();
-    (results, ledger, sink)
-}
-
-/// Evaluates one batch unit of one or more same-model lane groups. If the
-/// model turns out to be unsupported by [`BatchedEngine`] (discovered once
-/// per model, then cached), every lane of every group is ejected to the
-/// scalar path. Multi-group units fan their groups out over scoped
-/// threads, one prepared engine per group, pulled from (and returned to) a
-/// per-model pool so steady-state units allocate nothing.
-fn evaluate_batch(
-    state: &mut EngineCaches,
-    groups: Vec<BatchGroup>,
-    config: &SweepConfig,
-    stats: &mut BatchCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
-) -> Vec<ScenarioResult> {
-    let options = engine_options(config);
-    let model = &groups[0][0].1.model;
-    let entry = state
-        .batch
-        .entry(model.clone())
-        .or_insert_with(|| prepare_batch(model, &options, groups[0].len()).map(|p| vec![p]));
-    let pool = match entry {
-        Ok(pool) => pool,
-        Err(_) => {
-            let mut out = Vec::new();
-            for group in &groups {
-                for (index, spec) in group {
-                    stats.eject_unsupported += 1;
-                    stats.lanes_scalar += 1;
-                    if let Some(sink) = tel.as_deref_mut() {
-                        sink.on_event(EngineEvent::LaneEjected {
-                            lane: *index as u32,
-                            reason: EjectReason::Unsupported,
-                        });
-                    }
-                    out.push(evaluate(&mut state.scalar, *index, spec, config, tel));
-                }
-            }
-            return out;
-        }
-    };
-
-    // One prepared engine per group: pulled from the pool (engines re-lane
-    // on reset), topped up on first fan-out. Support is a property of the
-    // graph shape, not the lane count, so a top-up cannot fail here.
-    let mut engines: Vec<PreparedBatch> = Vec::with_capacity(groups.len());
-    for group in &groups {
-        engines.push(match pool.pop() {
-            Some(prepared) => prepared,
-            None => prepare_batch(model, &options, group.len())
-                .expect("batch support is per model shape, decided above"),
-        });
-    }
-    // One telemetry shard per group (the unit's sink rides with group 0);
-    // shards merge back in group order below, so the aggregate is
-    // deterministic for any fan-out.
-    let mut sinks: Vec<Option<Box<TelemetrySink>>> = Vec::with_capacity(groups.len());
-    for i in 0..groups.len() {
-        sinks.push(match (i, tel.is_some()) {
-            (0, true) => tel.take(),
-            (_, true) => Some(Box::new(TelemetrySink::new())),
-            (_, false) => None,
-        });
-    }
-
-    let driven: Vec<(Vec<ScenarioResult>, GroupLedger, Option<Box<TelemetrySink>>)> =
-        if groups.len() == 1 {
-            let group = groups.into_iter().next().expect("one group");
-            let sink = sinks.into_iter().next().expect("one sink slot");
-            vec![drive_group(&mut engines[0], group, config, sink)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = engines
-                    .iter_mut()
-                    .zip(groups.into_iter().zip(sinks))
-                    .map(|(prepared, (group, sink))| {
-                        scope.spawn(move || drive_group(prepared, group, config, sink))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("intra-unit batch thread panicked"))
-                    .collect()
-            })
-        };
-
-    let mut out = Vec::new();
-    for (results, ledger, sink) in driven {
-        stats.batches_formed += 1;
-        stats.lanes_batched += ledger.lanes;
-        stats.lockstep_iterations += ledger.lockstep_iterations;
-        stats.kernel_chunked_sweeps += ledger.kernel.chunked_sweeps;
-        stats.kernel_scalar_sweeps += ledger.kernel.scalar_sweeps;
-        if let Some(shard) = sink {
-            match tel.as_mut() {
-                Some(total) => total.merge(*shard),
-                None => *tel = Some(shard),
-            }
-        }
-        out.extend(results);
-    }
-    pool.extend(engines);
-    out
+        .collect()
 }
 
 /// Books one scalar evaluation into the batching counters and telemetry —
@@ -1413,8 +1294,8 @@ fn process_unit(
             let result = evaluate(&mut state.scalar, index, &spec, config, &mut tel);
             (vec![result], stats, delta_stats, tel)
         }
-        WorkUnit::Batch(groups) => {
-            let results = evaluate_batch(state, groups, config, &mut stats, &mut tel);
+        WorkUnit::Batch(group) => {
+            let results = evaluate_batch(state, group, config, &mut stats, &mut tel);
             (results, stats, delta_stats, tel)
         }
         WorkUnit::Delta(chain) => {
@@ -1896,49 +1777,6 @@ mod tests {
             .expect("the report has a batching object");
         assert!(batching.contains("\"lanes_scalar\":10"), "{batching}");
         assert!(batching.contains("\"eject_partitioned\":10"), "{batching}");
-    }
-
-    #[test]
-    fn intra_unit_fan_out_is_bitwise_identical() {
-        // Two models, 17 scenarios, width 4: model A fills two groups with
-        // a single-lane leftover, model B fills two groups — so a fan-out
-        // of 2 packs each model's groups into one scoped-thread unit,
-        // including the flush path. Outcomes and the batching ledger must
-        // not notice.
-        let scenarios: Vec<ScenarioSpec> = (0..17)
-            .map(|i| ScenarioSpec {
-                label: format!("fan{i}"),
-                model: ModelSpec {
-                    kind: if i % 2 == 0 {
-                        ModelKind::Didactic { stages: 1 }
-                    } else {
-                        ModelKind::Pipeline { stages: 3, base: 50, per_unit: 2 }
-                    },
-                    padding: 0,
-                    backend: EvalBackend::Compiled,
-                },
-                trace: TraceSpec {
-                    tokens: 12 + 5 * (i % 3),
-                    min_size: 1,
-                    max_size: 32,
-                    mean_period: 300,
-                    seed: i,
-                },
-            })
-            .collect();
-        let base = SweepConfig { threads: 2, batch_width: 4, ..SweepConfig::default() };
-        let seq = run_sweep(&scenarios, &base);
-        let fan = run_sweep(&scenarios, &SweepConfig { intra_unit_batches: 2, ..base });
-        assert_eq!(seq.batching, fan.batching, "ledger independent of the fan-out");
-        assert_eq!(fan.batching.batches_formed, 4);
-        assert!(
-            fan.batching.kernel_scalar_sweeps > 0,
-            "width-4 batches take the per-element kernel path"
-        );
-        for (a, b) in seq.scenarios.iter().zip(&fan.scenarios) {
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-            assert_eq!(a.batched, b.batched, "scenario {}", a.label);
-        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ use std::time::Instant;
 
 use crate::json::Json;
 use crate::metrics::{LogHistogram, PhaseSnapshot};
+use crate::trace::{chrome_document, complete_event, metadata_event};
 
 /// Flight-recorder process id in the exported Chrome trace (the
 /// `TraceCollector` uses 1 for observation time and 2 for host time).
@@ -334,25 +335,15 @@ impl FlightRecorder {
     pub fn to_chrome_trace(&self) -> Json {
         let names = self.names.lock().expect("flight track registry").clone();
         let labels = self.labels.lock().expect("flight label table").clone();
-        let mut events: Vec<Json> = Vec::new();
-        events.push(Json::object([
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::U64(PID_FLIGHT)),
-            ("tid", Json::U64(0)),
-            (
-                "args",
-                Json::object([("name", Json::str("flight recorder (host time)"))]),
-            ),
-        ]));
+        let mut events = vec![metadata_event(
+            "process_name",
+            PID_FLIGHT,
+            0,
+            "flight recorder (host time)",
+        )];
         for (i, name) in names.iter().enumerate() {
-            events.push(Json::object([
-                ("name", Json::str("thread_name")),
-                ("ph", Json::str("M")),
-                ("pid", Json::U64(PID_FLIGHT)),
-                ("tid", Json::U64(i as u64 + 1)),
-                ("args", Json::object([("name", Json::str(name.clone()))])),
-            ]));
+            let tid = i as u64 + 1;
+            events.push(metadata_event("thread_name", PID_FLIGHT, tid, name));
         }
         let mut spans = self.spans();
         spans.sort_by(|a, b| {
@@ -362,28 +353,19 @@ impl FlightRecorder {
             let label = (span.label > 0)
                 .then(|| labels.get(span.label as usize - 1))
                 .flatten();
-            let mut args = vec![
-                ("corr".to_string(), Json::U64(span.corr)),
-                ("arg".to_string(), Json::U64(span.arg)),
-            ];
-            if let Some(label) = label {
-                args.push(("family".to_string(), Json::str(label.clone())));
-            }
-            events.push(Json::object([
-                ("name", Json::str(span.phase.name())),
-                ("cat", Json::str("flight")),
-                ("ph", Json::str("X")),
-                ("pid", Json::U64(PID_FLIGHT)),
-                ("tid", Json::U64(u64::from(span.track) + 1)),
-                ("ts", Json::F64(span.start_ns as f64 / 1000.0)),
-                ("dur", Json::F64(span.dur_ns as f64 / 1000.0)),
-                ("args", Json::Object(args)),
-            ]));
+            let mut args = vec![("corr", Json::U64(span.corr)), ("arg", Json::U64(span.arg))];
+            args.extend(label.map(|label| ("family", Json::str(label.clone()))));
+            events.push(complete_event(
+                span.phase.name(),
+                Some("flight"),
+                PID_FLIGHT,
+                u64::from(span.track) + 1,
+                span.start_ns as f64 / 1000.0,
+                span.dur_ns as f64 / 1000.0,
+                Some(Json::object(args)),
+            ));
         }
-        Json::object([
-            ("traceEvents", Json::Array(events)),
-            ("displayTimeUnit", Json::str("ns")),
-        ])
+        chrome_document(events)
     }
 
     /// [`to_chrome_trace`](FlightRecorder::to_chrome_trace), rendered.

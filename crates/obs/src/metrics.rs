@@ -18,6 +18,7 @@ use std::any::Any;
 use evolve_model::ExecRecord;
 
 use crate::event::{BackendKind, EngineEvent};
+use crate::export;
 use crate::json::Json;
 use crate::observer::{Observer, Sealed};
 
@@ -270,289 +271,316 @@ impl ResourceMetrics {
     }
 }
 
-/// Engine work counters: `evolve-core`'s `Engine::stats` and
-/// `BatchedEngine::stats` return them directly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    /// Nodes computed across all iterations.
-    pub nodes_computed: u64,
-    /// Arc-weight evaluations performed.
-    pub arcs_evaluated: u64,
-    /// Iterations fully computed.
-    pub iterations_completed: u64,
-    /// Scenario lanes evaluated by batched engines (0 for a scalar engine
-    /// and for a batched engine's per-lane view).
-    pub lanes_evaluated: u64,
-    /// Lockstep batched sweeps performed (0 for a scalar engine).
-    pub batched_iterations: u64,
-}
-
-impl EngineCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &EngineCounters) {
-        self.nodes_computed += other.nodes_computed;
-        self.arcs_evaluated += other.arcs_evaluated;
-        self.iterations_completed += other.iterations_completed;
-        self.lanes_evaluated += other.lanes_evaluated;
-        self.batched_iterations += other.batched_iterations;
+/// Merge rules by exposition kind, named after the kinds so the counter
+/// tables can pick them by `counter` or `gauge`.
+mod merge {
+    /// A counter is cumulative: merged shards add.
+    pub(super) fn counter(ours: u64, theirs: u64) -> u64 {
+        ours + theirs
     }
 
-    /// The counters as one JSON object, keyed by field name.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("nodes_computed", Json::U64(self.nodes_computed)),
-            ("arcs_evaluated", Json::U64(self.arcs_evaluated)),
-            ("iterations_completed", Json::U64(self.iterations_completed)),
-            ("lanes_evaluated", Json::U64(self.lanes_evaluated)),
-            ("batched_iterations", Json::U64(self.batched_iterations)),
-        ])
+    /// A gauge holds a shape (a batch width, a partition plan): merged
+    /// shards keep the largest value seen.
+    pub(super) fn gauge(ours: u64, theirs: u64) -> u64 {
+        ours.max(theirs)
     }
 }
 
-/// Fast-forward counters: `evolve-core`'s `FastForwardStats` minus its
-/// detected regime, which has no counter field (regimes are listed
-/// separately in the snapshot; `evolve-core` provides
-/// `From<FastForwardStats>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FfCounters {
-    /// Times a detector promoted to fast-forward replay.
-    pub promotions: u64,
-    /// Times a pattern break demoted back to the full sweep.
-    pub demotions: u64,
-    /// Iterations answered by template replay instead of a sweep.
-    pub fast_forwarded_iterations: u64,
+/// Declares one counter set from one table, so what a counter is called
+/// and how it merges is decided in one place.
+///
+/// Each entry is one Prometheus family: its kind (`counter` or `gauge`,
+/// which is also the field's merge rule), its name, its help line, and
+/// the documented fields it exposes — one field for a plain series, or
+/// several fields told apart by one label (`field label = "value"`). The
+/// table generates the struct (every field a `pub u64`), `merge`,
+/// `to_json` (keys are the field names) and the exposition lines, all in
+/// declaration order. Adding a counter is one field line in one entry.
+macro_rules! counter_set {
+    (
+        $(#[$attr:meta])*
+        $set:ident {
+            $(
+                $kind:ident $family:literal $help:literal {
+                    $(
+                        $(#[doc = $doc:literal])*
+                        $field:ident $($label:ident = $value:literal)?
+                    ),+ $(,)?
+                }
+            )+
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $set {
+            $($(
+                $(#[doc = $doc])*
+                pub $field: u64,
+            )+)+
+        }
+
+        impl $set {
+            /// Folds `other` into this set: counters add, gauges keep the
+            /// larger value.
+            pub fn merge(&mut self, other: &$set) {
+                $($(self.$field = merge::$kind(self.$field, other.$field);)+)+
+            }
+
+            /// The set as one JSON object, keyed by field name.
+            pub fn to_json(&self) -> Json {
+                Json::object([$($((stringify!($field), Json::U64(self.$field)),)+)+])
+            }
+
+            /// Appends the set's exposition families to `out`.
+            pub(crate) fn write_exposition(&self, out: &mut String) {
+                $(
+                    export::family(out, $family, $help, stringify!($kind));
+                    $(
+                        let labels = [$((stringify!($label), $value))?];
+                        export::sample(out, $family, &labels, self.$field);
+                    )+
+                )+
+            }
+        }
+    };
 }
 
-impl FfCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &FfCounters) {
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.fast_forwarded_iterations += other.fast_forwarded_iterations;
+counter_set! {
+    /// Engine work counters: `evolve-core`'s `Engine::stats` and
+    /// `BatchedEngine::stats` return them directly.
+    EngineCounters {
+        counter "evolve_engine_nodes_computed_total" "Graph nodes computed across all iterations" {
+            /// Nodes computed across all iterations.
+            nodes_computed
+        }
+        counter "evolve_engine_arcs_evaluated_total" "Arc-weight evaluations performed" {
+            /// Arc-weight evaluations performed.
+            arcs_evaluated
+        }
+        counter "evolve_engine_iterations_completed_total" "Iterations fully computed" {
+            /// Iterations fully computed.
+            iterations_completed
+        }
+        counter "evolve_engine_lanes_evaluated_total"
+            "Scenario lanes evaluated by batched engines" {
+            /// Scenario lanes evaluated by batched engines (0 for a scalar engine
+            /// and for a batched engine's per-lane view).
+            lanes_evaluated
+        }
+        counter "evolve_engine_batched_iterations_total" "Lockstep batched sweeps performed" {
+            /// Lockstep batched sweeps performed (0 for a scalar engine).
+            batched_iterations
+        }
     }
 }
 
-/// Batching counters of the sweep layer's lockstep scheduling
-/// (`evolve-explore`'s `SweepReport::batching`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchCounters {
-    /// Configured lockstep batch width.
-    pub batch_width: u64,
-    /// Lockstep batches driven to completion.
-    pub batches_formed: u64,
-    /// Scenarios evaluated as lanes of a batch.
-    pub lanes_batched: u64,
-    /// Scenarios evaluated on the scalar path.
-    pub lanes_scalar: u64,
-    /// Lockstep sweeps executed across all batches.
-    pub lockstep_iterations: u64,
-    /// Lockstep sweeps dispatched to the lane-chunked fold kernels
-    /// (lane stride a multiple of the SIMD chunk).
-    pub kernel_chunked_sweeps: u64,
-    /// Lockstep sweeps dispatched to the per-element reference kernels
-    /// (narrow batches below one chunk).
-    pub kernel_scalar_sweeps: u64,
-    /// Lanes ejected: model on the worklist backend.
-    pub eject_worklist: u64,
-    /// Lanes ejected: trace offers no tokens.
-    pub eject_empty_trace: u64,
-    /// Lanes ejected: leftover single lane of a model group.
-    pub eject_single_lane: u64,
-    /// Lanes ejected: batched engine rejected the graph shape.
-    pub eject_unsupported: u64,
-    /// Lanes ejected: model runs the scalar partitioned backend.
-    pub eject_partitioned: u64,
-}
-
-impl BatchCounters {
-    /// Adds `other` into this counter set (widths take the max).
-    pub fn merge(&mut self, other: &BatchCounters) {
-        self.batch_width = self.batch_width.max(other.batch_width);
-        self.batches_formed += other.batches_formed;
-        self.lanes_batched += other.lanes_batched;
-        self.lanes_scalar += other.lanes_scalar;
-        self.lockstep_iterations += other.lockstep_iterations;
-        self.kernel_chunked_sweeps += other.kernel_chunked_sweeps;
-        self.kernel_scalar_sweeps += other.kernel_scalar_sweeps;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_empty_trace += other.eject_empty_trace;
-        self.eject_single_lane += other.eject_single_lane;
-        self.eject_unsupported += other.eject_unsupported;
-        self.eject_partitioned += other.eject_partitioned;
-    }
-
-    /// The counters as one JSON object, keyed by field name.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("batch_width", Json::U64(self.batch_width)),
-            ("batches_formed", Json::U64(self.batches_formed)),
-            ("lanes_batched", Json::U64(self.lanes_batched)),
-            ("lanes_scalar", Json::U64(self.lanes_scalar)),
-            ("lockstep_iterations", Json::U64(self.lockstep_iterations)),
-            ("kernel_chunked_sweeps", Json::U64(self.kernel_chunked_sweeps)),
-            ("kernel_scalar_sweeps", Json::U64(self.kernel_scalar_sweeps)),
-            ("eject_worklist", Json::U64(self.eject_worklist)),
-            ("eject_empty_trace", Json::U64(self.eject_empty_trace)),
-            ("eject_single_lane", Json::U64(self.eject_single_lane)),
-            ("eject_unsupported", Json::U64(self.eject_unsupported)),
-            ("eject_partitioned", Json::U64(self.eject_partitioned)),
-        ])
+counter_set! {
+    /// Fast-forward counters: `evolve-core`'s `FastForwardStats` minus its
+    /// detected regime, which has no counter field (regimes are listed
+    /// separately in the snapshot; `evolve-core` provides
+    /// `From<FastForwardStats>`).
+    FfCounters {
+        counter "evolve_ff_promotions_total" "Fast-forward promotions to template replay" {
+            /// Times a detector promoted to fast-forward replay.
+            promotions
+        }
+        counter "evolve_ff_demotions_total" "Fast-forward demotions back to the full sweep" {
+            /// Times a pattern break demoted back to the full sweep.
+            demotions
+        }
+        counter "evolve_ff_fast_forwarded_iterations_total"
+            "Iterations answered by template replay" {
+            /// Iterations answered by template replay instead of a sweep.
+            fast_forwarded_iterations
+        }
     }
 }
 
-/// Delta-evaluation counters: one engine's delta work (`evolve-core`'s
-/// `Engine::delta_stats`, whose chain-bookkeeping and `eject_*` fields
-/// stay zero) or a whole sweep's (`evolve-explore`'s
-/// `SweepReport::delta`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaCounters {
-    /// Base+sibling chains formed by the sweep planner.
-    pub chains_formed: u64,
-    /// Scenarios evaluated as the fully-swept base of a chain.
-    pub lanes_base: u64,
-    /// Scenarios evaluated against a base cache.
-    pub lanes_delta: u64,
-    /// Calls answered by the delta sweep (clean copy or frontier recompute).
-    pub calls_delta: u64,
-    /// Calls a delta-linked engine evaluated fully (beyond the cached
-    /// rows, after a worklist fallback, or once the sibling's trace
-    /// diverged from the base).
-    pub calls_full: u64,
-    /// Node instants copied from the base cache without recomputation.
-    pub nodes_reused: u64,
-    /// Node instants recomputed because an input of the fold changed.
-    pub nodes_recomputed: u64,
-    /// Recomputed nodes whose instant matched the cache (max-plus
-    /// early-out: their downstream dependents stay clean).
-    pub nodes_settled: u64,
-    /// Delta calls that recomputed zero nodes (the change frontier
-    /// collapsed before reaching any instant).
-    pub frontier_collapses: u64,
-    /// Lanes ejected: the graph has multiple external inputs.
-    pub eject_multi_input: u64,
-    /// Lanes ejected: the graph has acknowledged outputs.
-    pub eject_output_acks: u64,
-    /// Lanes ejected: the engine runs the worklist backend.
-    pub eject_worklist: u64,
-    /// Lanes ejected: the sibling's compiled structure differs from the
-    /// base cache.
-    pub eject_structure_mismatch: u64,
-}
-
-impl DeltaCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &DeltaCounters) {
-        self.chains_formed += other.chains_formed;
-        self.lanes_base += other.lanes_base;
-        self.lanes_delta += other.lanes_delta;
-        self.calls_delta += other.calls_delta;
-        self.calls_full += other.calls_full;
-        self.nodes_reused += other.nodes_reused;
-        self.nodes_recomputed += other.nodes_recomputed;
-        self.nodes_settled += other.nodes_settled;
-        self.frontier_collapses += other.frontier_collapses;
-        self.eject_multi_input += other.eject_multi_input;
-        self.eject_output_acks += other.eject_output_acks;
-        self.eject_worklist += other.eject_worklist;
-        self.eject_structure_mismatch += other.eject_structure_mismatch;
-    }
-
-    /// The counters as one JSON object, keyed by field name.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("chains_formed", Json::U64(self.chains_formed)),
-            ("lanes_base", Json::U64(self.lanes_base)),
-            ("lanes_delta", Json::U64(self.lanes_delta)),
-            ("calls_delta", Json::U64(self.calls_delta)),
-            ("calls_full", Json::U64(self.calls_full)),
-            ("nodes_reused", Json::U64(self.nodes_reused)),
-            ("nodes_recomputed", Json::U64(self.nodes_recomputed)),
-            ("nodes_settled", Json::U64(self.nodes_settled)),
-            ("frontier_collapses", Json::U64(self.frontier_collapses)),
-            ("eject_multi_input", Json::U64(self.eject_multi_input)),
-            ("eject_output_acks", Json::U64(self.eject_output_acks)),
-            ("eject_worklist", Json::U64(self.eject_worklist)),
-            ("eject_structure_mismatch", Json::U64(self.eject_structure_mismatch)),
-        ])
+counter_set! {
+    /// Batching counters of the sweep layer's lockstep scheduling
+    /// (`evolve-explore`'s `SweepReport::batching`).
+    BatchCounters {
+        gauge "evolve_batch_width" "Configured lockstep batch width" {
+            /// Configured lockstep batch width.
+            batch_width
+        }
+        counter "evolve_batch_batches_formed_total" "Lockstep batches driven to completion" {
+            /// Lockstep batches driven to completion.
+            batches_formed
+        }
+        counter "evolve_batch_lanes_batched_total" "Scenarios evaluated as lanes of a batch" {
+            /// Scenarios evaluated as lanes of a batch.
+            lanes_batched
+        }
+        counter "evolve_batch_lanes_scalar_total" "Scenarios evaluated on the scalar path" {
+            /// Scenarios evaluated on the scalar path.
+            lanes_scalar
+        }
+        counter "evolve_batch_lockstep_iterations_total"
+            "Lockstep sweeps executed across all batches" {
+            /// Lockstep sweeps executed across all batches.
+            lockstep_iterations
+        }
+        counter "evolve_batch_kernel_sweeps_total" "Lockstep sweeps by fold-kernel dispatch path" {
+            /// Lockstep sweeps dispatched to the lane-chunked fold kernels
+            /// (lane stride a multiple of the SIMD chunk).
+            kernel_chunked_sweeps path = "chunked",
+            /// Lockstep sweeps dispatched to the per-element reference kernels
+            /// (narrow batches below one chunk).
+            kernel_scalar_sweeps path = "scalar",
+        }
+        counter "evolve_batch_ejections_total"
+            "Scenarios ejected from batching to the scalar path, by reason" {
+            /// Lanes ejected: model on the worklist backend.
+            eject_worklist reason = "worklist",
+            /// Lanes ejected: trace offers no tokens.
+            eject_empty_trace reason = "empty_trace",
+            /// Lanes ejected: leftover single lane of a model group.
+            eject_single_lane reason = "single_lane",
+            /// Lanes ejected: batched engine rejected the graph shape.
+            eject_unsupported reason = "unsupported",
+            /// Lanes ejected: model runs the scalar partitioned backend.
+            eject_partitioned reason = "partitioned",
+        }
     }
 }
 
-/// Partitioned-parallel-evaluation counters, as `evolve-core`'s
-/// `Engine::partition_stats` returns them. The plan-shape fields
-/// (`partitions`, `planned_barriers`, `frontier_arcs`) are gauges and
-/// merge by max; the rest are cumulative and add.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionCounters {
-    /// Iterations evaluated by the partitioned parallel sweep.
-    pub parallel_iterations: u64,
-    /// Fast-path iterations that ran serially while a partition runtime
-    /// was attached (delta hits, graphs under the engagement threshold).
-    pub serial_iterations: u64,
-    /// Planned partitions (largest plan seen).
-    pub partitions: u64,
-    /// Levels with a planned barrier (largest plan seen).
-    pub planned_barriers: u64,
-    /// Cross-partition zero-delay arcs in the plan (largest plan seen).
-    pub frontier_arcs: u64,
-    /// Spin-barrier crossings executed, summed over workers.
-    pub barrier_crossings: u64,
-}
-
-impl PartitionCounters {
-    /// Folds `other` into this counter set (plan gauges take the max).
-    pub fn merge(&mut self, other: &PartitionCounters) {
-        self.parallel_iterations += other.parallel_iterations;
-        self.serial_iterations += other.serial_iterations;
-        self.partitions = self.partitions.max(other.partitions);
-        self.planned_barriers = self.planned_barriers.max(other.planned_barriers);
-        self.frontier_arcs = self.frontier_arcs.max(other.frontier_arcs);
-        self.barrier_crossings += other.barrier_crossings;
+counter_set! {
+    /// Delta-evaluation counters: one engine's delta work (`evolve-core`'s
+    /// `Engine::delta_stats`, whose chain-bookkeeping and `eject_*` fields
+    /// stay zero) or a whole sweep's (`evolve-explore`'s
+    /// `SweepReport::delta`).
+    DeltaCounters {
+        counter "evolve_delta_chains_formed_total"
+            "Base+sibling delta chains formed by the sweep planner" {
+            /// Base+sibling chains formed by the sweep planner.
+            chains_formed
+        }
+        counter "evolve_delta_lanes_base_total"
+            "Scenarios evaluated as fully-swept delta-chain bases" {
+            /// Scenarios evaluated as the fully-swept base of a chain.
+            lanes_base
+        }
+        counter "evolve_delta_lanes_delta_total" "Scenarios evaluated against a base cache" {
+            /// Scenarios evaluated against a base cache.
+            lanes_delta
+        }
+        counter "evolve_delta_calls_total" "Input offers answered by the delta sweep" {
+            /// Calls answered by the delta sweep (clean copy or frontier recompute).
+            calls_delta
+        }
+        counter "evolve_delta_calls_full_total" "Offers a delta-linked engine evaluated fully" {
+            /// Calls a delta-linked engine evaluated fully (beyond the cached
+            /// rows, after a worklist fallback, or once the sibling's trace
+            /// diverged from the base).
+            calls_full
+        }
+        counter "evolve_delta_nodes_reused_total" "Node instants copied from the base cache" {
+            /// Node instants copied from the base cache without recomputation.
+            nodes_reused
+        }
+        counter "evolve_delta_nodes_recomputed_total"
+            "Node instants recomputed by the change frontier" {
+            /// Node instants recomputed because an input of the fold changed.
+            nodes_recomputed
+        }
+        counter "evolve_delta_nodes_settled_total"
+            "Recomputed instants that matched the cache (frontier early-out)" {
+            /// Recomputed nodes whose instant matched the cache (max-plus
+            /// early-out: their downstream dependents stay clean).
+            nodes_settled
+        }
+        counter "evolve_delta_frontier_collapses_total" "Delta calls that recomputed zero nodes" {
+            /// Delta calls that recomputed zero nodes (the change frontier
+            /// collapsed before reaching any instant).
+            frontier_collapses
+        }
+        counter "evolve_delta_ejections_total"
+            "Scenarios ejected from delta chains to full evaluation, by reason" {
+            /// Lanes ejected: the graph has multiple external inputs.
+            eject_multi_input reason = "multi_input",
+            /// Lanes ejected: the graph has acknowledged outputs.
+            eject_output_acks reason = "output_acks",
+            /// Lanes ejected: the engine runs the worklist backend.
+            eject_worklist reason = "worklist",
+            /// Lanes ejected: the sibling's compiled structure differs from the
+            /// base cache.
+            eject_structure_mismatch reason = "structure_mismatch",
+        }
     }
 }
 
-/// Counts of observed [`EngineEvent`]s.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventCounters {
-    /// Observers attached to engines.
-    pub attaches: u64,
-    /// Scalar input offers evaluated.
-    pub offers: u64,
-    /// Offers answered by fast-forward replay.
-    pub replayed_offers: u64,
-    /// Lockstep batched calls evaluated.
-    pub batch_sweeps: u64,
-    /// Batched calls answered entirely from templates.
-    pub replayed_batch_sweeps: u64,
-    /// Output acknowledgments fed back.
-    pub output_acks: u64,
-    /// Fast-forward promotions observed.
-    pub promotions: u64,
-    /// Fast-forward demotions observed.
-    pub demotions: u64,
-    /// Lanes ejected to the scalar path.
-    pub lane_ejections: u64,
-    /// Offers rejected with a tick overflow.
-    pub overflows: u64,
-    /// Engine resets (scenario boundaries under reuse).
-    pub resets: u64,
+counter_set! {
+    /// Partitioned-parallel-evaluation counters, as `evolve-core`'s
+    /// `Engine::partition_stats` returns them. The plan-shape fields
+    /// (`partitions`, `planned_barriers`, `frontier_arcs`) are gauges and
+    /// merge by max; the rest are cumulative and add.
+    PartitionCounters {
+        counter "evolve_partition_parallel_iterations_total"
+            "Iterations evaluated by the partitioned parallel sweep" {
+            /// Iterations evaluated by the partitioned parallel sweep.
+            parallel_iterations
+        }
+        counter "evolve_partition_serial_iterations_total"
+            "Serial fast-path iterations while a partition runtime was attached" {
+            /// Fast-path iterations that ran serially while a partition runtime
+            /// was attached (delta hits, graphs under the engagement threshold).
+            serial_iterations
+        }
+        gauge "evolve_partition_partitions"
+            "Planned partitions of the largest partition plan seen" {
+            /// Planned partitions (largest plan seen).
+            partitions
+        }
+        gauge "evolve_partition_planned_barriers"
+            "Levels with a planned barrier in the largest plan seen" {
+            /// Levels with a planned barrier (largest plan seen).
+            planned_barriers
+        }
+        gauge "evolve_partition_frontier_arcs"
+            "Cross-partition zero-delay arcs in the largest plan seen" {
+            /// Cross-partition zero-delay arcs in the plan (largest plan seen).
+            frontier_arcs
+        }
+        counter "evolve_partition_barrier_crossings_total"
+            "Spin-barrier crossings executed, summed over workers" {
+            /// Spin-barrier crossings executed, summed over workers.
+            barrier_crossings
+        }
+    }
+}
+
+counter_set! {
+    /// Counts of observed [`EngineEvent`]s.
+    EventCounters {
+        counter "evolve_events_total" "Engine lifecycle events observed, by kind" {
+            /// Observers attached to engines.
+            attaches kind = "attach",
+            /// Scalar input offers evaluated.
+            offers kind = "offer",
+            /// Offers answered by fast-forward replay.
+            replayed_offers kind = "offer_replayed",
+            /// Lockstep batched calls evaluated.
+            batch_sweeps kind = "batch_sweep",
+            /// Batched calls answered entirely from templates.
+            replayed_batch_sweeps kind = "batch_sweep_replayed",
+            /// Output acknowledgments fed back.
+            output_acks kind = "output_ack",
+            /// Fast-forward promotions observed.
+            promotions kind = "ff_promoted",
+            /// Fast-forward demotions observed.
+            demotions kind = "ff_demoted",
+            /// Lanes ejected to the scalar path.
+            lane_ejections kind = "lane_ejected",
+            /// Offers rejected with a tick overflow.
+            overflows kind = "overflow",
+            /// Engine resets (scenario boundaries under reuse).
+            resets kind = "reset",
+        }
+    }
 }
 
 impl EventCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &EventCounters) {
-        self.attaches += other.attaches;
-        self.offers += other.offers;
-        self.replayed_offers += other.replayed_offers;
-        self.batch_sweeps += other.batch_sweeps;
-        self.replayed_batch_sweeps += other.replayed_batch_sweeps;
-        self.output_acks += other.output_acks;
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-        self.lane_ejections += other.lane_ejections;
-        self.overflows += other.overflows;
-        self.resets += other.resets;
-    }
-
     /// Boundary events: interface instants the equivalent model still
     /// simulates (offers in, acknowledgments out).
     pub fn boundary_events(&self) -> u64 {
@@ -560,51 +588,50 @@ impl EventCounters {
     }
 }
 
-/// Serving-layer counters recorded by the `evolve-serve` daemon: request
-/// admission, batch formation, and the evaluation path each request lane
-/// took. Counted by the shard workers and merged into the daemon's
-/// `/metrics` snapshot alongside the engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeCounters {
-    /// Client connections accepted.
-    pub connections: u64,
-    /// Requests admitted into a shard's queue.
-    pub requests: u64,
-    /// Requests shed with a BUSY response (queue over `max_queue_depth`).
-    pub rejected: u64,
-    /// Successful evaluation responses written.
-    pub responses: u64,
-    /// Error responses written (malformed or failing requests).
-    pub errors: u64,
-    /// Affinity batches dispatched because lanes filled the batch width.
-    pub batches_full: u64,
-    /// Affinity batches dispatched at once because their spec's recent
-    /// arrivals predicted no lane-mate within `max_batch_delay`.
-    pub batches_idle: u64,
-    /// Affinity batches dispatched at the `max_batch_delay` deadline.
-    pub batches_deadline: u64,
-    /// Request lanes evaluated inside a lockstep batch.
-    pub lanes_batched: u64,
-    /// Request lanes evaluated on the scalar path (ejected or singleton).
-    pub lanes_scalar: u64,
-    /// Request lanes evaluated as a delta against a family base cache.
-    pub lanes_delta: u64,
-}
-
-impl ServeCounters {
-    /// Adds `other` into this counter set.
-    pub fn merge(&mut self, other: &ServeCounters) {
-        self.connections += other.connections;
-        self.requests += other.requests;
-        self.rejected += other.rejected;
-        self.responses += other.responses;
-        self.errors += other.errors;
-        self.batches_full += other.batches_full;
-        self.batches_idle += other.batches_idle;
-        self.batches_deadline += other.batches_deadline;
-        self.lanes_batched += other.lanes_batched;
-        self.lanes_scalar += other.lanes_scalar;
-        self.lanes_delta += other.lanes_delta;
+counter_set! {
+    /// Serving-layer counters recorded by the `evolve-serve` daemon: request
+    /// admission, batch formation, and the evaluation path each request lane
+    /// took. Counted by the shard workers and merged into the daemon's
+    /// `/metrics` snapshot alongside the engine counters.
+    ServeCounters {
+        counter "evolve_serve_connections_total" "Client connections accepted by the serve daemon" {
+            /// Client connections accepted.
+            connections
+        }
+        counter "evolve_serve_requests_total" "Requests admitted into shard queues" {
+            /// Requests admitted into a shard's queue.
+            requests
+        }
+        counter "evolve_serve_rejected_total"
+            "Requests shed with a BUSY response (queue over max_queue_depth)" {
+            /// Requests shed with a BUSY response (queue over `max_queue_depth`).
+            rejected
+        }
+        counter "evolve_serve_responses_total" "Successful evaluation responses written" {
+            /// Successful evaluation responses written.
+            responses
+        }
+        counter "evolve_serve_errors_total" "Error responses written" {
+            /// Error responses written (malformed or failing requests).
+            errors
+        }
+        counter "evolve_serve_batches_total" "Affinity batches dispatched, by trigger" {
+            /// Affinity batches dispatched because lanes filled the batch width.
+            batches_full trigger = "full",
+            /// Affinity batches dispatched at once because their spec's recent
+            /// arrivals predicted no lane-mate within `max_batch_delay`.
+            batches_idle trigger = "idle",
+            /// Affinity batches dispatched at the `max_batch_delay` deadline.
+            batches_deadline trigger = "deadline",
+        }
+        counter "evolve_serve_lanes_total" "Request lanes evaluated, by path" {
+            /// Request lanes evaluated inside a lockstep batch.
+            lanes_batched path = "batched",
+            /// Request lanes evaluated on the scalar path (ejected or singleton).
+            lanes_scalar path = "scalar",
+            /// Request lanes evaluated as a delta against a family base cache.
+            lanes_delta path = "delta",
+        }
     }
 }
 
@@ -640,37 +667,6 @@ impl TelemetrySink {
     /// A fresh, empty sink.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Folds an engine's work counters into the sink (drivers call this
-    /// after each drive with the engine's `stats()`).
-    pub fn record_engine(&mut self, counters: EngineCounters) {
-        self.engine.merge(&counters);
-    }
-
-    /// Folds fast-forward counters into the sink.
-    pub fn record_ff(&mut self, counters: FfCounters) {
-        self.ff.merge(&counters);
-    }
-
-    /// Folds batching counters into the sink.
-    pub fn record_batch(&mut self, counters: BatchCounters) {
-        self.batch.merge(&counters);
-    }
-
-    /// Folds delta-evaluation counters into the sink.
-    pub fn record_delta(&mut self, counters: DeltaCounters) {
-        self.delta.merge(&counters);
-    }
-
-    /// Folds partitioned-parallel counters into the sink.
-    pub fn record_partition(&mut self, counters: PartitionCounters) {
-        self.partition.merge(&counters);
-    }
-
-    /// Folds serving-layer counters into the sink.
-    pub fn record_serve(&mut self, counters: ServeCounters) {
-        self.serve.merge(&counters);
     }
 
     /// Seals every live lane into the aggregate (end of a scenario).
@@ -967,93 +963,28 @@ impl MetricsSnapshot {
                 ),
             ])
         };
+        let regimes = self
+            .regimes
+            .iter()
+            .map(|(g, p)| Json::object([("growth", Json::U64(*g)), ("period", Json::U64(*p))]))
+            .collect();
         Json::object([
             ("engine", self.engine.to_json()),
             (
                 "fast_forward",
-                Json::object([
-                    ("promotions", Json::U64(self.ff.promotions)),
-                    ("demotions", Json::U64(self.ff.demotions)),
-                    (
-                        "fast_forwarded_iterations",
-                        Json::U64(self.ff.fast_forwarded_iterations),
-                    ),
-                    (
-                        "regimes",
-                        Json::Array(
-                            self.regimes
-                                .iter()
-                                .map(|(g, p)| {
-                                    Json::object([
-                                        ("growth", Json::U64(*g)),
-                                        ("period", Json::U64(*p)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
+                with_key(self.ff.to_json(), "regimes", Json::Array(regimes)),
             ),
             ("batching", self.batch.to_json()),
             ("delta", self.delta.to_json()),
-            (
-                "partition",
-                Json::object([
-                    (
-                        "parallel_iterations",
-                        Json::U64(self.partition.parallel_iterations),
-                    ),
-                    (
-                        "serial_iterations",
-                        Json::U64(self.partition.serial_iterations),
-                    ),
-                    ("partitions", Json::U64(self.partition.partitions)),
-                    (
-                        "planned_barriers",
-                        Json::U64(self.partition.planned_barriers),
-                    ),
-                    ("frontier_arcs", Json::U64(self.partition.frontier_arcs)),
-                    (
-                        "barrier_crossings",
-                        Json::U64(self.partition.barrier_crossings),
-                    ),
-                ]),
-            ),
-            (
-                "serve",
-                Json::object([
-                    ("connections", Json::U64(self.serve.connections)),
-                    ("requests", Json::U64(self.serve.requests)),
-                    ("rejected", Json::U64(self.serve.rejected)),
-                    ("responses", Json::U64(self.serve.responses)),
-                    ("errors", Json::U64(self.serve.errors)),
-                    ("batches_full", Json::U64(self.serve.batches_full)),
-                    ("batches_idle", Json::U64(self.serve.batches_idle)),
-                    ("batches_deadline", Json::U64(self.serve.batches_deadline)),
-                    ("lanes_batched", Json::U64(self.serve.lanes_batched)),
-                    ("lanes_scalar", Json::U64(self.serve.lanes_scalar)),
-                    ("lanes_delta", Json::U64(self.serve.lanes_delta)),
-                ]),
-            ),
+            ("partition", self.partition.to_json()),
+            ("serve", self.serve.to_json()),
             (
                 "events",
-                Json::object([
-                    ("attaches", Json::U64(self.events.attaches)),
-                    ("offers", Json::U64(self.events.offers)),
-                    ("replayed_offers", Json::U64(self.events.replayed_offers)),
-                    ("batch_sweeps", Json::U64(self.events.batch_sweeps)),
-                    (
-                        "replayed_batch_sweeps",
-                        Json::U64(self.events.replayed_batch_sweeps),
-                    ),
-                    ("output_acks", Json::U64(self.events.output_acks)),
-                    ("promotions", Json::U64(self.events.promotions)),
-                    ("demotions", Json::U64(self.events.demotions)),
-                    ("lane_ejections", Json::U64(self.events.lane_ejections)),
-                    ("overflows", Json::U64(self.events.overflows)),
-                    ("resets", Json::U64(self.events.resets)),
-                    ("boundary_events", Json::U64(self.events.boundary_events())),
-                ]),
+                with_key(
+                    self.events.to_json(),
+                    "boundary_events",
+                    Json::U64(self.events.boundary_events()),
+                ),
             ),
             (
                 "event_ratio",
@@ -1119,6 +1050,14 @@ impl MetricsSnapshot {
             ),
         ])
     }
+}
+
+/// `object` with `key: value` appended after its own keys.
+fn with_key(mut object: Json, key: &str, value: Json) -> Json {
+    if let Json::Object(fields) = &mut object {
+        fields.push((key.to_string(), value));
+    }
+    object
 }
 
 /// The one-period execution template of a promoted lane, foldable
@@ -1219,7 +1158,7 @@ impl PeriodUsage {
 
 /// Merges `[start, end)` spans into sorted disjoint intervals (the same
 /// construction as `ResourceTrace::from_records`).
-fn merge_intervals(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+pub(crate) fn merge_intervals(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     spans.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
     for (s, e) in spans {
@@ -1473,7 +1412,7 @@ mod tests {
     #[test]
     fn event_ratio_counts_avoided_over_boundary() {
         let mut sink = TelemetrySink::new();
-        sink.record_engine(EngineCounters {
+        sink.engine.merge(&EngineCounters {
             nodes_computed: 98,
             ..EngineCounters::default()
         });
@@ -1493,7 +1432,7 @@ mod tests {
     fn snapshot_merge_matches_sink_merge() {
         let mut a = TelemetrySink::new();
         a.on_records(0, &[rec(0, 0, 10, 5)]);
-        a.record_serve(ServeCounters {
+        a.serve.merge(&ServeCounters {
             requests: 3,
             rejected: 1,
             ..ServeCounters::default()
@@ -1501,7 +1440,7 @@ mod tests {
         let mut b = TelemetrySink::new();
         b.on_records(0, &[rec(0, 0, 20, 7)]);
         b.on_records(0, &[rec(1, 5, 9, 2)]);
-        b.record_serve(ServeCounters {
+        b.serve.merge(&ServeCounters {
             requests: 4,
             batches_idle: 2,
             lanes_batched: 4,
@@ -1528,7 +1467,7 @@ mod tests {
     fn snapshot_merge_into_empty_is_identity() {
         let mut sink = TelemetrySink::new();
         sink.on_records(0, &[rec(2, 0, 10, 5)]);
-        sink.record_serve(ServeCounters {
+        sink.serve.merge(&ServeCounters {
             responses: 9,
             ..ServeCounters::default()
         });

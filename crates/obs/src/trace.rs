@@ -15,7 +15,9 @@
 //!   via [`TraceCollector::push_span`].
 //!
 //! The export is the Chrome trace-event JSON array format
-//! (`{"traceEvents": [...]}`), which Perfetto's UI opens directly.
+//! (`{"traceEvents": [...]}`), which Perfetto's UI opens directly. Its
+//! event and document helpers also render the flight recorder's dump
+//! ([`crate::flight`]), so both documents come from one exporter.
 
 use std::any::Any;
 use std::time::Instant;
@@ -25,6 +27,7 @@ use evolve_model::ExecRecord;
 
 use crate::event::EngineEvent;
 use crate::json::Json;
+use crate::metrics::merge_intervals;
 use crate::observer::{Observer, Sealed};
 
 /// Observation-time process id in the exported trace.
@@ -180,14 +183,9 @@ impl TraceCollector {
                 &format!("lane {} / resource {}", track.lane, track.resource),
             ));
             for (s, e) in merge_raw(&track.raw) {
-                events.push(Json::object([
-                    ("name", Json::str("busy")),
-                    ("ph", Json::str("X")),
-                    ("pid", Json::U64(PID_OBSERVATION)),
-                    ("tid", Json::U64(tid)),
-                    ("ts", Json::F64(s as f64 / 1000.0)),
-                    ("dur", Json::F64((e - s) as f64 / 1000.0)),
-                ]));
+                let (ts, dur) = (s as f64 / 1000.0, (e - s) as f64 / 1000.0);
+                let busy = complete_event("busy", None, PID_OBSERVATION, tid, ts, dur, None);
+                events.push(busy);
             }
         }
         events.push(metadata_event("thread_name", PID_HOST, 1, "engine"));
@@ -199,14 +197,8 @@ impl TraceCollector {
                 .then_with(|| a.name.cmp(&b.name))
         });
         for span in span_order {
-            events.push(Json::object([
-                ("name", Json::str(span.name.clone())),
-                ("ph", Json::str("X")),
-                ("pid", Json::U64(PID_HOST)),
-                ("tid", Json::U64(1)),
-                ("ts", Json::F64(span.start_us)),
-                ("dur", Json::F64(span.end_us - span.start_us)),
-            ]));
+            let (ts, dur) = (span.start_us, span.end_us - span.start_us);
+            events.push(complete_event(&span.name, None, PID_HOST, 1, ts, dur, None));
         }
         let mut instant_order: Vec<&HostInstant> = self.instants.iter().collect();
         instant_order
@@ -221,43 +213,58 @@ impl TraceCollector {
                 ("ts", Json::F64(instant.at_us)),
             ]));
         }
-        Json::object([
-            ("traceEvents", Json::Array(events)),
-            ("displayTimeUnit", Json::str("ns")),
-        ])
+        chrome_document(events)
     }
 }
 
-fn metadata_event(name: &str, pid: u64, tid: u64, label: &str) -> Json {
+/// A metadata (`M`) event: `name` is `process_name` or `thread_name`,
+/// `label` the name it gives.
+pub(crate) fn metadata_event(name: &str, pid: u64, tid: u64, label: &str) -> Json {
     Json::object([
         ("name", Json::str(name)),
         ("ph", Json::str("M")),
         ("pid", Json::U64(pid)),
         ("tid", Json::U64(tid)),
-        (
-            "args",
-            Json::object([("name", Json::str(label))]),
-        ),
+        ("args", Json::object([("name", Json::str(label))])),
+    ])
+}
+
+/// A complete (`X`) event: a span of `dur` µs starting at `ts` µs, with
+/// an optional category and arguments.
+pub(crate) fn complete_event(
+    name: &str,
+    cat: Option<&str>,
+    pid: u64,
+    tid: u64,
+    ts: f64,
+    dur: f64,
+    args: Option<Json>,
+) -> Json {
+    let mut fields = vec![("name", Json::str(name))];
+    fields.extend(cat.map(|cat| ("cat", Json::str(cat))));
+    fields.extend([
+        ("ph", Json::str("X")),
+        ("pid", Json::U64(pid)),
+        ("tid", Json::U64(tid)),
+        ("ts", Json::F64(ts)),
+        ("dur", Json::F64(dur)),
+    ]);
+    fields.extend(args.map(|args| ("args", args)));
+    Json::object(fields)
+}
+
+/// The Chrome trace-event document holding `events`.
+pub(crate) fn chrome_document(events: Vec<Json>) -> Json {
+    Json::object([
+        ("traceEvents", Json::Array(events)),
+        ("displayTimeUnit", Json::str("ns")),
     ])
 }
 
 /// Sort-and-merge of raw spans, dropping zero-width ones — byte-for-byte
 /// the `ResourceTrace::from_records` interval construction.
 fn merge_raw(raw: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut spans: Vec<(u64, u64)> = raw.iter().copied().filter(|(s, e)| s < e).collect();
-    spans.sort_unstable();
-    let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
-    for (s, e) in spans {
-        match intervals.last_mut() {
-            Some((_, last_end)) if s <= *last_end => {
-                if e > *last_end {
-                    *last_end = e;
-                }
-            }
-            _ => intervals.push((s, e)),
-        }
-    }
-    intervals
+    merge_intervals(raw.iter().copied().filter(|(s, e)| s < e).collect())
 }
 
 impl Sealed for TraceCollector {}

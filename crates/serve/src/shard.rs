@@ -201,8 +201,8 @@ impl Worker {
     }
 
     /// Recorder time, or 0 when detached (nothing will be recorded).
-    fn flight_now(&self) -> u64 {
-        self.flight.as_ref().map_or(0, |f| f.recorder.now_ns())
+    fn flight_now(flight: &Option<ShardFlight>) -> u64 {
+        flight.as_ref().map_or(0, |f| f.recorder.now_ns())
     }
 
     /// Lends the shard's partition-worker tracks to a scalar engine so
@@ -250,7 +250,7 @@ impl Worker {
                 Ok(job) if immediate => {
                     self.counters.requests += 1;
                     let spec = job.spec.clone();
-                    let formed_ns = self.flight_now();
+                    let formed_ns = Self::flight_now(&self.flight);
                     self.dispatch(&spec, vec![job], Trigger::Full, formed_ns);
                     continue;
                 }
@@ -274,7 +274,7 @@ impl Worker {
                         let i = match groups.iter().position(|(spec, _)| *spec == job.spec) {
                             Some(i) => i,
                             None => {
-                                let formed_ns = self.flight_now();
+                                let formed_ns = Self::flight_now(&self.flight);
                                 let group = Group {
                                     jobs: Vec::with_capacity(width),
                                     first_at: now,
@@ -382,41 +382,24 @@ impl Worker {
     fn dispatch_batched(&mut self, spec: &ModelSpec, jobs: Vec<Job>) {
         let n = jobs.len();
         let options = self.options;
-        let supported = self
+        let entry = self
             .caches
             .batch
             .entry(spec.clone())
-            .or_insert_with(|| prepare_batch(spec, &options, n).map(|p| vec![p]))
-            .is_ok();
-        if !supported {
+            .or_insert_with(|| prepare_batch(spec, &options, n));
+        let Ok(prepared) = entry else {
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_batch(BatchCounters {
-                    eject_unsupported: n as u64,
-                    ..BatchCounters::default()
-                });
+                sink.batch.eject_unsupported += n as u64;
             }
             for job in jobs {
                 self.eval_scalar(spec, job, n as u32);
             }
             return;
-        }
-        let mut prepared = {
-            let pool = self
-                .caches
-                .batch
-                .get_mut(spec)
-                .and_then(|r| r.as_mut().ok())
-                .expect("pool just inserted as supported");
-            pool.pop()
-        };
-        let mut prepared = match prepared.take() {
-            Some(p) => p,
-            None => prepare_batch(spec, &options, n).expect("spec known batch-supported"),
         };
         let traces: Vec<&[Arrival]> = jobs.iter().map(|j| j.arrivals.as_slice()).collect();
-        let eval_start = self.flight_now();
-        let (outcomes, _reused, _wall) = drive_prepared_batch(&mut prepared, &traces, &mut self.sink);
-        let eval_end = self.flight_now();
+        let eval_start = Self::flight_now(&self.flight);
+        let (outcomes, _reused, _wall) = drive_prepared_batch(prepared, &traces, &mut self.sink);
+        let eval_end = Self::flight_now(&self.flight);
         if let Some(f) = &self.flight {
             // One eval span per lane (every admitted request gets one),
             // all covering the shared lockstep drive.
@@ -428,7 +411,7 @@ impl Worker {
             // The drive resets a reused engine, so its counters after the
             // drive are this batch's alone.
             let kernel = prepared.engine.kernel_dispatch();
-            sink.record_batch(BatchCounters {
+            sink.batch.merge(&BatchCounters {
                 batch_width: self.cfg.batch_width as u64,
                 batches_formed: 1,
                 lanes_batched: n as u64,
@@ -442,15 +425,12 @@ impl Worker {
         for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
             let ff = prepared.engine.lane_fast_forward_stats(lane);
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_engine(outcome.engine_stats);
-                sink.record_ff(ff.into());
+                sink.engine.merge(&outcome.engine_stats);
+                sink.ff.merge(&ff.into());
             }
             self.counters.lanes_batched += 1;
             let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
             lanes.push((job, Response::EvalOk(resp)));
-        }
-        if let Some(Ok(pool)) = self.caches.batch.get_mut(spec) {
-            pool.push(prepared);
         }
         // One write per connection: the stable sort brings each
         // connection's lanes together in their batch order.
@@ -471,7 +451,7 @@ impl Worker {
             (None, Some(_)) => DeltaMode::CaptureBase,
             (None, None) => DeltaMode::Off,
         };
-        let eval_start = self.flight_now();
+        let eval_start = Self::flight_now(&self.flight);
         let drive = if self.cfg.naive {
             // Baseline serving strategy: a fresh engine per request, no
             // cache, no delta chain — what a one-request-per-process
@@ -494,8 +474,8 @@ impl Worker {
             ..
         } = drive;
         if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record_engine(outcome.engine_stats);
-            sink.record_ff(fast_forward.into());
+            sink.engine.merge(&outcome.engine_stats);
+            sink.ff.merge(&fast_forward.into());
         }
         let mut attached: Option<DeltaCounters> = None;
         match delta {
@@ -504,17 +484,14 @@ impl Worker {
                     self.bases.insert(k, cache);
                 }
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record_delta(DeltaCounters {
-                        lanes_base: 1,
-                        ..DeltaCounters::default()
-                    });
+                    sink.delta.lanes_base += 1;
                 }
             }
             DeltaLaneOutcome::Attached(stats) => {
                 attached = Some(stats);
                 self.counters.lanes_delta += 1;
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record_delta(DeltaCounters {
+                    sink.delta.merge(&DeltaCounters {
                         lanes_delta: 1,
                         ..stats
                     });
@@ -539,7 +516,7 @@ impl Worker {
         self.out.clear();
         let mut encoded = 0;
         for (job, resp) in lanes {
-            let encode_start = self.flight_now();
+            let encode_start = Self::flight_now(&self.flight);
             if put_response_frame(&mut self.out, resp, max).is_err() {
                 break;
             }
@@ -548,7 +525,7 @@ impl Worker {
             }
             encoded += 1;
         }
-        let write_start = self.flight_now();
+        let write_start = Self::flight_now(&self.flight);
         let mut conn = first.writer.lock().unwrap_or_else(|e| e.into_inner());
         let written = conn.write_all(&self.out).and_then(|()| conn.flush()).is_ok();
         let answered = if written { encoded } else { 0 };
