@@ -67,6 +67,11 @@ cargo test -q -p evolve-core --test observer_conformance --offline
 # regression is named in the CI log).
 cargo test -q -p evolve-core --test partition_conformance --offline
 
+# Table I smoke: the four chained didactic examples, conventional and
+# equivalent model both on the native DES kernel (2000 tokens each). The
+# harness exits 1 when any row's boundary instants are not exact.
+cargo run --release -q -p evolve-bench --bin table1 --offline -- 2000 0
+
 # Bench smoke: the compiled backend must beat the worklist reference, the
 # batched engine must beat one-lane evaluation, periodic fast-forward
 # must beat the plain sweep on a 1000-node synthetic graph, and delta
@@ -124,4 +129,4 @@ serve_pid=""
 # (tools/loc.py skips blank lines, `//` comments and `#[cfg(test)]` items).
 python3 tools/loc.py | grep -E '\(total\)$| all$'
 
-echo "ci: build, tests, clippy, conformance suites, bench smoke, and daemon smoke all green"
+echo "ci: build, tests, clippy, conformance suites, Table I and bench smokes, and daemon smoke all green"

@@ -3,25 +3,17 @@
 //! harness `table1` covers the calibrated regime).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use evolve_bench::table1_example;
 use evolve_core::EquivalentModelBuilder;
-use evolve_model::{didactic, elaborate, varying_sizes, Environment, Stimulus};
+use evolve_model::elaborate;
 
 const TOKENS: u64 = 2_000;
-
-fn didactic_env(stages: usize) -> (didactic::Didactic, Environment) {
-    let d = didactic::chained(stages, didactic::Params::default()).expect("builds");
-    let env = Environment::new().stimulus(
-        d.input(),
-        Stimulus::saturating(TOKENS, varying_sizes(1, 256, stages as u64)),
-    );
-    (d, env)
-}
 
 fn bench_conventional(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/conventional");
     group.sample_size(10);
     for stages in [1usize, 2, 4] {
-        let (d, env) = didactic_env(stages);
+        let (d, env) = table1_example(stages, TOKENS);
         group.bench_with_input(BenchmarkId::from_parameter(stages), &stages, |b, _| {
             b.iter(|| elaborate(&d.arch, &env).expect("builds").run())
         });
@@ -33,7 +25,7 @@ fn bench_equivalent(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/equivalent");
     group.sample_size(10);
     for stages in [1usize, 2, 4] {
-        let (d, env) = didactic_env(stages);
+        let (d, env) = table1_example(stages, TOKENS);
         group.bench_with_input(BenchmarkId::from_parameter(stages), &stages, |b, _| {
             b.iter(|| {
                 EquivalentModelBuilder::new(&d.arch)

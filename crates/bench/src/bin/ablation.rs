@@ -3,28 +3,26 @@
 //!
 //! Axes:
 //! * observation replay on/off (accuracy vs. speed of `ComputeInstant()`),
-//!   measured through the scenario-sweep path with reused engines,
+//!   both on the DES kernel and as a kernel-free engine drive through the
+//!   scenario-sweep path with reused engines,
 //! * graph simplification on/off (node count vs. engine cost),
 //! * kernel cost regime (how much the event savings are worth),
 //! * partial abstraction (hybrid model) as a middle ground.
 //!
-//! Usage: `ablation [tokens] [threads]` (defaults: 20 000, host parallelism).
+//! Exits with status 1 when any row is not `exact`.
+//!
+//! Usage: `ablation [tokens]` (default: 20 000).
 
-use evolve_bench::{format_row, header, measure, sweep_measurements, Fidelity};
+use evolve_bench::{exit_unless_exact, format_row, header, measure, Fidelity};
 use evolve_core::{derive_tdg, simplify, EvalBackend};
 use evolve_explore::{run_sweep, ModelKind, ModelSpec, ScenarioSpec, SweepConfig, TraceSpec};
 use evolve_model::{didactic, varying_sizes, Environment, Stimulus};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let tokens: u64 = args
-        .next()
+    let tokens: u64 = std::env::args()
+        .nth(1)
         .map(|s| s.parse().expect("tokens must be a number"))
         .unwrap_or(20_000);
-    let threads: usize = args
-        .next()
-        .map(|s| s.parse().expect("threads must be a number"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
 
     let d = didactic::chained(2, didactic::Params::default()).expect("didactic builds");
     let env = Environment::new().stimulus(
@@ -52,25 +50,31 @@ fn main() {
     );
     println!();
 
+    let mut exact = true;
     for cost in [0u64, 1_000] {
         println!("== dispatch cost {cost} ns (kernel-hosted equivalent model) ==");
         println!("{}", header());
         for fidelity in [Fidelity::Observing, Fidelity::BoundaryOnly] {
             let m = measure(format!("{fidelity:?}"), &d.arch, &env, fidelity, cost, 0);
             println!("{}", format_row(&m));
+            exact &= m.accurate;
         }
         println!();
     }
 
     // The kernel-free sweep path: evaluation backend × observation replay
-    // over a reused engine, conventional reference simulated per row.
+    // over a reused engine. A drive with no kernel has no conventional run
+    // to race, so the rows report its time, work and accuracy only.
     let scenario = |label: &str, backend: EvalBackend| ScenarioSpec {
         label: label.to_string(),
         model: ModelSpec { kind: ModelKind::Didactic { stages: 2 }, padding: 0, backend },
         trace: TraceSpec { tokens, min_size: 1, max_size: 256, mean_period: 0, seed: 9 },
     };
     println!("== engine drive (no kernel), backend x observation replay ==");
-    println!("{}", header());
+    println!(
+        "{:<18} {:>10} {:>14} {:>14} {:>10} {:>9}",
+        "drive", "wall (ms)", "nodes comp.", "arc evals", "iters", "accuracy"
+    );
     let rows = [
         ("compiled+observe", EvalBackend::Compiled, true),
         ("compiled-only", EvalBackend::Compiled, false),
@@ -81,20 +85,24 @@ fn main() {
         let report = run_sweep(
             &[scenario(label, backend)],
             &SweepConfig {
-                threads,
                 record_observations: record,
                 compare_conventional: true,
                 ..SweepConfig::default()
             },
         );
-        let m = &sweep_measurements(&report)[0];
-        println!("{}", format_row(m));
+        let s = &report.scenarios[0];
+        let accurate = s.reference.as_ref().is_some_and(|r| r.accurate);
+        let stats = &s.outcome.engine_stats;
         println!(
-            "    engine: {} nodes computed, {} arc evaluations, {} iterations",
-            m.engine_stats.nodes_computed,
-            m.engine_stats.arcs_evaluated,
-            m.engine_stats.iterations_completed
+            "{:<18} {:>10.3} {:>14} {:>14} {:>10} {:>9}",
+            label,
+            s.wall.as_secs_f64() * 1e3,
+            stats.nodes_computed,
+            stats.arcs_evaluated,
+            stats.iterations_completed,
+            if accurate { "exact" } else { "MISMATCH" }
         );
+        exact &= accurate;
     }
     println!();
 
@@ -107,9 +115,8 @@ fn main() {
     let hybrid = evolve_core::partial::hybrid_simulation(&d.arch, &group, &env)
         .expect("hybrid builds")
         .run();
-    let exact = (0..d.arch.app().relations().len()).all(|r| {
-        conventional.relation_logs[r].write_instants
-            == hybrid.run.relation_logs[r].write_instants
+    let hybrid_exact = (0..d.arch.app().relations().len()).all(|r| {
+        conventional.relation_logs[r].write_instants == hybrid.run.relation_logs[r].write_instants
     });
     println!(
         "hybrid (P1-side abstracted): conv {:?} vs hybrid {:?}, activations {} -> {}, {}",
@@ -117,6 +124,7 @@ fn main() {
         hybrid.run.wall,
         conventional.stats.activations,
         hybrid.run.stats.activations,
-        if exact { "exact" } else { "MISMATCH" }
+        if hybrid_exact { "exact" } else { "MISMATCH" }
     );
+    exit_unless_exact(exact && hybrid_exact);
 }

@@ -8,10 +8,11 @@
 //! negligible influence below ~100 nodes, degradation beyond, and a
 //! slow-down past ~1000 nodes.
 //!
-//! The whole (stages × padding) grid is one parallel scenario sweep: every
-//! cell is a [`ScenarioSpec`] evaluated on a reused engine, with the
-//! conventional reference simulation run per cell for the speed-up column.
-//! A second grid compares the engine's evaluation backends (worklist vs.
+//! Every (stages × padding) cell is one [`measure`]: both models run on
+//! the DES kernel at the same dispatch cost, the way the paper times its
+//! equivalent model on the simulator; the harness exits with status 1,
+//! after printing the table, when any cell is not `exact`. A second grid
+//! compares the engine's evaluation backends (worklist vs.
 //! compiled CSR sweep) directly — per-iteration `ComputeInstant()` cost at
 //! 10/100/1000/5000 nodes — a third measures the periodic
 //! steady-state fast-forward (O(1) template replay vs the full sweep), and
@@ -25,10 +26,11 @@
 //!
 //! Usage: `fig5 [tokens] [dispatch_cost_ns] [threads] [--quick]
 //! [--metrics PATH] [--trace PATH]`
-//! (defaults: 5 000 tokens, 1 µs reference calibration, host parallelism).
-//! `--quick` is the CI smoke mode: it skips the conventional-reference
-//! sweep and runs only the grids' 1000-node points with a bounded
-//! iteration budget (asserting compiled > worklist, batched > scalar,
+//! (defaults: 5 000 tokens, 1 µs kernel dispatch cost, host parallelism
+//! for the delta sweep gate).
+//! `--quick` is the CI smoke mode: it skips the Fig. 5 table and runs
+//! only the grids' 1000-node points with a bounded iteration budget
+//! (asserting compiled > worklist, batched > scalar,
 //! fast-forward > sweep, delta > full, that a delta-chained sweep over the
 //! default 256-scenario grid is bitwise identical to the full compiled
 //! path, that a width-8 batch actually dispatches to the lane-chunked
@@ -42,21 +44,23 @@
 //! 10% — of the committed grid's gain), writing to
 //! `results/bench_engine_smoke.json` so the committed full-grid artifact
 //! is not clobbered. `--metrics PATH` writes a streaming-telemetry
-//! snapshot (Prometheus text, or JSON for `.json` paths); `--trace PATH`
-//! writes a Chrome trace-event file loadable in Perfetto.
+//! snapshot of a fast-forwarding pipeline scenario (Prometheus text, or
+//! JSON for `.json` paths); `--trace PATH` writes a Chrome trace-event file
+//! of the same scenario, loadable in Perfetto.
 
 use std::path::PathBuf;
 
 use evolve_bench::{
-    backend_grid, batch_grid, delta_grid, ff_grid, format_row, header, partition_grid,
-    sweep_measurements, total_engine_stats, write_backend_report, BackendPoint, BatchPoint,
-    DeltaPoint, FfPoint, PartitionPoint,
+    backend_grid, batch_grid, delta_grid, exit_unless_exact, ff_grid, format_row, header,
+    measure, partition_grid, total_engine_stats, write_backend_report, BackendPoint, BatchPoint,
+    DeltaPoint, FfPoint, Fidelity, PartitionPoint,
 };
 use evolve_core::{derive_tdg, synthetic};
 use evolve_explore::{
     default_grid, run_sweep, trace_scenario, ModelKind, ModelSpec, ScenarioSpec, SweepConfig,
-    SweepReport, TraceSpec,
+    TraceSpec,
 };
+use evolve_model::{varying_sizes, Environment, Stimulus};
 
 fn backend_section(targets: &[usize], budget: u64, reps: usize) -> Vec<BackendPoint> {
     println!("== engine backends: per-iteration ComputeInstant() cost ==");
@@ -238,9 +242,9 @@ fn write_report(
 }
 
 /// A saturating fixed-size pipeline stimulus the fast-forward detector
-/// promotes — the exemplar scenario behind `--trace` (and `--metrics` in
-/// quick mode), so the exported telemetry demonstrates exact
-/// observation-time usage across template replay.
+/// promotes — the exemplar scenario behind `--metrics` and `--trace`, so
+/// the exported telemetry demonstrates exact observation-time usage across
+/// template replay.
 fn telemetry_scenario(tokens: u64) -> ScenarioSpec {
     ScenarioSpec {
         label: "telemetry-pipeline".into(),
@@ -259,27 +263,13 @@ fn telemetry_scenario(tokens: u64) -> ScenarioSpec {
     }
 }
 
-/// Writes the `--metrics` / `--trace` artifacts. `report` is the main
-/// sweep's report when one ran (full mode); otherwise a one-scenario
-/// telemetry sweep is run on the spot.
-fn write_telemetry(
-    metrics: Option<&PathBuf>,
-    trace: Option<&PathBuf>,
-    report: Option<&SweepReport>,
-    tokens: u64,
-) {
+/// Writes the `--metrics` / `--trace` artifacts of the telemetry scenario.
+fn write_telemetry(metrics: Option<&PathBuf>, trace: Option<&PathBuf>, tokens: u64) {
     if let Some(path) = metrics {
-        let standalone;
-        let report = match report {
-            Some(r) => r,
-            None => {
-                standalone = run_sweep(
-                    &[telemetry_scenario(tokens)],
-                    &SweepConfig { telemetry: true, ..SweepConfig::default() },
-                );
-                &standalone
-            }
-        };
+        let report = run_sweep(
+            &[telemetry_scenario(tokens)],
+            &SweepConfig { telemetry: true, ..SweepConfig::default() },
+        );
         report.write_metrics(path).expect("metrics written");
         println!("telemetry metrics written to {}", path.display());
     }
@@ -568,90 +558,44 @@ fn main() {
             d.gain(),
             p.nodes
         );
-        write_telemetry(metrics.as_ref(), trace.as_ref(), None, tokens.min(500));
+        write_telemetry(metrics.as_ref(), trace.as_ref(), tokens.min(500));
         return;
     }
 
     println!("Fig. 5 reproduction — speed-up vs. graph node count");
     println!(
-        "stimulus: {tokens} tokens; reference kernel dispatch cost {cost} ns; {threads} sweep threads"
+        "stimulus: {tokens} tokens; both models on the DES kernel at {cost} ns/dispatch, best of \
+         3 runs each"
     );
     println!("(paper: curves for X sizes 6/10/20/30; flat < 100 nodes, slow-down > 1000)");
     println!();
 
+    println!("{}", header());
+    let mut measurements = Vec::new();
     // Pipeline stages chosen so the derived X vector sizes bracket the
     // paper's 6/10/20/30.
-    let stage_counts = [2usize, 3, 6, 10];
-    let paddings = [0usize, 10, 30, 100, 300, 1_000, 3_000];
-
-    let scenarios: Vec<ScenarioSpec> = stage_counts
-        .iter()
-        .flat_map(|&stages| {
-            paddings.iter().map(move |&padding| ScenarioSpec {
-                label: format!("s{stages}p{padding}"),
-                model: ModelSpec {
-                    kind: ModelKind::Pipeline { stages, base: 200, per_unit: 2 },
-                    padding,
-                    backend: Default::default(),
-                },
-                trace: TraceSpec {
-                    tokens,
-                    min_size: 1,
-                    max_size: 64,
-                    mean_period: 0,
-                    seed: stages as u64,
-                },
-            })
-        })
-        .collect();
-
-    let report = run_sweep(
-        &scenarios,
-        &SweepConfig {
-            threads,
-            compare_conventional: true,
-            reference_dispatch_cost_ns: cost,
-            telemetry: metrics.is_some(),
-            ..SweepConfig::default()
-        },
-    );
-    let measurements = sweep_measurements(&report);
-
-    println!(
-        "{:<9} {:>8} {}",
-        "X size",
-        "padding",
-        header().split_once(' ').map_or("", |(_, rest)| rest.trim_start())
-    );
-    for (scenario, m) in scenarios.iter().zip(&measurements) {
-        let (stages, padding) = match scenario.model.kind {
-            ModelKind::Pipeline { stages, .. } => (stages, scenario.model.padding),
-            _ => unreachable!("fig5 sweeps pipelines only"),
-        };
-        let x_size = derive_tdg(&synthetic::pipeline(stages, 200, 2).expect("builds").arch)
-            .expect("derives")
-            .tdg()
-            .node_count()
-            - 1;
-        let row = format_row(m);
-        let columns = row.split_once(' ').map_or("", |(_, rest)| rest.trim_start());
-        println!("{:<9} {:>8} {}", format!("X={x_size}"), padding, columns);
+    for stages in [2usize, 3, 6, 10] {
+        let p = synthetic::pipeline(stages, 200, 2).expect("pipeline builds");
+        let x_size = derive_tdg(&p.arch).expect("derives").tdg().node_count() - 1;
+        let env = Environment::new().stimulus(
+            p.input,
+            Stimulus::saturating(tokens, varying_sizes(1, 64, stages as u64)),
+        );
+        for padding in [0usize, 10, 30, 100, 300, 1_000, 3_000] {
+            let label = format!("X={x_size} +{padding}");
+            let m = measure(label, &p.arch, &env, Fidelity::Observing, cost, padding);
+            println!("{}", format_row(&m));
+            measurements.push(m);
+        }
+        println!();
     }
-    println!();
-
     let totals = total_engine_stats(&measurements);
-    println!(
-        "sweep: {} scenarios on {} threads in {:.3} ms, {} engines reused;",
-        report.scenarios.len(),
-        report.threads,
-        report.wall.as_secs_f64() * 1e3,
-        report.reused_count(),
-    );
     println!(
         "engine totals: {} nodes computed, {} arc evaluations, {} iterations",
         totals.nodes_computed, totals.arcs_evaluated, totals.iterations_completed
     );
     println!();
+    exit_unless_exact(measurements.iter().all(|m| m.accurate));
 
     // The backend comparison underlying the overhead curve: the compiled
     // CSR sweep against the worklist, pure engine cost, no kernel.
@@ -693,5 +637,5 @@ fn main() {
         &delta_points,
         &partition_points,
     );
-    write_telemetry(metrics.as_ref(), trace.as_ref(), Some(&report), tokens.min(500));
+    write_telemetry(metrics.as_ref(), trace.as_ref(), tokens.min(500));
 }

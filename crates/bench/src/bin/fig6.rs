@@ -7,7 +7,8 @@
 //! print the computational complexity per time unit (GOPS) of the DSP and
 //! of the dedicated hardware, derived purely from computed intermediate
 //! instants (the observation-time axis). The same series from the
-//! conventional model is diffed to confirm exactness.
+//! conventional model is diffed to confirm exactness; the harness exits
+//! with status 1 when either series differs.
 //!
 //! The receiver is evaluated through the sweep primitives: frame-count
 //! scenarios fan out over [`parallel_map_with`] workers, each holding one
@@ -17,6 +18,7 @@
 //!
 //! Usage: `fig6 [frames] [threads]` (defaults: 1 frame, host parallelism).
 
+use evolve_bench::exit_unless_exact;
 use evolve_core::{derive_tdg, Engine};
 use evolve_explore::{drive_engine, parallel_map_with, ScenarioOutcome};
 use evolve_lte::{frame_stimulus, receiver, Scenario, SYMBOLS_PER_FRAME};
@@ -78,6 +80,7 @@ fn main() {
 
     // (b)/(c) usage over the observation time, from computed instants only.
     let bin = 20_000; // 20 µs bins
+    let mut all_exact = true;
     for (tag, resource, description) in [
         ("(b)", rx.dsp, "digital signal processor"),
         ("(c)", rx.decoder_hw, "dedicated hardware resource"),
@@ -85,6 +88,7 @@ fn main() {
         let computed = UsageSeries::from_records(&equivalent.exec_records, resource, bin);
         let simulated = UsageSeries::from_records(&conventional.exec_records, resource, bin);
         let exact = computed == simulated;
+        all_exact &= exact;
         println!(
             "{tag} {description} — GOPS per {} µs bin (peak {:.2}, {} bins){}",
             bin / 1_000,
@@ -131,4 +135,5 @@ fn main() {
         equivalent.engine_stats.iterations_completed,
         outcomes.len(),
     );
+    exit_unless_exact(all_exact);
 }

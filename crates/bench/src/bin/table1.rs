@@ -7,16 +7,16 @@
 //! execution time, event ratio, simulation speed-up, and the node count of
 //! the temporal dependency graph.
 //!
-//! The four rows are one scenario sweep: each chain length is a
-//! [`ScenarioSpec`] evaluated by driving a reused engine directly, with the
-//! conventional reference simulated per row (optionally calibrated to the
-//! paper's heavyweight-simulator regime).
+//! Each row is one [`measure`]: both models run on the DES kernel at the
+//! same dispatch cost, the way the paper times its equivalent model on the
+//! simulator. Exits with status 1 when any row is not `exact`.
 //!
-//! Usage: `table1 [tokens] [dispatch_cost_ns] [threads]`
+//! Usage: `table1 [tokens] [dispatch_cost_ns]`
 //! (defaults: 20 000 tokens; both native and 1 µs-calibrated regimes).
 
-use evolve_bench::{format_row, header, sweep_measurements, total_engine_stats};
-use evolve_explore::{run_sweep, ModelKind, ModelSpec, ScenarioSpec, SweepConfig, TraceSpec};
+use evolve_bench::{
+    exit_unless_exact, format_row, header, measure, table1_example, total_engine_stats, Fidelity,
+};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -28,54 +28,33 @@ fn main() {
         Some(s) => vec![s.parse().expect("dispatch cost must be a number")],
         None => vec![0, 1_000],
     };
-    let threads: usize = args
-        .next()
-        .map(|s| s.parse().expect("threads must be a number"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
 
     println!("Table I reproduction — didactic example chained x1..x4");
-    println!("stimulus: {tokens} data items with varying sizes through M1; {threads} sweep threads");
+    println!(
+        "stimulus: {tokens} data items with varying sizes through M1; both models on the DES \
+         kernel, best of 3 runs each"
+    );
     println!();
 
-    let scenarios: Vec<ScenarioSpec> = (1..=4usize)
-        .map(|stages| ScenarioSpec {
-            label: format!("example {stages}"),
-            model: ModelSpec {
-                kind: ModelKind::Didactic { stages },
-                padding: 0,
-                backend: Default::default(),
-            },
-            trace: TraceSpec {
-                tokens,
-                min_size: 1,
-                max_size: 256,
-                mean_period: 0,
-                seed: stages as u64,
-            },
-        })
-        .collect();
-
+    let mut exact = true;
     for cost in costs {
         let regime = if cost == 0 {
-            "native reference kernel (~50 ns/dispatch)".to_string()
+            "native kernel (~50 ns/dispatch)".to_string()
         } else {
-            format!("calibrated reference kernel ({cost} ns/dispatch — heavyweight-simulator regime)")
+            format!("calibrated kernel ({cost} ns/dispatch — heavyweight-simulator regime)")
         };
         println!("== {regime} ==");
         println!("{}", header());
-        let report = run_sweep(
-            &scenarios,
-            &SweepConfig {
-                threads,
-                compare_conventional: true,
-                reference_dispatch_cost_ns: cost,
-                ..SweepConfig::default()
-            },
-        );
-        let measurements = sweep_measurements(&report);
-        for m in &measurements {
-            println!("{}", format_row(m));
-        }
+        let measurements: Vec<_> = (1..=4usize)
+            .map(|stages| {
+                let (d, env) = table1_example(stages, tokens);
+                let label = format!("example {stages}");
+                let m = measure(label, &d.arch, &env, Fidelity::Observing, cost, 0);
+                println!("{}", format_row(&m));
+                m
+            })
+            .collect();
+        exact &= measurements.iter().all(|m| m.accurate);
         let totals = total_engine_stats(&measurements);
         println!(
             "engine totals: {} nodes computed, {} arc evaluations, {} iterations",
@@ -85,4 +64,5 @@ fn main() {
     }
     println!("paper reference:   time 22/41.2/59.4/80.2 s, event ratio 2.33/4.66/7/9.33,");
     println!("                   speed-up 2.27/4.47/6.38/8.35, nodes 10/19/28/37");
+    exit_unless_exact(exact);
 }

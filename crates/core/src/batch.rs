@@ -88,8 +88,8 @@ use crate::engine::{derived_size, exec_term, AllocationFootprint, EmissionLog, H
 use crate::error::EngineError;
 use crate::kernel;
 use crate::periodic::{
-    self, CallObservation, FastForward, FastForwardStats, Observed, PeriodicConfig, PeriodicState,
-    ReplayPlan, TailObservation,
+    self, CallObservation, FastForward, FastForwardStats, Observed, PeriodicState, ReplayPlan,
+    TailObservation, DEFAULT_CONFIRM_PERIODS,
 };
 use crate::tdg::{NodeKind, Tdg};
 
@@ -358,7 +358,7 @@ pub struct BatchedEngine {
     stats: EngineCounters,
     // -- periodic fast-forward (see crate::periodic) -----------------------
     fast_forward: FastForward,
-    ff_cfg: PeriodicConfig,
+    ff_confirm_periods: u64,
     ff_eligible: bool,
     /// Distinct `k`-periods of all execution loads; `None` when some load
     /// is aperiodic in `k` (which makes the batch ineligible).
@@ -574,7 +574,7 @@ impl BatchedEngine {
             logs,
             stats: EngineCounters::default(),
             fast_forward: FastForward::Off,
-            ff_cfg: PeriodicConfig::default(),
+            ff_confirm_periods: DEFAULT_CONFIRM_PERIODS,
             ff_eligible,
             ff_load_periods,
             ff_lanes: Vec::new(),
@@ -652,10 +652,10 @@ impl BatchedEngine {
     }
 
     /// Enables or disables per-lane periodic steady-state fast-forward with
-    /// default [`PeriodicConfig`] tuning — see
+    /// the default confirmation window ([`DEFAULT_CONFIRM_PERIODS`]) — see
     /// [`BatchedEngine::set_fast_forward_with`].
     pub fn set_fast_forward(&mut self, ff: FastForward) {
-        self.set_fast_forward_with(ff, PeriodicConfig::default());
+        self.set_fast_forward_with(ff, DEFAULT_CONFIRM_PERIODS);
     }
 
     /// Enables or disables per-lane periodic steady-state fast-forward.
@@ -667,19 +667,20 @@ impl BatchedEngine {
     /// lane reconstructs the shared lane blocks for every active lane from
     /// the templates, demotes just the lanes that broke (the others keep
     /// their templates), and resumes the lockstep sweep. Observables stay
-    /// bitwise identical to a never-promoted batch.
+    /// bitwise identical to a never-promoted batch. `confirm_periods` is as
+    /// in [`Engine::set_fast_forward_with`](crate::Engine::set_fast_forward_with).
     ///
     /// # Panics
     ///
     /// Panics when called after offers have started: pick the mode before
     /// driving the batch (or right after [`BatchedEngine::reset`]).
-    pub fn set_fast_forward_with(&mut self, ff: FastForward, cfg: PeriodicConfig) {
+    pub fn set_fast_forward_with(&mut self, ff: FastForward, confirm_periods: u64) {
         assert_eq!(
             self.next_k, 0,
             "set the fast-forward mode before offering inputs"
         );
         self.fast_forward = ff;
-        self.ff_cfg = cfg;
+        self.ff_confirm_periods = confirm_periods;
         self.ff_engaged = false;
         self.ff_lanes = match (ff, self.ff_eligible) {
             (FastForward::On, true) => (0..self.lanes).map(|_| self.new_detector()).collect(),
@@ -716,7 +717,7 @@ impl BatchedEngine {
 
     fn new_detector(&self) -> PeriodicState {
         PeriodicState::new(
-            self.ff_cfg,
+            self.ff_confirm_periods,
             self.horizon,
             self.ff_load_periods
                 .clone()

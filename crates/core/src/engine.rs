@@ -58,7 +58,7 @@ use crate::derive::{DerivedTdg, SizeRule};
 use crate::error::EngineError;
 use crate::periodic::{
     self, CallEmissions, CallObservation, ExecEmission, FastForward, FastForwardStats, Observed,
-    OutputEmission, PeriodicConfig, PeriodicState, ReplayPlan, TailObservation, Template,
+    OutputEmission, PeriodicState, ReplayPlan, TailObservation, Template, DEFAULT_CONFIRM_PERIODS,
 };
 use crate::tdg::{NodeId, NodeKind, Tdg, Weight};
 
@@ -1209,10 +1209,11 @@ impl Engine {
         self.compiled.as_deref()
     }
 
-    /// Enables or disables periodic steady-state fast-forward with default
-    /// [`PeriodicConfig`] tuning — see [`Engine::set_fast_forward_with`].
+    /// Enables or disables periodic steady-state fast-forward with the
+    /// default confirmation window ([`DEFAULT_CONFIRM_PERIODS`]) — see
+    /// [`Engine::set_fast_forward_with`].
     pub fn set_fast_forward(&mut self, ff: FastForward) {
-        self.set_fast_forward_with(ff, PeriodicConfig::default());
+        self.set_fast_forward_with(ff, DEFAULT_CONFIRM_PERIODS);
     }
 
     /// Enables or disables periodic steady-state fast-forward.
@@ -1224,12 +1225,14 @@ impl Engine {
     /// instead of sweeping the compiled schedule — bitwise identical
     /// outputs, logs, records and statistics. An offer that breaks the
     /// pattern demotes back to the compiled sweep transparently.
+    /// `confirm_periods` is the confirmation window, in verified periods
+    /// after the reference period (raised to at least 2).
     ///
     /// # Panics
     ///
     /// Panics when called after offers have started: pick the mode before
     /// driving the engine (or right after [`Engine::reset`]).
-    pub fn set_fast_forward_with(&mut self, ff: FastForward, cfg: PeriodicConfig) {
+    pub fn set_fast_forward_with(&mut self, ff: FastForward, confirm_periods: u64) {
         assert!(
             self.next_input_k.iter().all(|&k| k == 0),
             "set the fast-forward mode before offering inputs"
@@ -1237,7 +1240,7 @@ impl Engine {
         self.fast_forward = ff;
         self.periodic = match (ff, self.ff_eligible) {
             (FastForward::On, true) => Some(Box::new(PeriodicState::new(
-                cfg,
+                confirm_periods,
                 u64::from(self.tdg.max_delay()),
                 self.ff_load_periods
                     .clone()

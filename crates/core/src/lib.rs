@@ -94,6 +94,6 @@ pub use parallel::ParallelConfig;
 pub use partial::{hybrid_simulation, partition, HybridReport, HybridSimulation, Partition, PartitionError};
 pub use periodic::{
     predict_periodic_regime, DetectedPeriod, FastForward, FastForwardStats, OraclePrediction,
-    PeriodicConfig,
+    DEFAULT_CONFIRM_PERIODS,
 };
 pub use tdg::{Arc, ExecTerm, Node, NodeId, NodeKind, Tdg, TdgBuilder, Weight};

@@ -46,8 +46,9 @@
 //!
 //! `Idle` → (offer scan finds a candidate period) → `Confirming` (one
 //! reference period is captured per position, then at least
-//! [`PeriodicConfig::confirm_periods`] further periods establish and verify
-//! the per-node and per-emission deltas) → `Promoted` (O(1) replay). Any
+//! `confirm_periods` further periods — [`DEFAULT_CONFIRM_PERIODS`] unless the
+//! caller widens the window — establish and verify the per-node and
+//! per-emission deltas) → `Promoted` (O(1) replay). Any
 //! offer that breaks the pattern — during confirmation or after promotion —
 //! **demotes**: the engine reconstructs the iteration ring from the
 //! template (`refs[pos] + m·D`) and resumes the compiled sweep; the offer
@@ -79,29 +80,17 @@ pub enum FastForward {
     Off,
 }
 
-/// Tuning knobs of the periodic-regime detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeriodicConfig {
-    /// Largest input-offer period considered by the scanner.
-    pub period_max: u64,
-    /// Verified periods required after the reference period before
-    /// promotion (at least 2: one establishes the deltas, one confirms
-    /// their linearity). The window additionally extends until
-    /// `max_delay + 1` iterations are verified.
-    pub confirm_periods: u64,
-    /// Offer-history rescan cadence while idle, in calls.
-    pub scan_interval: u64,
-}
+/// Verified periods the detector requires after the reference period
+/// before promotion, unless the caller widens the window (never fewer than
+/// 2: one establishes the deltas, one confirms their linearity). The window
+/// additionally extends until `max_delay + 1` iterations are verified.
+pub const DEFAULT_CONFIRM_PERIODS: u64 = 2;
 
-impl Default for PeriodicConfig {
-    fn default() -> Self {
-        PeriodicConfig {
-            period_max: 32,
-            confirm_periods: 2,
-            scan_interval: 8,
-        }
-    }
-}
+/// Largest input-offer period considered by the scanner.
+const PERIOD_MAX: u64 = 32;
+
+/// Offer-history rescan cadence while idle, in calls.
+const SCAN_INTERVAL: u64 = 8;
 
 /// Hard cap on the effective template period after extending a detected
 /// offer period to the LCM of the load periods.
@@ -499,7 +488,7 @@ pub(crate) enum Observed {
 /// batch lane).
 #[derive(Debug)]
 pub(crate) struct PeriodicState {
-    cfg: PeriodicConfig,
+    confirm_periods: u64,
     max_delay: u64,
     /// Distinct `k`-periods of the graph's loads (all finite, or the engine
     /// would not have built this state).
@@ -511,14 +500,9 @@ pub(crate) struct PeriodicState {
 }
 
 impl PeriodicState {
-    pub(crate) fn new(cfg: PeriodicConfig, max_delay: u64, load_periods: Vec<u64>) -> Self {
-        let cfg = PeriodicConfig {
-            period_max: cfg.period_max.clamp(1, MAX_EFFECTIVE_PERIOD),
-            confirm_periods: cfg.confirm_periods.max(2),
-            scan_interval: cfg.scan_interval.max(1),
-        };
+    pub(crate) fn new(confirm_periods: u64, max_delay: u64, load_periods: Vec<u64>) -> Self {
         PeriodicState {
-            cfg,
+            confirm_periods: confirm_periods.max(2),
             max_delay,
             load_periods,
             stats: FastForwardStats::default(),
@@ -604,12 +588,12 @@ impl PeriodicState {
             Mode::Promoted(_) => Observed::Continue,
             Mode::Idle => {
                 self.offers.push_back((obs.at, obs.size));
-                let cap = (2 * self.cfg.period_max + 1) as usize;
+                let cap = (2 * PERIOD_MAX + 1) as usize;
                 while self.offers.len() > cap {
                     self.offers.pop_front();
                 }
                 self.since_scan += 1;
-                if self.since_scan >= self.cfg.scan_interval {
+                if self.since_scan >= SCAN_INTERVAL {
                     self.since_scan = 0;
                     if let Some((p, delta_in)) = self.scan_candidate() {
                         self.mode = Mode::Confirming(Box::new(Confirm {
@@ -628,7 +612,7 @@ impl PeriodicState {
             }
             Mode::Confirming(c) => {
                 let max_delay = self.max_delay;
-                let confirm_periods = self.cfg.confirm_periods;
+                let confirm_periods = self.confirm_periods;
                 match Self::feed_confirm(c, obs, max_delay, confirm_periods) {
                     Some(ready) => {
                         if ready {
@@ -690,7 +674,7 @@ impl PeriodicState {
     /// the load periods.
     fn scan_candidate(&self) -> Option<(u64, u64)> {
         let n = self.offers.len();
-        'periods: for p in 1..=self.cfg.period_max {
+        'periods: for p in 1..=PERIOD_MAX {
             let pu = p as usize;
             if n < 2 * pu + 1 {
                 break;
@@ -1011,15 +995,15 @@ mod tests {
 
     #[test]
     fn lcm_extension() {
-        let st = PeriodicState::new(PeriodicConfig::default(), 1, vec![1, 3]);
+        let st = PeriodicState::new(DEFAULT_CONFIRM_PERIODS, 1, vec![1, 3]);
         assert_eq!(st.extend_by_loads(2, 10), Some((6, 30)));
-        let huge = PeriodicState::new(PeriodicConfig::default(), 1, vec![257]);
+        let huge = PeriodicState::new(DEFAULT_CONFIRM_PERIODS, 1, vec![257]);
         assert_eq!(huge.extend_by_loads(2, 10), None, "capped effective period");
     }
 
     #[test]
     fn scan_finds_smallest_period() {
-        let mut st = PeriodicState::new(PeriodicConfig::default(), 1, vec![1]);
+        let mut st = PeriodicState::new(DEFAULT_CONFIRM_PERIODS, 1, vec![1]);
         for i in 0..9u64 {
             st.offers.push_back((i * 50, 4));
         }
@@ -1036,7 +1020,7 @@ mod tests {
     fn scan_sees_through_periodic_jitter() {
         // i % 3 jitter is itself 3-periodic: the scan must skip the broken
         // period-1 hypothesis and land on the true period.
-        let mut st = PeriodicState::new(PeriodicConfig::default(), 1, vec![1]);
+        let mut st = PeriodicState::new(DEFAULT_CONFIRM_PERIODS, 1, vec![1]);
         for i in 0..9u64 {
             st.offers.push_back((i * 50 + (i % 3), 4));
         }
@@ -1045,7 +1029,7 @@ mod tests {
 
     #[test]
     fn scan_rejects_aperiodic_offers() {
-        let mut st = PeriodicState::new(PeriodicConfig::default(), 1, vec![1]);
+        let mut st = PeriodicState::new(DEFAULT_CONFIRM_PERIODS, 1, vec![1]);
         for i in 0..20u64 {
             st.offers.push_back((i * 50 + i * i, 4));
         }
@@ -1054,8 +1038,7 @@ mod tests {
 
     #[test]
     fn default_config_is_sane() {
-        let c = PeriodicConfig::default();
-        assert!(c.confirm_periods >= 2);
-        assert!(c.period_max >= 1 && c.period_max <= MAX_EFFECTIVE_PERIOD);
+        const { assert!(DEFAULT_CONFIRM_PERIODS >= 2) };
+        const { assert!(PERIOD_MAX >= 1 && PERIOD_MAX <= MAX_EFFECTIVE_PERIOD) };
     }
 }

@@ -17,7 +17,8 @@
 //! delta chaining of sibling scenarios, for A/B timing runs),
 //! `--partition-threads N` (intra-graph partition workers per engine
 //! sweep, default 1 = serial; bitwise invisible either way), `--compare`
-//! (also run the conventional DES model per scenario), `--out PATH` (report path,
+//! (also run the conventional DES model per scenario, checking accuracy and
+//! the event ratio), `--out PATH` (report path,
 //! default `results/sweep.json`), `--metrics PATH` (enable streaming
 //! telemetry and write a metrics snapshot — Prometheus text exposition, or
 //! JSON when the path ends in `.json`), `--trace PATH` (re-run the first

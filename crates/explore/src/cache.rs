@@ -27,7 +27,7 @@ use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
     derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, Engine, FastForward, FastForwardStats,
-    ParallelConfig, PeriodicConfig,
+    ParallelConfig, DEFAULT_CONFIRM_PERIODS,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
 use evolve_obs::{downcast, DeltaCounters, TelemetrySink};
@@ -58,18 +58,8 @@ impl Default for EngineOptions {
         EngineOptions {
             record_observations: true,
             fast_forward: FastForward::On,
-            ff_confirm_periods: PeriodicConfig::default().confirm_periods,
+            ff_confirm_periods: DEFAULT_CONFIRM_PERIODS,
             partition: None,
-        }
-    }
-}
-
-impl EngineOptions {
-    /// The detector parameters these options translate to.
-    pub fn periodic_config(&self) -> PeriodicConfig {
-        PeriodicConfig {
-            confirm_periods: self.ff_confirm_periods,
-            ..PeriodicConfig::default()
         }
     }
 }
@@ -110,7 +100,7 @@ pub fn prepare(spec: &ModelSpec, options: &EngineOptions) -> PreparedModel {
     let relation_count = arch.app().relations().len();
     let mut engine =
         Engine::with_backend(derived, relation_count, options.record_observations, spec.backend);
-    engine.set_fast_forward_with(options.fast_forward, options.periodic_config());
+    engine.set_fast_forward_with(options.fast_forward, options.ff_confirm_periods);
     if options.partition.is_some() {
         // `None` must not strip the default runtime a `CompiledParallel`
         // backend attaches at construction.
@@ -173,7 +163,7 @@ pub fn prepare_batch(
     let relation_count = arch.app().relations().len();
     let mut engine =
         BatchedEngine::try_new(derived, relation_count, options.record_observations, lanes)?;
-    engine.set_fast_forward_with(options.fast_forward, options.periodic_config());
+    engine.set_fast_forward_with(options.fast_forward, options.ff_confirm_periods);
     let resource_count = arch.platform().len();
     Ok(PreparedBatch {
         engine,
@@ -289,7 +279,7 @@ pub fn drive_prepared(
             // coverage. The configured mode is restored after the drive.
             prepared
                 .engine
-                .set_fast_forward_with(FastForward::Off, options.periodic_config());
+                .set_fast_forward_with(FastForward::Off, options.ff_confirm_periods);
             if let Err(e) = prepared.engine.begin_delta_capture() {
                 delta_outcome = DeltaLaneOutcome::CaptureFailed(e.reason());
             }
@@ -333,7 +323,7 @@ pub fn drive_prepared(
             prepared.engine.reset();
             prepared
                 .engine
-                .set_fast_forward_with(options.fast_forward, options.periodic_config());
+                .set_fast_forward_with(options.fast_forward, options.ff_confirm_periods);
         }
         DeltaMode::Sibling(_) => {
             if matches!(delta_outcome, DeltaLaneOutcome::NotRequested) {

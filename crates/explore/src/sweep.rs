@@ -280,15 +280,13 @@ pub struct ScenarioResult {
 }
 
 /// Results of re-running a scenario on the conventional discrete-event
-/// model (requested via [`SweepConfig::compare_conventional`]).
+/// model (requested via [`SweepConfig::compare_conventional`]): an accuracy
+/// and event-ratio check. It carries no speed-up: the engine drive runs
+/// without a kernel, so it has nothing to race the conventional run's.
 #[derive(Clone, Debug)]
 pub struct ReferenceComparison {
-    /// Host wall-clock time of the conventional run.
-    pub wall: HostDuration,
     /// Relation-exchange events the conventional kernel simulated.
     pub events: u64,
-    /// Process activations (context switches) of the conventional run.
-    pub activations: u64,
     /// Whether output instants agreed exactly with the engine drive.
     pub accurate: bool,
 }
@@ -300,13 +298,6 @@ impl ScenarioResult {
         self.reference
             .as_ref()
             .map(|r| r.events as f64 / self.outcome.boundary_events.max(1) as f64)
-    }
-
-    /// Wall-clock speed-up against the conventional reference.
-    pub fn speedup(&self) -> Option<f64> {
-        self.reference
-            .as_ref()
-            .map(|r| r.wall.as_secs_f64() / self.wall.as_secs_f64().max(1e-12))
     }
 }
 
@@ -322,11 +313,6 @@ pub struct SweepConfig {
     /// Also run the conventional discrete-event model per scenario and
     /// record the comparison ([`ScenarioResult::reference`]).
     pub compare_conventional: bool,
-    /// Per-activation host cost (ns) calibrated into the conventional
-    /// reference kernel — the heavyweight-simulator regime of the paper's
-    /// Table I. `0` = the kernel's native dispatch cost. The engine drive
-    /// has no kernel, so this only affects the reference side.
-    pub reference_dispatch_cost_ns: u64,
     /// Maximum lanes per [`BatchedEngine`] batch. `1` (the default)
     /// disables batching entirely and every scenario takes the scalar
     /// path; see `docs/SWEEP.md` for tuning guidance.
@@ -365,7 +351,6 @@ impl Default for SweepConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             record_observations: true,
             compare_conventional: false,
-            reference_dispatch_cost_ns: 0,
             batch_width: 1,
             fast_forward: FastForward::On,
             telemetry: false,
@@ -606,11 +591,9 @@ fn scenario_json(s: &ScenarioResult) -> Json {
         fields.push((
             "reference",
             Json::object([
-                ("wall_ns", Json::U64(r.wall.as_nanos() as u64)),
                 ("events", Json::U64(r.events)),
                 ("accurate", Json::Bool(r.accurate)),
                 ("event_ratio", Json::F64(s.event_ratio().unwrap_or(0.0))),
-                ("speedup", Json::F64(s.speedup().unwrap_or(0.0))),
             ]),
         ));
     }
@@ -830,22 +813,16 @@ fn reference_for(
     output: RelationId,
     stimulus: &Stimulus,
     outcome: &ScenarioOutcome,
-    config: &SweepConfig,
 ) -> ReferenceComparison {
     let env = Environment::new().stimulus(input, stimulus.clone());
-    let mut sim = elaborate(arch, &env).expect("conventional model builds");
-    sim.kernel_mut()
-        .set_dispatch_cost_ns(config.reference_dispatch_cost_ns);
-    let report = sim.run();
+    let report = elaborate(arch, &env).expect("conventional model builds").run();
     let accurate = report
         .instants(output)
         .iter()
         .map(|t| t.ticks())
         .eq(outcome.outputs.iter().map(|&(_, y, _)| y));
     ReferenceComparison {
-        wall: report.wall,
         events: report.relation_events(),
-        activations: report.stats.activations,
         accurate,
     }
 }
@@ -874,7 +851,6 @@ fn evaluate_inner(
             prepared.output,
             &stimulus,
             &drive.outcome,
-            config,
         )
     });
 
@@ -1139,7 +1115,6 @@ fn evaluate_batch(
                     prepared.output,
                     &stimulus,
                     &outcome,
-                    config,
                 )
             });
             ScenarioResult {

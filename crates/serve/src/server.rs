@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{kernel, EvalBackend, FastForward, ParallelConfig, PeriodicConfig};
+use evolve_core::{kernel, EvalBackend, FastForward, ParallelConfig, DEFAULT_CONFIRM_PERIODS};
 use evolve_explore::cache::EngineOptions;
 use evolve_explore::{ModelKind, ModelSpec};
 use evolve_obs::{prometheus, FlightRecorder, MetricsSnapshot, ServeGauges};
@@ -109,7 +109,7 @@ impl Default for ServeConfig {
             max_model_padding: 1 << 16,
             record_observations: false,
             fast_forward: FastForward::On,
-            ff_confirm_periods: PeriodicConfig::default().confirm_periods,
+            ff_confirm_periods: DEFAULT_CONFIRM_PERIODS,
             delta: true,
             naive: false,
             telemetry: true,
