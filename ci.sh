@@ -7,6 +7,14 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# Committed results must come out of this run unchanged: a step that
+# rewrites one (say, a full harness run writing a gate's baseline) would
+# otherwise re-baseline silently. Checksummed here, compared after the
+# daemon smoke. The gitignored *_smoke.json files are the steps' own
+# outputs and are left out.
+mapfile -t results_files < <(find results -type f ! -name '*_smoke.json' | sort)
+results_sums="$(sha256sum "${results_files[@]}")"
+
 cargo build --release --offline
 cargo test -q --workspace --offline
 # The serving layer again in release: its timing (metrics publish
@@ -60,13 +68,6 @@ cargo test -q -p evolve-core --test delta_conformance --offline
 # explicit so a telemetry regression is named in the CI log).
 cargo test -q -p evolve-core --test observer_conformance --offline
 
-# Partition conformance: the intra-graph partitioned sweep at 2, 3 and 4
-# workers, including fast-forward and delta composition and the threads=1
-# degenerate, must stay bitwise identical to the serial compiled sweep
-# (also part of the workspace run above; kept explicit so a partition
-# regression is named in the CI log).
-cargo test -q -p evolve-core --test partition_conformance --offline
-
 # Table I smoke: the four chained didactic examples, conventional and
 # equivalent model both on the native DES kernel (2000 tokens each). The
 # harness exits 1 when any row's boundary instants are not exact.
@@ -82,14 +83,11 @@ cargo run --release -q -p evolve-bench --bin table1 --offline -- 2000 0
 # Also the disabled-observer overhead gate: the compiled hot path — which
 # carries the (detached) observer hooks — must keep its compiled/worklist
 # cost ratio within EVOLVE_OVERHEAD_TOLERANCE (default 10%) of the
-# committed results/bench_engine.json baseline's ratio, the width-8
-# batching gain must stay within EVOLVE_BATCH_TOLERANCE (default 10%) of
-# the committed grid's gain (ratios measured within one run, so uniform
-# host wall-clock drift cancels), and a width-8 batch must dispatch to
-# the lane-chunked fold kernels. The quick run also smokes the partition
-# grid: a 2-worker partitioned sweep must match the serial checksum (the
-# speed gate applies only on multi-core hosts — partition workers on one
-# core merely take turns).
+# baseline ratio in results/fig5_gates.json, the width-8 batching gain
+# must stay within EVOLVE_BATCH_TOLERANCE (default 10%) of that file's
+# gain (ratios measured within one run, so uniform host wall-clock drift
+# cancels), and a width-8 batch must dispatch to the lane-chunked fold
+# kernels. A missing baseline fails the gates.
 cargo run --release -q -p evolve-bench --bin fig5 --offline -- --quick
 
 # Daemon smoke: boot the real `evolved` binary on a loopback unix socket
@@ -125,8 +123,14 @@ kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "ci: evolved did not exit 0 on SIGTERM" >&2; exit 1; }
 serve_pid=""
 
+if ! changed="$(sha256sum --quiet -c <<<"$results_sums" 2>&1)"; then
+    echo "ci: a step rewrote committed results:" >&2
+    echo "$changed" >&2
+    exit 1
+fi
+
 # Informational, no gate: non-comment source lines per crate
 # (tools/loc.py skips blank lines, `//` comments and `#[cfg(test)]` items).
 python3 tools/loc.py | grep -E '\(total\)$| all$'
 
-echo "ci: build, tests, clippy, conformance suites, Table I and bench smokes, and daemon smoke all green"
+echo "ci: build, tests, clippy, conformance suites, Table I and bench smokes, daemon smoke, and unchanged results all green"

@@ -14,15 +14,11 @@
 //! after printing the table, when any cell is not `exact`. A second grid
 //! compares the engine's evaluation backends (worklist vs.
 //! compiled CSR sweep) directly — per-iteration `ComputeInstant()` cost at
-//! 10/100/1000/5000 nodes — a third measures the periodic
-//! steady-state fast-forward (O(1) template replay vs the full sweep), and
-//! a fourth measures delta evaluation against a captured sibling cache,
-//! and a fifth measures the intra-graph partitioned sweep against the
-//! serial compiled sweep on wide padded graphs up to 200 000 nodes; all
-//! are written to
-//! `results/bench_engine.json`. Partition rows publish within-run ratios
-//! (serial and partitioned cost measured seconds apart in one process)
-//! because absolute nanoseconds drift with host load.
+//! 10/100/1000/5000 nodes — a third measures lockstep batching across
+//! batch widths, a fourth the periodic steady-state fast-forward (O(1)
+//! template replay vs the full sweep), and a fifth delta evaluation
+//! against a captured sibling cache; all are written to
+//! `results/bench_engine.json`.
 //!
 //! Usage: `fig5 [tokens] [dispatch_cost_ns] [threads] [--quick]
 //! [--metrics PATH] [--trace PATH]`
@@ -34,26 +30,25 @@
 //! fast-forward > sweep, delta > full, that a delta-chained sweep over the
 //! default 256-scenario grid is bitwise identical to the full compiled
 //! path, that a width-8 batch actually dispatches to the lane-chunked
-//! fold kernels, that a 2-worker partitioned sweep matches the serial
-//! checksum (and beats serial where the host has >= 2 cores), that the
-//! detached-observer
-//! compiled/worklist cost ratio
+//! fold kernels, that the detached-observer compiled/worklist cost ratio
 //! stays within `EVOLVE_OVERHEAD_TOLERANCE` — default 10% — of the
-//! committed `results/bench_engine.json` baseline's ratio, and that the
-//! width-8 batching gain stays within `EVOLVE_BATCH_TOLERANCE` — default
-//! 10% — of the committed grid's gain), writing to
-//! `results/bench_engine_smoke.json` so the committed full-grid artifact
-//! is not clobbered. `--metrics PATH` writes a streaming-telemetry
-//! snapshot of a fast-forwarding pipeline scenario (Prometheus text, or
-//! JSON for `.json` paths); `--trace PATH` writes a Chrome trace-event file
-//! of the same scenario, loadable in Perfetto.
+//! baseline ratio in `results/fig5_gates.json`, and that the width-8
+//! batching gain stays within `EVOLVE_BATCH_TOLERANCE` — default 10% —
+//! of that file's gain), writing to `results/bench_engine_smoke.json` so
+//! the committed full-grid artifact is not clobbered. No run writes
+//! `fig5_gates.json`: re-baselining the gates is an explicit copy of a
+//! full run's `points` and `batch_points` into it. `--metrics PATH`
+//! writes a streaming-telemetry snapshot of a fast-forwarding pipeline
+//! scenario (Prometheus text, or JSON for `.json` paths); `--trace PATH`
+//! writes a Chrome trace-event file of the same scenario, loadable in
+//! Perfetto.
 
 use std::path::PathBuf;
 
 use evolve_bench::{
-    backend_grid, batch_grid, delta_grid, exit_unless_exact, ff_grid, format_row, header,
-    measure, partition_grid, total_engine_stats, write_backend_report, BackendPoint, BatchPoint,
-    DeltaPoint, FfPoint, Fidelity, PartitionPoint,
+    backend_grid, batch_grid, delta_grid, exit_unless_exact, ff_grid, format_row, header, measure,
+    total_engine_stats, write_backend_report, BackendPoint, BatchPoint, DeltaPoint, FfPoint,
+    Fidelity,
 };
 use evolve_core::{derive_tdg, synthetic};
 use evolve_explore::{
@@ -128,37 +123,6 @@ fn ff_section(targets: &[usize], budget: u64, reps: usize) -> Vec<FfPoint> {
     points
 }
 
-/// Partitioned level-parallel sweep against the serial compiled sweep on
-/// wide padded graphs; the gain column is a within-run ratio against the
-/// serial baseline measured in the same process, and every partitioned
-/// run is bitwise-checked against the serial checksum inside the grid
-/// itself.
-fn partition_section(
-    targets: &[usize],
-    thread_counts: &[usize],
-    budget: u64,
-    reps: usize,
-) -> Vec<PartitionPoint> {
-    println!("== partitioned sweep: intra-graph workers vs serial compiled ==");
-    println!(
-        "{:>7} {:>4} {:>12} {:>13} {:>13} {:>8}",
-        "nodes", "P", "iterations", "serial ns/it", "barrier ns/it", "b gain"
-    );
-    let points = partition_grid(targets, thread_counts, budget, reps);
-    for p in &points {
-        println!(
-            "{:>7} {:>4} {:>12} {:>13.1} {:>13.1} {:>8.2}",
-            p.nodes,
-            p.threads,
-            p.iterations,
-            p.serial_ns,
-            p.barrier_ns,
-            p.barrier_speedup(),
-        );
-    }
-    points
-}
-
 /// Full-evaluation cost against a sibling diffing the captured base cache;
 /// the `gain` column is full over delta cost per iteration (> 1 means
 /// delta evaluation pays).
@@ -226,18 +190,10 @@ fn write_report(
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
     delta_points: &[DeltaPoint],
-    partition_points: &[PartitionPoint],
 ) {
     let path = std::path::Path::new(out);
-    write_backend_report(
-        path,
-        points,
-        batch_points,
-        ff_points,
-        delta_points,
-        partition_points,
-    )
-    .expect("backend report written");
+    write_backend_report(path, points, batch_points, ff_points, delta_points)
+        .expect("backend report written");
     println!("engine grids written to {}", path.display());
 }
 
@@ -283,14 +239,23 @@ fn write_telemetry(metrics: Option<&PathBuf>, trace: Option<&PathBuf>, tokens: u
     }
 }
 
+/// The committed baseline of the quick-mode gates: the `points` and
+/// `batch_points` arrays of a full run's `bench_engine.json`, copied by
+/// hand, so regenerating Fig. 5 never moves the gates.
+const GATES_BASELINE: &str = "results/fig5_gates.json";
+
+/// Reads [`GATES_BASELINE`]; a gate without its baseline fails.
+fn gates_baseline() -> String {
+    std::fs::read_to_string(GATES_BASELINE)
+        .unwrap_or_else(|e| panic!("gate baseline {GATES_BASELINE} unreadable: {e}"))
+}
+
 /// Pulls the 1000-node `(worklist_ns_per_iter, compiled_ns_per_iter)` pair
-/// out of the committed full-grid artifact (a flat scan of the `points`
-/// array — the report format is written by this binary, so the shape is
-/// known).
+/// out of the gate baseline (a flat scan of the `points` array — the
+/// arrays are in the format this binary writes, so the shape is known).
 fn baseline_backend_ns(report: &str) -> Option<(f64, f64)> {
-    // Restrict to the backend `points` array: `batch_points`/`ff_points`/
-    // `delta_points` repeat the `"nodes":1000` key with different fields
-    // (and `delta_points` even repeats `compiled_ns_per_iter`).
+    // Restrict to the backend `points` array: `batch_points` repeats the
+    // `"nodes":1000` key with different fields.
     let points = &report[..report.find("\"batch_points\"").unwrap_or(report.len())];
     let at = points.find("\"nodes\":1000,")?;
     let rest = &points[at..];
@@ -307,7 +272,7 @@ fn baseline_backend_ns(report: &str) -> Option<(f64, f64)> {
 
 /// The disabled-observer overhead gate: the quick-mode compiled-to-worklist
 /// cost ratio at 1000 nodes must stay within `EVOLVE_OVERHEAD_TOLERANCE`
-/// (default 10%) of the committed baseline's ratio. The engines in this run
+/// (default 10%) of the [`GATES_BASELINE`] ratio. The engines in this run
 /// carry the observer hooks but no attached observer, so a regression here
 /// means the detached hot path got slower *relative to the worklist
 /// reference measured seconds earlier in the same process* — comparing
@@ -321,14 +286,8 @@ fn overhead_gate(p: &BackendPoint) {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.10);
-    let Ok(report) = std::fs::read_to_string("results/bench_engine.json") else {
-        println!("overhead gate skipped: no results/bench_engine.json baseline");
-        return;
-    };
-    let Some((base_worklist, base_compiled)) = baseline_backend_ns(&report) else {
-        println!("overhead gate skipped: no 1000-node backend point in the baseline");
-        return;
-    };
+    let (base_worklist, base_compiled) = baseline_backend_ns(&gates_baseline())
+        .unwrap_or_else(|| panic!("no 1000-node backend point in {GATES_BASELINE}"));
     let measured_ratio = p.compiled_ns / p.worklist_ns.max(1e-12);
     let baseline_ratio = base_compiled / base_worklist.max(1e-12);
     let regression = measured_ratio / baseline_ratio - 1.0;
@@ -349,7 +308,7 @@ fn overhead_gate(p: &BackendPoint) {
 }
 
 /// Pulls `ns_per_lane_iter` for one `(nodes, width)` cell out of the
-/// committed artifact's `batch_points` section (same flat-scan approach as
+/// gate baseline's `batch_points` array (same flat-scan approach as
 /// [`baseline_backend_ns`]).
 fn baseline_batch_ns(report: &str, nodes: u64, width: u64) -> Option<f64> {
     let start = report.find("\"batch_points\"")?;
@@ -366,8 +325,8 @@ fn baseline_batch_ns(report: &str, nodes: u64, width: u64) -> Option<f64> {
 /// The batch-gain regression gate, mirroring [`overhead_gate`]'s
 /// ratio-of-ratios shape: the quick-mode width-8 batching gain at 1000
 /// nodes (width-1 cost over width-8 cost, both measured in this run) must
-/// stay within `EVOLVE_BATCH_TOLERANCE` (default 10%) of the committed
-/// full-grid baseline's gain, so the lane-chunked kernel cannot silently
+/// stay within `EVOLVE_BATCH_TOLERANCE` (default 10%) of the
+/// [`GATES_BASELINE`] gain, so the lane-chunked kernel cannot silently
 /// lose its advantage. Gating the gain rather than absolute ns/lane-iter
 /// cancels uniform host drift for the same reason as the overhead gate.
 fn batch_gate(scalar_ns: f64, batched_ns: f64) {
@@ -375,16 +334,12 @@ fn batch_gate(scalar_ns: f64, batched_ns: f64) {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.10);
-    let Ok(report) = std::fs::read_to_string("results/bench_engine.json") else {
-        println!("batch gate skipped: no results/bench_engine.json baseline");
-        return;
-    };
+    let report = gates_baseline();
     let (Some(base_scalar), Some(base_batched)) = (
         baseline_batch_ns(&report, 1_000, 1),
         baseline_batch_ns(&report, 1_000, 8),
     ) else {
-        println!("batch gate skipped: no 1000-node batch points in the baseline");
-        return;
+        panic!("no 1000-node batch points in {GATES_BASELINE}");
     };
     let measured_gain = scalar_ns / batched_ns.max(1e-12);
     let baseline_gain = base_scalar / base_batched.max(1e-12);
@@ -517,38 +472,12 @@ fn main() {
             d.compiled_ns
         );
         delta_sweep_gate(256, tokens.min(200), threads);
-        // Partition smoke: conformance is asserted inside the grid; the
-        // speed gate only applies where the host can actually run two
-        // workers at once.
-        let partition_points = partition_section(&[5_000], &[1, 2], 500_000, 2);
-        let pp = partition_points
-            .iter()
-            .find(|p| p.threads == 2)
-            .expect("2-worker partition point");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 2 {
-            assert!(
-                pp.barrier_speedup() > 1.0,
-                "2-worker barrier sweep slower than serial on a {cores}-core host \
-                 ({:.1} vs {:.1} ns/it at {} nodes)",
-                pp.barrier_ns,
-                pp.serial_ns,
-                pp.nodes
-            );
-        } else {
-            println!(
-                "partition speed gate skipped: single-core host \
-                 (2-worker ratio {:.2}x, conformance still asserted)",
-                pp.barrier_speedup()
-            );
-        }
         write_report(
             "results/bench_engine_smoke.json",
             &points,
             &batch_points,
             &ff_points,
             &delta_points,
-            &partition_points,
         );
         println!(
             "quick mode: compiled backend {:.2}x, batch width 8 {:.2}x, fast-forward {:.2}x, delta {:.2}x at {} nodes — ok",
@@ -624,10 +553,6 @@ fn main() {
     let delta_points = delta_section(&[10, 100, 1_000, 5_000], 2_000_000, 3);
     println!();
 
-    // The partitioned-sweep grid: intra-graph level-parallel workers on
-    // wide padded graphs, up to the 200 000-node point where one sweep
-    // has enough per-level work to amortize the exchange cost.
-    let partition_points = partition_section(&[5_000, 50_000, 200_000], &[1, 2, 4, 8], 4_000_000, 2);
     delta_sweep_gate(256, tokens.min(200), threads);
     write_report(
         "results/bench_engine.json",
@@ -635,7 +560,6 @@ fn main() {
         &batch_points,
         &ff_points,
         &delta_points,
-        &partition_points,
     );
     write_telemetry(metrics.as_ref(), trace.as_ref(), tokens.min(500));
 }

@@ -20,14 +20,6 @@
 //! runs gate on ratio ≥ 2 and publish `results/bench_serve.json`;
 //! `--quick` gates on ratio > 1 plus lanes-per-batch > 1 and is what
 //! `ci.sh` drives against a real `evolved` process.
-//!
-//! `--large-model` flips the workload to the anti-affinity regime: one
-//! wide partitioned-backend model too parallel for lockstep batching
-//! (every lane ejects to the scalar path), and the two phases become an
-//! in-process daemon with intra-graph partition workers vs the same
-//! daemon sweeping serially. The gate is again the within-run ratio —
-//! and only applies where the host has >= 2 cores, because partition
-//! workers on one core merely take turns.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -53,8 +45,6 @@ USAGE:
 
 OPTIONS:
     --quick              smoke mode: short phases, relaxed ratio gate (> 1x)
-    --large-model        anti-affinity workload: one wide partitioned-backend
-                         model; compares partition workers vs serial sweeps
     --connect TARGET     drive an external daemon (tcp:HOST:PORT or unix:PATH)
                          for the affinity phase instead of an in-process one
     --metrics ADDR       HOST:PORT of the daemon's /metrics listener to check
@@ -80,22 +70,6 @@ fn workload_spec() -> ModelSpec {
         },
         padding: 64,
         backend: EvalBackend::Compiled,
-    }
-}
-
-/// The anti-affinity workload: a wide chained-padding graph on the
-/// partitioned backend. Every request ejects from lockstep batching and
-/// is answered by one intra-graph level-parallel sweep.
-fn large_model_spec() -> ModelSpec {
-    ModelSpec {
-        kind: ModelKind::WidePipeline {
-            stages: 6,
-            base: 80,
-            per_unit: 2,
-            chains: 32,
-        },
-        padding: 4_096,
-        backend: EvalBackend::CompiledParallel,
     }
 }
 
@@ -231,7 +205,6 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
 
 struct Options {
     quick: bool,
-    large_model: bool,
     connect: Option<String>,
     metrics: Option<String>,
     dump_trace: Option<String>,
@@ -242,7 +215,6 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut quick = false;
-    let mut large_model = false;
     let mut connect = None;
     let mut metrics = None;
     let mut dump_trace = None;
@@ -254,7 +226,6 @@ fn parse_args() -> Result<Options, String> {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
             "--quick" => quick = true,
-            "--large-model" => large_model = true,
             "--connect" => connect = Some(value("--connect")?),
             "--metrics" => metrics = Some(value("--metrics")?),
             "--dump-trace" => dump_trace = Some(value("--dump-trace")?),
@@ -280,23 +251,18 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if large_model && connect.is_some() {
-        return Err("--large-model runs both phases in-process; drop --connect".into());
-    }
     Ok(Options {
         quick,
-        large_model,
         connect,
         metrics,
         dump_trace,
         clients: clients.unwrap_or(if quick { 8 } else { 16 }),
         duration: Duration::from_millis(duration_ms.unwrap_or(if quick { 400 } else { 2500 })),
         out: out.unwrap_or_else(|| {
-            match (large_model, quick) {
-                (true, true) => "results/bench_serve_large_smoke.json".into(),
-                (true, false) => "results/bench_serve_large.json".into(),
-                (false, true) => "results/bench_serve_smoke.json".into(),
-                (false, false) => "results/bench_serve.json".into(),
+            if quick {
+                "results/bench_serve_smoke.json".into()
+            } else {
+                "results/bench_serve.json".into()
             }
         }),
     })
@@ -323,31 +289,17 @@ fn main() -> ExitCode {
     };
 
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
-    let spec = if opts.large_model {
-        large_model_spec()
-    } else {
-        workload_spec()
-    };
-    // Partition workers for the large-model phase 1: enough to matter,
-    // capped so client threads still get cores to run on.
-    let partition_workers = cores.clamp(2, 4);
-    let phase1_label = if opts.large_model { "partitioned" } else { "affinity" };
-    let phase2_label = if opts.large_model { "serial" } else { "naive" };
+    let spec = workload_spec();
 
     // Phase 1: the daemon under test — external if --connect was given,
-    // else an in-process server (default batching configuration, plus
-    // intra-graph partition workers in --large-model mode).
+    // else an in-process server (default batching configuration).
     let mut local = None;
     let mut metrics = opts.metrics.clone();
     let affinity_target = match &opts.connect {
         Some(target) => target.clone(),
         None => {
-            let config = ServeConfig {
-                partition_threads: if opts.large_model { partition_workers } else { 1 },
-                ..ServeConfig::default()
-            };
             let server = Server::start(
-                config,
+                ServeConfig::default(),
                 &[Bind::Tcp("127.0.0.1:0".into())],
                 Some("127.0.0.1:0"),
             )
@@ -361,7 +313,7 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "{phase1_label} phase: {} clients x {} ms against {affinity_target}",
+        "affinity phase: {} clients x {} ms against {affinity_target}",
         opts.clients,
         opts.duration.as_millis()
     );
@@ -416,13 +368,11 @@ fn main() -> ExitCode {
         server.shutdown_and_join();
     }
 
-    // Phase 2: the baseline, always in-process so the ratio is measured
-    // within this run on this host — naive per-request engines for the
-    // affinity workload, the serial compiled sweep (same daemon, no
-    // partition workers) for the large model.
+    // Phase 2: the naive baseline, always in-process so the ratio is
+    // measured within this run on this host.
     let naive_server = Server::start(
         ServeConfig {
-            naive: !opts.large_model,
+            naive: true,
             ..ServeConfig::default()
         },
         &[Bind::Tcp("127.0.0.1:0".into())],
@@ -431,7 +381,7 @@ fn main() -> ExitCode {
     .expect("in-process phase-2 server");
     let naive_target = format!("tcp:{}", naive_server.tcp_addr().expect("tcp bound"));
     println!(
-        "{phase2_label} phase:    {} clients x {} ms against {naive_target}",
+        "naive phase:    {} clients x {} ms against {naive_target}",
         opts.clients,
         opts.duration.as_millis()
     );
@@ -446,9 +396,8 @@ fn main() -> ExitCode {
     // sides of a pair see the same machine state) and the median tolerates
     // one noise-spiked pair — absolute scenarios/second is never compared
     // across time. Detached leads each pair so warmup asymmetry never
-    // favours the recorder. Skipped in --large-model mode, where the
-    // partitioned phases already dominate the wall-clock budget.
-    let recorder_phases = (!opts.large_model).then(|| {
+    // favours the recorder.
+    let (detached, attached, overhead_ratio) = {
         let boot = |attach: bool| {
             Server::start(
                 ServeConfig {
@@ -498,30 +447,26 @@ fn main() -> ExitCode {
             detached.scenarios_per_second()
         );
         (detached, attached, overhead_ratio)
-    });
+    };
 
     let ratio = affinity.scenarios_per_second() / naive.scenarios_per_second().max(1e-9);
     let lanes_per_batch = affinity.tally.lanes_per_batched_response();
     println!(
-        "{phase1_label}: {:8.1} scenarios/s ({} responses, {:.2} lanes/batch)",
+        "affinity: {:8.1} scenarios/s ({} responses, {:.2} lanes/batch)",
         affinity.scenarios_per_second(),
         affinity.tally.responses,
         lanes_per_batch
     );
     println!(
-        "{phase2_label}:    {:8.1} scenarios/s ({} responses)",
+        "naive:    {:8.1} scenarios/s ({} responses)",
         naive.scenarios_per_second(),
         naive.tally.responses
     );
-    println!("within-run ratio ({phase1_label} / {phase2_label}): {ratio:.2}x");
+    println!("within-run ratio (affinity / naive): {ratio:.2}x");
 
-    let mut doc = Json::object([
+    let doc = Json::object([
         ("benchmark", Json::str("serve")),
         ("mode", Json::str(if opts.quick { "quick" } else { "full" })),
-        (
-            "workload_mode",
-            Json::str(if opts.large_model { "large-model" } else { "affinity" }),
-        ),
         ("clients", Json::U64(opts.clients as u64)),
         ("duration_ms", Json::U64(opts.duration.as_millis() as u64)),
         (
@@ -529,63 +474,28 @@ fn main() -> ExitCode {
             Json::object([
                 (
                     "model",
-                    Json::str(if opts.large_model {
-                        "wide-pipeline stages=6 base=80 per_unit=2 chains=32 \
-                         padding=4096 backend=compiled-parallel"
-                    } else {
-                        "pipeline stages=8 base=60 per_unit=1 padding=64"
-                    }),
+                    Json::str("pipeline stages=8 base=60 per_unit=1 padding=64"),
                 ),
                 ("tokens_per_request", Json::U64(TOKENS_PER_REQUEST)),
             ]),
         ),
-        (
-            "partition_workers",
-            Json::U64(if opts.large_model { partition_workers as u64 } else { 0 }),
-        ),
         ("host_cores", Json::U64(cores as u64)),
-        (phase1_label, affinity.to_json()),
-        (phase2_label, naive.to_json()),
+        ("affinity", affinity.to_json()),
+        ("naive", naive.to_json()),
         ("speedup", Json::F64(ratio)),
         ("lanes_per_batch", Json::F64(lanes_per_batch)),
+        ("recorder_detached", detached.to_json()),
+        ("recorder_attached", attached.to_json()),
+        ("recorder_overhead_ratio", Json::F64(overhead_ratio)),
     ]);
-    if let (Json::Object(fields), Some((detached, attached, overhead_ratio))) =
-        (&mut doc, &recorder_phases)
-    {
-        fields.push(("recorder_detached".into(), detached.to_json()));
-        fields.push(("recorder_attached".into(), attached.to_json()));
-        fields.push(("recorder_overhead_ratio".into(), Json::F64(*overhead_ratio)));
-    }
     write_report(&opts.out, &doc);
 
     // Gates. Throughput is compared only within this run (host speed
-    // drifts, so absolute scenarios/second is never gated). In affinity
-    // mode, lanes-per-batch proves the batcher actually filled lockstep
-    // lanes rather than winning some other way; in large-model mode the
-    // same counter proves every lane *ejected* (partitioned models must
-    // never enter a lockstep batch).
+    // drifts, so absolute scenarios/second is never gated).
+    // Lanes-per-batch proves the batcher actually filled lockstep lanes
+    // rather than winning some other way.
     if let Some(parses) = metrics_ok {
         assert!(parses, "/metrics exposition is missing serve families");
-    }
-    if opts.large_model {
-        assert_eq!(
-            affinity.tally.batched, 0,
-            "partitioned-backend lanes must eject from lockstep batching"
-        );
-        if cores >= 2 {
-            assert!(
-                ratio > 1.0,
-                "partition workers should beat the serial sweep within-run on a \
-                 {cores}-core host (got {ratio:.2}x)"
-            );
-        } else {
-            println!(
-                "large-model ratio gate skipped: single-core host \
-                 (partitioned/serial {ratio:.2}x)"
-            );
-        }
-        println!("serve-bench gates passed");
-        return ExitCode::SUCCESS;
     }
     assert!(
         lanes_per_batch > 1.0,
@@ -602,24 +512,22 @@ fn main() -> ExitCode {
             "affinity batching should sustain >= 2x the naive baseline within-run (got {ratio:.2}x)"
         );
     }
-    if let Some((_, _, overhead_ratio)) = recorder_phases {
-        // Within-run ratio only — absolute scenarios/second drifts with
-        // host load. Full runs hold the 3% acceptance bar (2.5 s slices
-        // average scheduler noise down far enough to resolve it); quick
-        // runs gate at smoke level, because 400 ms slices on a loaded
-        // single-core host cannot distinguish 3% from scheduling jitter.
-        // EVOLVE_RECORDER_TOLERANCE overrides either floor.
-        let floor = std::env::var("EVOLVE_RECORDER_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(if opts.quick { 0.90 } else { 0.97 });
-        assert!(
-            overhead_ratio >= floor,
-            "flight recorder costs more than {:.1}% throughput within-run \
-             (attached/detached = {overhead_ratio:.3}x)",
-            (1.0 - floor) * 100.0
-        );
-    }
+    // Within-run ratio only — absolute scenarios/second drifts with
+    // host load. Full runs hold the 3% acceptance bar (2.5 s slices
+    // average scheduler noise down far enough to resolve it); quick
+    // runs gate at smoke level, because 400 ms slices on a loaded
+    // single-core host cannot distinguish 3% from scheduling jitter.
+    // EVOLVE_RECORDER_TOLERANCE overrides either floor.
+    let floor = std::env::var("EVOLVE_RECORDER_TOLERANCE")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .unwrap_or(if opts.quick { 0.90 } else { 0.97 });
+    assert!(
+        overhead_ratio >= floor,
+        "flight recorder costs more than {:.1}% throughput within-run \
+         (attached/detached = {overhead_ratio:.3}x)",
+        (1.0 - floor) * 100.0
+    );
     println!("serve-bench gates passed");
     ExitCode::SUCCESS
 }

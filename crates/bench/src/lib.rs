@@ -24,7 +24,7 @@ use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
     derive_tdg, simplify, synthetic, BatchedEngine, Engine, EquivalentModelBuilder, EvalBackend,
-    FastForward, ParallelConfig,
+    FastForward,
 };
 use evolve_des::Time;
 use evolve_model::{didactic, elaborate, varying_sizes, Architecture, Environment, Stimulus};
@@ -575,140 +575,6 @@ pub fn delta_grid(targets: &[usize], budget: u64, reps: usize) -> Vec<DeltaPoint
         .collect()
 }
 
-/// One point of the intra-graph partition grid: per-iteration cost of the
-/// compiled sweep at a given graph size and partition worker count,
-/// against the serial sweep measured in the same process seconds earlier
-/// (`threads == 1` repeats the serial cost so every row carries its own
-/// within-run baseline — absolute nanoseconds drift with host load,
-/// ratios do not).
-#[derive(Clone, Debug)]
-pub struct PartitionPoint {
-    /// Node count of the evaluated graph (wide pipeline + chained padding).
-    pub nodes: usize,
-    /// Partition workers sweeping each level (1 = serial sweep).
-    pub threads: usize,
-    /// Iterations driven per timed repetition.
-    pub iterations: u64,
-    /// Best-of-reps per-iteration cost of the serial compiled sweep (ns),
-    /// measured in this run.
-    pub serial_ns: f64,
-    /// Best-of-reps per-iteration cost of the partitioned sweep (ns).
-    pub barrier_ns: f64,
-    /// Partitions in the compiled plan.
-    pub partitions: u64,
-    /// Level boundaries the plan protects with a barrier.
-    pub planned_barriers: u64,
-    /// Cross-partition zero-delay arcs exchanged at level boundaries.
-    pub frontier_arcs: u64,
-}
-
-impl PartitionPoint {
-    /// Serial-over-barrier per-iteration cost ratio (> 1 means the
-    /// partitioned barrier sweep is cheaper), within-run.
-    pub fn barrier_speedup(&self) -> f64 {
-        self.serial_ns / self.barrier_ns.max(1e-12)
-    }
-}
-
-/// Measures the intra-graph partitioned sweep at each target node count
-/// and worker count, on *wide* padded pipelines ([`synthetic::pad_wide`]
-/// with one chain per padding lane, so every level offers slots to every
-/// partition — the shape the partitioner exists for).
-///
-/// Two configurations run per point: the serial compiled sweep (the
-/// within-run baseline) and the partitioned sweep; their output-instant
-/// checksums must agree.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`, a pipeline fails to derive, or any partitioned
-/// checksum diverges from the serial sweep.
-pub fn partition_grid(
-    targets: &[usize],
-    thread_counts: &[usize],
-    budget: u64,
-    reps: usize,
-) -> Vec<PartitionPoint> {
-    assert!(reps > 0, "at least one repetition required");
-    let mut out = Vec::new();
-    for &target in targets {
-        let p = synthetic::pipeline(3, 200, 2).expect("pipeline builds");
-        let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
-        let padding = target.saturating_sub(derived.tdg().node_count());
-        // One chain per 64 padding nodes, capped: wide levels with enough
-        // depth that the per-level barrier cost amortizes.
-        let chains = (padding / 64).clamp(1, 64);
-        if padding > 0 {
-            derived.map_tdg(|tdg| synthetic::pad_wide(tdg, padding, chains));
-        }
-        let nodes = derived.tdg().node_count();
-        let relations = p.arch.app().relations().len();
-        let iterations = (budget / nodes.max(1) as u64).clamp(100, 50_000);
-
-        let mut engine =
-            Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
-        let mut serial_ns = f64::INFINITY;
-        let mut serial_checksum = 0u64;
-        for rep in 0..reps {
-            if rep > 0 {
-                engine.reset();
-            }
-            let (wall, checksum) = drive_iterations(&mut engine, iterations);
-            serial_checksum = checksum;
-            serial_ns = serial_ns.min(wall.as_secs_f64() * 1e9 / iterations as f64);
-        }
-
-        for &threads in thread_counts {
-            assert!(threads > 0, "at least one partition worker required");
-            if threads < 2 {
-                out.push(PartitionPoint {
-                    nodes,
-                    threads,
-                    iterations,
-                    serial_ns,
-                    barrier_ns: serial_ns,
-                    partitions: 1,
-                    planned_barriers: 0,
-                    frontier_arcs: 0,
-                });
-                continue;
-            }
-            engine.reset();
-            engine.set_partition(Some(ParallelConfig {
-                threads,
-                min_nodes: 0,
-                pin: false,
-            }));
-            let mut barrier_ns = f64::INFINITY;
-            for rep in 0..reps {
-                if rep > 0 {
-                    engine.reset();
-                }
-                let (wall, checksum) = drive_iterations(&mut engine, iterations);
-                assert_eq!(
-                    checksum, serial_checksum,
-                    "partitioned sweep diverged from serial at {nodes} nodes, {threads} workers"
-                );
-                barrier_ns = barrier_ns.min(wall.as_secs_f64() * 1e9 / iterations as f64);
-            }
-            let shape = engine.partition_stats();
-            engine.set_partition(None);
-
-            out.push(PartitionPoint {
-                nodes,
-                threads,
-                iterations,
-                serial_ns,
-                barrier_ns,
-                partitions: shape.partitions,
-                planned_barriers: shape.planned_barriers,
-                frontier_arcs: shape.frontier_arcs,
-            });
-        }
-    }
-    out
-}
-
 /// One point of the batch-width grid: per-lane iteration cost of the
 /// batched lockstep engine at a given graph size and lane count
 /// (`width == 1` is the batching-off baseline the wider points are
@@ -821,7 +687,6 @@ pub fn backend_report_json(
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
     delta_points: &[DeltaPoint],
-    partition_points: &[PartitionPoint],
 ) -> Json {
     let mut fields = vec![
         ("benchmark", Json::str("engine_backend")),
@@ -905,29 +770,6 @@ pub fn backend_report_json(
             ),
         ));
     }
-    if !partition_points.is_empty() {
-        fields.push((
-            "partition_points",
-            Json::Array(
-                partition_points
-                    .iter()
-                    .map(|p| {
-                        Json::object([
-                            ("nodes", Json::U64(p.nodes as u64)),
-                            ("threads", Json::U64(p.threads as u64)),
-                            ("iterations", Json::U64(p.iterations)),
-                            ("serial_ns_per_iter", Json::F64(p.serial_ns)),
-                            ("barrier_ns_per_iter", Json::F64(p.barrier_ns)),
-                            ("barrier_speedup", Json::F64(p.barrier_speedup())),
-                            ("partitions", Json::U64(p.partitions)),
-                            ("planned_barriers", Json::U64(p.planned_barriers)),
-                            ("frontier_arcs", Json::U64(p.frontier_arcs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
     Json::object(fields)
 }
 
@@ -942,15 +784,13 @@ pub fn write_backend_report(
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
     delta_points: &[DeltaPoint],
-    partition_points: &[PartitionPoint],
 ) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(
         path,
-        backend_report_json(points, batch_points, ff_points, delta_points, partition_points)
-            .render(),
+        backend_report_json(points, batch_points, ff_points, delta_points).render(),
     )
 }
 
@@ -960,9 +800,8 @@ mod tests {
     use std::sync::{Mutex, MutexGuard};
 
     /// Held by every test that asserts on wall-clock ratios, so no two of
-    /// them share the cores: on a two-core host a concurrent grid (the
-    /// partition smoke alone runs three busy threads) starves the run
-    /// being timed.
+    /// them share the cores: on a two-core host a concurrent grid starves
+    /// the run being timed.
     static TIMED: Mutex<()> = Mutex::new(());
 
     fn timed() -> MutexGuard<'static, ()> {
@@ -1016,14 +855,13 @@ mod tests {
         assert_eq!(points[0].nodes.max(10), points[0].nodes, "padding only grows graphs");
         assert!(points[1].nodes >= 60);
         assert!(points.iter().all(|p| p.worklist_ns > 0.0 && p.compiled_ns > 0.0));
-        let rendered = backend_report_json(&points, &[], &[], &[], &[]).render();
+        let rendered = backend_report_json(&points, &[], &[], &[]).render();
         assert!(rendered.contains("\"benchmark\":\"engine_backend\""));
         assert!(rendered.contains("\"compiled_ns_per_iter\""));
         assert!(rendered.contains("\"speedup\""));
         assert!(!rendered.contains("\"batch_points\""));
         assert!(!rendered.contains("\"ff_points\""));
         assert!(!rendered.contains("\"delta_points\""));
-        assert!(!rendered.contains("\"partition_points\""));
     }
 
     #[test]
@@ -1036,7 +874,7 @@ mod tests {
         assert!(points.iter().all(|p| p.nodes >= 60));
         assert!(points.iter().all(|p| p.ns_per_lane_iter > 0.0));
         assert_eq!(points[0].iterations, points[1].iterations, "same work per lane across widths");
-        let rendered = backend_report_json(&[], &points, &[], &[], &[]).render();
+        let rendered = backend_report_json(&[], &points, &[], &[]).render();
         assert!(rendered.contains("\"batch_points\""));
         assert!(rendered.contains("\"ns_per_lane_iter\""));
         assert!(rendered.contains("\"width\":4"));
@@ -1059,7 +897,7 @@ mod tests {
             p.fast_forward_ns,
             p.compiled_ns
         );
-        let rendered = backend_report_json(&[], &[], &points, &[], &[]).render();
+        let rendered = backend_report_json(&[], &[], &points, &[]).render();
         assert!(rendered.contains("\"ff_points\""));
         assert!(rendered.contains("\"fast_forward_ns_per_iter\""));
         assert!(rendered.contains("\"gain\""));
@@ -1082,31 +920,10 @@ mod tests {
             p.delta_ns,
             p.compiled_ns
         );
-        let rendered = backend_report_json(&[], &[], &[], &points, &[]).render();
+        let rendered = backend_report_json(&[], &[], &[], &points).render();
         assert!(rendered.contains("\"delta_points\""));
         assert!(rendered.contains("\"delta_ns_per_iter\""));
         assert!(rendered.contains("\"reused_fraction\""));
-    }
-
-    #[test]
-    fn partition_grid_smoke() {
-        let _timed = timed();
-        // The grid's internal assertions cover checksum conformance; here
-        // we pin the degenerate row, the plan shape, and the report shape.
-        let points = partition_grid(&[600], &[1, 2], 60_000, 2);
-        assert_eq!(points.len(), 2);
-        let serial = &points[0];
-        assert_eq!(serial.threads, 1);
-        assert_eq!(serial.serial_ns, serial.barrier_ns);
-        let parallel = &points[1];
-        assert_eq!(parallel.threads, 2);
-        assert!(parallel.nodes >= 600);
-        assert_eq!(parallel.partitions, 2, "{parallel:?}");
-        assert!(parallel.barrier_ns > 0.0);
-        let rendered = backend_report_json(&[], &[], &[], &[], &points).render();
-        assert!(rendered.contains("\"partition_points\""));
-        assert!(rendered.contains("\"barrier_ns_per_iter\""));
-        assert!(rendered.contains("\"barrier_speedup\""));
     }
 
     #[test]

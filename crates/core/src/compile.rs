@@ -58,15 +58,6 @@ pub enum EvalBackend {
     /// worklist within the same engine.
     #[default]
     Compiled,
-    /// The compiled sweep with the intra-graph partitioned parallel path
-    /// enabled ([`crate::ParallelConfig`]): large iterations are swept by a
-    /// pool of workers over per-level slot partitions, exchanging only the
-    /// cross-partition arc frontier. Bitwise identical to [`Compiled`]
-    /// (see `tests/partition_conformance.rs`); graphs below the engagement
-    /// threshold evaluate on the serial sweep unchanged.
-    ///
-    /// [`Compiled`]: EvalBackend::Compiled
-    CompiledParallel,
 }
 
 impl EvalBackend {
@@ -75,7 +66,6 @@ impl EvalBackend {
         match self {
             EvalBackend::Worklist => "worklist",
             EvalBackend::Compiled => "compiled",
-            EvalBackend::CompiledParallel => "compiled-parallel",
         }
     }
 }
@@ -378,7 +368,7 @@ enum ArcDuration {
 /// exec stream): each arc's [`Weight`] lowered once, so evaluation walks no
 /// per-weight `Vec<ExecTerm>` — a single constant or per-unit term is
 /// inline affine arithmetic, anything else a range of one shared term
-/// table. Every compiled sweep — serial, delta, partitioned, and batched —
+/// table. Every compiled sweep — serial, delta, and batched —
 /// evaluates exec arcs through [`Durations::eval`]; the worklist keeps the
 /// raw-weight evaluation as the reference, and a property test pins the
 /// two bitwise-equal.
@@ -584,9 +574,6 @@ pub struct CompiledTdg {
     /// order: the size pre-pass ahead of a sweep walks these (sizes depend
     /// only on other sizes, never on instants).
     pub(crate) derived_exchanges: Vec<u32>,
-    /// Slots with an observation action, in schedule order: the
-    /// observation replay after a partitioned sweep walks these.
-    pub(crate) observed_slots: Vec<u32>,
     /// The exchange slots that acknowledge an input or produce an output,
     /// in schedule order: all a serial sweep publishes after its folds
     /// (its logs are written by the sweep itself).
@@ -707,7 +694,6 @@ impl CompiledTdg {
             matches!(o, Obs::Exchange { relation, .. }
                 if matches!(size_rules[relation as usize], SizeRule::Derived { .. }))
         });
-        let observed_slots = slots_where(&|o| !matches!(o, Obs::None));
         let boundary_slots = slots_where(&|o| {
             matches!(o, Obs::Exchange { ack_input, output, .. }
                 if ack_input != u32::MAX || output != u32::MAX)
@@ -735,7 +721,6 @@ impl CompiledTdg {
             slow_src_pos,
             exec_src_pos,
             derived_exchanges,
-            observed_slots,
             boundary_slots,
         }
     }
@@ -808,7 +793,6 @@ impl CompiledTdg {
             + self.slow_src_pos.capacity()
             + self.exec_src_pos.capacity()
             + self.derived_exchanges.capacity()
-            + self.observed_slots.capacity()
             + self.boundary_slots.capacity()
     }
 }

@@ -41,16 +41,9 @@ use std::sync::Arc;
 use evolve_des::{ChannelLog, EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
-use evolve_obs::{
-    BackendKind, DeltaCounters, EngineCounters, EngineEvent, Observer, PartitionCounters,
-    PartitionTracer, Phase as FlightPhase,
-};
+use evolve_obs::{BackendKind, DeltaCounters, EngineCounters, EngineEvent, Observer};
 
 use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs, SlotShape};
-use crate::parallel::{
-    pin_current_thread, ParallelConfig, ParallelRuntime, PartitionPlan, SpinBarrier, WorkerFlight,
-};
-use std::sync::atomic::{AtomicI64, Ordering};
 use crate::delta::{
     self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaUnsupported,
 };
@@ -74,6 +67,20 @@ pub struct Notification {
 
 /// Upper bound on recycled [`IterState`]s retained by the free list.
 const FREE_LIST_CAP: usize = 16;
+
+/// What [`Engine::partition_stats`] returns: the counters of the deleted
+/// partitioned sweep, every one 0. Kept only because the benchmark crate
+/// still reports them; the next benchmark change (ROADMAP item 10)
+/// removes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartitionStats {
+    /// Always 0.
+    pub parallel_iterations: u64,
+    /// Always 0.
+    pub serial_iterations: u64,
+    /// Always 0.
+    pub barrier_crossings: u64,
+}
 
 /// Allocation-footprint snapshot of an [`Engine`] (see
 /// [`Engine::allocation_footprint`]).
@@ -300,7 +307,7 @@ pub(crate) fn exec_term(
 /// The one slot body of every scalar compiled sweep: slot `slot`'s arcs
 /// `⊕`-folded over the process-start baseline E for iteration `hist.k`,
 /// and the number of arcs, by straight-line code per [`SlotShape`].
-/// `now(src)` reads a same-iteration instant, `sizes` are iteration `k`'s.
+/// `now` holds iteration `k`'s instants, `sizes` its token sizes.
 #[inline(always)]
 fn eval_slot(
     ct: &CompiledTdg,
@@ -308,9 +315,9 @@ fn eval_slot(
     hist: &History<'_>,
     sizes: &[u64],
     mut stash: Option<&mut [(MaxPlus, u64)]>,
-    mut now: impl FnMut(u32) -> MaxPlus,
+    now: &[MaxPlus],
 ) -> (MaxPlus, u64) {
-    let mut konst = |i: usize| plus_lag(now(ct.const_srcs[i]), ct.const_lags[i]);
+    let konst = |i: usize| plus_lag(now[ct.const_srcs[i] as usize], ct.const_lags[i]);
     let prev = |i: usize| {
         let src = ct.slow_srcs[i] as usize;
         plus_lag(
@@ -328,11 +335,11 @@ fn eval_slot(
         SlotShape::Slow1Const1 => fold(prev(s).oplus(konst(c)), 2),
         SlotShape::Slow2Const1 => fold(prev(s).oplus(prev(s + 1)).oplus(konst(c)), 3),
         SlotShape::Exec1 => {
-            let src_val = now(ct.exec_srcs[e]);
+            let src_val = now[ct.exec_srcs[e] as usize];
             let size_at = |rel, d| hist.size(sizes, rel, d);
             fold(exec_term(ct, hist.k, e, src_val, size_at, &mut stash), 1)
         }
-        SlotShape::General => eval_general(ct, slot, hist, sizes, &mut stash, &mut now),
+        SlotShape::General => eval_general(ct, slot, hist, sizes, &mut stash, now),
     }
 }
 
@@ -345,7 +352,7 @@ fn eval_general(
     hist: &History<'_>,
     sizes: &[u64],
     stash: &mut Option<&mut [(MaxPlus, u64)]>,
-    now: &mut impl FnMut(u32) -> MaxPlus,
+    now: &[MaxPlus],
 ) -> (MaxPlus, u64) {
     let [cs, ss, es] = ct.arc_ranges(slot);
     let arcs = (cs.len() + ss.len() + es.len()) as u64;
@@ -359,7 +366,7 @@ fn eval_general(
     for i in es {
         let (delay, src) = (ct.exec_delays[i], ct.exec_srcs[i]);
         let src_val = if delay == 0 {
-            now(src)
+            now[src as usize]
         } else {
             hist.acc(delay, src)
         };
@@ -367,7 +374,7 @@ fn eval_general(
         acc = acc.oplus(exec_term(ct, hist.k, i, src_val, size_at, stash));
     }
     for i in cs {
-        acc = acc.oplus(plus_lag(now(ct.const_srcs[i]), ct.const_lags[i]));
+        acc = acc.oplus(plus_lag(now[ct.const_srcs[i] as usize], ct.const_lags[i]));
     }
     (acc, arcs)
 }
@@ -401,80 +408,6 @@ fn exec_record(obs: Obs, k: u64, (start, ops): (MaxPlus, u64), end: MaxPlus) -> 
 #[inline(always)]
 fn instant(value: MaxPlus) -> Time {
     Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64)
-}
-
-/// Shared read-only context of one partitioned sweep (Phase 2 of
-/// `compute_iteration_parallel`). Mutation goes through the atomic
-/// accumulator scratch only; everything else is frozen for the scope.
-#[derive(Clone, Copy)]
-struct ParSweepCtx<'a> {
-    ct: &'a CompiledTdg,
-    plan: &'a PartitionPlan,
-    ring: &'a VecDeque<IterState>,
-    tail: &'a IterState,
-    acc: &'a [AtomicI64],
-    barrier: &'a SpinBarrier,
-    base_k: u64,
-    k: u64,
-    pin: bool,
-    /// Attached flight recorder (serving layer), or `None` when detached.
-    flight: Option<WorkerFlight<'a>>,
-}
-
-/// One worker's deterministic counters.
-#[derive(Default)]
-struct PartitionSweepOut {
-    nodes: u64,
-    arcs: u64,
-    barrier_crossings: u64,
-}
-
-/// Sweeps partition `p`'s per-level slot ranges with the serial sweep's
-/// slot body ([`eval_slot`]); only the zero-delay source reads differ,
-/// going through the shared scratch. The plan's barriers make every
-/// cross-partition source final before it is read.
-fn sweep_partition(cx: ParSweepCtx<'_>, p: usize) -> PartitionSweepOut {
-    if cx.pin {
-        pin_current_thread(p);
-    }
-    let ct = cx.ct;
-    let plan = cx.plan;
-    let t1 = plan.threads + 1;
-    let mut out = PartitionSweepOut::default();
-    let hist = History::new(cx.ring, cx.base_k, cx.k);
-    for l in 0..plan.levels {
-        if plan.barrier_before[l] {
-            cx.barrier.wait();
-            out.barrier_crossings += 1;
-        }
-        let lo = plan.bounds[l * t1 + p] as usize;
-        let hi = plan.bounds[l * t1 + p + 1] as usize;
-        // Per-level sweep span (started after the barrier wait so barrier
-        // stalls show up as track gaps, not inflated sweep time). Empty
-        // levels are not recorded — they would flood the bounded ring.
-        let span_start = match cx.flight {
-            Some(f) if lo < hi => f.now_ns(),
-            _ => 0,
-        };
-        for pos in lo..hi {
-            let node = ct.schedule[pos] as usize;
-            if cx.tail.computed[node] {
-                continue; // look-ahead prefix or the input slot
-            }
-            let (acc, arcs) = eval_slot(ct, pos, &hist, &cx.tail.sizes, None, |src| {
-                MaxPlus::from_raw(cx.acc[src as usize].load(Ordering::Relaxed))
-            });
-            out.nodes += 1;
-            out.arcs += arcs;
-            cx.acc[node].store(acc.raw(), Ordering::Relaxed);
-        }
-        if let Some(f) = cx.flight {
-            if lo < hi {
-                f.record(p, FlightPhase::Sweep, span_start, f.now_ns(), l as u64);
-            }
-        }
-    }
-    out
 }
 
 /// The folds of one serial compiled sweep: every slot not computed before
@@ -511,10 +444,8 @@ fn sweep_slots(
         if tail.computed[node] {
             continue;
         }
-        let now = &tail.acc;
         let stash = log.is_some().then_some(&mut tail.exec_stash[..]);
-        let (acc, slot_arcs) =
-            eval_slot(ct, slot, hist, &tail.sizes, stash, |src| now[src as usize]);
+        let (acc, slot_arcs) = eval_slot(ct, slot, hist, &tail.sizes, stash, &tail.acc);
         nodes += 1;
         arcs += slot_arcs;
         tail.acc[node] = acc;
@@ -940,14 +871,6 @@ pub struct Engine {
     delta: Option<Box<DeltaLink>>,
     /// In-progress base capture for [`Engine::finish_delta_capture`].
     delta_capture: Option<Box<DeltaCaptureState>>,
-    /// Partitioned parallel evaluation runtime (plan + shared scratch);
-    /// `None` unless [`Engine::set_partition`] enabled the path.
-    parallel: Option<Box<ParallelRuntime>>,
-    /// Attached flight recorder handle (serving layer): sweep spans of the
-    /// parallel path are recorded against its per-worker tracks under the
-    /// current correlation id. `None` (the default) keeps evaluation
-    /// recorder-free.
-    flight: Option<Box<PartitionTracer>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -993,9 +916,12 @@ impl Engine {
 
         let meta = lower_node_meta(&tdg, relation_count);
         let compiled = match backend {
-            EvalBackend::Compiled | EvalBackend::CompiledParallel => {
-                Some(Arc::new(CompiledTdg::lower(&tdg, &topo, &meta, &size_rules)))
-            }
+            EvalBackend::Compiled => Some(Arc::new(CompiledTdg::lower(
+                &tdg,
+                &topo,
+                &meta,
+                &size_rules,
+            ))),
             EvalBackend::Worklist => None,
         };
         let node_obs = meta.obs;
@@ -1076,7 +1002,7 @@ impl Engine {
 
         let n_inputs = tdg.inputs().len();
         let n_outputs = tdg.outputs().len();
-        let mut engine = Engine {
+        Engine {
             size_rules,
             relation_count,
             remaining_template,
@@ -1109,58 +1035,7 @@ impl Engine {
             observer: None,
             delta: None,
             delta_capture: None,
-            parallel: None,
-            flight: None,
             tdg,
-        };
-        if backend == EvalBackend::CompiledParallel {
-            engine.set_partition(Some(ParallelConfig::default()));
-        }
-        engine
-    }
-
-    /// Enables (`Some`) or disables (`None`) the intra-graph partitioned
-    /// parallel evaluation path. Requires the compiled backend; on the
-    /// worklist backend (or with fewer than two workers) the call leaves
-    /// the engine serial. The path engages per iteration only on the
-    /// steady-state full sweep of graphs with at least
-    /// [`ParallelConfig::min_nodes`] nodes — delta hits, fast-forward
-    /// replay, and the worklist fallback are untouched. Results, logs,
-    /// and [`EngineCounters`] stay bitwise identical to the serial sweep.
-    pub fn set_partition(&mut self, config: Option<ParallelConfig>) {
-        self.parallel = match (config, &self.compiled) {
-            (Some(cfg), Some(ct)) if cfg.threads >= 2 => {
-                Some(Box::new(ParallelRuntime::new(ct, cfg)))
-            }
-            _ => None,
-        };
-    }
-
-    /// Cumulative counters of the partitioned parallel path (all zero
-    /// when [`Engine::set_partition`] never enabled it).
-    pub fn partition_stats(&self) -> PartitionCounters {
-        self.parallel.as_ref().map_or_else(PartitionCounters::default, |rt| rt.stats)
-    }
-
-    /// Attaches (or with `None` detaches) a flight-recorder handle. While
-    /// attached, the parallel path records per-worker per-level `sweep`
-    /// spans under the correlation id set by [`Engine::set_flight_corr`] —
-    /// host-time telemetry only, bitwise invisible to evaluation results.
-    pub fn set_flight_recorder(&mut self, tracer: Option<PartitionTracer>) {
-        self.flight = tracer.map(Box::new);
-    }
-
-    /// Whether a flight-recorder handle is currently attached.
-    pub fn flight_attached(&self) -> bool {
-        self.flight.is_some()
-    }
-
-    /// Sets the correlation id stamped on subsequently recorded spans
-    /// (the serving layer calls this per admitted request). No-op when no
-    /// recorder is attached.
-    pub fn set_flight_corr(&mut self, corr: u64) {
-        if let Some(flight) = &mut self.flight {
-            flight.corr = corr;
         }
     }
 
@@ -1173,7 +1048,6 @@ impl Engine {
         observer.on_event(EngineEvent::Attached {
             backend: match self.backend {
                 EvalBackend::Compiled => BackendKind::Compiled,
-                EvalBackend::CompiledParallel => BackendKind::CompiledParallel,
                 EvalBackend::Worklist => BackendKind::Worklist,
             },
             nodes: self.tdg.node_count() as u64,
@@ -1425,11 +1299,6 @@ impl Engine {
         // Delta state is per-scenario: re-attach (or re-capture) after reset.
         self.delta = None;
         self.delta_capture = None;
-        // Partition runtime: keep the plan and scratch, restart the
-        // counters.
-        if let Some(rt) = &mut self.parallel {
-            rt.reset();
-        }
         // The observer stays attached across scenarios; Reset marks the
         // time-axis boundary so streaming accumulators seal their frontier.
         if let Some(ob) = &mut self.observer {
@@ -1460,6 +1329,12 @@ impl Engine {
     /// Computation statistics so far.
     pub fn stats(&self) -> EngineCounters {
         self.stats
+    }
+
+    /// Zeroed [`PartitionStats`], kept only for the benchmark crate; the
+    /// next benchmark change (ROADMAP item 10) removes it.
+    pub fn partition_stats(&self) -> PartitionStats {
+        PartitionStats::default()
     }
 
     /// Number of materialized (in-flight or retained) iterations.
@@ -1661,21 +1536,11 @@ impl Engine {
                 .is_some_and(|l| !l.diverged && (k as usize) < l.cache.rows.len());
             if use_delta {
                 self.compute_iteration_delta(k, node, relation.index(), at, size);
-                if let Some(rt) = &mut self.parallel {
-                    rt.stats.serial_iterations += 1;
-                }
             } else {
                 if let Some(link) = &mut self.delta {
                     link.stats.calls_full += 1;
                 }
-                if self.partition_engaged() {
-                    self.compute_iteration_parallel(k, node, relation.index(), at, size);
-                } else {
-                    self.compute_iteration_compiled(k, node, relation.index(), at, size);
-                    if let Some(rt) = &mut self.parallel {
-                        rt.stats.serial_iterations += 1;
-                    }
-                }
+                self.compute_iteration_compiled(k, node, relation.index(), at, size);
             }
             self.ensure_lookahead();
             self.delta_capture_row(k, at, size);
@@ -1776,147 +1641,6 @@ impl Engine {
         self.stats.arcs_evaluated += arcs;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
-    }
-
-    /// Whether the next full fast-path sweep runs on the partitioned
-    /// parallel path: a runtime is attached (which implies the compiled
-    /// backend and ≥ 2 planned partitions) and the graph is big enough
-    /// that the fork/join and barrier costs amortize.
-    fn partition_engaged(&self) -> bool {
-        self.compiled.is_some()
-            && self
-                .parallel
-                .as_ref()
-                .is_some_and(|rt| {
-                    rt.plan.threads >= 2 && self.tdg.node_count() >= rt.config.min_nodes
-                })
-    }
-
-    /// Evaluates iteration `k` with the partitioned parallel sweep —
-    /// bitwise equivalent to [`Engine::compute_iteration_compiled`], but
-    /// the per-slot (max,+) folds run on `P` workers over the plan's
-    /// per-level slot ranges. The decomposition that keeps it exact:
-    ///
-    /// 1. **Size pre-pass** (serial): derived token sizes depend only on
-    ///    other sizes — never on accumulators — so the coordinator replays
-    ///    the sweep's size writes in schedule order before any worker
-    ///    starts; workers then read a frozen `tail.sizes`.
-    /// 2. **Partitioned sweep** (parallel): workers fold accumulators into
-    ///    a shared atomic scratch. Delayed arcs read the immutable ring;
-    ///    zero-delay arcs within a partition read the worker's own writes;
-    ///    zero-delay arcs across partitions read sources made final by the
-    ///    plan's barriers.
-    /// 3. **Observation replay** (serial): the coordinator re-walks the
-    ///    observed slots in schedule order, emitting logs, acks, outputs,
-    ///    and exec records exactly as the serial sweep interleaves them.
-    fn compute_iteration_parallel(
-        &mut self,
-        k: u64,
-        input_node: NodeId,
-        input_relation: usize,
-        at: Time,
-        size: u64,
-    ) {
-        let mut tail = self.take_tail(k);
-        tail.sizes[input_relation] = size;
-        tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
-        tail.nodes_pending = 0;
-        self.stats.iterations_completed += 1;
-
-        let ct = self.compiled.take().expect("parallel path gated on compiled");
-        let mut rt = self.parallel.take().expect("parallel path gated on runtime");
-        // Taken (not borrowed) so the worker-facing references below don't
-        // pin `self` while later phases mutate it; restored with the
-        // runtime at the end.
-        let flight = self.flight.take();
-        let wf = flight.as_deref().map(|t| WorkerFlight {
-            recorder: &t.recorder,
-            tracks: &t.tracks,
-            corr: t.corr,
-        });
-        tail.computed[input_node.index()] = true;
-
-        // ---- Phase 1: seed scratch + serial size pre-pass. -------------
-        // Slots computed before the sweep (look-ahead prefix, the input)
-        // publish their accumulators to the scratch up front.
-        for (node, &done) in tail.computed.iter().enumerate() {
-            if done {
-                rt.acc[node].store(tail.acc[node].raw(), Ordering::Relaxed);
-            }
-        }
-        self.derive_sizes(&ct, k, &mut tail);
-
-        // ---- Phase 2: the partitioned sweep. ---------------------------
-        let barrier = SpinBarrier::new(rt.plan.threads as u32);
-        let cx = ParSweepCtx {
-            ct: &ct,
-            plan: &rt.plan,
-            ring: &self.ring,
-            tail: &tail,
-            acc: &rt.acc,
-            barrier: &barrier,
-            base_k: self.base_k,
-            k,
-            pin: rt.config.pin,
-            flight: wf,
-        };
-        let outs: Vec<PartitionSweepOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = (1..cx.plan.threads)
-                .map(|p| s.spawn(move || sweep_partition(cx, p)))
-                .collect();
-            let mut outs = vec![sweep_partition(cx, 0)];
-            outs.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition worker panicked")),
-            );
-            outs
-        });
-
-        // ---- Phase 3: commit, then deferred observation replay. --------
-        for (node, a) in rt.acc.iter().enumerate() {
-            tail.acc[node] = MaxPlus::from_raw(a.load(Ordering::Relaxed));
-        }
-
-        // Execution-info stash: the few exec slots (padding-dominated
-        // graphs observe almost nothing) fold again serially from the final
-        // instants, capturing exactly the serial sweep's stash.
-        if self.record_observations {
-            let hist = History::new(&self.ring, self.base_k, k);
-            for &pos in &rt.plan.stash_slots {
-                let pos = pos as usize;
-                if tail.computed[ct.schedule[pos] as usize] {
-                    continue;
-                }
-                let now = &tail.acc;
-                let stash = Some(&mut tail.exec_stash[..]);
-                eval_slot(&ct, pos, &hist, &tail.sizes, stash, |src| now[src as usize]);
-            }
-        }
-
-        // Observation replay, in schedule order.
-        for &pos in &ct.observed_slots {
-            let node = ct.schedule[pos as usize] as usize;
-            if !tail.computed[node] {
-                self.emit(k, ct.obs[pos as usize], tail.acc[node], &tail);
-            }
-        }
-        tail.computed.fill(true);
-
-        let mut nodes_local = 1u64; // the pre-marked input node
-        let mut arcs_local = 0u64;
-        for out in &outs {
-            nodes_local += out.nodes;
-            arcs_local += out.arcs;
-            rt.stats.barrier_crossings += out.barrier_crossings;
-        }
-        self.stats.nodes_computed += nodes_local;
-        self.stats.arcs_evaluated += arcs_local;
-        rt.stats.parallel_iterations += 1;
-        self.ring.push_back(tail);
-        self.compiled = Some(ct);
-        self.parallel = Some(rt);
-        self.flight = flight;
     }
 
     /// Clones the just-finished fast-path iteration `k` into the capture
@@ -2095,11 +1819,8 @@ impl Engine {
             // Dirty: the slot body of the full compiled sweep.
             recomputed += 1;
             let hist = History::new(&self.ring, self.base_k, k);
-            let now = &tail.acc;
             let stash = self.record_observations.then_some(&mut tail.exec_stash[..]);
-            let (acc, _) = eval_slot(&ct, slot, &hist, &tail.sizes, stash, |src| {
-                now[src as usize]
-            });
+            let (acc, _) = eval_slot(&ct, slot, &hist, &tail.sizes, stash, &tail.acc);
             if acc == row.acc[node] {
                 // Monotone early-out: downstream comparisons of this node
                 // see no difference — the frontier stops here.

@@ -57,9 +57,8 @@
 // `deny` rather than `forbid`: the lane-chunked fold kernel opts back in
 // (`kernel.rs` carries `#![allow(unsafe_code)]` + `#![deny(unsafe_op_in_unsafe_fn)]`)
 // for its runtime-dispatched AVX2 path and the `repr(transparent)` slice
-// casts it rests on, and `parallel.rs` for its one `sched_setaffinity`
-// FFI call (best-effort worker pinning). Every other module stays
-// unsafe-free.
+// casts it rests on. It is the only module that does; every other module
+// stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
@@ -72,7 +71,6 @@ mod engine;
 pub mod equivalent;
 mod error;
 pub mod kernel;
-mod parallel;
 pub mod partial;
 pub mod periodic;
 pub mod simplify;
@@ -87,10 +85,9 @@ pub use batch::{BatchUnsupported, BatchedEngine, KernelDispatchStats};
 pub use compile::{CompiledTdg, EvalBackend, SlotShape};
 pub use delta::{DeltaCache, DeltaUnsupported};
 pub use derive::{derive_tdg, derive_tdg_with, DeriveOptions, DerivedTdg, SizeRule, SizeRules};
-pub use engine::{AllocationFootprint, Engine, Notification};
+pub use engine::{AllocationFootprint, Engine, Notification, PartitionStats};
 pub use equivalent::{equivalent_simulation, EquivalentModelBuilder, EquivalentSimulation};
 pub use error::{DeriveError, EngineError, EquivalentError};
-pub use parallel::ParallelConfig;
 pub use partial::{hybrid_simulation, partition, HybridReport, HybridSimulation, Partition, PartitionError};
 pub use periodic::{
     predict_periodic_regime, DetectedPeriod, FastForward, FastForwardStats, OraclePrediction,

@@ -88,29 +88,7 @@ pub fn pipeline(stages: usize, base: u64, per_unit: u64) -> Result<Pipeline, Mod
 ///
 /// Panics if the graph is empty.
 pub fn pad(tdg: &Tdg, extra: usize) -> Tdg {
-    pad_wide(tdg, extra, 1)
-}
-
-/// Appends `extra` computation-only [`NodeKind::Padding`] nodes spread over
-/// `chains` parallel chains hanging off the first input (or first node).
-///
-/// `chains == 1` reproduces [`pad`] exactly (same names, same node order,
-/// same arcs). Larger values keep the node count but shrink the schedule
-/// depth: node `pad{i}` lands on chain `i % chains`, so every zero-delay
-/// level of the padded region holds up to `chains` independent nodes. Wide
-/// levels are what give the partitioned parallel sweep
-/// ([`crate::ParallelConfig`]) something to split — a single chain is one
-/// node per level and can only ever be walked serially.
-///
-/// Like [`pad`], the padding influences no instant; it is pure
-/// `ComputeInstant()` load.
-///
-/// # Panics
-///
-/// Panics if the graph is empty or `chains == 0`.
-pub fn pad_wide(tdg: &Tdg, extra: usize, chains: usize) -> Tdg {
     assert!(tdg.node_count() > 0, "cannot pad an empty graph");
-    assert!(chains > 0, "padding needs at least one chain");
     let mut b = TdgBuilder::new();
     let mut remap = Vec::with_capacity(tdg.node_count());
     for node in tdg.nodes() {
@@ -124,19 +102,15 @@ pub fn pad_wide(tdg: &Tdg, extra: usize, chains: usize) -> Tdg {
             arc.weight.clone(),
         );
     }
-    let anchor = tdg
+    let mut tail = tdg
         .inputs()
         .first()
         .map(|&n| remap[n.index()])
         .unwrap_or(remap[0]);
-    // `tails[c]` is the last node of chain `c`; node ids stay sequential in
-    // `i`, so chains interleave level by level rather than block by block.
-    let mut tails = vec![anchor; chains.min(extra.max(1))];
     for i in 0..extra {
         let p = b.add_node(format!("pad{i}"), NodeKind::Padding);
-        let c = i % tails.len();
-        b.add_arc(tails[c], p, 0, Weight::e());
-        tails[c] = p;
+        b.add_arc(tail, p, 0, Weight::e());
+        tail = p;
     }
     b.build().expect("padding cannot create cycles")
 }
@@ -247,73 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn wide_padding_single_chain_is_pad() {
-        let p = pipeline(2, 10, 1).unwrap();
-        let derived = derive_tdg(&p.arch).unwrap();
-        let a = pad(derived.tdg(), 37);
-        let b = pad_wide(derived.tdg(), 37, 1);
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.arcs().len(), b.arcs().len());
-        for (x, y) in a.nodes().iter().zip(b.nodes()) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.kind, y.kind);
-        }
-        for (x, y) in a.arcs().iter().zip(b.arcs()) {
-            assert_eq!((x.src, x.dst, x.delay), (y.src, y.dst, y.delay));
-        }
-    }
-
-    #[test]
-    fn wide_padding_preserves_instants() {
-        let p = pipeline(3, 50, 0).unwrap();
-        let derived = derive_tdg(&p.arch).unwrap();
-        let rels = p.arch.app().relations().len();
-        let run = |chains: usize| {
-            let mut d = derived.clone();
-            d.map_tdg(|tdg| pad_wide(tdg, 200, chains));
-            let mut e = Engine::new(d, rels, true);
-            for k in 0..5 {
-                e.set_input(0, k, Time::from_ticks(k * 10), 4);
-            }
-            (0..rels)
-                .map(|r| e.instants(r).to_vec())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(16), "chain fan-out must not change any instant");
-    }
-
-    #[test]
-    fn wide_padding_shrinks_schedule_depth() {
-        let p = pipeline(2, 10, 0).unwrap();
-        let derived = derive_tdg(&p.arch).unwrap();
-        let rels = p.arch.app().relations().len();
-        let depth = |chains: usize| {
-            let d = crate::derive::DerivedTdg::new(
-                pad_wide(derived.tdg(), 4_000, chains),
-                derived.size_rules().to_vec(),
-            );
-            let e = Engine::new(d, rels, false);
-            e.compiled_tdg().expect("compiled backend").level_count()
-        };
-        let (deep, wide) = (depth(1), depth(16));
-        assert!(
-            wide * 8 < deep,
-            "16 chains must cut depth by ~16x (deep={deep}, wide={wide})"
-        );
-    }
-
-    #[test]
     fn padding_scales_to_the_200k_fig5_point() {
-        // The PR 9 grid's largest point: 200k nodes, wide enough for the
-        // partitioned sweep. Exercises the builder, levelization, and
-        // compiled lowering at a size where any quadratic pass or 32-bit
-        // arc-count overflow would show immediately.
+        // 200k nodes on one chain, as deep as a schedule gets. Exercises
+        // the builder, levelization, and compiled lowering at a size where
+        // any quadratic pass or 32-bit arc-count overflow would show
+        // immediately.
         let p = pipeline(3, 200, 2).unwrap();
         let derived = derive_tdg(&p.arch).unwrap();
         let rels = p.arch.app().relations().len();
         let extra = 200_000 - derived.tdg().node_count();
         let padded = crate::derive::DerivedTdg::new(
-            pad_wide(derived.tdg(), extra, 64),
+            pad(derived.tdg(), extra),
             derived.size_rules().to_vec(),
         );
         assert_eq!(padded.tdg().node_count(), 200_000);

@@ -14,9 +14,7 @@
 //! default 200), `--batch N` (lockstep lanes per `BatchedEngine`, default
 //! 8; `1` disables batching), `--no-fast-forward` (disable periodic
 //! steady-state fast-forward, for A/B timing runs), `--no-delta` (disable
-//! delta chaining of sibling scenarios, for A/B timing runs),
-//! `--partition-threads N` (intra-graph partition workers per engine
-//! sweep, default 1 = serial; bitwise invisible either way), `--compare`
+//! delta chaining of sibling scenarios, for A/B timing runs), `--compare`
 //! (also run the conventional DES model per scenario, checking accuracy and
 //! the event ratio), `--out PATH` (report path,
 //! default `results/sweep.json`), `--metrics PATH` (enable streaming
@@ -37,14 +35,13 @@ struct Options {
     batch: usize,
     fast_forward: FastForward,
     delta: bool,
-    partition_threads: usize,
     compare: bool,
     out: PathBuf,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--partition-threads N] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
+const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--no-delta] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -59,7 +56,6 @@ fn parse_args() -> Options {
         batch: 8,
         fast_forward: FastForward::On,
         delta: true,
-        partition_threads: 1,
         compare: false,
         out: PathBuf::from("results/sweep.json"),
         metrics: None,
@@ -87,10 +83,6 @@ fn parse_args() -> Options {
             }
             "--no-fast-forward" => options.fast_forward = FastForward::Off,
             "--no-delta" => options.delta = false,
-            "--partition-threads" => {
-                options.partition_threads =
-                    parsed("--partition-threads", value("--partition-threads")) as usize;
-            }
             "--compare" => options.compare = true,
             "--out" => options.out = PathBuf::from(value("--out")),
             "--metrics" => options.metrics = Some(PathBuf::from(value("--metrics"))),
@@ -125,7 +117,6 @@ fn main() {
             fast_forward: options.fast_forward,
             telemetry: options.metrics.is_some(),
             delta: options.delta,
-            partition_threads: options.partition_threads,
             ..SweepConfig::default()
         },
     );
@@ -137,7 +128,6 @@ fn main() {
             batch_width: options.batch,
             fast_forward: options.fast_forward,
             delta: options.delta,
-            partition_threads: options.partition_threads,
             ..SweepConfig::default()
         },
     );
@@ -199,7 +189,6 @@ fn main() {
         ("scenario_count", Json::U64(parallel.scenarios.len() as u64)),
         ("tokens_per_scenario", Json::U64(options.tokens)),
         ("batch_width", Json::U64(options.batch as u64)),
-        ("partition_threads", Json::U64(options.partition_threads as u64)),
         ("parallel_wall_ns", Json::U64(parallel.wall.as_nanos() as u64)),
         ("sequential_wall_ns", Json::U64(sequential.wall.as_nanos() as u64)),
         ("parallel_speedup", Json::F64(speedup)),

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, BatchUnsupported, BatchedEngine, DeltaCache, Engine, FastForward, FastForwardStats,
-    ParallelConfig, DEFAULT_CONFIRM_PERIODS,
+    derive_tdg, synthetic, BatchUnsupported, BatchedEngine, DeltaCache, Engine, FastForward,
+    FastForwardStats, DEFAULT_CONFIRM_PERIODS,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
 use evolve_obs::{downcast, DeltaCounters, TelemetrySink};
@@ -46,11 +46,11 @@ pub struct EngineOptions {
     pub fast_forward: FastForward,
     /// Confirmation window, in detected periods, before promotion.
     pub ff_confirm_periods: u64,
-    /// Partitioned intra-graph parallel evaluation for scalar compiled
-    /// engines (`None` = serial sweep). Applies only above the config's
-    /// own `min_nodes` engagement threshold; lockstep batched engines
-    /// parallelize across lanes instead and ignore this.
-    pub partition: Option<ParallelConfig>,
+    /// Always `None`, the only value of its type: the partitioned sweep
+    /// this field configured is gone. Kept only because the benchmark
+    /// crate builds this struct with every field named; the next
+    /// benchmark change (ROADMAP item 10) removes it.
+    pub partition: Option<std::convert::Infallible>,
 }
 
 impl Default for EngineOptions {
@@ -94,18 +94,13 @@ pub fn prepare(spec: &ModelSpec, options: &EngineOptions) -> PreparedModel {
     let (arch, input, output) = spec.build();
     let mut derived = derive_tdg(&arch).expect("cached models derive");
     if spec.padding > 0 {
-        derived.map_tdg(|tdg| spec.pad_tdg(tdg));
+        derived.map_tdg(|tdg| synthetic::pad(tdg, spec.padding));
     }
     let nodes = derived.tdg().node_count();
     let relation_count = arch.app().relations().len();
     let mut engine =
         Engine::with_backend(derived, relation_count, options.record_observations, spec.backend);
     engine.set_fast_forward_with(options.fast_forward, options.ff_confirm_periods);
-    if options.partition.is_some() {
-        // `None` must not strip the default runtime a `CompiledParallel`
-        // backend attaches at construction.
-        engine.set_partition(options.partition);
-    }
     let resource_count = arch.platform().len();
     PreparedModel {
         engine,
@@ -157,7 +152,7 @@ pub fn prepare_batch(
     let (arch, input, output) = spec.build();
     let mut derived = derive_tdg(&arch).expect("cached models derive");
     if spec.padding > 0 {
-        derived.map_tdg(|tdg| spec.pad_tdg(tdg));
+        derived.map_tdg(|tdg| synthetic::pad(tdg, spec.padding));
     }
     let nodes = derived.tdg().node_count();
     let relation_count = arch.app().relations().len();
@@ -302,11 +297,6 @@ pub fn drive_prepared(
         sink.seal_lanes();
         *tel = Some(sink);
     }
-    if let Some(sink) = tel.as_deref_mut() {
-        // Per-drive counters: `reset` (engine reuse) restarts them, and a
-        // detached runtime reports all-zero, which merges as a no-op.
-        sink.partition.merge(&prepared.engine.partition_stats());
-    }
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
 
@@ -360,7 +350,6 @@ pub fn busy_per_resource(records: &[ExecRecord], resources: usize) -> Vec<u64> {
 enum FamilyShape {
     Didactic { stages: usize },
     Pipeline { stages: usize },
-    WidePipeline { stages: usize, chains: usize },
 }
 
 /// The structural delta-family key of a [`ModelSpec`]; see
@@ -384,8 +373,6 @@ pub fn delta_family_key(model: &ModelSpec) -> Option<DeltaFamilyKey> {
     let shape = match model.kind {
         ModelKind::Didactic { stages } => FamilyShape::Didactic { stages },
         ModelKind::Pipeline { stages, .. } => FamilyShape::Pipeline { stages },
-        // `chains` reshapes the padded graph, so it is structural.
-        ModelKind::WidePipeline { stages, chains, .. } => FamilyShape::WidePipeline { stages, chains },
     };
     Some(DeltaFamilyKey {
         shape,

@@ -55,7 +55,7 @@ use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
     synthetic, BatchedEngine, DeltaCache, DetectedPeriod, Engine, EvalBackend, FastForward,
-    FastForwardStats, ParallelConfig,
+    FastForwardStats,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
@@ -91,19 +91,6 @@ pub enum ModelKind {
         base: u64,
         /// Additional operations per token-size unit.
         per_unit: u64,
-    },
-    /// A [`Pipeline`](ModelKind::Pipeline) whose padding is spread over
-    /// `chains` parallel chains ([`synthetic::pad_wide`]) instead of one
-    /// deep chain — wide levels for the partitioned parallel path.
-    WidePipeline {
-        /// Pipeline length in functions (≥ 1).
-        stages: usize,
-        /// Base load in abstract operations.
-        base: u64,
-        /// Additional operations per token-size unit.
-        per_unit: u64,
-        /// Parallel padding chains (≥ 1; `1` is exactly `Pipeline`).
-        chains: usize,
     },
 }
 
@@ -144,28 +131,10 @@ impl ModelSpec {
                 stages,
                 base,
                 per_unit,
-            }
-            | ModelKind::WidePipeline {
-                stages,
-                base,
-                per_unit,
-                ..
             } => {
                 let p = synthetic::pipeline(stages, base, per_unit).expect("pipeline builds");
                 (p.arch, p.input, p.output)
             }
-        }
-    }
-
-    /// Pads `tdg` with this spec's computation-only nodes: one deep chain
-    /// for the classic kinds, `chains` parallel chains for
-    /// [`ModelKind::WidePipeline`].
-    pub fn pad_tdg(&self, tdg: &evolve_core::Tdg) -> evolve_core::Tdg {
-        match self.kind {
-            ModelKind::WidePipeline { chains, .. } => {
-                synthetic::pad_wide(tdg, self.padding, chains.max(1))
-            }
-            _ => synthetic::pad(tdg, self.padding),
         }
     }
 }
@@ -337,12 +306,6 @@ pub struct SweepConfig {
     /// identical either way (`--no-delta` on the sweep binary exists for
     /// A/B timing runs); see `docs/SWEEP.md` for chaining and tuning notes.
     pub delta: bool,
-    /// Partition workers for *intra-graph* parallel evaluation of scalar
-    /// compiled engines (`<= 1` = serial sweep, the default). Engages only
-    /// on graphs above the partition planner's engagement threshold, so
-    /// small models keep the cache-resident serial sweep; outcomes are
-    /// bitwise identical for any setting. See `docs/SWEEP.md`.
-    pub partition_threads: usize,
 }
 
 impl Default for SweepConfig {
@@ -355,7 +318,6 @@ impl Default for SweepConfig {
             fast_forward: FastForward::On,
             telemetry: false,
             delta: true,
-            partition_threads: 1,
         }
     }
 }
@@ -681,13 +643,6 @@ fn engine_options(config: &SweepConfig) -> EngineOptions {
     EngineOptions {
         record_observations: config.record_observations,
         fast_forward: config.fast_forward,
-        // Workers stay unpinned under the sweep: its own thread pool (and
-        // the partition scopes of sibling units) shares the host cores.
-        partition: (config.partition_threads >= 2).then(|| ParallelConfig {
-            threads: config.partition_threads,
-            pin: false,
-            ..ParallelConfig::default()
-        }),
         ..EngineOptions::default()
     }
 }
@@ -891,10 +846,6 @@ enum ScalarReason {
     EmptyTrace,
     /// The model group's leftover lane after full batches were carved off.
     SingleLane,
-    /// The model runs the scalar partitioned backend
-    /// ([`EvalBackend::CompiledParallel`]); its parallelism is
-    /// intra-graph, not cross-lane.
-    Partitioned,
 }
 
 /// A unit of worker-schedulable work: one scalar scenario, one lockstep
@@ -1005,12 +956,6 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                 index,
                 spec,
                 reason: ScalarReason::Worklist,
-            });
-        } else if spec.model.backend == EvalBackend::CompiledParallel {
-            units.push(WorkUnit::Scalar {
-                index,
-                spec,
-                reason: ScalarReason::Partitioned,
             });
         } else if spec.trace.tokens == 0 {
             units.push(WorkUnit::Scalar {
@@ -1157,10 +1102,6 @@ fn count_scalar(
         ScalarReason::SingleLane => {
             stats.eject_single_lane += 1;
             Some(EjectReason::SingleLane)
-        }
-        ScalarReason::Partitioned => {
-            stats.eject_partitioned += 1;
-            Some(EjectReason::Partitioned)
         }
     };
     if let (Some(sink), Some(reason)) = (tel.as_deref_mut(), eject) {
@@ -1709,49 +1650,6 @@ mod tests {
             // after the batch filled — input order makes it c4.
             assert_eq!(s.batched, expect_batched, "scenario {}", s.label);
         }
-    }
-
-    /// The report renders the batching counters in full: a width-8 sweep
-    /// over scenarios on the partitioned backend books every one of them
-    /// under `eject_partitioned`, so `lanes_scalar` is the sum of the
-    /// ejection reasons in the JSON as in the counters.
-    #[test]
-    fn report_json_counts_partitioned_ejections() {
-        let scenarios: Vec<ScenarioSpec> = (0..10)
-            .map(|i| ScenarioSpec {
-                label: format!("p{i}"),
-                model: ModelSpec {
-                    kind: ModelKind::Pipeline {
-                        stages: 3,
-                        base: 50,
-                        per_unit: 2,
-                    },
-                    padding: 0,
-                    backend: EvalBackend::CompiledParallel,
-                },
-                trace: TraceSpec {
-                    tokens: 8,
-                    min_size: 1,
-                    max_size: 16,
-                    mean_period: 0,
-                    seed: i,
-                },
-            })
-            .collect();
-        let report = run_sweep(
-            &scenarios,
-            &SweepConfig { threads: 1, batch_width: 8, ..SweepConfig::default() },
-        );
-        let rendered = report.to_json().render();
-        // The report's own batching object comes first; the telemetry
-        // snapshot repeats it further down.
-        let batching = rendered
-            .split("\"batching\":")
-            .nth(1)
-            .and_then(|rest| rest.split('}').next())
-            .expect("the report has a batching object");
-        assert!(batching.contains("\"lanes_scalar\":10"), "{batching}");
-        assert!(batching.contains("\"eject_partitioned\":10"), "{batching}");
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub enum BackendKind {
     Compiled,
     /// The lockstep multi-lane batched sweep.
     Batched,
-    /// The compiled sweep with the intra-graph partitioned parallel path.
-    CompiledParallel,
 }
 
 impl BackendKind {
@@ -25,7 +23,6 @@ impl BackendKind {
             BackendKind::Worklist => "worklist",
             BackendKind::Compiled => "compiled",
             BackendKind::Batched => "batched",
-            BackendKind::CompiledParallel => "compiled-parallel",
         }
     }
 }
@@ -41,9 +38,6 @@ pub enum EjectReason {
     SingleLane,
     /// The batched engine rejected the graph shape.
     Unsupported,
-    /// The lane's model runs the scalar partitioned backend (intra-graph
-    /// workers instead of cross-lane lockstep).
-    Partitioned,
 }
 
 impl EjectReason {
@@ -54,7 +48,6 @@ impl EjectReason {
             EjectReason::EmptyTrace => "empty_trace",
             EjectReason::SingleLane => "single_lane",
             EjectReason::Unsupported => "unsupported",
-            EjectReason::Partitioned => "partitioned",
         }
     }
 }

@@ -1,14 +1,13 @@
-//! An always-on host-time flight recorder for the serving and partition
-//! layers.
+//! An always-on host-time flight recorder for the serving layer.
 //!
 //! [`FlightRecorder`] keeps the last N lifecycle spans per *track* (one
-//! track per serve shard, one per partition worker) in bounded,
-//! lock-free ring buffers, so a live daemon can answer "where did this
-//! request's time go?" at any moment without ever blocking the hot path:
+//! track per serve shard) in bounded, lock-free ring buffers, so a live
+//! daemon can answer "where did this request's time go?" at any moment
+//! without ever blocking the hot path:
 //!
 //! - writers are wait-free: each track has exactly **one writer thread**
-//!   (the shard loop, or one scoped partition worker), which publishes a
-//!   span with plain atomic stores guarded by a per-slot sequence word;
+//!   (the shard loop), which publishes a span with plain atomic stores
+//!   guarded by a per-slot sequence word;
 //! - readers (a `Dump` protocol request, a SIGUSR1 handler, shutdown)
 //!   walk the rings concurrently and *discard* any slot whose sequence
 //!   word changed underneath them — the oldest spans are evicted by
@@ -31,7 +30,7 @@
 //! host-time tracks of [`TraceCollector`](crate::TraceCollector).
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::Json;
@@ -51,11 +50,8 @@ const SLOT_WORDS: usize = 6;
 /// table must stay small and bounded.
 pub const MAX_LABELS: usize = 1024;
 
-/// A request-lifecycle (or partition-sweep) phase.
-///
-/// The first six phases are the serving pipeline a request traverses in
-/// order; the last is emitted by the partitioned intra-graph sweep's
-/// workers, so barrier stalls show up as gaps per worker and per level.
+/// A request-lifecycle phase: the serving pipeline a request traverses,
+/// in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Phase {
@@ -71,12 +67,10 @@ pub enum Phase {
     Encode = 4,
     /// Response frame write on the client socket.
     Write = 5,
-    /// One per-worker, per-level partition sweep.
-    Sweep = 6,
 }
 
 /// Number of phases (and per-phase histograms).
-pub const PHASE_COUNT: usize = 7;
+pub const PHASE_COUNT: usize = 6;
 
 impl Phase {
     /// All phases, in pipeline order.
@@ -87,7 +81,6 @@ impl Phase {
         Phase::Eval,
         Phase::Encode,
         Phase::Write,
-        Phase::Sweep,
     ];
 
     /// Stable lowercase name, used as the Prometheus `phase` label and
@@ -100,7 +93,6 @@ impl Phase {
             Phase::Eval => "eval",
             Phase::Encode => "encode",
             Phase::Write => "write",
-            Phase::Sweep => "sweep",
         }
     }
 
@@ -204,10 +196,9 @@ impl FlightRecorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Registers a named track (e.g. `"shard-0"`, `"shard-0/worker-1"`)
-    /// and returns its handle. At most one thread may record on a track
-    /// at a time. Returns [`TrackId::INVALID`] (a no-op handle) when the
-    /// table is full.
+    /// Registers a named track (e.g. `"shard-0"`) and returns its handle.
+    /// At most one thread may record on a track at a time. Returns
+    /// [`TrackId::INVALID`] (a no-op handle) when the table is full.
     pub fn register_track(&self, name: &str) -> TrackId {
         let mut names = self.names.lock().expect("flight track registry");
         if names.len() >= self.rings.len() || names.len() >= usize::from(u16::MAX) {
@@ -411,24 +402,10 @@ impl PhaseHistogram {
     }
 }
 
-/// The recorder handle an [`Engine`](../../evolve_core/struct.Engine.html)
-/// carries so partition workers can emit per-level `sweep` spans: the
-/// shared recorder, one pre-registered track per partition worker, and the
-/// correlation id of the request currently being evaluated.
-#[derive(Clone, Debug)]
-pub struct PartitionTracer {
-    /// The shared recorder.
-    pub recorder: Arc<FlightRecorder>,
-    /// One track per partition worker index (worker `p` records on
-    /// `tracks[p]`; missing entries record nothing).
-    pub tracks: Vec<TrackId>,
-    /// Correlation id stamped on emitted spans (0 outside a request).
-    pub corr: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn records_and_reads_back_spans() {
@@ -475,7 +452,7 @@ mod tests {
             let rec = Arc::clone(&rec);
             std::thread::spawn(move || {
                 for i in 0..SPANS {
-                    rec.record(track, Phase::Sweep, i, i * 10, i * 10 + 1, 0, i);
+                    rec.record(track, Phase::Eval, i, i * 10, i * 10 + 1, 0, i);
                 }
             })
         };

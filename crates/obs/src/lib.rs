@@ -39,12 +39,12 @@ pub mod trace;
 
 pub use event::{BackendKind, EjectReason, EngineEvent};
 pub use export::prometheus;
-pub use flight::{FlightRecorder, FlightSpan, PartitionTracer, Phase, TrackId};
+pub use flight::{FlightRecorder, FlightSpan, Phase, TrackId};
 pub use json::Json;
 pub use metrics::{
     BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters, FoldedResource,
-    LogHistogram, MetricsSnapshot, PartitionCounters, PeriodUsage, PhaseSnapshot, ResourceMetrics,
-    ResourceSnapshot, ServeCounters, ServeGauges, TelemetrySink,
+    LogHistogram, MetricsSnapshot, PeriodUsage, PhaseSnapshot, ResourceMetrics, ResourceSnapshot,
+    ServeCounters, ServeGauges, TelemetrySink,
 };
 pub use observer::{downcast, NullObserver, Observer};
 pub use trace::TraceCollector;

@@ -279,7 +279,7 @@ mod merge {
         ours + theirs
     }
 
-    /// A gauge holds a shape (a batch width, a partition plan): merged
+    /// A gauge holds a shape (a batch width): merged
     /// shards keep the largest value seen.
     pub(super) fn gauge(ours: u64, theirs: u64) -> u64 {
         ours.max(theirs)
@@ -439,7 +439,9 @@ counter_set! {
             eject_single_lane reason = "single_lane",
             /// Lanes ejected: batched engine rejected the graph shape.
             eject_unsupported reason = "unsupported",
-            /// Lanes ejected: model runs the scalar partitioned backend.
+            /// Always 0: the partitioned backend this reason named is gone.
+            /// Kept only because the benchmark crate still reports it; the
+            /// next benchmark change (ROADMAP item 10) removes it.
             eject_partitioned reason = "partitioned",
         }
     }
@@ -506,46 +508,6 @@ counter_set! {
             /// Lanes ejected: the sibling's compiled structure differs from the
             /// base cache.
             eject_structure_mismatch reason = "structure_mismatch",
-        }
-    }
-}
-
-counter_set! {
-    /// Partitioned-parallel-evaluation counters, as `evolve-core`'s
-    /// `Engine::partition_stats` returns them. The plan-shape fields
-    /// (`partitions`, `planned_barriers`, `frontier_arcs`) are gauges and
-    /// merge by max; the rest are cumulative and add.
-    PartitionCounters {
-        counter "evolve_partition_parallel_iterations_total"
-            "Iterations evaluated by the partitioned parallel sweep" {
-            /// Iterations evaluated by the partitioned parallel sweep.
-            parallel_iterations
-        }
-        counter "evolve_partition_serial_iterations_total"
-            "Serial fast-path iterations while a partition runtime was attached" {
-            /// Fast-path iterations that ran serially while a partition runtime
-            /// was attached (delta hits, graphs under the engagement threshold).
-            serial_iterations
-        }
-        gauge "evolve_partition_partitions"
-            "Planned partitions of the largest partition plan seen" {
-            /// Planned partitions (largest plan seen).
-            partitions
-        }
-        gauge "evolve_partition_planned_barriers"
-            "Levels with a planned barrier in the largest plan seen" {
-            /// Levels with a planned barrier (largest plan seen).
-            planned_barriers
-        }
-        gauge "evolve_partition_frontier_arcs"
-            "Cross-partition zero-delay arcs in the largest plan seen" {
-            /// Cross-partition zero-delay arcs in the plan (largest plan seen).
-            frontier_arcs
-        }
-        counter "evolve_partition_barrier_crossings_total"
-            "Spin-barrier crossings executed, summed over workers" {
-            /// Spin-barrier crossings executed, summed over workers.
-            barrier_crossings
         }
     }
 }
@@ -647,8 +609,6 @@ pub struct TelemetrySink {
     pub batch: BatchCounters,
     /// Delta-evaluation counters (recorded by the sweep layer).
     pub delta: DeltaCounters,
-    /// Partitioned-parallel counters (recorded by the driving layer).
-    pub partition: PartitionCounters,
     /// Serving-layer counters (recorded by the serve daemon's shards).
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -697,7 +657,6 @@ impl TelemetrySink {
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
         self.delta.merge(&other.delta);
-        self.partition.merge(&other.partition);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.regimes.extend(other.regimes);
@@ -731,7 +690,6 @@ impl TelemetrySink {
             ff: self.ff,
             batch: self.batch,
             delta: self.delta,
-            partition: self.partition,
             serve: self.serve,
             events: self.events,
             regimes: self.regimes.clone(),
@@ -819,7 +777,7 @@ pub struct ResourceSnapshot {
     pub durations: LogHistogram,
 }
 
-/// One serving/partition lifecycle phase's latency histogram
+/// One serving lifecycle phase's latency histogram
 /// (nanosecond samples), fed by the flight recorder
 /// ([`crate::flight::FlightRecorder::phase_snapshots`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -854,8 +812,6 @@ pub struct MetricsSnapshot {
     pub batch: BatchCounters,
     /// Delta-evaluation counters.
     pub delta: DeltaCounters,
-    /// Partitioned-parallel counters.
-    pub partition: PartitionCounters,
     /// Serving-layer counters.
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -905,7 +861,6 @@ impl MetricsSnapshot {
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
         self.delta.merge(&other.delta);
-        self.partition.merge(&other.partition);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.regimes.extend(other.regimes.iter().copied());
@@ -976,7 +931,6 @@ impl MetricsSnapshot {
             ),
             ("batching", self.batch.to_json()),
             ("delta", self.delta.to_json()),
-            ("partition", self.partition.to_json()),
             ("serve", self.serve.to_json()),
             (
                 "events",

@@ -21,14 +21,14 @@ fn rec(resource: usize, start: u64, end: u64) -> ExecRecord {
 fn flight_recorder_document_matches_golden() {
     let recorder = FlightRecorder::new(2, 8);
     let shard = recorder.register_track("shard-0");
-    let worker = recorder.register_track("shard-0/worker-1");
+    // A track without spans still gets its thread-name metadata.
+    recorder.register_track("shard-0/worker-1");
     let pipeline = recorder.intern("pipeline/8");
     let named = recorder.intern("named \"model\"");
     recorder.record(shard, Phase::QueueWait, 1, 1_000, 2_500, 0, 0);
     recorder.record(shard, Phase::Eval, 1, 2_500, 9_000, pipeline, 4);
     recorder.record(shard, Phase::Eval, 2, 2_500, 7_250, named, 4);
     recorder.record(shard, Phase::Write, 2, 9_000, 9_100, 0, 512);
-    recorder.record(worker, Phase::Sweep, 1, 3_000, 4_000, 0, 2);
     assert_eq!(
         recorder.render_chrome_trace(),
         include_str!("golden/flight.json").trim_end()

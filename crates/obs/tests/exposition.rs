@@ -4,8 +4,7 @@
 
 use evolve_obs::{
     prometheus, BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters,
-    LogHistogram, MetricsSnapshot, PartitionCounters, PhaseSnapshot, ResourceSnapshot,
-    ServeCounters, ServeGauges,
+    LogHistogram, MetricsSnapshot, PhaseSnapshot, ResourceSnapshot, ServeCounters, ServeGauges,
 };
 
 fn hist(samples: &[u64]) -> LogHistogram {
@@ -60,14 +59,6 @@ fn fixture() -> MetricsSnapshot {
             eject_output_acks: 4011,
             eject_worklist: 4012,
             eject_structure_mismatch: 4013,
-        },
-        partition: PartitionCounters {
-            parallel_iterations: 5001,
-            serial_iterations: 5002,
-            partitions: 5003,
-            planned_barriers: 5004,
-            frontier_arcs: 5005,
-            barrier_crossings: 5006,
         },
         serve: ServeCounters {
             connections: 6001,

@@ -281,24 +281,11 @@ fn put_model(buf: &mut Vec<u8>, spec: &ModelSpec) {
             put_u64(buf, base);
             put_u64(buf, per_unit);
         }
-        ModelKind::WidePipeline {
-            stages,
-            base,
-            per_unit,
-            chains,
-        } => {
-            put_u8(buf, 2);
-            put_u32(buf, stages as u32);
-            put_u64(buf, base);
-            put_u64(buf, per_unit);
-            put_u32(buf, chains as u32);
-        }
     }
     put_u32(buf, spec.padding as u32);
     put_u8(buf, match spec.backend {
         EvalBackend::Compiled => 0,
         EvalBackend::Worklist => 1,
-        EvalBackend::CompiledParallel => 2,
     });
 }
 
@@ -519,19 +506,12 @@ impl<'a> Cursor<'a> {
                 base: self.u64()?,
                 per_unit: self.u64()?,
             },
-            2 => ModelKind::WidePipeline {
-                stages: self.u32()? as usize,
-                base: self.u64()?,
-                per_unit: self.u64()?,
-                chains: self.u32()? as usize,
-            },
             t => return Err(WireError::UnknownTag(t)),
         };
         let padding = self.u32()? as usize;
         let backend = match self.u8()? {
             0 => EvalBackend::Compiled,
             1 => EvalBackend::Worklist,
-            2 => EvalBackend::CompiledParallel,
             t => return Err(WireError::UnknownTag(t)),
         };
         Ok(ModelSpec {

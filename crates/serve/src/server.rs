@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{kernel, EvalBackend, FastForward, ParallelConfig, DEFAULT_CONFIRM_PERIODS};
+use evolve_core::{kernel, EvalBackend, FastForward, DEFAULT_CONFIRM_PERIODS};
 use evolve_explore::cache::EngineOptions;
 use evolve_explore::{ModelKind, ModelSpec};
 use evolve_obs::{prometheus, FlightRecorder, MetricsSnapshot, ServeGauges};
@@ -80,10 +80,6 @@ pub struct ServeConfig {
     pub naive: bool,
     /// Attach per-shard telemetry sinks (feeds `/metrics`).
     pub telemetry: bool,
-    /// Partition workers for intra-graph parallel evaluation of scalar
-    /// compiled lanes (`<= 1` = serial sweep, the default). Large ejected
-    /// models sweep level-parallel; lockstep batches are unaffected.
-    pub partition_threads: usize,
     /// Always-on request-lifecycle flight recorder (per-shard span rings
     /// + per-phase latency histograms). Disable to measure its cost.
     pub flight_recorder: bool,
@@ -113,7 +109,6 @@ impl Default for ServeConfig {
             delta: true,
             naive: false,
             telemetry: true,
-            partition_threads: 1,
             flight_recorder: true,
             flight_spans: 1024,
         }
@@ -128,13 +123,7 @@ impl ServeConfig {
             record_observations: self.record_observations,
             fast_forward: self.fast_forward,
             ff_confirm_periods: self.ff_confirm_periods,
-            // Shards already pin themselves to cores; partition workers
-            // stay unpinned inside a shard's slice of the host.
-            partition: (self.partition_threads >= 2).then(|| ParallelConfig {
-                threads: self.partition_threads,
-                pin: false,
-                ..ParallelConfig::default()
-            }),
+            partition: None,
         }
     }
 }
@@ -257,13 +246,11 @@ impl Server {
         let cfg = Arc::new(config);
         let shutdown = Arc::new(AtomicBool::new(false));
         let shard_count = cfg.shards.max(1);
-        // One track per shard loop plus one per partition worker; the
-        // table is sized exactly, so registration can never overflow
-        // into the no-op handle.
-        let flight = cfg.flight_recorder.then(|| {
-            let workers = if cfg.partition_threads >= 2 { cfg.partition_threads } else { 0 };
-            Arc::new(FlightRecorder::new(shard_count * (1 + workers), cfg.flight_spans))
-        });
+        // One track per shard loop; the table is sized exactly, so
+        // registration can never overflow into the no-op handle.
+        let flight = cfg
+            .flight_recorder
+            .then(|| Arc::new(FlightRecorder::new(shard_count, cfg.flight_spans)));
         let shards: Vec<ShardHandle> = (0..shard_count)
             .map(|i| spawn_shard(i, Arc::clone(&cfg), flight.clone()))
             .collect();
@@ -579,20 +566,7 @@ fn drain_frames(
 /// both are bounded here — before the spec reaches a shard — and the
 /// client gets a typed error instead of a dead shard or an OOM.
 fn validate_spec(spec: &ModelSpec, cfg: &ServeConfig) -> Result<(), String> {
-    let (stages, chains) = match spec.kind {
-        ModelKind::Didactic { stages } => (stages, 1),
-        ModelKind::Pipeline { stages, .. } => (stages, 1),
-        ModelKind::WidePipeline { stages, chains, .. } => (stages, chains),
-    };
-    if chains == 0 {
-        return Err("model must have at least one padding chain".to_string());
-    }
-    if chains > spec.padding.max(1) {
-        return Err(format!(
-            "padding chains {chains} exceed padding nodes {}",
-            spec.padding.max(1)
-        ));
-    }
+    let (ModelKind::Didactic { stages } | ModelKind::Pipeline { stages, .. }) = spec.kind;
     if stages == 0 {
         return Err("model must have at least one stage".to_string());
     }
@@ -632,7 +606,6 @@ fn family_of(spec: &ModelSpec) -> &'static str {
     match spec.kind {
         ModelKind::Didactic { .. } => "didactic",
         ModelKind::Pipeline { .. } => "pipeline",
-        ModelKind::WidePipeline { .. } => "wide-pipeline",
     }
 }
 

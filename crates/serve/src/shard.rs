@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use evolve_core::{Engine, EvalBackend, FastForwardStats};
+use evolve_core::{EvalBackend, FastForwardStats};
 use evolve_explore::cache::{
     delta_family_key, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaBases,
     DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions, PreparedDrive,
@@ -27,8 +27,8 @@ use evolve_explore::cache::{
 use evolve_explore::{ModelSpec, ScenarioOutcome};
 use evolve_model::Arrival;
 use evolve_obs::{
-    BatchCounters, DeltaCounters, FlightRecorder, MetricsSnapshot, PartitionTracer, Phase,
-    ServeCounters, TelemetrySink, TrackId,
+    BatchCounters, DeltaCounters, FlightRecorder, MetricsSnapshot, Phase, ServeCounters,
+    TelemetrySink, TrackId,
 };
 
 use crate::net::Conn;
@@ -79,14 +79,10 @@ pub(crate) fn spawn_shard(
     let worker_depth = Arc::clone(&depth);
     let worker_published = Arc::clone(&published);
     // Track registration happens here, before the thread exists, so the
-    // dump's track order is deterministic: shard-0, its workers, shard-1…
+    // dump's track order is deterministic: shard-0, shard-1…
     let flight = flight.map(|recorder| {
         let track = recorder.register_track(&format!("shard-{index}"));
-        let workers = if cfg.partition_threads >= 2 { cfg.partition_threads } else { 0 };
-        let worker_tracks: Vec<TrackId> = (0..workers)
-            .map(|p| recorder.register_track(&format!("shard-{index}/worker-{p}")))
-            .collect();
-        ShardFlight { recorder, track, worker_tracks }
+        ShardFlight { recorder, track }
     });
     let join = std::thread::Builder::new()
         .name(format!("evolve-shard-{index}"))
@@ -141,12 +137,10 @@ fn lane_mate_unlikely(recent: &VecDeque<Instant>, width: usize, window: Duration
 }
 
 /// A shard's view of the flight recorder: its own track (the single
-/// writer is the shard thread) and the pre-registered partition-worker
-/// tracks it lends to engines via [`PartitionTracer`].
+/// writer is the shard thread).
 struct ShardFlight {
     recorder: Arc<FlightRecorder>,
     track: TrackId,
-    worker_tracks: Vec<TrackId>,
 }
 
 impl ShardFlight {
@@ -203,26 +197,6 @@ impl Worker {
     /// Recorder time, or 0 when detached (nothing will be recorded).
     fn flight_now(flight: &Option<ShardFlight>) -> u64 {
         flight.as_ref().map_or(0, |f| f.recorder.now_ns())
-    }
-
-    /// Lends the shard's partition-worker tracks to a scalar engine so
-    /// the parallel path emits per-level sweep spans under this
-    /// request's correlation id. The shard evaluates one engine at a
-    /// time, so the per-track single-writer contract holds even though
-    /// cached engines share the tracks.
-    fn attach_flight(flight: &Option<ShardFlight>, engine: &mut Engine, corr: u64) {
-        let Some(f) = flight else { return };
-        if f.worker_tracks.is_empty() {
-            return;
-        }
-        if !engine.flight_attached() {
-            engine.set_flight_recorder(Some(PartitionTracer {
-                recorder: Arc::clone(&f.recorder),
-                tracks: f.worker_tracks.clone(),
-                corr,
-            }));
-        }
-        engine.set_flight_corr(corr);
     }
 
     fn run(mut self, receiver: Receiver<Job>) {
@@ -457,11 +431,9 @@ impl Worker {
             // cache, no delta chain — what a one-request-per-process
             // evaluator would do.
             let mut fresh = prepare(spec, &options);
-            Self::attach_flight(&self.flight, &mut fresh.engine, job.corr);
             drive_prepared(&mut fresh, &job.arrivals, &options, &mut self.sink, mode)
         } else {
             let prepared = self.caches.scalar_mut(spec, &options);
-            Self::attach_flight(&self.flight, &mut prepared.engine, job.corr);
             drive_prepared(prepared, &job.arrivals, &options, &mut self.sink, mode)
         };
         if let Some(f) = &self.flight {

@@ -220,10 +220,46 @@ fn truncated_frames_are_typed_errors() {
     }
 }
 
+/// An inline single-stage didactic eval request whose model-kind tag and
+/// backend byte are overwritten with `kind` and `backend`.
+fn eval_with_tags(kind: u8, backend: u8) -> Vec<u8> {
+    let mut payload = encode_request(&Request::Eval(EvalRequest {
+        id: 3,
+        model: ModelRef::Inline(ModelSpec {
+            kind: ModelKind::Didactic { stages: 1 },
+            padding: 0,
+            backend: EvalBackend::Compiled,
+        }),
+        trace: TracePayload::Generated(TraceSpec {
+            tokens: 4,
+            min_size: 1,
+            max_size: 8,
+            mean_period: 0,
+            seed: 1,
+        }),
+    }));
+    // Opcode, id and the inline-model tag precede the kind tag; the
+    // backend byte follows the stage count and the padding.
+    payload[10] = kind;
+    payload[19] = backend;
+    payload
+}
+
 /// Element counts are validated against the bytes present before any
-/// vector is reserved.
+/// vector is reserved, and the retired tag 2 (model kind and backend)
+/// is an unknown tag.
 #[test]
 fn hostile_element_counts_are_rejected() {
+    assert!(decode_request(&eval_with_tags(0, 0)).is_ok());
+    assert_eq!(
+        decode_request(&eval_with_tags(2, 0)),
+        Err(WireError::UnknownTag(2))
+    );
+    assert_eq!(
+        decode_request(&eval_with_tags(0, 2)),
+        Err(WireError::UnknownTag(2))
+    );
+
     // An Eval frame claiming u32::MAX explicit offers with a 1-byte body.
     let mut payload = vec![0x01];
     payload.extend_from_slice(&0u64.to_le_bytes()); // id
@@ -289,23 +325,27 @@ fn malformed_frames_get_typed_error_responses() {
 
     let mut client = ServeClient::connect_tcp(&addr).unwrap();
     {
-        // Reach under the client to write a well-framed but undecodable
-        // payload, then a valid ping on the same connection.
+        // Reach under the client to write well-framed but undecodable
+        // payloads (junk, then an eval on the retired backend tag 2),
+        // then a valid ping on the same connection.
         let mut raw = TcpStream::connect(&addr).unwrap();
-        let junk = [0xee_u8; 10];
-        raw.write_all(&(junk.len() as u32).to_le_bytes()).unwrap();
-        raw.write_all(&junk).unwrap();
+        let junk = vec![0xee_u8; 10];
         let ping = encode_request(&Request::Ping { nonce: 5 });
-        raw.write_all(&(ping.len() as u32).to_le_bytes()).unwrap();
-        raw.write_all(&ping).unwrap();
+        for payload in [junk, eval_with_tags(0, 2), ping] {
+            raw.write_all(&(payload.len() as u32).to_le_bytes())
+                .unwrap();
+            raw.write_all(&payload).unwrap();
+        }
         let mut conn = raw;
-        let first = evolve_serve::protocol::read_frame(&mut conn, 4096)
-            .unwrap()
-            .expect("error response expected");
-        assert!(matches!(
-            evolve_serve::decode_response(&first),
-            Ok(Response::Error { id: 0, .. })
-        ));
+        for _ in 0..2 {
+            let error = evolve_serve::protocol::read_frame(&mut conn, 4096)
+                .unwrap()
+                .expect("error response expected");
+            assert!(matches!(
+                evolve_serve::decode_response(&error),
+                Ok(Response::Error { id: 0, .. })
+            ));
+        }
         let second = evolve_serve::protocol::read_frame(&mut conn, 4096)
             .unwrap()
             .expect("pong expected");

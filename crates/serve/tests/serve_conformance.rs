@@ -226,72 +226,6 @@ fn named_models_match_inline_requests() {
     server.shutdown_and_join();
 }
 
-/// A wide padded model on the partitioned backend, served with intra-graph
-/// workers enabled, round-trips the new wire tags, stays bitwise identical
-/// to the serial scalar reference, and actually engages the parallel sweep
-/// (the graph is above `min_nodes`, so the daemon's partition counters
-/// must move).
-#[test]
-fn partitioned_wide_models_match_scalar_reference() {
-    let config = ServeConfig {
-        shards: 1,
-        batch_width: 2,
-        max_batch_delay: Duration::from_millis(5),
-        partition_threads: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(
-        config,
-        &[Bind::Tcp("127.0.0.1:0".into())],
-        Some("127.0.0.1:0"),
-    )
-    .unwrap();
-    let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
-
-    let spec = ModelSpec {
-        kind: ModelKind::WidePipeline {
-            stages: 4,
-            base: 100,
-            per_unit: 3,
-            chains: 32,
-        },
-        padding: 4_500,
-        backend: EvalBackend::CompiledParallel,
-    };
-    let trace = generated(24, 0xbeef);
-    let ok = expect_ok(client.call(&eval(9, &spec, &trace)).unwrap());
-    assert!(
-        !ok.batched,
-        "partitioned lanes eject from lockstep batching"
-    );
-    let (outputs, acks) = reference(&spec, &trace);
-    assert_eq!(ok.outputs, outputs);
-    assert_eq!(ok.input_acks, acks);
-
-    // A shard publishes its metrics at most once per 25 ms interval, and
-    // a throttled update must land by the interval's end: scrape until the
-    // counter moves or two intervals have passed.
-    let metrics_addr = server.metrics_addr().unwrap().to_string();
-    let deadline = std::time::Instant::now() + 2 * Duration::from_millis(25);
-    let parallel_iterations = loop {
-        let metrics = http_get(&metrics_addr, "/metrics");
-        let parallel_iterations = metrics
-            .lines()
-            .find_map(|l| l.strip_prefix("evolve_partition_parallel_iterations_total "))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .expect("partition family exported");
-        if parallel_iterations > 0 || std::time::Instant::now() >= deadline {
-            break parallel_iterations;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    };
-    assert!(
-        parallel_iterations > 0,
-        "served evaluation never took the partitioned sweep"
-    );
-    server.shutdown_and_join();
-}
-
 /// Once a spec's last `batch_width` arrivals at the shard span more than
 /// `batch_width` deadlines, fewer than one lane-mate is expected in the
 /// window: a lone request dispatches at once (trigger `idle`) instead of

@@ -153,45 +153,3 @@ fn dump_with_recorder_disabled_returns_empty_trace() {
     assert_eq!(trace, "{\"traceEvents\":[]}");
     server.shutdown_and_join();
 }
-
-/// Partition workers record sweep spans on their own `shard-N/worker-P`
-/// tracks when a wide partitioned-backend model is served.
-#[test]
-fn partitioned_eval_records_worker_sweep_spans() {
-    let config = ServeConfig {
-        shards: 1,
-        partition_threads: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(config, &[Bind::Tcp("127.0.0.1:0".into())], None).unwrap();
-    let target = format!("tcp:{}", server.tcp_addr().unwrap());
-    let mut client = ServeClient::connect(&target).unwrap();
-
-    // Must clear the partition planner's node floor (DEFAULT_MIN_NODES)
-    // or the engine silently falls back to the serial sweep.
-    let wide = ModelSpec {
-        kind: ModelKind::WidePipeline {
-            stages: 6,
-            base: 80,
-            per_unit: 2,
-            chains: 32,
-        },
-        padding: 4_096,
-        backend: EvalBackend::CompiledParallel,
-    };
-    let resp = client.call(&eval(1, ModelRef::Inline(wide))).unwrap();
-    assert!(matches!(resp, Response::EvalOk(_)), "wide eval failed: {resp:?}");
-
-    let trace = dump(&mut client);
-    assert!(json::parses(&trace));
-    assert!(
-        trace.contains("\"args\":{\"name\":\"shard-0/worker-0\"}")
-            && trace.contains("\"args\":{\"name\":\"shard-0/worker-1\"}"),
-        "per-worker tracks missing from the trace"
-    );
-    assert!(
-        trace.contains("\"name\":\"sweep\""),
-        "no sweep spans on the worker tracks"
-    );
-    server.shutdown_and_join();
-}
