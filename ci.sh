@@ -73,6 +73,14 @@ cargo test -q -p evolve-core --test observer_conformance --offline
 # harness exits 1 when any row's boundary instants are not exact.
 cargo run --release -q -p evolve-bench --bin table1 --offline -- 2000 0
 
+# LTE smokes: Fig. 6's GOPS series for one frame on one worker, and the
+# Section V rows (observing and boundary-only graphs, 2000 symbols, native
+# kernel). Each harness exits 1 when a series or row is not exact, so a
+# change to the derived LTE graph is checked against its conventional
+# model here too.
+cargo run --release -q -p evolve-bench --bin fig6 --offline -- 1 1
+cargo run --release -q -p evolve-bench --bin lte_speedup --offline -- 2000 0
+
 # Bench smoke: the compiled backend must beat the worklist reference, the
 # batched engine must beat one-lane evaluation, periodic fast-forward
 # must beat the plain sweep on a 1000-node synthetic graph, and delta

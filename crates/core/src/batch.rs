@@ -30,8 +30,8 @@
 //!
 //! A lockstep pass walks the schedule slot by slot and folds each slot by
 //! its [`SlotShape`], the tag the scalar engine's slot evaluator dispatches
-//! on. The straight-line constant and slow shapes (`Const1/2/3`,
-//! `Slow1Const1`, `Slow2Const1`) run as full-width chunked kernel folds
+//! on. The straight-line constant and slow shapes (`Const1`, `Const2`,
+//! `Slow1Const1`) run as full-width chunked kernel folds
 //! over every lane; `Exec1` and the exec arcs of `General` fold once per
 //! offered lane, through the exec-term helper of the scalar sweep. Every
 //! zero-delay source sits at a strictly earlier slot (the retiled
@@ -313,6 +313,7 @@ pub struct KernelDispatchStats {
 /// ```
 pub struct BatchedEngine {
     tdg: Tdg,
+    /// Size rules resolved to their roots (see `compile::SizePlan`).
     size_rules: Vec<SizeRule>,
     relation_count: usize,
     compiled: CompiledTdg,
@@ -455,8 +456,9 @@ impl BatchedEngine {
         }
 
         let (tdg, size_rules, topo) = derived.into_parts();
-        let meta = lower_node_meta(&tdg, relation_count);
-        let compiled = CompiledTdg::lower(&tdg, &topo, &meta, &size_rules);
+        let dependent = zero_delay_dependent(&tdg);
+        let meta = lower_node_meta(&tdg, &size_rules, relation_count);
+        let compiled = CompiledTdg::lower(&tdg, &topo, &meta, &dependent);
         let n_execs = meta.n_execs;
         let input_node = tdg.inputs()[0].index();
         let NodeKind::Input { relation } = tdg.nodes()[input_node].kind else {
@@ -465,7 +467,6 @@ impl BatchedEngine {
         let input_relation = relation.index();
         let n_outputs = tdg.outputs().len();
 
-        let dependent = zero_delay_dependent(&tdg);
         let has_prefix = dependent.iter().any(|d| !d);
         let slot_dependent: Vec<bool> = compiled
             .schedule
@@ -546,7 +547,7 @@ impl BatchedEngine {
             .map(|_| EmissionLog::new(meta.fifo_read.clone(), 1, n_outputs))
             .collect();
         Ok(BatchedEngine {
-            size_rules,
+            size_rules: meta.sizes.rules,
             relation_count,
             compiled,
             n_execs,
@@ -1074,19 +1075,9 @@ impl BatchedEngine {
                     lanes.store_const(lo, dst, c);
                     lanes.fold_const(lo, dst, c + 1);
                 }
-                SlotShape::Const3 => {
-                    lanes.store_const(lo, dst, c);
-                    lanes.fold_const(lo, dst, c + 1);
-                    lanes.fold_const(lo, dst, c + 2);
-                }
                 SlotShape::Slow1Const1 => {
                     lanes.store_const(lo, dst, c);
                     lanes.fold_slow(dst, s);
-                }
-                SlotShape::Slow2Const1 => {
-                    lanes.store_const(lo, dst, c);
-                    lanes.fold_slow(dst, s);
-                    lanes.fold_slow(dst, s + 1);
                 }
                 SlotShape::Exec1 => {
                     dst.fill(MaxPlus::E);

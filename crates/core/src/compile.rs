@@ -38,7 +38,7 @@
 //! suite (`tests/backend_conformance.rs`) pins the two bitwise-equal.
 
 use evolve_maxplus::MaxPlus;
-use evolve_model::{FunctionId, LoadContext, LoadModel, ResourceId};
+use evolve_model::{FunctionId, LoadContext, LoadModel, RelationId, ResourceId, SizeModel};
 
 use crate::derive::SizeRule;
 use crate::tdg::{ExecTerm, NodeId, NodeKind, Tdg, Weight};
@@ -89,6 +89,9 @@ pub(crate) enum Obs {
         ack_input: u32,
         /// Output index produced by this node, or `u32::MAX`.
         output: u32,
+        /// The relation whose token size this relation's tokens carry: the
+        /// root of its forwarding chain ([`SizePlan`]).
+        size_root: u32,
     },
     FifoRead {
         relation: u32,
@@ -101,23 +104,87 @@ pub(crate) enum Obs {
     },
 }
 
+/// Token sizes resolved at lowering. A relation whose size rule is `Same`
+/// from a delay-0 read carries its source's size at every iteration, so
+/// each chain of such rules resolves to its root, and every reader reads
+/// the root: exec terms, other size rules, published output sizes, delta's
+/// size comparisons and the worklist. Only relations that compute a size
+/// keep a rule, so the sweeps' size passes skip the forwarded ones.
+pub(crate) struct SizePlan {
+    /// Per relation, the relation whose size it carries (itself unless it
+    /// forwards).
+    pub(crate) root: Vec<u32>,
+    /// Per relation, its rule with the source read resolved to a root;
+    /// [`SizeRule::External`] for a forwarded relation too, since no pass
+    /// derives its size.
+    pub(crate) rules: Vec<SizeRule>,
+}
+
+impl SizePlan {
+    /// Resolves `size_rules` for a graph of `relation_count` relations.
+    pub(crate) fn lower(size_rules: &[SizeRule], relation_count: usize) -> SizePlan {
+        let forwards = |r: usize| match size_rules.get(r) {
+            Some(&SizeRule::Derived {
+                from: Some((src, 0)),
+                model: SizeModel::Same,
+            }) => Some(src.index()),
+            _ => None,
+        };
+        // A chain longer than the relation count is a cycle, which no
+        // causal graph has; such a relation keeps its own rule.
+        let root: Vec<u32> = (0..relation_count)
+            .map(|r| {
+                let mut at = r;
+                for _ in 0..relation_count {
+                    match forwards(at) {
+                        Some(src) => at = src,
+                        None => return at as u32,
+                    }
+                }
+                r as u32
+            })
+            .collect();
+        let rules = (0..relation_count)
+            .map(|r| match size_rules.get(r) {
+                _ if root[r] as usize != r => SizeRule::External,
+                Some(&SizeRule::Derived { from, model }) => SizeRule::Derived {
+                    from: from
+                        .map(|(src, d)| (RelationId::from_index(root[src.index()] as usize), d)),
+                    model,
+                },
+                _ => SizeRule::External,
+            })
+            .collect();
+        SizePlan { root, rules }
+    }
+}
+
 /// Per-node evaluation metadata, lowered once per engine and shared by both
 /// backends.
 pub(crate) struct NodeMeta {
     /// Observation action per node.
     pub(crate) obs: Vec<Obs>,
-    /// Arcs whose resolution stashes exec info (duration arc S → E).
+    /// Arcs whose resolution stashes exec info (duration arcs into an
+    /// `ExecEnd`).
     pub(crate) stash_arc: Vec<bool>,
     /// Number of `ExecEnd` nodes (width of the dense exec stash).
     pub(crate) n_execs: usize,
     /// Per relation: whether it has a separate FIFO read node. Only those
     /// relations keep a read log; a rendezvous read is its write.
     pub(crate) fifo_read: Vec<bool>,
+    /// The token sizes resolved to their roots.
+    pub(crate) sizes: SizePlan,
 }
 
-/// Lowers the per-node observation actions and stash-arc table of a graph.
-pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
+/// Lowers the per-node observation actions, stash-arc table and token-size
+/// plan of a graph.
+pub(crate) fn lower_node_meta(
+    tdg: &Tdg,
+    size_rules: &[SizeRule],
+    relation_count: usize,
+) -> NodeMeta {
     let n = tdg.node_count();
+    let sizes = SizePlan::lower(size_rules, relation_count);
     let ack_nodes: Vec<NodeId> = tdg
         .inputs()
         .iter()
@@ -165,6 +232,7 @@ pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
                     relation: relation.index() as u32,
                     ack_input,
                     output,
+                    size_root: sizes.root[relation.index()],
                 }
             }
             NodeKind::FifoRead { relation } => Obs::FifoRead {
@@ -184,14 +252,17 @@ pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
         })
         .collect();
 
-    // Duration arcs S → E with exec terms stash observation data.
+    // Duration arcs into an `ExecEnd` stash observation data: the start is
+    // the source's instant, from an `ExecStart` or from the node a copy
+    // start was folded into (`simplify::reduce_derived`). A weight of one
+    // term and no constant is exactly the statement's duration.
     let stash_arc: Vec<bool> = tdg
         .arcs()
         .iter()
         .map(|arc| {
-            !arc.weight.execs.is_empty()
+            arc.weight.constant == 0
+                && arc.weight.execs.len() == 1
                 && matches!(tdg.nodes()[arc.dst.index()].kind, NodeKind::ExecEnd { .. })
-                && matches!(tdg.nodes()[arc.src.index()].kind, NodeKind::ExecStart { .. })
         })
         .collect();
 
@@ -200,6 +271,7 @@ pub(crate) fn lower_node_meta(tdg: &Tdg, relation_count: usize) -> NodeMeta {
         stash_arc,
         n_execs,
         fifo_read,
+        sizes,
     }
 }
 
@@ -217,14 +289,15 @@ impl SizeRead {
     /// `rel` of a term that reads no token size.
     const NONE: u32 = u32::MAX;
 
-    fn of(term: &ExecTerm) -> SizeRead {
+    /// The read of `term`, from the root of the relation it names.
+    fn of(term: &ExecTerm, root: &[u32]) -> SizeRead {
         term.size_from.map_or(
             SizeRead {
                 rel: SizeRead::NONE,
                 delay: 0,
             },
             |(rel, delay)| SizeRead {
-                rel: rel.index() as u32,
+                rel: root.get(rel.index()).map_or(rel.index() as u32, |&r| r),
                 delay,
             },
         )
@@ -293,7 +366,7 @@ impl AffineTerm {
 
 impl AffineTerm {
     /// The affine form of a constant or per-unit term, if it is one.
-    fn of(term: &ExecTerm) -> Option<AffineTerm> {
+    fn of(term: &ExecTerm, root: &[u32]) -> Option<AffineTerm> {
         let (base, per_unit) = match term.load {
             LoadModel::Constant(n) => (n, 0),
             LoadModel::PerUnit { base, per_unit } => (base, per_unit),
@@ -303,20 +376,20 @@ impl AffineTerm {
             base,
             per_unit,
             speed: term.speed,
-            size: SizeRead::of(term),
+            size: SizeRead::of(term, root),
         })
     }
 }
 
 impl LoweredTerm {
-    fn lower(term: &ExecTerm) -> LoweredTerm {
-        AffineTerm::of(term).map_or_else(
+    fn lower(term: &ExecTerm, root: &[u32]) -> LoweredTerm {
+        AffineTerm::of(term, root).map_or_else(
             || LoweredTerm::Model {
                 load: term.load.clone(),
                 function: term.function.index(),
                 stmt: term.stmt,
                 speed: term.speed,
-                size: SizeRead::of(term),
+                size: SizeRead::of(term, root),
             },
             LoweredTerm::Affine,
         )
@@ -379,18 +452,21 @@ pub(crate) struct Durations {
 }
 
 impl Durations {
-    /// Appends the lowered form of one exec arc's weight.
-    pub(crate) fn push(&mut self, weight: &Weight) {
+    /// Appends the lowered form of one exec arc's weight, its size reads
+    /// resolved through `root` (relation → the relation whose size it
+    /// carries; relations past its end read themselves).
+    pub(crate) fn push(&mut self, weight: &Weight, root: &[u32]) {
         let constant = weight.constant;
         let single = match weight.execs.as_slice() {
-            [term] => AffineTerm::of(term),
+            [term] => AffineTerm::of(term, root),
             _ => None,
         };
         let arc = match single {
             Some(term) => ArcDuration::Affine { constant, term },
             None => {
                 let lo = self.terms.len() as u32;
-                self.terms.extend(weight.execs.iter().map(LoweredTerm::lower));
+                self.terms
+                    .extend(weight.execs.iter().map(|t| LoweredTerm::lower(t, root)));
                 ArcDuration::Terms {
                     constant,
                     lo,
@@ -467,22 +543,19 @@ impl Durations {
 }
 
 /// The arc shape of a schedule slot, tagged at lowering: which arm of the
-/// sweeps' slot evaluator folds it. The first six read the slot's CSR
-/// ranges in straight-line code; [`SlotShape::General`] walks them.
+/// sweeps' slot evaluator folds it. The first four read the slot's CSR
+/// ranges in straight-line code; [`SlotShape::General`] walks them. The
+/// four are the shapes derived graphs have.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SlotShape {
     /// One same-iteration constant arc.
     Const1,
     /// Two same-iteration constant arcs.
     Const2,
-    /// Three same-iteration constant arcs.
-    Const3,
     /// One same-iteration exec arc.
     Exec1,
     /// One delay-1 slow arc plus one constant arc.
     Slow1Const1,
-    /// Two delay-1 slow arcs plus one constant arc.
-    Slow2Const1,
     /// Any other mix of arcs (including none).
     General,
 }
@@ -495,6 +568,31 @@ pub(crate) struct SlotOp {
     pub(crate) c: u32,
     pub(crate) s: u32,
     pub(crate) e: u32,
+}
+
+/// The slots one serial sweep folds, in schedule order, with the nodes and
+/// arcs they count.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SweepSlots {
+    pub(crate) slots: Vec<u32>,
+    pub(crate) nodes: u64,
+    pub(crate) arcs: u64,
+}
+
+impl SweepSlots {
+    /// The slots of `schedule` whose node `pick` keeps, counting their
+    /// in-arcs.
+    fn of(tdg: &Tdg, schedule: &[u32], pick: impl Fn(usize) -> bool) -> SweepSlots {
+        let mut sweep = SweepSlots::default();
+        for (slot, &node) in schedule.iter().enumerate() {
+            if pick(node as usize) {
+                sweep.slots.push(slot as u32);
+                sweep.nodes += 1;
+                sweep.arcs += tdg.incoming[node as usize].len() as u64;
+            }
+        }
+        sweep
+    }
 }
 
 /// A derived TDG lowered into a levelized, CSR-flattened evaluation program:
@@ -570,23 +668,33 @@ pub struct CompiledTdg {
     /// `exec_srcs`); zero-delay exec sources are also strictly below their
     /// destination slot.
     pub(crate) exec_src_pos: Vec<u32>,
-    /// Exchange slots whose relation's token size is derived, in schedule
-    /// order: the size pre-pass ahead of a sweep walks these (sizes depend
-    /// only on other sizes, never on instants).
+    /// Exchange slots whose relation computes its token size (forwarded
+    /// relations excluded, see [`SizePlan`]), in schedule order: the size
+    /// pre-pass ahead of a sweep walks these (sizes depend only on other
+    /// sizes, never on instants).
     pub(crate) derived_exchanges: Vec<u32>,
     /// The exchange slots that acknowledge an input or produce an output,
     /// in schedule order: all a serial sweep publishes after its folds
     /// (its logs are written by the sweep itself).
     pub(crate) boundary_slots: Vec<u32>,
+    /// What a serial sweep of a fresh iteration folds: every slot but the
+    /// inputs'.
+    pub(crate) fresh_sweep: SweepSlots,
+    /// What a serial sweep of a look-ahead tail folds: the slots with a
+    /// zero-delay path from an input ([`zero_delay_dependent`]), the
+    /// inputs' excepted, since the look-ahead computed the others.
+    pub(crate) main_sweep: SweepSlots,
 }
 
 impl CompiledTdg {
-    /// Lowers a graph given its cached topological order and node metadata.
+    /// Lowers a graph given its cached topological order, node metadata and
+    /// which nodes depend on an input in the same iteration
+    /// ([`zero_delay_dependent`]).
     pub(crate) fn lower(
         tdg: &Tdg,
         topo: &[NodeId],
         meta: &NodeMeta,
-        size_rules: &[SizeRule],
+        dependent: &[bool],
     ) -> CompiledTdg {
         let n = tdg.node_count();
         let levels = tdg.zero_delay_levels(topo);
@@ -646,7 +754,7 @@ impl CompiledTdg {
                     } else {
                         u32::MAX
                     };
-                    durations.push(&arc.weight);
+                    durations.push(&arc.weight, &meta.sizes.root);
                     exec_stash_dense.push(stash_dense);
                 } else if arc.delay == 0 {
                     const_srcs.push(arc.src.index() as u32);
@@ -664,10 +772,8 @@ impl CompiledTdg {
             let shape = match (consts, &slow_delays[s..], &exec_delays[e..]) {
                 (1, [], []) => SlotShape::Const1,
                 (2, [], []) => SlotShape::Const2,
-                (3, [], []) => SlotShape::Const3,
                 (0, [], [0]) => SlotShape::Exec1,
                 (1, [1], []) => SlotShape::Slow1Const1,
-                (1, [1, 1], []) => SlotShape::Slow2Const1,
                 _ => SlotShape::General,
             };
             let (c, s, e) = (c as u32, s as u32, e as u32);
@@ -692,12 +798,15 @@ impl CompiledTdg {
         };
         let derived_exchanges = slots_where(&|o| {
             matches!(o, Obs::Exchange { relation, .. }
-                if matches!(size_rules[relation as usize], SizeRule::Derived { .. }))
+                if matches!(meta.sizes.rules[relation as usize], SizeRule::Derived { .. }))
         });
         let boundary_slots = slots_where(&|o| {
             matches!(o, Obs::Exchange { ack_input, output, .. }
                 if ack_input != u32::MAX || output != u32::MAX)
         });
+        let input = |node: usize| matches!(tdg.nodes()[node].kind, NodeKind::Input { .. });
+        let fresh_sweep = SweepSlots::of(tdg, &schedule, |node| !input(node));
+        let main_sweep = SweepSlots::of(tdg, &schedule, |node| dependent[node] && !input(node));
 
         CompiledTdg {
             schedule,
@@ -722,6 +831,8 @@ impl CompiledTdg {
             exec_src_pos,
             derived_exchanges,
             boundary_slots,
+            fresh_sweep,
+            main_sweep,
         }
     }
 
@@ -794,6 +905,8 @@ impl CompiledTdg {
             + self.exec_src_pos.capacity()
             + self.derived_exchanges.capacity()
             + self.boundary_slots.capacity()
+            + self.fresh_sweep.slots.capacity()
+            + self.main_sweep.slots.capacity()
     }
 }
 
@@ -833,20 +946,21 @@ mod tests {
     use super::*;
     use crate::{derive_tdg, synthetic};
 
-    fn lowered(stages: usize, padding: usize) -> (crate::DerivedTdg, CompiledTdg) {
+    fn lowered(stages: usize, padding: usize) -> (crate::DerivedTdg, CompiledTdg, NodeMeta) {
         let p = synthetic::pipeline(stages, 50, 1).unwrap();
         let mut derived = derive_tdg(&p.arch).unwrap();
         if padding > 0 {
             derived.map_tdg(|t| synthetic::pad(t, padding));
         }
-        let meta = lower_node_meta(derived.tdg(), p.arch.app().relations().len());
-        let compiled =
-            CompiledTdg::lower(derived.tdg(), derived.topo_order(), &meta, derived.size_rules());
-        (derived, compiled)
+        let relations = p.arch.app().relations().len();
+        let meta = lower_node_meta(derived.tdg(), derived.size_rules(), relations);
+        let dependent = zero_delay_dependent(derived.tdg());
+        let compiled = CompiledTdg::lower(derived.tdg(), derived.topo_order(), &meta, &dependent);
+        (derived, compiled, meta)
     }
 
     /// Every slot of the paper's models that a sweep folds has one of the
-    /// six specialized shapes: Table I examples 1–8, the LTE receiver of
+    /// four specialized shapes: Table I examples 1–8, the LTE receiver of
     /// Fig. 6, and pipelines padded by 64 nodes as in Fig. 5 and
     /// `serve-open`. The input slot has no arcs (the offer sets it) and is
     /// never folded.
@@ -858,8 +972,10 @@ mod tests {
                 derived.map_tdg(|t| synthetic::pad(t, padding));
             }
             let tdg = derived.tdg();
-            let meta = lower_node_meta(tdg, arch.app().relations().len());
-            let c = CompiledTdg::lower(tdg, derived.topo_order(), &meta, derived.size_rules());
+            let relations = arch.app().relations().len();
+            let meta = lower_node_meta(tdg, derived.size_rules(), relations);
+            let dependent = zero_delay_dependent(tdg);
+            let c = CompiledTdg::lower(tdg, derived.topo_order(), &meta, &dependent);
             for (node, shape) in c.slot_shapes() {
                 let kind = &tdg.nodes()[node.index()].kind;
                 if matches!(kind, NodeKind::Input { .. }) {
@@ -885,7 +1001,7 @@ mod tests {
 
     #[test]
     fn schedule_is_a_level_monotone_permutation() {
-        let (derived, c) = lowered(4, 32);
+        let (derived, c, _) = lowered(4, 32);
         let tdg = derived.tdg();
         assert_eq!(c.node_count(), tdg.node_count());
         let mut seen = vec![false; tdg.node_count()];
@@ -915,7 +1031,7 @@ mod tests {
 
     #[test]
     fn csr_streams_partition_the_arcs() {
-        let (derived, c) = lowered(6, 100);
+        let (derived, c, meta) = lowered(6, 100);
         let tdg = derived.tdg();
         assert_eq!(
             c.const_arc_count() + c.slow_arc_count() + c.exec_arc_count(),
@@ -958,10 +1074,13 @@ mod tests {
             for (i, arc) in range.zip(execs) {
                 assert_eq!(c.exec_srcs[i] as usize, arc.src.index());
                 assert_eq!(c.exec_delays[i], arc.delay);
+                // Lowering resolves each size read to its relation's root.
+                let root = &meta.sizes.root;
+                let raw_at = |rel: usize, d: u64| size_at(root[rel] as usize, d);
                 for k in [0, 1, 2, 9] {
                     assert_eq!(
                         c.durations.eval(i, k, size_at),
-                        crate::engine::eval_weight(&arc.weight, k, size_at),
+                        crate::engine::eval_weight(&arc.weight, k, raw_at),
                         "exec arc {i} at k = {k}"
                     );
                 }
@@ -972,8 +1091,8 @@ mod tests {
 
     #[test]
     fn padding_chain_extends_the_levels() {
-        let (_, plain) = lowered(3, 0);
-        let (_, padded) = lowered(3, 50);
+        let (_, plain, _) = lowered(3, 0);
+        let (_, padded, _) = lowered(3, 50);
         // The padding chain hangs off the input, one node per level.
         assert!(padded.level_count() >= plain.level_count());
         assert!(padded.level_count() >= 50);
@@ -982,7 +1101,7 @@ mod tests {
 
     #[test]
     fn retiled_streams_point_at_earlier_slots() {
-        let (derived, c) = lowered(4, 64);
+        let (derived, c, _) = lowered(4, 64);
         let tdg = derived.tdg();
         // The inverse permutation really inverts the schedule.
         for (slot, &node) in c.schedule.iter().enumerate() {
@@ -1093,7 +1212,7 @@ mod tests {
             ) {
                 let mut durations = Durations::default();
                 for w in &weights {
-                    durations.push(w);
+                    durations.push(w, &[]);
                 }
                 let size_at = |rel: usize, d: u64| {
                     assert!(d <= k, "size read before the model start");

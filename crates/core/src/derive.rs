@@ -28,8 +28,6 @@
 //! ones exactly — asserted by [`crate::validate`] and the test suite, which
 //! is the executable form of the paper's accuracy claim.
 
-use std::collections::BTreeMap;
-
 use evolve_model::{Architecture, FunctionId, RelationId, RelationKind, SizeModel, Stmt};
 
 use crate::error::DeriveError;
@@ -184,26 +182,37 @@ pub fn derive_tdg_with(
     arch: &Architecture,
     options: &DeriveOptions,
 ) -> Result<DerivedTdg, DeriveError> {
+    let (mut b, size_rules) = derive_unreduced(arch, options)?;
+    crate::simplify::reduce_derived(&mut b);
+    let (tdg, topo) = b.build_ordered()?;
+    Ok(DerivedTdg {
+        tdg,
+        size_rules,
+        topo,
+    })
+}
+
+/// The derived graph before its exact reduction
+/// ([`simplify::reduce_derived`](crate::simplify)), still in its builder,
+/// and the size rules.
+pub(crate) fn derive_unreduced(
+    arch: &Architecture,
+    options: &DeriveOptions,
+) -> Result<(TdgBuilder, SizeRules), DeriveError> {
     let app = arch.app();
     let mut b = TdgBuilder::new();
 
     // Guard against rendezvous self-loops.
     for (fidx, function) in app.functions().iter().enumerate() {
-        let fid = FunctionId::from_index(fidx);
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for stmt in function.behavior.stmts() {
-            match stmt {
-                Stmt::Read(r) => reads.push(*r),
-                Stmt::Write(r) => writes.push(*r),
-                Stmt::Execute(_) => {}
-            }
-        }
-        for r in &writes {
-            if reads.contains(r) && matches!(app.relation(*r).kind, RelationKind::Rendezvous) {
+        let stmts = function.behavior.stmts();
+        for stmt in stmts {
+            let Stmt::Write(r) = *stmt else { continue };
+            if stmts.contains(&Stmt::Read(r))
+                && matches!(app.relation(r).kind, RelationKind::Rendezvous)
+            {
                 return Err(DeriveError::SelfRendezvous {
-                    function: fid,
-                    relation: *r,
+                    function: FunctionId::from_index(fidx),
+                    relation: r,
                 });
             }
         }
@@ -212,21 +221,22 @@ pub fn derive_tdg_with(
     // -- Nodes ---------------------------------------------------------
     // Per relation: the exchange node (write instant) and, for FIFOs with
     // an internal consumer, a distinct read node.
-    let mut input_node: BTreeMap<usize, NodeId> = BTreeMap::new();
-    let mut write_node: BTreeMap<usize, NodeId> = BTreeMap::new();
-    let mut read_node: BTreeMap<usize, NodeId> = BTreeMap::new();
+    let relations = app.relations().len();
+    let mut input_node: Vec<Option<NodeId>> = vec![None; relations];
+    let mut write_node: Vec<NodeId> = Vec::with_capacity(relations);
+    let mut read_node: Vec<Option<NodeId>> = vec![None; relations];
     // Output-acknowledgment nodes for acked external outputs.
-    let mut ack_node: BTreeMap<usize, NodeId> = BTreeMap::new();
+    let mut ack_node: Vec<Option<NodeId>> = vec![None; relations];
 
     for (ridx, relation) in app.relations().iter().enumerate() {
         let rid = RelationId::from_index(ridx);
         let external_input = relation.producer.is_none();
         let external_output = relation.consumer.is_none();
         if external_input {
-            input_node.insert(
-                ridx,
-                b.add_node(format!("u({})", relation.name), NodeKind::Input { relation: rid }),
-            );
+            input_node[ridx] = Some(b.add_node(
+                format!("u({})", relation.name),
+                NodeKind::Input { relation: rid },
+            ));
         }
         let wkind = if external_output {
             NodeKind::Output { relation: rid }
@@ -239,7 +249,7 @@ pub fn derive_tdg_with(
             format!("x{}", relation.name)
         };
         let w = b.add_node(wname, wkind);
-        write_node.insert(ridx, w);
+        write_node.push(w);
         if external_output && options.acked_outputs.contains(&rid) {
             // The producer continues only once the outside consumer took
             // the token; the emission process feeds that instant back.
@@ -247,12 +257,12 @@ pub fn derive_tdg_with(
                 format!("ack({})", relation.name),
                 NodeKind::OutputAck { relation: rid },
             );
-            ack_node.insert(ridx, ack);
+            ack_node[ridx] = Some(ack);
         }
         match relation.kind {
             RelationKind::Rendezvous => {
                 // Rendezvous: read completes with the write.
-                read_node.insert(ridx, w);
+                read_node[ridx] = Some(w);
             }
             RelationKind::Fifo(_) => {
                 if relation.consumer.is_some() {
@@ -260,22 +270,26 @@ pub fn derive_tdg_with(
                         format!("r{}", relation.name),
                         NodeKind::FifoRead { relation: rid },
                     );
-                    read_node.insert(ridx, r);
+                    read_node[ridx] = Some(r);
                 }
             }
         }
     }
 
-    // Per execute statement: start and end nodes.
-    let mut exec_start: BTreeMap<(usize, usize), NodeId> = BTreeMap::new();
-    let mut exec_end: BTreeMap<(usize, usize), NodeId> = BTreeMap::new();
+    // Per execute statement: start and end nodes, at `first_stmt[function]
+    // + stmt` of one flat table.
+    let mut first_stmt = Vec::with_capacity(app.functions().len());
+    let mut exec_nodes: Vec<(NodeId, NodeId)> = Vec::new();
     for (fidx, function) in app.functions().iter().enumerate() {
+        first_stmt.push(exec_nodes.len());
         let fid = FunctionId::from_index(fidx);
         let resource = arch
             .mapping()
             .resource_of(fid)
             .expect("validated architecture maps every function");
         for (sidx, stmt) in function.behavior.stmts().iter().enumerate() {
+            let unused = NodeId(usize::MAX);
+            exec_nodes.push((unused, unused));
             if matches!(stmt, Stmt::Execute(_)) {
                 let s = b.add_node(
                     format!("S({}.{sidx})", function.name),
@@ -293,8 +307,7 @@ pub fn derive_tdg_with(
                         resource,
                     },
                 );
-                exec_start.insert((fidx, sidx), s);
-                exec_end.insert((fidx, sidx), e);
+                exec_nodes[first_stmt[fidx] + sidx] = (s, e);
             }
         }
     }
@@ -304,14 +317,12 @@ pub fn derive_tdg_with(
     let completion = |fidx: usize, sidx: usize| -> NodeId {
         let function = &app.functions()[fidx];
         match &function.behavior.stmts()[sidx] {
-            Stmt::Read(r) => read_node[&r.index()],
-            Stmt::Write(r) => ack_node
-                .get(&r.index())
-                .copied()
-                .unwrap_or_else(|| write_node[&r.index()]),
-            Stmt::Execute(_) => exec_end[&(fidx, sidx)],
+            Stmt::Read(r) => read_node[r.index()].expect("a read relation has a read node"),
+            Stmt::Write(r) => ack_node[r.index()].unwrap_or(write_node[r.index()]),
+            Stmt::Execute(_) => exec_nodes[first_stmt[fidx] + sidx].1,
         }
     };
+    let exec_start = |fidx: usize, sidx: usize| exec_nodes[first_stmt[fidx] + sidx].0;
 
     // Predecessor (program order) of statement `sidx`: the previous
     // statement's completion, wrapping to the last statement with delay 1.
@@ -342,16 +353,15 @@ pub fn derive_tdg_with(
                 Stmt::Read(r) => {
                     // Consumer readiness constrains the exchange (rendezvous)
                     // or the read node (FIFO).
-                    let target = read_node[&r.index()];
+                    let target = read_node[r.index()].expect("a read relation has a read node");
                     b.add_arc(prev, target, prev_delay, Weight::e());
                 }
                 Stmt::Write(r) => {
-                    let target = write_node[&r.index()];
+                    let target = write_node[r.index()];
                     b.add_arc(prev, target, prev_delay, Weight::e());
                 }
                 Stmt::Execute(load) => {
-                    let s = exec_start[&(fidx, sidx)];
-                    let e = exec_end[&(fidx, sidx)];
+                    let (s, e) = exec_nodes[first_stmt[fidx] + sidx];
                     b.add_arc(prev, s, prev_delay, Weight::e());
                     // Resource schedule constraints.
                     if let Some(n) = res.concurrency.servers() {
@@ -363,7 +373,7 @@ pub fn derive_tdg_with(
                         let (pp, pd) = wrap_slot(p - 1, len);
                         let prev_slot = schedule.slots[pp];
                         b.add_arc(
-                            exec_start[&(prev_slot.function.index(), prev_slot.stmt)],
+                            exec_start(prev_slot.function.index(), prev_slot.stmt),
                             s,
                             pd,
                             Weight::e(),
@@ -372,7 +382,7 @@ pub fn derive_tdg_with(
                         let (rp, rd) = wrap_slot(p - i64::from(n), len);
                         let rel_slot = schedule.slots[rp];
                         b.add_arc(
-                            exec_end[&(rel_slot.function.index(), rel_slot.stmt)],
+                            completion(rel_slot.function.index(), rel_slot.stmt),
                             s,
                             rd,
                             Weight::e(),
@@ -398,17 +408,17 @@ pub fn derive_tdg_with(
 
     // Relation-level arcs.
     for (ridx, relation) in app.relations().iter().enumerate() {
-        let w = write_node[&ridx];
-        if let Some(u) = input_node.get(&ridx) {
+        let w = write_node[ridx];
+        if let Some(u) = input_node[ridx] {
             // External input offer constrains the exchange.
-            b.add_arc(*u, w, 0, Weight::e());
+            b.add_arc(u, w, 0, Weight::e());
         }
         match relation.kind {
             RelationKind::Rendezvous => {
                 // Producer/consumer readiness arcs were added per statement.
             }
             RelationKind::Fifo(capacity) => {
-                if let Some(&r) = read_node.get(&ridx) {
+                if let Some(r) = read_node[ridx] {
                     if r != w {
                         // Read k needs write k; write k needs read k − B.
                         b.add_arc(w, r, 0, Weight::e());
@@ -441,7 +451,7 @@ pub fn derive_tdg_with(
         })
         .collect();
 
-    Ok(DerivedTdg::new(b.build()?, size_rules))
+    Ok((b, size_rules))
 }
 
 /// Wraps a (possibly negative) slot position into `(index, iteration
@@ -496,8 +506,9 @@ mod tests {
         let d = didactic::chained(1, didactic::Params::default()).unwrap();
         let derived = derive_tdg(&d.arch).unwrap();
         let tdg = derived.tdg();
-        // 1 input + 6 relation nodes + 6 execs × 2 = 19 nodes.
-        assert_eq!(tdg.node_count(), 19);
+        // 1 input + 6 relation nodes + 6 exec ends + the one exec start
+        // that is no copy of another instant = 14 nodes.
+        assert_eq!(tdg.node_count(), 14);
         assert_eq!(tdg.inputs().len(), 1);
         assert_eq!(tdg.outputs().len(), 1);
         assert!(tdg.max_delay() >= 1);

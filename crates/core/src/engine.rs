@@ -43,7 +43,9 @@ use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
 use evolve_obs::{BackendKind, DeltaCounters, EngineCounters, EngineEvent, Observer};
 
-use crate::compile::{lower_node_meta, CompiledTdg, EvalBackend, Obs, SlotShape};
+use crate::compile::{
+    lower_node_meta, zero_delay_dependent, CompiledTdg, EvalBackend, Obs, SlotShape,
+};
 use crate::delta::{
     self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaUnsupported,
 };
@@ -278,6 +280,19 @@ fn plus_lag(x: MaxPlus, lag: MaxPlus) -> MaxPlus {
     }
 }
 
+/// [`plus_lag`] for a constant or slow arc's lag. A zero lag folds `x`
+/// itself, skipping the add: `plus_lag(x, E)` is `x` for every `x`, since
+/// finite instants never leave `MIN ..= MAX` (`MaxPlus` saturates at
+/// `MAX`). Every constant arc of a derived graph has a zero lag.
+#[inline(always)]
+fn plus_const_lag(x: MaxPlus, lag: MaxPlus) -> MaxPlus {
+    if lag == MaxPlus::E {
+        x
+    } else {
+        plus_lag(x, lag)
+    }
+}
+
 /// Exec arc `i`'s term at iteration `k` for source instant `src_val`, its
 /// duration evaluated against the token sizes `size_at(rel, d)` reads
 /// (relation `rel` at iteration `k − d`); a duration arc writes its
@@ -305,9 +320,9 @@ pub(crate) fn exec_term(
 }
 
 /// The one slot body of every scalar compiled sweep: slot `slot`'s arcs
-/// `⊕`-folded over the process-start baseline E for iteration `hist.k`,
-/// and the number of arcs, by straight-line code per [`SlotShape`].
-/// `now` holds iteration `k`'s instants, `sizes` its token sizes.
+/// `⊕`-folded over the process-start baseline E for iteration `hist.k`, by
+/// straight-line code per [`SlotShape`]. `now` holds iteration `k`'s
+/// instants, `sizes` its token sizes.
 #[inline(always)]
 fn eval_slot(
     ct: &CompiledTdg,
@@ -316,28 +331,26 @@ fn eval_slot(
     sizes: &[u64],
     mut stash: Option<&mut [(MaxPlus, u64)]>,
     now: &[MaxPlus],
-) -> (MaxPlus, u64) {
-    let konst = |i: usize| plus_lag(now[ct.const_srcs[i] as usize], ct.const_lags[i]);
+) -> MaxPlus {
+    let konst = |i: usize| plus_const_lag(now[ct.const_srcs[i] as usize], ct.const_lags[i]);
     let prev = |i: usize| {
         let src = ct.slow_srcs[i] as usize;
-        plus_lag(
+        plus_const_lag(
             hist.prev.map_or(MaxPlus::E, |it| it.acc[src]),
             ct.slow_lags[i],
         )
     };
-    let fold = |acc: MaxPlus, arcs: u64| (MaxPlus::E.oplus(acc), arcs);
+    let fold = |acc: MaxPlus| MaxPlus::E.oplus(acc);
     let op = ct.slots[slot];
     let (c, s, e) = (op.c as usize, op.s as usize, op.e as usize);
     match op.shape {
-        SlotShape::Const1 => fold(konst(c), 1),
-        SlotShape::Const2 => fold(konst(c).oplus(konst(c + 1)), 2),
-        SlotShape::Const3 => fold(konst(c).oplus(konst(c + 1)).oplus(konst(c + 2)), 3),
-        SlotShape::Slow1Const1 => fold(prev(s).oplus(konst(c)), 2),
-        SlotShape::Slow2Const1 => fold(prev(s).oplus(prev(s + 1)).oplus(konst(c)), 3),
+        SlotShape::Const1 => fold(konst(c)),
+        SlotShape::Const2 => fold(konst(c).oplus(konst(c + 1))),
+        SlotShape::Slow1Const1 => fold(prev(s).oplus(konst(c))),
         SlotShape::Exec1 => {
             let src_val = now[ct.exec_srcs[e] as usize];
             let size_at = |rel, d| hist.size(sizes, rel, d);
-            fold(exec_term(ct, hist.k, e, src_val, size_at, &mut stash), 1)
+            fold(exec_term(ct, hist.k, e, src_val, size_at, &mut stash))
         }
         SlotShape::General => eval_general(ct, slot, hist, sizes, &mut stash, now),
     }
@@ -353,12 +366,11 @@ fn eval_general(
     sizes: &[u64],
     stash: &mut Option<&mut [(MaxPlus, u64)]>,
     now: &[MaxPlus],
-) -> (MaxPlus, u64) {
+) -> MaxPlus {
     let [cs, ss, es] = ct.arc_ranges(slot);
-    let arcs = (cs.len() + ss.len() + es.len()) as u64;
     let mut acc = MaxPlus::E;
     for i in ss {
-        acc = acc.oplus(plus_lag(
+        acc = acc.oplus(plus_const_lag(
             hist.acc(ct.slow_delays[i], ct.slow_srcs[i]),
             ct.slow_lags[i],
         ));
@@ -374,9 +386,12 @@ fn eval_general(
         acc = acc.oplus(exec_term(ct, hist.k, i, src_val, size_at, stash));
     }
     for i in cs {
-        acc = acc.oplus(plus_lag(now[ct.const_srcs[i] as usize], ct.const_lags[i]));
+        acc = acc.oplus(plus_const_lag(
+            now[ct.const_srcs[i] as usize],
+            ct.const_lags[i],
+        ));
     }
-    (acc, arcs)
+    acc
 }
 
 /// The execution record an `ExecEnd` node emits for iteration `k` from its
@@ -410,52 +425,46 @@ fn instant(value: MaxPlus) -> Time {
     Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64)
 }
 
-/// The folds of one serial compiled sweep: every slot not computed before
-/// the sweep (look-ahead prefix, the input) folds its arcs ([`eval_slot`])
-/// into `tail.acc`, in schedule order, and with `log` duration arcs stash
-/// their `(start, ops)` and each slot writes its log in place. Returns the
-/// nodes computed and arcs evaluated; `tail.computed` is left as it was
-/// (publishing the boundary exchanges afterwards reads it).
+/// The folds of one serial compiled sweep: each of `slots` (every slot the
+/// tail has not computed yet, picked at lowering) folds its arcs
+/// ([`eval_slot`]) into `tail.acc`, in schedule order, and with `log`
+/// duration arcs stash their `(start, ops)` and each slot writes its log
+/// in place.
 #[inline(never)]
 fn sweep_serial(
     ct: &CompiledTdg,
+    slots: &[u32],
     hist: &History<'_>,
     tail: &mut IterState,
     log: Option<&mut EmissionLog>,
-) -> (u64, u64) {
+) {
     // One copy of the loop per logging mode: the logging loop keeps more
     // state live per slot, which would slow the plain one down.
     match log {
-        Some(log) => sweep_slots(ct, hist, tail, Some(log)),
-        None => sweep_slots(ct, hist, tail, None),
+        Some(log) => sweep_slots(ct, slots, hist, tail, Some(log)),
+        None => sweep_slots(ct, slots, hist, tail, None),
     }
 }
 
 #[inline(always)]
 fn sweep_slots(
     ct: &CompiledTdg,
+    slots: &[u32],
     hist: &History<'_>,
     tail: &mut IterState,
     mut log: Option<&mut EmissionLog>,
-) -> (u64, u64) {
-    let (mut nodes, mut arcs) = (0u64, 0u64);
-    for (slot, &node) in ct.schedule.iter().enumerate() {
-        let node = node as usize;
-        if tail.computed[node] {
-            continue;
-        }
+) {
+    for &slot in slots {
+        let slot = slot as usize;
         let stash = log.is_some().then_some(&mut tail.exec_stash[..]);
-        let (acc, slot_arcs) = eval_slot(ct, slot, hist, &tail.sizes, stash, &tail.acc);
-        nodes += 1;
-        arcs += slot_arcs;
-        tail.acc[node] = acc;
+        let acc = eval_slot(ct, slot, hist, &tail.sizes, stash, &tail.acc);
+        tail.acc[ct.schedule[slot] as usize] = acc;
         if let Some(log) = log.as_mut() {
             // An `ExecEnd` records straight from the `(start, ops)` its
             // duration arc just stashed (the fused record replay).
             log.log(hist.k, ct.obs[slot], acc, &tail.exec_stash);
         }
     }
-    (nodes, arcs)
 }
 
 /// The token size `rule` gives its relation at iteration `k`, when the rule
@@ -641,14 +650,15 @@ impl EmissionLog {
 
     /// Publishes an exchange at the boundary: the acknowledgment instant of
     /// the input it acks and the token of the output it produces (its size
-    /// from the iteration's `sizes`), with the kernel notifications they
-    /// wake.
+    /// from the iteration's `sizes`, read at the relation's size root), with
+    /// the kernel notifications they wake.
     #[inline(always)]
     pub(crate) fn publish(&mut self, k: u64, obs: Obs, value: MaxPlus, sizes: &[u64]) {
         let Obs::Exchange {
-            relation,
             ack_input,
             output,
+            size_root,
+            ..
         } = obs
         else {
             return;
@@ -659,7 +669,7 @@ impl EmissionLog {
             self.wake(self.input_events[ack_input as usize], None);
         }
         if output != u32::MAX {
-            let size = sizes[relation as usize];
+            let size = sizes[size_root as usize];
             self.outputs[output as usize].push_back((k, time, size));
             // Wake the emission directly at the output instant.
             self.wake(self.output_events[output as usize], Some(time));
@@ -805,13 +815,18 @@ impl EmissionLog {
 /// ```
 pub struct Engine {
     tdg: Tdg,
+    /// Size rules resolved to their roots (see `compile::SizePlan`).
     size_rules: Vec<SizeRule>,
+    /// Per relation, the relation whose size it carries: the worklist's
+    /// raw weights read their sizes there.
+    size_root: Vec<u32>,
     relation_count: usize,
     /// In-degree per node (ring-state reset template).
     remaining_template: Vec<u32>,
     /// Precompiled observation action per node.
     node_obs: Vec<Obs>,
-    /// Arcs whose resolution stashes exec info (duration arc S → E).
+    /// Arcs whose resolution stashes exec info (duration arcs into an
+    /// `ExecEnd`).
     stash_arc: Vec<bool>,
     n_execs: usize,
     /// Arc indices with delay ≥ 1 (scanned when opening an iteration).
@@ -914,14 +929,19 @@ impl Engine {
         let (tdg, size_rules, topo) = derived.into_parts();
         let n = tdg.node_count();
 
-        let meta = lower_node_meta(&tdg, relation_count);
+        // Input-independent prefix: nodes with no zero-delay path from any
+        // externally set node. They compute during look-ahead, mirroring
+        // the conventional model's eager run-ahead; graphs without such
+        // nodes (every behaviour starts with a read) skip the look-ahead
+        // entirely.
+        let dependent = zero_delay_dependent(&tdg);
+        let has_prefix = dependent.iter().any(|d| !d);
+
+        let meta = lower_node_meta(&tdg, &size_rules, relation_count);
         let compiled = match backend {
-            EvalBackend::Compiled => Some(Arc::new(CompiledTdg::lower(
-                &tdg,
-                &topo,
-                &meta,
-                &size_rules,
-            ))),
+            EvalBackend::Compiled => {
+                Some(Arc::new(CompiledTdg::lower(&tdg, &topo, &meta, &dependent)))
+            }
             EvalBackend::Worklist => None,
         };
         let node_obs = meta.obs;
@@ -952,15 +972,6 @@ impl Engine {
             .collect();
         let output_ack_nodes: Vec<Option<NodeId>> = tdg.output_acks().to_vec();
         let has_output_acks = output_ack_nodes.iter().any(Option::is_some);
-
-        // Input-independent prefix: nodes with no zero-delay path from any
-        // externally set node. They compute during look-ahead, mirroring
-        // the conventional model's eager run-ahead; graphs without such
-        // nodes (every behaviour starts with a read) skip the look-ahead
-        // entirely.
-        let has_prefix = crate::compile::zero_delay_dependent(&tdg)
-            .iter()
-            .any(|d| !d);
 
         // Fast-forward eligibility: the structural conditions under which a
         // detected periodic steady state can be replayed exactly (see
@@ -1003,7 +1014,8 @@ impl Engine {
         let n_inputs = tdg.inputs().len();
         let n_outputs = tdg.outputs().len();
         Engine {
-            size_rules,
+            size_rules: meta.sizes.rules,
+            size_root: meta.sizes.root,
             relation_count,
             remaining_template,
             node_obs,
@@ -1614,22 +1626,29 @@ impl Engine {
         // access sidesteps the ring's bounds-checked `back()`/`back_mut()`
         // on every node. Older iterations keep their ring indices, so
         // delayed reads via `iter_at` stay valid.
-        let mut tail = self.take_tail(k);
+        let (mut tail, fresh) = self.take_tail(k);
         tail.sizes[input_relation] = size;
         tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
         tail.nodes_pending = 0;
-        // The input node's value is set — pre-mark it computed so the
-        // sweep's look-ahead skip handles it without a per-node comparison.
+        // The input node's value is set: the size pre-pass and the boundary
+        // publishing below skip it like the look-ahead's nodes.
         tail.computed[input_node.index()] = true;
         self.stats.iterations_completed += 1;
 
         // Moved out of `self` for the duration of the sweep so arc ranges
         // can be read while the ring and logs are mutated.
         let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
+        // A fresh tail folds every slot but the input's; a look-ahead tail
+        // only the slots its prefix left.
+        let sweep = if fresh {
+            &ct.fresh_sweep
+        } else {
+            &ct.main_sweep
+        };
         self.derive_sizes(&ct, k, &mut tail);
         let log = self.record_observations.then_some(&mut self.log);
         let hist = History::new(&self.ring, self.base_k, k);
-        let (nodes, arcs) = sweep_serial(&ct, &hist, &mut tail, log);
+        sweep_serial(&ct, &sweep.slots, &hist, &mut tail, log);
         for &pos in &ct.boundary_slots {
             let node = ct.schedule[pos as usize] as usize;
             if !tail.computed[node] {
@@ -1637,8 +1656,8 @@ impl Engine {
             }
         }
         tail.computed.fill(true);
-        self.stats.nodes_computed += 1 + nodes; // plus the pre-marked input
-        self.stats.arcs_evaluated += arcs;
+        self.stats.nodes_computed += 1 + sweep.nodes; // plus the set input
+        self.stats.arcs_evaluated += sweep.arcs;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
     }
@@ -1698,8 +1717,7 @@ impl Engine {
         at: Time,
         size: u64,
     ) {
-        let fresh = k == self.base_k + self.ring.len() as u64;
-        let mut tail = self.take_tail(k);
+        let (mut tail, fresh) = self.take_tail(k);
         tail.sizes[input_relation] = size;
         tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
         tail.nodes_pending = 0;
@@ -1820,7 +1838,7 @@ impl Engine {
             recomputed += 1;
             let hist = History::new(&self.ring, self.base_k, k);
             let stash = self.record_observations.then_some(&mut tail.exec_stash[..]);
-            let (acc, _) = eval_slot(&ct, slot, &hist, &tail.sizes, stash, &tail.acc);
+            let acc = eval_slot(&ct, slot, &hist, &tail.sizes, stash, &tail.acc);
             if acc == row.acc[node] {
                 // Monotone early-out: downstream comparisons of this node
                 // see no difference — the frontier stops here.
@@ -1979,7 +1997,8 @@ impl Engine {
             src_val.otimes(MaxPlus::new(arc.weight.constant as i64))
         } else {
             let (lag, ops) = eval_weight(&arc.weight, k, |rel, d| {
-                iter_at(&self.ring, self.base_k, k - d).map_or(0, |it| it.sizes[rel])
+                let root = self.size_root[rel] as usize;
+                iter_at(&self.ring, self.base_k, k - d).map_or(0, |it| it.sizes[root])
             });
             if self.record_observations && self.stash_arc[arc_idx] {
                 if let Obs::ExecEnd { dense, .. } = self.node_obs[dst.index()] {
@@ -2170,25 +2189,24 @@ impl Engine {
     }
 
     /// Iteration `k`'s state for a fast-path sweep, held out of the ring
-    /// until the sweep pushes it back: a recycled (or fresh) state when `k`
-    /// is one past the ring, else the look-ahead tail.
-    fn take_tail(&mut self, k: u64) -> IterState {
+    /// until the sweep pushes it back, and whether it is fresh: a recycled
+    /// (or new) state when `k` is one past the ring, else the look-ahead
+    /// tail, whose input-independent prefix is computed.
+    fn take_tail(&mut self, k: u64) -> (IterState, bool) {
         if k == self.base_k + self.ring.len() as u64 {
             // Every sweep writes all instants and reads no in-degrees, so
             // a recycled state resets only its marks, sizes and stashes.
             let Some(mut s) = self.free.pop() else {
-                return IterState::fresh(
-                    &self.remaining_template,
-                    self.relation_count,
-                    self.n_execs,
-                );
+                let s =
+                    IterState::fresh(&self.remaining_template, self.relation_count, self.n_execs);
+                return (s, true);
             };
             s.computed.fill(false);
             s.sizes.fill(0);
             s.exec_stash.fill((MaxPlus::EPSILON, 0));
-            s
+            (s, true)
         } else {
-            self.ring.pop_back().expect("look-ahead tail exists")
+            (self.ring.pop_back().expect("look-ahead tail exists"), false)
         }
     }
 
@@ -2456,7 +2474,7 @@ mod tests {
         let mut e = engine();
         e.set_input(0, 0, Time::ZERO, 0);
         let s = e.stats();
-        assert_eq!(s.nodes_computed, 19, "all nodes of iteration 0 computed");
+        assert_eq!(s.nodes_computed, 14, "all nodes of iteration 0 computed");
         assert!(s.arcs_evaluated >= s.nodes_computed);
         assert_eq!(s.iterations_completed, 1);
     }

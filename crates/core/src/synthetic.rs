@@ -21,9 +21,10 @@ use crate::tdg::{NodeKind, Tdg, TdgBuilder, Weight};
 /// A synthetic linear pipeline: `stages` functions, each
 /// `read → execute → write`, each on its own sequential resource.
 ///
-/// The derived graph of an `n`-stage pipeline has `3n + 2` nodes before
-/// simplification (one exchange per relation plus exec start/end pairs), so
-/// `stages` directly controls the paper's `X` size.
+/// The derived graph of an `n`-stage pipeline has `2n + 2` nodes before
+/// simplification (the input, one exchange per relation and one exec end
+/// per stage; each exec start is a copy of its stage's read), so `stages`
+/// directly controls the paper's `X` size.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     /// The architecture.
@@ -146,9 +147,10 @@ mod tests {
         assert_eq!(p.arch.app().functions().len(), 4);
         assert_eq!(p.arch.app().relations().len(), 5);
         let derived = derive_tdg(&p.arch).unwrap();
-        assert_eq!(derived.tdg().node_count(), 3 * 4 + 5 + 1 - 4);
-        // = 1 input + 5 exchange/output + 8 exec nodes = 14 nodes.
-        assert_eq!(derived.tdg().node_count(), 14);
+        assert_eq!(derived.tdg().node_count(), 2 * 4 + 2);
+        // = 1 input + 5 exchange/output + 4 exec ends = 10 nodes (each
+        // exec start is a copy of its stage's read).
+        assert_eq!(derived.tdg().node_count(), 10);
     }
 
     #[test]

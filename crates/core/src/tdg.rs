@@ -205,7 +205,8 @@ pub struct Tdg {
     /// Output-acknowledgment nodes in external-output order (`None` for
     /// outputs consumed by an always-ready environment).
     pub(crate) output_acks: Vec<Option<NodeId>>,
-    /// Maximum arc delay (history depth).
+    /// History depth: the deepest arc delay the graph was built with (see
+    /// [`Tdg::max_delay`]).
     pub(crate) max_delay: u32,
 }
 
@@ -247,7 +248,11 @@ impl Tdg {
         &self.output_acks
     }
 
-    /// Maximum arc delay (how many past iterations the history must keep).
+    /// How many past iterations the history must keep: the deepest arc
+    /// delay added to the builder. Derivation's exact reduction may remove
+    /// the deepest arcs, but not this depth, so the pruning horizon and
+    /// fast-forward eligibility stay those of the unreduced graph (and at
+    /// or above every token-size read delay).
     pub fn max_delay(&self) -> u32 {
         self.max_delay
     }
@@ -392,13 +397,15 @@ impl Tdg {
 /// Incremental builder for a [`Tdg`].
 #[derive(Clone, Debug, Default)]
 pub struct TdgBuilder {
-    nodes: Vec<Node>,
-    arcs: Vec<Arc>,
-    inputs: Vec<NodeId>,
-    outputs: Vec<NodeId>,
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) arcs: Vec<Arc>,
+    pub(crate) inputs: Vec<NodeId>,
+    pub(crate) outputs: Vec<NodeId>,
     /// `(relation index, node)` of OutputAck nodes, matched to outputs at
     /// build time.
-    acks: Vec<(usize, NodeId)>,
+    pub(crate) acks: Vec<(usize, NodeId)>,
+    /// Deepest delay of any arc added, removed ones included.
+    max_delay: u32,
 }
 
 impl TdgBuilder {
@@ -428,6 +435,7 @@ impl TdgBuilder {
 
     /// Adds an arc.
     pub fn add_arc(&mut self, src: NodeId, dst: NodeId, delay: u32, weight: Weight) {
+        self.max_delay = self.max_delay.max(delay);
         self.arcs.push(Arc {
             src,
             dst,
@@ -448,6 +456,12 @@ impl TdgBuilder {
     /// Returns [`crate::DeriveError::CausalityCycle`] if the zero-delay
     /// subgraph has a cycle.
     pub fn build(self) -> Result<Tdg, crate::DeriveError> {
+        self.build_ordered().map(|(tdg, _)| tdg)
+    }
+
+    /// [`TdgBuilder::build`], also returning the topological order of the
+    /// zero-delay subgraph that its cycle check computes.
+    pub(crate) fn build_ordered(self) -> Result<(Tdg, Vec<NodeId>), crate::DeriveError> {
         let n = self.nodes.len();
         let mut incoming = vec![Vec::new(); n];
         let mut outgoing = vec![Vec::new(); n];
@@ -455,7 +469,6 @@ impl TdgBuilder {
             incoming[arc.dst.0].push(i);
             outgoing[arc.src.0].push(i);
         }
-        let max_delay = self.arcs.iter().map(|a| a.delay).max().unwrap_or(0);
         // Align acknowledgment nodes with the output order.
         let output_acks = self
             .outputs
@@ -478,10 +491,10 @@ impl TdgBuilder {
             inputs: self.inputs,
             outputs: self.outputs,
             output_acks,
-            max_delay,
+            max_delay: self.max_delay,
         };
         match tdg.topo_order() {
-            Ok(_) => Ok(tdg),
+            Ok(order) => Ok((tdg, order)),
             Err(node) => Err(crate::DeriveError::CausalityCycle { node }),
         }
     }

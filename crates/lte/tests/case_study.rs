@@ -117,7 +117,7 @@ fn derived_graph_is_near_the_papers_node_count() {
     // land in the same order of magnitude.
     let rx = receiver(Scenario::default()).unwrap();
     let derived = derive_tdg(&rx.arch).unwrap();
-    assert_eq!(derived.tdg().node_count(), 1 + 9 + 16); // input + relations + exec pairs
+    assert_eq!(derived.tdg().node_count(), 1 + 9 + 9); // input + relations + exec ends + 1 start
     let reduced = simplify::simplify(
         derived.tdg(),
         &simplify::Options {
