@@ -81,6 +81,13 @@ cargo run --release -q -p evolve-bench --bin table1 --offline -- 2000 0
 cargo run --release -q -p evolve-bench --bin fig6 --offline -- 1 1
 cargo run --release -q -p evolve-bench --bin lte_speedup --offline -- 2000 0
 
+# Cost-split smoke: a cross-path check of the scalar compiled sweep on
+# Table I example 4 (20 rounds). The engine driven without the kernel must
+# reproduce the kernel-driven equivalent run's outputs and its record
+# count, and a one-lane BatchedEngine must answer as the scalar engine;
+# the harness panics (exit 101) when any of the three does not hold.
+cargo run --release -q -p evolve-bench --bin cost_split --offline -- 20
+
 # Bench smoke: the compiled backend must beat the worklist reference, the
 # batched engine must beat one-lane evaluation, periodic fast-forward
 # must beat the plain sweep on a 1000-node synthetic graph, and delta

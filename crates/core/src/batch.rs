@@ -248,7 +248,7 @@ impl Lanes<'_> {
                 .as_deref_mut()
                 .map(|s| &mut s[l * self.execs..][..self.execs]);
             let size_at = |rel, d| self.size(now, l, rel, d);
-            let term = exec_term(self.ct, self.hist.k, i, src_val, size_at, &mut lane_stash);
+            let (term, _) = exec_term(self.ct, self.hist.k, i, src_val, size_at, &mut lane_stash);
             dst[l] = dst[l].oplus(term);
         }
     }
@@ -1099,7 +1099,7 @@ impl BatchedEngine {
                     }
                 }
             }
-            let obs = ct.obs[slot];
+            let obs = ct.ops[slot].obs;
             if matches!(obs, Obs::None) {
                 continue;
             }

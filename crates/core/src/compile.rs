@@ -25,11 +25,13 @@
 //!   structure/weight separation is what lets the batched engine
 //!   ([`BatchedEngine`](crate::BatchedEngine)) fetch arc metadata once per
 //!   arc and fold many scenario lanes under it;
-//! * per-node metadata (observation action, acknowledgment/notification
-//!   target, dense exec-stash slot) packed into a flat SoA instruction
-//!   stream aligned with the schedule;
 //! * a [`SlotShape`] tag per slot with the slot's first arc in each stream:
-//!   which straight-line arm of the sweeps' slot evaluator folds it.
+//!   which straight-line arm of the sweeps' slot evaluator folds it;
+//! * one self-contained op per slot for the scalar sweeps: the node it
+//!   writes, its observation action (exchange log, acknowledgment or
+//!   output, execution record) and the operands its arm reads — sources,
+//!   lags and, for a single exec arc, its duration inline — so a slot reads
+//!   one op instead of a lookup per stream.
 //!
 //! [`Engine`](crate::Engine) evaluates one iteration of the compiled
 //! program as a single linear sweep (`max`-fold over arc ranges instead of
@@ -37,8 +39,11 @@
 //! reference backend behind [`EvalBackend`], and the randomized conformance
 //! suite (`tests/backend_conformance.rs`) pins the two bitwise-equal.
 
+use evolve_des::Time;
 use evolve_maxplus::MaxPlus;
-use evolve_model::{FunctionId, LoadContext, LoadModel, RelationId, ResourceId, SizeModel};
+use evolve_model::{
+    ExecRecord, FunctionId, LoadContext, LoadModel, RelationId, ResourceId, SizeModel,
+};
 
 use crate::derive::SizeRule;
 use crate::tdg::{ExecTerm, NodeId, NodeKind, Tdg, Weight};
@@ -97,11 +102,34 @@ pub(crate) enum Obs {
         relation: u32,
     },
     ExecEnd {
-        function: FunctionId,
-        stmt: u32,
-        resource: ResourceId,
+        site: ExecSite,
         dense: u32,
     },
+}
+
+/// The statement an `ExecEnd` node times: what its execution records name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ExecSite {
+    pub(crate) function: FunctionId,
+    pub(crate) stmt: u32,
+    pub(crate) resource: ResourceId,
+}
+
+impl ExecSite {
+    /// The record of this statement's execution at iteration `k` — the one
+    /// constructor behind every record an engine logs or replays.
+    #[inline(always)]
+    pub(crate) fn record(self, k: u64, start: Time, end: Time, ops: u64) -> ExecRecord {
+        ExecRecord {
+            resource: self.resource,
+            function: self.function,
+            stmt: self.stmt as usize,
+            k,
+            start,
+            end,
+            ops,
+        }
+    }
 }
 
 /// Token sizes resolved at lowering. A relation whose size rule is `Same`
@@ -243,9 +271,11 @@ pub(crate) fn lower_node_meta(
                 stmt,
                 resource,
             } => Obs::ExecEnd {
-                function,
-                stmt: stmt as u32,
-                resource,
+                site: ExecSite {
+                    function,
+                    stmt: stmt as u32,
+                    resource,
+                },
                 dense: exec_dense[i],
             },
             _ => Obs::None,
@@ -319,7 +349,7 @@ impl SizeRead {
 /// [`LoadModel::PerUnit`] term as inline arithmetic: `base + per_unit ×
 /// size` operations (saturating) on a resource of `speed` ops per tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct AffineTerm {
+pub(crate) struct AffineTerm {
     base: u64,
     per_unit: u64,
     speed: u64,
@@ -353,7 +383,7 @@ fn ticks(ops: u64, speed: u64) -> u64 {
 impl AffineTerm {
     /// `(ticks, ops)` at iteration `k`.
     #[inline(always)]
-    fn eval(self, k: u64, size_at: &impl Fn(usize, u64) -> u64) -> (u64, u64) {
+    pub(crate) fn eval(self, k: u64, size_at: &impl Fn(usize, u64) -> u64) -> (u64, u64) {
         let ops = if self.per_unit == 0 {
             self.base
         } else {
@@ -561,37 +591,89 @@ pub enum SlotShape {
 }
 
 /// A slot's [`SlotShape`] and first constant (`c`), slow (`s`) and exec
-/// (`e`) arc: what the slot evaluator needs to find its arcs, in one load.
+/// (`e`) arc: where the batched walk finds the slot's arcs, in one load.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct SlotOp {
+pub(crate) struct SlotArcs {
     pub(crate) shape: SlotShape,
     pub(crate) c: u32,
     pub(crate) s: u32,
     pub(crate) e: u32,
 }
 
-/// The slots one serial sweep folds, in schedule order, with the nodes and
-/// arcs they count.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SweepSlots {
-    pub(crate) slots: Vec<u32>,
+/// One schedule slot as the scalar sweeps evaluate it, self-contained: the
+/// node it writes, its observation action, and the operands its [`Arm`]
+/// reads, copied out of the CSR streams at lowering.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SlotOp {
+    pub(crate) arm: Arm,
+    pub(crate) obs: Obs,
+    pub(crate) dst: u32,
+}
+
+/// How a [`SlotOp`] folds its arcs. The first four arms carry all they
+/// read; [`Arm::Exec1Table`] and [`Arm::General`] keep the lowered
+/// duration table and the CSR walk.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Arm {
+    /// `x_src(k) ⊗ lag`.
+    Const1 { src: u32, lag: MaxPlus },
+    /// `x_src[0](k) ⊗ lag[0] ⊕ x_src[1](k) ⊗ lag[1]`.
+    Const2 { src: [u32; 2], lag: [MaxPlus; 2] },
+    /// `x_slow(k − 1) ⊗ slow_lag ⊕ x_src(k) ⊗ lag`.
+    Slow1Const1 {
+        slow: u32,
+        slow_lag: MaxPlus,
+        src: u32,
+        lag: MaxPlus,
+    },
+    /// `x_src(k) ⊗ (constant + T(k))`, `T` one constant or per-unit term
+    /// that reads its token size (if any) at iteration `k` itself. `stash`
+    /// is the dense `ExecEnd` index the arc's `(start, ops)` go to, or
+    /// `u32::MAX` when it is not a duration arc.
+    Exec1 {
+        src: u32,
+        stash: u32,
+        constant: u64,
+        term: AffineTerm,
+    },
+    /// One same-iteration exec arc of any other duration: arc `e` of the
+    /// exec stream, evaluated through [`Durations::eval`].
+    Exec1Table { src: u32, e: u32 },
+    /// Any other mix of arcs: the walk over slot `slot`'s CSR ranges.
+    General { slot: u32 },
+    /// An input's slot, whose instant the offer sets: the fold leaves it
+    /// as it is.
+    Offered,
+}
+
+impl Arm {
+    /// Whether the arm folds arcs from its own operands alone (with the
+    /// iteration's instants, sizes and previous row).
+    pub(crate) fn is_inline(self) -> bool {
+        matches!(
+            self,
+            Arm::Const1 { .. } | Arm::Const2 { .. } | Arm::Slow1Const1 { .. } | Arm::Exec1 { .. }
+        )
+    }
+}
+
+/// The nodes one serial sweep computes and the arcs it folds, counted at
+/// lowering.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SweepCount {
     pub(crate) nodes: u64,
     pub(crate) arcs: u64,
 }
 
-impl SweepSlots {
-    /// The slots of `schedule` whose node `pick` keeps, counting their
-    /// in-arcs.
-    fn of(tdg: &Tdg, schedule: &[u32], pick: impl Fn(usize) -> bool) -> SweepSlots {
-        let mut sweep = SweepSlots::default();
-        for (slot, &node) in schedule.iter().enumerate() {
-            if pick(node as usize) {
-                sweep.slots.push(slot as u32);
-                sweep.nodes += 1;
-                sweep.arcs += tdg.incoming[node as usize].len() as u64;
-            }
+impl SweepCount {
+    /// The nodes `pick` keeps, and their in-arcs.
+    fn of(tdg: &Tdg, pick: impl Fn(usize) -> bool) -> SweepCount {
+        let mut count = SweepCount::default();
+        for node in (0..tdg.node_count()).filter(|&node| pick(node)) {
+            count.nodes += 1;
+            count.arcs += tdg.incoming[node].len() as u64;
         }
-        sweep
+        count
     }
 }
 
@@ -612,8 +694,9 @@ pub struct CompiledTdg {
     /// Slot ranges per level: level `l` spans
     /// `schedule[level_offsets[l] .. level_offsets[l + 1]]`.
     pub(crate) level_offsets: Vec<u32>,
-    /// SoA instruction stream: observation action per schedule slot.
-    pub(crate) obs: Vec<Obs>,
+    /// The scalar sweeps' op per schedule slot: destination, observation
+    /// action and operands.
+    pub(crate) ops: Vec<SlotOp>,
     /// CSR offsets (per slot, length `slots + 1`) into the same-iteration
     /// constant-arc stream — the branch-light common case.
     pub(crate) const_offsets: Vec<u32>,
@@ -647,8 +730,8 @@ pub struct CompiledTdg {
     /// The exec weights lowered into the flat duration evaluator (aligned
     /// with the exec stream).
     pub(crate) durations: Durations,
-    /// Arc shape and first arcs per schedule slot.
-    pub(crate) slots: Vec<SlotOp>,
+    /// Arc shape and first arcs per schedule slot (the batched walk's).
+    pub(crate) slots: Vec<SlotArcs>,
     /// Schedule slot of each node (`pos_of_node[schedule[s]] == s`): the
     /// inverse permutation of the schedule. Lane state indexed by *slot*
     /// instead of node id makes consecutive schedule writes land in
@@ -677,13 +760,13 @@ pub struct CompiledTdg {
     /// in schedule order: all a serial sweep publishes after its folds
     /// (its logs are written by the sweep itself).
     pub(crate) boundary_slots: Vec<u32>,
-    /// What a serial sweep of a fresh iteration folds: every slot but the
-    /// inputs'.
-    pub(crate) fresh_sweep: SweepSlots,
-    /// What a serial sweep of a look-ahead tail folds: the slots with a
+    /// What a serial sweep of a fresh iteration computes: every slot but
+    /// the inputs'.
+    pub(crate) fresh_sweep: SweepCount,
+    /// What a serial sweep of a look-ahead tail computes: the slots with a
     /// zero-delay path from an input ([`zero_delay_dependent`]), the
     /// inputs' excepted, since the look-ahead computed the others.
-    pub(crate) main_sweep: SweepSlots,
+    pub(crate) main_sweep: SweepCount,
 }
 
 impl CompiledTdg {
@@ -720,7 +803,8 @@ impl CompiledTdg {
             level_offsets.push(schedule.len() as u32);
         }
 
-        let mut obs = Vec::with_capacity(n);
+        let input = |node: usize| matches!(tdg.nodes()[node].kind, NodeKind::Input { .. });
+        let mut ops = Vec::with_capacity(n);
         let mut const_offsets = Vec::with_capacity(n + 1);
         let mut const_srcs = Vec::new();
         let mut const_lags = Vec::new();
@@ -739,7 +823,6 @@ impl CompiledTdg {
         exec_offsets.push(0u32);
         for &slot_node in &schedule {
             let node = slot_node as usize;
-            obs.push(meta.obs[node]);
             let (c, s, e) = (const_srcs.len(), slow_srcs.len(), exec_srcs.len());
             for &ai in &tdg.incoming[node] {
                 let arc = &tdg.arcs[ai];
@@ -776,8 +859,45 @@ impl CompiledTdg {
                 (1, [1], []) => SlotShape::Slow1Const1,
                 _ => SlotShape::General,
             };
+            let arm = match shape {
+                _ if input(node) => Arm::Offered,
+                SlotShape::Const1 => Arm::Const1 {
+                    src: const_srcs[c],
+                    lag: const_lags[c],
+                },
+                SlotShape::Const2 => Arm::Const2 {
+                    src: [const_srcs[c], const_srcs[c + 1]],
+                    lag: [const_lags[c], const_lags[c + 1]],
+                },
+                SlotShape::Slow1Const1 => Arm::Slow1Const1 {
+                    slow: slow_srcs[s],
+                    slow_lag: slow_lags[s],
+                    src: const_srcs[c],
+                    lag: const_lags[c],
+                },
+                SlotShape::Exec1 => match durations.arcs[e] {
+                    ArcDuration::Affine { constant, term } if term.size.delay == 0 => Arm::Exec1 {
+                        src: exec_srcs[e],
+                        stash: exec_stash_dense[e],
+                        constant,
+                        term,
+                    },
+                    _ => Arm::Exec1Table {
+                        src: exec_srcs[e],
+                        e: e as u32,
+                    },
+                },
+                SlotShape::General => Arm::General {
+                    slot: slots.len() as u32,
+                },
+            };
+            ops.push(SlotOp {
+                arm,
+                obs: meta.obs[node],
+                dst: slot_node,
+            });
             let (c, s, e) = (c as u32, s as u32, e as u32);
-            slots.push(SlotOp { shape, c, s, e });
+            slots.push(SlotArcs { shape, c, s, e });
         }
 
         // Retiling: the inverse schedule permutation plus src streams
@@ -791,8 +911,8 @@ impl CompiledTdg {
         let slow_src_pos: Vec<u32> = slow_srcs.iter().map(|&s| pos_of_node[s as usize]).collect();
         let exec_src_pos: Vec<u32> = exec_srcs.iter().map(|&s| pos_of_node[s as usize]).collect();
         let slots_where = |keep: &dyn Fn(Obs) -> bool| -> Vec<u32> {
-            (0..obs.len())
-                .filter(|&slot| keep(obs[slot]))
+            (0..ops.len())
+                .filter(|&slot| keep(ops[slot].obs))
                 .map(|slot| slot as u32)
                 .collect()
         };
@@ -804,14 +924,13 @@ impl CompiledTdg {
             matches!(o, Obs::Exchange { ack_input, output, .. }
                 if ack_input != u32::MAX || output != u32::MAX)
         });
-        let input = |node: usize| matches!(tdg.nodes()[node].kind, NodeKind::Input { .. });
-        let fresh_sweep = SweepSlots::of(tdg, &schedule, |node| !input(node));
-        let main_sweep = SweepSlots::of(tdg, &schedule, |node| dependent[node] && !input(node));
+        let fresh_sweep = SweepCount::of(tdg, |node| !input(node));
+        let main_sweep = SweepCount::of(tdg, |node| dependent[node] && !input(node));
 
         CompiledTdg {
             schedule,
             level_offsets,
-            obs,
+            ops,
             const_offsets,
             const_srcs,
             const_lags,
@@ -875,7 +994,20 @@ impl CompiledTdg {
         self.schedule
             .iter()
             .zip(&self.slots)
-            .map(|(&node, op)| (NodeId(node as usize), op.shape))
+            .map(|(&node, arcs)| (NodeId(node as usize), arcs.shape))
+    }
+
+    /// Every scheduled node with whether the scalar sweeps fold its slot
+    /// from operands lowered into the slot's op, in schedule order: every
+    /// straight-line shape, and an [`SlotShape::Exec1`] whose duration is
+    /// one constant or per-unit term reading its token size, if any, at
+    /// the swept iteration. The others walk the CSR streams
+    /// ([`SlotShape::General`]) or the lowered duration table (any other
+    /// `Exec1`), or fold nothing (an input's slot, which its offer sets).
+    pub fn inline_slots(&self) -> impl Iterator<Item = (NodeId, bool)> + '_ {
+        self.ops
+            .iter()
+            .map(|op| (NodeId(op.dst as usize), op.arm.is_inline()))
     }
 
     /// Total element capacity across the compiled buffers — the term the
@@ -885,7 +1017,7 @@ impl CompiledTdg {
     pub fn buffer_elements(&self) -> usize {
         self.schedule.capacity()
             + self.level_offsets.capacity()
-            + self.obs.capacity()
+            + self.ops.capacity()
             + self.const_offsets.capacity()
             + self.const_srcs.capacity()
             + self.const_lags.capacity()
@@ -905,8 +1037,6 @@ impl CompiledTdg {
             + self.exec_src_pos.capacity()
             + self.derived_exchanges.capacity()
             + self.boundary_slots.capacity()
-            + self.fresh_sweep.slots.capacity()
-            + self.main_sweep.slots.capacity()
     }
 }
 
@@ -960,10 +1090,11 @@ mod tests {
     }
 
     /// Every slot of the paper's models that a sweep folds has one of the
-    /// four specialized shapes: Table I examples 1–8, the LTE receiver of
-    /// Fig. 6, and pipelines padded by 64 nodes as in Fig. 5 and
-    /// `serve-open`. The input slot has no arcs (the offer sets it) and is
-    /// never folded.
+    /// four specialized shapes, and its op carries all its operands (no
+    /// exec arc falls back to the duration table): Table I examples 1–8,
+    /// the LTE receiver of Fig. 6, and pipelines of 1–8 stages, unpadded
+    /// and padded by 64 nodes as in Fig. 5 and `serve-open`. The input slot
+    /// has no arcs (the offer sets it) and is never folded.
     #[test]
     fn paper_models_need_no_general_arm() {
         let check = |name: String, arch: &evolve_model::Architecture, padding: usize| {
@@ -976,7 +1107,7 @@ mod tests {
             let meta = lower_node_meta(tdg, derived.size_rules(), relations);
             let dependent = zero_delay_dependent(tdg);
             let c = CompiledTdg::lower(tdg, derived.topo_order(), &meta, &dependent);
-            for (node, shape) in c.slot_shapes() {
+            for ((node, shape), (_, inline)) in c.slot_shapes().zip(c.inline_slots()) {
                 let kind = &tdg.nodes()[node.index()].kind;
                 if matches!(kind, NodeKind::Input { .. }) {
                     assert_eq!(shape, SlotShape::General, "{name}: the input has no arcs");
@@ -986,6 +1117,7 @@ mod tests {
                         SlotShape::General,
                         "{name}: {kind:?} takes the general arm"
                     );
+                    assert!(inline, "{name}: {kind:?} reads the duration table");
                 }
             }
         };
@@ -993,6 +1125,7 @@ mod tests {
             let d = evolve_model::didactic::chained(stages, Default::default()).unwrap();
             check(format!("Table I example {stages}"), &d.arch, 0);
             let p = synthetic::pipeline(stages, 60, 1).unwrap();
+            check(format!("{stages}-stage pipeline"), &p.arch, 0);
             check(format!("{stages}-stage pipeline + 64"), &p.arch, 64);
         }
         let rx = evolve_lte::receiver(evolve_lte::Scenario::default()).unwrap();
@@ -1128,7 +1261,9 @@ mod tests {
         // The padding chain is a run of unobserved one-constant-arc slots,
         // the batched sweep's single-kernel-call shape.
         let chain = (0..c.node_count())
-            .filter(|&slot| c.slots[slot].shape == SlotShape::Const1 && c.obs[slot] == Obs::None)
+            .filter(|&slot| {
+                c.slots[slot].shape == SlotShape::Const1 && c.ops[slot].obs == Obs::None
+            })
             .count();
         assert!(chain >= 64, "the padding chain takes the Const1 arm");
         let _ = tdg;

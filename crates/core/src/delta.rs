@@ -209,11 +209,10 @@ impl CollapsePlan {
         let input_arcs: usize = ct.arc_ranges(input_slot).iter().map(|r| r.len()).sum();
         let arcs = ct.const_arc_count() + ct.slow_arc_count() + ct.exec_arc_count() - input_arcs;
         let observed = ct
-            .schedule
+            .ops
             .iter()
-            .zip(&ct.obs)
-            .filter(|&(&nd, obs)| nd as usize != input_node && !matches!(obs, Obs::None))
-            .map(|(&nd, _)| nd)
+            .filter(|op| op.dst as usize != input_node && !matches!(op.obs, Obs::None))
+            .map(|op| op.dst)
             .collect();
         CollapsePlan {
             nodes: slots as u64,
@@ -251,7 +250,11 @@ pub(crate) fn compute_seeds(
 ) -> Result<(Vec<bool>, usize), DeltaUnsupported> {
     let structure_equal = base.schedule == sib.schedule
         && base.level_offsets == sib.level_offsets
-        && base.obs == sib.obs
+        && base
+            .ops
+            .iter()
+            .map(|op| op.obs)
+            .eq(sib.ops.iter().map(|op| op.obs))
         && base.const_offsets == sib.const_offsets
         && base.const_srcs == sib.const_srcs
         && base.slow_offsets == sib.slow_offsets

@@ -30,10 +30,11 @@
 //! a levelized schedule with CSR-flattened arcs and pre-lowered durations —
 //! and evaluates steady-state iterations as one linear sweep that writes
 //! its observation logs in place, instead of worklist propagation. Every
-//! compiled sweep folds a slot through one evaluator, `eval_slot`, whose
-//! straight-line arms follow the slot's [`SlotShape`] tag;
-//! [`EvalBackend::Worklist`] keeps the propagation path as the bitwise
-//! reference (see `tests/backend_conformance.rs`).
+//! scalar compiled sweep folds a slot through one evaluator, `eval_slot`,
+//! whose straight-line arms (one per [`SlotShape`](crate::SlotShape))
+//! read the operands lowered into the slot's op; [`EvalBackend::Worklist`]
+//! keeps the propagation path as the bitwise reference (see
+//! `tests/backend_conformance.rs`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -44,7 +45,7 @@ use evolve_model::{ExecRecord, LoadContext};
 use evolve_obs::{BackendKind, DeltaCounters, EngineCounters, EngineEvent, Observer};
 
 use crate::compile::{
-    lower_node_meta, zero_delay_dependent, CompiledTdg, EvalBackend, Obs, SlotShape,
+    lower_node_meta, zero_delay_dependent, Arm, CompiledTdg, EvalBackend, ExecSite, Obs, SlotOp,
 };
 use crate::delta::{
     self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaUnsupported,
@@ -293,12 +294,17 @@ fn plus_const_lag(x: MaxPlus, lag: MaxPlus) -> MaxPlus {
     }
 }
 
+/// The `(start, ops)` of a fold that stashed nothing: an `ExecEnd` with
+/// this pair emits no record, as if its execute never ran.
+const UNSTASHED: (MaxPlus, u64) = (MaxPlus::EPSILON, 0);
+
 /// Exec arc `i`'s term at iteration `k` for source instant `src_val`, its
 /// duration evaluated against the token sizes `size_at(rel, d)` reads
-/// (relation `rel` at iteration `k − d`); a duration arc writes its
-/// `(start, ops)` into `stash` when one is given. An `ε` source
-/// contributes nothing and evaluates no duration. Every compiled sweep's
-/// exec arcs fold through here, the batched sweep's once per lane.
+/// (relation `rel` at iteration `k − d`), and the `(start, ops)` a
+/// duration arc stashes (written into `stash` when one is given;
+/// [`UNSTASHED`] for any other arc). An `ε` source contributes nothing and
+/// evaluates no duration. Every compiled sweep's table-evaluated exec arcs
+/// fold through here, the batched sweep's once per lane.
 #[inline(always)]
 pub(crate) fn exec_term(
     ct: &CompiledTdg,
@@ -307,52 +313,95 @@ pub(crate) fn exec_term(
     src_val: MaxPlus,
     size_at: impl Fn(usize, u64) -> u64,
     stash: &mut Option<&mut [(MaxPlus, u64)]>,
-) -> MaxPlus {
+) -> (MaxPlus, (MaxPlus, u64)) {
     if src_val.is_epsilon() {
-        return MaxPlus::EPSILON;
+        return (MaxPlus::EPSILON, UNSTASHED);
     }
     let (lag, ops) = ct.durations.eval(i, k, size_at);
-    let dense = ct.exec_stash_dense[i];
-    if let (Some(stash), true) = (stash.as_deref_mut(), dense != u32::MAX) {
-        stash[dense as usize] = (src_val, ops);
-    }
-    plus_lag(src_val, MaxPlus::new(lag as i64))
+    let stashed = stash_exec(ct.exec_stash_dense[i], (src_val, ops), stash);
+    (plus_lag(src_val, MaxPlus::new(lag as i64)), stashed)
 }
 
-/// The one slot body of every scalar compiled sweep: slot `slot`'s arcs
+/// Writes a duration arc's `(start, ops)` into dense stash slot `dense`
+/// (when a stash is given) and returns it; a `dense` of `u32::MAX` marks an
+/// arc that stashes nothing.
+#[inline(always)]
+fn stash_exec(
+    dense: u32,
+    exec: (MaxPlus, u64),
+    stash: &mut Option<&mut [(MaxPlus, u64)]>,
+) -> (MaxPlus, u64) {
+    if dense == u32::MAX {
+        return UNSTASHED;
+    }
+    if let Some(stash) = stash.as_deref_mut() {
+        stash[dense as usize] = exec;
+    }
+    exec
+}
+
+/// The one slot body of every scalar compiled sweep: `op`'s arcs
 /// `⊕`-folded over the process-start baseline E for iteration `hist.k`, by
-/// straight-line code per [`SlotShape`]. `now` holds iteration `k`'s
-/// instants, `sizes` its token sizes.
+/// straight-line code per [`Arm`] from the operands the op carries. `now`
+/// holds iteration `k`'s instants, `sizes` its token sizes. Returns the
+/// instant and the `(start, ops)` a single exec arc stashed
+/// ([`UNSTASHED`] for every other arm).
 #[inline(always)]
 fn eval_slot(
     ct: &CompiledTdg,
-    slot: usize,
+    op: &SlotOp,
     hist: &History<'_>,
     sizes: &[u64],
     mut stash: Option<&mut [(MaxPlus, u64)]>,
     now: &[MaxPlus],
-) -> MaxPlus {
-    let konst = |i: usize| plus_const_lag(now[ct.const_srcs[i] as usize], ct.const_lags[i]);
-    let prev = |i: usize| {
-        let src = ct.slow_srcs[i] as usize;
-        plus_const_lag(
-            hist.prev.map_or(MaxPlus::E, |it| it.acc[src]),
-            ct.slow_lags[i],
-        )
-    };
+) -> (MaxPlus, (MaxPlus, u64)) {
+    let konst = |src: u32, lag: MaxPlus| plus_const_lag(now[src as usize], lag);
     let fold = |acc: MaxPlus| MaxPlus::E.oplus(acc);
-    let op = ct.slots[slot];
-    let (c, s, e) = (op.c as usize, op.s as usize, op.e as usize);
-    match op.shape {
-        SlotShape::Const1 => fold(konst(c)),
-        SlotShape::Const2 => fold(konst(c).oplus(konst(c + 1))),
-        SlotShape::Slow1Const1 => fold(prev(s).oplus(konst(c))),
-        SlotShape::Exec1 => {
-            let src_val = now[ct.exec_srcs[e] as usize];
-            let size_at = |rel, d| hist.size(sizes, rel, d);
-            fold(exec_term(ct, hist.k, e, src_val, size_at, &mut stash))
+    match op.arm {
+        Arm::Const1 { src, lag } => (fold(konst(src, lag)), UNSTASHED),
+        Arm::Const2 { src, lag } => (
+            fold(konst(src[0], lag[0]).oplus(konst(src[1], lag[1]))),
+            UNSTASHED,
+        ),
+        Arm::Slow1Const1 {
+            slow,
+            slow_lag,
+            src,
+            lag,
+        } => {
+            let prev = hist.prev.map_or(MaxPlus::E, |it| it.acc[slow as usize]);
+            (
+                fold(plus_const_lag(prev, slow_lag).oplus(konst(src, lag))),
+                UNSTASHED,
+            )
         }
-        SlotShape::General => eval_general(ct, slot, hist, sizes, &mut stash, now),
+        Arm::Exec1 {
+            src,
+            stash: dense,
+            constant,
+            term,
+        } => {
+            let start = now[src as usize];
+            if start.is_epsilon() {
+                return (fold(start), UNSTASHED);
+            }
+            // The term reads its size, if any, at iteration `k` itself.
+            let (ticks, ops) = term.eval(hist.k, &|rel, _| sizes[rel]);
+            let stashed = stash_exec(dense, (start, ops), &mut stash);
+            let lag = MaxPlus::new((constant + ticks) as i64);
+            (fold(plus_lag(start, lag)), stashed)
+        }
+        Arm::Exec1Table { src, e } => {
+            let size_at = |rel, d| hist.size(sizes, rel, d);
+            let src_val = now[src as usize];
+            let (term, stashed) = exec_term(ct, hist.k, e as usize, src_val, size_at, &mut stash);
+            (fold(term), stashed)
+        }
+        Arm::General { slot } => (
+            eval_general(ct, slot as usize, hist, sizes, &mut stash, now),
+            UNSTASHED,
+        ),
+        Arm::Offered => (now[op.dst as usize], UNSTASHED),
     }
 }
 
@@ -383,7 +432,7 @@ fn eval_general(
             hist.acc(delay, src)
         };
         let size_at = |rel, d| hist.size(sizes, rel, d);
-        acc = acc.oplus(exec_term(ct, hist.k, i, src_val, size_at, stash));
+        acc = acc.oplus(exec_term(ct, hist.k, i, src_val, size_at, stash).0);
     }
     for i in cs {
         acc = acc.oplus(plus_const_lag(
@@ -394,75 +443,65 @@ fn eval_general(
     acc
 }
 
-/// The execution record an `ExecEnd` node emits for iteration `k` from its
-/// stashed `(start, ops)` and computed end instant, or `None` when the
-/// execute never ran.
-#[inline(always)]
-fn exec_record(obs: Obs, k: u64, (start, ops): (MaxPlus, u64), end: MaxPlus) -> Option<ExecRecord> {
-    let Obs::ExecEnd {
-        function,
-        stmt,
-        resource,
-        ..
-    } = obs
-    else {
-        return None;
-    };
-    (start.is_finite() || ops > 0).then(|| ExecRecord {
-        resource,
-        function,
-        stmt: stmt as usize,
-        k,
-        start: instant(start),
-        end: instant(end),
-        ops,
-    })
-}
-
 /// A computed instant as a kernel time (`ε` and negatives clamp to 0).
 #[inline(always)]
 fn instant(value: MaxPlus) -> Time {
     Time::from_ticks(value.finite().unwrap_or(0).max(0) as u64)
 }
 
-/// The folds of one serial compiled sweep: each of `slots` (every slot the
-/// tail has not computed yet, picked at lowering) folds its arcs
-/// ([`eval_slot`]) into `tail.acc`, in schedule order, and with `log`
-/// duration arcs stash their `(start, ops)` and each slot writes its log
-/// in place.
+/// The folds of one serial compiled sweep: each slot the tail has not
+/// computed yet folds its arcs ([`eval_slot`]) into `tail.acc`, in
+/// schedule order, and with `log` duration arcs stash their `(start, ops)`
+/// and each slot writes its log in place. On a `fresh` tail that is every
+/// slot (an input's op leaves its offered instant as it is); on a
+/// look-ahead tail, the slots neither the look-ahead nor the offer set.
 #[inline(never)]
 fn sweep_serial(
     ct: &CompiledTdg,
-    slots: &[u32],
     hist: &History<'_>,
     tail: &mut IterState,
     log: Option<&mut EmissionLog>,
+    fresh: bool,
 ) {
-    // One copy of the loop per logging mode: the logging loop keeps more
-    // state live per slot, which would slow the plain one down.
-    match log {
-        Some(log) => sweep_slots(ct, slots, hist, tail, Some(log)),
-        None => sweep_slots(ct, slots, hist, tail, None),
+    // One copy of the loop per logging mode and tail: the logging loop
+    // keeps more state live per slot, which would slow the plain one down,
+    // and a fresh tail's loop tests no computed mark.
+    match (log, fresh) {
+        (Some(log), true) => sweep_slots::<true>(ct, hist, tail, Some(log)),
+        (Some(log), false) => sweep_slots::<false>(ct, hist, tail, Some(log)),
+        (None, true) => sweep_slots::<true>(ct, hist, tail, None),
+        (None, false) => sweep_slots::<false>(ct, hist, tail, None),
     }
 }
 
 #[inline(always)]
-fn sweep_slots(
+fn sweep_slots<const FRESH: bool>(
     ct: &CompiledTdg,
-    slots: &[u32],
     hist: &History<'_>,
     tail: &mut IterState,
     mut log: Option<&mut EmissionLog>,
 ) {
-    for &slot in slots {
-        let slot = slot as usize;
+    for op in &ct.ops {
+        if !FRESH && tail.computed[op.dst as usize] {
+            continue;
+        }
         let stash = log.is_some().then_some(&mut tail.exec_stash[..]);
-        let acc = eval_slot(ct, slot, hist, &tail.sizes, stash, &tail.acc);
-        tail.acc[ct.schedule[slot] as usize] = acc;
+        let (acc, stashed) = eval_slot(ct, op, hist, &tail.sizes, stash, &tail.acc);
+        tail.acc[op.dst as usize] = acc;
         if let Some(log) = log.as_mut() {
-            // An `ExecEnd` records straight from the `(start, ops)` its
-            // duration arc just stashed (the fused record replay).
-            log.log(hist.k, ct.obs[slot], acc, &tail.exec_stash);
+            match op.obs {
+                // An `ExecEnd` records straight from the `(start, ops)` its
+                // fold returned; only a general slot, several of whose arcs
+                // may stash, reads its stash back.
+                Obs::ExecEnd { site, dense } => {
+                    let exec = match op.arm {
+                        Arm::General { .. } => tail.exec_stash[dense as usize],
+                        _ => stashed,
+                    };
+                    log.record(site, hist.k, exec, acc);
+                }
+                obs => log.log(hist.k, obs, acc, &tail.exec_stash),
+            }
         }
     }
 }
@@ -640,11 +679,18 @@ impl EmissionLog {
                 log.push(instant(value));
             }
             Obs::FifoRead { relation } => self.reads[relation as usize].push(instant(value)),
-            Obs::ExecEnd { dense, .. } => {
-                if let Some(record) = exec_record(obs, k, stash[dense as usize], value) {
-                    self.exec_records.push(record);
-                }
-            }
+            Obs::ExecEnd { site, dense } => self.record(site, k, stash[dense as usize], value),
+        }
+    }
+
+    /// Logs the execution record of `site` at iteration `k` from its
+    /// stashed `(start, ops)` and computed end instant, unless the execute
+    /// never ran (an `ε` start that performed no operations).
+    #[inline(always)]
+    fn record(&mut self, site: ExecSite, k: u64, (start, ops): (MaxPlus, u64), end: MaxPlus) {
+        if start.is_finite() || ops > 0 {
+            let record = site.record(k, instant(start), instant(end), ops);
+            self.exec_records.push(record);
         }
     }
 
@@ -769,15 +815,13 @@ impl EmissionLog {
         }
         for r in &e.execs {
             let (start, end) = (next(), next());
-            self.exec_records.push(ExecRecord {
-                resource: r.resource,
+            let site = ExecSite {
                 function: r.function,
-                stmt: r.stmt,
-                k: k + r.k_off,
-                start,
-                end,
-                ops: r.ops,
-            });
+                stmt: r.stmt as u32,
+                resource: r.resource,
+            };
+            self.exec_records
+                .push(site.record(k + r.k_off, start, end, r.ops));
         }
         for o in &e.outputs {
             let at = next();
@@ -1638,21 +1682,18 @@ impl Engine {
         // Moved out of `self` for the duration of the sweep so arc ranges
         // can be read while the ring and logs are mutated.
         let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
-        // A fresh tail folds every slot but the input's; a look-ahead tail
-        // only the slots its prefix left.
-        let sweep = if fresh {
-            &ct.fresh_sweep
-        } else {
-            &ct.main_sweep
-        };
+        // A fresh tail computes every slot but the input's; a look-ahead
+        // tail only the slots its prefix left.
+        let sweep = if fresh { ct.fresh_sweep } else { ct.main_sweep };
         self.derive_sizes(&ct, k, &mut tail);
         let log = self.record_observations.then_some(&mut self.log);
         let hist = History::new(&self.ring, self.base_k, k);
-        sweep_serial(&ct, &sweep.slots, &hist, &mut tail, log);
+        sweep_serial(&ct, &hist, &mut tail, log, fresh);
         for &pos in &ct.boundary_slots {
-            let node = ct.schedule[pos as usize] as usize;
+            let op = &ct.ops[pos as usize];
+            let node = op.dst as usize;
             if !tail.computed[node] {
-                self.log.publish(k, ct.obs[pos as usize], tail.acc[node], &tail.sizes);
+                self.log.publish(k, op.obs, tail.acc[node], &tail.sizes);
             }
         }
         tail.computed.fill(true);
@@ -1767,8 +1808,8 @@ impl Engine {
         let mut reused = 0u64;
         let mut recomputed = 0u64;
         let mut settled = 0u64;
-        for (slot, (&slot_node, &obs)) in ct.schedule.iter().zip(&ct.obs).enumerate() {
-            let node = slot_node as usize;
+        for (slot, op) in ct.ops.iter().enumerate() {
+            let (node, obs) = (op.dst as usize, op.obs);
             if tail.computed[node] {
                 continue;
             }
@@ -1838,7 +1879,7 @@ impl Engine {
             recomputed += 1;
             let hist = History::new(&self.ring, self.base_k, k);
             let stash = self.record_observations.then_some(&mut tail.exec_stash[..]);
-            let acc = eval_slot(&ct, slot, &hist, &tail.sizes, stash, &tail.acc);
+            let (acc, _) = eval_slot(&ct, op, &hist, &tail.sizes, stash, &tail.acc);
             if acc == row.acc[node] {
                 // Monotone early-out: downstream comparisons of this node
                 // see no difference — the frontier stops here.
@@ -2120,11 +2161,11 @@ impl Engine {
     /// Exchanges the look-ahead already observed keep their sizes.
     fn derive_sizes(&self, ct: &CompiledTdg, k: u64, tail: &mut IterState) {
         for &pos in &ct.derived_exchanges {
-            let pos = pos as usize;
-            if tail.computed[ct.schedule[pos] as usize] {
+            let op = &ct.ops[pos as usize];
+            if tail.computed[op.dst as usize] {
                 continue;
             }
-            let Obs::Exchange { relation, .. } = ct.obs[pos] else {
+            let Obs::Exchange { relation, .. } = op.obs else {
                 unreachable!("derived_exchanges holds Exchange slots only")
             };
             self.derive_size(relation as usize, k, tail);
@@ -2192,11 +2233,25 @@ impl Engine {
     /// until the sweep pushes it back, and whether it is fresh: a recycled
     /// (or new) state when `k` is one past the ring, else the look-ahead
     /// tail, whose input-independent prefix is computed.
+    ///
+    /// A fresh tail reuses the ring's oldest row as soon as the sweep of
+    /// `k` can no longer read it (complete, and more than `max_delay`
+    /// iterations back: what [`Engine::maybe_prune`] would free), instead
+    /// of leaving it for the next prune scan; otherwise it comes from the
+    /// free list.
     fn take_tail(&mut self, k: u64) -> (IterState, bool) {
         if k == self.base_k + self.ring.len() as u64 {
+            let expired = self.base_k + u64::from(self.tdg.max_delay) < k
+                && self.ring.front().is_some_and(|it| it.nodes_pending == 0);
+            let recycled = if expired {
+                self.base_k += 1;
+                self.ring.pop_front()
+            } else {
+                self.free.pop()
+            };
             // Every sweep writes all instants and reads no in-degrees, so
             // a recycled state resets only its marks, sizes and stashes.
-            let Some(mut s) = self.free.pop() else {
+            let Some(mut s) = recycled else {
                 let s =
                     IterState::fresh(&self.remaining_template, self.relation_count, self.n_execs);
                 return (s, true);

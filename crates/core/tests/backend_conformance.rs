@@ -16,9 +16,17 @@
 //! them in pop order, the compiled sweep in schedule order, and only the
 //! multiset is part of the engine's contract.
 //!
-//! `generators_reach_every_slot_shape` reads the slot shapes of graphs the
-//! two generators produce: every arm of the compiled slot evaluator,
+//! A third generator (`exec_graphs`) draws random DAGs whose arcs carry
+//! execution durations into `ExecEnd` nodes, driven input by input with
+//! token sizes; the execution-record multiset must agree too.
+//!
+//! `proptests_reach_every_slot_shape` reads the slot shapes of graphs the
+//! first two generators produce: every arm of the compiled slot evaluator,
 //! the general one included, appears, so the proptests cover each arm.
+//! `proptests_reach_every_exec1_form` does the same for the single exec
+//! arc's inline and table-evaluated forms in the third generator's graphs.
+
+mod exec_graphs;
 
 use evolve_core::{
     derive_tdg, synthetic, DerivedTdg, Engine, EvalBackend, NodeKind, SlotShape, Tdg, TdgBuilder,
@@ -192,6 +200,38 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn backends_agree_on_random_exec_tdgs(spec in exec_graphs::exec_graph_spec()) {
+        let tdg = exec_graphs::build(&spec);
+        let mut compiled = exec_graphs::engine_for(&tdg, EvalBackend::Compiled);
+        let mut worklist = exec_graphs::engine_for(&tdg, EvalBackend::Worklist);
+        for (k, &(u, size)) in spec.offers.iter().enumerate() {
+            compiled.set_input(0, k as u64, Time::from_ticks(u), size);
+            worklist.set_input(0, k as u64, Time::from_ticks(u), size);
+            prop_assert_eq!(
+                compiled.next_output(0),
+                worklist.next_output(0),
+                "output at k={}",
+                k
+            );
+        }
+        for r in 0..2 {
+            prop_assert_eq!(compiled.instants(r), worklist.instants(r), "relation {}", r);
+        }
+        prop_assert_eq!(
+            canonical(compiled.exec_records().to_vec()),
+            canonical(worklist.exec_records().to_vec()),
+            "execution records"
+        );
+        let (cs, ws) = (compiled.stats(), worklist.stats());
+        prop_assert_eq!(cs.nodes_computed, ws.nodes_computed);
+        prop_assert_eq!(cs.iterations_completed, ws.iterations_completed);
+    }
+}
+
 /// The didactic chain — realistic derived structure with execution pairs,
 /// back-pressure, and data-dependent loads — pinned exactly across
 /// backends, including the exec-record multiset.
@@ -286,6 +326,34 @@ fn proptests_reach_every_slot_shape() {
         assert!(
             seen.contains(&shape),
             "no proptest graph has a {shape:?} slot"
+        );
+    }
+}
+
+/// Both forms of the single exec arc appear in the graphs
+/// `backends_agree_on_random_exec_tdgs` draws (redrawn under its name, as
+/// above): inline, at a speed other than 1 and with a lag, and through the
+/// duration table, for a non-affine load and for a delayed size read.
+#[test]
+fn proptests_reach_every_exec1_form() {
+    use proptest::test_runner::TestRunner;
+    let mut seen = std::collections::HashSet::new();
+    TestRunner::new_with_name(
+        ProptestConfig::with_cases(128),
+        "backends_agree_on_random_exec_tdgs",
+    )
+    .run(&(exec_graphs::exec_graph_spec(),), |(spec,)| {
+        let tdg = exec_graphs::build(&spec);
+        seen.extend(exec_graphs::exec1_forms(&exec_graphs::engine_for(
+            &tdg,
+            EvalBackend::Compiled,
+        )));
+        Ok(())
+    });
+    for form in exec_graphs::EXEC1_FORMS {
+        assert!(
+            seen.contains(form),
+            "no proptest graph has an Exec1 slot of form {form:?}"
         );
     }
 }

@@ -19,6 +19,13 @@
 //!    (`base` load edit), a mapping/load-scaling edit (`per_unit`), and a
 //!    trace-period edit (inter-arrival gaps scaled).
 //!
+//! A third generator (`exec_graphs`, shared with `backend_conformance.rs`)
+//! draws random DAGs whose arcs carry execution durations into `ExecEnd`
+//! nodes, perturbed by one load or lag bump and a trace-suffix shift; its
+//! cases compare execution records in emission order too, and
+//! `proptests_reach_every_exec1_form` checks they reach the single exec
+//! arc's inline and table-evaluated forms.
+//!
 //! Deterministic tests pin the frontier-collapse fast path (a no-op
 //! perturbation recomputes zero nodes) and the typed negative paths: every
 //! [`DeltaUnsupported`] variant with its stable `reason()` tag, plus full
@@ -33,6 +40,8 @@ use evolve_des::Time;
 use evolve_explore::drive_engine;
 use evolve_model::{Arrival, ExecRecord, RelationId};
 use proptest::prelude::*;
+
+mod exec_graphs;
 
 /// A random DAG-with-delays: node 0 is the input, the last node the
 /// output, arcs go forward (delay 0) or anywhere (delay 1..=2).
@@ -305,6 +314,115 @@ proptest! {
             w.engine_stats.iterations_completed
         );
         prop_assert_eq!(stats.calls_delta + stats.calls_full, sib_gaps.len() as u64);
+    }
+}
+
+/// A raw drive with token sizes: everything [`drive_raw`] observes, plus
+/// the execution records in emission order.
+fn drive_sized(engine: &mut Engine, offers: &[(u64, u64)]) -> (RawRun, Vec<ExecRecord>) {
+    let mut outputs = Vec::with_capacity(offers.len());
+    for (k, &(u, size)) in offers.iter().enumerate() {
+        engine.set_input(0, k as u64, Time::from_ticks(u), size);
+        outputs.push(engine.next_output(0));
+    }
+    let run = RawRun {
+        outputs,
+        instants: (0..2).map(|r| engine.instants(r).to_vec()).collect(),
+        stats: engine.stats(),
+    };
+    (run, engine.exec_records().to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One load or lag bump plus a trace-suffix shift on random DAGs with
+    /// execution durations: delta ≡ full compiled bitwise (records in
+    /// emission order included), both ≡ the worklist.
+    #[test]
+    fn delta_agrees_on_random_exec_tdgs(
+        spec in exec_graphs::exec_graph_spec(),
+        pick in 0usize..1_000_000,
+        bump in 0u64..400,
+        shift in 0u64..60,
+    ) {
+        let mut base = exec_graphs::engine_for(&exec_graphs::build(&spec), EvalBackend::Compiled);
+        base.begin_delta_capture().expect("single-input ack-free compiled graph");
+        drive_sized(&mut base, &spec.offers);
+        let cache = base.finish_delta_capture();
+
+        // Sibling: one arc's load base bumped (its lag when it has no
+        // execution term; a duration arc keeps its zero lag, which the
+        // structure includes) and the offer suffix shifted.
+        let mut sibling = spec.clone();
+        if !sibling.arcs.is_empty() {
+            let arc = &mut sibling.arcs[pick % spec.arcs.len()];
+            match &mut arc.4 {
+                Some(term) => term.base += bump,
+                None => arc.3 += bump,
+            }
+        }
+        let at = pick % sibling.offers.len();
+        for o in &mut sibling.offers[at..] {
+            o.0 += shift;
+        }
+        let sib_tdg = exec_graphs::build(&sibling);
+
+        let mut delta = exec_graphs::engine_for(&sib_tdg, EvalBackend::Compiled);
+        delta.attach_delta_base(cache).expect("same structure, only weights differ");
+        let (delta_run, delta_records) = drive_sized(&mut delta, &sibling.offers);
+        let stats = delta.detach_delta();
+        let mut full = exec_graphs::engine_for(&sib_tdg, EvalBackend::Compiled);
+        let (full_run, full_records) = drive_sized(&mut full, &sibling.offers);
+        let mut worklist = exec_graphs::engine_for(&sib_tdg, EvalBackend::Worklist);
+        let (worklist_run, worklist_records) = drive_sized(&mut worklist, &sibling.offers);
+
+        prop_assert_eq!(&delta_run, &full_run);
+        prop_assert_eq!(&delta_records, &full_records, "record order");
+        prop_assert_eq!(&delta_run.outputs, &worklist_run.outputs);
+        prop_assert_eq!(&delta_run.instants, &worklist_run.instants);
+        prop_assert_eq!(canonical(delta_records), canonical(worklist_records));
+        prop_assert_eq!(delta_run.stats.nodes_computed, worklist_run.stats.nodes_computed);
+        prop_assert_eq!(
+            delta_run.stats.iterations_completed,
+            worklist_run.stats.iterations_completed
+        );
+        prop_assert_eq!(stats.calls_delta + stats.calls_full, sibling.offers.len() as u64);
+    }
+}
+
+/// The graphs `delta_agrees_on_random_exec_tdgs` draws (redrawn under its
+/// name, as `backend_conformance.rs` redraws its proptests) reach both
+/// forms of the single exec arc: inline, at a speed other than 1 and with
+/// a lag, and through the duration table, for a non-affine load and for a
+/// delayed size read.
+#[test]
+fn proptests_reach_every_exec1_form() {
+    use proptest::test_runner::TestRunner;
+    let mut seen = std::collections::HashSet::new();
+    let strategies = (
+        exec_graphs::exec_graph_spec(),
+        0usize..1_000_000,
+        0u64..400,
+        0u64..60,
+    );
+    TestRunner::new_with_name(
+        ProptestConfig::with_cases(96),
+        "delta_agrees_on_random_exec_tdgs",
+    )
+    .run(&strategies, |(spec, _pick, _bump, _shift)| {
+        let tdg = exec_graphs::build(&spec);
+        seen.extend(exec_graphs::exec1_forms(&exec_graphs::engine_for(
+            &tdg,
+            EvalBackend::Compiled,
+        )));
+        Ok(())
+    });
+    for form in exec_graphs::EXEC1_FORMS {
+        assert!(
+            seen.contains(form),
+            "no proptest graph has an Exec1 slot of form {form:?}"
+        );
     }
 }
 
