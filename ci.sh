@@ -26,8 +26,8 @@ cargo test --release -q -p evolve-serve --offline
 cargo test --release -q -p evolve-core --offline
 
 # Benchmark correctness: both perfbench workloads, short and untraced. It
-# is the only check of bitwise answers under open-loop load, with batched,
-# scalar and delta lanes interleaved; every answer is compared with its
+# is the only check of bitwise answers under open-loop load, with batched
+# and scalar lanes interleaved; every answer is compared with its
 # reference, and the final line must report all correct and none failed.
 bench_result="$(python3 perfbench/run.py --workload all --seed 4242 --seconds 2 --trace 0 | tail -n 1)"
 python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$bench_result" \
@@ -52,14 +52,6 @@ cargo test -q -p evolve-core --test batch_conformance --offline
 # period-breaking traces (also part of the workspace run above; kept
 # explicit so a fast-forward regression is named in the CI log).
 cargo test -q -p evolve-core --test periodic_conformance --offline
-
-# Delta conformance: sibling scenarios evaluated as a delta against a
-# captured base must stay bitwise identical to the full compiled sweep
-# (record order and all counters included) and multiset-identical to the
-# worklist, across perturbation families and the typed negative paths
-# (also part of the workspace run above; kept explicit so a delta
-# regression is named in the CI log).
-cargo test -q -p evolve-core --test delta_conformance --offline
 
 # Observer conformance: telemetry attachment must be bitwise invisible
 # across worklist/compiled/compiled+replay/batched paths, and streaming
@@ -89,12 +81,9 @@ cargo run --release -q -p evolve-bench --bin lte_speedup --offline -- 2000 0
 cargo run --release -q -p evolve-bench --bin cost_split --offline -- 20
 
 # Bench smoke: the compiled backend must beat the worklist reference, the
-# batched engine must beat one-lane evaluation, periodic fast-forward
-# must beat the plain sweep on a 1000-node synthetic graph, and delta
-# replay of an identical sibling must beat the full compiled sweep
-# (bounded iterations; asserts the ratios > 1 and checksum conformance).
-# The quick run also re-evaluates the default 256-scenario sweep grid
-# with delta chaining on and off and asserts checksum-identical outputs.
+# batched engine must beat one-lane evaluation, and periodic fast-forward
+# must beat the plain sweep on a 1000-node synthetic graph (bounded
+# iterations; asserts the ratios > 1 and checksum conformance).
 # Also the disabled-observer overhead gate: the compiled hot path — which
 # carries the (detached) observer hooks — must keep its compiled/worklist
 # cost ratio within EVOLVE_OVERHEAD_TOLERANCE (default 10%) of the

@@ -15,22 +15,17 @@
 //! compares the engine's evaluation backends (worklist vs.
 //! compiled CSR sweep) directly — per-iteration `ComputeInstant()` cost at
 //! 10/100/1000/5000 nodes — a third measures lockstep batching across
-//! batch widths, a fourth the periodic steady-state fast-forward (O(1)
-//! template replay vs the full sweep), and a fifth delta evaluation
-//! against a captured sibling cache; all are written to
+//! batch widths, and a fourth the periodic steady-state fast-forward (O(1)
+//! template replay vs the full sweep); all are written to
 //! `results/bench_engine.json`.
 //!
-//! Usage: `fig5 [tokens] [dispatch_cost_ns] [threads] [--quick]
-//! [--metrics PATH] [--trace PATH]`
-//! (defaults: 5 000 tokens, 1 µs kernel dispatch cost, host parallelism
-//! for the delta sweep gate).
+//! Usage: `fig5 [tokens] [dispatch_cost_ns] [--quick] [--metrics PATH]
+//! [--trace PATH]` (defaults: 5 000 tokens, 1 µs kernel dispatch cost).
 //! `--quick` is the CI smoke mode: it skips the Fig. 5 table and runs
 //! only the grids' 1000-node points with a bounded iteration budget
 //! (asserting compiled > worklist, batched > scalar,
-//! fast-forward > sweep, delta > full, that a delta-chained sweep over the
-//! default 256-scenario grid is bitwise identical to the full compiled
-//! path, that a width-8 batch actually dispatches to the lane-chunked
-//! fold kernels, that the detached-observer compiled/worklist cost ratio
+//! fast-forward > sweep, that a width-8 batch actually dispatches to the
+//! lane-chunked fold kernels, that the detached-observer compiled/worklist cost ratio
 //! stays within `EVOLVE_OVERHEAD_TOLERANCE` — default 10% — of the
 //! baseline ratio in `results/fig5_gates.json`, and that the width-8
 //! batching gain stays within `EVOLVE_BATCH_TOLERANCE` — default 10% —
@@ -46,14 +41,12 @@
 use std::path::PathBuf;
 
 use evolve_bench::{
-    backend_grid, batch_grid, delta_grid, exit_unless_exact, ff_grid, format_row, header, measure,
-    total_engine_stats, write_backend_report, BackendPoint, BatchPoint, DeltaPoint, FfPoint,
-    Fidelity,
+    backend_grid, batch_grid, exit_unless_exact, ff_grid, format_row, header, measure,
+    total_engine_stats, write_backend_report, BackendPoint, BatchPoint, FfPoint, Fidelity,
 };
 use evolve_core::{derive_tdg, synthetic};
 use evolve_explore::{
-    default_grid, run_sweep, trace_scenario, ModelKind, ModelSpec, ScenarioSpec, SweepConfig,
-    TraceSpec,
+    run_sweep, trace_scenario, ModelKind, ModelSpec, ScenarioSpec, SweepConfig, TraceSpec,
 };
 use evolve_model::{varying_sizes, Environment, Stimulus};
 
@@ -123,77 +116,14 @@ fn ff_section(targets: &[usize], budget: u64, reps: usize) -> Vec<FfPoint> {
     points
 }
 
-/// Full-evaluation cost against a sibling diffing the captured base cache;
-/// the `gain` column is full over delta cost per iteration (> 1 means
-/// delta evaluation pays).
-fn delta_section(targets: &[usize], budget: u64, reps: usize) -> Vec<DeltaPoint> {
-    println!("== delta evaluation: sibling cache replay vs full compiled sweep ==");
-    println!(
-        "{:>7} {:>12} {:>15} {:>15} {:>8} {:>8}",
-        "nodes", "iterations", "full ns/it", "delta ns/it", "reused", "gain"
-    );
-    let points = delta_grid(targets, budget, reps);
-    for p in &points {
-        println!(
-            "{:>7} {:>12} {:>15.1} {:>15.1} {:>8.2} {:>8.2}",
-            p.nodes,
-            p.iterations,
-            p.compiled_ns,
-            p.delta_ns,
-            p.reused_fraction,
-            p.gain()
-        );
-    }
-    points
-}
-
-/// The delta-chained sweep conformance gate: the default sibling-heavy
-/// scenario grid evaluated with delta chaining on must be bitwise
-/// identical — outcomes and output-instant checksum — to the same sweep
-/// with chaining off, and chains must actually have formed.
-fn delta_sweep_gate(count: u64, tokens: u64, threads: usize) {
-    let scenarios = default_grid(count, tokens);
-    let base = SweepConfig { threads, batch_width: 1, ..SweepConfig::default() };
-    let on = run_sweep(&scenarios, &SweepConfig { delta: true, ..base.clone() });
-    let off = run_sweep(&scenarios, &SweepConfig { delta: false, ..base });
-    let checksum = |r: &evolve_explore::SweepReport| {
-        r.scenarios
-            .iter()
-            .flat_map(|s| s.outcome.outputs.iter())
-            .fold(0u64, |acc, &(_, y, _)| acc.wrapping_add(y))
-    };
-    assert!(
-        on.delta.lanes_delta > 0,
-        "no delta lanes formed on the default grid: {:?}",
-        on.delta
-    );
-    for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
-        assert_eq!(
-            a.outcome, b.outcome,
-            "delta chaining changed scenario {}",
-            a.label
-        );
-    }
-    assert_eq!(checksum(&on), checksum(&off), "delta sweep checksum diverged");
-    println!(
-        "delta sweep gate: {} scenarios, {} chains, {} delta lanes, checksum {:#x} — bitwise ok",
-        on.scenarios.len(),
-        on.delta.chains_formed,
-        on.delta.lanes_delta,
-        checksum(&on),
-    );
-}
-
 fn write_report(
     out: &str,
     points: &[BackendPoint],
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
-    delta_points: &[DeltaPoint],
 ) {
     let path = std::path::Path::new(out);
-    write_backend_report(path, points, batch_points, ff_points, delta_points)
-        .expect("backend report written");
+    write_backend_report(path, points, batch_points, ff_points).expect("backend report written");
     println!("engine grids written to {}", path.display());
 }
 
@@ -411,10 +341,6 @@ fn main() {
         .next()
         .map(|s| s.parse().expect("dispatch cost must be a number"))
         .unwrap_or(1_000);
-    let threads: usize = args
-        .next()
-        .map(|s| s.parse().expect("threads must be a number"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
 
     if quick {
         // CI smoke: the compiled backend must beat the worklist and the
@@ -460,31 +386,12 @@ fn main() {
             f.fast_forward_ns,
             f.compiled_ns
         );
-        // Delta smoke: the grid asserts checksum conformance and frontier
-        // collapse internally; the gate here is the sibling-replay benefit.
-        let delta_points = delta_section(&[1_000], 2_000_000, 2);
-        let d = &delta_points[0];
-        assert!(
-            d.gain() > 1.0,
-            "delta sibling slower than the full sweep at {} nodes ({:.1} vs {:.1} ns/it)",
-            d.nodes,
-            d.delta_ns,
-            d.compiled_ns
-        );
-        delta_sweep_gate(256, tokens.min(200), threads);
-        write_report(
-            "results/bench_engine_smoke.json",
-            &points,
-            &batch_points,
-            &ff_points,
-            &delta_points,
-        );
+        write_report("results/bench_engine_smoke.json", &points, &batch_points, &ff_points);
         println!(
-            "quick mode: compiled backend {:.2}x, batch width 8 {:.2}x, fast-forward {:.2}x, delta {:.2}x at {} nodes — ok",
+            "quick mode: compiled backend {:.2}x, batch width 8 {:.2}x, fast-forward {:.2}x at {} nodes — ok",
             p.speedup(),
             gain,
             f.gain(),
-            d.gain(),
             p.nodes
         );
         write_telemetry(metrics.as_ref(), trace.as_ref(), tokens.min(500));
@@ -548,18 +455,6 @@ fn main() {
     let ff_points = ff_section(&[10, 100, 1_000, 5_000], 10_000_000, 3);
     println!();
 
-    // The sibling-heavy sweep headline: a delta sibling answers each
-    // iteration from the base cache instead of sweeping the graph.
-    let delta_points = delta_section(&[10, 100, 1_000, 5_000], 2_000_000, 3);
-    println!();
-
-    delta_sweep_gate(256, tokens.min(200), threads);
-    write_report(
-        "results/bench_engine.json",
-        &points,
-        &batch_points,
-        &ff_points,
-        &delta_points,
-    );
+    write_report("results/bench_engine.json", &points, &batch_points, &ff_points);
     write_telemetry(metrics.as_ref(), trace.as_ref(), tokens.min(500));
 }

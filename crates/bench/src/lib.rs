@@ -457,124 +457,6 @@ pub fn ff_grid(targets: &[usize], budget: u64, reps: usize) -> Vec<FfPoint> {
         .collect()
 }
 
-/// One point of the delta-evaluation grid: per-iteration cost of a full
-/// compiled sweep against a sibling evaluation that diffs the captured
-/// base cache, at a given graph size.
-#[derive(Clone, Debug)]
-pub struct DeltaPoint {
-    /// Node count of the evaluated graph (pipeline + padding).
-    pub nodes: usize,
-    /// Iterations driven per timed repetition (also the cache depth).
-    pub iterations: u64,
-    /// Best-of-reps per-iteration cost of the full compiled sweep (ns).
-    pub compiled_ns: f64,
-    /// Best-of-reps per-iteration cost of the delta sibling (ns).
-    pub delta_ns: f64,
-    /// Fraction of node instants copied from the base cache instead of
-    /// recomputed (from the final repetition; runs are deterministic).
-    pub reused_fraction: f64,
-}
-
-impl DeltaPoint {
-    /// Per-iteration cost ratio of the full sweep over the delta sibling
-    /// (> 1 means delta evaluation pays).
-    pub fn gain(&self) -> f64 {
-        self.compiled_ns / self.delta_ns.max(1e-12)
-    }
-}
-
-/// Measures the benefit of delta evaluation at each target node count, on
-/// the padded synthetic pipelines of [`backend_grid`]: a base engine is
-/// driven once under capture, then a sibling replays the identical trace
-/// attached to that cache — the sibling-heavy sweep's best case, where the
-/// change frontier collapses and every instant is answered from the cache.
-///
-/// Output checksums of the full and the delta run are compared as a
-/// built-in conformance check (delta evaluation is bitwise invisible), and
-/// the delta run must actually collapse its frontier — a sibling that
-/// silently recomputed everything would measure nothing.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`, a pipeline fails to derive or refuses capture,
-/// the checksums diverge, or the sibling recomputes any node.
-pub fn delta_grid(targets: &[usize], budget: u64, reps: usize) -> Vec<DeltaPoint> {
-    assert!(reps > 0, "at least one repetition required");
-    targets
-        .iter()
-        .map(|&target| {
-            let p = synthetic::pipeline(3, 200, 2).expect("pipeline builds");
-            let mut derived = derive_tdg(&p.arch).expect("pipeline derives");
-            let padding = target.saturating_sub(derived.tdg().node_count());
-            if padding > 0 {
-                derived.map_tdg(|tdg| synthetic::pad(tdg, padding));
-            }
-            let nodes = derived.tdg().node_count();
-            let relations = p.arch.app().relations().len();
-            // The cache stores per-iteration node state, so the depth is
-            // bounded tighter than the pure-throughput grids.
-            let iterations = (budget / nodes.max(1) as u64).clamp(500, 4_000);
-
-            // Base capture (untimed): one full evaluation recording the
-            // per-iteration state the siblings diff against.
-            let mut base =
-                Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
-            base.begin_delta_capture()
-                .expect("padded pipelines are delta-eligible");
-            let (_, base_checksum) = drive_iterations(&mut base, iterations);
-            let cache = base.finish_delta_capture();
-
-            let mut engine =
-                Engine::with_backend(derived.clone(), relations, false, EvalBackend::Compiled);
-            let mut best_compiled = f64::INFINITY;
-            let mut compiled_checksum = 0u64;
-            for rep in 0..reps {
-                if rep > 0 {
-                    engine.reset();
-                }
-                let (wall, checksum) = drive_iterations(&mut engine, iterations);
-                compiled_checksum = checksum;
-                best_compiled =
-                    best_compiled.min(wall.as_secs_f64() * 1e9 / iterations as f64);
-            }
-            assert_eq!(
-                compiled_checksum, base_checksum,
-                "capture changed observables at {nodes} nodes"
-            );
-
-            let mut best_delta = f64::INFINITY;
-            let mut reused_fraction = 0.0;
-            for _ in 0..reps {
-                engine.reset();
-                engine
-                    .attach_delta_base(cache.clone())
-                    .expect("cache captured from the same graph");
-                let (wall, checksum) = drive_iterations(&mut engine, iterations);
-                let stats = engine.detach_delta();
-                assert_eq!(
-                    checksum, compiled_checksum,
-                    "delta changed observables at {nodes} nodes"
-                );
-                assert_eq!(
-                    stats.nodes_recomputed, 0,
-                    "identical sibling failed to collapse at {nodes} nodes: {stats:?}"
-                );
-                let denom = (stats.nodes_reused + stats.nodes_recomputed).max(1);
-                reused_fraction = stats.nodes_reused as f64 / denom as f64;
-                best_delta = best_delta.min(wall.as_secs_f64() * 1e9 / iterations as f64);
-            }
-
-            DeltaPoint {
-                nodes,
-                iterations,
-                compiled_ns: best_compiled,
-                delta_ns: best_delta,
-                reused_fraction,
-            }
-        })
-        .collect()
-}
-
 /// One point of the batch-width grid: per-lane iteration cost of the
 /// batched lockstep engine at a given graph size and lane count
 /// (`width == 1` is the batching-off baseline the wider points are
@@ -677,16 +559,14 @@ pub fn batch_grid(
     out
 }
 
-/// Renders backend-grid points (and, when non-empty, the batch-width,
-/// fast-forward, and delta grids) as the `results/bench_engine.json`
-/// document (machine-readable nodes → ns/iteration per backend, nodes ×
-/// width → ns/lane-iteration, nodes → sweep vs replay ns/iteration, nodes
-/// → full vs delta ns/iteration).
+/// Renders backend-grid points (and, when non-empty, the batch-width and
+/// fast-forward grids) as the `results/bench_engine.json` document
+/// (machine-readable nodes → ns/iteration per backend, nodes × width →
+/// ns/lane-iteration, nodes → sweep vs replay ns/iteration).
 pub fn backend_report_json(
     points: &[BackendPoint],
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
-    delta_points: &[DeltaPoint],
 ) -> Json {
     let mut fields = vec![
         ("benchmark", Json::str("engine_backend")),
@@ -750,26 +630,6 @@ pub fn backend_report_json(
             ),
         ));
     }
-    if !delta_points.is_empty() {
-        fields.push((
-            "delta_points",
-            Json::Array(
-                delta_points
-                    .iter()
-                    .map(|p| {
-                        Json::object([
-                            ("nodes", Json::U64(p.nodes as u64)),
-                            ("iterations", Json::U64(p.iterations)),
-                            ("compiled_ns_per_iter", Json::F64(p.compiled_ns)),
-                            ("delta_ns_per_iter", Json::F64(p.delta_ns)),
-                            ("reused_fraction", Json::F64(p.reused_fraction)),
-                            ("gain", Json::F64(p.gain())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
     Json::object(fields)
 }
 
@@ -783,14 +643,13 @@ pub fn write_backend_report(
     points: &[BackendPoint],
     batch_points: &[BatchPoint],
     ff_points: &[FfPoint],
-    delta_points: &[DeltaPoint],
 ) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(
         path,
-        backend_report_json(points, batch_points, ff_points, delta_points).render(),
+        backend_report_json(points, batch_points, ff_points).render(),
     )
 }
 
@@ -855,13 +714,12 @@ mod tests {
         assert_eq!(points[0].nodes.max(10), points[0].nodes, "padding only grows graphs");
         assert!(points[1].nodes >= 60);
         assert!(points.iter().all(|p| p.worklist_ns > 0.0 && p.compiled_ns > 0.0));
-        let rendered = backend_report_json(&points, &[], &[], &[]).render();
+        let rendered = backend_report_json(&points, &[], &[]).render();
         assert!(rendered.contains("\"benchmark\":\"engine_backend\""));
         assert!(rendered.contains("\"compiled_ns_per_iter\""));
         assert!(rendered.contains("\"speedup\""));
         assert!(!rendered.contains("\"batch_points\""));
         assert!(!rendered.contains("\"ff_points\""));
-        assert!(!rendered.contains("\"delta_points\""));
     }
 
     #[test]
@@ -874,7 +732,7 @@ mod tests {
         assert!(points.iter().all(|p| p.nodes >= 60));
         assert!(points.iter().all(|p| p.ns_per_lane_iter > 0.0));
         assert_eq!(points[0].iterations, points[1].iterations, "same work per lane across widths");
-        let rendered = backend_report_json(&[], &points, &[], &[]).render();
+        let rendered = backend_report_json(&[], &points, &[]).render();
         assert!(rendered.contains("\"batch_points\""));
         assert!(rendered.contains("\"ns_per_lane_iter\""));
         assert!(rendered.contains("\"width\":4"));
@@ -897,33 +755,10 @@ mod tests {
             p.fast_forward_ns,
             p.compiled_ns
         );
-        let rendered = backend_report_json(&[], &[], &points, &[]).render();
+        let rendered = backend_report_json(&[], &[], &points).render();
         assert!(rendered.contains("\"ff_points\""));
         assert!(rendered.contains("\"fast_forward_ns_per_iter\""));
         assert!(rendered.contains("\"gain\""));
-    }
-
-    #[test]
-    fn delta_grid_smoke() {
-        let _timed = timed();
-        // The grid's internal assertions cover checksum conformance and
-        // the frontier-collapse requirement; here we pin the replay
-        // benefit and the report shape.
-        let points = delta_grid(&[100], 200_000, 2);
-        assert_eq!(points.len(), 1);
-        let p = &points[0];
-        assert!(p.nodes >= 100);
-        assert!((p.reused_fraction - 1.0).abs() < 1e-12, "{p:?}");
-        assert!(
-            p.gain() > 1.0,
-            "delta sibling slower than the full sweep: {:.1} vs {:.1} ns/it",
-            p.delta_ns,
-            p.compiled_ns
-        );
-        let rendered = backend_report_json(&[], &[], &[], &points).render();
-        assert!(rendered.contains("\"delta_points\""));
-        assert!(rendered.contains("\"delta_ns_per_iter\""));
-        assert!(rendered.contains("\"reused_fraction\""));
     }
 
     #[test]

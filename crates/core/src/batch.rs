@@ -66,14 +66,6 @@
 //! randomized conformance suite (`tests/batch_conformance.rs`); execution
 //! records match as multisets (the look-ahead emits them in schedule order
 //! here, drain order in the scalar engine).
-//!
-//! Batching is orthogonal to *delta* evaluation (`crate::delta`): batching
-//! amortizes arc fetches across same-model lanes in one engine, while delta
-//! chains skip recomputation across *sibling models* evaluated by scalar
-//! engines. The sweep planner composes them side by side — same-spec groups
-//! batch, cross-spec families chain — and `tests/batch_conformance.rs`
-//! pins that a sweep mixing both stays bitwise identical to scalar
-//! evaluation.
 
 use std::collections::VecDeque;
 

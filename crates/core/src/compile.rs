@@ -82,9 +82,7 @@ impl std::fmt::Display for EvalBackend {
 }
 
 /// Precompiled observation action of a node (what [`Engine::observe`]
-/// dispatches on — shared by both backends). `PartialEq` lets the delta
-/// attach gate (`delta::compute_seeds`) include observation actions in the
-/// structural comparison between a base and a sibling program.
+/// dispatches on — shared by both backends).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Obs {
     None,
@@ -135,8 +133,8 @@ impl ExecSite {
 /// Token sizes resolved at lowering. A relation whose size rule is `Same`
 /// from a delay-0 read carries its source's size at every iteration, so
 /// each chain of such rules resolves to its root, and every reader reads
-/// the root: exec terms, other size rules, published output sizes, delta's
-/// size comparisons and the worklist. Only relations that compute a size
+/// the root: exec terms, other size rules, published output sizes and the
+/// worklist. Only relations that compute a size
 /// keep a rule, so the sweeps' size passes skip the forwarded ones.
 pub(crate) struct SizePlan {
     /// Per relation, the relation whose size it carries (itself unless it
@@ -307,7 +305,7 @@ pub(crate) fn lower_node_meta(
 
 /// The token-size read of a duration term: relation `rel`'s size at
 /// iteration `k − delay`, or none.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 struct SizeRead {
     /// Relation index, or [`SizeRead::NONE`].
     rel: u32,
@@ -348,7 +346,7 @@ impl SizeRead {
 /// A [`LoadModel::Constant`] (`per_unit == 0`, the size is never read) or
 /// [`LoadModel::PerUnit`] term as inline arithmetic: `base + per_unit ×
 /// size` operations (saturating) on a resource of `speed` ops per tick.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct AffineTerm {
     base: u64,
     per_unit: u64,
@@ -357,7 +355,7 @@ pub(crate) struct AffineTerm {
 }
 
 /// One execution-duration term of a lowered multi-term weight.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 enum LoweredTerm {
     Affine(AffineTerm),
     /// Any other load model, evaluated at the term's coordinates.
@@ -448,6 +446,7 @@ impl LoweredTerm {
         }
     }
 
+    #[cfg(test)]
     fn size(&self) -> SizeRead {
         match self {
             LoweredTerm::Affine(term) => term.size,
@@ -457,7 +456,7 @@ impl LoweredTerm {
 }
 
 /// One exec arc's lowered weight.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum ArcDuration {
     /// The common case inline: a constant lag plus one constant or
     /// per-unit term.
@@ -471,8 +470,8 @@ enum ArcDuration {
 /// exec stream): each arc's [`Weight`] lowered once, so evaluation walks no
 /// per-weight `Vec<ExecTerm>` — a single constant or per-unit term is
 /// inline affine arithmetic, anything else a range of one shared term
-/// table. Every compiled sweep — serial, delta, and batched —
-/// evaluates exec arcs through [`Durations::eval`]; the worklist keeps the
+/// table. Both compiled sweeps, serial and batched, evaluate exec arcs
+/// through [`Durations::eval`]; the worklist keeps the
 /// raw-weight evaluation as the reference, and a property test pins the
 /// two bitwise-equal.
 #[derive(Clone, Debug, Default)]
@@ -532,28 +531,8 @@ impl Durations {
         }
     }
 
-    /// Whether exec arc `i` evaluates identically here and in `other`,
-    /// for every iteration and token size (the delta attach gate's value
-    /// comparison).
-    pub(crate) fn same_arc(&self, other: &Durations, i: usize) -> bool {
-        match (self.arcs[i], other.arcs[i]) {
-            (
-                ArcDuration::Terms { constant, lo, hi },
-                ArcDuration::Terms {
-                    constant: other_constant,
-                    lo: other_lo,
-                    hi: other_hi,
-                },
-            ) => {
-                constant == other_constant
-                    && self.terms[lo as usize..hi as usize]
-                        == other.terms[other_lo as usize..other_hi as usize]
-            }
-            (a, b) => a == b,
-        }
-    }
-
     /// The `(relation, delay)` token-size reads of exec arc `i`.
+    #[cfg(test)]
     pub(crate) fn size_reads(&self, i: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
         let (single, terms) = match self.arcs[i] {
             ArcDuration::Affine { term, .. } => (Some(term.size), &self.terms[..0]),

@@ -29,9 +29,9 @@
 //! [`EvalBackend::Compiled`] lowers the graph into a [`CompiledTdg`] —
 //! a levelized schedule with CSR-flattened arcs and pre-lowered durations —
 //! and evaluates steady-state iterations as one linear sweep that writes
-//! its observation logs in place, instead of worklist propagation. Every
-//! scalar compiled sweep folds a slot through one evaluator, `eval_slot`,
-//! whose straight-line arms (one per [`SlotShape`](crate::SlotShape))
+//! its observation logs in place, instead of worklist propagation. That
+//! sweep folds each slot through one evaluator, `eval_slot`, whose
+//! straight-line arms (one per [`SlotShape`](crate::SlotShape))
 //! read the operands lowered into the slot's op; [`EvalBackend::Worklist`]
 //! keeps the propagation path as the bitwise reference (see
 //! `tests/backend_conformance.rs`).
@@ -42,13 +42,10 @@ use std::sync::Arc;
 use evolve_des::{ChannelLog, EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
-use evolve_obs::{BackendKind, DeltaCounters, EngineCounters, EngineEvent, Observer};
+use evolve_obs::{BackendKind, EngineCounters, EngineEvent, Observer};
 
 use crate::compile::{
     lower_node_meta, zero_delay_dependent, Arm, CompiledTdg, EvalBackend, ExecSite, Obs, SlotOp,
-};
-use crate::delta::{
-    self, DeltaCache, DeltaCaptureState, DeltaLink, DeltaRow, DeltaUnsupported,
 };
 use crate::derive::{DerivedTdg, SizeRule};
 use crate::error::EngineError;
@@ -340,12 +337,13 @@ fn stash_exec(
     exec
 }
 
-/// The one slot body of every scalar compiled sweep: `op`'s arcs
-/// `⊕`-folded over the process-start baseline E for iteration `hist.k`, by
-/// straight-line code per [`Arm`] from the operands the op carries. `now`
-/// holds iteration `k`'s instants, `sizes` its token sizes. Returns the
-/// instant and the `(start, ops)` a single exec arc stashed
-/// ([`UNSTASHED`] for every other arm).
+/// The slot body of the serial compiled sweep: `op`'s arcs `⊕`-folded over
+/// the process-start baseline E for iteration `hist.k`, by straight-line
+/// code per [`Arm`] from the operands the op carries. `now` holds
+/// iteration `k`'s instants, `sizes` its token sizes. Returns the instant
+/// and the `(start, ops)` a single exec arc would stash ([`UNSTASHED`] for
+/// every other arm). Only a general slot writes `stash`: the others
+/// return their one pair instead, and nothing else reads it.
 #[inline(always)]
 fn eval_slot(
     ct: &CompiledTdg,
@@ -387,14 +385,14 @@ fn eval_slot(
             }
             // The term reads its size, if any, at iteration `k` itself.
             let (ticks, ops) = term.eval(hist.k, &|rel, _| sizes[rel]);
-            let stashed = stash_exec(dense, (start, ops), &mut stash);
+            let stashed = stash_exec(dense, (start, ops), &mut None);
             let lag = MaxPlus::new((constant + ticks) as i64);
             (fold(plus_lag(start, lag)), stashed)
         }
         Arm::Exec1Table { src, e } => {
             let size_at = |rel, d| hist.size(sizes, rel, d);
             let src_val = now[src as usize];
-            let (term, stashed) = exec_term(ct, hist.k, e as usize, src_val, size_at, &mut stash);
+            let (term, stashed) = exec_term(ct, hist.k, e as usize, src_val, size_at, &mut None);
             (fold(term), stashed)
         }
         Arm::General { slot } => (
@@ -892,8 +890,7 @@ pub struct Engine {
     backend: EvalBackend,
     /// The lowered evaluation program for the steady-state linear sweep;
     /// `None` for [`EvalBackend::Worklist`]. Immutable and shared: the
-    /// sweeps move the handle out of `self` for every iteration, and
-    /// captured delta bases keep it without a copy.
+    /// sweeps move the handle out of `self` for every iteration.
     compiled: Option<Arc<CompiledTdg>>,
     /// Iterations `base_k ..` currently materialized.
     ring: VecDeque<IterState>,
@@ -925,11 +922,6 @@ pub struct Engine {
     /// Attached telemetry observer; `None` (the default) reduces the whole
     /// telemetry layer to one branch per boundary call.
     observer: Option<Box<dyn Observer>>,
-    /// Attached delta base: the engine evaluates as a *sibling* of a cached
-    /// base run, diffing fold inputs instead of recomputing clean nodes.
-    delta: Option<Box<DeltaLink>>,
-    /// In-progress base capture for [`Engine::finish_delta_capture`].
-    delta_capture: Option<Box<DeltaCaptureState>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -1089,8 +1081,6 @@ impl Engine {
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
             observer: None,
-            delta: None,
-            delta_capture: None,
             tdg,
         }
     }
@@ -1199,128 +1189,6 @@ impl Engine {
         self.periodic.as_ref().map(|p| p.stats()).unwrap_or_default()
     }
 
-    /// Structural eligibility for delta evaluation, shared by capture and
-    /// attach: the compiled sweep (delta is a mode of it), a single external
-    /// input (cached rows are indexed by that input's iteration), and no
-    /// acknowledgment feedback (acks mutate completed iterations, which
-    /// would stale captured rows).
-    fn delta_eligible(&self) -> Result<(), DeltaUnsupported> {
-        if self.compiled.is_none() {
-            return Err(DeltaUnsupported::WorklistBackend);
-        }
-        if self.tdg.inputs.len() != 1 {
-            return Err(DeltaUnsupported::MultiInput {
-                inputs: self.tdg.inputs.len(),
-            });
-        }
-        if self.has_output_acks {
-            return Err(DeltaUnsupported::OutputAcks);
-        }
-        Ok(())
-    }
-
-    /// Starts recording this engine's run as a delta *base*: after each
-    /// fast-path offer the finished iteration's instants, sizes, and exec
-    /// stashes are cloned into the cache under construction. Capture stops
-    /// silently (keeping the rows recorded so far) if an offer leaves the
-    /// fast path — delta siblings then evaluate the uncovered iterations
-    /// fully.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after offers have started: capture covers a run
-    /// from iteration 0 (call right after construction or [`Engine::reset`]).
-    pub fn begin_delta_capture(&mut self) -> Result<(), DeltaUnsupported> {
-        self.delta_eligible()?;
-        assert!(
-            self.next_input_k.iter().all(|&k| k == 0),
-            "begin the delta capture before offering inputs"
-        );
-        self.delta = None;
-        self.delta_capture = Some(Box::new(DeltaCaptureState {
-            rows: Vec::new(),
-            offers: Vec::new(),
-            active: true,
-        }));
-        Ok(())
-    }
-
-    /// Freezes the capture started by [`Engine::begin_delta_capture`] into
-    /// a shareable [`DeltaCache`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no capture is in progress.
-    pub fn finish_delta_capture(&mut self) -> Arc<DeltaCache> {
-        let cap = self
-            .delta_capture
-            .take()
-            .expect("no delta capture in progress");
-        Arc::new(DeltaCache {
-            rows: cap.rows,
-            offers: cap.offers,
-            compiled: self.compiled.clone().expect("capture gated on compiled"),
-            record_observations: self.record_observations,
-            relation_count: self.relation_count,
-            size_rules: self.size_rules.clone(),
-        })
-    }
-
-    /// Attaches a base cache: subsequent offers within the cached range
-    /// evaluate as a delta against the base — nodes whose fold inputs match
-    /// the cached row copy their instant, only the change frontier
-    /// recomputes, and a recomputed instant equal to the cache settles the
-    /// frontier (max-plus monotonicity: equal inputs give equal folds).
-    /// Everything observable stays bitwise identical to a full evaluation.
-    ///
-    /// The sibling's compiled program must be structurally identical to the
-    /// base's (same schedule, arc streams, observation actions, and size
-    /// rules); only constant lags and exec weights may differ. Anything
-    /// else is rejected as [`DeltaUnsupported::StructureMismatch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after offers have started.
-    pub fn attach_delta_base(&mut self, cache: Arc<DeltaCache>) -> Result<(), DeltaUnsupported> {
-        self.delta_eligible()?;
-        let compiled = self.compiled.as_deref().expect("just checked");
-        if cache.record_observations != self.record_observations
-            || cache.relation_count != self.relation_count
-            || cache.size_rules != self.size_rules
-        {
-            return Err(DeltaUnsupported::StructureMismatch);
-        }
-        let (seeds, seed_count) = delta::compute_seeds(&cache.compiled, compiled)?;
-        let collapse = delta::CollapsePlan::build(compiled, self.tdg.inputs[0].index());
-        assert!(
-            self.next_input_k.iter().all(|&k| k == 0),
-            "attach the delta base before offering inputs"
-        );
-        self.delta_capture = None;
-        self.delta = Some(Box::new(DeltaLink {
-            cache,
-            seeds,
-            seed_count,
-            offers_matched: true,
-            cold: false,
-            diverged: false,
-            collapse,
-            stats: DeltaCounters::default(),
-        }));
-        Ok(())
-    }
-
-    /// Detaches the base cache and returns the delta work counters
-    /// (defaults when no base was attached).
-    pub fn detach_delta(&mut self) -> DeltaCounters {
-        self.delta.take().map(|l| l.stats).unwrap_or_default()
-    }
-
-    /// Delta work counters so far (all zero while no base is attached).
-    pub fn delta_stats(&self) -> DeltaCounters {
-        self.delta.as_ref().map(|l| l.stats).unwrap_or_default()
-    }
-
     /// Rewinds the engine to its just-constructed state while keeping every
     /// allocation: ring-buffer iteration states move to the free list, logs
     /// and statistics clear in place, and the derived graph (with all its
@@ -1352,9 +1220,6 @@ impl Engine {
         if let Some(pd) = &mut self.periodic {
             pd.reset();
         }
-        // Delta state is per-scenario: re-attach (or re-capture) after reset.
-        self.delta = None;
-        self.delta_capture = None;
         // The observer stays attached across scenarios; Reset marks the
         // time-axis boundary so streaming accumulators seal their frontier.
         if let Some(ob) = &mut self.observer {
@@ -1524,15 +1389,6 @@ impl Engine {
         let NodeKind::Input { relation } = self.tdg.nodes[node.index()].kind else {
             unreachable!()
         };
-        // Delta collapse precondition: offers 0..=k matched the base trace.
-        // Tracked before anything answers the offer — the flag must reflect
-        // fast-forwarded offers too. A miss right after a cold delta sweep
-        // means the traces have diverged.
-        if let Some(link) = &mut self.delta {
-            let hit = link.cache.offers.get(k as usize) == Some(&(at.ticks(), size));
-            link.offers_matched &= hit;
-            link.diverged |= link.cold && !hit;
-        }
         // Promoted fast-forward: answer the offer by shifting the cached
         // periodic template; an offer off the detected pattern demotes (the
         // ring is reconstructed from the template) and falls through to the
@@ -1543,11 +1399,6 @@ impl Engine {
             self.periodic = Some(pd);
             if outcome? {
                 self.next_input_k[input] = k + 1;
-                // A replayed offer leaves no ring state to clone: the
-                // capture stops extending here.
-                if let Some(cap) = &mut self.delta_capture {
-                    cap.active = false;
-                }
                 return Ok(());
             }
         }
@@ -1581,25 +1432,8 @@ impl Engine {
             if capture {
                 self.log.mark(self.stats);
             }
-            // Delta mode: within the cached range, diff against the base
-            // row instead of recomputing every node. Beyond it, once the
-            // sibling has diverged, or with no base attached the ordinary
-            // full sweep runs — both leave bitwise-identical ring state, so
-            // the modes interleave freely.
-            let use_delta = self
-                .delta
-                .as_ref()
-                .is_some_and(|l| !l.diverged && (k as usize) < l.cache.rows.len());
-            if use_delta {
-                self.compute_iteration_delta(k, node, relation.index(), at, size);
-            } else {
-                if let Some(link) = &mut self.delta {
-                    link.stats.calls_full += 1;
-                }
-                self.compute_iteration_compiled(k, node, relation.index(), at, size);
-            }
+            self.compute_iteration_compiled(k, node, relation.index(), at, size);
             self.ensure_lookahead();
-            self.delta_capture_row(k, at, size);
             if self.periodic.is_some() {
                 let mut pd = self.periodic.take().expect("just checked");
                 self.ff_observe(&mut pd, k, at, size, capture);
@@ -1612,14 +1446,6 @@ impl Engine {
         // in-progress detection restarts from scratch.
         if let Some(pd) = &mut self.periodic {
             pd.abandon();
-        }
-        // Worklist fallback: correct but row-less — the capture stops
-        // extending, and a linked sibling counts a full evaluation.
-        if let Some(cap) = &mut self.delta_capture {
-            cap.active = false;
-        }
-        if let Some(link) = &mut self.delta {
-            link.stats.calls_full += 1;
         }
         self.open_to(k);
         {
@@ -1701,209 +1527,6 @@ impl Engine {
         self.stats.arcs_evaluated += sweep.arcs;
         self.ring.push_back(tail);
         self.compiled = Some(ct);
-    }
-
-    /// Clones the just-finished fast-path iteration `k` into the capture
-    /// under construction. Called after `ensure_lookahead` (so iteration
-    /// `k` is final: without output acks nothing mutates it later) and
-    /// before `maybe_prune` (so it is still in the ring).
-    fn delta_capture_row(&mut self, k: u64, at: Time, size: u64) {
-        let Some(cap) = &mut self.delta_capture else {
-            return;
-        };
-        if !cap.active {
-            return;
-        }
-        if cap.rows.len() as u64 != k {
-            cap.active = false;
-            return;
-        }
-        let Some(it) = iter_at(&self.ring, self.base_k, k) else {
-            cap.active = false;
-            return;
-        };
-        cap.rows.push(DeltaRow {
-            acc: it.acc.clone(),
-            sizes: it.sizes.clone(),
-            stash: it.exec_stash.clone(),
-        });
-        cap.offers.push((at.ticks(), size));
-    }
-
-    /// Evaluates iteration `k` as a *delta* against the attached base
-    /// cache: per schedule slot, the node's fold inputs (same-iteration and
-    /// delayed source instants, plus any token sizes its exec weights read)
-    /// are compared against the cached base row. Equal inputs ⇒ equal fold
-    /// (the (max,+) fold is a pure function of its inputs), so the node
-    /// copies its cached instant; a difference recomputes the slot with
-    /// the full sweep's slot evaluator (`eval_slot`), and a recomputed
-    /// instant that still matches the cache stops the change frontier
-    /// right there — downstream comparisons see no difference.
-    ///
-    /// Observation (sizes, logs, acks, outputs, exec records) runs live in
-    /// both branches, in schedule order, so emissions and [`EngineCounters`]
-    /// are bitwise identical to a full evaluation.
-    ///
-    /// When the sibling has no seeded slots and every offer so far matched
-    /// the base trace, no comparison can ever differ: on a fresh tail the
-    /// sweep collapses to one bulk copy of the cached row plus the
-    /// observation calls (constants precomputed in
-    /// [`delta::CollapsePlan`]); a look-ahead-prefilled tail takes the
-    /// per-slot copy loop, still without any per-arc reads.
-    fn compute_iteration_delta(
-        &mut self,
-        k: u64,
-        input_node: NodeId,
-        input_relation: usize,
-        at: Time,
-        size: u64,
-    ) {
-        let (mut tail, fresh) = self.take_tail(k);
-        tail.sizes[input_relation] = size;
-        tail.acc[input_node.index()] = MaxPlus::new(at.ticks() as i64);
-        tail.nodes_pending = 0;
-        self.stats.iterations_completed += 1;
-
-        // Both the compiled program and the link move out of `self` for the
-        // sweep (observation mutates logs and the ring).
-        let ct = self.compiled.take().expect("compiled backend gated by fast_ok");
-        let mut link = self.delta.take().expect("delta link gated by use_delta");
-        let row = &link.cache.rows[k as usize];
-        let rows = &link.cache.rows;
-        let seeds = &link.seeds;
-        let force_clean = link.seed_count == 0 && link.offers_matched;
-
-        if force_clean && fresh {
-            // Bulk collapse: on a fresh tail nothing was precomputed by the
-            // look-ahead, so every slot but the input's takes the clean
-            // branch — the sweep *is* the cached row. Copy it wholesale
-            // (the matching offer makes the input slot's value identical
-            // too) and run only the observation calls, in schedule order;
-            // the statistics the walk would have accumulated are the
-            // attach-time [`delta::CollapsePlan`] constants.
-            tail.acc.copy_from_slice(&row.acc);
-            tail.computed.fill(true);
-            if self.record_observations {
-                tail.exec_stash.copy_from_slice(&row.stash);
-            }
-            for &obs_node in &link.collapse.observed {
-                let node = obs_node as usize;
-                let obs = self.node_obs[node];
-                self.observe_obs(k, obs, row.acc[node], &mut tail);
-            }
-            self.stats.nodes_computed += link.collapse.nodes;
-            self.stats.arcs_evaluated += link.collapse.arcs;
-            self.ring.push_back(tail);
-            self.compiled = Some(ct);
-            link.stats.calls_delta += 1;
-            link.stats.nodes_reused += link.collapse.reused;
-            link.stats.frontier_collapses += 1;
-            self.delta = Some(link);
-            return;
-        }
-
-        tail.computed[input_node.index()] = true;
-        let mut nodes_local = 1u64;
-        let mut arcs_local = 0u64;
-        let mut reused = 0u64;
-        let mut recomputed = 0u64;
-        let mut settled = 0u64;
-        for (slot, op) in ct.ops.iter().enumerate() {
-            let (node, obs) = (op.dst as usize, op.obs);
-            if tail.computed[node] {
-                continue;
-            }
-            let [cs, ss, es] = ct.arc_ranges(slot);
-            // Stats accrue exactly as in the full sweep, clean or dirty:
-            // the conformance bar includes `EngineCounters`.
-            nodes_local += 1;
-            arcs_local += (cs.len() + ss.len() + es.len()) as u64;
-
-            // A fold input differs when a source instant or a token size
-            // the weights read differs between the live run and the cached
-            // row. Pre-history reads agree on both sides; a pruned live
-            // iteration reads as the full sweep's defensive read does, so
-            // comparing it with the cache is conservative (at worst a
-            // spurious recompute).
-            let dirty = !force_clean
-                && (seeds[slot] || {
-                    let hist = History::new(&self.ring, self.base_k, k);
-                    let live = |d: u64| if d == 0 { Some(&tail) } else { hist.row(d) };
-                    let acc_differs = |d: u64, src: u32| {
-                        let src = src as usize;
-                        d <= k
-                            && live(d).map_or(MaxPlus::E, |it| it.acc[src])
-                                != rows[(k - d) as usize].acc[src]
-                    };
-                    let size_differs = |d: u64, rel: usize| {
-                        d <= k
-                            && live(d).map_or(0, |it| it.sizes[rel])
-                                != rows[(k - d) as usize].sizes[rel]
-                    };
-                    ct.const_srcs[cs].iter().any(|&src| acc_differs(0, src))
-                        || ss
-                            .into_iter()
-                            .any(|i| acc_differs(ct.slow_delays[i].into(), ct.slow_srcs[i]))
-                        || es.clone().any(|i| {
-                            acc_differs(ct.exec_delays[i].into(), ct.exec_srcs[i])
-                                || ct
-                                    .durations
-                                    .size_reads(i)
-                                    .any(|(rel, d)| size_differs(d, rel))
-                        })
-                });
-
-            if !dirty {
-                reused += 1;
-                let acc = row.acc[node];
-                tail.acc[node] = acc;
-                tail.computed[node] = true;
-                if self.record_observations {
-                    // Equal fold inputs give equal stashes; the dense slots
-                    // of this node's exec ends are written only by arcs in
-                    // this slot's range, so copying them is exact.
-                    for i in es {
-                        let dense = ct.exec_stash_dense[i];
-                        if dense != u32::MAX {
-                            tail.exec_stash[dense as usize] = row.stash[dense as usize];
-                        }
-                    }
-                }
-                if !matches!(obs, Obs::None) {
-                    self.observe_obs(k, obs, acc, &mut tail);
-                }
-                continue;
-            }
-
-            // Dirty: the slot body of the full compiled sweep.
-            recomputed += 1;
-            let hist = History::new(&self.ring, self.base_k, k);
-            let stash = self.record_observations.then_some(&mut tail.exec_stash[..]);
-            let (acc, _) = eval_slot(&ct, op, &hist, &tail.sizes, stash, &tail.acc);
-            if acc == row.acc[node] {
-                // Monotone early-out: downstream comparisons of this node
-                // see no difference — the frontier stops here.
-                settled += 1;
-            }
-            tail.acc[node] = acc;
-            tail.computed[node] = true;
-            if !matches!(obs, Obs::None) {
-                self.observe_obs(k, obs, acc, &mut tail);
-            }
-        }
-        self.stats.nodes_computed += nodes_local;
-        self.stats.arcs_evaluated += arcs_local;
-        self.ring.push_back(tail);
-        self.compiled = Some(ct);
-        link.stats.calls_delta += 1;
-        link.stats.nodes_reused += reused;
-        link.stats.nodes_recomputed += recomputed;
-        link.stats.nodes_settled += settled;
-        if recomputed == 0 {
-            link.stats.frontier_collapses += 1;
-        }
-        link.cold = reused == 0 && link.cache.offers.get(k as usize) != Some(&(at.ticks(), size));
-        self.delta = Some(link);
     }
 
     /// The computed acknowledgment instant (boundary exchange) of the
@@ -2102,7 +1725,8 @@ impl Engine {
         }
     }
 
-    /// Observation side effects of a freshly computed node (worklist).
+    /// Observation side effects of a freshly computed node (worklist): the
+    /// exchange's token size is derived first, then everything is emitted.
     /// Iteration `k`'s state is lifted out of the ring for the call, so
     /// observation reads it like a sweep's tail.
     #[inline]
@@ -2113,20 +1737,11 @@ impl Engine {
         }
         let idx = (k - self.base_k) as usize;
         let mut it = std::mem::take(&mut self.ring[idx]);
-        self.observe_obs(k, obs, value, &mut it);
-        self.ring[idx] = it;
-    }
-
-    /// Observation side effects of a node with action `obs` that computed
-    /// `value` for iteration `k`, whose state `it` is held out of the ring:
-    /// the exchange's token size is derived first, then everything is
-    /// emitted.
-    #[inline]
-    fn observe_obs(&mut self, k: u64, obs: Obs, value: MaxPlus, it: &mut IterState) {
         if let Obs::Exchange { relation, .. } = obs {
-            self.derive_size(relation as usize, k, it);
+            self.derive_size(relation as usize, k, &mut it);
         }
-        self.emit(k, obs, value, it);
+        self.emit(k, obs, value, &it);
+        self.ring[idx] = it;
     }
 
     /// Sets the token size relation `relation` carries at iteration `k`
@@ -2689,88 +2304,6 @@ mod tests {
         }
         assert_eq!(e.fast_forward_stats().promotions, 1, "knob survives reset");
         assert_bitwise_equal(&mut e, &mut plain, 6, 49);
-    }
-
-    #[test]
-    fn delta_identical_sibling_collapses_and_matches_bitwise() {
-        let mut base = engine();
-        base.begin_delta_capture().expect("didactic graph is eligible");
-        for k in 0..50 {
-            base.set_input(0, k, Time::from_ticks(k * 40), 3);
-        }
-        let cache = base.finish_delta_capture();
-        assert_eq!(cache.iterations(), 50);
-
-        let mut sib = engine();
-        sib.attach_delta_base(cache).expect("identical structure");
-        let mut plain = engine();
-        for k in 0..60 {
-            // Same trace for the cached range, then 10 offers beyond it.
-            sib.set_input(0, k, Time::from_ticks(k * 40), 3);
-            plain.set_input(0, k, Time::from_ticks(k * 40), 3);
-        }
-        let stats = sib.detach_delta();
-        assert_eq!(stats.calls_delta, 50);
-        assert_eq!(stats.calls_full, 10);
-        assert_eq!(stats.nodes_recomputed, 0, "no seeds, matching offers");
-        assert_eq!(stats.frontier_collapses, 50);
-        assert!(stats.nodes_reused > 0);
-        assert_bitwise_equal(&mut sib, &mut plain, 6, 59);
-    }
-
-    #[test]
-    fn delta_perturbed_trace_recomputes_and_matches_bitwise() {
-        let mut base = engine();
-        base.begin_delta_capture().unwrap();
-        // Inter-arrival far above the ~210-tick service time: iterations
-        // decouple, so a small jolt stays transient.
-        for k in 0..50 {
-            base.set_input(0, k, Time::from_ticks(k * 500), 3);
-        }
-        let cache = base.finish_delta_capture();
-
-        let mut sib = engine();
-        sib.attach_delta_base(cache).unwrap();
-        let mut plain = engine();
-        for k in 0..50 {
-            // One slightly late offer perturbs a bounded window.
-            let at = k * 500 + if k == 25 { 100 } else { 0 };
-            sib.set_input(0, k, Time::from_ticks(at), 3);
-            plain.set_input(0, k, Time::from_ticks(at), 3);
-        }
-        let stats = sib.detach_delta();
-        assert_eq!(stats.calls_delta, 50);
-        assert!(stats.nodes_recomputed > 0, "perturbation must propagate");
-        assert!(
-            stats.nodes_reused > stats.nodes_recomputed,
-            "most of the run is unchanged: {stats:?}"
-        );
-        assert!(
-            stats.nodes_settled > 0,
-            "the transient jolt must settle: {stats:?}"
-        );
-        assert_bitwise_equal(&mut sib, &mut plain, 6, 49);
-    }
-
-    #[test]
-    fn delta_gates_mirror_batch_pattern() {
-        let w = engine_with(EvalBackend::Worklist);
-        let mut w = w;
-        assert_eq!(
-            w.begin_delta_capture().unwrap_err(),
-            DeltaUnsupported::WorklistBackend
-        );
-        let mut c = engine();
-        c.begin_delta_capture().unwrap();
-        c.set_input(0, 0, Time::ZERO, 0);
-        let cache = c.finish_delta_capture();
-        assert_eq!(w.attach_delta_base(cache).unwrap_err().reason(), "worklist");
-        // Reset clears capture and link state alike.
-        let mut s = engine();
-        s.begin_delta_capture().unwrap();
-        s.reset();
-        assert!(s.delta_capture.is_none(), "reset must clear the capture");
-        assert!(s.delta.is_none());
     }
 
     #[test]

@@ -65,7 +65,6 @@
 pub mod analysis;
 mod batch;
 mod compile;
-mod delta;
 mod derive;
 mod engine;
 pub mod equivalent;
@@ -83,7 +82,6 @@ pub use evolve_obs as obs;
 
 pub use batch::{BatchUnsupported, BatchedEngine, KernelDispatchStats};
 pub use compile::{CompiledTdg, EvalBackend, SlotShape};
-pub use delta::{DeltaCache, DeltaUnsupported};
 pub use derive::{derive_tdg, derive_tdg_with, DeriveOptions, DerivedTdg, SizeRule, SizeRules};
 pub use engine::{AllocationFootprint, Engine, Notification, PartitionStats};
 pub use equivalent::{equivalent_simulation, EquivalentModelBuilder, EquivalentSimulation};

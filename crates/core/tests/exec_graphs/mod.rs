@@ -1,5 +1,5 @@
-//! Random DAGs-with-delays whose arcs carry execution durations, shared by
-//! the backend and delta conformance suites.
+//! Random DAGs-with-delays whose arcs carry execution durations, for the
+//! backend conformance suite.
 //!
 //! The suites' constant-weight DAGs and derived pipelines give the compiled
 //! sweep's single exec arc only one form: a per-unit load at speed 1

@@ -18,9 +18,8 @@
 //! a canonical multiset against the worklist and batched paths (those
 //! backends emit in schedule order; only the multiset is contractual).
 //!
-//! The deterministic tests additionally pin the promote → demote →
-//! re-promote sequence on a phase-jumping trace, alone and composed with an
-//! attached delta base (`delta_composes_with_promote_demote_fast_forward`).
+//! The deterministic test additionally pins the promote → demote →
+//! re-promote sequence on phase-jumping traces.
 
 use evolve_core::{
     derive_tdg, synthetic, BatchedEngine, Engine, EvalBackend, FastForward,
@@ -199,15 +198,31 @@ proptest! {
     }
 }
 
-/// A deterministic period-breaking scenario pinned end to end: the
-/// fast-forward engine must actually promote, demote on the phase jump,
-/// re-promote on the shifted line, and still match the plain sweep bitwise.
+/// A deterministic period-breaking scenario pinned end to end, the phase
+/// jump at k = 80: the fast-forward engine must actually promote, demote on
+/// the jump, re-promote on the shifted line, and still match the plain
+/// sweep bitwise.
 #[test]
 fn breaking_trace_demotes_and_stays_bitwise_identical() {
+    breaking_trace_at(80);
+}
+
+/// The same scenario with the phase jump early, at k = 40, so the shifted
+/// line carries most of the trace.
+#[test]
+fn early_phase_jump_demotes_and_stays_bitwise_identical() {
+    breaking_trace_at(40);
+}
+
+/// Drives a 160-iteration pipeline trace whose arrivals jump phase at
+/// iteration `jump` through the plain and fast-forward compiled sweeps and
+/// through two batch lanes, and pins the promote → demote → re-promote
+/// sequence.
+fn breaking_trace_at(jump: u64) {
     let model = Model::Pipeline { stages: 3, base: 60, per_unit: 2, padding: 8 };
     let arrivals: Vec<Arrival> = (0..160u64)
         .map(|k| Arrival {
-            at: Time::from_ticks(k * 500 + if k >= 80 { 7_777 } else { 0 }),
+            at: Time::from_ticks(k * 500 + if k >= jump { 7_777 } else { 0 }),
             size: 4,
         })
         .collect();
@@ -231,50 +246,4 @@ fn breaking_trace_demotes_and_stays_bitwise_identical() {
     assert_eq!(lanes[0].engine_stats, p.engine_stats);
     assert_eq!(batch.lane_fast_forward_stats(0).demotions, 1);
     assert_eq!(batch.lane_fast_forward_stats(1).demotions, 0);
-}
-
-/// Delta × fast-forward matrix: a sibling with an attached delta base and
-/// fast-forward enabled must promote on the steady prefix, demote on the
-/// phase jump, resume the delta sweep inside the cached range, re-promote
-/// on the shifted line — and stay bitwise identical to the plain compiled
-/// sweep throughout.
-#[test]
-fn delta_composes_with_promote_demote_fast_forward() {
-    let model = Model::Pipeline { stages: 3, base: 60, per_unit: 2, padding: 8 };
-    // Base: 100 iterations of the steady periodic line, captured with
-    // fast-forward off (replayed offers leave no rows to capture).
-    let steady: Vec<Arrival> =
-        (0..100u64).map(|k| Arrival { at: Time::from_ticks(k * 500), size: 4 }).collect();
-    let (mut capture, _) = build_engine(&model, EvalBackend::Compiled, FastForward::Off);
-    capture.begin_delta_capture().expect("pipelines are delta-eligible");
-    drive_engine(&mut capture, &steady);
-    let cache = capture.finish_delta_capture();
-    assert_eq!(cache.iterations(), steady.len(), "fast-forward off captures every row");
-
-    // Sibling: the same line with a phase jump at k = 40 — inside the
-    // cached range, so the post-demotion sweeps ride the delta path.
-    let breaking: Vec<Arrival> = (0..160u64)
-        .map(|k| Arrival {
-            at: Time::from_ticks(k * 500 + if k >= 40 { 7_777 } else { 0 }),
-            size: 4,
-        })
-        .collect();
-    let (mut plain, _) = build_engine(&model, EvalBackend::Compiled, FastForward::Off);
-    let p = drive_engine(&mut plain, &breaking);
-
-    let (mut both, _) = build_engine(&model, EvalBackend::Compiled, FastForward::On);
-    both.attach_delta_base(cache).expect("identical structure");
-    let b = drive_engine(&mut both, &breaking);
-    assert_eq!(b, p, "delta + fast-forward must be invisible across the break");
-
-    let ff = both.fast_forward_stats();
-    assert!(ff.promotions >= 2, "promotes on both arrival lines: {ff:?}");
-    assert_eq!(ff.demotions, 1, "exactly the phase jump demotes: {ff:?}");
-    assert!(ff.fast_forwarded_iterations > 0, "{ff:?}");
-    let delta = both.detach_delta();
-    assert!(delta.calls_delta > 0, "the delta sweep answered real offers: {delta:?}");
-    assert!(
-        delta.calls_delta + delta.calls_full < breaking.len() as u64,
-        "fast-forward replay absorbed part of the trace: {delta:?}"
-    );
 }

@@ -14,10 +14,9 @@
 //! event counts must agree bitwise across all three.
 //!
 //! The parallel path is additionally exercised over the full planner
-//! matrix — threads × batch width × delta chaining — against the
-//! single-threaded scalar baseline, and the delta-chain planner is pinned
-//! to produce a deterministic report ordering and identical chain
-//! statistics at every thread count.
+//! matrix — threads × batch width — against the single-threaded scalar
+//! baseline, and the planner is pinned to produce a deterministic report
+//! ordering and identical batching statistics at every thread count.
 
 use evolve_core::EvalBackend;
 use evolve_des::SplitMix64;
@@ -91,51 +90,49 @@ fn with_backend(scenarios: &[ScenarioSpec], backend: EvalBackend) -> Vec<Scenari
 #[test]
 fn parallel_sweep_matches_single_threaded_path() {
     let scenarios = random_scenarios(0xC0FF_EE00);
-    // The scalar baseline: one worker, no lockstep lanes, no delta chains.
+    // The scalar baseline: one worker, no lockstep lanes.
     let baseline = run_sweep(
         &scenarios,
-        &SweepConfig { threads: 1, batch_width: 1, delta: false, ..SweepConfig::default() },
+        &SweepConfig { threads: 1, batch_width: 1, ..SweepConfig::default() },
     );
     assert_eq!(baseline.scenarios.len(), SCENARIOS as usize);
-    // Planner matrix: every combination of worker count, batch width, and
-    // delta chaining must reproduce the baseline bitwise.
+    // Planner matrix: every combination of worker count and batch width
+    // must reproduce the baseline bitwise.
     for threads in [1, 2, THREADS] {
         for batch_width in [1, 4] {
-            for delta in [false, true] {
-                let report = run_sweep(
-                    &scenarios,
-                    &SweepConfig { threads, batch_width, delta, ..SweepConfig::default() },
+            let report = run_sweep(
+                &scenarios,
+                &SweepConfig { threads, batch_width, ..SweepConfig::default() },
+            );
+            for (s, p) in baseline.scenarios.iter().zip(&report.scenarios) {
+                assert_eq!(s.index, p.index);
+                // The whole deterministic outcome — Y(k), acks, exec
+                // records, engine statistics, event counts — must be
+                // bitwise identical.
+                assert_eq!(
+                    s.outcome, p.outcome,
+                    "scenario {} (threads={threads} batch={batch_width})",
+                    s.label
                 );
-                for (s, p) in baseline.scenarios.iter().zip(&report.scenarios) {
-                    assert_eq!(s.index, p.index);
-                    // The whole deterministic outcome — Y(k), acks, exec
-                    // records, engine statistics, event counts — must be
-                    // bitwise identical.
-                    assert_eq!(
-                        s.outcome, p.outcome,
-                        "scenario {} (threads={threads} batch={batch_width} delta={delta})",
-                        s.label
-                    );
-                }
             }
         }
     }
 }
 
-/// Regression: the delta planner regroups work units into sibling chains,
-/// and that regrouping must not perturb the report — scenario rows stay in
-/// grid order with dense indices, the same scenarios ride the delta path,
-/// and the chain statistics are identical at every thread count.
+/// Regression: the planner regroups scenarios into lockstep batches, and
+/// that regrouping must not perturb the report — scenario rows stay in
+/// grid order with dense indices, the same scenarios ride the batched
+/// path, and the batching statistics are identical at every thread count.
 #[test]
-fn delta_chain_report_ordering_is_deterministic_across_thread_counts() {
+fn report_ordering_is_deterministic_across_thread_counts() {
     let mut scenarios = random_scenarios(0xC0FF_EE01);
-    // Guarantee at least one multi-member sibling family regardless of what
-    // the random grid drew: same shape and padding, perturbed base load.
+    // Guarantee one full batch at width 4 regardless of what the random
+    // grid drew: four scenarios of one compiled spec.
     for i in 0..4u64 {
         scenarios.push(ScenarioSpec {
-            label: format!("forced-sibling-{i}"),
+            label: format!("forced-batch-{i}"),
             model: ModelSpec {
-                kind: ModelKind::Pipeline { stages: 3, base: 100 + 30 * i, per_unit: 2 },
+                kind: ModelKind::Pipeline { stages: 3, base: 100, per_unit: 2 },
                 padding: 8,
                 backend: EvalBackend::Compiled,
             },
@@ -148,25 +145,29 @@ fn delta_chain_report_ordering_is_deterministic_across_thread_counts() {
             },
         });
     }
-    let reports: Vec<_> = [1usize, 2, THREADS]
-        .iter()
-        .map(|&threads| {
-            run_sweep(&scenarios, &SweepConfig { threads, ..SweepConfig::default() })
-        })
-        .collect();
-    let first = &reports[0];
-    assert!(first.delta.chains_formed >= 1, "forced family chains: {:?}", first.delta);
-    assert!(first.delta.lanes_delta >= 3, "forced siblings attach: {:?}", first.delta);
-    for (i, r) in first.scenarios.iter().enumerate() {
-        assert_eq!(r.index, i, "report rows stay in grid order");
-    }
-    for report in &reports[1..] {
-        assert_eq!(report.delta, first.delta, "chain statistics per thread count");
-        for (a, b) in first.scenarios.iter().zip(&report.scenarios) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.label, b.label, "row order per thread count");
-            assert_eq!(a.delta, b.delta, "{}: delta-lane assignment", a.label);
-            assert_eq!(a.outcome, b.outcome, "{}: outcome", a.label);
+    for batch_width in [1, 4] {
+        let reports: Vec<_> = [1usize, 2, THREADS]
+            .iter()
+            .map(|&threads| {
+                let config = SweepConfig { threads, batch_width, ..SweepConfig::default() };
+                run_sweep(&scenarios, &config)
+            })
+            .collect();
+        let first = &reports[0];
+        if batch_width > 1 {
+            assert!(first.batching.batches_formed >= 1, "forced batch: {:?}", first.batching);
+        }
+        for (i, r) in first.scenarios.iter().enumerate() {
+            assert_eq!(r.index, i, "report rows stay in grid order");
+        }
+        for report in &reports[1..] {
+            assert_eq!(report.batching, first.batching, "batching statistics per thread count");
+            for (a, b) in first.scenarios.iter().zip(&report.scenarios) {
+                assert_eq!(a.index, b.index);
+                assert_eq!(a.label, b.label, "row order per thread count");
+                assert_eq!(a.batched, b.batched, "{}: batched-lane assignment", a.label);
+                assert_eq!(a.outcome, b.outcome, "{}: outcome", a.label);
+            }
         }
     }
 }

@@ -2,19 +2,16 @@
 //!
 //! Both consumers of the fast evaluation stack — the batch-mode
 //! [`run_sweep`](crate::run_sweep) worker pool and the `evolve-serve`
-//! daemon's shard workers — need the same four ingredients:
+//! daemon's shard workers — need the same three ingredients:
 //!
 //! 1. **Prepared engines**: derive a [`ModelSpec`]'s graph once, build an
 //!    [`Engine`] (or [`BatchedEngine`]), and recycle it across traces via
 //!    allocation-stable reset ([`PreparedModel`] / [`PreparedBatch`]);
 //! 2. **Per-owner caches** keyed by [`ModelSpec`] ([`EngineCaches`]), so a
 //!    worker thread or connection shard reuses engines without locking;
-//! 3. **The scalar drive with optional delta chaining**
-//!    ([`drive_prepared`]): evaluate a trace fully, fully-under-capture,
-//!    or as a delta against a sibling's captured base — bitwise identical
-//!    on every path;
-//! 4. **The structural family key** ([`delta_family_key`]) that decides
-//!    which specs may share a [`DeltaCache`].
+//! 3. **The drives** ([`drive_prepared`], [`drive_prepared_batch`]): one
+//!    trace through a scalar engine, or one trace per lane through a
+//!    batched engine.
 //!
 //! The sweep planner and the serve admission queue group work differently
 //! (grid order vs. arrival order under a deadline), but once a unit of
@@ -22,17 +19,16 @@
 //! guarantees proven for one path carry to the other.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    derive_tdg, synthetic, BatchUnsupported, BatchedEngine, DeltaCache, Engine, FastForward,
-    FastForwardStats, DEFAULT_CONFIRM_PERIODS,
+    derive_tdg, synthetic, BatchUnsupported, BatchedEngine, Engine, FastForward, FastForwardStats,
+    DEFAULT_CONFIRM_PERIODS,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
-use evolve_obs::{downcast, DeltaCounters, TelemetrySink};
+use evolve_obs::{downcast, TelemetrySink};
 
-use crate::sweep::{ModelKind, ModelSpec, ScenarioOutcome};
+use crate::sweep::{ModelSpec, ScenarioOutcome};
 
 /// Engine-construction knobs shared by every consumer of the cache layer
 /// (the sweep translates its [`SweepConfig`](crate::SweepConfig) into one
@@ -194,32 +190,14 @@ impl EngineCaches {
     }
 }
 
-/// How a scalar evaluation participates in a delta chain.
-#[derive(Debug)]
-pub enum DeltaMode<'a> {
-    /// Plain full evaluation (no chain, or a sibling after a failed
-    /// capture).
+/// Always [`DeltaMode::Off`], the only value of its type: the delta
+/// chaining this argument of [`drive_prepared`] selected is gone. Kept
+/// only because the benchmark crate passes it; the next benchmark change
+/// (ROADMAP item 10) removes it.
+#[derive(Clone, Copy, Debug)]
+pub enum DeltaMode {
+    /// Plain evaluation, the only mode.
     Off,
-    /// Chain base: evaluate fully and capture the per-iteration cache.
-    CaptureBase,
-    /// Chain sibling: diff against the base cache.
-    Sibling(&'a Arc<DeltaCache>),
-}
-
-/// What the delta layer did for one scalar evaluation.
-#[derive(Debug)]
-pub enum DeltaLaneOutcome {
-    /// [`DeltaMode::Off`] — nothing requested.
-    NotRequested,
-    /// Base captured; siblings can attach this cache.
-    Captured(Arc<DeltaCache>),
-    /// The engine refused capture (reason string from
-    /// [`DeltaUnsupported`](evolve_core::DeltaUnsupported)).
-    CaptureFailed(&'static str),
-    /// Sibling ran attached; counters for the whole drive.
-    Attached(DeltaCounters),
-    /// Sibling was refused attachment and evaluated fully.
-    Ejected(&'static str),
 }
 
 /// Everything one scalar drive produced.
@@ -229,23 +207,23 @@ pub struct PreparedDrive {
     pub outcome: ScenarioOutcome,
     /// Fast-forward counters of this drive.
     pub fast_forward: FastForwardStats,
-    /// What the delta layer did.
-    pub delta: DeltaLaneOutcome,
     /// Whether the drive reused a previously derived engine.
     pub reused_engine: bool,
     /// Host wall-clock time of the engine drive alone.
     pub wall: HostDuration,
 }
 
-/// Drives one trace through a cached scalar engine, optionally capturing
-/// or consuming a delta-chain cache, with an optional telemetry sink
-/// attached for the duration of the drive (one `Box` round-trip, no
-/// reallocation).
+/// Drives one trace through a cached scalar engine, with an optional
+/// telemetry sink attached for the duration of the drive (one `Box`
+/// round-trip, no reallocation). Neither `_options` (the engine was built
+/// with its options by [`prepare`]) nor the inert `_mode` is read; the
+/// benchmark crate passes both, and its next change (ROADMAP item 10)
+/// drops them.
 ///
-/// The outcome is bitwise identical across [`DeltaMode`]s and with or
-/// without the sink — the conformance suites pin both down. Used by the
-/// sweep's scalar path and the serve daemon's shard workers, so both
-/// dispatch through one drive implementation.
+/// The outcome is bitwise identical with or without the sink — the
+/// conformance suites pin that down. Used by the sweep's scalar path and
+/// the serve daemon's shard workers, so both dispatch through one drive
+/// implementation.
 ///
 /// # Panics
 ///
@@ -254,37 +232,15 @@ pub struct PreparedDrive {
 pub fn drive_prepared(
     prepared: &mut PreparedModel,
     arrivals: &[Arrival],
-    options: &EngineOptions,
+    _options: &EngineOptions,
     tel: &mut Option<Box<TelemetrySink>>,
-    mode: DeltaMode<'_>,
+    _mode: DeltaMode,
 ) -> PreparedDrive {
     let reused_engine = prepared.uses > 0;
     if reused_engine {
         prepared.engine.reset();
     }
     prepared.uses += 1;
-
-    let mut delta_outcome = DeltaLaneOutcome::NotRequested;
-    match &mode {
-        DeltaMode::Off => {}
-        DeltaMode::CaptureBase => {
-            // Fast-forward replay stops row capture, which would truncate
-            // the cache and starve the siblings; trade the base's
-            // fast-forward (bitwise-invisible either way) for full
-            // coverage. The configured mode is restored after the drive.
-            prepared
-                .engine
-                .set_fast_forward_with(FastForward::Off, options.ff_confirm_periods);
-            if let Err(e) = prepared.engine.begin_delta_capture() {
-                delta_outcome = DeltaLaneOutcome::CaptureFailed(e.reason());
-            }
-        }
-        DeltaMode::Sibling(base) => {
-            if let Err(e) = prepared.engine.attach_delta_base(Arc::clone(base)) {
-                delta_outcome = DeltaLaneOutcome::Ejected(e.reason());
-            }
-        }
-    }
 
     if let Some(sink) = tel.take() {
         prepared.engine.attach_observer(sink);
@@ -300,32 +256,9 @@ pub fn drive_prepared(
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
 
-    match &mode {
-        DeltaMode::Off => {}
-        DeltaMode::CaptureBase => {
-            if matches!(delta_outcome, DeltaLaneOutcome::NotRequested) {
-                delta_outcome = DeltaLaneOutcome::Captured(prepared.engine.finish_delta_capture());
-            }
-            // Put the cached engine back the way `prepare` left it, so
-            // later plain reuses of this model see the configured
-            // fast-forward mode. Reset first: the mode switch requires a
-            // quiescent engine, and the outcome is already extracted.
-            prepared.engine.reset();
-            prepared
-                .engine
-                .set_fast_forward_with(options.fast_forward, options.ff_confirm_periods);
-        }
-        DeltaMode::Sibling(_) => {
-            if matches!(delta_outcome, DeltaLaneOutcome::NotRequested) {
-                delta_outcome = DeltaLaneOutcome::Attached(prepared.engine.detach_delta());
-            }
-        }
-    }
-
     PreparedDrive {
         outcome,
         fast_forward,
-        delta: delta_outcome,
         reused_engine,
         wall,
     }
@@ -338,46 +271,6 @@ pub fn busy_per_resource(records: &[ExecRecord], resources: usize) -> Vec<u64> {
         busy[r.resource.index()] += r.end.ticks() - r.start.ticks();
     }
     busy
-}
-
-/// Graph-shape component of a delta-family key: two specs may share a
-/// [`DeltaCache`] only when their compiled graphs are structurally
-/// identical, which for the built-in models means the same kind, stage
-/// count, and padding — load parameters
-/// ([`ModelKind::Pipeline`]'s `base`/`per_unit`) only move arc weights,
-/// exactly the perturbations delta evaluation absorbs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum FamilyShape {
-    Didactic { stages: usize },
-    Pipeline { stages: usize },
-}
-
-/// The structural delta-family key of a [`ModelSpec`]; see
-/// [`delta_family_key`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct DeltaFamilyKey {
-    shape: FamilyShape,
-    padding: usize,
-}
-
-/// The delta-family key of a model, or `None` when the model is
-/// ineligible for delta chaining (worklist backend — the delta sweep is a
-/// compiled-path optimization). Callers must additionally reject empty
-/// traces (nothing to chain) and models whose capture the engine refuses
-/// (multi-input, acked outputs) — both surface as typed ejections at
-/// drive time.
-pub fn delta_family_key(model: &ModelSpec) -> Option<DeltaFamilyKey> {
-    if model.backend != evolve_core::EvalBackend::Compiled {
-        return None;
-    }
-    let shape = match model.kind {
-        ModelKind::Didactic { stages } => FamilyShape::Didactic { stages },
-        ModelKind::Pipeline { stages, .. } => FamilyShape::Pipeline { stages },
-    };
-    Some(DeltaFamilyKey {
-        shape,
-        padding: model.padding,
-    })
 }
 
 /// Drives `traces.len()` independent traces through the lanes of a cached
@@ -424,41 +317,10 @@ pub fn drive_prepared_batch(
     (outcomes, reused_engine, wall)
 }
 
-/// A cached [`DeltaCache`] per structural family — the cross-request
-/// continuation of the sweep's per-chain base capture: the first scalar
-/// evaluation of a family is captured, later requests of the same family
-/// attach the frozen base and propagate only their change frontier.
-#[derive(Debug, Default)]
-pub struct DeltaBases {
-    bases: HashMap<DeltaFamilyKey, Arc<DeltaCache>>,
-}
-
-impl DeltaBases {
-    /// The cached base for `key`, if a capture completed earlier.
-    pub fn get(&self, key: &DeltaFamilyKey) -> Option<&Arc<DeltaCache>> {
-        self.bases.get(key)
-    }
-
-    /// Stores (or replaces) the base for `key`.
-    pub fn insert(&mut self, key: DeltaFamilyKey, cache: Arc<DeltaCache>) {
-        self.bases.insert(key, cache);
-    }
-
-    /// Number of captured bases held.
-    pub fn len(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// Whether no base has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{drive_engine, TraceSpec};
+    use crate::sweep::{ModelKind, TraceSpec};
     use evolve_core::EvalBackend;
 
     fn spec(base: u64) -> ModelSpec {
@@ -471,59 +333,6 @@ mod tests {
 
     fn trace(seed: u64) -> TraceSpec {
         TraceSpec { tokens: 30, min_size: 1, max_size: 32, mean_period: 0, seed }
-    }
-
-    #[test]
-    fn family_keys_group_by_shape_not_load() {
-        let a = delta_family_key(&spec(50)).unwrap();
-        let b = delta_family_key(&spec(90)).unwrap();
-        assert_eq!(a, b, "load parameters only move arc weights");
-        let worklist = ModelSpec { backend: EvalBackend::Worklist, ..spec(50) };
-        assert!(delta_family_key(&worklist).is_none());
-        let padded = ModelSpec { padding: 8, ..spec(50) };
-        assert_ne!(delta_family_key(&padded).unwrap(), a);
-    }
-
-    #[test]
-    fn capture_then_sibling_is_bitwise_identical_to_full() {
-        let options = EngineOptions::default();
-        let base_spec = spec(50);
-        let sib_spec = spec(90);
-        let base_arrivals = trace(1).stimulus();
-        let sib_arrivals = trace(2).stimulus();
-
-        // Reference: full evaluations on fresh engines.
-        let mut reference = prepare(&sib_spec, &options);
-        let full = drive_engine(&mut reference.engine, sib_arrivals.arrivals());
-
-        // Chain: capture the base, attach the sibling.
-        let mut caches = EngineCaches::default();
-        let captured = drive_prepared(
-            caches.scalar_mut(&base_spec, &options),
-            base_arrivals.arrivals(),
-            &options,
-            &mut None,
-            DeltaMode::CaptureBase,
-        );
-        let cache = match captured.delta {
-            DeltaLaneOutcome::Captured(cache) => cache,
-            other => panic!("capture must succeed: {other:?}"),
-        };
-        let sib = drive_prepared(
-            caches.scalar_mut(&sib_spec, &options),
-            sib_arrivals.arrivals(),
-            &options,
-            &mut None,
-            DeltaMode::Sibling(&cache),
-        );
-        match sib.delta {
-            DeltaLaneOutcome::Attached(stats) => {
-                assert!(stats.calls_delta > 0, "{stats:?}")
-            }
-            other => panic!("sibling must attach: {other:?}"),
-        }
-        assert_eq!(sib.outcome.outputs, full.outputs);
-        assert_eq!(sib.outcome.input_acks, full.input_acks);
     }
 
     #[test]

@@ -51,9 +51,7 @@ pub mod cache;
 pub mod sweep;
 
 pub use evolve_core::{EvalBackend, FastForward, FastForwardStats};
-pub use evolve_obs::{
-    BatchCounters, DeltaCounters, EngineCounters, MetricsSnapshot, TelemetrySink, TraceCollector,
-};
+pub use evolve_obs::{BatchCounters, EngineCounters, MetricsSnapshot, TelemetrySink, TraceCollector};
 pub use sweep::{
     default_grid, drive_batch, drive_engine, parallel_map, parallel_map_with, run_sweep,
     trace_scenario, ModelKind, ModelSpec, ReferenceComparison, ScenarioOutcome, ScenarioResult,

@@ -50,12 +50,11 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration as HostDuration, Instant};
 
 use evolve_core::{
-    synthetic, BatchedEngine, DeltaCache, DetectedPeriod, Engine, EvalBackend, FastForward,
-    FastForwardStats,
+    synthetic, BatchedEngine, DetectedPeriod, Engine, EvalBackend, FastForward, FastForwardStats,
 };
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
@@ -63,14 +62,13 @@ use evolve_model::{
 };
 use evolve_obs::json::Json;
 use evolve_obs::{
-    downcast, BatchCounters, DeltaCounters, EjectReason, EngineCounters, EngineEvent,
-    MetricsSnapshot, Observer as _, TelemetrySink, TraceCollector,
+    downcast, BatchCounters, EjectReason, EngineCounters, EngineEvent, MetricsSnapshot,
+    Observer as _, TelemetrySink, TraceCollector,
 };
 
 use crate::cache::{
-    busy_per_resource, delta_family_key, drive_prepared, drive_prepared_batch, prepare,
-    prepare_batch, DeltaFamilyKey, DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions,
-    PreparedModel,
+    busy_per_resource, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaMode,
+    EngineCaches, EngineOptions, PreparedModel,
 };
 
 /// Which architecture a scenario evaluates.
@@ -231,10 +229,6 @@ pub struct ScenarioResult {
     /// Whether this scenario ran as a lane of a [`BatchedEngine`] (as
     /// opposed to the scalar per-scenario path).
     pub batched: bool,
-    /// Whether this scenario was evaluated as a delta against a sibling
-    /// chain's base cache (bitwise identical to a full evaluation; chain
-    /// bases and ejected siblings report `false`).
-    pub delta: bool,
     /// Host wall-clock time of the engine drive. For batched scenarios
     /// this is the batch drive time divided by the lane count — the
     /// per-lane amortized cost, comparable to the scalar wall.
@@ -298,13 +292,9 @@ pub struct SweepConfig {
     /// identical either way (the observer-conformance suite pins this
     /// down), but observation costs a few percent of sweep throughput.
     pub telemetry: bool,
-    /// Group scalar compiled scenarios of structurally identical models
-    /// into base+sibling *delta chains*: the chain's first scenario is
-    /// evaluated fully with its per-iteration state captured, and the
-    /// remaining siblings diff against that cache, recomputing only their
-    /// change frontier. On by default — outcomes are guaranteed bitwise
-    /// identical either way (`--no-delta` on the sweep binary exists for
-    /// A/B timing runs); see `docs/SWEEP.md` for chaining and tuning notes.
+    /// Ignored: the delta chaining this field switched is gone. Kept only
+    /// because the benchmark crate builds this struct with it named; the
+    /// next benchmark change (ROADMAP item 10) removes it.
     pub delta: bool,
 }
 
@@ -317,9 +307,23 @@ impl Default for SweepConfig {
             batch_width: 1,
             fast_forward: FastForward::On,
             telemetry: false,
-            delta: true,
+            delta: false,
         }
     }
+}
+
+/// What [`SweepReport::delta`] holds: the counters of the deleted
+/// delta-chaining layer, every one 0, in neither the JSON report nor the
+/// metrics snapshot. Kept only because the benchmark crate still reads
+/// them; the next benchmark change (ROADMAP item 10) removes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeltaReport {
+    /// Always 0.
+    pub lanes_delta: u64,
+    /// Always 0.
+    pub nodes_reused: u64,
+    /// Always 0.
+    pub nodes_recomputed: u64,
 }
 
 /// A completed sweep: per-scenario results in input order plus aggregate
@@ -335,14 +339,8 @@ pub struct SweepReport {
     /// (`lanes_scalar`); the `eject_*` counters break the scalar side down
     /// by the reason the batching layer turned the scenario away.
     pub batching: BatchCounters,
-    /// Counters of the delta-chaining layer. A *chain* is a family of
-    /// structurally identical scalar scenarios whose first member
-    /// (`lanes_base`) is evaluated fully with its per-iteration state
-    /// captured, and whose remaining members (`lanes_delta`) diff against
-    /// that cache; the node-level counters fold every attached sibling's
-    /// [`Engine::delta_stats`], and the `eject_*` counters record siblings
-    /// that fell back to full evaluation.
-    pub delta: DeltaCounters,
+    /// All zero: see [`DeltaReport`].
+    pub delta: DeltaReport,
     /// Host wall-clock time of the whole sweep.
     pub wall: HostDuration,
     /// Merged streaming-telemetry shards (resource metrics, event counts),
@@ -416,7 +414,6 @@ impl SweepReport {
         snap.engine = self.total_engine_stats();
         snap.ff = self.total_fast_forward_stats().into();
         snap.batch = self.batching;
-        snap.delta = self.delta;
         if snap.events.boundary_events() == 0 {
             let inputs: u64 = self
                 .scenarios
@@ -467,7 +464,6 @@ impl SweepReport {
             ("engines_reused", Json::U64(self.reused_count() as u64)),
             ("total_engine_stats", totals.to_json()),
             ("batching", self.batching.to_json()),
-            ("delta", self.delta.to_json()),
             ("fast_forward", fast_forward_report_json(self)),
             ("telemetry", self.metrics_snapshot().to_json()),
             (
@@ -537,7 +533,6 @@ fn scenario_json(s: &ScenarioResult) -> Json {
         ("backend", Json::str(s.backend.as_str())),
         ("reused_engine", Json::Bool(s.reused_engine)),
         ("batched", Json::Bool(s.batched)),
-        ("delta", Json::Bool(s.delta)),
         ("outputs", Json::U64(s.outcome.outputs.len() as u64)),
         ("makespan_ticks", Json::U64(makespan)),
         ("boundary_events", Json::U64(s.outcome.boundary_events)),
@@ -782,23 +777,21 @@ fn reference_for(
     }
 }
 
-/// Evaluates one scenario on a worker-cached engine, optionally capturing
-/// or consuming a delta-chain cache. The delta lifecycle and drive itself
-/// live in [`cache::drive_prepared`], shared with the serve daemon.
-fn evaluate_inner(
+/// Evaluates one scenario on a worker-cached engine. The drive itself
+/// lives in [`cache::drive_prepared`], shared with the serve daemon.
+fn evaluate(
     cache: &mut HashMap<ModelSpec, PreparedModel>,
     index: usize,
     spec: &ScenarioSpec,
     config: &SweepConfig,
     tel: &mut Option<Box<TelemetrySink>>,
-    mode: DeltaMode<'_>,
-) -> (ScenarioResult, DeltaLaneOutcome) {
+) -> ScenarioResult {
     let options = engine_options(config);
     let prepared = cache
         .entry(spec.model.clone())
         .or_insert_with(|| prepare(&spec.model, &options));
     let stimulus = spec.trace.stimulus();
-    let drive = drive_prepared(prepared, stimulus.arrivals(), &options, tel, mode);
+    let drive = drive_prepared(prepared, stimulus.arrivals(), &options, tel, DeltaMode::Off);
     let reference = config.compare_conventional.then(|| {
         reference_for(
             &prepared.arch,
@@ -809,7 +802,7 @@ fn evaluate_inner(
         )
     });
 
-    let result = ScenarioResult {
+    ScenarioResult {
         index,
         label: spec.label.clone(),
         outcome: drive.outcome,
@@ -817,23 +810,10 @@ fn evaluate_inner(
         backend: spec.model.backend,
         reused_engine: drive.reused_engine,
         batched: false,
-        delta: matches!(drive.delta, DeltaLaneOutcome::Attached(_)),
         wall: drive.wall,
         fast_forward: drive.fast_forward,
         reference,
-    };
-    (result, drive.delta)
-}
-
-/// Evaluates one scenario on a worker-cached engine.
-fn evaluate(
-    cache: &mut HashMap<ModelSpec, PreparedModel>,
-    index: usize,
-    spec: &ScenarioSpec,
-    config: &SweepConfig,
-    tel: &mut Option<Box<TelemetrySink>>,
-) -> ScenarioResult {
-    evaluate_inner(cache, index, spec, config, tel, DeltaMode::Off).0
+    }
 }
 
 /// Why the batching layer sent a scenario down the scalar path.
@@ -848,13 +828,8 @@ enum ScalarReason {
     SingleLane,
 }
 
-/// A unit of worker-schedulable work: one scalar scenario, one lockstep
-/// batch of scenarios sharing a [`ModelSpec`], or one delta chain of
-/// structurally identical scalar scenarios (base first).
-///
-/// Chain members keep their [`ScalarReason`] so the batching counters are
-/// identical with delta chaining on or off — chaining regroups the scalar
-/// path, it does not reclassify it.
+/// A unit of worker-schedulable work: one scalar scenario or one lockstep
+/// batch of scenarios sharing a [`ModelSpec`].
 enum WorkUnit {
     Scalar {
         index: usize,
@@ -862,70 +837,11 @@ enum WorkUnit {
         reason: ScalarReason,
     },
     Batch(BatchGroup),
-    Delta(ChainMembers),
 }
 
 /// The lanes of one lockstep batch, in input order: `(grid index, spec)`.
 /// All members share one [`ModelSpec`].
 type BatchGroup = Vec<(usize, ScenarioSpec)>;
-
-/// Members of one delta chain, in input order: `(grid index, spec, the
-/// scalar-path reason the member kept)`. The first entry is the base.
-type ChainMembers = Vec<(usize, ScenarioSpec, ScalarReason)>;
-
-/// The delta-family key of a scalar scenario, or `None` when the scenario
-/// is ineligible for chaining (worklist backend or an empty trace). The
-/// structural component is [`cache::delta_family_key`], shared with the
-/// serve daemon's cross-request delta reuse.
-fn family_key(spec: &ScenarioSpec) -> Option<DeltaFamilyKey> {
-    if spec.trace.tokens == 0 {
-        return None;
-    }
-    delta_family_key(&spec.model)
-}
-
-/// Regroups scalar units into delta chains: families of two or more
-/// structurally identical scenarios become one [`WorkUnit::Delta`] (input
-/// order, first member is the base); singletons stay scalar. Non-scalar
-/// units pass through untouched — batches and chains compose side by side.
-fn plan_delta_chains(units: Vec<WorkUnit>) -> Vec<WorkUnit> {
-    let mut families: Vec<(DeltaFamilyKey, ChainMembers)> = Vec::new();
-    let mut out = Vec::with_capacity(units.len());
-    for unit in units {
-        match unit {
-            WorkUnit::Scalar {
-                index,
-                spec,
-                reason,
-            } => match family_key(&spec) {
-                Some(key) => match families.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push((index, spec, reason)),
-                    None => families.push((key, vec![(index, spec, reason)])),
-                },
-                None => out.push(WorkUnit::Scalar {
-                    index,
-                    spec,
-                    reason,
-                }),
-            },
-            other => out.push(other),
-        }
-    }
-    for (_, members) in families {
-        if members.len() >= 2 {
-            out.push(WorkUnit::Delta(members));
-        } else {
-            for (index, spec, reason) in members {
-                out.push(WorkUnit::Scalar {
-                    index,
-                    spec,
-                    reason,
-                });
-            }
-        }
-    }
-    out
-}
 
 /// Partitions the sweep into work units: compiled-backend scenarios with
 /// non-empty traces are grouped by [`ModelSpec`] into batches of up to
@@ -941,9 +857,6 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
                 spec,
                 reason: ScalarReason::BatchingOff,
             });
-        }
-        if config.delta {
-            units = plan_delta_chains(units);
         }
         return units;
     }
@@ -993,9 +906,6 @@ fn plan_units(scenarios: &[ScenarioSpec], config: &SweepConfig) -> Vec<WorkUnit>
             // model's engine re-lanes on reset).
             _ => units.push(WorkUnit::Batch(open)),
         }
-    }
-    if config.delta {
-        units = plan_delta_chains(units);
     }
     units
 }
@@ -1070,7 +980,6 @@ fn evaluate_batch(
                 backend: spec.model.backend,
                 reused_engine,
                 batched: true,
-                delta: false,
                 wall,
                 fast_forward,
                 reference,
@@ -1079,9 +988,7 @@ fn evaluate_batch(
         .collect()
 }
 
-/// Books one scalar evaluation into the batching counters and telemetry —
-/// shared by the plain scalar arm and every delta-chain member, so the
-/// batching ledger is identical with chaining on or off.
+/// Books one scalar evaluation into the batching counters and telemetry.
 fn count_scalar(
     stats: &mut BatchCounters,
     tel: &mut Option<Box<TelemetrySink>>,
@@ -1112,90 +1019,12 @@ fn count_scalar(
     }
 }
 
-/// Evaluates one delta chain: the first member is the base (full
-/// evaluation under capture, fast-forward suspended), the rest attach the
-/// captured cache and propagate only their change frontier. A refused
-/// capture or attachment falls back to full evaluation with the reason
-/// counted — outcomes are bitwise identical on every path.
-fn evaluate_delta_chain(
-    state: &mut EngineCaches,
-    chain: ChainMembers,
-    config: &SweepConfig,
-    stats: &mut BatchCounters,
-    delta_stats: &mut DeltaCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
-) -> Vec<ScenarioResult> {
-    delta_stats.chains_formed += 1;
-    let mut out = Vec::with_capacity(chain.len());
-    let mut base_cache: Option<Arc<DeltaCache>> = None;
-    let mut capture_fail: Option<&'static str> = None;
-    for (pos, (index, spec, reason)) in chain.into_iter().enumerate() {
-        count_scalar(stats, tel, index, &reason);
-        if pos == 0 {
-            delta_stats.lanes_base += 1;
-            let (result, outcome) = evaluate_inner(
-                &mut state.scalar,
-                index,
-                &spec,
-                config,
-                tel,
-                DeltaMode::CaptureBase,
-            );
-            match outcome {
-                DeltaLaneOutcome::Captured(cache) => base_cache = Some(cache),
-                DeltaLaneOutcome::CaptureFailed(reason) => capture_fail = Some(reason),
-                _ => {}
-            }
-            out.push(result);
-        } else if let Some(cache) = base_cache.clone() {
-            let (result, outcome) = evaluate_inner(
-                &mut state.scalar,
-                index,
-                &spec,
-                config,
-                tel,
-                DeltaMode::Sibling(&cache),
-            );
-            match outcome {
-                DeltaLaneOutcome::Attached(engine_stats) => {
-                    delta_stats.lanes_delta += 1;
-                    delta_stats.merge(&engine_stats);
-                }
-                DeltaLaneOutcome::Ejected(reason) => count_delta_eject(delta_stats, reason),
-                _ => {}
-            }
-            out.push(result);
-        } else {
-            count_delta_eject(delta_stats, capture_fail.unwrap_or("structure_mismatch"));
-            out.push(evaluate(&mut state.scalar, index, &spec, config, tel));
-        }
-    }
-    out
-}
-
-/// Books a delta sibling that fell back to full evaluation under its
-/// [`DeltaUnsupported::reason`](evolve_core::DeltaUnsupported::reason).
-fn count_delta_eject(delta: &mut DeltaCounters, reason: &str) {
-    match reason {
-        "multi_input" => delta.eject_multi_input += 1,
-        "output_acks" => delta.eject_output_acks += 1,
-        "worklist" => delta.eject_worklist += 1,
-        _ => delta.eject_structure_mismatch += 1,
-    }
-}
-
 fn process_unit(
     state: &mut EngineCaches,
     unit: WorkUnit,
     config: &SweepConfig,
-) -> (
-    Vec<ScenarioResult>,
-    BatchCounters,
-    DeltaCounters,
-    Option<Box<TelemetrySink>>,
-) {
+) -> (Vec<ScenarioResult>, BatchCounters, Option<Box<TelemetrySink>>) {
     let mut stats = BatchCounters::default();
-    let mut delta_stats = DeltaCounters::default();
     // One telemetry shard per unit; `run_sweep` merges shards in unit
     // order at its single ordering point.
     let mut tel: Option<Box<TelemetrySink>> =
@@ -1208,16 +1037,11 @@ fn process_unit(
         } => {
             count_scalar(&mut stats, &mut tel, index, &reason);
             let result = evaluate(&mut state.scalar, index, &spec, config, &mut tel);
-            (vec![result], stats, delta_stats, tel)
+            (vec![result], stats, tel)
         }
         WorkUnit::Batch(group) => {
             let results = evaluate_batch(state, group, config, &mut stats, &mut tel);
-            (results, stats, delta_stats, tel)
-        }
-        WorkUnit::Delta(chain) => {
-            let results =
-                evaluate_delta_chain(state, chain, config, &mut stats, &mut delta_stats, &mut tel);
-            (results, stats, delta_stats, tel)
+            (results, stats, tel)
         }
     }
 }
@@ -1249,13 +1073,11 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         batch_width: config.batch_width.max(1) as u64,
         ..BatchCounters::default()
     };
-    let mut delta = DeltaCounters::default();
     let mut results = Vec::with_capacity(scenarios.len());
     let mut telemetry: Option<TelemetrySink> = config.telemetry.then(TelemetrySink::new);
-    for (unit_results, unit_stats, unit_delta, unit_tel) in processed {
+    for (unit_results, unit_stats, unit_tel) in processed {
         results.extend(unit_results);
         batching.merge(&unit_stats);
-        delta.merge(&unit_delta);
         // Telemetry shards merge here too: `processed` is in unit order
         // for any thread count, so the aggregate is deterministic.
         if let (Some(total), Some(shard)) = (telemetry.as_mut(), unit_tel) {
@@ -1274,7 +1096,7 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         threads: config.threads.max(1),
         scenarios: results,
         batching,
-        delta,
+        delta: DeltaReport::default(),
         wall: start.elapsed(),
         telemetry: telemetry.map(|mut sink| sink.snapshot()),
     }
@@ -1323,7 +1145,6 @@ pub fn trace_scenario(
         backend: spec.model.backend,
         reused_engine: false,
         batched: false,
-        delta: false,
         wall,
         fast_forward,
         reference: None,
@@ -1331,14 +1152,11 @@ pub fn trace_scenario(
     (result, collector)
 }
 
-/// The default scenario grid shared by the sweep binary, the fig5 delta
-/// conformance gate, and the sweep tests: didactic chains and synthetic
-/// pipelines of growing depth, alternating saturating and jittered-periodic
-/// traces, exercising both engine backends.
-///
-/// The grid is sibling-heavy by construction — scenarios of the same shape
-/// recur with different loads and traces — so the delta-chain planner finds
-/// families to chain and the batching planner finds groups to batch.
+/// The default scenario grid shared by the sweep binary and the sweep
+/// tests: didactic chains and synthetic pipelines of growing depth,
+/// alternating saturating and jittered-periodic traces, exercising both
+/// engine backends. Scenarios of the same model recur with different
+/// traces, so the batching planner finds groups to batch.
 pub fn default_grid(count: u64, tokens: u64) -> Vec<ScenarioSpec> {
     (0..count)
         .map(|i| {
@@ -1675,69 +1493,6 @@ mod tests {
         assert!(report.batching.kernel_chunked_sweeps >= 10, "{:?}", report.batching);
         assert_eq!(report.batching.kernel_scalar_sweeps, 0);
         assert!(report.to_json().render().contains("\"kernel_chunked_sweeps\""));
-    }
-
-    #[test]
-    fn delta_chains_match_full_evaluation_bitwise() {
-        let scenarios = default_grid(24, 40);
-        let on = run_sweep(&scenarios, &SweepConfig { threads: 2, ..SweepConfig::default() });
-        let off = run_sweep(
-            &scenarios,
-            &SweepConfig { threads: 2, delta: false, ..SweepConfig::default() },
-        );
-        assert!(on.delta.chains_formed > 0, "the default grid is sibling-heavy");
-        assert!(on.delta.lanes_delta > 0);
-        assert_eq!(
-            on.delta.eject_multi_input
-                + on.delta.eject_output_acks
-                + on.delta.eject_worklist
-                + on.delta.eject_structure_mismatch,
-            0,
-            "every planned sibling attaches: the planner only chains compiled \
-             single-input ack-free families"
-        );
-        assert_eq!(off.delta, DeltaCounters::default());
-        assert_eq!(on.batching, off.batching, "chaining must not change the batching ledger");
-        for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-        }
-        assert!(on.scenarios.iter().any(|s| s.delta));
-        assert!(off.scenarios.iter().all(|s| !s.delta));
-        let rendered = on.to_json().render();
-        assert!(rendered.contains("\"chains_formed\""));
-        assert!(rendered.contains("\"delta\":true"));
-    }
-
-    #[test]
-    fn delta_stats_are_deterministic_across_thread_counts() {
-        let scenarios = default_grid(20, 30);
-        let seq = run_sweep(&scenarios, &SweepConfig { threads: 1, ..SweepConfig::default() });
-        let par = run_sweep(&scenarios, &SweepConfig { threads: 4, ..SweepConfig::default() });
-        // Chains are whole work units, so membership — and with it every
-        // node-level counter — is independent of worker scheduling.
-        assert_eq!(seq.delta, par.delta);
-        for (a, b) in seq.scenarios.iter().zip(&par.scenarios) {
-            assert_eq!(a.delta, b.delta, "scenario {}", a.label);
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-        }
-    }
-
-    #[test]
-    fn delta_chains_compose_with_batching() {
-        // Width 2 over the grid leaves leftovers and odd groups on the
-        // scalar path, which the delta planner then chains — both layers
-        // active in one sweep, outcomes still bitwise.
-        let scenarios = default_grid(16, 30);
-        let config = SweepConfig { threads: 2, batch_width: 2, ..SweepConfig::default() };
-        let mixed = run_sweep(&scenarios, &config);
-        let plain = run_sweep(
-            &scenarios,
-            &SweepConfig { batch_width: 1, delta: false, threads: 1, ..SweepConfig::default() },
-        );
-        assert!(mixed.batching.lanes_batched > 0);
-        for (a, b) in mixed.scenarios.iter().zip(&plain.scenarios) {
-            assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
-        }
     }
 
     #[test]

@@ -65,7 +65,6 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
     snapshot.engine.write_exposition(&mut out);
     snapshot.ff.write_exposition(&mut out);
     snapshot.batch.write_exposition(&mut out);
-    snapshot.delta.write_exposition(&mut out);
     snapshot.serve.write_exposition(&mut out);
 
     if let Some(gauges) = &snapshot.serve_gauges {

@@ -42,7 +42,7 @@ pub use export::prometheus;
 pub use flight::{FlightRecorder, FlightSpan, Phase, TrackId};
 pub use json::Json;
 pub use metrics::{
-    BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters, FoldedResource,
+    BatchCounters, EngineCounters, EventCounters, FfCounters, FoldedResource,
     LogHistogram, MetricsSnapshot, PeriodUsage, PhaseSnapshot, ResourceMetrics, ResourceSnapshot,
     ServeCounters, ServeGauges, TelemetrySink,
 };

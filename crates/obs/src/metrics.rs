@@ -448,71 +448,6 @@ counter_set! {
 }
 
 counter_set! {
-    /// Delta-evaluation counters: one engine's delta work (`evolve-core`'s
-    /// `Engine::delta_stats`, whose chain-bookkeeping and `eject_*` fields
-    /// stay zero) or a whole sweep's (`evolve-explore`'s
-    /// `SweepReport::delta`).
-    DeltaCounters {
-        counter "evolve_delta_chains_formed_total"
-            "Base+sibling delta chains formed by the sweep planner" {
-            /// Base+sibling chains formed by the sweep planner.
-            chains_formed
-        }
-        counter "evolve_delta_lanes_base_total"
-            "Scenarios evaluated as fully-swept delta-chain bases" {
-            /// Scenarios evaluated as the fully-swept base of a chain.
-            lanes_base
-        }
-        counter "evolve_delta_lanes_delta_total" "Scenarios evaluated against a base cache" {
-            /// Scenarios evaluated against a base cache.
-            lanes_delta
-        }
-        counter "evolve_delta_calls_total" "Input offers answered by the delta sweep" {
-            /// Calls answered by the delta sweep (clean copy or frontier recompute).
-            calls_delta
-        }
-        counter "evolve_delta_calls_full_total" "Offers a delta-linked engine evaluated fully" {
-            /// Calls a delta-linked engine evaluated fully (beyond the cached
-            /// rows, after a worklist fallback, or once the sibling's trace
-            /// diverged from the base).
-            calls_full
-        }
-        counter "evolve_delta_nodes_reused_total" "Node instants copied from the base cache" {
-            /// Node instants copied from the base cache without recomputation.
-            nodes_reused
-        }
-        counter "evolve_delta_nodes_recomputed_total"
-            "Node instants recomputed by the change frontier" {
-            /// Node instants recomputed because an input of the fold changed.
-            nodes_recomputed
-        }
-        counter "evolve_delta_nodes_settled_total"
-            "Recomputed instants that matched the cache (frontier early-out)" {
-            /// Recomputed nodes whose instant matched the cache (max-plus
-            /// early-out: their downstream dependents stay clean).
-            nodes_settled
-        }
-        counter "evolve_delta_frontier_collapses_total" "Delta calls that recomputed zero nodes" {
-            /// Delta calls that recomputed zero nodes (the change frontier
-            /// collapsed before reaching any instant).
-            frontier_collapses
-        }
-        counter "evolve_delta_ejections_total"
-            "Scenarios ejected from delta chains to full evaluation, by reason" {
-            /// Lanes ejected: the graph has multiple external inputs.
-            eject_multi_input reason = "multi_input",
-            /// Lanes ejected: the graph has acknowledged outputs.
-            eject_output_acks reason = "output_acks",
-            /// Lanes ejected: the engine runs the worklist backend.
-            eject_worklist reason = "worklist",
-            /// Lanes ejected: the sibling's compiled structure differs from the
-            /// base cache.
-            eject_structure_mismatch reason = "structure_mismatch",
-        }
-    }
-}
-
-counter_set! {
     /// Counts of observed [`EngineEvent`]s.
     EventCounters {
         counter "evolve_events_total" "Engine lifecycle events observed, by kind" {
@@ -591,8 +526,6 @@ counter_set! {
             lanes_batched path = "batched",
             /// Request lanes evaluated on the scalar path (ejected or singleton).
             lanes_scalar path = "scalar",
-            /// Request lanes evaluated as a delta against a family base cache.
-            lanes_delta path = "delta",
         }
     }
 }
@@ -607,8 +540,6 @@ pub struct TelemetrySink {
     pub ff: FfCounters,
     /// Batching counters (recorded by the sweep layer).
     pub batch: BatchCounters,
-    /// Delta-evaluation counters (recorded by the sweep layer).
-    pub delta: DeltaCounters,
     /// Serving-layer counters (recorded by the serve daemon's shards).
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -656,7 +587,6 @@ impl TelemetrySink {
         self.engine.merge(&other.engine);
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
-        self.delta.merge(&other.delta);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.regimes.extend(other.regimes);
@@ -689,7 +619,6 @@ impl TelemetrySink {
             engine: self.engine,
             ff: self.ff,
             batch: self.batch,
-            delta: self.delta,
             serve: self.serve,
             events: self.events,
             regimes: self.regimes.clone(),
@@ -810,8 +739,6 @@ pub struct MetricsSnapshot {
     pub ff: FfCounters,
     /// Batching counters.
     pub batch: BatchCounters,
-    /// Delta-evaluation counters.
-    pub delta: DeltaCounters,
     /// Serving-layer counters.
     pub serve: ServeCounters,
     /// Lifecycle event counts.
@@ -860,7 +787,6 @@ impl MetricsSnapshot {
         self.engine.merge(&other.engine);
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
-        self.delta.merge(&other.delta);
         self.serve.merge(&other.serve);
         self.events.merge(&other.events);
         self.regimes.extend(other.regimes.iter().copied());
@@ -930,7 +856,6 @@ impl MetricsSnapshot {
                 with_key(self.ff.to_json(), "regimes", Json::Array(regimes)),
             ),
             ("batching", self.batch.to_json()),
-            ("delta", self.delta.to_json()),
             ("serve", self.serve.to_json()),
             (
                 "events",
@@ -1343,24 +1268,6 @@ mod tests {
         assert_eq!(snap.resources[0].ops, 12);
         assert_eq!(snap.events.offers, 2);
         assert_eq!(snap.events.replayed_offers, 1);
-    }
-
-    #[test]
-    fn delta_merge_adds_counters() {
-        let mut a = DeltaCounters {
-            calls_delta: 1,
-            calls_full: 2,
-            nodes_reused: 3,
-            nodes_recomputed: 4,
-            nodes_settled: 5,
-            frontier_collapses: 6,
-            ..DeltaCounters::default()
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.calls_delta, 2);
-        assert_eq!(a.frontier_collapses, 12);
-        assert_eq!(a.nodes_settled, 10);
-        assert_eq!(a.lanes_delta, 0, "chain bookkeeping stays zero");
     }
 
     #[test]

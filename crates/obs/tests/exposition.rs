@@ -3,7 +3,7 @@
 //! every exported family is documented in `docs/OBSERVABILITY.md`.
 
 use evolve_obs::{
-    prometheus, BatchCounters, DeltaCounters, EngineCounters, EventCounters, FfCounters,
+    prometheus, BatchCounters, EngineCounters, EventCounters, FfCounters,
     LogHistogram, MetricsSnapshot, PhaseSnapshot, ResourceSnapshot, ServeCounters, ServeGauges,
 };
 
@@ -15,7 +15,7 @@ fn hist(samples: &[u64]) -> LogHistogram {
     h
 }
 
-/// Every counter of the seven sets distinct and nonzero; resources,
+/// Every counter of the five sets distinct and nonzero; resources,
 /// phases and serve gauges set.
 fn fixture() -> MetricsSnapshot {
     MetricsSnapshot {
@@ -45,21 +45,6 @@ fn fixture() -> MetricsSnapshot {
             eject_unsupported: 3011,
             eject_partitioned: 3012,
         },
-        delta: DeltaCounters {
-            chains_formed: 4001,
-            lanes_base: 4002,
-            lanes_delta: 4003,
-            calls_delta: 4004,
-            calls_full: 4005,
-            nodes_reused: 4006,
-            nodes_recomputed: 4007,
-            nodes_settled: 4008,
-            frontier_collapses: 4009,
-            eject_multi_input: 4010,
-            eject_output_acks: 4011,
-            eject_worklist: 4012,
-            eject_structure_mismatch: 4013,
-        },
         serve: ServeCounters {
             connections: 6001,
             requests: 6002,
@@ -71,7 +56,6 @@ fn fixture() -> MetricsSnapshot {
             batches_deadline: 6008,
             lanes_batched: 6009,
             lanes_scalar: 6010,
-            lanes_delta: 6011,
         },
         events: EventCounters {
             attaches: 7001,

@@ -39,7 +39,6 @@ OPTIONS:
                              up to a power of two [default: 1024]
     --no-flight-recorder     disable the always-on flight recorder
     --naive                  baseline mode: fresh engine per request, no batching
-    --no-delta               disable cross-request delta chaining
     --no-fast-forward        disable periodic fast-forward
     --no-telemetry           do not attach per-shard telemetry sinks
     --record-observations    record full observation streams
@@ -119,7 +118,6 @@ fn main() -> ExitCode {
             },
             "--no-flight-recorder" => config.flight_recorder = false,
             "--naive" => config.naive = true,
-            "--no-delta" => config.delta = false,
             "--no-fast-forward" => config.fast_forward = evolve_core::FastForward::Off,
             "--no-telemetry" => config.telemetry = false,
             "--record-observations" => config.record_observations = true,

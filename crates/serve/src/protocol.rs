@@ -195,10 +195,14 @@ pub struct EvalResponse {
     /// Fast-forward counters: promotions, demotions, fast-forwarded
     /// iterations.
     pub ff: [u64; 3],
-    /// Whether this lane evaluated against a delta base cache.
+    /// Always `false`: the cross-request delta chaining this flag
+    /// reported is gone. Kept, with its wire byte, only because the
+    /// benchmark crate reads it; the next benchmark change (ROADMAP item
+    /// 10) removes it.
     pub delta_attached: bool,
-    /// Delta counters: calls delta, calls full, nodes reused, nodes
-    /// recomputed, nodes settled, frontier collapses.
+    /// Always zero, for the same reason as
+    /// [`delta_attached`](EvalResponse::delta_attached); the six words
+    /// stay on the wire.
     pub delta: [u64; 6],
     /// Whether this lane ran inside a lockstep batch.
     pub batched: bool,

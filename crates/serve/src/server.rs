@@ -72,8 +72,6 @@ pub struct ServeConfig {
     pub fast_forward: FastForward,
     /// Fast-forward confirmation window (periods).
     pub ff_confirm_periods: u64,
-    /// Cross-request delta chaining on the scalar path.
-    pub delta: bool,
     /// Baseline mode: a fresh engine per request, immediate dispatch, no
     /// caches — the strategy the affinity-batched path is measured
     /// against.
@@ -106,7 +104,6 @@ impl Default for ServeConfig {
             record_observations: false,
             fast_forward: FastForward::On,
             ff_confirm_periods: DEFAULT_CONFIRM_PERIODS,
-            delta: true,
             naive: false,
             telemetry: true,
             flight_recorder: true,

@@ -21,14 +21,13 @@ use std::time::{Duration, Instant};
 
 use evolve_core::{EvalBackend, FastForwardStats};
 use evolve_explore::cache::{
-    delta_family_key, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaBases,
-    DeltaLaneOutcome, DeltaMode, EngineCaches, EngineOptions, PreparedDrive,
+    drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaMode, EngineCaches,
+    EngineOptions, PreparedDrive,
 };
 use evolve_explore::{ModelSpec, ScenarioOutcome};
 use evolve_model::Arrival;
 use evolve_obs::{
-    BatchCounters, DeltaCounters, FlightRecorder, MetricsSnapshot, Phase, ServeCounters,
-    TelemetrySink, TrackId,
+    BatchCounters, FlightRecorder, MetricsSnapshot, Phase, ServeCounters, TelemetrySink, TrackId,
 };
 
 use crate::net::Conn;
@@ -154,7 +153,6 @@ struct Worker {
     cfg: Arc<ServeConfig>,
     options: EngineOptions,
     caches: EngineCaches,
-    bases: DeltaBases,
     sink: Option<Box<TelemetrySink>>,
     counters: ServeCounters,
     depth: Arc<AtomicUsize>,
@@ -182,7 +180,6 @@ impl Worker {
             cfg,
             options,
             caches: EngineCaches::default(),
-            bases: DeltaBases::default(),
             sink,
             counters: ServeCounters::default(),
             depth,
@@ -403,7 +400,7 @@ impl Worker {
                 sink.ff.merge(&ff.into());
             }
             self.counters.lanes_batched += 1;
-            let resp = eval_ok(job.id, &outcome, ff, None, true, n as u32);
+            let resp = eval_ok(job.id, &outcome, ff, true, n as u32);
             lanes.push((job, Response::EvalOk(resp)));
         }
         // One write per connection: the stable sort brings each
@@ -416,25 +413,15 @@ impl Worker {
 
     fn eval_scalar(&mut self, spec: &ModelSpec, job: Job, lanes_in_batch: u32) {
         let options = self.options;
-        let key = (self.cfg.delta && !self.cfg.naive && !job.arrivals.is_empty())
-            .then(|| delta_family_key(spec))
-            .flatten();
-        let base = key.as_ref().and_then(|k| self.bases.get(k).cloned());
-        let mode = match (&base, &key) {
-            (Some(arc), _) => DeltaMode::Sibling(arc),
-            (None, Some(_)) => DeltaMode::CaptureBase,
-            (None, None) => DeltaMode::Off,
-        };
         let eval_start = Self::flight_now(&self.flight);
         let drive = if self.cfg.naive {
             // Baseline serving strategy: a fresh engine per request, no
-            // cache, no delta chain — what a one-request-per-process
-            // evaluator would do.
+            // cache — what a one-request-per-process evaluator would do.
             let mut fresh = prepare(spec, &options);
-            drive_prepared(&mut fresh, &job.arrivals, &options, &mut self.sink, mode)
+            drive_prepared(&mut fresh, &job.arrivals, &options, &mut self.sink, DeltaMode::Off)
         } else {
             let prepared = self.caches.scalar_mut(spec, &options);
-            drive_prepared(prepared, &job.arrivals, &options, &mut self.sink, mode)
+            drive_prepared(prepared, &job.arrivals, &options, &mut self.sink, DeltaMode::Off)
         };
         if let Some(f) = &self.flight {
             f.record(Phase::Eval, job.corr, eval_start, f.recorder.now_ns(), job.label, 1);
@@ -442,39 +429,14 @@ impl Worker {
         let PreparedDrive {
             outcome,
             fast_forward,
-            delta,
             ..
         } = drive;
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.engine.merge(&outcome.engine_stats);
             sink.ff.merge(&fast_forward.into());
         }
-        let mut attached: Option<DeltaCounters> = None;
-        match delta {
-            DeltaLaneOutcome::Captured(cache) => {
-                if let Some(k) = key {
-                    self.bases.insert(k, cache);
-                }
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.delta.lanes_base += 1;
-                }
-            }
-            DeltaLaneOutcome::Attached(stats) => {
-                attached = Some(stats);
-                self.counters.lanes_delta += 1;
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.delta.merge(&DeltaCounters {
-                        lanes_delta: 1,
-                        ..stats
-                    });
-                }
-            }
-            DeltaLaneOutcome::NotRequested
-            | DeltaLaneOutcome::CaptureFailed(_)
-            | DeltaLaneOutcome::Ejected(_) => {}
-        }
         self.counters.lanes_scalar += 1;
-        let resp = eval_ok(job.id, &outcome, fast_forward, attached, false, lanes_in_batch);
+        let resp = eval_ok(job.id, &outcome, fast_forward, false, lanes_in_batch);
         self.respond(&[(job, Response::EvalOk(resp))]);
     }
 
@@ -564,7 +526,6 @@ fn eval_ok(
     id: u64,
     outcome: &ScenarioOutcome,
     ff: FastForwardStats,
-    delta: Option<DeltaCounters>,
     batched: bool,
     lanes_in_batch: u32,
 ) -> EvalResponse {
@@ -581,19 +542,8 @@ fn eval_ok(
             es.batched_iterations,
         ],
         ff: [ff.promotions, ff.demotions, ff.fast_forwarded_iterations],
-        delta_attached: delta.is_some(),
-        delta: delta
-            .map(|d| {
-                [
-                    d.calls_delta,
-                    d.calls_full,
-                    d.nodes_reused,
-                    d.nodes_recomputed,
-                    d.nodes_settled,
-                    d.frontier_collapses,
-                ]
-            })
-            .unwrap_or_default(),
+        delta_attached: false,
+        delta: [0; 6],
         batched,
         lanes_in_batch,
     }
