@@ -7,13 +7,16 @@
 //!   scenario-sweep path with reused engines,
 //! * graph simplification on/off (node count vs. engine cost),
 //! * kernel cost regime (how much the event savings are worth),
-//! * partial abstraction (hybrid model) as a middle ground.
+//! * partial abstraction (hybrid model) as a middle ground, timed against
+//!   the conventional model in alternating pairs.
 //!
 //! Exits with status 1 when any row is not `exact`.
 //!
 //! Usage: `ablation [tokens]` (default: 20 000).
 
-use evolve_bench::{exit_unless_exact, format_row, header, measure, Fidelity};
+use evolve_bench::{
+    exit_unless_exact, format_row, header, measure, on_cpu, paired, Fidelity, MEASURE_PAIRS,
+};
 use evolve_core::{derive_tdg, simplify, EvalBackend};
 use evolve_explore::{run_sweep, ModelKind, ModelSpec, ScenarioSpec, SweepConfig, TraceSpec};
 use evolve_model::{didactic, varying_sizes, Environment, Stimulus};
@@ -111,17 +114,33 @@ fn main() {
         .filter(|i| i % 4 < 2) // F1, F2 of both stages (P1/P1.1 exclusive)
         .map(evolve_model::FunctionId::from_index)
         .collect();
-    let conventional = evolve_model::elaborate(&d.arch, &env).expect("builds").run();
-    let hybrid = evolve_core::partial::hybrid_simulation(&d.arch, &group, &env)
-        .expect("hybrid builds")
-        .run();
+    let (mut conventional, mut hybrid) = (None, None);
+    let timing = paired(
+        MEASURE_PAIRS,
+        || {
+            let sim = evolve_core::partial::hybrid_simulation(&d.arch, &group, &env)
+                .expect("hybrid builds");
+            let (report, ns) = on_cpu(|| sim.run());
+            hybrid = Some(report);
+            ns
+        },
+        || {
+            let sim = evolve_model::elaborate(&d.arch, &env).expect("builds");
+            let (report, ns) = on_cpu(|| sim.run());
+            conventional = Some(report);
+            ns
+        },
+    );
+    let conventional = conventional.expect("paired runs both sides");
+    let hybrid = hybrid.expect("paired runs both sides");
     let hybrid_exact = (0..d.arch.app().relations().len()).all(|r| {
         conventional.relation_logs[r].write_instants == hybrid.run.relation_logs[r].write_instants
     });
     println!(
-        "hybrid (P1-side abstracted): conv {:?} vs hybrid {:?}, activations {} -> {}, {}",
-        conventional.wall,
-        hybrid.run.wall,
+        "hybrid (P1-side abstracted): conv {:.3} ms vs hybrid {:.3} ms, speed-up [q1–q3] won \
+         {timing}, activations {} -> {}, {}",
+        timing.b / 1e6,
+        timing.a / 1e6,
         conventional.stats.activations,
         hybrid.run.stats.activations,
         if hybrid_exact { "exact" } else { "MISMATCH" }

@@ -4,22 +4,26 @@
 //! Spawns N client threads, each pipelining one request at a time against
 //! the daemon (closed loop: send, wait for the answer, send again), all
 //! asking for the *same* `ModelSpec` so the affinity batcher can fill
-//! lockstep lanes. The run has two phases measured back to back in the
-//! same process:
+//! lockstep lanes. One client phase runs for a fixed duration; its cost is
+//! its wall time per answered scenario. Two comparisons each alternate
+//! phases of their two sides in pairs ([`evolve_bench::paired`]):
 //!
-//! 1. **affinity** — the daemon under test (an external one via
+//! 1. **affinity vs naive** — the daemon under test (an external one via
 //!    `--connect`, else an in-process server with default batching
-//!    configuration);
-//! 2. **naive** — an in-process server in `naive` mode: one fresh engine
-//!    per request, no batching, no caches — the per-request-engine
-//!    baseline a service without affinity batching would run.
+//!    configuration) against an in-process server in `naive` mode: one
+//!    fresh engine per request, no batching, no caches — the
+//!    per-request-engine baseline a service without affinity batching
+//!    would run;
+//! 2. **recorder attached vs detached** — two in-process servers that
+//!    differ only in whether the flight recorder is attached.
 //!
-//! The headline number is the *within-run ratio* of sustained
-//! scenarios/second between the two phases (absolute throughput on a
-//! shared host drifts; the ratio isolates the serving strategy). Full
-//! runs gate on ratio ≥ 2 and publish `results/bench_serve.json`;
-//! `--quick` gates on ratio > 1 plus lanes-per-batch > 1 and is what
-//! `ci.sh` drives against a real `evolved` process.
+//! Each headline number is a *within-run ratio* of scenarios/second, the
+//! median over pairs, printed with its quartiles and the pairs the first
+//! side won (absolute throughput on a shared host drifts; the ratio
+//! isolates the serving strategy). Full runs gate affinity/naive at ≥ 2
+//! and publish `results/bench_serve.json`; `--quick` gates it at > 1 plus
+//! lanes-per-batch > 1 and is what `ci.sh` drives against a real
+//! `evolved` process.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -30,6 +34,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use evolve_bench::{paired, Paired};
 use evolve_core::EvalBackend;
 use evolve_explore::{ModelKind, ModelSpec, TraceSpec};
 use evolve_obs::json::Json;
@@ -44,16 +49,16 @@ USAGE:
     serve-bench [OPTIONS]
 
 OPTIONS:
-    --quick              smoke mode: short phases, relaxed ratio gate (> 1x)
+    --quick              smoke mode: short phases, relaxed ratio gates
     --connect TARGET     drive an external daemon (tcp:HOST:PORT or unix:PATH)
-                         for the affinity phase instead of an in-process one
+                         for the affinity phases instead of an in-process one
     --metrics ADDR       HOST:PORT of the daemon's /metrics listener to check
                          (implied for the in-process server)
-    --dump-trace PATH    after phase 1, request a flight-recorder Dump from
-                         the live daemon, validate it (JSON parses, >= 1 span
-                         per serve phase), and write it to PATH
+    --dump-trace PATH    after the affinity phases, request a flight-recorder
+                         Dump from the live daemon, validate it (JSON parses,
+                         >= 1 span per serve phase), and write it to PATH
     --clients N          closed-loop client threads per phase [16; 8 in quick]
-    --duration-ms N      measured duration per phase [2500; 400 in quick]
+    --duration-ms N      duration of one client phase [2500; 400 in quick]
     --out PATH           report path [results/bench_serve.json;
                          results/bench_serve_smoke.json in quick]
     -h, --help           print this help
@@ -75,6 +80,9 @@ fn workload_spec() -> ModelSpec {
 
 const TOKENS_PER_REQUEST: u64 = 24;
 
+/// Pairs of client phases each comparison alternates.
+const PAIRS: usize = 5;
+
 fn request(id: u64, spec: &ModelSpec) -> Request {
     Request::Eval(EvalRequest {
         id,
@@ -89,20 +97,29 @@ fn request(id: u64, spec: &ModelSpec) -> Request {
     })
 }
 
+/// Totals of client phases: answers, `Busy` rejections, batched answers
+/// and their lanes, and wall time.
 #[derive(Clone, Copy, Debug, Default)]
-struct Tally {
+struct Phase {
     responses: u64,
     busy: u64,
     batched: u64,
     lanes: u64,
+    wall: Duration,
 }
 
-impl Tally {
-    fn add(&mut self, other: Tally) {
+impl Phase {
+    fn add(&mut self, other: Phase) {
         self.responses += other.responses;
         self.busy += other.busy;
         self.batched += other.batched;
         self.lanes += other.lanes;
+        self.wall += other.wall;
+    }
+
+    /// Seconds per answered scenario: a phase's cost in a pairing.
+    fn cost(&self) -> f64 {
+        self.wall.as_secs_f64() / self.responses.max(1) as f64
     }
 
     fn lanes_per_batched_response(&self) -> f64 {
@@ -112,27 +129,19 @@ impl Tally {
             self.lanes as f64 / self.batched as f64
         }
     }
-}
 
-#[derive(Clone, Copy, Debug)]
-struct Phase {
-    tally: Tally,
-    wall: Duration,
-}
-
-impl Phase {
     fn scenarios_per_second(&self) -> f64 {
-        self.tally.responses as f64 / self.wall.as_secs_f64().max(1e-9)
+        self.responses as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
     fn to_json(self) -> Json {
         Json::object([
-            ("responses", Json::U64(self.tally.responses)),
-            ("busy", Json::U64(self.tally.busy)),
-            ("batched_responses", Json::U64(self.tally.batched)),
+            ("responses", Json::U64(self.responses)),
+            ("busy", Json::U64(self.busy)),
+            ("batched_responses", Json::U64(self.batched)),
             (
                 "lanes_per_batch",
-                Json::F64(self.tally.lanes_per_batched_response()),
+                Json::F64(self.lanes_per_batched_response()),
             ),
             ("wall_ms", Json::F64(self.wall.as_secs_f64() * 1e3)),
             (
@@ -157,7 +166,7 @@ fn drive_clients(target: &str, spec: &ModelSpec, clients: usize, duration: Durat
             let stop = Arc::clone(&stop);
             thread::spawn(move || {
                 let mut client = ServeClient::connect(&target).expect("serve-bench connect");
-                let mut tally = Tally::default();
+                let mut tally = Phase::default();
                 let mut seq = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let id = ((c as u64) << 32) | seq;
@@ -182,14 +191,12 @@ fn drive_clients(target: &str, spec: &ModelSpec, clients: usize, duration: Durat
         .collect();
     thread::sleep(duration);
     stop.store(true, Ordering::Relaxed);
-    let mut tally = Tally::default();
+    let mut phase = Phase::default();
     for join in joins {
-        tally.add(join.join().expect("client thread"));
+        phase.add(join.join().expect("client thread"));
     }
-    Phase {
-        tally,
-        wall: start.elapsed(),
-    }
+    phase.wall = start.elapsed();
+    phase
 }
 
 fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
@@ -279,6 +286,32 @@ fn write_report(path: &str, doc: &Json) {
     println!("serve report written to {}", path.display());
 }
 
+/// Alternates client phases against targets `a` and `b` in [`PAIRS`]
+/// pairs: the paired ratio is `a`'s scenarios/second over `b`'s, and each
+/// side's phases, its warm-up included, are summed.
+fn compare(a: &str, b: &str, spec: &ModelSpec, opts: &Options) -> (Paired, Phase, Phase) {
+    fn phase(target: &str, spec: &ModelSpec, opts: &Options, total: &mut Phase) -> f64 {
+        let phase = drive_clients(target, spec, opts.clients, opts.duration);
+        total.add(phase);
+        phase.cost()
+    }
+    let (mut total_a, mut total_b) = (Phase::default(), Phase::default());
+    let ratio = paired(
+        PAIRS,
+        || phase(a, spec, opts, &mut total_a),
+        || phase(b, spec, opts, &mut total_b),
+    );
+    (ratio, total_a, total_b)
+}
+
+/// An in-process server on an ephemeral loopback port, and its target.
+fn boot(config: ServeConfig, metrics: Option<&str>) -> (Server, String) {
+    let server = Server::start(config, &[Bind::Tcp("127.0.0.1:0".into())], metrics)
+        .expect("in-process server");
+    let target = format!("tcp:{}", server.tcp_addr().expect("tcp bound"));
+    (server, target)
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -290,21 +323,21 @@ fn main() -> ExitCode {
 
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
     let spec = workload_spec();
+    let phases = format!(
+        "{PAIRS} pairs of {} clients x {:?} phases",
+        opts.clients, opts.duration
+    );
 
-    // Phase 1: the daemon under test — external if --connect was given,
-    // else an in-process server (default batching configuration).
+    // The daemon under test — external if --connect was given, else an
+    // in-process server (default batching configuration) — against the
+    // naive baseline, always in-process so the ratio is measured within
+    // this run on this host.
     let mut local = None;
     let mut metrics = opts.metrics.clone();
     let affinity_target = match &opts.connect {
         Some(target) => target.clone(),
         None => {
-            let server = Server::start(
-                ServeConfig::default(),
-                &[Bind::Tcp("127.0.0.1:0".into())],
-                Some("127.0.0.1:0"),
-            )
-            .expect("in-process phase-1 server");
-            let target = format!("tcp:{}", server.tcp_addr().expect("tcp bound"));
+            let (server, target) = boot(ServeConfig::default(), Some("127.0.0.1:0"));
             if metrics.is_none() {
                 metrics = server.metrics_addr().map(|a| a.to_string());
             }
@@ -312,16 +345,20 @@ fn main() -> ExitCode {
             target
         }
     };
-    println!(
-        "affinity phase: {} clients x {} ms against {affinity_target}",
-        opts.clients,
-        opts.duration.as_millis()
+    let (naive_server, naive_target) = boot(
+        ServeConfig {
+            naive: true,
+            ..ServeConfig::default()
+        },
+        None,
     );
-    let affinity = drive_clients(&affinity_target, &spec, opts.clients, opts.duration);
+    println!("affinity vs naive: {phases}, against {affinity_target} and {naive_target}");
+    let (speedup, affinity, naive) = compare(&affinity_target, &naive_target, &spec, &opts);
+    naive_server.shutdown_and_join();
 
-    // Flight-recorder dump from the still-live phase-1 daemon: the trace
-    // must be valid JSON and must contain at least one span for every
-    // serve lifecycle phase before it is written out.
+    // Flight-recorder dump from the still-live daemon under test: the
+    // trace must be valid JSON and must contain at least one span for
+    // every serve lifecycle phase before it is written out.
     if let Some(path) = &opts.dump_trace {
         let mut client = ServeClient::connect(&affinity_target).expect("dump-trace connect");
         let json = match client.call(&Request::Dump) {
@@ -368,101 +405,44 @@ fn main() -> ExitCode {
         server.shutdown_and_join();
     }
 
-    // Phase 2: the naive baseline, always in-process so the ratio is
-    // measured within this run on this host.
-    let naive_server = Server::start(
-        ServeConfig {
-            naive: true,
-            ..ServeConfig::default()
-        },
-        &[Bind::Tcp("127.0.0.1:0".into())],
-        None,
-    )
-    .expect("in-process phase-2 server");
-    let naive_target = format!("tcp:{}", naive_server.tcp_addr().expect("tcp bound"));
-    println!(
-        "naive phase:    {} clients x {} ms against {naive_target}",
-        opts.clients,
-        opts.duration.as_millis()
-    );
-    let naive = drive_clients(&naive_target, &spec, opts.clients, opts.duration);
-    naive_server.shutdown_and_join();
-
-    // Recorder overhead: two long-lived in-process servers with identical
-    // batching configuration, differing only in whether the flight
-    // recorder is attached. Both are booted and warmed once, then driven
-    // in three temporally-adjacent detached→attached pairs; the gate uses
-    // the *median* per-pair ratio. Pairing cancels slow host drift (both
-    // sides of a pair see the same machine state) and the median tolerates
-    // one noise-spiked pair — absolute scenarios/second is never compared
-    // across time. Detached leads each pair so warmup asymmetry never
-    // favours the recorder.
-    let (detached, attached, overhead_ratio) = {
-        let boot = |attach: bool| {
-            Server::start(
-                ServeConfig {
-                    flight_recorder: attach,
-                    ..ServeConfig::default()
-                },
-                &[Bind::Tcp("127.0.0.1:0".into())],
-                None,
-            )
-            .expect("in-process recorder-overhead server")
-        };
-        let detached_srv = boot(false);
-        let attached_srv = boot(true);
-        let d_target = format!("tcp:{}", detached_srv.tcp_addr().expect("tcp bound"));
-        let a_target = format!("tcp:{}", attached_srv.tcp_addr().expect("tcp bound"));
-        let warmup = opts.duration / 4;
-        drive_clients(&d_target, &spec, opts.clients, warmup);
-        drive_clients(&a_target, &spec, opts.clients, warmup);
-        let fold = |acc: Option<Phase>, p: Phase| {
-            Some(match acc {
-                None => p,
-                Some(mut acc) => {
-                    acc.tally.add(p.tally);
-                    acc.wall += p.wall;
-                    acc
-                }
-            })
-        };
-        let (mut detached, mut attached) = (None, None);
-        let mut ratios = Vec::new();
-        for _ in 0..5 {
-            let d = drive_clients(&d_target, &spec, opts.clients, opts.duration);
-            let a = drive_clients(&a_target, &spec, opts.clients, opts.duration);
-            ratios.push(a.scenarios_per_second() / d.scenarios_per_second().max(1e-9));
-            detached = fold(detached, d);
-            attached = fold(attached, a);
-        }
-        detached_srv.shutdown_and_join();
-        attached_srv.shutdown_and_join();
-        let (detached, attached) = (detached.expect("5 pairs"), attached.expect("5 pairs"));
-        ratios.sort_by(f64::total_cmp);
-        let overhead_ratio = ratios[ratios.len() / 2];
-        println!(
-            "recorder overhead: attached {:8.1} / detached {:8.1} scenarios/s \
-             (pair ratios {ratios:.3?}, median {overhead_ratio:.3}x within-run)",
-            attached.scenarios_per_second(),
-            detached.scenarios_per_second()
-        );
-        (detached, attached, overhead_ratio)
+    // Recorder overhead: two in-process servers with identical batching
+    // configuration, differing only in whether the flight recorder is
+    // attached; absolute scenarios/second is never compared across time.
+    let recorder = |flight_recorder| {
+        boot(
+            ServeConfig {
+                flight_recorder,
+                ..ServeConfig::default()
+            },
+            None,
+        )
     };
+    let ((attached_server, attached_target), (detached_server, detached_target)) =
+        (recorder(true), recorder(false));
+    println!("recorder attached vs detached: {phases}");
+    let (overhead, attached, detached) = compare(&attached_target, &detached_target, &spec, &opts);
+    attached_server.shutdown_and_join();
+    detached_server.shutdown_and_join();
+    println!(
+        "recorder overhead: attached {:8.1} / detached {:8.1} scenarios/s \
+         (attached/detached [q1–q3] won {overhead:.3}, within-run)",
+        attached.scenarios_per_second(),
+        detached.scenarios_per_second()
+    );
 
-    let ratio = affinity.scenarios_per_second() / naive.scenarios_per_second().max(1e-9);
-    let lanes_per_batch = affinity.tally.lanes_per_batched_response();
+    let lanes_per_batch = affinity.lanes_per_batched_response();
     println!(
         "affinity: {:8.1} scenarios/s ({} responses, {:.2} lanes/batch)",
         affinity.scenarios_per_second(),
-        affinity.tally.responses,
+        affinity.responses,
         lanes_per_batch
     );
     println!(
         "naive:    {:8.1} scenarios/s ({} responses)",
         naive.scenarios_per_second(),
-        naive.tally.responses
+        naive.responses
     );
-    println!("within-run ratio (affinity / naive): {ratio:.2}x");
+    println!("within-run ratio (affinity / naive) [q1–q3] won: {speedup}");
 
     let doc = Json::object([
         ("benchmark", Json::str("serve")),
@@ -482,18 +462,18 @@ fn main() -> ExitCode {
         ("host_cores", Json::U64(cores as u64)),
         ("affinity", affinity.to_json()),
         ("naive", naive.to_json()),
-        ("speedup", Json::F64(ratio)),
+        ("speedup", speedup.to_json()),
         ("lanes_per_batch", Json::F64(lanes_per_batch)),
         ("recorder_detached", detached.to_json()),
         ("recorder_attached", attached.to_json()),
-        ("recorder_overhead_ratio", Json::F64(overhead_ratio)),
+        ("recorder_overhead_ratio", overhead.to_json()),
     ]);
     write_report(&opts.out, &doc);
 
-    // Gates. Throughput is compared only within this run (host speed
-    // drifts, so absolute scenarios/second is never gated).
-    // Lanes-per-batch proves the batcher actually filled lockstep lanes
-    // rather than winning some other way.
+    // Gates, on within-run ratios only (host speed drifts, so absolute
+    // scenarios/second is never gated). Lanes-per-batch proves the
+    // batcher actually filled lockstep lanes rather than winning some
+    // other way.
     if let Some(parses) = metrics_ok {
         assert!(parses, "/metrics exposition is missing serve families");
     }
@@ -503,29 +483,24 @@ fn main() -> ExitCode {
     );
     if opts.quick {
         assert!(
-            ratio > 1.0,
-            "affinity batching should beat the naive baseline within-run (got {ratio:.2}x)"
+            speedup.ratio > 1.0,
+            "affinity batching should beat the naive baseline within-run (got {speedup})"
         );
     } else {
         assert!(
-            ratio >= 2.0,
-            "affinity batching should sustain >= 2x the naive baseline within-run (got {ratio:.2}x)"
+            speedup.ratio >= 2.0,
+            "affinity batching should sustain >= 2x the naive baseline within-run (got {speedup})"
         );
     }
-    // Within-run ratio only — absolute scenarios/second drifts with
-    // host load. Full runs hold the 3% acceptance bar (2.5 s slices
-    // average scheduler noise down far enough to resolve it); quick
-    // runs gate at smoke level, because 400 ms slices on a loaded
-    // single-core host cannot distinguish 3% from scheduling jitter.
-    // EVOLVE_RECORDER_TOLERANCE overrides either floor.
-    let floor = std::env::var("EVOLVE_RECORDER_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(if opts.quick { 0.90 } else { 0.97 });
+    // Full runs hold the 3% acceptance bar (2.5 s phases average
+    // scheduler noise down far enough to resolve it); quick runs gate at
+    // smoke level, because 400 ms phases on a loaded host cannot
+    // distinguish 3% from scheduling jitter.
+    let floor = if opts.quick { 0.90 } else { 0.97 };
     assert!(
-        overhead_ratio >= floor,
+        overhead.ratio >= floor,
         "flight recorder costs more than {:.1}% throughput within-run \
-         (attached/detached = {overhead_ratio:.3}x)",
+         (attached/detached = {overhead:.3})",
         (1.0 - floor) * 100.0
     );
     println!("serve-bench gates passed");

@@ -9,13 +9,16 @@
 //!
 //! Each row is one [`measure`]: both models run on the DES kernel at the
 //! same dispatch cost, the way the paper times its equivalent model on the
-//! simulator. Exits with status 1 when any row is not `exact`.
+//! simulator, in alternating pairs; the speed-up is the median per-pair
+//! ratio, printed with its quartiles and the pairs the equivalent model
+//! won. Exits with status 1 when any row is not `exact`.
 //!
 //! Usage: `table1 [tokens] [dispatch_cost_ns]`
 //! (defaults: 20 000 tokens; both native and 1 µs-calibrated regimes).
 
 use evolve_bench::{
     exit_unless_exact, format_row, header, measure, table1_example, total_engine_stats, Fidelity,
+    MEASURE_PAIRS,
 };
 
 fn main() {
@@ -32,7 +35,7 @@ fn main() {
     println!("Table I reproduction — didactic example chained x1..x4");
     println!(
         "stimulus: {tokens} data items with varying sizes through M1; both models on the DES \
-         kernel, best of 3 runs each"
+         kernel, {MEASURE_PAIRS} alternating pairs of runs (medians)"
     );
     println!();
 

@@ -219,7 +219,7 @@ fn streaming_busy_is_exact_across_fast_forward() {
 
 /// The Perfetto export path: intervals merged by the trace collector must be
 /// identical to `ResourceTrace::from_records` on the same drive — the
-/// acceptance criterion for `sweep --trace` on a fast-forwarded scenario.
+/// acceptance check for `sweep --trace` on a fast-forwarded scenario.
 #[test]
 fn trace_collector_matches_resource_trace_on_promoted_scenario() {
     let mut engine = build_engine(&PROMOTING_MODEL, EvalBackend::Compiled, FastForward::On);

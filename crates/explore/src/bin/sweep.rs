@@ -12,7 +12,8 @@
 //! Options: `--threads N` (worker count, default: host parallelism),
 //! `--scenarios N` (batch size, default 32), `--tokens N` (trace length,
 //! default 200), `--batch N` (lockstep lanes per `BatchedEngine`, default
-//! 8; `1` disables batching), `--no-fast-forward` (disable periodic
+//! 1 as in `SweepConfig::default()`, since batching lost on this grid in
+//! paired timings), `--no-fast-forward` (disable periodic
 //! steady-state fast-forward, for A/B timing runs), `--compare` (also run
 //! the conventional DES model per scenario, checking accuracy and the
 //! event ratio), `--out PATH` (report path,
@@ -21,7 +22,11 @@
 //! JSON when the path ends in `.json`), `--trace PATH` (re-run the first
 //! grid scenario under a trace collector and write a Chrome trace-event
 //! file loadable in Perfetto).
+//!
+//! Diagnostics go to stderr, and a failed write there is ignored: a usage
+//! error exits 2 even with stderr closed or full.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 
 use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, SweepConfig};
@@ -41,8 +46,15 @@ struct Options {
 
 const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
 
+/// `eprintln!` that ignores a failed write.
+macro_rules! diag {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}\n{USAGE}");
+    diag!("error: {message}\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -51,7 +63,7 @@ fn parse_args() -> Options {
         threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         scenarios: 32,
         tokens: 200,
-        batch: 8,
+        batch: 1,
         fast_forward: FastForward::On,
         compare: false,
         out: PathBuf::from("results/sweep.json"),
@@ -84,7 +96,7 @@ fn parse_args() -> Options {
             "--metrics" => options.metrics = Some(PathBuf::from(value("--metrics"))),
             "--trace" => options.trace = Some(PathBuf::from(value("--trace"))),
             "--help" | "-h" => {
-                eprintln!("{USAGE}");
+                diag!("{USAGE}");
                 std::process::exit(0);
             }
             other => usage_error(&format!("unknown option {other}")),
@@ -96,7 +108,7 @@ fn parse_args() -> Options {
 fn main() {
     let options = parse_args();
     let scenarios = default_grid(options.scenarios, options.tokens);
-    eprintln!(
+    diag!(
         "sweeping {} scenarios × {} tokens on {} threads, batch width {}",
         scenarios.len(),
         options.tokens,
@@ -144,11 +156,11 @@ fn main() {
     for (p, s) in parallel.scenarios.iter().zip(&sequential.scenarios) {
         if p.outcome != s.outcome {
             identical = false;
-            eprintln!("MISMATCH: scenario {} differs between thread counts", p.label);
+            diag!("MISMATCH: scenario {} differs between thread counts", p.label);
         }
     }
     let speedup = sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-12);
-    eprintln!(
+    diag!(
         "parallel {:.3} ms, sequential {:.3} ms — speed-up {:.2}×, outcomes {}",
         parallel.wall.as_secs_f64() * 1e3,
         sequential.wall.as_secs_f64() * 1e3,
@@ -157,7 +169,7 @@ fn main() {
     );
     let batch_speedup = unbatched.as_ref().map(|u| {
         let gain = parallel.scenarios_per_second() / u.scenarios_per_second().max(1e-12);
-        eprintln!(
+        diag!(
             "batched {:.0} scenarios/s vs unbatched {:.0} scenarios/s — {:.2}× (lanes batched: {})",
             parallel.scenarios_per_second(),
             u.scenarios_per_second(),
@@ -167,7 +179,7 @@ fn main() {
         gain
     });
     let ff = parallel.total_fast_forward_stats();
-    eprintln!(
+    diag!(
         "fast-forward: {} promotions, {} demotions, {} iterations replayed",
         ff.promotions, ff.demotions, ff.fast_forwarded_iterations,
     );
@@ -197,14 +209,14 @@ fn main() {
         std::fs::create_dir_all(parent).expect("create results directory");
     }
     std::fs::write(&options.out, doc.render()).expect("write report");
-    eprintln!("wrote {}", options.out.display());
+    diag!("wrote {}", options.out.display());
 
     if let Some(path) = &options.metrics {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).expect("create metrics directory");
         }
         parallel.write_metrics(path).expect("write metrics");
-        eprintln!("wrote {}", path.display());
+        diag!("wrote {}", path.display());
     }
     if let Some(path) = &options.trace {
         // Re-run the first grid scenario (a saturating, fixed-size trace the
@@ -223,7 +235,7 @@ fn main() {
             std::fs::create_dir_all(parent).expect("create trace directory");
         }
         std::fs::write(path, collector.to_chrome_trace().render()).expect("write trace");
-        eprintln!(
+        diag!(
             "wrote {} ({} tracks from scenario {})",
             path.display(),
             collector.tracks().count(),

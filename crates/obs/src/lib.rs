@@ -15,8 +15,7 @@
 //! - [`TelemetrySink`] — bounded-memory streaming metrics: incremental
 //!   busy-interval accumulation, log-bucketed duration histograms
 //!   ([`LogHistogram`]), and the live event-ratio gauge of the paper's
-//!   Table I; [`PeriodUsage`] folds a one-period template analytically
-//!   (period count × per-period usage) for promoted lanes;
+//!   Table I;
 //! - exporters — Prometheus text exposition ([`prometheus`]), JSON
 //!   ([`MetricsSnapshot::to_json`] over the in-tree [`json::Json`]
 //!   emitter), and Chrome trace-event JSON for Perfetto
@@ -42,8 +41,8 @@ pub use export::prometheus;
 pub use flight::{FlightRecorder, FlightSpan, Phase, TrackId};
 pub use json::Json;
 pub use metrics::{
-    BatchCounters, EngineCounters, EventCounters, FfCounters, FoldedResource,
-    LogHistogram, MetricsSnapshot, PeriodUsage, PhaseSnapshot, ResourceMetrics, ResourceSnapshot,
+    BatchCounters, EngineCounters, EventCounters, FfCounters, LogHistogram, MetricsSnapshot,
+    PhaseSnapshot, ResourceMetrics, ResourceSnapshot,
     ServeCounters, ServeGauges, TelemetrySink,
 };
 pub use observer::{downcast, NullObserver, Observer};

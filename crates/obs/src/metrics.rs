@@ -5,9 +5,7 @@
 //! counts lifecycle events ([`EventCounters`]) — no record buffering, so a
 //! billion-iteration drive observes in O(resources) memory. Records
 //! produced by fast-forward template replay stream through the same path,
-//! so the accumulated busy time stays exact under promotion; the analytic
-//! alternative (fold the one-period template once, multiply by the period
-//! count) is provided by [`PeriodUsage`] and verified against brute force.
+//! so the accumulated busy time stays exact under promotion.
 //!
 //! A finished sink (or several merged shards) freezes into a
 //! [`MetricsSnapshot`], exportable as JSON or Prometheus text exposition
@@ -939,102 +937,6 @@ fn with_key(mut object: Json, key: &str, value: Json) -> Json {
     object
 }
 
-/// The one-period execution template of a promoted lane, foldable
-/// analytically over `m` periods: per-period usage × period count, with
-/// the union of time-shifted busy intervals computed exactly without
-/// materialising `m` copies.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PeriodUsage {
-    /// Per-resource merged busy intervals of one period, in ticks.
-    per_resource: Vec<PeriodResource>,
-    /// Ticks the template shifts per period (`growth`).
-    pub growth: u64,
-}
-
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct PeriodResource {
-    resource: usize,
-    intervals: Vec<(u64, u64)>,
-    ops: u64,
-    records: u64,
-    durations: Vec<u64>,
-}
-
-/// The analytic fold of one resource over `m` periods.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FoldedResource {
-    /// Resource index.
-    pub resource: usize,
-    /// Exact busy ticks of the union of `m` shifted template copies.
-    pub busy_ticks: u64,
-    /// Total operations (`m ×` per-period ops).
-    pub ops: u64,
-    /// Total records (`m ×` per-period records).
-    pub records: u64,
-    /// Duration histogram (`m ×` per-period multiplicities).
-    pub durations: LogHistogram,
-}
-
-impl PeriodUsage {
-    /// Builds the template from one period's execution records and its
-    /// detected per-period growth.
-    pub fn from_records(records: &[ExecRecord], growth: u64) -> Self {
-        let mut per: Vec<PeriodResource> = Vec::new();
-        for r in records {
-            let idx = r.resource.index();
-            let slot = match per.iter_mut().find(|p| p.resource == idx) {
-                Some(p) => p,
-                None => {
-                    per.push(PeriodResource {
-                        resource: idx,
-                        ..PeriodResource::default()
-                    });
-                    per.last_mut().expect("just pushed")
-                }
-            };
-            slot.ops += r.ops;
-            slot.records += 1;
-            slot.durations
-                .push(r.end.ticks().saturating_sub(r.start.ticks()));
-            if r.start < r.end {
-                slot.intervals.push((r.start.ticks(), r.end.ticks()));
-            }
-        }
-        for slot in &mut per {
-            slot.intervals = merge_intervals(std::mem::take(&mut slot.intervals));
-        }
-        per.sort_by_key(|p| p.resource);
-        PeriodUsage {
-            per_resource: per,
-            growth,
-        }
-    }
-
-    /// Folds the template over `periods` repetitions, each shifted by
-    /// [`growth`](PeriodUsage::growth) ticks from the previous one.
-    /// Busy ticks are the exact measure of the union of all shifted
-    /// copies, computed by materialising only as many copies as can
-    /// overlap (the per-copy increment is constant beyond that depth).
-    pub fn fold(&self, periods: u64) -> Vec<FoldedResource> {
-        self.per_resource
-            .iter()
-            .map(|p| {
-                let mut durations = LogHistogram::default();
-                for d in &p.durations {
-                    durations.record_n(*d, periods);
-                }
-                FoldedResource {
-                    resource: p.resource,
-                    busy_ticks: shifted_union_busy(&p.intervals, self.growth, periods),
-                    ops: p.ops * periods,
-                    records: p.records * periods,
-                    durations,
-                }
-            })
-            .collect()
-    }
-}
-
 /// Merges `[start, end)` spans into sorted disjoint intervals (the same
 /// construction as `ResourceTrace::from_records`).
 pub(crate) fn merge_intervals(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
@@ -1051,44 +953,6 @@ pub(crate) fn merge_intervals(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         }
     }
     out
-}
-
-fn busy_of(intervals: &[(u64, u64)]) -> u64 {
-    intervals.iter().map(|(s, e)| e - s).sum()
-}
-
-fn materialized_union_busy(intervals: &[(u64, u64)], shift: u64, copies: u64) -> u64 {
-    let mut all = Vec::with_capacity(intervals.len() * copies as usize);
-    for c in 0..copies {
-        let off = shift * c;
-        all.extend(intervals.iter().map(|(s, e)| (s + off, e + off)));
-    }
-    busy_of(&merge_intervals(all))
-}
-
-/// Exact busy ticks of the union of `m` copies of `intervals`, copy `c`
-/// shifted by `c × shift` ticks.
-///
-/// Beyond the overlap depth `q` (once a copy no longer overlaps copy 0),
-/// each additional copy adds a constant number of busy ticks, so the
-/// union is evaluated by materialising `min(m, q)` copies and
-/// extrapolating: `busy(m) = busy(q) + (m − q) × (busy(q) − busy(q−1))`.
-fn shifted_union_busy(intervals: &[(u64, u64)], shift: u64, m: u64) -> u64 {
-    if m == 0 || intervals.is_empty() {
-        return 0;
-    }
-    if shift == 0 {
-        // all copies coincide
-        return busy_of(intervals);
-    }
-    let span = intervals.last().expect("nonempty").1 - intervals.first().expect("nonempty").0;
-    let q = (span / shift + 2).min(m);
-    if q == m {
-        return materialized_union_busy(intervals, shift, m);
-    }
-    let busy_q = materialized_union_busy(intervals, shift, q);
-    let busy_q1 = materialized_union_busy(intervals, shift, q - 1);
-    busy_q + (m - q) * (busy_q - busy_q1)
 }
 
 #[cfg(test)]
@@ -1348,34 +1212,6 @@ mod tests {
         assert!(doc.contains("\"event_ratio\":null"));
     }
 
-    #[test]
-    fn period_fold_matches_brute_force_small() {
-        // One period: busy [0,10) ∪ [15,20), growth 8 → copies overlap.
-        let records = [rec(0, 0, 10, 100), rec(0, 15, 20, 50)];
-        let usage = PeriodUsage::from_records(&records, 8);
-        for m in 1..=50u64 {
-            let folded = usage.fold(m);
-            let mut all = Vec::new();
-            for c in 0..m {
-                all.push(rec(0, 8 * c, 10 + 8 * c, 100));
-                all.push(rec(0, 15 + 8 * c, 20 + 8 * c, 50));
-            }
-            let trace = evolve_model::ResourceTrace::from_records(&all, ResourceId::from_index(0));
-            assert_eq!(folded[0].busy_ticks, trace.busy_ticks(), "m={m}");
-            assert_eq!(folded[0].ops, 150 * m);
-            assert_eq!(folded[0].records, 2 * m);
-            assert_eq!(folded[0].durations.count(), 2 * m);
-        }
-    }
-
-    #[test]
-    fn period_fold_zero_growth_and_zero_periods() {
-        let records = [rec(0, 0, 10, 1)];
-        let usage = PeriodUsage::from_records(&records, 0);
-        assert_eq!(usage.fold(5)[0].busy_ticks, 10);
-        assert_eq!(usage.fold(0)[0].busy_ticks, 0);
-    }
-
     proptest! {
         #[test]
         fn prop_streaming_busy_matches_resource_trace_for_sorted_records(
@@ -1396,27 +1232,6 @@ mod tests {
                 evolve_model::ResourceTrace::from_records(&records, ResourceId::from_index(0));
             prop_assert_eq!(rm.out_of_order, 0);
             prop_assert_eq!(rm.busy_ticks(), trace.busy_ticks());
-        }
-
-        #[test]
-        fn prop_period_fold_matches_brute_force(
-            spans in proptest::collection::vec((0u64..200, 1u64..60), 1..8),
-            shift in 0u64..250,
-            m in 1u64..120,
-        ) {
-            let records: Vec<ExecRecord> =
-                spans.iter().map(|(s, w)| rec(0, *s, s + w, 1)).collect();
-            let usage = PeriodUsage::from_records(&records, shift);
-            let folded = usage.fold(m);
-            let mut all = Vec::new();
-            for c in 0..m {
-                for (s, w) in &spans {
-                    all.push(rec(0, s + shift * c, s + w + shift * c, 1));
-                }
-            }
-            let trace =
-                evolve_model::ResourceTrace::from_records(&all, ResourceId::from_index(0));
-            prop_assert_eq!(folded[0].busy_ticks, trace.busy_ticks());
         }
     }
 }

@@ -9,6 +9,9 @@
 //! evolved --unix /tmp/evolved.sock --metrics 127.0.0.1:9464 \
 //!         --preload default --state-file /tmp/evolved.state
 //! ```
+//!
+//! Diagnostics go to stderr, and a failed write there is ignored: the
+//! daemon serves, drains and exits as usual with stderr closed or full.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -47,9 +50,15 @@ OPTIONS:
     -h, --help               print this help
 ";
 
+/// `eprintln!` that ignores a failed write.
+macro_rules! diag {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn fail(msg: &str) -> ExitCode {
-    eprintln!("evolved: {msg}");
-    eprintln!("{USAGE}");
+    diag!("evolved: {msg}\n{USAGE}");
     ExitCode::from(2)
 }
 
@@ -146,7 +155,7 @@ fn main() -> ExitCode {
     let server = match Server::start(config, &binds, metrics.as_deref()) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("evolved: failed to start: {e}");
+            diag!("evolved: failed to start: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -157,13 +166,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(tcp) = server.tcp_addr() {
-        eprintln!("evolved: listening on tcp:{tcp}");
+        diag!("evolved: listening on tcp:{tcp}");
     }
     if let Some(path) = server.unix_path() {
-        eprintln!("evolved: listening on unix:{}", path.display());
+        diag!("evolved: listening on unix:{}", path.display());
     }
     if let Some(addr) = server.metrics_addr() {
-        eprintln!("evolved: metrics at http://{addr}/metrics");
+        diag!("evolved: metrics at http://{addr}/metrics");
     }
 
     if let Some(path) = &state_file {
@@ -184,7 +193,7 @@ fn main() -> ExitCode {
             .and_then(|mut f| f.write_all(state.as_bytes()).and_then(|()| f.sync_all()))
             .and_then(|()| std::fs::rename(&tmp, path));
         if let Err(e) = ok {
-            eprintln!("evolved: cannot write state file {path}: {e}");
+            diag!("evolved: cannot write state file {path}: {e}");
         }
     }
 
@@ -199,9 +208,9 @@ fn main() -> ExitCode {
         // the drain itself are observable via a SIGUSR1 dump instead.
         dump_trace(&server, trace_out.as_deref());
     }
-    eprintln!("evolved: draining in-flight batches");
+    diag!("evolved: draining in-flight batches");
     server.shutdown_and_join();
-    eprintln!("evolved: drained, exiting");
+    diag!("evolved: drained, exiting");
     ExitCode::SUCCESS
 }
 
@@ -209,11 +218,11 @@ fn main() -> ExitCode {
 /// state file) so a Perfetto user never loads a torn JSON document.
 fn dump_trace(server: &Server, trace_out: Option<&str>) {
     let Some(json) = server.dump_trace() else {
-        eprintln!("evolved: flight recorder disabled, nothing to dump");
+        diag!("evolved: flight recorder disabled, nothing to dump");
         return;
     };
     let Some(path) = trace_out else {
-        eprintln!("evolved: SIGUSR1 without --trace-out, dump discarded");
+        diag!("evolved: SIGUSR1 without --trace-out, dump discarded");
         return;
     };
     let tmp = format!("{path}.tmp");
@@ -221,8 +230,8 @@ fn dump_trace(server: &Server, trace_out: Option<&str>) {
         .and_then(|mut f| f.write_all(json.as_bytes()).and_then(|()| f.sync_all()))
         .and_then(|()| std::fs::rename(&tmp, path));
     match ok {
-        Ok(()) => eprintln!("evolved: trace dumped to {path}"),
-        Err(e) => eprintln!("evolved: cannot write trace {path}: {e}"),
+        Ok(()) => diag!("evolved: trace dumped to {path}"),
+        Err(e) => diag!("evolved: cannot write trace {path}: {e}"),
     }
 }
 

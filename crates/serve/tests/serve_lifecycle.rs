@@ -184,56 +184,60 @@ fn wait_for_state(path: &PathBuf, child: &mut Child) -> String {
 }
 
 /// SIGTERM on the real daemon binary drains in-flight batches — every
-/// admitted request is answered — and the process exits 0.
+/// admitted request is answered — and the process exits 0, also with its
+/// stderr on `/dev/full`, where every diagnostic write fails.
 #[test]
 fn sigterm_drains_in_flight_batches_and_exits_zero() {
-    let dir = std::env::temp_dir().join(format!("evolved-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let socket = dir.join("evolved.sock");
-    let state = dir.join("evolved.state");
-    let _ = std::fs::remove_file(&state);
+    let full = || std::fs::OpenOptions::new().write(true).open("/dev/full").unwrap();
+    for (run, stderr) in [("null", Stdio::null()), ("full", Stdio::from(full()))] {
+        let dir = std::env::temp_dir().join(format!("evolved-test-{}-{run}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("evolved.sock");
+        let state = dir.join("evolved.state");
+        let _ = std::fs::remove_file(&state);
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_evolved"))
-        .args([
-            "--unix",
-            socket.to_str().unwrap(),
-            "--shards",
-            "1",
-            "--batch-width",
-            "8",
-            "--max-batch-delay-us",
-            "30000000",
-            "--state-file",
-            state.to_str().unwrap(),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn evolved");
-    wait_for_state(&state, &mut child);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_evolved"))
+            .args([
+                "--unix",
+                socket.to_str().unwrap(),
+                "--shards",
+                "1",
+                "--batch-width",
+                "8",
+                "--max-batch-delay-us",
+                "30000000",
+                "--state-file",
+                state.to_str().unwrap(),
+            ])
+            .stdout(Stdio::null())
+            .stderr(stderr)
+            .spawn()
+            .expect("spawn evolved");
+        wait_for_state(&state, &mut child);
 
-    let mut client = ServeClient::connect_unix(&socket).unwrap();
-    // Three pipelined requests parked behind a 30 s batching deadline:
-    // only the drain can answer them.
-    for id in 0..3 {
-        client.send(&eval(id)).unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(300));
-    sys::sigterm(child.id());
-
-    let mut drained = Vec::new();
-    for _ in 0..3 {
-        match client.recv().expect("drained response") {
-            Response::EvalOk(ok) => drained.push(ok.id),
-            other => panic!("expected a drained EvalOk, got {other:?}"),
+        let mut client = ServeClient::connect_unix(&socket).unwrap();
+        // Three pipelined requests parked behind a 30 s batching deadline:
+        // only the drain can answer them.
+        for id in 0..3 {
+            client.send(&eval(id)).unwrap();
         }
-    }
-    drained.sort_unstable();
-    assert_eq!(drained, vec![0, 1, 2]);
+        std::thread::sleep(Duration::from_millis(300));
+        sys::sigterm(child.id());
 
-    let status = child.wait().unwrap();
-    assert!(status.success(), "evolved should exit 0, got {status}");
-    let _ = std::fs::remove_dir_all(&dir);
+        let mut drained = Vec::new();
+        for _ in 0..3 {
+            match client.recv().expect("drained response") {
+                Response::EvalOk(ok) => drained.push(ok.id),
+                other => panic!("expected a drained EvalOk, got {other:?}"),
+            }
+        }
+        drained.sort_unstable();
+        assert_eq!(drained, vec![0, 1, 2], "stderr {run}");
+
+        let status = child.wait().unwrap();
+        assert!(status.success(), "evolved should exit 0 with stderr {run}, got {status}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// SIGUSR1 on the real daemon binary dumps the flight recorder to the
