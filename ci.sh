@@ -32,6 +32,13 @@ cargo test --release -q -p evolve-core --offline
 bench_result="$(python3 perfbench/run.py --workload all --seed 4242 --seconds 2 --trace 0 | tail -n 1)"
 python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$bench_result" \
     || { echo "ci: perfbench check failed: $bench_result" >&2; exit 1; }
+# The traced paper-des run adds the benchmark's design-space sweep: batched
+# lanes (width 8, fast-forward requested, which lockstep lanes do not do)
+# on two workers, every scenario checked against the plain scalar sweep.
+# It is the only benchmark check of batched lanes.
+traced_result="$(python3 perfbench/run.py --workload paper-des --seed 4242 --seconds 2 --trace 1 | tail -n 1)"
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$traced_result" \
+    || { echo "ci: traced perfbench check failed: $traced_result" >&2; exit 1; }
 
 cargo clippy --all-targets --offline -- -D warnings
 
@@ -47,9 +54,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --exclude p
 cargo test -q -p evolve-core --test batch_conformance --offline
 
 # Periodic fast-forward conformance: worklist, compiled, compiled+replay,
-# and batched+replay must agree bitwise across periodic, aperiodic, and
-# period-breaking traces (also part of the workspace run above; kept
-# explicit so a fast-forward regression is named in the CI log).
+# and batched lanes (which never replay) must agree bitwise across
+# periodic, aperiodic, and period-breaking traces (also part of the
+# workspace run above; kept explicit so a fast-forward regression is named
+# in the CI log).
 cargo test -q -p evolve-core --test periodic_conformance --offline
 
 # Observer conformance: telemetry attachment must be bitwise invisible

@@ -1,27 +1,30 @@
 //! Parallel scenario-sweep driver.
 //!
-//! Runs a batch of scenarios twice — once on a worker pool, once
-//! sequentially — verifies the outcomes are bitwise identical, and writes a
-//! JSON report (including the parallel-over-sequential wall-clock speed-up)
+//! Times the default scenario grid on a worker pool against one thread,
+//! and, with `--batch N` above 1, batched against unbatched, each
+//! comparison in [`PAIRS`] [`paired`] sweeps on host wall time per sweep.
+//! It checks
+//! that the pool and the single thread give bitwise identical outcomes,
+//! and writes a JSON report (the paired ratios and the last pooled sweep)
 //! to `results/sweep.json`.
 //!
 //! ```text
-//! cargo run --release -p evolve-explore --bin sweep -- --threads 4
+//! cargo run --release -p evolve-bench --bin sweep -- --threads 4
 //! ```
 //!
 //! Options: `--threads N` (worker count, default: host parallelism),
 //! `--scenarios N` (batch size, default 32), `--tokens N` (trace length,
 //! default 200), `--batch N` (lockstep lanes per `BatchedEngine`, default
 //! 1 as in `SweepConfig::default()`, since batching lost on this grid in
-//! paired timings), `--no-fast-forward` (disable periodic
-//! steady-state fast-forward, for A/B timing runs), `--compare` (also run
-//! the conventional DES model per scenario, checking accuracy and the
-//! event ratio), `--out PATH` (report path,
-//! default `results/sweep.json`), `--metrics PATH` (enable streaming
-//! telemetry and write a metrics snapshot — Prometheus text exposition, or
-//! JSON when the path ends in `.json`), `--trace PATH` (re-run the first
-//! grid scenario under a trace collector and write a Chrome trace-event
-//! file loadable in Perfetto).
+//! paired timings), `--no-fast-forward` (disable periodic steady-state
+//! fast-forward of the
+//! scalar engines, for A/B timing runs), `--compare` (also run the
+//! conventional DES model per scenario, checking accuracy and the event
+//! ratio), `--out PATH` (report path, default `results/sweep.json`),
+//! `--metrics PATH` (enable streaming telemetry and write a metrics
+//! snapshot — Prometheus text exposition, or JSON when the path ends in
+//! `.json`), `--trace PATH` (re-run the first grid scenario under a trace
+//! collector and write a Chrome trace-event file loadable in Perfetto).
 //!
 //! Diagnostics go to stderr, and a failed write there is ignored: a usage
 //! error exits 2 even with stderr closed or full.
@@ -29,7 +32,10 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use evolve_explore::{default_grid, run_sweep, trace_scenario, FastForward, SweepConfig};
+use evolve_bench::{paired, Paired};
+use evolve_explore::{
+    default_grid, run_sweep, trace_scenario, FastForward, ScenarioSpec, SweepConfig, SweepReport,
+};
 use evolve_obs::json::Json;
 
 struct Options {
@@ -45,6 +51,9 @@ struct Options {
 }
 
 const USAGE: &str = "usage: sweep [--threads N] [--scenarios N] [--tokens N] [--batch N] [--no-fast-forward] [--compare] [--out PATH] [--metrics PATH] [--trace PATH]";
+
+/// Alternating pairs per timed comparison.
+const PAIRS: usize = 10;
 
 /// `eprintln!` that ignores a failed write.
 macro_rules! diag {
@@ -105,53 +114,50 @@ fn parse_args() -> Options {
     options
 }
 
+/// Times sweeps `a` and `b` of `scenarios` in [`PAIRS`] [`paired`] pairs
+/// on host wall time per sweep, returning the timing and each side's last
+/// report.
+fn race(
+    scenarios: &[ScenarioSpec],
+    a: &SweepConfig,
+    b: &SweepConfig,
+) -> (Paired, SweepReport, SweepReport) {
+    let (mut last_a, mut last_b) = (None, None);
+    let side = |config: &SweepConfig, last: &mut Option<SweepReport>| {
+        let report = run_sweep(scenarios, config);
+        let wall = report.wall.as_secs_f64();
+        *last = Some(report);
+        wall
+    };
+    let timing = paired(PAIRS, || side(a, &mut last_a), || side(b, &mut last_b));
+    let last = |r: Option<SweepReport>| r.expect("paired runs each side");
+    (timing, last(last_a), last(last_b))
+}
+
 fn main() {
     let options = parse_args();
     let scenarios = default_grid(options.scenarios, options.tokens);
     diag!(
-        "sweeping {} scenarios × {} tokens on {} threads, batch width {}",
+        "sweeping {} scenarios × {} tokens on {} threads, batch width {}, {PAIRS} pairs per comparison",
         scenarios.len(),
         options.tokens,
         options.threads,
         options.batch,
     );
 
-    let parallel = run_sweep(
+    let pooled = SweepConfig {
+        threads: options.threads,
+        compare_conventional: options.compare,
+        batch_width: options.batch,
+        fast_forward: options.fast_forward,
+        telemetry: options.metrics.is_some(),
+        ..SweepConfig::default()
+    };
+    let (speedup, parallel, sequential) = race(
         &scenarios,
-        &SweepConfig {
-            threads: options.threads,
-            compare_conventional: options.compare,
-            batch_width: options.batch,
-            fast_forward: options.fast_forward,
-            telemetry: options.metrics.is_some(),
-            ..SweepConfig::default()
-        },
+        &pooled,
+        &SweepConfig { threads: 1, ..pooled.clone() },
     );
-    let sequential = run_sweep(
-        &scenarios,
-        &SweepConfig {
-            threads: 1,
-            compare_conventional: options.compare,
-            batch_width: options.batch,
-            fast_forward: options.fast_forward,
-            ..SweepConfig::default()
-        },
-    );
-    // Batching headline: the same parallel sweep with lockstep lanes
-    // disabled, so the report carries a scenarios/second comparison.
-    let unbatched = (options.batch > 1).then(|| {
-        run_sweep(
-            &scenarios,
-            &SweepConfig {
-                threads: options.threads,
-                compare_conventional: options.compare,
-                batch_width: 1,
-                fast_forward: options.fast_forward,
-                ..SweepConfig::default()
-            },
-        )
-    });
-
     let mut identical = true;
     for (p, s) in parallel.scenarios.iter().zip(&sequential.scenarios) {
         if p.outcome != s.outcome {
@@ -159,49 +165,52 @@ fn main() {
             diag!("MISMATCH: scenario {} differs between thread counts", p.label);
         }
     }
-    let speedup = sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-12);
     diag!(
-        "parallel {:.3} ms, sequential {:.3} ms — speed-up {:.2}×, outcomes {}",
-        parallel.wall.as_secs_f64() * 1e3,
-        sequential.wall.as_secs_f64() * 1e3,
-        speedup,
+        "parallel {:.3} ms, sequential {:.3} ms (medians) — speed-up [q1–q3] won: {speedup}, outcomes {}",
+        speedup.a * 1e3,
+        speedup.b * 1e3,
         if identical { "bitwise identical" } else { "DIVERGED" },
     );
-    let batch_speedup = unbatched.as_ref().map(|u| {
-        let gain = parallel.scenarios_per_second() / u.scenarios_per_second().max(1e-12);
+    // Batching: the pooled sweep against the same sweep without lockstep
+    // lanes.
+    let batching = (options.batch > 1).then(|| {
+        let (gain, batched, _) = race(
+            &scenarios,
+            &pooled,
+            &SweepConfig { batch_width: 1, ..pooled.clone() },
+        );
         diag!(
-            "batched {:.0} scenarios/s vs unbatched {:.0} scenarios/s — {:.2}× (lanes batched: {})",
-            parallel.scenarios_per_second(),
-            u.scenarios_per_second(),
-            gain,
-            parallel.batching.lanes_batched,
+            "batched {:.3} ms vs unbatched {:.3} ms (medians) — gain [q1–q3] won: {gain} (lanes batched: {})",
+            gain.a * 1e3,
+            gain.b * 1e3,
+            batched.batching.lanes_batched,
         );
         gain
     });
     let ff = parallel.total_fast_forward_stats();
     diag!(
-        "fast-forward: {} promotions, {} demotions, {} iterations replayed",
-        ff.promotions, ff.demotions, ff.fast_forwarded_iterations,
+        "fast-forward (scalar engines): {} promotions, {} demotions, {} iterations replayed",
+        ff.promotions,
+        ff.demotions,
+        ff.fast_forwarded_iterations,
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut fields = vec![
         ("threads", Json::U64(parallel.threads as u64)),
         ("scenario_count", Json::U64(parallel.scenarios.len() as u64)),
         ("tokens_per_scenario", Json::U64(options.tokens)),
         ("batch_width", Json::U64(options.batch as u64)),
-        ("parallel_wall_ns", Json::U64(parallel.wall.as_nanos() as u64)),
-        ("sequential_wall_ns", Json::U64(sequential.wall.as_nanos() as u64)),
-        ("parallel_speedup", Json::F64(speedup)),
-        ("scenarios_per_second", Json::F64(parallel.scenarios_per_second())),
+        ("host_cores", Json::U64(cores as u64)),
+        ("simd_level", Json::str(evolve_core::kernel::simd_level())),
+        ("parallel_wall_ns", Json::U64((speedup.a * 1e9) as u64)),
+        ("sequential_wall_ns", Json::U64((speedup.b * 1e9) as u64)),
+        ("parallel_speedup", speedup.to_json()),
         ("outcomes_identical", Json::Bool(identical)),
     ];
-    if let (Some(gain), Some(u)) = (batch_speedup, unbatched.as_ref()) {
-        fields.push(("unbatched_wall_ns", Json::U64(u.wall.as_nanos() as u64)));
-        fields.push((
-            "unbatched_scenarios_per_second",
-            Json::F64(u.scenarios_per_second()),
-        ));
-        fields.push(("batch_speedup", Json::F64(gain)));
+    if let Some(gain) = batching {
+        fields.push(("unbatched_wall_ns", Json::U64((gain.b * 1e9) as u64)));
+        fields.push(("batch_speedup", gain.to_json()));
     }
     fields.push(("report", parallel.to_json()));
     let doc = Json::object(fields);

@@ -43,8 +43,12 @@
 //!
 //! Each lane's observable output — exchange and read instants, execution
 //! records, outputs and acknowledgments — goes to its own emission log,
-//! the type the scalar engine writes; fast-forward marks, collects and
-//! replays it the same way for one lane as for many.
+//! the type the scalar engine writes.
+//!
+//! Batches do not fast-forward: every lockstep call sweeps. Periodic
+//! replay ([`crate::periodic`]) runs in the scalar [`Engine`](crate::Engine)
+//! alone (DESIGN.md, "Negative result: fast-forward inside lockstep
+//! batches").
 //!
 //! # Lockstep semantics and lane ejection
 //!
@@ -77,12 +81,7 @@ use evolve_obs::EngineCounters;
 use crate::compile::{lower_node_meta, zero_delay_dependent, CompiledTdg, Obs, SlotShape};
 use crate::derive::{DerivedTdg, SizeRule};
 use crate::engine::{derived_size, exec_term, AllocationFootprint, EmissionLog, History};
-use crate::error::EngineError;
 use crate::kernel;
-use crate::periodic::{
-    self, CallObservation, FastForward, FastForwardStats, Observed, PeriodicState, ReplayPlan,
-    TailObservation, DEFAULT_CONFIRM_PERIODS,
-};
 use crate::tdg::{NodeKind, Tdg};
 
 /// Upper bound on recycled [`LaneBlock`]s retained by the free list.
@@ -260,18 +259,19 @@ impl Lanes<'_> {
 }
 
 /// How many lockstep sweeps dispatched to the chunked (SIMD-friendly)
-/// fold kernels vs the per-element reference path. The split is decided
-/// once per engine by the padded lane stride (`kernel::is_chunked`):
-/// batches of 8+ lanes run chunked, narrower ones run the reference
-/// kernels. Purely diagnostic — both paths are bitwise identical — and
-/// deliberately *not* part of [`EngineCounters`], whose per-lane values must
-/// stay comparable with the scalar engine's.
+/// fold kernels vs the narrow-row loop. The split is decided once per
+/// engine by the padded lane stride (`kernel::is_chunked`): batches of 8+
+/// lanes run chunked, narrower ones the narrow-row loop. Purely
+/// diagnostic — both paths are bitwise identical — and deliberately *not*
+/// part of [`EngineCounters`], whose per-lane values must stay comparable
+/// with the scalar engine's.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDispatchStats {
     /// Lockstep sweeps answered by the lane-chunked kernels (portable or
     /// AVX2, per [`kernel::simd_level`]).
     pub chunked_sweeps: u64,
-    /// Lockstep sweeps answered by the per-element reference kernels.
+    /// Lockstep sweeps answered by the narrow-row loop (rows narrower than
+    /// a chunk).
     pub scalar_sweeps: u64,
 }
 
@@ -324,7 +324,7 @@ pub struct BatchedEngine {
     /// others.
     slot_dependent: Vec<bool>,
     has_prefix: bool,
-    /// Chunked-vs-reference kernel dispatch counters.
+    /// Chunked-vs-narrow kernel dispatch counters.
     kernel_dispatch: KernelDispatchStats,
     /// History depth (maximum arc delay).
     horizon: u64,
@@ -349,32 +349,6 @@ pub struct BatchedEngine {
     /// Each lane's logs, outputs and acknowledgment.
     logs: Vec<EmissionLog>,
     stats: EngineCounters,
-    // -- periodic fast-forward (see crate::periodic) -----------------------
-    fast_forward: FastForward,
-    ff_confirm_periods: u64,
-    ff_eligible: bool,
-    /// Distinct `k`-periods of all execution loads; `None` when some load
-    /// is aperiodic in `k` (which makes the batch ineligible).
-    ff_load_periods: Option<Vec<u64>>,
-    /// One detector per lane; empty unless fast-forward is on and the model
-    /// is eligible.
-    ff_lanes: Vec<PeriodicState>,
-    /// Whether the batch is currently answering lockstep calls entirely
-    /// from per-lane templates (the ring is released/stale while engaged;
-    /// a demotion reconstructs it before the sweep resumes).
-    ff_engaged: bool,
-    /// Structural mask: nodes computed by the look-ahead prefix.
-    prefix_nodes: Vec<bool>,
-    /// Per-lane replay plans of the current lockstep call.
-    ff_plans: Vec<Option<ReplayPlan>>,
-    /// Per-lane gather buffers: de-strided, node-indexed accumulators of
-    /// the completed iteration and the look-ahead tail for the detector.
-    ff_obs_acc: Vec<MaxPlus>,
-    ff_tail_acc: Vec<MaxPlus>,
-    /// Reusable two-pass extrapolation scratch (replayed instants).
-    ff_scratch: Vec<u64>,
-    /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
-    ff_acc_scratch: Vec<i64>,
     /// Attached telemetry observer; `None` (the default) reduces the whole
     /// telemetry layer to one branch per lockstep call.
     observer: Option<Box<dyn evolve_obs::Observer>>,
@@ -465,27 +439,7 @@ impl BatchedEngine {
             .iter()
             .map(|&s| dependent[s as usize])
             .collect();
-        let prefix_nodes: Vec<bool> = dependent.iter().map(|d| !d).collect();
         let input_slot = compiled.pos_of_node[input_node] as usize;
-
-        // Fast-forward eligibility: the try_new gates above already enforce
-        // a single driven input, no acknowledgment feedback, and size reads
-        // within the history horizon; the remaining condition is that every
-        // load is eventually periodic in `k`.
-        let mut ff_load_periods: Option<Vec<u64>> = Some(Vec::new());
-        for arc in tdg.arcs() {
-            for term in &arc.weight.execs {
-                match (term.load.k_period(), ff_load_periods.as_mut()) {
-                    (Some(q), Some(periods)) => {
-                        if !periods.contains(&q) {
-                            periods.push(q);
-                        }
-                    }
-                    _ => ff_load_periods = None,
-                }
-            }
-        }
-        let ff_eligible = ff_load_periods.is_some();
 
         // Analytic per-lane statistics deltas, mirroring exactly what the
         // scalar compiled engine counts per `set_input` call: the main
@@ -566,18 +520,6 @@ impl BatchedEngine {
             fifo_read: meta.fifo_read,
             logs,
             stats: EngineCounters::default(),
-            fast_forward: FastForward::Off,
-            ff_confirm_periods: DEFAULT_CONFIRM_PERIODS,
-            ff_eligible,
-            ff_load_periods,
-            ff_lanes: Vec::new(),
-            ff_engaged: false,
-            prefix_nodes,
-            ff_plans: Vec::new(),
-            ff_obs_acc: Vec::new(),
-            ff_tail_acc: Vec::new(),
-            ff_scratch: Vec::new(),
-            ff_acc_scratch: Vec::new(),
             observer: None,
             obs_rec_marks: Vec::new(),
             tdg,
@@ -586,14 +528,12 @@ impl BatchedEngine {
 
     /// Attaches a telemetry observer. Emits one
     /// [`Attached`](evolve_obs::EngineEvent::Attached) event immediately,
-    /// then lifecycle events per lockstep call, with execution records
-    /// streamed per lane — including records synthesised by fast-forward
-    /// template replay.
+    /// then one [`BatchSweep`](evolve_obs::EngineEvent::BatchSweep) per
+    /// lockstep call, with execution records streamed per lane.
     pub fn attach_observer(&mut self, mut observer: Box<dyn evolve_obs::Observer>) {
         observer.on_event(evolve_obs::EngineEvent::Attached {
             backend: evolve_obs::BackendKind::Batched,
             nodes: self.tdg.node_count() as u64,
-            ff_eligible: self.fast_forward_eligible(),
         });
         self.observer = Some(observer);
     }
@@ -638,84 +578,9 @@ impl BatchedEngine {
     }
 
     /// Kernel dispatch counters: how many lockstep sweeps ran through the
-    /// chunked fold kernels vs the per-element reference path. Replayed
-    /// (fast-forwarded) calls run no sweep and count in neither bucket.
+    /// chunked fold kernels vs the narrow-row loop.
     pub fn kernel_dispatch(&self) -> KernelDispatchStats {
         self.kernel_dispatch
-    }
-
-    /// Enables or disables per-lane periodic steady-state fast-forward with
-    /// the default confirmation window ([`DEFAULT_CONFIRM_PERIODS`]) — see
-    /// [`BatchedEngine::set_fast_forward_with`].
-    pub fn set_fast_forward(&mut self, ff: FastForward) {
-        self.set_fast_forward_with(ff, DEFAULT_CONFIRM_PERIODS);
-    }
-
-    /// Enables or disables per-lane periodic steady-state fast-forward.
-    ///
-    /// Every lane runs its own detector (lanes carry independent traces, so
-    /// they promote — and demote — independently). The whole lockstep call
-    /// is answered by O(1) template replay only while **all** offering
-    /// lanes are promoted and on their patterns; a pattern break on any
-    /// lane reconstructs the shared lane blocks for every active lane from
-    /// the templates, demotes just the lanes that broke (the others keep
-    /// their templates), and resumes the lockstep sweep. Observables stay
-    /// bitwise identical to a never-promoted batch. `confirm_periods` is as
-    /// in [`Engine::set_fast_forward_with`](crate::Engine::set_fast_forward_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after offers have started: pick the mode before
-    /// driving the batch (or right after [`BatchedEngine::reset`]).
-    pub fn set_fast_forward_with(&mut self, ff: FastForward, confirm_periods: u64) {
-        assert_eq!(
-            self.next_k, 0,
-            "set the fast-forward mode before offering inputs"
-        );
-        self.fast_forward = ff;
-        self.ff_confirm_periods = confirm_periods;
-        self.ff_engaged = false;
-        self.ff_lanes = match (ff, self.ff_eligible) {
-            (FastForward::On, true) => (0..self.lanes).map(|_| self.new_detector()).collect(),
-            _ => Vec::new(),
-        };
-    }
-
-    /// The configured fast-forward mode.
-    pub fn fast_forward(&self) -> FastForward {
-        self.fast_forward
-    }
-
-    /// Whether this batch can structurally support fast-forward (all loads
-    /// periodic in `k`; the batchability gates cover the rest). Enabling
-    /// fast-forward on an ineligible batch is a silent no-op.
-    pub fn fast_forward_eligible(&self) -> bool {
-        self.ff_eligible
-    }
-
-    /// Fast-forward statistics merged over all lanes (all zero while
-    /// disabled or ineligible).
-    pub fn fast_forward_stats(&self) -> FastForwardStats {
-        let mut s = FastForwardStats::default();
-        for pd in &self.ff_lanes {
-            s.merge(&pd.stats());
-        }
-        s
-    }
-
-    /// Fast-forward statistics of one lane.
-    pub fn lane_fast_forward_stats(&self, lane: usize) -> FastForwardStats {
-        self.ff_lanes.get(lane).map(PeriodicState::stats).unwrap_or_default()
-    }
-
-    fn new_detector(&self) -> PeriodicState {
-        PeriodicState::new(
-            self.ff_confirm_periods,
-            self.horizon,
-            self.ff_load_periods
-                .clone()
-                .expect("eligibility implies periodic loads"),
-        )
     }
 
     /// The computed acknowledgment instant of lane `lane`'s `k`-th offer,
@@ -778,17 +643,6 @@ impl BatchedEngine {
         self.logs.iter_mut().for_each(EmissionLog::clear);
         self.stats = EngineCounters::default();
         self.kernel_dispatch = KernelDispatchStats::default();
-        // Fast-forward: keep the knob and eligibility, restart detection.
-        self.ff_engaged = false;
-        if !self.ff_lanes.is_empty() {
-            if self.ff_lanes.len() == lanes {
-                for pd in &mut self.ff_lanes {
-                    pd.reset();
-                }
-            } else {
-                self.ff_lanes = (0..lanes).map(|_| self.new_detector()).collect();
-            }
-        }
         // The observer stays attached across scenarios; Reset marks the
         // time-axis boundary so streaming accumulators seal their frontier.
         if let Some(ob) = &mut self.observer {
@@ -826,85 +680,33 @@ impl BatchedEngine {
     /// # Panics
     ///
     /// Panics if `offers` does not have one entry per lane, if `k` is out
-    /// of lockstep order, if no lane offers at all, if an ended lane tries
-    /// to resume, or if a fast-forward extrapolation overflows `u64` ticks
-    /// (use [`BatchedEngine::try_set_input_batch`] to handle that as a
-    /// typed error).
+    /// of lockstep order, if no lane offers at all, or if an ended lane
+    /// tries to resume.
     pub fn set_input_batch(&mut self, k: u64, offers: &[Option<(Time, u64)>]) {
-        if let Err(e) = self.try_set_input_batch(k, offers) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`BatchedEngine::set_input_batch`], surfacing fast-forward
-    /// extrapolation overflow as [`EngineError::TimeOverflow`] instead of
-    /// panicking. On error the batch state is unchanged (extrapolation is
-    /// two-pass), so the lockstep call was not consumed.
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchedEngine::set_input_batch`], except for overflow.
-    pub fn try_set_input_batch(
-        &mut self,
-        k: u64,
-        offers: &[Option<(Time, u64)>],
-    ) -> Result<(), EngineError> {
-        // Telemetry wrapper: diff the per-lane record logs and fast-forward
-        // counters around the real lockstep call so the sweep below stays
-        // byte-identical whether or not an observer is attached.
+        // Telemetry wrapper: diff the per-lane record logs around the real
+        // lockstep call so the sweep below stays byte-identical whether or
+        // not an observer is attached.
         let Some(mut ob) = self.observer.take() else {
-            return self.try_set_input_batch_impl(k, offers);
+            return self.set_input_batch_impl(k, offers);
         };
         self.obs_rec_marks.clear();
         self.obs_rec_marks
             .extend(self.logs.iter().map(|log| log.exec_records.len()));
-        let ff_before: Vec<FastForwardStats> = (0..self.ff_lanes.len())
-            .map(|l| self.lane_fast_forward_stats(l))
-            .collect();
-        let total_ff_before = self.fast_forward_stats();
-        let result = self.try_set_input_batch_impl(k, offers);
-        match &result {
-            Ok(()) => {
-                let total_ff_after = self.fast_forward_stats();
-                ob.on_event(evolve_obs::EngineEvent::BatchSweep {
-                    k,
-                    lanes_offering: offers.iter().filter(|o| o.is_some()).count() as u32,
-                    replayed: total_ff_after.fast_forwarded_iterations
-                        > total_ff_before.fast_forwarded_iterations,
-                });
-                for (l, before) in ff_before.iter().enumerate() {
-                    let after = self.lane_fast_forward_stats(l);
-                    if after.promotions > before.promotions {
-                        let d = after.detected.expect("promotion implies a regime");
-                        ob.on_event(evolve_obs::EngineEvent::FfPromoted {
-                            k,
-                            lane: l as u32,
-                            growth: d.growth,
-                            period: d.period,
-                        });
-                    }
-                    if after.demotions > before.demotions {
-                        ob.on_event(evolve_obs::EngineEvent::FfDemoted { k, lane: l as u32 });
-                    }
-                }
-                for (l, mark) in self.obs_rec_marks.iter().enumerate() {
-                    let records = &self.logs[l].exec_records;
-                    if records.len() > *mark {
-                        ob.on_records(l as u32, &records[*mark..]);
-                    }
-                }
+        self.set_input_batch_impl(k, offers);
+        ob.on_event(evolve_obs::EngineEvent::BatchSweep {
+            k,
+            lanes_offering: offers.iter().filter(|o| o.is_some()).count() as u32,
+        });
+        for (l, mark) in self.obs_rec_marks.iter().enumerate() {
+            let records = &self.logs[l].exec_records;
+            if records.len() > *mark {
+                ob.on_records(l as u32, &records[*mark..]);
             }
-            Err(_) => ob.on_event(evolve_obs::EngineEvent::Overflow { k }),
         }
         self.observer = Some(ob);
-        result
     }
 
-    fn try_set_input_batch_impl(
-        &mut self,
-        k: u64,
-        offers: &[Option<(Time, u64)>],
-    ) -> Result<(), EngineError> {
+    fn set_input_batch_impl(&mut self, k: u64, offers: &[Option<(Time, u64)>]) {
         assert_eq!(offers.len(), self.lanes, "one offer slot per lane");
         assert_eq!(k, self.next_k, "lockstep offers must arrive in iteration order");
         if k > 0 {
@@ -920,19 +722,6 @@ impl BatchedEngine {
             "at least one lane must offer per lockstep call"
         );
 
-        // Promoted fast-forward: answer the whole lockstep call from the
-        // per-lane templates when every offering lane is promoted and on
-        // its pattern; a break demotes exactly the lanes that broke and
-        // falls through to the sweep below.
-        if !self.ff_lanes.is_empty() {
-            let mut lanes_pd = std::mem::take(&mut self.ff_lanes);
-            let outcome = self.ff_handle_offers(&mut lanes_pd, k, offers);
-            self.ff_lanes = lanes_pd;
-            if outcome? {
-                return Ok(());
-            }
-        }
-
         self.next_k = k + 1;
         let mut offered = 0u64;
         for (l, offer) in offers.iter().enumerate() {
@@ -943,12 +732,6 @@ impl BatchedEngine {
             self.active[l] = offering;
             self.current[l] = offering;
             offered += u64::from(offering);
-            // Detector capture: mark the log of every offering lane whose
-            // detector is confirming, so the call's emissions diff out.
-            let confirming = self.ff_lanes.get(l).is_some_and(|pd| pd.wants_capture());
-            if offering && confirming {
-                self.logs[l].mark(self.lane_stats[l]);
-            }
         }
 
         // Acquire iteration `k`'s block: the look-ahead block at the ring
@@ -1001,14 +784,6 @@ impl BatchedEngine {
             self.kernel_dispatch.scalar_sweeps += 1;
         }
 
-        // Feed the detectors before pruning: the observation reads
-        // iteration `k`'s block and the look-ahead tail.
-        if !self.ff_lanes.is_empty() {
-            let mut lanes_pd = std::mem::take(&mut self.ff_lanes);
-            self.ff_observe_lanes(&mut lanes_pd, k, offers);
-            self.ff_lanes = lanes_pd;
-        }
-
         // Prune history beyond the arc-delay horizon (size dependencies are
         // gated to the same horizon by `try_new`).
         let keep = self.horizon as usize + 2;
@@ -1019,7 +794,6 @@ impl BatchedEngine {
                 self.free.push(blk);
             }
         }
-        Ok(())
     }
 
     /// One lockstep pass of iteration `k` into `blk`: the look-ahead
@@ -1142,297 +916,6 @@ impl BatchedEngine {
                 self.lanes,
                 self.stride,
             ),
-        }
-    }
-
-    // -- periodic fast-forward ---------------------------------------------
-
-    /// Handles one lockstep offer set through the detectors. `Ok(true)`
-    /// means the whole call was replayed from templates; `Ok(false)` means
-    /// the sweep must run (possibly after demoting lanes that broke their
-    /// patterns); `Err` means an extrapolation overflowed with no state
-    /// change.
-    fn ff_handle_offers(
-        &mut self,
-        lanes_pd: &mut [PeriodicState],
-        k: u64,
-        offers: &[Option<(Time, u64)>],
-    ) -> Result<bool, EngineError> {
-        if !self.ff_engaged {
-            let all_promoted = offers
-                .iter()
-                .enumerate()
-                .all(|(l, o)| o.is_none() || lanes_pd[l].is_promoted());
-            if !all_promoted {
-                // Mixed regime: the ring is live, so a promoted lane keeps
-                // its template only while its offers stay on-pattern (the
-                // sweep then computes exactly what the template predicts);
-                // a break demotes the lane with nothing to reconstruct.
-                for (l, o) in offers.iter().enumerate() {
-                    if let Some((at, size)) = *o {
-                        if lanes_pd[l].is_promoted()
-                            && lanes_pd[l].check_offer(k, at.ticks(), size).is_none()
-                        {
-                            let _ = lanes_pd[l].demote();
-                        }
-                    }
-                }
-                return Ok(false);
-            }
-        }
-        // Engaged (ring stale) or engageable (every offering lane promoted,
-        // ring still live): plan every offering lane.
-        let mut plans = std::mem::take(&mut self.ff_plans);
-        plans.clear();
-        plans.resize(self.lanes, None);
-        let mut all_match = true;
-        for (l, o) in offers.iter().enumerate() {
-            if let Some((at, size)) = *o {
-                plans[l] = lanes_pd[l].check_offer(k, at.ticks(), size);
-                all_match &= plans[l].is_some();
-            }
-        }
-        if all_match {
-            let replayed = self.ff_replay_batch(lanes_pd, k, offers, &plans);
-            self.ff_plans = plans;
-            return match replayed {
-                Ok(()) => Ok(true),
-                // Engaged: the overflow is a typed error, nothing changed.
-                Err(e) if self.ff_engaged => Err(e),
-                // Not yet engaged: the ring is live, so the sweep can still
-                // honor the (on-pattern) offers; just skip engagement.
-                Err(_) => Ok(false),
-            };
-        }
-        // Pattern break on some lane.
-        if self.ff_engaged {
-            // The ring is stale: rebuild it from the templates before any
-            // lane demotes, so an overflow leaves the batch engaged and
-            // unchanged.
-            if let Err(e) = self.ff_reconstruct_batch(lanes_pd, k, offers) {
-                self.ff_plans = plans;
-                return Err(e);
-            }
-            self.ff_engaged = false;
-        }
-        for (l, o) in offers.iter().enumerate() {
-            if o.is_some() && plans[l].is_none() && lanes_pd[l].is_promoted() {
-                let _ = lanes_pd[l].demote();
-            }
-        }
-        self.ff_plans = plans;
-        Ok(false)
-    }
-
-    /// Replays one lockstep call: every offering lane shifts its template
-    /// position forward. Two-pass — all instants are extrapolated (checked)
-    /// before any state changes; the ring is released on first engagement
-    /// between the passes.
-    fn ff_replay_batch(
-        &mut self,
-        lanes_pd: &mut [PeriodicState],
-        k: u64,
-        offers: &[Option<(Time, u64)>],
-        plans: &[Option<ReplayPlan>],
-    ) -> Result<(), EngineError> {
-        let mut scratch = std::mem::take(&mut self.ff_scratch);
-        scratch.clear();
-        let mut fail = None;
-        for (l, o) in offers.iter().enumerate() {
-            if o.is_none() {
-                continue;
-            }
-            let plan = plans[l].expect("all offers matched");
-            let t = lanes_pd[l].template().expect("offering lanes are promoted");
-            let r = &t.refs[plan.pos];
-            let d = r.deltas.as_ref().expect("promoted template has deltas");
-            if let Err(e) = periodic::extrapolate_emissions(r, d, plan.m, &mut scratch) {
-                fail = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = fail {
-            self.ff_scratch = scratch;
-            return Err(e);
-        }
-        // Engage: no sweep runs until a demotion reconstructs the ring.
-        if !self.ff_engaged {
-            self.ff_engaged = true;
-            while let Some(blk) = self.ring.pop_front() {
-                self.base_k += 1;
-                if self.free.len() < FREE_LIST_CAP {
-                    self.free.push(blk);
-                }
-            }
-        }
-        // Pass 2: apply per lane in capture order — infallible.
-        let mut shifted = scratch.iter().copied();
-        for (l, o) in offers.iter().enumerate() {
-            let offering = o.is_some();
-            self.active[l] = offering;
-            self.current[l] = offering;
-            if !offering {
-                continue;
-            }
-            let plan = plans[l].expect("all offers matched");
-            let t = lanes_pd[l].template().expect("offering lanes are promoted");
-            let e = &t.refs[plan.pos].emissions;
-            self.logs[l].replay(k, e, &mut shifted);
-            for s in [&mut self.lane_stats[l], &mut self.stats] {
-                s.nodes_computed += e.nodes;
-                s.arcs_evaluated += e.arcs;
-                s.iterations_completed += e.iters;
-            }
-            lanes_pd[l].note_fast_forwarded();
-        }
-        debug_assert!(shifted.next().is_none());
-        self.stats.batched_iterations += 1;
-        self.next_k = k + 1;
-        self.ff_scratch = scratch;
-        Ok(())
-    }
-
-    /// Demotion: rebuild the shared lane blocks — `horizon` complete
-    /// history iterations plus the look-ahead tail for `k_b` — from every
-    /// offering lane's template (`refs[pos] + m × D`), so the lockstep
-    /// sweep resumes exactly where a never-promoted batch would stand.
-    /// Ended lanes are masked to fixed placeholders: their values are never
-    /// read again. Two-pass like replay.
-    fn ff_reconstruct_batch(
-        &mut self,
-        lanes_pd: &[PeriodicState],
-        k_b: u64,
-        offers: &[Option<(Time, u64)>],
-    ) -> Result<(), EngineError> {
-        let start = k_b.saturating_sub(self.horizon);
-        let offering = || (0..offers.len()).filter(|&l| offers[l].is_some());
-        let template = |l: usize| lanes_pd[l].template().expect("offering lanes are promoted");
-        // Pass 1: every offering lane's shifted rows, lane after lane.
-        let mut scratch = std::mem::take(&mut self.ff_acc_scratch);
-        scratch.clear();
-        for l in offering() {
-            let t = template(l);
-            if let Err(e) = periodic::shift_history(t, start, k_b, self.has_prefix, &mut scratch) {
-                self.ff_acc_scratch = scratch;
-                return Err(e);
-            }
-        }
-        // Pass 2: rebuild. The rows are node-indexed; the lane blocks are
-        // slot-indexed, so writes go through the inverse schedule
-        // permutation.
-        while let Some(blk) = self.ring.pop_front() {
-            if self.free.len() < FREE_LIST_CAP {
-                self.free.push(blk);
-            }
-        }
-        self.base_k = start;
-        let n = self.tdg.node_count();
-        let per_lane = n * ((k_b - start) as usize + usize::from(self.has_prefix));
-        for (b, j) in (start..k_b + u64::from(self.has_prefix)).enumerate() {
-            let mut blk = self.take_block();
-            blk.acc.fill(MaxPlus::EPSILON);
-            for (l, rows) in offering().zip(scratch.chunks_exact(per_lane)) {
-                let t = template(l);
-                let (computed, sizes) = if j < k_b {
-                    (None, &t.refs[t.locate(j).0].sizes)
-                } else {
-                    let tt = t.lookahead(k_b);
-                    (Some(&tt.computed), &tt.sizes)
-                };
-                for (node, &v) in rows[b * n..][..n].iter().enumerate() {
-                    if computed.is_none_or(|c| c[node]) {
-                        let slot = self.compiled.pos_of_node[node] as usize;
-                        blk.acc[slot * self.stride + l] = MaxPlus::new(v);
-                    }
-                }
-                blk.sizes[l * self.relation_count..][..self.relation_count].copy_from_slice(sizes);
-            }
-            self.ring.push_back(blk);
-        }
-        self.lookahead_ran = self.has_prefix;
-        self.ff_acc_scratch = scratch;
-        Ok(())
-    }
-
-    /// De-strides lane `l`'s accumulators of iteration `k` (and of the
-    /// look-ahead tail) into the node-indexed gather buffers. Tail entries
-    /// the prefix does not write are masked to fixed placeholders: the
-    /// sweep always overwrites them before reading, so masking keeps the
-    /// detector's periodicity checks on meaningful state only.
-    fn ff_gather_lane(&mut self, l: usize, k: u64) {
-        let stride = self.stride;
-        let pos_of = &self.compiled.pos_of_node;
-        let blk = &self.ring[(k - self.base_k) as usize];
-        self.ff_obs_acc.clear();
-        self.ff_obs_acc
-            .extend(pos_of.iter().map(|&slot| blk.acc[slot as usize * stride + l]));
-        if self.has_prefix {
-            debug_assert_eq!(self.base_k + self.ring.len() as u64, k + 2);
-            let la = self.ring.back().expect("look-ahead open");
-            self.ff_tail_acc.clear();
-            self.ff_tail_acc
-                .extend(pos_of.iter().zip(&self.prefix_nodes).map(|(&slot, &prefix)| {
-                    if prefix {
-                        la.acc[slot as usize * stride + l]
-                    } else {
-                        MaxPlus::EPSILON
-                    }
-                }));
-        }
-    }
-
-    /// Feeds every offering, not-yet-promoted lane's detector with the
-    /// completed lockstep call; a closed confirmation window attempts
-    /// promotion. Unlike the scalar engine, a promotion releases nothing:
-    /// the ring keeps serving the other lanes until the whole batch
-    /// engages.
-    fn ff_observe_lanes(
-        &mut self,
-        lanes_pd: &mut [PeriodicState],
-        k: u64,
-        offers: &[Option<(Time, u64)>],
-    ) {
-        for (l, o) in offers.iter().enumerate() {
-            let Some((at, size)) = *o else { continue };
-            let pd = &mut lanes_pd[l];
-            if pd.is_promoted() {
-                continue; // verified against its template in ff_handle_offers
-            }
-            // A confirming detector had the lane's log marked before the
-            // sweep; while idle it only reads the offer line.
-            let wants = pd.wants_capture();
-            let emissions = wants.then(|| self.logs[l].collect(k, self.lane_stats[l]));
-            if wants {
-                self.ff_gather_lane(l, k);
-            }
-            let lane = l * self.relation_count..(l + 1) * self.relation_count;
-            let tail = (self.has_prefix && wants).then(|| TailObservation {
-                computed: &self.prefix_nodes,
-                acc: &self.ff_tail_acc,
-                sizes: &self.ring.back().expect("look-ahead open").sizes[lane.clone()],
-            });
-            let obs = CallObservation {
-                k,
-                at: at.ticks(),
-                size,
-                acc: &self.ff_obs_acc,
-                sizes: &self.ring[(k - self.base_k) as usize].sizes[lane],
-                tail,
-                emissions,
-            };
-            if pd.observe_fast_call(&obs) == Observed::ReadyToPromote {
-                let arcs = self
-                    .tdg
-                    .arcs()
-                    .iter()
-                    .map(|a| (a.src.index(), a.dst.index()));
-                if pd.try_promote(arcs).is_some() {
-                    periodic::debug_check_against_oracle(
-                        &self.tdg,
-                        pd.template().expect("just promoted"),
-                    );
-                }
-            }
         }
     }
 }
@@ -1609,7 +1092,7 @@ mod tests {
             "a whole-chunk batch runs the chunked kernels"
         );
 
-        // Narrow batches fall back to the reference kernels.
+        // Narrow batches take the narrow-row loop.
         let (derived, relations) = didactic_derived();
         let mut narrow = BatchedEngine::try_new(derived, relations, true, 3).unwrap();
         let offers: Vec<Option<(Time, u64)>> =
@@ -1618,7 +1101,7 @@ mod tests {
         assert_eq!(
             narrow.kernel_dispatch(),
             KernelDispatchStats { chunked_sweeps: 0, scalar_sweeps: 1 },
-            "sub-chunk batches run the reference kernels"
+            "sub-chunk batches run the narrow-row loop"
         );
 
         // Reset clears the counters; width 9 pads to stride 16 and is
@@ -1669,175 +1152,4 @@ mod tests {
         batch.set_input_batch(1, &[Some((Time::from_ticks(10), 1)), None]);
         batch.set_input_batch(2, &[Some((Time::from_ticks(20), 1)), Some((Time::from_ticks(20), 1))]);
     }
-
-    /// Drives `ff` and `plain` with identical offers and asserts every
-    /// observable (instants, reads, exec records, acks, outputs, per-lane
-    /// and aggregate stats) is bitwise identical.
-    fn assert_batches_bitwise_equal(
-        ff: &mut BatchedEngine,
-        plain: &mut BatchedEngine,
-        relations: usize,
-        lanes: usize,
-        total: u64,
-        offer: impl Fn(usize, u64) -> Option<(Time, u64)>,
-    ) {
-        for k in 0..total {
-            let offers: Vec<Option<(Time, u64)>> = (0..lanes).map(|l| offer(l, k)).collect();
-            ff.set_input_batch(k, &offers);
-            plain.set_input_batch(k, &offers);
-            for l in 0..lanes {
-                assert_eq!(ff.ack_instant(l, k), plain.ack_instant(l, k), "lane {l} k {k}");
-            }
-        }
-        for l in 0..lanes {
-            for r in 0..relations {
-                assert_eq!(ff.instants(l, r), plain.instants(l, r), "lane {l} relation {r}");
-                assert_eq!(
-                    ff.read_instants(l, r),
-                    plain.read_instants(l, r),
-                    "lane {l} relation {r}"
-                );
-            }
-            assert_eq!(ff.exec_records(l), plain.exec_records(l), "lane {l} exec records");
-            assert_eq!(ff.lane_stats(l), plain.lane_stats(l), "lane {l} stats");
-            loop {
-                let (a, b) = (ff.next_output(l, 0), plain.next_output(l, 0));
-                assert_eq!(a, b, "lane {l} output stream");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-        assert_eq!(ff.stats(), plain.stats(), "aggregate stats");
-    }
-
-    #[test]
-    fn batched_fast_forward_promotes_and_matches_plain() {
-        let (derived, relations) = didactic_derived();
-        let lanes = 3usize;
-        let mut ff = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        assert!(ff.fast_forward_eligible());
-        ff.set_fast_forward(FastForward::On);
-        let (derived, _) = didactic_derived();
-        let mut plain = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        let total = 200u64;
-        assert_batches_bitwise_equal(&mut ff, &mut plain, relations, lanes, total, |l, k| {
-            Some((Time::from_ticks(k * (40 + l as u64 * 13)), 3))
-        });
-        let s = ff.fast_forward_stats();
-        assert_eq!(s.promotions, lanes as u64);
-        assert_eq!(s.demotions, 0);
-        assert!(
-            s.fast_forwarded_iterations > 100 * lanes as u64,
-            "expected most calls replayed, got {s:?}"
-        );
-        for l in 0..lanes {
-            let d = ff.lane_fast_forward_stats(l).detected.expect("lane promoted");
-            assert_eq!(d.period, 1, "lane {l}");
-        }
-        assert_eq!(plain.fast_forward_stats(), FastForwardStats::default());
-    }
-
-    #[test]
-    fn batched_fast_forward_ejects_a_breaking_lane_and_recovers() {
-        let (derived, relations) = didactic_derived();
-        let lanes = 3usize;
-        let mut ff = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        ff.set_fast_forward(FastForward::On);
-        let (derived, _) = didactic_derived();
-        let mut plain = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        let total = 300u64;
-        assert_batches_bitwise_equal(&mut ff, &mut plain, relations, lanes, total, |l, k| {
-            // Lane 1 shifts its arrival line once at k = 150; the batch must
-            // reconstruct, eject only lane 1, and later re-engage.
-            let jitter = if l == 1 && k >= 150 { 9_999 } else { 0 };
-            Some((Time::from_ticks(k * (40 + l as u64 * 13) + jitter), 3))
-        });
-        assert_eq!(ff.lane_fast_forward_stats(1).demotions, 1, "only lane 1 breaks");
-        assert_eq!(ff.lane_fast_forward_stats(1).promotions, 2, "lane 1 re-promotes");
-        for l in [0usize, 2] {
-            assert_eq!(ff.lane_fast_forward_stats(l).demotions, 0, "lane {l}");
-            assert_eq!(ff.lane_fast_forward_stats(l).promotions, 1, "lane {l}");
-        }
-        let s = ff.fast_forward_stats();
-        assert_eq!(s.promotions, 4);
-        assert_eq!(s.demotions, 1);
-        assert!(s.fast_forwarded_iterations > 0, "{s:?}");
-    }
-
-    #[test]
-    fn batched_fast_forward_handles_ending_lanes() {
-        let (derived, relations) = didactic_derived();
-        let lanes = 3usize;
-        let mut ff = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        ff.set_fast_forward(FastForward::On);
-        let (derived, _) = didactic_derived();
-        let mut plain = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        // Lane 2 stops offering after promotion; the remaining lanes keep
-        // replaying without it.
-        assert_batches_bitwise_equal(&mut ff, &mut plain, relations, lanes, 160, |l, k| {
-            (l != 2 || k < 80).then_some((Time::from_ticks(k * (40 + l as u64 * 13)), 3))
-        });
-        let s = ff.fast_forward_stats();
-        assert_eq!(s.promotions, 3);
-        assert_eq!(s.demotions, 0);
-        assert!(s.fast_forwarded_iterations > 0, "{s:?}");
-    }
-
-    #[test]
-    fn batched_fast_forward_reset_restarts_detection() {
-        let (derived, relations) = didactic_derived();
-        let lanes = 2usize;
-        let mut ff = BatchedEngine::try_new(derived, relations, true, lanes).unwrap();
-        ff.set_fast_forward(FastForward::On);
-        let drive = |b: &mut BatchedEngine| {
-            for k in 0..80u64 {
-                let offers: Vec<Option<(Time, u64)>> =
-                    (0..lanes).map(|l| Some((Time::from_ticks(k * (50 + l as u64)), 2))).collect();
-                b.set_input_batch(k, &offers);
-                for l in 0..lanes {
-                    while b.next_output(l, 0).is_some() {}
-                }
-            }
-        };
-        drive(&mut ff);
-        assert_eq!(ff.fast_forward_stats().promotions, lanes as u64);
-        ff.reset(lanes);
-        assert_eq!(ff.fast_forward(), FastForward::On);
-        assert_eq!(ff.fast_forward_stats(), FastForwardStats::default());
-        drive(&mut ff);
-        assert_eq!(ff.fast_forward_stats().promotions, lanes as u64);
-    }
-
-    #[test]
-    fn batched_fast_forward_ineligible_on_aperiodic_loads() {
-        let mut b = TdgBuilder::new();
-        let i0 = b.add_node("u0", NodeKind::Input { relation: RelationId::from_index(0) });
-        let out = b.add_node("y", NodeKind::Output { relation: RelationId::from_index(1) });
-        let term = ExecTerm {
-            function: evolve_model::FunctionId::from_index(0),
-            stmt: 0,
-            load: LoadModel::Uniform { min: 1, max: 9, seed: 3 },
-            speed: 1,
-            size_from: None,
-        };
-        b.add_arc(i0, out, 0, Weight::exec(term));
-        let tdg = b.build().unwrap();
-        let derived = DerivedTdg::new(
-            tdg,
-            vec![
-                SizeRule::External,
-                SizeRule::Derived { from: None, model: SizeModel::Same },
-            ],
-        );
-        let mut batch = BatchedEngine::try_new(derived, 2, true, 2).unwrap();
-        assert!(!batch.fast_forward_eligible());
-        batch.set_fast_forward(FastForward::On);
-        for k in 0..40u64 {
-            let offers = vec![Some((Time::from_ticks(k * 50), 1)); 2];
-            batch.set_input_batch(k, &offers);
-        }
-        assert_eq!(batch.fast_forward_stats(), FastForwardStats::default());
-    }
 }
-

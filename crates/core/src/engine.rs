@@ -528,10 +528,10 @@ pub(crate) fn derived_size(
 /// written while recording), the computed outputs and input
 /// acknowledgments, and the kernel notifications they wake. [`Engine`]
 /// owns one and [`BatchedEngine`](crate::BatchedEngine) one per lane. Both
-/// write it during a sweep ([`EmissionLog::log`], [`EmissionLog::publish`]),
-/// diff it around a call fast-forward captures ([`EmissionLog::mark`],
-/// [`EmissionLog::collect`]) and append replayed calls to it
-/// ([`EmissionLog::replay`]).
+/// write it during a sweep ([`EmissionLog::log`], [`EmissionLog::publish`]);
+/// the scalar engine's fast-forward also diffs it around a call it captures
+/// ([`EmissionLog::mark`], [`EmissionLog::collect`]) and appends replayed
+/// calls to it ([`EmissionLog::replay`]).
 pub(crate) struct EmissionLog {
     /// Exchange-instant log per relation (write instants).
     instants: Vec<Vec<Time>>,
@@ -1097,7 +1097,6 @@ impl Engine {
                 EvalBackend::Worklist => BackendKind::Worklist,
             },
             nodes: self.tdg.node_count() as u64,
-            ff_eligible: self.ff_eligible,
         });
         self.observer = Some(observer);
     }

@@ -168,11 +168,13 @@ impl evolve_des::Process<Token> for Emission {
                 }
                 Some((k, y, size)) => {
                     if api.now() < y {
-                        // A timed notification was scheduled for y when the
-                        // output was computed, but it can be missed while
-                        // this process is parked on a blocked write — the
-                        // explicit timer is the safety net.
-                        return Activation::WaitFor(y.since(api.now()));
+                        // The engine scheduled a timed notification for y
+                        // when it computed the output, and it is still
+                        // pending while the clock is short of y. One missed
+                        // while parked on a blocked write was for an
+                        // instant the clock has reached, so that output
+                        // is written at once, here.
+                        return Activation::WaitEvent(self.ready_event);
                     }
                     // The k-th output data is produced at instant y(k),
                     // carrying the computed token size for downstream
@@ -523,7 +525,8 @@ mod tests {
     use crate::periodic::FastForward;
     use crate::tdg::NodeKind;
     use evolve_model::{
-        Application, Behavior, Concurrency, LoadModel, Mapping, Platform, Stimulus,
+        didactic, varying_sizes, Application, Behavior, Concurrency, LoadModel, Mapping, Platform,
+        Stimulus,
     };
 
     const TOKENS: u64 = 300;
@@ -621,5 +624,20 @@ mod tests {
         let stats = engine.borrow().fast_forward_stats();
         assert!(stats.promotions >= 1, "{stats:?}");
         assert!(stats.fast_forwarded_iterations > TOKENS / 2, "{stats:?}");
+    }
+
+    /// Table I example 4 at 2 000 tokens: each token schedules at most two
+    /// timed kernel entries, the reception's acknowledgment wait and the
+    /// output notification that wakes the emission, which arms no timer
+    /// of its own; activations stay at the 10 003 the run took when it did.
+    #[test]
+    fn emission_wakes_on_the_output_notification_alone() {
+        const N: u64 = 2_000;
+        let d = didactic::chained(4, didactic::Params::default()).unwrap();
+        let env = Environment::new()
+            .stimulus(d.input(), Stimulus::saturating(N, varying_sizes(1, 256, 4)));
+        let stats = EquivalentModelBuilder::new(&d.arch).build(&env).unwrap().run().run.stats;
+        assert!(stats.scheduled <= 2 * N, "{stats:?}");
+        assert!(stats.activations <= 10_003, "{stats:?}");
     }
 }

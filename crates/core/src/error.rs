@@ -21,6 +21,16 @@ pub enum DeriveError {
         /// Name of one node on the cycle.
         node: String,
     },
+    /// An execution duration reads its own iteration's token size on an
+    /// arc that is resolved before that iteration's offer: a delayed arc,
+    /// or a zero-delay arc whose source has no zero-delay path from an
+    /// input or output acknowledgment. The worklist would read the size
+    /// before the offer writes it and the compiled sweep after, so the two
+    /// evaluators would compute different instants.
+    EarlySizeRead {
+        /// Name of the arc's destination node.
+        node: String,
+    },
 }
 
 impl core::fmt::Display for DeriveError {
@@ -33,6 +43,10 @@ impl core::fmt::Display for DeriveError {
             DeriveError::CausalityCycle { node } => {
                 write!(f, "zero-delay dependency cycle through node {node}")
             }
+            DeriveError::EarlySizeRead { node } => write!(
+                f,
+                "an arc into node {node} reads its iteration's token size before the offer"
+            ),
         }
     }
 }

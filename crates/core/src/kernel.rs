@@ -13,11 +13,13 @@
 //!   selects (overflow saturation, finite-range clamp, `ε`-absorption), all
 //!   expressible as compares + blends — no per-lane control flow.
 //!
-//! Three implementations exist and are pinned bitwise-identical by the
-//! differential tests at the bottom of this file:
+//! Three implementations exist and are pinned bitwise-identical, by the
+//! differential tests at the bottom of this file, to a per-element
+//! reference built directly on [`MaxPlus::oplus`] / [`MaxPlus::otimes`]
+//! (compiled for the tests only):
 //!
-//! 1. a **per-element reference** built directly on [`MaxPlus::oplus`] /
-//!    [`MaxPlus::otimes`], used for rows narrower than a chunk;
+//! 1. a **narrow-row** path, a plain loop over the same branch-free
+//!    select the chunked loops use, for rows narrower than a chunk;
 //! 2. a **portable chunked** path written over `[i64; CHUNK]` blocks so LLVM
 //!    auto-vectorizes it on stable Rust; and
 //! 3. an **AVX2** path (`#[target_feature(enable = "avx2")]`) that emulates
@@ -48,7 +50,7 @@ const RAW_FINITE_MAX: i64 = i64::MAX - 1;
 const RAW_E: i64 = 0;
 
 /// Returns `true` when a row of `len` lanes is folded by the chunked
-/// (vectorizable) kernels rather than the per-element reference.
+/// (vectorizable) kernels rather than the narrow-row loop.
 #[inline]
 pub fn is_chunked(len: usize) -> bool {
     len >= CHUNK && len.is_multiple_of(CHUNK)
@@ -60,7 +62,7 @@ pub fn is_chunked(len: usize) -> bool {
 /// [`CHUNK`] so every fold runs the branch-free chunked path; the padded
 /// tail lanes hold harmless saturating values and are never offered,
 /// observed, or read back. Narrow batches keep their natural width and use
-/// the per-element reference kernel.
+/// the narrow-row loop.
 #[inline]
 pub fn lane_stride(lanes: usize) -> usize {
     if lanes >= CHUNK {
@@ -125,7 +127,9 @@ pub fn fold_max_otimes(dst: &mut [MaxPlus], src: &[MaxPlus], lag: MaxPlus) {
             portable::fold_max_otimes(raw_mut(dst), raw(src), lag.raw());
         }
     } else {
-        reference::fold_max_otimes(dst, src, lag);
+        for (d, &s) in raw_mut(dst).iter_mut().zip(raw(src)) {
+            *d = (*d).max(otimes_lag_raw(s, lag.raw()));
+        }
     }
 }
 
@@ -159,7 +163,9 @@ pub fn store_base_otimes(dst: &mut [MaxPlus], src: &[MaxPlus], lag: MaxPlus) {
             portable::store_base_otimes(raw_mut(dst), raw(src), lag.raw());
         }
     } else {
-        reference::store_base_otimes(dst, src, lag);
+        for (d, &s) in raw_mut(dst).iter_mut().zip(raw(src)) {
+            *d = RAW_E.max(otimes_lag_raw(s, lag.raw()));
+        }
     }
 }
 
@@ -178,8 +184,8 @@ pub fn fold_max_value(dst: &mut [MaxPlus], v: MaxPlus) {
         }
         portable::fold_max_value(raw_mut(dst), v.raw());
     } else {
-        for d in dst {
-            *d = d.oplus(v);
+        for d in raw_mut(dst) {
+            *d = (*d).max(v.raw());
         }
     }
 }
@@ -224,9 +230,9 @@ fn otimes_lag_raw(v: i64, lag: i64) -> i64 {
     }
 }
 
-/// Per-element reference path, straight off the semiring operators. Used
-/// for rows narrower than a chunk and as the oracle in the differential
-/// tests.
+/// Per-element reference path, straight off the semiring operators: the
+/// oracle of the differential tests.
+#[cfg(test)]
 mod reference {
     use super::MaxPlus;
 
@@ -488,24 +494,15 @@ mod tests {
     }
 
     fn oracle_fold(dst: &[i64], src: &[i64], lag: i64) -> Vec<i64> {
-        dst.iter()
-            .zip(src)
-            .map(|(&d, &s)| {
-                MaxPlus::from_raw(d)
-                    .oplus(MaxPlus::from_raw(s).otimes(MaxPlus::from_raw(lag)))
-                    .raw()
-            })
-            .collect()
+        let mut out = decode(dst);
+        reference::fold_max_otimes(&mut out, &decode(src), MaxPlus::from_raw(lag));
+        out.iter().map(|x| x.raw()).collect()
     }
 
     fn oracle_base(src: &[i64], lag: i64) -> Vec<i64> {
-        src.iter()
-            .map(|&s| {
-                MaxPlus::E
-                    .oplus(MaxPlus::from_raw(s).otimes(MaxPlus::from_raw(lag)))
-                    .raw()
-            })
-            .collect()
+        let mut out = decode(src);
+        reference::store_base_otimes(&mut out, &decode(src), MaxPlus::from_raw(lag));
+        out.iter().map(|x| x.raw()).collect()
     }
 
     #[test]
@@ -632,15 +629,26 @@ mod tests {
         fn narrow_rows_use_the_same_semantics(
             len in 1usize..CHUNK,
             lag in finite_lag(),
+            v in raw_value(),
             seed in proptest::collection::vec(raw_value(), CHUNK),
         ) {
-            // Rows shorter than a chunk take the reference path; pin the
-            // semantics so the two dispatch arms cannot drift.
+            // Rows shorter than a chunk take the narrow-row loop; pin it to
+            // the reference so the two dispatch arms cannot drift.
             let dst: Vec<i64> = seed.iter().take(len).copied().collect();
             let src: Vec<i64> = seed.iter().rev().take(len).copied().collect();
             let mut got = decode(&dst);
             fold_max_otimes(&mut got, &decode(&src), MaxPlus::from_raw(lag));
             prop_assert_eq!(got, decode(&oracle_fold(&dst, &src, lag)));
+
+            let mut base = decode(&dst);
+            store_base_otimes(&mut base, &decode(&src), MaxPlus::from_raw(lag));
+            prop_assert_eq!(base, decode(&oracle_base(&src, lag)));
+
+            let mut max = decode(&dst);
+            fold_max_value(&mut max, MaxPlus::from_raw(v));
+            let expect: Vec<MaxPlus> =
+                dst.iter().map(|&d| MaxPlus::from_raw(d).oplus(MaxPlus::from_raw(v))).collect();
+            prop_assert_eq!(max, expect);
         }
 
         #[test]

@@ -56,6 +56,9 @@
 //!
 //! All extrapolation arithmetic is checked: a shift that would leave `u64`
 //! ticks surfaces [`EngineError::TimeOverflow`] instead of saturating.
+//!
+//! Only the scalar [`Engine`](crate::Engine) fast-forwards:
+//! [`BatchedEngine`](crate::BatchedEngine) lanes sweep every lockstep call.
 
 use std::collections::VecDeque;
 
@@ -66,9 +69,10 @@ use evolve_model::{FunctionId, ResourceId};
 use crate::error::EngineError;
 use crate::tdg::Tdg;
 
-/// Whether an engine may promote periodic steady states to fast-forward
-/// replay. Orthogonal to [`EvalBackend`](crate::EvalBackend): fast-forward
-/// rides on top of the compiled sweep (worklist engines never promote).
+/// Whether a scalar engine may promote periodic steady states to
+/// fast-forward replay. Orthogonal to [`EvalBackend`](crate::EvalBackend):
+/// fast-forward rides on top of the compiled sweep (worklist engines never
+/// promote, and batched lanes never fast-forward).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastForward {
     /// Detect periodic regimes and replay them in O(1) per iteration.
@@ -107,7 +111,8 @@ pub struct DetectedPeriod {
     pub period: u64,
 }
 
-/// Fast-forward counters of one engine (or one batch lane).
+/// Fast-forward counters of one scalar engine (all zero for a batch lane,
+/// which never fast-forwards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastForwardStats {
     /// Times the detector promoted to fast-forward replay.
@@ -484,8 +489,8 @@ pub(crate) enum Observed {
     ReadyToPromote,
 }
 
-/// Online periodic-regime detector and template store of one engine (or one
-/// batch lane).
+/// Online periodic-regime detector and template store of one scalar
+/// engine.
 #[derive(Debug)]
 pub(crate) struct PeriodicState {
     confirm_periods: u64,

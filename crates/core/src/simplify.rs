@@ -639,6 +639,7 @@ mod tests {
                             b.add_node(format!("n{i}"), kind)
                         })
                         .collect();
+                    let mut same_iteration = Vec::new();
                     for (src, dst, delay, lag) in arcs {
                         let (src, dst) = match (delay, src.cmp(&dst)) {
                             (0, std::cmp::Ordering::Equal) => continue,
@@ -647,9 +648,21 @@ mod tests {
                         };
                         if dst != 0 {
                             b.add_arc(ids[src], ids[dst], delay, Weight::constant(lag));
+                            if delay == 0 {
+                                same_iteration.push((src, dst));
+                            }
                         }
                     }
+                    // A duration reads the offered size only from a node
+                    // that waits for the offer, as in a derived graph
+                    // (`TdgBuilder::build` rejects the rest); delay-0 arcs
+                    // go forward, so one pass in node order settles it.
+                    let mut waits = vec![false; nodes];
+                    waits[0] = true;
                     for (dst, duration) in durations.into_iter().enumerate() {
+                        for &(src, _) in same_iteration.iter().filter(|a| a.1 == dst) {
+                            waits[dst] |= waits[src];
+                        }
                         let Some((src, base)) = duration else {
                             continue;
                         };
@@ -661,9 +674,10 @@ mod tests {
                             stmt: 0,
                             load: LoadModel::PerUnit { base, per_unit: 1 },
                             speed: 1,
-                            size_from: Some((RelationId::from_index(0), 0)),
+                            size_from: waits[src].then_some((RelationId::from_index(0), 0)),
                         };
                         b.add_arc(ids[src], ids[dst], 0, Weight::exec(term));
+                        waits[dst] |= waits[src];
                     }
                     b
                 })

@@ -454,7 +454,10 @@ impl TdgBuilder {
     /// # Errors
     ///
     /// Returns [`crate::DeriveError::CausalityCycle`] if the zero-delay
-    /// subgraph has a cycle.
+    /// subgraph has a cycle, and [`crate::DeriveError::EarlySizeRead`] if
+    /// an execution term reads its iteration's token size (delay 0) on a
+    /// delayed arc, or on a zero-delay arc whose source has no zero-delay
+    /// path from an input or output acknowledgment.
     pub fn build(self) -> Result<Tdg, crate::DeriveError> {
         self.build_ordered().map(|(tdg, _)| tdg)
     }
@@ -493,10 +496,23 @@ impl TdgBuilder {
             output_acks,
             max_delay: self.max_delay,
         };
-        match tdg.topo_order() {
-            Ok(order) => Ok((tdg, order)),
-            Err(node) => Err(crate::DeriveError::CausalityCycle { node }),
+        let order = tdg
+            .topo_order()
+            .map_err(|node| crate::DeriveError::CausalityCycle { node })?;
+        let reads_now =
+            |arc: &Arc| arc.weight.execs.iter().any(|t| matches!(t.size_from, Some((_, 0))));
+        if tdg.arcs.iter().any(reads_now) {
+            let dependent = crate::compile::zero_delay_dependent(&tdg);
+            if let Some(arc) = tdg
+                .arcs
+                .iter()
+                .find(|arc| reads_now(arc) && (arc.delay > 0 || !dependent[arc.src.0]))
+            {
+                let node = tdg.nodes[arc.dst.0].name.clone();
+                return Err(crate::DeriveError::EarlySizeRead { node });
+            }
         }
+        Ok((tdg, order))
     }
 }
 
@@ -596,5 +612,46 @@ mod tests {
         assert!(dot.contains("label=\"u\""));
         assert!(dot.contains("(k-1)"));
         assert!(dot.contains("style=dashed"));
+    }
+
+    /// `u → y` plus a padding source `p → y`, the duration on `src → y`
+    /// reading the input size at delay 0 over an arc of `delay`.
+    fn early_read(from_input: bool, delay: u32) -> Result<Tdg, crate::DeriveError> {
+        let mut b = TdgBuilder::new();
+        let u = b.add_node("u", NodeKind::Input { relation: rel(0) });
+        let p = b.add_node("p", NodeKind::Padding);
+        let y = b.add_node("y", NodeKind::Output { relation: rel(1) });
+        let term = ExecTerm {
+            function: FunctionId::from_index(0),
+            stmt: 0,
+            load: LoadModel::PerUnit { base: 49, per_unit: 1 },
+            speed: 3,
+            size_from: Some((rel(0), 0)),
+        };
+        b.add_arc(u, y, 0, Weight::e());
+        b.add_arc(if from_input { u } else { p }, y, delay, Weight::exec(term));
+        b.build()
+    }
+
+    #[test]
+    fn size_reads_before_the_offer_are_rejected() {
+        // A delay-1 arc reading the input size at delay 0 gave 30 on the
+        // compiled sweep and 24 on the worklist at k = 0.
+        let early = Some(crate::DeriveError::EarlySizeRead { node: "y".into() });
+        assert_eq!(early_read(true, 1).err(), early);
+        // A zero-delay arc from a node no offer reaches is resolved
+        // before the offer too.
+        assert_eq!(early_read(false, 0).err(), early);
+        // On a zero-delay arc from the input the size is offered first.
+        assert!(early_read(true, 0).is_ok());
+    }
+
+    #[test]
+    fn every_table_i_chain_builds() {
+        use evolve_model::didactic;
+        for stages in 1..=8 {
+            let d = didactic::chained(stages, didactic::Params::default()).unwrap();
+            crate::derive_tdg(&d.arch).unwrap();
+        }
     }
 }

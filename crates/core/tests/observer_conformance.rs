@@ -77,10 +77,8 @@ fn build_batch(model: &Model, lanes: usize) -> BatchedEngine {
     if padding > 0 {
         derived.map_tdg(|tdg| synthetic::pad(tdg, padding));
     }
-    let mut batch = BatchedEngine::try_new(derived, relations, true, lanes)
-        .expect("didactic and pipeline graphs are batchable");
-    batch.set_fast_forward(FastForward::On);
-    batch
+    BatchedEngine::try_new(derived, relations, true, lanes)
+        .expect("didactic and pipeline graphs are batchable")
 }
 
 /// Mixed trace families: periodic (promotes), aperiodic (never promotes),

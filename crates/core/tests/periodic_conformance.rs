@@ -2,8 +2,10 @@
 //! evaluation paths.
 //!
 //! Every scenario is evaluated four ways — worklist reference, compiled
-//! sweep, compiled sweep with fast-forward, and batched lockstep lanes with
-//! fast-forward — over three families of input traces: strictly periodic
+//! sweep, compiled sweep with fast-forward, and batched lockstep lanes
+//! (which never fast-forward: they sweep every call and must still answer
+//! as the fast-forwarding scalar engine) — over three families of input
+//! traces: strictly periodic
 //! (the promotion regime), aperiodic (the detector must never promote
 //! incorrectly), and period-breaking (promotion followed by a clean
 //! demotion mid-trace).
@@ -18,14 +20,18 @@
 //! a canonical multiset against the worklist and batched paths (those
 //! backends emit in schedule order; only the multiset is contractual).
 //!
-//! The deterministic test additionally pins the promote → demote →
-//! re-promote sequence on phase-jumping traces.
+//! The deterministic tests additionally pin the promote → demote →
+//! re-promote sequence on phase-jumping traces, and that a sweep's batched
+//! lanes report zeroed fast-forward counters.
 
 use evolve_core::{
-    derive_tdg, synthetic, BatchedEngine, Engine, EvalBackend, FastForward,
+    derive_tdg, synthetic, BatchedEngine, Engine, EvalBackend, FastForward, FastForwardStats,
 };
 use evolve_des::Time;
-use evolve_explore::{drive_batch, drive_engine, ScenarioOutcome};
+use evolve_explore::{
+    drive_batch, drive_engine, run_sweep, ModelKind, ModelSpec, ScenarioOutcome, ScenarioSpec,
+    SweepConfig, TraceSpec,
+};
 use evolve_model::{didactic, Arrival, ExecRecord};
 use proptest::prelude::*;
 
@@ -68,7 +74,7 @@ fn build_engine(model: &Model, backend: EvalBackend, ff: FastForward) -> (Engine
     (engine, relations)
 }
 
-fn build_batch(model: &Model, lanes: usize, ff: FastForward) -> BatchedEngine {
+fn build_batch(model: &Model, lanes: usize) -> BatchedEngine {
     let (arch, padding) = match model {
         Model::Didactic { stages } => (
             didactic::chained(*stages, didactic::Params::default()).expect("didactic builds").arch,
@@ -84,10 +90,8 @@ fn build_batch(model: &Model, lanes: usize, ff: FastForward) -> BatchedEngine {
     if padding > 0 {
         derived.map_tdg(|tdg| synthetic::pad(tdg, padding));
     }
-    let mut batch = BatchedEngine::try_new(derived, relations, true, lanes)
-        .expect("didactic and pipeline graphs are batchable");
-    batch.set_fast_forward(ff);
-    batch
+    BatchedEngine::try_new(derived, relations, true, lanes)
+        .expect("didactic and pipeline graphs are batchable")
 }
 
 /// Strictly periodic arrivals: constant gap, constant size.
@@ -166,8 +170,8 @@ fn assert_conformance(
         compiled_outcomes.push(c);
     }
 
-    // All traces again as lockstep lanes of one fast-forwarding batch.
-    let mut batch = build_batch(model, traces.len(), FastForward::On);
+    // All traces again as lockstep lanes of one batch.
+    let mut batch = build_batch(model, traces.len());
     let refs: Vec<&[Arrival]> = traces.iter().map(|t| t.as_slice()).collect();
     let lanes = drive_batch(&mut batch, &refs);
     for (l, (lane, scalar)) in lanes.iter().zip(&compiled_outcomes).enumerate() {
@@ -216,8 +220,8 @@ fn early_phase_jump_demotes_and_stays_bitwise_identical() {
 
 /// Drives a 160-iteration pipeline trace whose arrivals jump phase at
 /// iteration `jump` through the plain and fast-forward compiled sweeps and
-/// through two batch lanes, and pins the promote → demote → re-promote
-/// sequence.
+/// through two batch lanes, and pins the scalar engine's promote → demote
+/// → re-promote sequence.
 fn breaking_trace_at(jump: u64) {
     let model = Model::Pipeline { stages: 3, base: 60, per_unit: 2, padding: 8 };
     let arrivals: Vec<Arrival> = (0..160u64)
@@ -239,11 +243,45 @@ fn breaking_trace_at(jump: u64) {
     // The same trace on two batch lanes, one of which never breaks.
     let steady: Vec<Arrival> =
         (0..160u64).map(|k| Arrival { at: Time::from_ticks(k * 500), size: 4 }).collect();
-    let mut batch = build_batch(&model, 2, FastForward::On);
+    let mut batch = build_batch(&model, 2);
     let lanes = drive_batch(&mut batch, &[&arrivals, &steady]);
     assert_eq!(lanes[0].outputs, p.outputs);
     assert_eq!(lanes[0].input_acks, p.input_acks);
     assert_eq!(lanes[0].engine_stats, p.engine_stats);
-    assert_eq!(batch.lane_fast_forward_stats(0).demotions, 1);
-    assert_eq!(batch.lane_fast_forward_stats(1).demotions, 0);
+}
+
+/// A sweep batch of saturating constant-size traces, which promote on the
+/// scalar path: with fast-forward requested, every batched lane answers
+/// bitwise as a fast-forwarding scalar engine and reports zeroed
+/// fast-forward counters, because batches only sweep.
+#[test]
+fn promoting_traces_batch_as_scalar_fast_forward_with_zeroed_lane_stats() {
+    let scenarios: Vec<ScenarioSpec> = (0..4u64)
+        .map(|i| ScenarioSpec {
+            label: format!("periodic-{i}"),
+            model: ModelSpec {
+                kind: ModelKind::Pipeline { stages: 3, base: 60, per_unit: 2 },
+                padding: 8,
+                backend: EvalBackend::Compiled,
+            },
+            trace: TraceSpec {
+                tokens: 160,
+                min_size: 4 + i,
+                max_size: 4 + i,
+                mean_period: 0,
+                seed: i,
+            },
+        })
+        .collect();
+    let sweep = |batch_width| {
+        run_sweep(&scenarios, &SweepConfig { threads: 1, batch_width, ..SweepConfig::default() })
+    };
+    let (scalar, batched) = (sweep(1), sweep(4));
+    assert_eq!(batched.batching.lanes_batched, 4, "one batch of four lanes forms");
+    for (s, b) in scalar.scenarios.iter().zip(&batched.scenarios) {
+        assert!(s.fast_forward.promotions >= 1, "{}: the scalar engine promotes", s.label);
+        assert_eq!(s.outcome, b.outcome, "{}: batched lane vs scalar fast-forward", s.label);
+        assert!(b.batched, "{}", b.label);
+        assert_eq!(b.fast_forward, FastForwardStats::default(), "{}", b.label);
+    }
 }

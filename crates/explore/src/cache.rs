@@ -38,7 +38,8 @@ pub struct EngineOptions {
     /// Whether engines replay observation (execution records and internal
     /// instants).
     pub record_observations: bool,
-    /// Periodic steady-state fast-forward mode.
+    /// Periodic steady-state fast-forward mode of scalar engines; batched
+    /// engines never fast-forward.
     pub fast_forward: FastForward,
     /// Confirmation window, in detected periods, before promotion.
     pub ff_confirm_periods: u64,
@@ -129,7 +130,9 @@ pub struct PreparedBatch {
     pub uses: usize,
 }
 
-/// Builds a lockstep batched engine for `spec` with `lanes` lanes.
+/// Builds a lockstep batched engine for `spec` with `lanes` lanes. Only
+/// `options.record_observations` applies: batched engines do not
+/// fast-forward.
 ///
 /// # Errors
 ///
@@ -152,9 +155,8 @@ pub fn prepare_batch(
     }
     let nodes = derived.tdg().node_count();
     let relation_count = arch.app().relations().len();
-    let mut engine =
+    let engine =
         BatchedEngine::try_new(derived, relation_count, options.record_observations, lanes)?;
-    engine.set_fast_forward_with(options.fast_forward, options.ff_confirm_periods);
     let resource_count = arch.platform().len();
     Ok(PreparedBatch {
         engine,
@@ -279,10 +281,9 @@ pub fn busy_per_resource(records: &[ExecRecord], resources: usize) -> Vec<u64> {
 /// units and the serve daemon's affinity batches dispatch through here.
 ///
 /// Returns the per-lane outcomes (busy ticks filled) and whether the
-/// engine was reused. Per-lane engine and fast-forward counters are read
-/// back off `prepared.engine` by the caller
-/// ([`BatchedEngine::lane_stats`]/
-/// [`lane_fast_forward_stats`](BatchedEngine::lane_fast_forward_stats)).
+/// engine was reused. Per-lane engine counters are read back off
+/// `prepared.engine` by the caller ([`BatchedEngine::lane_stats`]); lanes
+/// have no fast-forward counters, since batches do not fast-forward.
 ///
 /// # Panics
 ///

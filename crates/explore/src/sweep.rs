@@ -234,9 +234,9 @@ pub struct ScenarioResult {
     /// per-lane amortized cost, comparable to the scalar wall.
     pub wall: HostDuration,
     /// Fast-forward counters of this scenario's drive (all zero when
-    /// [`SweepConfig::fast_forward`] is off, the model is ineligible, or no
-    /// periodic regime was detected). For batched scenarios these are the
-    /// scenario's own lane counters, not the batch aggregate.
+    /// [`SweepConfig::fast_forward`] is off, the model is ineligible, no
+    /// periodic regime was detected, or the scenario ran as a batched
+    /// lane: batches do not fast-forward).
     pub fast_forward: FastForwardStats,
     /// Conventional-reference comparison, when requested.
     pub reference: Option<ReferenceComparison>,
@@ -280,8 +280,9 @@ pub struct SweepConfig {
     /// disables batching entirely and every scenario takes the scalar
     /// path; see `docs/SWEEP.md` for tuning guidance.
     pub batch_width: usize,
-    /// Periodic steady-state fast-forward for compiled engines, scalar and
-    /// batched alike. [`FastForward::On`] by default: outcomes are
+    /// Periodic steady-state fast-forward for scalar compiled engines;
+    /// batched lanes never fast-forward and report zeroed
+    /// [`FastForwardStats`]. [`FastForward::On`] by default: outcomes are
     /// guaranteed bitwise identical either way (aperiodic traces simply
     /// never promote), so the knob exists for A/B timing runs
     /// (`--no-fast-forward` on the sweep binary) rather than correctness.
@@ -960,9 +961,7 @@ fn evaluate_batch(
         .into_iter()
         .zip(outcomes)
         .zip(stimuli)
-        .enumerate()
-        .map(|(lane, (((index, spec), outcome), stimulus))| {
-            let fast_forward = prepared.engine.lane_fast_forward_stats(lane);
+        .map(|(((index, spec), outcome), stimulus)| {
             let reference = config.compare_conventional.then(|| {
                 reference_for(
                     &prepared.arch,
@@ -981,7 +980,8 @@ fn evaluate_batch(
                 reused_engine,
                 batched: true,
                 wall,
-                fast_forward,
+                // Batches do not fast-forward.
+                fast_forward: FastForwardStats::default(),
                 reference,
             }
         })
@@ -1361,8 +1361,9 @@ mod tests {
     #[test]
     fn fast_forward_sweeps_match_and_report_stats() {
         // Constant sizes + saturating source: offers ride the ack line,
-        // which settles periodic, so compiled scenarios promote — and must
-        // stay bitwise identical to a fast-forward-off sweep.
+        // which settles periodic, so scalar compiled scenarios promote —
+        // and must stay bitwise identical to a fast-forward-off sweep and
+        // to batched lanes, which only sweep.
         let scenarios: Vec<ScenarioSpec> = (0..4)
             .map(|i| ScenarioSpec {
                 label: format!("ff{i}"),
@@ -1374,26 +1375,24 @@ mod tests {
                 trace: TraceSpec { tokens: 120, min_size: 8, max_size: 8, mean_period: 0, seed: i },
             })
             .collect();
-        let on = run_sweep(
-            &scenarios,
-            &SweepConfig { threads: 1, batch_width: 2, ..SweepConfig::default() },
-        );
-        let off = run_sweep(
-            &scenarios,
-            &SweepConfig {
-                threads: 1,
-                batch_width: 2,
-                fast_forward: FastForward::Off,
-                ..SweepConfig::default()
-            },
-        );
-        for (a, b) in on.scenarios.iter().zip(&off.scenarios) {
+        let sweep = |batch_width, fast_forward| {
+            let config =
+                SweepConfig { threads: 1, batch_width, fast_forward, ..SweepConfig::default() };
+            run_sweep(&scenarios, &config)
+        };
+        let on = sweep(1, FastForward::On);
+        let off = sweep(1, FastForward::Off);
+        let batched = sweep(2, FastForward::On);
+        for ((a, b), c) in on.scenarios.iter().zip(&off.scenarios).zip(&batched.scenarios) {
             assert_eq!(a.outcome, b.outcome, "scenario {}", a.label);
+            assert_eq!(a.outcome, c.outcome, "scenario {} batched", a.label);
         }
         let ff = on.total_fast_forward_stats();
         assert!(ff.promotions >= scenarios.len() as u64, "{ff:?}");
         assert!(ff.fast_forwarded_iterations > 0, "{ff:?}");
         assert_eq!(off.total_fast_forward_stats(), FastForwardStats::default());
+        assert_eq!(batched.batching.lanes_batched, 4);
+        assert_eq!(batched.total_fast_forward_stats(), FastForwardStats::default());
         assert!(!on.detected_regimes().is_empty());
         let rendered = on.to_json().render();
         assert!(rendered.contains("\"fast_forward\""));

@@ -66,8 +66,6 @@ pub enum EngineEvent {
         backend: BackendKind,
         /// Node count of the derived graph.
         nodes: u64,
-        /// Whether the engine can structurally fast-forward.
-        ff_eligible: bool,
     },
     /// One scalar input offer was evaluated (an iteration sweep, or an
     /// O(1) template replay while promoted).
@@ -79,14 +77,13 @@ pub enum EngineEvent {
         /// `true` when the offer was answered by fast-forward replay.
         replayed: bool,
     },
-    /// One lockstep batched call was evaluated across all offering lanes.
+    /// One lockstep batched call was swept across all offering lanes
+    /// (batches never fast-forward).
     BatchSweep {
         /// The lockstep iteration index.
         k: u64,
         /// Number of lanes that offered in this call.
         lanes_offering: u32,
-        /// `true` when the whole call was answered from lane templates.
-        replayed: bool,
     },
     /// An output acknowledgment was fed back into the engine.
     OutputAck {

@@ -423,8 +423,8 @@ counter_set! {
             /// Lockstep sweeps dispatched to the lane-chunked fold kernels
             /// (lane stride a multiple of the SIMD chunk).
             kernel_chunked_sweeps path = "chunked",
-            /// Lockstep sweeps dispatched to the per-element reference kernels
-            /// (narrow batches below one chunk).
+            /// Lockstep sweeps dispatched to the narrow-row loop (narrow
+            /// batches below one chunk).
             kernel_scalar_sweeps path = "scalar",
         }
         counter "evolve_batch_ejections_total"
@@ -457,8 +457,6 @@ counter_set! {
             replayed_offers kind = "offer_replayed",
             /// Lockstep batched calls evaluated.
             batch_sweeps kind = "batch_sweep",
-            /// Batched calls answered entirely from templates.
-            replayed_batch_sweeps kind = "batch_sweep_replayed",
             /// Output acknowledgments fed back.
             output_acks kind = "output_ack",
             /// Fast-forward promotions observed.
@@ -642,12 +640,7 @@ impl Observer for TelemetrySink {
                     self.events.replayed_offers += 1;
                 }
             }
-            EngineEvent::BatchSweep { replayed, .. } => {
-                self.events.batch_sweeps += 1;
-                if replayed {
-                    self.events.replayed_batch_sweeps += 1;
-                }
-            }
+            EngineEvent::BatchSweep { .. } => self.events.batch_sweeps += 1,
             EngineEvent::OutputAck { .. } => self.events.output_acks += 1,
             EngineEvent::FfPromoted { growth, period, .. } => {
                 self.events.promotions += 1;
@@ -1062,7 +1055,6 @@ mod tests {
         sink.on_event(EngineEvent::Attached {
             backend: BackendKind::Compiled,
             nodes: 4,
-            ff_eligible: true,
         });
         sink.on_records(0, &[rec(0, 0, 10, 100), rec(1, 2, 6, 50)]);
         sink.on_event(EngineEvent::Offer {

@@ -62,7 +62,6 @@ fn fixture() -> MetricsSnapshot {
             offers: 7002,
             replayed_offers: 7003,
             batch_sweeps: 7004,
-            replayed_batch_sweeps: 7005,
             output_acks: 7006,
             promotions: 7007,
             demotions: 7008,

@@ -193,7 +193,8 @@ pub struct EvalResponse {
     /// completed, lanes evaluated, batched iterations.
     pub engine: [u64; 5],
     /// Fast-forward counters: promotions, demotions, fast-forwarded
-    /// iterations.
+    /// iterations; zeros on a batched lane, since batches do not
+    /// fast-forward.
     pub ff: [u64; 3],
     /// Always `false`: the cross-request delta chaining this flag
     /// reported is gone. Kept, with its wire byte, only because the

@@ -68,7 +68,9 @@ pub struct ServeConfig {
     /// Record full observation streams (slower; only needed when
     /// replaying per-resource timelines).
     pub record_observations: bool,
-    /// Fast-forward promotion of periodic steady states.
+    /// Fast-forward promotion of periodic steady states, for requests
+    /// evaluated on a scalar engine; lanes of an affinity batch never
+    /// fast-forward and answer with zeroed fast-forward counters.
     pub fast_forward: FastForward,
     /// Fast-forward confirmation window (periods).
     pub ff_confirm_periods: u64,

@@ -393,14 +393,13 @@ impl Worker {
             });
         }
         let mut lanes = Vec::with_capacity(n);
-        for (lane, (job, outcome)) in jobs.into_iter().zip(outcomes).enumerate() {
-            let ff = prepared.engine.lane_fast_forward_stats(lane);
+        for (job, outcome) in jobs.into_iter().zip(outcomes) {
             if let Some(sink) = self.sink.as_deref_mut() {
                 sink.engine.merge(&outcome.engine_stats);
-                sink.ff.merge(&ff.into());
             }
             self.counters.lanes_batched += 1;
-            let resp = eval_ok(job.id, &outcome, ff, true, n as u32);
+            // Batches do not fast-forward: the lane's `ff` reads zeros.
+            let resp = eval_ok(job.id, &outcome, FastForwardStats::default(), true, n as u32);
             lanes.push((job, Response::EvalOk(resp)));
         }
         // One write per connection: the stable sort brings each
