@@ -60,12 +60,12 @@ cargo test -q -p evolve-core --test batch_conformance --offline
 # in the CI log).
 cargo test -q -p evolve-core --test periodic_conformance --offline
 
-# Observer conformance: telemetry attachment must be bitwise invisible
-# across worklist/compiled/compiled+replay/batched paths, and streaming
-# usage plus exported Perfetto intervals must match ResourceTrace exactly
-# on promoted scenarios (also part of the workspace run above; kept
-# explicit so a telemetry regression is named in the CI log).
-cargo test -q -p evolve-core --test observer_conformance --offline
+# Telemetry-fold exactness: the metrics folded from a drive's records and
+# the exported Perfetto intervals must match ResourceTrace exactly on
+# promoted scenarios, and a reused engine's drives must fold on their own
+# time axes (also part of the workspace run above; kept explicit so a
+# telemetry regression is named in the CI log).
+cargo test -q -p evolve-core --test telemetry_fold --offline
 
 # Table I smoke: the four chained didactic examples, conventional and
 # equivalent model both on the native DES kernel (2000 tokens each). The
@@ -94,9 +94,9 @@ cargo run --release -q -p evolve-bench --bin cost_split --offline -- 20
 # lane on the lane-chunked fold kernels, and periodic fast-forward the
 # plain sweep, with checksum conformance throughout. Then the gates against
 # results/fig5_gates.json: the compiled sweep's cost relative to the
-# worklist (it carries the detached observer hooks) may rise at most 10%
-# over the baseline, and the width-8 batching gain may fall at most 10%
-# under it. A missing baseline fails the gates.
+# worklist may rise at most 10% over the baseline, and the width-8
+# batching gain may fall at most 10% under it. A missing baseline fails
+# the gates.
 cargo run --release -q -p evolve-bench --bin fig5 --offline -- --quick
 
 # Daemon smoke: boot the real `evolved` binary on a loopback unix socket

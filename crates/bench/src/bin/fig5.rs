@@ -34,7 +34,7 @@
 //! `results/bench_engine_smoke.json` so the committed full-grid artifact
 //! is not clobbered. No run writes `fig5_gates.json`: re-baselining the
 //! gates is an explicit copy of the two ratios a `--quick` run prints.
-//! `--metrics PATH` writes a streaming-telemetry snapshot of a
+//! `--metrics PATH` writes the telemetry snapshot of a
 //! fast-forwarding pipeline scenario (Prometheus text, or JSON for
 //! `.json` paths); `--trace PATH` writes a Chrome trace-event file of the
 //! same scenario, loadable in Perfetto.
@@ -81,10 +81,7 @@ fn telemetry_scenario(tokens: u64) -> ScenarioSpec {
 /// Writes the `--metrics` / `--trace` artifacts of the telemetry scenario.
 fn write_telemetry(metrics: Option<&PathBuf>, trace: Option<&PathBuf>, tokens: u64) {
     if let Some(path) = metrics {
-        let report = run_sweep(
-            &[telemetry_scenario(tokens)],
-            &SweepConfig { telemetry: true, ..SweepConfig::default() },
-        );
+        let report = run_sweep(&[telemetry_scenario(tokens)], &SweepConfig::default());
         report.write_metrics(path).expect("metrics written");
         println!("telemetry metrics written to {}", path.display());
     }
@@ -103,13 +100,12 @@ fn write_telemetry(metrics: Option<&PathBuf>, trace: Option<&PathBuf>, tokens: u
 /// commit, core count, SIMD level and pair count of their capture, copied
 /// by hand from a `--quick` run, so no run moves the gates.
 const GATES_BASELINE: &str = "results/fig5_gates.json";
-/// The disabled-observer overhead gate: how far the compiled sweep's cost
+/// The compiled-sweep overhead gate: how far the compiled sweep's cost
 /// relative to the worklist's (the inverse of its speed-up) may rise over
-/// the baseline. The engines carry the observer hooks but no attached
-/// observer, so a regression here means the detached hot path got slower
-/// *relative to the worklist reference timed in alternation with it* —
-/// the failure mode this gate exists for: observer hooks leaking cost
-/// into the compiled sweep, which does not slow the worklist.
+/// the baseline, so a regression here means the compiled hot path got
+/// slower *relative to the worklist reference timed in alternation with
+/// it* — cost leaking into the compiled sweep, which does not slow the
+/// worklist.
 const OVERHEAD_TOLERANCE: f64 = 0.10;
 /// How far the width-8 batching gain may fall under its baseline, so the
 /// lane-chunked kernel cannot silently lose its advantage.

@@ -21,10 +21,16 @@
 //! scalar engines, for A/B timing runs), `--compare` (also run the
 //! conventional DES model per scenario, checking accuracy and the event
 //! ratio), `--out PATH` (report path, default `results/sweep.json`),
-//! `--metrics PATH` (enable streaming telemetry and write a metrics
-//! snapshot — Prometheus text exposition, or JSON when the path ends in
-//! `.json`), `--trace PATH` (re-run the first grid scenario under a trace
-//! collector and write a Chrome trace-event file loadable in Perfetto).
+//! `--metrics PATH` (also write the pooled sweep's metrics snapshot, the
+//! one its JSON report holds under `telemetry` — Prometheus text
+//! exposition, or JSON when the path ends in `.json`), `--trace PATH`
+//! (re-run the first grid scenario and write its records and drive span
+//! as a Chrome trace-event file loadable in Perfetto).
+//!
+//! Fast-forward runs only on scalar engines, so with `--batch N` above 1
+//! the binary also reports the unbatched sweep's fast-forward totals (the
+//! batching race's other side), in its diagnostics and in the JSON report
+//! under `unbatched_fast_forward`.
 //!
 //! Diagnostics go to stderr, and a failed write there is ignored: a usage
 //! error exits 2 even with stderr closed or full.
@@ -34,9 +40,11 @@ use std::path::PathBuf;
 
 use evolve_bench::{paired, Paired};
 use evolve_explore::{
-    default_grid, run_sweep, trace_scenario, FastForward, ScenarioSpec, SweepConfig, SweepReport,
+    default_grid, run_sweep, trace_scenario, FastForward, FastForwardStats, ScenarioSpec,
+    SweepConfig, SweepReport,
 };
 use evolve_obs::json::Json;
+use evolve_obs::FfCounters;
 
 struct Options {
     threads: usize,
@@ -150,7 +158,6 @@ fn main() {
         compare_conventional: options.compare,
         batch_width: options.batch,
         fast_forward: options.fast_forward,
-        telemetry: options.metrics.is_some(),
         ..SweepConfig::default()
     };
     let (speedup, parallel, sequential) = race(
@@ -172,9 +179,10 @@ fn main() {
         if identical { "bitwise identical" } else { "DIVERGED" },
     );
     // Batching: the pooled sweep against the same sweep without lockstep
-    // lanes.
+    // lanes, whose fast-forward totals are reported too: batched lanes
+    // never fast-forward.
     let batching = (options.batch > 1).then(|| {
-        let (gain, batched, _) = race(
+        let (gain, batched, unbatched) = race(
             &scenarios,
             &pooled,
             &SweepConfig { batch_width: 1, ..pooled.clone() },
@@ -185,15 +193,20 @@ fn main() {
             gain.b * 1e3,
             batched.batching.lanes_batched,
         );
-        gain
+        (gain, unbatched.total_fast_forward_stats())
     });
-    let ff = parallel.total_fast_forward_stats();
-    diag!(
-        "fast-forward (scalar engines): {} promotions, {} demotions, {} iterations replayed",
-        ff.promotions,
-        ff.demotions,
-        ff.fast_forwarded_iterations,
-    );
+    let report_ff = |sweep: &str, ff: &FastForwardStats| {
+        diag!(
+            "fast-forward ({sweep}): {} promotions, {} demotions, {} iterations replayed",
+            ff.promotions,
+            ff.demotions,
+            ff.fast_forwarded_iterations,
+        );
+    };
+    report_ff("scalar engines", &parallel.total_fast_forward_stats());
+    if let Some((_, unbatched)) = &batching {
+        report_ff("unbatched sweep", unbatched);
+    }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut fields = vec![
@@ -208,9 +221,10 @@ fn main() {
         ("parallel_speedup", speedup.to_json()),
         ("outcomes_identical", Json::Bool(identical)),
     ];
-    if let Some(gain) = batching {
+    if let Some((gain, unbatched)) = batching {
         fields.push(("unbatched_wall_ns", Json::U64((gain.b * 1e9) as u64)));
         fields.push(("batch_speedup", gain.to_json()));
+        fields.push(("unbatched_fast_forward", FfCounters::from(unbatched).to_json()));
     }
     fields.push(("report", parallel.to_json()));
     let doc = Json::object(fields);
@@ -229,9 +243,9 @@ fn main() {
     }
     if let Some(path) = &options.trace {
         // Re-run the first grid scenario (a saturating, fixed-size trace the
-        // fast-forward detector promotes) under a trace collector, and write
-        // the observation-time resource activity plus host-time engine spans
-        // as a Chrome trace-event file.
+        // fast-forward detector promotes), and write its observation-time
+        // resource activity plus its host-time drive span as a Chrome
+        // trace-event file.
         let (result, collector) = trace_scenario(
             &scenarios[0],
             &SweepConfig {

@@ -349,11 +349,6 @@ pub struct BatchedEngine {
     /// Each lane's logs, outputs and acknowledgment.
     logs: Vec<EmissionLog>,
     stats: EngineCounters,
-    /// Attached telemetry observer; `None` (the default) reduces the whole
-    /// telemetry layer to one branch per lockstep call.
-    observer: Option<Box<dyn evolve_obs::Observer>>,
-    /// Per-lane record-log marks taken around an observed lockstep call.
-    obs_rec_marks: Vec<usize>,
 }
 
 impl std::fmt::Debug for BatchedEngine {
@@ -520,32 +515,8 @@ impl BatchedEngine {
             fifo_read: meta.fifo_read,
             logs,
             stats: EngineCounters::default(),
-            observer: None,
-            obs_rec_marks: Vec::new(),
             tdg,
         })
-    }
-
-    /// Attaches a telemetry observer. Emits one
-    /// [`Attached`](evolve_obs::EngineEvent::Attached) event immediately,
-    /// then one [`BatchSweep`](evolve_obs::EngineEvent::BatchSweep) per
-    /// lockstep call, with execution records streamed per lane.
-    pub fn attach_observer(&mut self, mut observer: Box<dyn evolve_obs::Observer>) {
-        observer.on_event(evolve_obs::EngineEvent::Attached {
-            backend: evolve_obs::BackendKind::Batched,
-            nodes: self.tdg.node_count() as u64,
-        });
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the observer, if one was attached.
-    pub fn detach_observer(&mut self) -> Option<Box<dyn evolve_obs::Observer>> {
-        self.observer.take()
-    }
-
-    /// Whether a telemetry observer is currently attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// The underlying graph.
@@ -643,11 +614,6 @@ impl BatchedEngine {
         self.logs.iter_mut().for_each(EmissionLog::clear);
         self.stats = EngineCounters::default();
         self.kernel_dispatch = KernelDispatchStats::default();
-        // The observer stays attached across scenarios; Reset marks the
-        // time-axis boundary so streaming accumulators seal their frontier.
-        if let Some(ob) = &mut self.observer {
-            ob.on_event(evolve_obs::EngineEvent::Reset);
-        }
     }
 
     /// A snapshot of the engine's allocation footprint; constant across
@@ -683,30 +649,6 @@ impl BatchedEngine {
     /// of lockstep order, if no lane offers at all, or if an ended lane
     /// tries to resume.
     pub fn set_input_batch(&mut self, k: u64, offers: &[Option<(Time, u64)>]) {
-        // Telemetry wrapper: diff the per-lane record logs around the real
-        // lockstep call so the sweep below stays byte-identical whether or
-        // not an observer is attached.
-        let Some(mut ob) = self.observer.take() else {
-            return self.set_input_batch_impl(k, offers);
-        };
-        self.obs_rec_marks.clear();
-        self.obs_rec_marks
-            .extend(self.logs.iter().map(|log| log.exec_records.len()));
-        self.set_input_batch_impl(k, offers);
-        ob.on_event(evolve_obs::EngineEvent::BatchSweep {
-            k,
-            lanes_offering: offers.iter().filter(|o| o.is_some()).count() as u32,
-        });
-        for (l, mark) in self.obs_rec_marks.iter().enumerate() {
-            let records = &self.logs[l].exec_records;
-            if records.len() > *mark {
-                ob.on_records(l as u32, &records[*mark..]);
-            }
-        }
-        self.observer = Some(ob);
-    }
-
-    fn set_input_batch_impl(&mut self, k: u64, offers: &[Option<(Time, u64)>]) {
         assert_eq!(offers.len(), self.lanes, "one offer slot per lane");
         assert_eq!(k, self.next_k, "lockstep offers must arrive in iteration order");
         if k > 0 {

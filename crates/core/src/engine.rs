@@ -42,7 +42,7 @@ use std::sync::Arc;
 use evolve_des::{ChannelLog, EventId, Time};
 use evolve_maxplus::MaxPlus;
 use evolve_model::{ExecRecord, LoadContext};
-use evolve_obs::{BackendKind, EngineCounters, EngineEvent, Observer};
+use evolve_obs::EngineCounters;
 
 use crate::compile::{
     lower_node_meta, zero_delay_dependent, Arm, CompiledTdg, EvalBackend, ExecSite, Obs, SlotOp,
@@ -919,9 +919,6 @@ pub struct Engine {
     ff_scratch: Vec<u64>,
     /// Reusable two-pass extrapolation scratch (reconstructed accumulators).
     ff_acc_scratch: Vec<i64>,
-    /// Attached telemetry observer; `None` (the default) reduces the whole
-    /// telemetry layer to one branch per boundary call.
-    observer: Option<Box<dyn Observer>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -1080,36 +1077,8 @@ impl Engine {
             periodic: None,
             ff_scratch: Vec::new(),
             ff_acc_scratch: Vec::new(),
-            observer: None,
             tdg,
         }
-    }
-
-    /// Attaches a telemetry observer. The engine emits one
-    /// [`EngineEvent::Attached`] immediately, then lifecycle events and
-    /// execution-record batches at every boundary call — including records
-    /// synthesised by fast-forward template replay, so a streaming
-    /// observer sees exactly what [`Engine::exec_records`] accumulates.
-    pub fn attach_observer(&mut self, mut observer: Box<dyn Observer>) {
-        observer.on_event(EngineEvent::Attached {
-            backend: match self.backend {
-                EvalBackend::Compiled => BackendKind::Compiled,
-                EvalBackend::Worklist => BackendKind::Worklist,
-            },
-            nodes: self.tdg.node_count() as u64,
-        });
-        self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the observer, if one was attached (downcast it
-    /// back with [`evolve_obs::downcast`]).
-    pub fn detach_observer(&mut self) -> Option<Box<dyn Observer>> {
-        self.observer.take()
-    }
-
-    /// Whether a telemetry observer is currently attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// The underlying graph.
@@ -1219,11 +1188,6 @@ impl Engine {
         if let Some(pd) = &mut self.periodic {
             pd.reset();
         }
-        // The observer stays attached across scenarios; Reset marks the
-        // time-axis boundary so streaming accumulators seal their frontier.
-        if let Some(ob) = &mut self.observer {
-            ob.on_event(EngineEvent::Reset);
-        }
     }
 
     /// A snapshot of the engine's allocation footprint, for asserting
@@ -1326,54 +1290,6 @@ impl Engine {
     ///
     /// Panics if offers arrive out of iteration order for an input.
     pub fn try_set_input(
-        &mut self,
-        input: usize,
-        k: u64,
-        at: Time,
-        size: u64,
-    ) -> Result<(), EngineError> {
-        // Telemetry is observed from outside the evaluation path: diff the
-        // record log and fast-forward counters around the real call, so
-        // the hot loop below stays byte-identical whether or not an
-        // observer is attached.
-        let Some(mut ob) = self.observer.take() else {
-            return self.try_set_input_impl(input, k, at, size);
-        };
-        let rec_mark = self.log.exec_records.len();
-        let ff_before = self.fast_forward_stats();
-        let result = self.try_set_input_impl(input, k, at, size);
-        let ff_after = self.fast_forward_stats();
-        match &result {
-            Ok(()) => {
-                ob.on_event(EngineEvent::Offer {
-                    k,
-                    lane: 0,
-                    replayed: ff_after.fast_forwarded_iterations
-                        > ff_before.fast_forwarded_iterations,
-                });
-                if ff_after.promotions > ff_before.promotions {
-                    let d = ff_after.detected.expect("promotion implies a regime");
-                    ob.on_event(EngineEvent::FfPromoted {
-                        k,
-                        lane: 0,
-                        growth: d.growth,
-                        period: d.period,
-                    });
-                }
-                if ff_after.demotions > ff_before.demotions {
-                    ob.on_event(EngineEvent::FfDemoted { k, lane: 0 });
-                }
-                if self.log.exec_records.len() > rec_mark {
-                    ob.on_records(0, &self.log.exec_records[rec_mark..]);
-                }
-            }
-            Err(_) => ob.on_event(EngineEvent::Overflow { k }),
-        }
-        self.observer = Some(ob);
-        result
-    }
-
-    fn try_set_input_impl(
         &mut self,
         input: usize,
         k: u64,
@@ -1554,18 +1470,6 @@ impl Engine {
     /// Panics if the output has no acknowledgment node or acknowledgments
     /// arrive out of iteration order.
     pub fn set_output_ack(&mut self, output: usize, k: u64, at: Time) {
-        let rec_mark = self.log.exec_records.len();
-        self.set_output_ack_impl(output, k, at);
-        if let Some(mut ob) = self.observer.take() {
-            ob.on_event(EngineEvent::OutputAck { k });
-            if self.log.exec_records.len() > rec_mark {
-                ob.on_records(0, &self.log.exec_records[rec_mark..]);
-            }
-            self.observer = Some(ob);
-        }
-    }
-
-    fn set_output_ack_impl(&mut self, output: usize, k: u64, at: Time) {
         let node = self.output_ack_nodes[output]
             .expect("output has an acknowledgment node");
         assert_eq!(

@@ -77,7 +77,8 @@ pub mod synthetic;
 mod tdg;
 pub mod validate;
 
-/// The telemetry layer engines report through (see `docs/OBSERVABILITY.md`).
+/// The counter types engines report and the telemetry that folds their
+/// drives (see `docs/OBSERVABILITY.md`).
 pub use evolve_obs as obs;
 
 pub use batch::{BatchUnsupported, BatchedEngine, KernelDispatchStats};

@@ -5,7 +5,8 @@
 //! worklist emits in pop order), so a change to the compiled sweep that
 //! reorders records would pass it unseen. Record order is observable: the
 //! equivalent run hands the log over as is, and `ResourceTrace`, the
-//! observers and fast-forward's captured emissions all read it in order.
+//! telemetry fold and fast-forward's captured emissions all read it in
+//! order.
 //! This test hashes the log of the kernel-driven equivalent run of Table I
 //! examples 1–4 and of the LTE receiver of Fig. 6, record by record, plus
 //! each relation's write and read instants, and compares the hash with the

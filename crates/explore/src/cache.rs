@@ -11,7 +11,8 @@
 //!    worker thread or connection shard reuses engines without locking;
 //! 3. **The drives** ([`drive_prepared`], [`drive_prepared_batch`]): one
 //!    trace through a scalar engine, or one trace per lane through a
-//!    batched engine.
+//!    batched engine, and the one telemetry fold of a finished drive
+//!    ([`fold_drive`]).
 //!
 //! The sweep planner and the serve admission queue group work differently
 //! (grid order vs. arrival order under a deadline), but once a unit of
@@ -26,7 +27,7 @@ use evolve_core::{
     DEFAULT_CONFIRM_PERIODS,
 };
 use evolve_model::{Architecture, Arrival, ExecRecord, RelationId};
-use evolve_obs::{downcast, TelemetrySink};
+use evolve_obs::TelemetrySink;
 
 use crate::sweep::{ModelSpec, ScenarioOutcome};
 
@@ -215,17 +216,14 @@ pub struct PreparedDrive {
     pub wall: HostDuration,
 }
 
-/// Drives one trace through a cached scalar engine, with an optional
-/// telemetry sink attached for the duration of the drive (one `Box`
-/// round-trip, no reallocation). Neither `_options` (the engine was built
-/// with its options by [`prepare`]) nor the inert `_mode` is read; the
-/// benchmark crate passes both, and its next change (ROADMAP item 10)
-/// drops them.
+/// Drives one trace through a cached scalar engine. Neither `_options`
+/// (the engine was built with its options by [`prepare`]), the inert
+/// `_mode` nor `_tel` (telemetry folds the finished drive, see
+/// [`fold_drive`]) is read; the benchmark crate passes all three, and its
+/// next change (ROADMAP item 10) drops them.
 ///
-/// The outcome is bitwise identical with or without the sink — the
-/// conformance suites pin that down. Used by the sweep's scalar path and
-/// the serve daemon's shard workers, so both dispatch through one drive
-/// implementation.
+/// Used by the sweep's scalar path and the serve daemon's shard workers,
+/// so both dispatch through one drive implementation.
 ///
 /// # Panics
 ///
@@ -235,7 +233,7 @@ pub fn drive_prepared(
     prepared: &mut PreparedModel,
     arrivals: &[Arrival],
     _options: &EngineOptions,
-    tel: &mut Option<Box<TelemetrySink>>,
+    _tel: &mut Option<Box<TelemetrySink>>,
     _mode: DeltaMode,
 ) -> PreparedDrive {
     let reused_engine = prepared.uses > 0;
@@ -244,17 +242,9 @@ pub fn drive_prepared(
     }
     prepared.uses += 1;
 
-    if let Some(sink) = tel.take() {
-        prepared.engine.attach_observer(sink);
-    }
     let start = Instant::now();
     let mut outcome = crate::sweep::drive_engine(&mut prepared.engine, arrivals);
     let wall = start.elapsed();
-    if let Some(ob) = prepared.engine.detach_observer() {
-        let mut sink = downcast::<TelemetrySink>(ob);
-        sink.seal_lanes();
-        *tel = Some(sink);
-    }
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
 
@@ -264,6 +254,21 @@ pub fn drive_prepared(
         reused_engine,
         wall,
     }
+}
+
+/// The telemetry fold: one finished drive (or batch lane) into `sink` —
+/// its execution records in production order, its engine counters, its
+/// fast-forward counters and detected regime, and its boundary
+/// exchanges. A sweep folds each of its scenarios, a serve shard each
+/// lane it answers.
+pub fn fold_drive(sink: &mut TelemetrySink, outcome: &ScenarioOutcome, ff: &FastForwardStats) {
+    sink.fold_drive(
+        &outcome.exec_records,
+        &outcome.engine_stats,
+        &(*ff).into(),
+        ff.detected.map(|d| (d.growth, d.period)),
+        outcome.boundary_events,
+    );
 }
 
 /// Busy ticks per resource index, summed over execution records.
@@ -280,10 +285,12 @@ pub fn busy_per_resource(records: &[ExecRecord], resources: usize) -> Vec<u64> {
 /// [`drive_prepared`]'s role on the lockstep path: both the sweep's batch
 /// units and the serve daemon's affinity batches dispatch through here.
 ///
-/// Returns the per-lane outcomes (busy ticks filled) and whether the
-/// engine was reused. Per-lane engine counters are read back off
-/// `prepared.engine` by the caller ([`BatchedEngine::lane_stats`]); lanes
-/// have no fast-forward counters, since batches do not fast-forward.
+/// Returns the per-lane outcomes (busy ticks and per-lane engine counters
+/// filled), whether the engine was reused and the drive's wall time;
+/// lanes have no fast-forward counters, since batches do not
+/// fast-forward. `_tel` is not read (telemetry folds each finished lane,
+/// see [`fold_drive`]); the benchmark crate passes it, and its next
+/// change (ROADMAP item 10) drops it.
 ///
 /// # Panics
 ///
@@ -292,7 +299,7 @@ pub fn busy_per_resource(records: &[ExecRecord], resources: usize) -> Vec<u64> {
 pub fn drive_prepared_batch(
     prepared: &mut PreparedBatch,
     traces: &[&[Arrival]],
-    tel: &mut Option<Box<TelemetrySink>>,
+    _tel: &mut Option<Box<TelemetrySink>>,
 ) -> (Vec<ScenarioOutcome>, bool, HostDuration) {
     let width = traces.len();
     let reused_engine = prepared.uses > 0;
@@ -301,17 +308,9 @@ pub fn drive_prepared_batch(
     }
     prepared.uses += 1;
 
-    if let Some(sink) = tel.take() {
-        prepared.engine.attach_observer(sink);
-    }
     let start = Instant::now();
     let mut outcomes = crate::sweep::drive_batch(&mut prepared.engine, traces);
     let wall = start.elapsed();
-    if let Some(ob) = prepared.engine.detach_observer() {
-        let mut sink = downcast::<TelemetrySink>(ob);
-        sink.seal_lanes();
-        *tel = Some(sink);
-    }
     for outcome in &mut outcomes {
         outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
     }

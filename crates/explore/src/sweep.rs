@@ -53,22 +53,17 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration as HostDuration, Instant};
 
-use evolve_core::{
-    synthetic, BatchedEngine, DetectedPeriod, Engine, EvalBackend, FastForward, FastForwardStats,
-};
+use evolve_core::{synthetic, BatchedEngine, Engine, EvalBackend, FastForward, FastForwardStats};
 use evolve_des::{SplitMix64, Time};
 use evolve_model::{
     didactic, elaborate, Architecture, Arrival, Environment, ExecRecord, RelationId, Stimulus,
 };
 use evolve_obs::json::Json;
-use evolve_obs::{
-    downcast, BatchCounters, EjectReason, EngineCounters, EngineEvent, MetricsSnapshot,
-    Observer as _, TelemetrySink, TraceCollector,
-};
+use evolve_obs::{BatchCounters, EngineCounters, MetricsSnapshot, TelemetrySink, TraceCollector};
 
 use crate::cache::{
-    busy_per_resource, drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaMode,
-    EngineCaches, EngineOptions, PreparedModel,
+    busy_per_resource, drive_prepared, drive_prepared_batch, fold_drive, prepare, prepare_batch,
+    DeltaMode, EngineCaches, EngineOptions, PreparedModel,
 };
 
 /// Which architecture a scenario evaluates.
@@ -287,12 +282,6 @@ pub struct SweepConfig {
     /// never promote), so the knob exists for A/B timing runs
     /// (`--no-fast-forward` on the sweep binary) rather than correctness.
     pub fast_forward: FastForward,
-    /// Attach a streaming [`TelemetrySink`] to every engine drive and
-    /// aggregate the per-worker shards into
-    /// [`SweepReport::telemetry`]. Off by default: outcomes are bitwise
-    /// identical either way (the observer-conformance suite pins this
-    /// down), but observation costs a few percent of sweep throughput.
-    pub telemetry: bool,
     /// Ignored: the delta chaining this field switched is gone. Kept only
     /// because the benchmark crate builds this struct with it named; the
     /// next benchmark change (ROADMAP item 10) removes it.
@@ -307,7 +296,6 @@ impl Default for SweepConfig {
             compare_conventional: false,
             batch_width: 1,
             fast_forward: FastForward::On,
-            telemetry: false,
             delta: false,
         }
     }
@@ -344,24 +332,9 @@ pub struct SweepReport {
     pub delta: DeltaReport,
     /// Host wall-clock time of the whole sweep.
     pub wall: HostDuration,
-    /// Merged streaming-telemetry shards (resource metrics, event counts),
-    /// present when [`SweepConfig::telemetry`] was on. Counter families
-    /// are overlaid from the report's own totals by
-    /// [`SweepReport::metrics_snapshot`], which works with or without
-    /// this field.
-    pub telemetry: Option<MetricsSnapshot>,
 }
 
 impl SweepReport {
-    /// Engine counters summed over all scenarios.
-    pub fn total_engine_stats(&self) -> EngineCounters {
-        let mut total = EngineCounters::default();
-        for s in &self.scenarios {
-            total.merge(&s.outcome.engine_stats);
-        }
-        total
-    }
-
     /// Sweep throughput in scenarios per second of host wall-clock — the
     /// headline exploration metric.
     pub fn scenarios_per_second(&self) -> f64 {
@@ -382,57 +355,20 @@ impl SweepReport {
         total
     }
 
-    /// Histogram of detected periodic regimes across the sweep: how many
-    /// scenarios settled into each `(growth, period)` pair, sorted by
-    /// regime. Scenarios that never promoted do not appear.
-    pub fn detected_regimes(&self) -> Vec<(DetectedPeriod, u64)> {
-        let mut hist: Vec<(DetectedPeriod, u64)> = Vec::new();
-        for s in &self.scenarios {
-            if let Some(d) = s.fast_forward.detected {
-                match hist.iter_mut().find(|(h, _)| *h == d) {
-                    Some((_, n)) => *n += 1,
-                    None => hist.push((d, 1)),
-                }
-            }
-        }
-        hist.sort_by_key(|&(d, _)| d);
-        hist
-    }
-
-    /// One [`MetricsSnapshot`] carrying every counter family of the sweep
-    /// — engine work, fast-forward, batching, lifecycle events, and (when
-    /// [`SweepConfig::telemetry`] was on) streamed per-resource metrics —
-    /// so the fast-forward and batching counters flow through the same
-    /// Prometheus/JSON exporters as everything else.
-    ///
-    /// Counter families come from the report's own deterministic totals.
-    /// Without a telemetry shard, boundary events are synthesised from the
-    /// scenario outcomes (offers = input acks; acks = output writes, the
-    /// boundary exchanges a kernel would count), so the Table I
-    /// event-ratio gauge is live either way.
+    /// One [`MetricsSnapshot`] of the whole sweep: every scenario folded
+    /// in input order by [`fold_drive`] (its
+    /// records, engine and fast-forward counters, detected regime and
+    /// boundary exchanges), plus the batching counters — so the sweep
+    /// exports through the same Prometheus/JSON exporters as the serve
+    /// daemon, and the Table I event-ratio gauge reads the scenarios' own
+    /// boundary events.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.telemetry.clone().unwrap_or_default();
-        snap.engine = self.total_engine_stats();
-        snap.ff = self.total_fast_forward_stats().into();
-        snap.batch = self.batching;
-        if snap.events.boundary_events() == 0 {
-            let inputs: u64 = self
-                .scenarios
-                .iter()
-                .map(|s| s.outcome.input_acks.len() as u64)
-                .sum();
-            let boundary: u64 = self.scenarios.iter().map(|s| s.outcome.boundary_events).sum();
-            snap.events.offers = inputs;
-            snap.events.output_acks = boundary.saturating_sub(inputs);
+        let mut sink = TelemetrySink::new();
+        for s in &self.scenarios {
+            fold_drive(&mut sink, &s.outcome, &s.fast_forward);
         }
-        if snap.regimes.is_empty() {
-            for (d, count) in self.detected_regimes() {
-                for _ in 0..count {
-                    snap.regimes.push((d.growth, d.period));
-                }
-            }
-        }
-        snap
+        sink.batch = self.batching;
+        sink.snapshot()
     }
 
     /// Writes the [`metrics_snapshot`](SweepReport::metrics_snapshot) to
@@ -455,17 +391,16 @@ impl SweepReport {
         std::fs::write(path, body)
     }
 
-    /// Renders the report as a JSON document.
+    /// Renders the report as a JSON document: the sweep's totals (engine,
+    /// fast-forward, batching and boundary counters, the regime histogram
+    /// and per-resource metrics) are its metrics snapshot, under
+    /// `telemetry`.
     pub fn to_json(&self) -> Json {
-        let totals = self.total_engine_stats();
         Json::object([
             ("threads", Json::U64(self.threads as u64)),
             ("wall_ns", Json::U64(self.wall.as_nanos() as u64)),
             ("scenario_count", Json::U64(self.scenarios.len() as u64)),
             ("engines_reused", Json::U64(self.reused_count() as u64)),
-            ("total_engine_stats", totals.to_json()),
-            ("batching", self.batching.to_json()),
-            ("fast_forward", fast_forward_report_json(self)),
             ("telemetry", self.metrics_snapshot().to_json()),
             (
                 "scenarios",
@@ -498,31 +433,6 @@ fn fast_forward_json(f: &FastForwardStats) -> Json {
         fields.push(("detected_period", Json::U64(d.period)));
     }
     Json::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn fast_forward_report_json(report: &SweepReport) -> Json {
-    let totals = report.total_fast_forward_stats();
-    Json::object([
-        ("promotions", Json::U64(totals.promotions)),
-        ("demotions", Json::U64(totals.demotions)),
-        ("fast_forwarded_iterations", Json::U64(totals.fast_forwarded_iterations)),
-        (
-            "detected_regimes",
-            Json::Array(
-                report
-                    .detected_regimes()
-                    .into_iter()
-                    .map(|(d, n)| {
-                        Json::object([
-                            ("growth", Json::U64(d.growth)),
-                            ("period", Json::U64(d.period)),
-                            ("scenarios", Json::U64(n)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 fn scenario_json(s: &ScenarioResult) -> Json {
@@ -785,14 +695,13 @@ fn evaluate(
     index: usize,
     spec: &ScenarioSpec,
     config: &SweepConfig,
-    tel: &mut Option<Box<TelemetrySink>>,
 ) -> ScenarioResult {
     let options = engine_options(config);
     let prepared = cache
         .entry(spec.model.clone())
         .or_insert_with(|| prepare(&spec.model, &options));
     let stimulus = spec.trace.stimulus();
-    let drive = drive_prepared(prepared, stimulus.arrivals(), &options, tel, DeltaMode::Off);
+    let drive = drive_prepared(prepared, stimulus.arrivals(), &options, &mut None, DeltaMode::Off);
     let reference = config.compare_conventional.then(|| {
         reference_for(
             &prepared.arch,
@@ -920,7 +829,6 @@ fn evaluate_batch(
     group: BatchGroup,
     config: &SweepConfig,
     stats: &mut BatchCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
 ) -> Vec<ScenarioResult> {
     let options = engine_options(config);
     let width = group.len();
@@ -934,20 +842,14 @@ fn evaluate_batch(
         for (index, spec) in &group {
             stats.eject_unsupported += 1;
             stats.lanes_scalar += 1;
-            if let Some(sink) = tel.as_deref_mut() {
-                sink.on_event(EngineEvent::LaneEjected {
-                    lane: *index as u32,
-                    reason: EjectReason::Unsupported,
-                });
-            }
-            out.push(evaluate(&mut state.scalar, *index, spec, config, tel));
+            out.push(evaluate(&mut state.scalar, *index, spec, config));
         }
         return out;
     };
 
     let stimuli: Vec<Stimulus> = group.iter().map(|(_, s)| s.trace.stimulus()).collect();
     let traces: Vec<&[Arrival]> = stimuli.iter().map(|s| s.arrivals()).collect();
-    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(prepared, &traces, tel);
+    let (outcomes, reused_engine, batch_wall) = drive_prepared_batch(prepared, &traces, &mut None);
     // Per-lane amortized cost, comparable to the scalar wall.
     let wall = batch_wall / width as u32;
     let kernel = prepared.engine.kernel_dispatch();
@@ -988,34 +890,14 @@ fn evaluate_batch(
         .collect()
 }
 
-/// Books one scalar evaluation into the batching counters and telemetry.
-fn count_scalar(
-    stats: &mut BatchCounters,
-    tel: &mut Option<Box<TelemetrySink>>,
-    index: usize,
-    reason: &ScalarReason,
-) {
+/// Books one scalar evaluation into the batching counters.
+fn count_scalar(stats: &mut BatchCounters, reason: &ScalarReason) {
     stats.lanes_scalar += 1;
-    let eject = match reason {
-        ScalarReason::BatchingOff => None,
-        ScalarReason::Worklist => {
-            stats.eject_worklist += 1;
-            Some(EjectReason::Worklist)
-        }
-        ScalarReason::EmptyTrace => {
-            stats.eject_empty_trace += 1;
-            Some(EjectReason::EmptyTrace)
-        }
-        ScalarReason::SingleLane => {
-            stats.eject_single_lane += 1;
-            Some(EjectReason::SingleLane)
-        }
-    };
-    if let (Some(sink), Some(reason)) = (tel.as_deref_mut(), eject) {
-        sink.on_event(EngineEvent::LaneEjected {
-            lane: index as u32,
-            reason,
-        });
+    match reason {
+        ScalarReason::BatchingOff => {}
+        ScalarReason::Worklist => stats.eject_worklist += 1,
+        ScalarReason::EmptyTrace => stats.eject_empty_trace += 1,
+        ScalarReason::SingleLane => stats.eject_single_lane += 1,
     }
 }
 
@@ -1023,25 +905,21 @@ fn process_unit(
     state: &mut EngineCaches,
     unit: WorkUnit,
     config: &SweepConfig,
-) -> (Vec<ScenarioResult>, BatchCounters, Option<Box<TelemetrySink>>) {
+) -> (Vec<ScenarioResult>, BatchCounters) {
     let mut stats = BatchCounters::default();
-    // One telemetry shard per unit; `run_sweep` merges shards in unit
-    // order at its single ordering point.
-    let mut tel: Option<Box<TelemetrySink>> =
-        config.telemetry.then(|| Box::new(TelemetrySink::new()));
     match unit {
         WorkUnit::Scalar {
             index,
             spec,
             reason,
         } => {
-            count_scalar(&mut stats, &mut tel, index, &reason);
-            let result = evaluate(&mut state.scalar, index, &spec, config, &mut tel);
-            (vec![result], stats, tel)
+            count_scalar(&mut stats, &reason);
+            let result = evaluate(&mut state.scalar, index, &spec, config);
+            (vec![result], stats)
         }
         WorkUnit::Batch(group) => {
-            let results = evaluate_batch(state, group, config, &mut stats, &mut tel);
-            (results, stats, tel)
+            let results = evaluate_batch(state, group, config, &mut stats);
+            (results, stats)
         }
     }
 }
@@ -1074,15 +952,9 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         ..BatchCounters::default()
     };
     let mut results = Vec::with_capacity(scenarios.len());
-    let mut telemetry: Option<TelemetrySink> = config.telemetry.then(TelemetrySink::new);
-    for (unit_results, unit_stats, unit_tel) in processed {
+    for (unit_results, unit_stats) in processed {
         results.extend(unit_results);
         batching.merge(&unit_stats);
-        // Telemetry shards merge here too: `processed` is in unit order
-        // for any thread count, so the aggregate is deterministic.
-        if let (Some(total), Some(shard)) = (telemetry.as_mut(), unit_tel) {
-            total.merge(*shard);
-        }
     }
     // The single ordering point of the report: units interleave scenario
     // indices (batches pull scattered indices together), so re-sort by
@@ -1098,24 +970,23 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
         batching,
         delta: DeltaReport::default(),
         wall: start.elapsed(),
-        telemetry: telemetry.map(|mut sink| sink.snapshot()),
     }
 }
 
-/// Evaluates one scenario with a [`TraceCollector`] attached and returns
-/// the result together with the collector, ready for Chrome-trace export
+/// Evaluates one scenario and returns the result together with a
+/// [`TraceCollector`], ready for Chrome-trace export
 /// (`collector.to_chrome_trace()`, loadable in Perfetto).
 ///
-/// The collector's observation-time tracks are built from the records the
-/// engine streams at every boundary call — including iterations answered
-/// by fast-forward template replay — and its merged intervals equal
+/// The collector's observation-time tracks are built from the drive's
+/// execution records after the drive — including iterations answered by
+/// fast-forward template replay — and its merged intervals equal
 /// [`ResourceTrace::from_records`](evolve_model::ResourceTrace::from_records)
-/// on the same records exactly (the observer conformance suite pins this
-/// down on a promoted scenario). One host-time span covering the whole
-/// drive is added alongside.
+/// on the same records exactly (the telemetry-fold suite pins this down
+/// on a promoted scenario). One host-time span covering the whole drive
+/// is added alongside.
 ///
 /// Requires [`SweepConfig::record_observations`] (off, there are no
-/// records to stream).
+/// records to trace).
 ///
 /// # Panics
 ///
@@ -1123,17 +994,17 @@ pub fn run_sweep(scenarios: &[ScenarioSpec], config: &SweepConfig) -> SweepRepor
 pub fn trace_scenario(
     spec: &ScenarioSpec,
     config: &SweepConfig,
-) -> (ScenarioResult, Box<TraceCollector>) {
+) -> (ScenarioResult, TraceCollector) {
     let mut prepared = prepare(&spec.model, &engine_options(config));
-    prepared.engine.attach_observer(Box::new(TraceCollector::new()));
+    // Host time counts from before the drive, so its span fits.
+    let mut collector = TraceCollector::new();
     let stimulus = spec.trace.stimulus();
     let start = Instant::now();
     let mut outcome = drive_engine(&mut prepared.engine, stimulus.arrivals());
     let wall = start.elapsed();
     let fast_forward = prepared.engine.fast_forward_stats();
     outcome.busy_ticks = busy_per_resource(&outcome.exec_records, prepared.resource_count);
-    let mut collector =
-        downcast::<TraceCollector>(prepared.engine.detach_observer().expect("attached above"));
+    collector.add_records(0, &outcome.exec_records);
     let end_us = collector.now_us();
     let start_us = (end_us - wall.as_secs_f64() * 1e6).max(0.0);
     collector.push_span(format!("drive {}", spec.label), start_us, end_us);
@@ -1294,6 +1165,24 @@ mod tests {
         assert!(rendered.contains("\"lanes_scalar\":3"));
     }
 
+    #[test]
+    fn metrics_snapshot_folds_every_scenario() {
+        let scenarios = specs(12);
+        for batch_width in [1, 4] {
+            let config = SweepConfig { threads: 2, batch_width, ..SweepConfig::default() };
+            let report = run_sweep(&scenarios, &config);
+            let snap = report.metrics_snapshot();
+            let sum = |f: fn(&ScenarioOutcome) -> u64| {
+                report.scenarios.iter().map(|s| f(&s.outcome)).sum::<u64>()
+            };
+            assert_eq!(snap.boundary_events, sum(|o| o.boundary_events), "width {batch_width}");
+            assert_eq!(snap.engine.nodes_computed, sum(|o| o.engine_stats.nodes_computed));
+            let records: u64 = snap.resources.iter().map(|r| r.records).sum();
+            assert_eq!(records, sum(|o| o.exec_records.len() as u64));
+            assert_eq!(snap.batch, report.batching);
+        }
+    }
+
     /// Execution records in a scheduling-independent canonical order: the
     /// batched sweep replays them in schedule order, the scalar drive in
     /// drain order, and only the multiset is part of the contract.
@@ -1393,10 +1282,12 @@ mod tests {
         assert_eq!(off.total_fast_forward_stats(), FastForwardStats::default());
         assert_eq!(batched.batching.lanes_batched, 4);
         assert_eq!(batched.total_fast_forward_stats(), FastForwardStats::default());
-        assert!(!on.detected_regimes().is_empty());
+        // The regime histogram counts every scenario that promoted once.
+        let regimes = on.metrics_snapshot().regimes;
+        assert_eq!(regimes.values().sum::<u64>(), scenarios.len() as u64, "{regimes:?}");
         let rendered = on.to_json().render();
         assert!(rendered.contains("\"fast_forward\""));
-        assert!(rendered.contains("\"detected_regimes\""));
+        assert!(rendered.contains("\"regimes\":[{\"growth\""));
     }
 
     #[test]

@@ -100,8 +100,6 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         }
     }
 
-    snapshot.events.write_exposition(&mut out);
-
     let name = "evolve_boundary_events_total";
     family(
         &mut out,
@@ -109,7 +107,7 @@ pub fn prometheus(snapshot: &MetricsSnapshot) -> String {
         "Interface instants the equivalent model still simulates",
         "counter",
     );
-    sample(&mut out, name, &[], snapshot.events.boundary_events());
+    sample(&mut out, name, &[], snapshot.boundary_events);
 
     let name = "evolve_event_ratio";
     family(
@@ -182,16 +180,14 @@ mod tests {
     use evolve_des::Time;
     use evolve_model::{ExecRecord, FunctionId, ResourceId};
 
-    use crate::metrics::TelemetrySink;
-    use crate::Observer as _;
+    use crate::metrics::{EngineCounters, FfCounters, TelemetrySink};
 
     use super::*;
 
     #[test]
     fn prometheus_exposition_shape() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(
-            0,
+        sink.fold_drive(
             &[ExecRecord {
                 resource: ResourceId::from_index(2),
                 function: FunctionId::from_index(0),
@@ -201,12 +197,11 @@ mod tests {
                 end: Time::from_ticks(10),
                 ops: 100,
             }],
+            &EngineCounters::default(),
+            &FfCounters::default(),
+            None,
+            2,
         );
-        sink.on_event(crate::EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: false,
-        });
         sink.serve.merge(&crate::ServeCounters {
             requests: 5,
             rejected: 2,
@@ -224,7 +219,7 @@ mod tests {
         assert!(text.contains("evolve_serve_batches_total{trigger=\"deadline\"} 0"));
         assert!(text.contains("evolve_serve_lanes_total{path=\"batched\"} 4"));
         assert!(text.contains("evolve_resource_busy_ticks_total{resource=\"2\"} 10"));
-        assert!(text.contains("evolve_events_total{kind=\"offer\"} 1"));
+        assert!(text.contains("evolve_boundary_events_total 2"));
         assert!(text.contains("evolve_resource_exec_duration_ticks_bucket{resource=\"2\",le=\"16\"} 1"));
         assert!(text.contains("evolve_resource_exec_duration_ticks_bucket{resource=\"2\",le=\"+Inf\"} 1"));
         assert!(text.ends_with('\n'));

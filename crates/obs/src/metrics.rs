@@ -1,24 +1,23 @@
-//! Streaming observation-time resource metrics with bounded memory.
+//! Observation-time resource metrics folded from finished drives.
 //!
-//! [`TelemetrySink`] is the workhorse [`Observer`]: it folds every streamed
-//! [`ExecRecord`] into per-resource accumulators ([`ResourceMetrics`]) and
-//! counts lifecycle events ([`EventCounters`]) — no record buffering, so a
-//! billion-iteration drive observes in O(resources) memory. Records
-//! produced by fast-forward template replay stream through the same path,
-//! so the accumulated busy time stays exact under promotion.
+//! [`TelemetrySink`] folds each drive once: its [`ExecRecord`]s, in
+//! production order, into per-resource accumulators
+//! ([`ResourceMetrics`]), and its engine and fast-forward counters, its
+//! detected regime and its boundary exchanges into the counter sets.
+//! Records produced by fast-forward template replay sit in the drive's
+//! record log like swept ones, so the folded busy time stays exact under
+//! promotion.
 //!
-//! A finished sink (or several merged shards) freezes into a
-//! [`MetricsSnapshot`], exportable as JSON or Prometheus text exposition
-//! (see [`crate::export`]).
+//! A sink freezes into a [`MetricsSnapshot`]; snapshots of several shards
+//! merge, and export as JSON or Prometheus text exposition (see
+//! [`crate::export`]).
 
-use std::any::Any;
+use std::collections::BTreeMap;
 
 use evolve_model::ExecRecord;
 
-use crate::event::{BackendKind, EngineEvent};
 use crate::export;
 use crate::json::Json;
-use crate::observer::{Observer, Sealed};
 
 /// Number of [`LogHistogram`] buckets: one for zero plus one per power of
 /// two up to `u64::MAX`.
@@ -179,11 +178,11 @@ impl LogHistogram {
     }
 }
 
-/// Streaming per-resource accumulator.
+/// Per-resource accumulator.
 ///
 /// Maintains the running busy time with a single open frontier interval:
 /// records arriving in non-decreasing start order (the engines' production
-/// order within one lane) merge exactly, matching
+/// order within one drive or lane) merge exactly, matching
 /// [`ResourceTrace::from_records`](evolve_model::ResourceTrace::from_records).
 /// A record starting before the frontier is clamped and counted in
 /// [`out_of_order`](ResourceMetrics::out_of_order); busy time is exact iff
@@ -198,7 +197,7 @@ pub struct ResourceMetrics {
     pub ops: u64,
     /// Execution records observed (including zero-width ones).
     pub records: u64,
-    /// Records that started before the streaming frontier (clamped).
+    /// Records that started before the frontier (clamped).
     pub out_of_order: u64,
     /// Largest end instant observed, in ticks.
     pub horizon_ticks: u64,
@@ -233,7 +232,7 @@ impl ResourceMetrics {
         }
     }
 
-    /// Closes the open frontier (end of a scenario / time axis).
+    /// Closes the open frontier (end of a drive's time axis).
     pub fn seal(&mut self) {
         if let Some((fs, fe)) = self.frontier.take() {
             self.closed_busy += fe - fs;
@@ -254,8 +253,8 @@ impl ResourceMetrics {
         }
     }
 
-    /// Folds another accumulator (a different scenario / shard) into this
-    /// one. Both frontiers are sealed: the time axes are unrelated.
+    /// Folds another accumulator (a different drive) into this one. Both
+    /// frontiers are sealed: the time axes are unrelated.
     pub fn merge(&mut self, other: &ResourceMetrics) {
         self.seal();
         let mut other = other.clone();
@@ -374,8 +373,8 @@ counter_set! {
 
 counter_set! {
     /// Fast-forward counters: `evolve-core`'s `FastForwardStats` minus its
-    /// detected regime, which has no counter field (regimes are listed
-    /// separately in the snapshot; `evolve-core` provides
+    /// detected regime, which has no counter field (the snapshot counts
+    /// regimes in a histogram of their own; `evolve-core` provides
     /// `From<FastForwardStats>`).
     FfCounters {
         counter "evolve_ff_promotions_total" "Fast-forward promotions to template replay" {
@@ -446,42 +445,6 @@ counter_set! {
 }
 
 counter_set! {
-    /// Counts of observed [`EngineEvent`]s.
-    EventCounters {
-        counter "evolve_events_total" "Engine lifecycle events observed, by kind" {
-            /// Observers attached to engines.
-            attaches kind = "attach",
-            /// Scalar input offers evaluated.
-            offers kind = "offer",
-            /// Offers answered by fast-forward replay.
-            replayed_offers kind = "offer_replayed",
-            /// Lockstep batched calls evaluated.
-            batch_sweeps kind = "batch_sweep",
-            /// Output acknowledgments fed back.
-            output_acks kind = "output_ack",
-            /// Fast-forward promotions observed.
-            promotions kind = "ff_promoted",
-            /// Fast-forward demotions observed.
-            demotions kind = "ff_demoted",
-            /// Lanes ejected to the scalar path.
-            lane_ejections kind = "lane_ejected",
-            /// Offers rejected with a tick overflow.
-            overflows kind = "overflow",
-            /// Engine resets (scenario boundaries under reuse).
-            resets kind = "reset",
-        }
-    }
-}
-
-impl EventCounters {
-    /// Boundary events: interface instants the equivalent model still
-    /// simulates (offers in, acknowledgments out).
-    pub fn boundary_events(&self) -> u64 {
-        self.offers + self.output_acks
-    }
-}
-
-counter_set! {
     /// Serving-layer counters recorded by the `evolve-serve` daemon: request
     /// admission, batch formation, and the evaluation path each request lane
     /// took. Counted by the shard workers and merged into the daemon's
@@ -526,28 +489,25 @@ counter_set! {
     }
 }
 
-/// The streaming telemetry observer: counters plus per-lane per-resource
-/// accumulators, mergeable across worker shards.
+/// Telemetry folded from finished drives: counters, a regime histogram
+/// and per-resource accumulators. The sweep folds its report's scenarios
+/// into one; each serve shard keeps one and folds every lane it answers.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    /// Engine work counters (recorded by the driver after each drive).
+    /// Engine work counters.
     pub engine: EngineCounters,
-    /// Fast-forward counters (recorded by the driver after each drive).
+    /// Fast-forward counters.
     pub ff: FfCounters,
-    /// Batching counters (recorded by the sweep layer).
+    /// Batching counters (recorded by the sweep layer or a serve shard).
     pub batch: BatchCounters,
     /// Serving-layer counters (recorded by the serve daemon's shards).
     pub serve: ServeCounters,
-    /// Lifecycle event counts.
-    pub events: EventCounters,
-    /// Detected periodic regimes `(growth, period)`, one per promotion.
-    pub regimes: Vec<(u64, u64)>,
-    /// Live per-lane accumulators, indexed `[lane][resource]`.
-    lanes: Vec<Vec<ResourceMetrics>>,
-    /// Aggregate of sealed scenarios and merged shards, by resource.
-    folded: Vec<ResourceMetrics>,
-    /// Backends this sink has been attached to.
-    pub backends: Vec<BackendKind>,
+    /// Boundary exchanges: one per input offer and per output write.
+    pub boundary_events: u64,
+    /// Detected periodic regimes: drives per `(growth, period)`.
+    pub regimes: BTreeMap<(u64, u64), u64>,
+    /// Aggregate of folded drives, by resource.
+    resources: Vec<ResourceMetrics>,
 }
 
 impl TelemetrySink {
@@ -556,47 +516,41 @@ impl TelemetrySink {
         Self::default()
     }
 
-    /// Seals every live lane into the aggregate (end of a scenario).
-    pub fn seal_lanes(&mut self) {
-        let lanes = std::mem::take(&mut self.lanes);
-        for lane in &lanes {
-            for (idx, rm) in lane.iter().enumerate() {
-                if rm.records == 0 && rm.durations.count() == 0 {
-                    continue;
-                }
-                Self::resource_slot(&mut self.folded, idx).merge(rm);
-            }
+    /// Folds one drive (or one batch lane): its execution records in
+    /// production order, which are a time axis of their own, its engine
+    /// and fast-forward counters, the `(growth, period)` regime it settled
+    /// into, if any, and its boundary exchanges.
+    pub fn fold_drive(
+        &mut self,
+        records: &[ExecRecord],
+        engine: &EngineCounters,
+        ff: &FfCounters,
+        regime: Option<(u64, u64)>,
+        boundary_events: u64,
+    ) {
+        let mut drive: Vec<ResourceMetrics> = Vec::new();
+        for r in records {
+            resource_slot(&mut drive, r.resource.index()).observe(
+                r.start.ticks(),
+                r.end.ticks(),
+                r.ops,
+            );
         }
+        for (idx, rm) in drive.iter().enumerate().filter(|(_, rm)| rm.records > 0) {
+            resource_slot(&mut self.resources, idx).merge(rm);
+        }
+        self.engine.merge(engine);
+        self.ff.merge(ff);
+        if let Some(regime) = regime {
+            *self.regimes.entry(regime).or_default() += 1;
+        }
+        self.boundary_events += boundary_events;
     }
 
-    fn resource_slot(v: &mut Vec<ResourceMetrics>, idx: usize) -> &mut ResourceMetrics {
-        if v.len() <= idx {
-            v.resize(idx + 1, ResourceMetrics::default());
-        }
-        &mut v[idx]
-    }
-
-    /// Folds another shard (a different worker or lane) into this sink.
-    pub fn merge(&mut self, mut other: TelemetrySink) {
-        other.seal_lanes();
-        self.seal_lanes();
-        self.engine.merge(&other.engine);
-        self.ff.merge(&other.ff);
-        self.batch.merge(&other.batch);
-        self.serve.merge(&other.serve);
-        self.events.merge(&other.events);
-        self.regimes.extend(other.regimes);
-        self.backends.extend(other.backends);
-        for (idx, rm) in other.folded.iter().enumerate() {
-            Self::resource_slot(&mut self.folded, idx).merge(rm);
-        }
-    }
-
-    /// Freezes the sink into an exportable snapshot (seals live lanes).
-    pub fn snapshot(&mut self) -> MetricsSnapshot {
-        self.seal_lanes();
+    /// Freezes the sink into an exportable snapshot.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let resources = self
-            .folded
+            .resources
             .iter()
             .enumerate()
             .filter(|(_, rm)| rm.records > 0)
@@ -616,7 +570,7 @@ impl TelemetrySink {
             ff: self.ff,
             batch: self.batch,
             serve: self.serve,
-            events: self.events,
+            boundary_events: self.boundary_events,
             regimes: self.regimes.clone(),
             resources,
             phases: Vec::new(),
@@ -625,55 +579,11 @@ impl TelemetrySink {
     }
 }
 
-impl Sealed for TelemetrySink {}
-
-impl Observer for TelemetrySink {
-    fn on_event(&mut self, event: EngineEvent) {
-        match event {
-            EngineEvent::Attached { backend, .. } => {
-                self.events.attaches += 1;
-                self.backends.push(backend);
-            }
-            EngineEvent::Offer { replayed, .. } => {
-                self.events.offers += 1;
-                if replayed {
-                    self.events.replayed_offers += 1;
-                }
-            }
-            EngineEvent::BatchSweep { .. } => self.events.batch_sweeps += 1,
-            EngineEvent::OutputAck { .. } => self.events.output_acks += 1,
-            EngineEvent::FfPromoted { growth, period, .. } => {
-                self.events.promotions += 1;
-                self.regimes.push((growth, period));
-            }
-            EngineEvent::FfDemoted { .. } => self.events.demotions += 1,
-            EngineEvent::LaneEjected { .. } => self.events.lane_ejections += 1,
-            EngineEvent::Overflow { .. } => self.events.overflows += 1,
-            EngineEvent::Reset => {
-                self.events.resets += 1;
-                self.seal_lanes();
-            }
-        }
+fn resource_slot(v: &mut Vec<ResourceMetrics>, idx: usize) -> &mut ResourceMetrics {
+    if v.len() <= idx {
+        v.resize(idx + 1, ResourceMetrics::default());
     }
-
-    fn on_records(&mut self, lane: u32, records: &[ExecRecord]) {
-        let lane = lane as usize;
-        if self.lanes.len() <= lane {
-            self.lanes.resize_with(lane + 1, Vec::new);
-        }
-        for r in records {
-            let idx = r.resource.index();
-            Self::resource_slot(&mut self.lanes[lane], idx).observe(
-                r.start.ticks(),
-                r.end.ticks(),
-                r.ops,
-            );
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+    &mut v[idx]
 }
 
 /// Frozen per-resource metrics inside a [`MetricsSnapshot`].
@@ -687,7 +597,7 @@ pub struct ResourceSnapshot {
     pub ops: u64,
     /// Execution records observed.
     pub records: u64,
-    /// Records clamped by the streaming frontier.
+    /// Records clamped by the frontier.
     pub out_of_order: u64,
     /// Largest end instant observed.
     pub horizon_ticks: u64,
@@ -732,10 +642,10 @@ pub struct MetricsSnapshot {
     pub batch: BatchCounters,
     /// Serving-layer counters.
     pub serve: ServeCounters,
-    /// Lifecycle event counts.
-    pub events: EventCounters,
-    /// Detected periodic regimes `(growth, period)`.
-    pub regimes: Vec<(u64, u64)>,
+    /// Boundary exchanges: one per input offer and per output write.
+    pub boundary_events: u64,
+    /// Detected periodic regimes: drives per `(growth, period)`.
+    pub regimes: BTreeMap<(u64, u64), u64>,
     /// Per-resource metrics, sorted by resource index.
     pub resources: Vec<ResourceSnapshot>,
     /// Per-phase request-lifecycle latency histograms (flight recorder).
@@ -753,7 +663,7 @@ impl MetricsSnapshot {
     /// event. Table I maps this ratio to the attainable speed-up when the
     /// per-event dispatch cost dominates.
     pub fn event_ratio(&self) -> Option<f64> {
-        let boundary = self.events.boundary_events();
+        let boundary = self.boundary_events;
         if boundary == 0 {
             return None;
         }
@@ -765,22 +675,21 @@ impl MetricsSnapshot {
         self.resources.iter().map(|r| r.busy_ticks).sum()
     }
 
-    /// Folds another snapshot into this one: counters add, regimes
-    /// concatenate, and per-resource metrics merge by resource index
+    /// Folds another snapshot into this one: counters and regime counts
+    /// add, and per-resource metrics merge by resource index
     /// (busy/ops/records add, horizons take the max, utilization is
     /// recomputed over the merged horizon, histograms merge exactly).
-    ///
-    /// This is the frozen-side counterpart of [`TelemetrySink::merge`],
-    /// used where live sinks cannot be handed over — e.g. the serve
-    /// daemon's `/metrics` listener folding per-shard published snapshots
-    /// into one exposition.
+    /// The serve daemon's `/metrics` listener folds the per-shard
+    /// published snapshots into one exposition this way.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.engine.merge(&other.engine);
         self.ff.merge(&other.ff);
         self.batch.merge(&other.batch);
         self.serve.merge(&other.serve);
-        self.events.merge(&other.events);
-        self.regimes.extend(other.regimes.iter().copied());
+        self.boundary_events += other.boundary_events;
+        for (regime, drives) in &other.regimes {
+            *self.regimes.entry(*regime).or_default() += drives;
+        }
         for theirs in &other.resources {
             match self
                 .resources
@@ -838,7 +747,13 @@ impl MetricsSnapshot {
         let regimes = self
             .regimes
             .iter()
-            .map(|(g, p)| Json::object([("growth", Json::U64(*g)), ("period", Json::U64(*p))]))
+            .map(|(&(growth, period), &drives)| {
+                Json::object([
+                    ("growth", Json::U64(growth)),
+                    ("period", Json::U64(period)),
+                    ("drives", Json::U64(drives)),
+                ])
+            })
             .collect();
         Json::object([
             ("engine", self.engine.to_json()),
@@ -848,14 +763,7 @@ impl MetricsSnapshot {
             ),
             ("batching", self.batch.to_json()),
             ("serve", self.serve.to_json()),
-            (
-                "events",
-                with_key(
-                    self.events.to_json(),
-                    "boundary_events",
-                    Json::U64(self.events.boundary_events()),
-                ),
-            ),
+            ("boundary_events", Json::U64(self.boundary_events)),
             (
                 "event_ratio",
                 self.event_ratio().map_or(Json::Null, Json::F64),
@@ -1049,30 +957,33 @@ mod tests {
         assert_eq!(a.records, 2);
     }
 
+    /// Folds a drive that carries only `records`.
+    fn fold(sink: &mut TelemetrySink, records: &[ExecRecord]) {
+        sink.fold_drive(records, &EngineCounters::default(), &FfCounters::default(), None, 0);
+    }
+
     #[test]
     fn sink_streams_records_and_counts_events() {
         let mut sink = TelemetrySink::new();
-        sink.on_event(EngineEvent::Attached {
-            backend: BackendKind::Compiled,
-            nodes: 4,
-        });
-        sink.on_records(0, &[rec(0, 0, 10, 100), rec(1, 2, 6, 50)]);
-        sink.on_event(EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: false,
-        });
-        sink.on_event(EngineEvent::OutputAck { k: 0 });
-        sink.on_event(EngineEvent::FfPromoted {
-            k: 5,
-            lane: 0,
-            growth: 7,
-            period: 2,
-        });
+        let engine = EngineCounters {
+            nodes_computed: 4,
+            ..EngineCounters::default()
+        };
+        let ff = FfCounters {
+            promotions: 1,
+            fast_forwarded_iterations: 3,
+            ..FfCounters::default()
+        };
+        let records = [rec(0, 0, 10, 100), rec(1, 2, 6, 50)];
+        sink.fold_drive(&records, &engine, &ff, Some((7, 2)), 2);
+        sink.fold_drive(&[], &engine, &ff, Some((7, 2)), 2);
         let snap = sink.snapshot();
-        assert_eq!(snap.events.offers, 1);
-        assert_eq!(snap.events.output_acks, 1);
-        assert_eq!(snap.regimes, vec![(7, 2)]);
+        assert_eq!(snap.boundary_events, 4);
+        assert_eq!(snap.engine.nodes_computed, 8);
+        assert_eq!(snap.ff.promotions, 2);
+        assert_eq!(snap.ff.fast_forwarded_iterations, 6);
+        // One histogram entry per regime, counting the drives in it.
+        assert_eq!(snap.regimes, BTreeMap::from([((7, 2), 2)]));
         assert_eq!(snap.resources.len(), 2);
         assert_eq!(snap.resources[0].busy_ticks, 10);
         assert_eq!(snap.resources[1].busy_ticks, 4);
@@ -1082,10 +993,10 @@ mod tests {
     #[test]
     fn sink_reset_seals_time_axis() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 100, 110, 1)]);
-        sink.on_event(EngineEvent::Reset);
-        // new scenario starts earlier on its own axis: not out of order
-        sink.on_records(0, &[rec(0, 0, 10, 1)]);
+        fold(&mut sink, &[rec(0, 100, 110, 1)]);
+        // The next drive (a reset engine) starts earlier on its own axis:
+        // not out of order.
+        fold(&mut sink, &[rec(0, 0, 10, 1)]);
         let snap = sink.snapshot();
         assert_eq!(snap.resources[0].busy_ticks, 20);
         assert_eq!(snap.resources[0].out_of_order, 0);
@@ -1093,53 +1004,55 @@ mod tests {
 
     #[test]
     fn sink_lanes_have_independent_frontiers() {
+        // Each lane of a batch folds as a drive of its own...
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 50, 60, 1)]);
-        sink.on_records(1, &[rec(0, 0, 10, 1)]); // earlier, different lane
-        sink.on_records(0, &[rec(0, 60, 70, 1)]);
+        fold(&mut sink, &[rec(0, 50, 60, 1), rec(0, 60, 70, 1)]);
+        fold(&mut sink, &[rec(0, 0, 10, 1)]); // earlier, different lane
         let snap = sink.snapshot();
         assert_eq!(snap.resources[0].busy_ticks, 30);
         assert_eq!(snap.resources[0].out_of_order, 0);
+        // ...while within one drive an earlier record is clamped.
+        let mut one = TelemetrySink::new();
+        fold(&mut one, &[rec(0, 50, 60, 1), rec(0, 0, 10, 1)]);
+        assert_eq!(one.snapshot().resources[0].out_of_order, 1);
     }
 
     #[test]
     fn shard_merge_matches_single_sink() {
-        let mut a = TelemetrySink::new();
-        a.on_records(0, &[rec(0, 0, 10, 5)]);
-        a.on_event(EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: false,
-        });
-        let mut b = TelemetrySink::new();
-        b.on_records(0, &[rec(0, 0, 20, 7)]);
-        b.on_event(EngineEvent::Offer {
-            k: 0,
-            lane: 0,
-            replayed: true,
-        });
-        a.merge(b);
-        let snap = a.snapshot();
+        let engine = EngineCounters {
+            nodes_computed: 9,
+            ..EngineCounters::default()
+        };
+        let ff = FfCounters::default();
+        let drives = [
+            ([rec(0, 0, 10, 5)], Some((7, 2)), 3),
+            ([rec(0, 0, 20, 7)], Some((7, 2)), 4),
+        ];
+        let mut single = TelemetrySink::new();
+        let mut frozen = MetricsSnapshot::default();
+        for (records, regime, boundary) in &drives {
+            single.fold_drive(records, &engine, &ff, *regime, *boundary);
+            let mut shard = TelemetrySink::new();
+            shard.fold_drive(records, &engine, &ff, *regime, *boundary);
+            frozen.merge(&shard.snapshot());
+        }
+        let snap = single.snapshot();
+        assert_eq!(frozen, snap);
         assert_eq!(snap.resources[0].busy_ticks, 30);
         assert_eq!(snap.resources[0].ops, 12);
-        assert_eq!(snap.events.offers, 2);
-        assert_eq!(snap.events.replayed_offers, 1);
+        assert_eq!(snap.boundary_events, 7);
+        assert_eq!(snap.engine.nodes_computed, 18);
+        assert_eq!(snap.regimes, BTreeMap::from([((7, 2), 2)]));
     }
 
     #[test]
     fn event_ratio_counts_avoided_over_boundary() {
         let mut sink = TelemetrySink::new();
-        sink.engine.merge(&EngineCounters {
+        let engine = EngineCounters {
             nodes_computed: 98,
             ..EngineCounters::default()
-        });
-        for k in 0..2 {
-            sink.on_event(EngineEvent::Offer {
-                k,
-                lane: 0,
-                replayed: false,
-            });
-        }
+        };
+        sink.fold_drive(&[], &engine, &FfCounters::default(), None, 2);
         let snap = sink.snapshot();
         assert_eq!(snap.event_ratio(), Some(50.0));
         assert_eq!(TelemetrySink::new().snapshot().event_ratio(), None);
@@ -1148,15 +1061,14 @@ mod tests {
     #[test]
     fn snapshot_merge_matches_sink_merge() {
         let mut a = TelemetrySink::new();
-        a.on_records(0, &[rec(0, 0, 10, 5)]);
+        fold(&mut a, &[rec(0, 0, 10, 5)]);
         a.serve.merge(&ServeCounters {
             requests: 3,
             rejected: 1,
             ..ServeCounters::default()
         });
         let mut b = TelemetrySink::new();
-        b.on_records(0, &[rec(0, 0, 20, 7)]);
-        b.on_records(0, &[rec(1, 5, 9, 2)]);
+        fold(&mut b, &[rec(0, 0, 20, 7), rec(1, 5, 9, 2)]);
         b.serve.merge(&ServeCounters {
             requests: 4,
             batches_idle: 2,
@@ -1167,11 +1079,14 @@ mod tests {
         // Freeze the shards first, then merge the snapshots...
         let mut frozen = a.snapshot();
         frozen.merge(&b.snapshot());
-        // ...which must equal merging the live sinks and freezing once.
-        a.merge(b);
-        let direct = a.snapshot();
+        // ...which must equal folding every drive into one sink.
+        let mut direct = TelemetrySink::new();
+        fold(&mut direct, &[rec(0, 0, 10, 5)]);
+        fold(&mut direct, &[rec(0, 0, 20, 7), rec(1, 5, 9, 2)]);
+        direct.serve.merge(&a.serve);
+        direct.serve.merge(&b.serve);
 
-        assert_eq!(frozen, direct);
+        assert_eq!(frozen, direct.snapshot());
         assert_eq!(frozen.serve.requests, 7);
         assert_eq!(frozen.serve.rejected, 1);
         assert_eq!(frozen.serve.lanes_batched, 4);
@@ -1183,7 +1098,7 @@ mod tests {
     #[test]
     fn snapshot_merge_into_empty_is_identity() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(2, 0, 10, 5)]);
+        fold(&mut sink, &[rec(2, 0, 10, 5)]);
         sink.serve.merge(&ServeCounters {
             responses: 9,
             ..ServeCounters::default()
@@ -1197,7 +1112,7 @@ mod tests {
     #[test]
     fn snapshot_json_renders() {
         let mut sink = TelemetrySink::new();
-        sink.on_records(0, &[rec(0, 0, 10, 100)]);
+        fold(&mut sink, &[rec(0, 0, 10, 100)]);
         let doc = sink.snapshot().to_json().render();
         assert!(doc.contains("\"busy_ticks\":10"));
         assert!(doc.contains("\"batches_idle\":0"));

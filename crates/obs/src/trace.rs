@@ -1,34 +1,31 @@
 //! Chrome trace-event export for Perfetto.
 //!
-//! [`TraceCollector`] is an [`Observer`] that records two clock domains
-//! side by side:
+//! [`TraceCollector`] records two clock domains side by side:
 //!
 //! - **observation time** (process 1): per-resource busy intervals of the
 //!   model under evaluation, on the tick axis (1 tick = 1 ns = 1 µs/1000
-//!   in the trace). Raw record intervals are buffered and merged at
-//!   export with exactly the `ResourceTrace::from_records` construction,
-//!   so the Perfetto tracks equal the post-hoc trace bit for bit — also
-//!   on fast-forwarded scenarios, because template replay streams its
-//!   records like any other offer.
-//! - **host time** (process 2): engine lifecycle instants stamped against
-//!   the collector's own monotonic epoch, plus spans pushed by the driver
-//!   via [`TraceCollector::push_span`].
+//!   in the trace), built from a finished drive's execution records
+//!   ([`TraceCollector::add_records`]). Raw record intervals are merged
+//!   at export with exactly the `ResourceTrace::from_records`
+//!   construction, so the Perfetto tracks equal the post-hoc trace bit
+//!   for bit — also on fast-forwarded scenarios, whose replayed records
+//!   sit in the drive's record log like swept ones.
+//! - **host time** (process 2): spans pushed by the driver via
+//!   [`TraceCollector::push_span`], against the collector's own
+//!   monotonic epoch.
 //!
 //! The export is the Chrome trace-event JSON array format
 //! (`{"traceEvents": [...]}`), which Perfetto's UI opens directly. Its
 //! event and document helpers also render the flight recorder's dump
 //! ([`crate::flight`]), so both documents come from one exporter.
 
-use std::any::Any;
 use std::time::Instant;
 
 use evolve_des::Time;
 use evolve_model::ExecRecord;
 
-use crate::event::EngineEvent;
 use crate::json::Json;
 use crate::metrics::merge_intervals;
-use crate::observer::{Observer, Sealed};
 
 /// Observation-time process id in the exported trace.
 const PID_OBSERVATION: u64 = 1;
@@ -52,20 +49,13 @@ struct HostSpan {
     end_us: f64,
 }
 
-/// A host-time instant derived from an engine event.
-#[derive(Clone, Debug)]
-struct HostInstant {
-    name: String,
-    at_us: f64,
-}
-
-/// Collects execution records and engine events for Chrome-trace export.
+/// Collects execution records and host-time spans for Chrome-trace
+/// export.
 #[derive(Debug)]
 pub struct TraceCollector {
     epoch: Instant,
     tracks: Vec<Track>,
     spans: Vec<HostSpan>,
-    instants: Vec<HostInstant>,
 }
 
 impl Default for TraceCollector {
@@ -81,7 +71,6 @@ impl TraceCollector {
             epoch: Instant::now(),
             tracks: Vec::new(),
             spans: Vec::new(),
-            instants: Vec::new(),
         }
     }
 
@@ -98,6 +87,16 @@ impl TraceCollector {
             start_us,
             end_us: end_us.max(start_us),
         });
+    }
+
+    /// Adds a drive's execution records to lane `lane`'s observation-time
+    /// tracks, one per resource (`lane` is `0` for a scalar drive).
+    pub fn add_records(&mut self, lane: u32, records: &[ExecRecord]) {
+        for r in records {
+            self.track_slot(lane, r.resource.index())
+                .raw
+                .push((r.start.ticks(), r.end.ticks()));
+        }
     }
 
     fn track_slot(&mut self, lane: u32, resource: usize) -> &mut Track {
@@ -139,12 +138,12 @@ impl TraceCollector {
     }
 
     /// Folds another collector into this one: raw intervals merge by
-    /// `(lane, resource)` track, spans and instants concatenate. Both
+    /// `(lane, resource)` track, spans concatenate. Both
     /// collectors must share a host-time base (created back to back, or
     /// spans pushed with endpoints from one collector's
     /// [`now_us`](TraceCollector::now_us)); the export is deterministic
-    /// under any merge order because [`to_chrome_trace`] orders tracks,
-    /// spans, and instants canonically.
+    /// under any merge order because [`to_chrome_trace`] orders tracks
+    /// and spans canonically.
     ///
     /// [`to_chrome_trace`]: TraceCollector::to_chrome_trace
     pub fn merge(&mut self, other: TraceCollector) {
@@ -154,15 +153,14 @@ impl TraceCollector {
                 .extend(track.raw);
         }
         self.spans.extend(other.spans);
-        self.instants.extend(other.instants);
     }
 
     /// Renders the Chrome trace-event document.
     ///
     /// The output is deterministic for a given set of recorded data
     /// regardless of insertion or [`merge`](TraceCollector::merge)
-    /// order: tracks are ordered by `(lane, resource)`, host spans by
-    /// `(start, end, name)`, and instants by `(time, name)`.
+    /// order: tracks are ordered by `(lane, resource)` and host spans by
+    /// `(start, end, name)`.
     pub fn to_chrome_trace(&self) -> Json {
         let mut events: Vec<Json> = Vec::new();
         events.push(metadata_event(
@@ -199,19 +197,6 @@ impl TraceCollector {
         for span in span_order {
             let (ts, dur) = (span.start_us, span.end_us - span.start_us);
             events.push(complete_event(&span.name, None, PID_HOST, 1, ts, dur, None));
-        }
-        let mut instant_order: Vec<&HostInstant> = self.instants.iter().collect();
-        instant_order
-            .sort_by(|a, b| a.at_us.total_cmp(&b.at_us).then_with(|| a.name.cmp(&b.name)));
-        for instant in instant_order {
-            events.push(Json::object([
-                ("name", Json::str(instant.name.clone())),
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("pid", Json::U64(PID_HOST)),
-                ("tid", Json::U64(1)),
-                ("ts", Json::F64(instant.at_us)),
-            ]));
         }
         chrome_document(events)
     }
@@ -267,46 +252,6 @@ fn merge_raw(raw: &[(u64, u64)]) -> Vec<(u64, u64)> {
     merge_intervals(raw.iter().copied().filter(|(s, e)| s < e).collect())
 }
 
-impl Sealed for TraceCollector {}
-
-impl Observer for TraceCollector {
-    fn on_event(&mut self, event: EngineEvent) {
-        let name = match event {
-            EngineEvent::Attached { backend, .. } => {
-                format!("attached ({})", backend.as_str())
-            }
-            EngineEvent::FfPromoted {
-                k, growth, period, ..
-            } => format!("ff promoted @k={k} (growth {growth}, period {period})"),
-            EngineEvent::FfDemoted { k, .. } => format!("ff demoted @k={k}"),
-            EngineEvent::LaneEjected { lane, reason } => {
-                format!("lane {lane} ejected ({})", reason.as_str())
-            }
-            EngineEvent::Overflow { k } => format!("overflow @k={k}"),
-            EngineEvent::Reset => "reset".to_string(),
-            // Per-offer instants would dominate the trace; the busy tracks
-            // already carry the per-iteration story.
-            EngineEvent::Offer { .. }
-            | EngineEvent::BatchSweep { .. }
-            | EngineEvent::OutputAck { .. } => return,
-        };
-        let at_us = self.now_us();
-        self.instants.push(HostInstant { name, at_us });
-    }
-
-    fn on_records(&mut self, lane: u32, records: &[ExecRecord]) {
-        for r in records {
-            self.track_slot(lane, r.resource.index())
-                .raw
-                .push((r.start.ticks(), r.end.ticks()));
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use evolve_model::{FunctionId, ResourceId, ResourceTrace};
@@ -334,7 +279,7 @@ mod tests {
             rec(0, 7, 7), // zero-width: dropped by both constructions
         ];
         let mut collector = TraceCollector::new();
-        collector.on_records(0, &records);
+        collector.add_records(0, &records);
         let trace = ResourceTrace::from_records(&records, ResourceId::from_index(0));
         assert_eq!(collector.merged_intervals(0, 0), trace.intervals);
         assert!(collector.merged_intervals(0, 9).is_empty());
@@ -343,8 +288,7 @@ mod tests {
     #[test]
     fn chrome_trace_document_shape() {
         let mut collector = TraceCollector::new();
-        collector.on_records(0, &[rec(1, 1000, 3000)]);
-        collector.on_event(EngineEvent::Reset);
+        collector.add_records(0, &[rec(1, 1000, 3000)]);
         let start = collector.now_us();
         collector.push_span("drive", start, start + 5.0);
         let doc = collector.to_chrome_trace().render();
@@ -352,12 +296,12 @@ mod tests {
         assert!(doc.contains("\"ph\":\"X\""));
         assert!(doc.contains("\"dur\":2")); // 2000 ticks = 2 µs
         assert!(doc.contains("lane 0 / resource 1"));
-        assert!(doc.contains("\"reset\""));
+        assert!(doc.contains("\"name\":\"drive\""));
     }
 
     #[test]
     fn merged_shards_export_deterministically_in_either_order() {
-        // Two "shard" collectors with interleaved spans, instants, and
+        // Two "shard" collectors with interleaved spans and
         // overlapping (lane, resource) tracks: merging a⟵b and b⟵a must
         // render byte-identical documents.
         let build = |flip: bool| {
@@ -367,9 +311,9 @@ mod tests {
             b.push_span("dispatch batch 2", 5.0, 12.0);
             a.push_span("dispatch batch 3", 5.0, 9.0);
             b.push_span("drain", 10.0, 30.0); // same interval as batch 1
-            a.on_records(0, &[rec(0, 0, 10), rec(1, 4, 6)]);
-            b.on_records(0, &[rec(0, 8, 20)]);
-            b.on_records(2, &[rec(0, 0, 5)]);
+            a.add_records(0, &[rec(0, 0, 10), rec(1, 4, 6)]);
+            b.add_records(0, &[rec(0, 8, 20)]);
+            b.add_records(2, &[rec(0, 0, 5)]);
             if flip {
                 b.merge(a);
                 b
@@ -406,8 +350,8 @@ mod tests {
     #[test]
     fn lanes_get_separate_tracks() {
         let mut collector = TraceCollector::new();
-        collector.on_records(0, &[rec(0, 0, 10)]);
-        collector.on_records(1, &[rec(0, 0, 20)]);
+        collector.add_records(0, &[rec(0, 0, 10)]);
+        collector.add_records(1, &[rec(0, 0, 20)]);
         assert_eq!(collector.tracks().count(), 2);
         assert_eq!(
             collector.merged_intervals(1, 0),

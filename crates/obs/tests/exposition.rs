@@ -2,9 +2,11 @@
 //! holds a distinct nonzero value, plus the metric-catalogue check that
 //! every exported family is documented in `docs/OBSERVABILITY.md`.
 
+use std::collections::BTreeMap;
+
 use evolve_obs::{
-    prometheus, BatchCounters, EngineCounters, EventCounters, FfCounters,
-    LogHistogram, MetricsSnapshot, PhaseSnapshot, ResourceSnapshot, ServeCounters, ServeGauges,
+    prometheus, BatchCounters, EngineCounters, FfCounters, LogHistogram, MetricsSnapshot,
+    PhaseSnapshot, ResourceSnapshot, ServeCounters, ServeGauges,
 };
 
 fn hist(samples: &[u64]) -> LogHistogram {
@@ -15,8 +17,8 @@ fn hist(samples: &[u64]) -> LogHistogram {
     h
 }
 
-/// Every counter of the five sets distinct and nonzero; resources,
-/// phases and serve gauges set.
+/// Every counter of the four sets and the boundary-event count distinct
+/// and nonzero; regimes, resources, phases and serve gauges set.
 fn fixture() -> MetricsSnapshot {
     MetricsSnapshot {
         engine: EngineCounters {
@@ -57,19 +59,8 @@ fn fixture() -> MetricsSnapshot {
             lanes_batched: 6009,
             lanes_scalar: 6010,
         },
-        events: EventCounters {
-            attaches: 7001,
-            offers: 7002,
-            replayed_offers: 7003,
-            batch_sweeps: 7004,
-            output_acks: 7006,
-            promotions: 7007,
-            demotions: 7008,
-            lane_ejections: 7009,
-            overflows: 7010,
-            resets: 7011,
-        },
-        regimes: vec![(12, 3), (40, 5)],
+        boundary_events: 7001,
+        regimes: BTreeMap::from([((12, 3), 4), ((40, 5), 1)]),
         resources: vec![
             ResourceSnapshot {
                 resource: 0,
@@ -177,21 +168,25 @@ fn catalogue() -> Vec<(String, String)> {
     rows
 }
 
+/// The catalogue lists exactly the exported families: none missing, and
+/// none the exporter no longer writes (the fixture sets every optional
+/// family).
 #[test]
 fn every_exported_family_is_in_the_catalogue() {
     let catalogue = catalogue();
-    let mut missing = Vec::new();
-    for line in exposition().lines() {
-        let Some(rest) = line.strip_prefix("# TYPE ") else {
-            continue;
-        };
-        let (family, kind) = rest.split_once(' ').expect("# TYPE <family> <kind>");
-        if !catalogue.iter().any(|(n, k)| n == family && k == kind) {
-            missing.push(format!("{family} ({kind})"));
-        }
-    }
+    let exported: Vec<(String, String)> = exposition()
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(|rest| {
+            let (family, kind) = rest.split_once(' ').expect("# TYPE <family> <kind>");
+            (family.to_string(), kind.to_string())
+        })
+        .collect();
+    let missing: Vec<_> = exported.iter().filter(|f| !catalogue.contains(f)).collect();
     assert!(
         missing.is_empty(),
         "families missing from the docs/OBSERVABILITY.md catalogue: {missing:?}"
     );
+    let stale: Vec<_> = catalogue.iter().filter(|f| !exported.contains(f)).collect();
+    assert!(stale.is_empty(), "catalogued families that are not exported: {stale:?}");
 }

@@ -43,7 +43,6 @@ OPTIONS:
     --no-flight-recorder     disable the always-on flight recorder
     --naive                  baseline mode: fresh engine per request, no batching
     --no-fast-forward        disable periodic fast-forward
-    --no-telemetry           do not attach per-shard telemetry sinks
     --record-observations    record full observation streams
     --preload default        register the built-in named models
     --state-file PATH        write `tcp=`/`unix=`/`metrics=`/`pid=` lines once ready
@@ -128,7 +127,6 @@ fn main() -> ExitCode {
             "--no-flight-recorder" => config.flight_recorder = false,
             "--naive" => config.naive = true,
             "--no-fast-forward" => config.fast_forward = evolve_core::FastForward::Off,
-            "--no-telemetry" => config.telemetry = false,
             "--record-observations" => config.record_observations = true,
             "--preload" => match value("--preload") {
                 Ok(v) if v == "default" => preload = true,

@@ -23,8 +23,9 @@
 //!   [`max_queue_depth`](ServeConfig::max_queue_depth) pending requests
 //!   a shard sheds load with a typed BUSY response instead of queueing
 //!   without bound;
-//! - **live telemetry**: per-shard [`TelemetrySink`](evolve_obs::TelemetrySink)
-//!   snapshots are folded by a dedicated `/metrics` listener into one
+//! - **live telemetry**: each shard folds every lane it answers into
+//!   its [`TelemetrySink`](evolve_obs::TelemetrySink), and a dedicated
+//!   `/metrics` listener merges the shards' published snapshots into one
 //!   Prometheus text exposition.
 //!
 //! Responses are bitwise identical to a fresh scalar

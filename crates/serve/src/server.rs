@@ -78,8 +78,6 @@ pub struct ServeConfig {
     /// caches — the strategy the affinity-batched path is measured
     /// against.
     pub naive: bool,
-    /// Attach per-shard telemetry sinks (feeds `/metrics`).
-    pub telemetry: bool,
     /// Always-on request-lifecycle flight recorder (per-shard span rings
     /// + per-phase latency histograms). Disable to measure its cost.
     pub flight_recorder: bool,
@@ -107,7 +105,6 @@ impl Default for ServeConfig {
             fast_forward: FastForward::On,
             ff_confirm_periods: DEFAULT_CONFIRM_PERIODS,
             naive: false,
-            telemetry: true,
             flight_recorder: true,
             flight_spans: 1024,
         }

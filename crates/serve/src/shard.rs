@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use evolve_core::{EvalBackend, FastForwardStats};
 use evolve_explore::cache::{
-    drive_prepared, drive_prepared_batch, prepare, prepare_batch, DeltaMode, EngineCaches,
-    EngineOptions, PreparedDrive,
+    drive_prepared, drive_prepared_batch, fold_drive, prepare, prepare_batch, DeltaMode,
+    EngineCaches, EngineOptions, PreparedDrive,
 };
 use evolve_explore::{ModelSpec, ScenarioOutcome};
 use evolve_model::Arrival;
@@ -153,7 +153,8 @@ struct Worker {
     cfg: Arc<ServeConfig>,
     options: EngineOptions,
     caches: EngineCaches,
-    sink: Option<Box<TelemetrySink>>,
+    /// Every answered lane, folded once.
+    sink: TelemetrySink,
     counters: ServeCounters,
     depth: Arc<AtomicUsize>,
     published: Arc<Mutex<MetricsSnapshot>>,
@@ -175,12 +176,11 @@ impl Worker {
         flight: Option<ShardFlight>,
     ) -> Self {
         let options = cfg.engine_options();
-        let sink = cfg.telemetry.then(|| Box::new(TelemetrySink::new()));
         Worker {
             cfg,
             options,
             caches: EngineCaches::default(),
-            sink,
+            sink: TelemetrySink::new(),
             counters: ServeCounters::default(),
             depth,
             published,
@@ -359,9 +359,7 @@ impl Worker {
             .entry(spec.clone())
             .or_insert_with(|| prepare_batch(spec, &options, n));
         let Ok(prepared) = entry else {
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.batch.eject_unsupported += n as u64;
-            }
+            self.sink.batch.eject_unsupported += n as u64;
             for job in jobs {
                 self.eval_scalar(spec, job, n as u32);
             }
@@ -369,7 +367,7 @@ impl Worker {
         };
         let traces: Vec<&[Arrival]> = jobs.iter().map(|j| j.arrivals.as_slice()).collect();
         let eval_start = Self::flight_now(&self.flight);
-        let (outcomes, _reused, _wall) = drive_prepared_batch(prepared, &traces, &mut self.sink);
+        let (outcomes, _reused, _wall) = drive_prepared_batch(prepared, &traces, &mut None);
         let eval_end = Self::flight_now(&self.flight);
         if let Some(f) = &self.flight {
             // One eval span per lane (every admitted request gets one),
@@ -378,28 +376,25 @@ impl Worker {
                 f.record(Phase::Eval, job.corr, eval_start, eval_end, job.label, n as u64);
             }
         }
-        if let Some(sink) = self.sink.as_deref_mut() {
-            // The drive resets a reused engine, so its counters after the
-            // drive are this batch's alone.
-            let kernel = prepared.engine.kernel_dispatch();
-            sink.batch.merge(&BatchCounters {
-                batch_width: self.cfg.batch_width as u64,
-                batches_formed: 1,
-                lanes_batched: n as u64,
-                lockstep_iterations: prepared.engine.stats().batched_iterations,
-                kernel_chunked_sweeps: kernel.chunked_sweeps,
-                kernel_scalar_sweeps: kernel.scalar_sweeps,
-                ..BatchCounters::default()
-            });
-        }
+        // The drive resets a reused engine, so its counters after the
+        // drive are this batch's alone.
+        let kernel = prepared.engine.kernel_dispatch();
+        self.sink.batch.merge(&BatchCounters {
+            batch_width: self.cfg.batch_width as u64,
+            batches_formed: 1,
+            lanes_batched: n as u64,
+            lockstep_iterations: prepared.engine.stats().batched_iterations,
+            kernel_chunked_sweeps: kernel.chunked_sweeps,
+            kernel_scalar_sweeps: kernel.scalar_sweeps,
+            ..BatchCounters::default()
+        });
         let mut lanes = Vec::with_capacity(n);
         for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.engine.merge(&outcome.engine_stats);
-            }
-            self.counters.lanes_batched += 1;
             // Batches do not fast-forward: the lane's `ff` reads zeros.
-            let resp = eval_ok(job.id, &outcome, FastForwardStats::default(), true, n as u32);
+            let ff = FastForwardStats::default();
+            fold_drive(&mut self.sink, &outcome, &ff);
+            self.counters.lanes_batched += 1;
+            let resp = eval_ok(job.id, &outcome, ff, true, n as u32);
             lanes.push((job, Response::EvalOk(resp)));
         }
         // One write per connection: the stable sort brings each
@@ -417,10 +412,10 @@ impl Worker {
             // Baseline serving strategy: a fresh engine per request, no
             // cache — what a one-request-per-process evaluator would do.
             let mut fresh = prepare(spec, &options);
-            drive_prepared(&mut fresh, &job.arrivals, &options, &mut self.sink, DeltaMode::Off)
+            drive_prepared(&mut fresh, &job.arrivals, &options, &mut None, DeltaMode::Off)
         } else {
             let prepared = self.caches.scalar_mut(spec, &options);
-            drive_prepared(prepared, &job.arrivals, &options, &mut self.sink, DeltaMode::Off)
+            drive_prepared(prepared, &job.arrivals, &options, &mut None, DeltaMode::Off)
         };
         if let Some(f) = &self.flight {
             f.record(Phase::Eval, job.corr, eval_start, f.recorder.now_ns(), job.label, 1);
@@ -430,10 +425,7 @@ impl Worker {
             fast_forward,
             ..
         } = drive;
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.engine.merge(&outcome.engine_stats);
-            sink.ff.merge(&fast_forward.into());
-        }
+        fold_drive(&mut self.sink, &outcome, &fast_forward);
         self.counters.lanes_scalar += 1;
         let resp = eval_ok(job.id, &outcome, fast_forward, false, lanes_in_batch);
         self.respond(&[(job, Response::EvalOk(resp))]);
@@ -511,10 +503,7 @@ impl Worker {
         }
         self.publish_pending = false;
         self.last_publish = Some(Instant::now());
-        let mut snap = match self.sink.as_deref_mut() {
-            Some(sink) => sink.snapshot(),
-            None => MetricsSnapshot::default(),
-        };
+        let mut snap = self.sink.snapshot();
         snap.serve = self.counters;
         *self.published.lock().unwrap_or_else(|e| e.into_inner()) = snap;
     }

@@ -401,6 +401,58 @@ fn reused_batch_engines_book_every_lockstep_iteration() {
     server.shutdown_and_join();
 }
 
+/// `/metrics` folds every answered lane once: after batched and scalar
+/// answers alike, `evolve_boundary_events_total` equals the offers plus
+/// output writes of the answered traces (the sweep's definition), and the
+/// engine counters equal the sum the responses report.
+#[test]
+fn metrics_fold_every_answered_lane() {
+    let config = ServeConfig {
+        shards: 1,
+        batch_width: 4,
+        max_batch_delay: Duration::from_millis(20),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        config,
+        &[Bind::Tcp("127.0.0.1:0".into())],
+        Some("127.0.0.1:0"),
+    )
+    .unwrap();
+    let mut client = ServeClient::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+
+    // One full lockstep batch, then two scalar answers of a worklist spec.
+    let spec = pipeline(4, 100, 3, 0);
+    for id in 0..4 {
+        client.send(&eval(id, &spec, &generated(12, 0xf01d + id))).unwrap();
+    }
+    let mut answers: Vec<EvalResponse> =
+        (0..4).map(|_| expect_ok(client.recv().unwrap())).collect();
+    assert!(answers.iter().all(|ok| ok.batched));
+    let worklist = ModelSpec {
+        kind: ModelKind::Didactic { stages: 2 },
+        padding: 0,
+        backend: EvalBackend::Worklist,
+    };
+    for id in 4..6 {
+        let ok = expect_ok(client.call(&eval(id, &worklist, &generated(9, id))).unwrap());
+        assert!(!ok.batched);
+        answers.push(ok);
+    }
+
+    let boundary: u64 = answers
+        .iter()
+        .map(|ok| (ok.input_acks.len() + ok.outputs.len()) as u64)
+        .sum();
+    let nodes: u64 = answers.iter().map(|ok| ok.engine[0]).sum();
+    let metrics = scrape_until(&server, |m| series(m, BOUNDARY) == Some(boundary));
+    assert_eq!(series(&metrics, BOUNDARY), Some(boundary));
+    assert_eq!(series(&metrics, NODES), Some(nodes));
+    server.shutdown_and_join();
+}
+
+const BOUNDARY: &str = "evolve_boundary_events_total";
+const NODES: &str = "evolve_engine_nodes_computed_total";
 const ERRORS: &str = "evolve_serve_errors_total";
 const RESPONSES: &str = "evolve_serve_responses_total";
 const FULL: &str = "evolve_serve_batches_total{trigger=\"full\"}";

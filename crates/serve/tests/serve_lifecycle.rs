@@ -302,3 +302,31 @@ fn sigusr1_dumps_flight_recorder_to_trace_out() {
     assert!(evolve_obs::json::parses(&final_dump));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Removed flags are usage errors: the daemon exits 2 with the usage line
+/// instead of starting (a daemon that accepted one would still be running
+/// after 10 s; it is killed and the test fails).
+#[test]
+fn removed_flags_exit_2_with_usage() {
+    for flag in ["--no-telemetry", "--no-delta"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_evolved"))
+            .args(["--tcp", "127.0.0.1:0", flag])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn evolved");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                panic!("evolved accepted {flag} and started");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{flag}: {stderr}");
+        assert!(stderr.contains("USAGE:\n    evolved [OPTIONS]"), "{flag}: {stderr}");
+    }
+}
